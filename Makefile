@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test short vet race stress fuzz fuzzsmoke bench chaos crash walfuzz checkfuzz checksmoke docs trace-smoke overload servefuzz servechaos ci
+.PHONY: all build test short vet race stress fuzz fuzzsmoke bench benchspine chaos crash walfuzz checkfuzz checksmoke docs trace-smoke overload servefuzz servechaos ci
 
 all: build test
 
@@ -48,17 +48,17 @@ chaos:
 		-mpl 8 -ramp 100ms -measure 500ms -retry backoff -seed 7 > /dev/null
 	$(GO) test -short -count=1 -run 'TestChaos|TestInjected|TestFaulted' ./internal/workload ./internal/detsim
 
-# Crash/recover chaos: rotate a panic fault through the commit path
-# (including mid-WAL-flush, inside the coalesced-sync window and at
-# segment rotation), recover from the surviving log image after every
-# crash and audit the durability contract — acked state survives,
-# unacked state vanishes, money is conserved, recovery is idempotent.
-# The second smallbank run exercises asynchronous commit on a segmented
-# log, auditing the durable-prefix contract instead (acked-durable
-# commits survive; only the un-acked tail may vanish).
+# Crash/recover chaos on the segmented log: rotate a panic fault through
+# the commit path (including mid-WAL-flush, between a window's append
+# and its sync, and at segment rotation), recover from the surviving log
+# image after every crash and audit the durability contract — acked
+# state survives, unacked state vanishes, money is conserved, recovery
+# is idempotent. The second smallbank run exercises asynchronous commit,
+# auditing the durable-prefix contract instead (acked-durable commits
+# survive; only the un-acked tail may vanish).
 crash:
 	$(GO) run ./cmd/smallbank -crash -crash-cycles 10 -mode 2pl -seed 7 > /dev/null
-	$(GO) run ./cmd/smallbank -crash -crash-cycles 10 -crash-async -crash-segment-size 4096 -seed 11 > /dev/null
+	$(GO) run ./cmd/smallbank -crash -crash-cycles 10 -crash-async -seed 11 > /dev/null
 	$(GO) test -race -count=1 -run TestCrashChaos ./internal/workload
 
 # Fuzz the recovery pipeline: arbitrary bytes through the frame decoder
@@ -118,9 +118,15 @@ bench:
 	$(GO) test -run XXX -bench 'BenchmarkCommitCheckpointMPL16' -benchtime 1s -count 3 -benchmem ./internal/engine | tee bench_ckpt.txt
 	$(GO) test -run XXX -bench 'BenchmarkServerRoundTrip' -benchtime 1s -count 3 -benchmem ./internal/server | tee bench_server.txt
 	$(GO) run ./cmd/benchjson -o BENCH_engine.json \
-		-note "Parallel commit benchmark, uniform keys; baseline = pre-sharding global-mutex design. The tracing set measures the serial commit cycle with the lifecycle recorder absent (off), installed-but-disabled (the <=5% budget: one atomic load per emission point), and capturing (enabled). The durable set prices the WAL: latency-only (no device) vs in-memory device (encoding + CRC32C framing) vs real log file (OS write per flushed batch); the CommitDurableMPL16 group prices group commit at 16 committers against a file device with a simulated 200us sync — baseline (one fsync per commit, the pre-coalescing loop) vs coalesced windows vs asynchronous commit vs a segment-rotated log, with commits/sync as the coalescing gauge. The checking set prices the online isolation checker: off/traced/checked time the same commit cycle with ring consumption off-timer (traced->checked is the <=5% commit-path budget), and BenchmarkIngest reports the checker's own off-path cost per event. The admission set prices the adaptive admission gate at Begin: off (Config.Admission nil, one pointer branch — the <=5% acceptance budget against the plain commit cycle) vs on (uncontended fast-path slot acquire/release around each transaction, AIMD controller ticking in the background). The checkpoint set prices checkpoint interference at 16 committers against a file device with a large cold table: none (no checkpoints, the baseline), stw (a stop-the-world Checkpoint every 25ms — commits stall behind the full snapshot and rewrite) and fuzzy (the log-growth scheduler streaming incremental links concurrently with commits); p99-ns is the acceptance gauge — fuzzy must stay within 2x of none, where stw is typically an order of magnitude worse. The server set prices one full network round-trip — request encode, loopback TCP, line parse, statement execute, response encode/decode — through cmd/sisqld's serving stack (internal/server) with an autocommit single-row SELECT." \
+		-note "Parallel commit benchmark, uniform keys; baseline = pre-sharding global-mutex design. The tracing set measures the serial commit cycle with the lifecycle recorder absent (off), installed-but-disabled (the <=5% budget: one atomic load per emission point), and capturing (enabled). The durable set prices the WAL: latency-only (no device) vs in-memory device (encoding + CRC32C framing); the CommitDurableMPL16 group prices group commit at 16 committers against a file device with a simulated 200us sync — coalesced windows vs asynchronous commit vs a segment-rotated log, with commits/sync as the coalescing gauge. The checking set prices the online isolation checker: off/traced/checked time the same commit cycle with ring consumption off-timer (traced->checked is the <=5% commit-path budget), and BenchmarkIngest reports the checker's own off-path cost per event. The admission set prices the adaptive admission gate at Begin: off (Config.Admission nil, one pointer branch — the <=5% acceptance budget against the plain commit cycle) vs on (uncontended fast-path slot acquire/release around each transaction, AIMD controller ticking in the background). The checkpoint set prices checkpoint interference at 16 committers against a file device with a large cold table: none (no checkpoints, the baseline) and fuzzy (the log-growth scheduler streaming incremental links concurrently with commits); p99-ns is the acceptance gauge — fuzzy must stay within 2x of none. The server set prices one full network round-trip — request encode, loopback TCP, line parse, statement execute, response encode/decode — through cmd/sisqld's serving stack (internal/server) with an autocommit single-row SELECT." \
 		baseline=bench/baseline_preshard.txt sharded=bench_latest.txt tracing=bench_traced.txt durable=bench_durable.txt checking=bench_check.txt admission=bench_admission.txt checkpoint=bench_ckpt.txt server=bench_server.txt
 	rm -f bench_latest.txt bench_traced.txt bench_durable.txt bench_check.txt bench_admission.txt bench_ckpt.txt bench_server.txt
+
+# The benchmark (benchspine/) is a module of its own, so the root
+# build and vet never compile it: this step is what notices an API it
+# depends on disappearing.
+benchspine:
+	cd benchspine && $(GO) vet ./... && $(GO) test -short ./...
 
 # Overload smoke: a short open-system run at an offered load well past
 # saturation with the adaptive admission gate and per-transaction
@@ -148,4 +154,4 @@ servechaos:
 	SERVECHAOS_FULL=1 $(GO) test -count=1 -timeout 600s -run TestServerChaos ./internal/workload
 	$(GO) test -race -count=1 ./internal/server
 
-ci: build docs test race stress fuzzsmoke chaos crash walfuzz checkfuzz checksmoke trace-smoke overload servefuzz servechaos
+ci: build docs test benchspine race stress fuzzsmoke chaos crash walfuzz checkfuzz checksmoke trace-smoke overload servefuzz servechaos

@@ -12,7 +12,7 @@
 //	smallbank -strategies                  # list strategies
 //	smallbank -chaos -mode 2pl -check      # fault-injected run + invariant audit
 //	smallbank -crash -crash-cycles 20      # crash/recover chaos + durability audit
-//	smallbank -wal run.wal                 # durable log file (resumes if non-empty)
+//	smallbank -wal waldir                  # durable log directory (resumes if non-empty)
 //	smallbank -retry backoff -retry-base 200us -retry-cap 20ms
 //	smallbank -trace run.jsonl             # dump the lifecycle event trace
 //	smallbank -pprof localhost:6060        # serve pprof/expvar while running
@@ -22,7 +22,7 @@
 //	smallbank -wal waldir -wal-segment-size 1048576 -ckpt-bytes 4194304 -retire
 //	                                       # fuzzy incremental checkpoints + online
 //	                                       # segment retirement (bounded log)
-//	smallbank -crash -crash-segment-size 4096 -crash-fuzzy
+//	smallbank -crash -crash-fuzzy
 //	                                       # crash chaos with the fuzzy machinery live
 package main
 
@@ -68,14 +68,13 @@ func main() {
 		crash        = flag.Bool("crash", false, "run the crash/recover chaos harness and audit the durability contract")
 		crashCycles  = flag.Int("crash-cycles", 20, "crash/recover cycles for -crash")
 		crashAsync   = flag.Bool("crash-async", false, "-crash: asynchronous-commit mode, auditing the durable-prefix contract")
-		crashSegSize = flag.Int64("crash-segment-size", 0, "-crash: segmented log rotated at this many bytes (0 = flat device)")
-		walPath      = flag.String("wal", "", "durable log file; a non-empty file is recovered instead of loaded")
+		walPath      = flag.String("wal", "", "durable log directory of wal.NNNN segments; a non-empty log is recovered instead of loaded")
 		walAsync     = flag.Bool("wal-async", false, "asynchronous commit (synchronous_commit=off): publish before durable")
-		walSegSize   = flag.Int64("wal-segment-size", 0, "rotate the log into wal.NNNN segments at this many bytes; -wal names a directory")
-		walPrealloc  = flag.Int64("wal-prealloc", 0, "create wal.NNNN segments at this physical size up front (needs -wal-segment-size)")
+		walSegSize   = flag.Int64("wal-segment-size", 1<<20, "rotate the log into a fresh wal.NNNN segment at this many bytes")
+		walPrealloc  = flag.Int64("wal-prealloc", 0, "create wal.NNNN segments at this physical size up front")
 		ckptBytes    = flag.Int64("ckpt-bytes", 0, "fuzzy incremental checkpoint after this many bytes of log growth (0 = off)")
 		ckptChain    = flag.Int("ckpt-chain", 0, "delta links per chain before a full link re-roots it (0 = engine default)")
-		retire       = flag.Bool("retire", false, "retire fully-covered wal.NNNN segments after each chain re-root (needs -wal-segment-size)")
+		retire       = flag.Bool("retire", false, "retire fully-covered wal.NNNN segments after each chain re-root")
 		archiveDir   = flag.String("archive", "", "copy retired segments into this directory before deleting (PITR; needs -retire)")
 		crashFuzzy   = flag.Bool("crash-fuzzy", false, "-crash: fuzzy checkpoints + segment retirement live during the rotation")
 		lockTimeout  = flag.Duration("locktimeout", 0, "per-transaction lock-wait timeout (0 = wait forever)")
@@ -144,20 +143,12 @@ func main() {
 	}
 
 	if *crash {
-		runCrashChaos(engCfg.Mode, engCfg.Platform, *crashCycles, *seed, *crashAsync, *crashSegSize, *crashFuzzy)
+		runCrashChaos(engCfg.Mode, engCfg.Platform, *crashCycles, *seed, *crashAsync, *crashFuzzy)
 		return
 	}
 
-	if *retire && *walSegSize <= 0 {
-		fmt.Fprintln(os.Stderr, "smallbank: -retire needs a segmented log (-wal-segment-size > 0)")
-		os.Exit(2)
-	}
 	if *archiveDir != "" && !*retire {
 		fmt.Fprintln(os.Stderr, "smallbank: -archive needs -retire")
-		os.Exit(2)
-	}
-	if *walPrealloc > 0 && *walSegSize <= 0 {
-		fmt.Fprintln(os.Stderr, "smallbank: -wal-prealloc needs a segmented log (-wal-segment-size > 0)")
 		os.Exit(2)
 	}
 	engCfg.WAL.PreallocBytes = *walPrealloc
@@ -219,32 +210,19 @@ func main() {
 
 	engCfg.AsyncCommit = *walAsync
 
-	var dev wal.LogDevice
+	var dev *wal.SegmentLog
 	if *walPath != "" {
-		if *walSegSize > 0 {
-			// Segmented layout: -wal names a directory of wal.NNNN files.
-			sl, serr := wal.OpenSegmentLog(*walPath, *walSegSize)
-			if serr != nil {
-				fmt.Fprintln(os.Stderr, "smallbank:", serr)
-				os.Exit(1)
-			}
-			defer sl.Close()
-			dev = sl
-		} else {
-			fd, ferr := wal.OpenFileDevice(*walPath)
-			if ferr != nil {
-				fmt.Fprintln(os.Stderr, "smallbank:", ferr)
-				os.Exit(1)
-			}
-			defer fd.Close()
-			dev = fd
+		if dev, err = wal.OpenSegmentLog(*walPath, *walSegSize); err != nil {
+			fmt.Fprintln(os.Stderr, "smallbank:", err)
+			os.Exit(1)
 		}
+		defer dev.Close()
 		engCfg.WAL.Device = dev
 	}
 
 	var db *engine.DB
 	if dev != nil && dev.Size() > 0 {
-		// The file already holds a database image: rebuild it instead of
+		// The log already holds a database image: rebuild it instead of
 		// loading. The customer population is whatever the original run
 		// loaded, so derive -customers from the recovered Account table.
 		var rep *engine.RecoveryReport
@@ -444,33 +422,23 @@ func main() {
 			db.DurableSeq(), db.CommitSeq())
 	}
 	if dev != nil {
-		if *ckptBytes > 0 {
-			// Fuzzy mode: seal the run with one more incremental link (a
-			// full re-root retires covered segments when -retire is on)
-			// and report the chain the next -wal run will fold.
-			csn, err := db.CheckpointIncremental()
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "smallbank: checkpoint:", err)
-				os.Exit(1)
-			}
-			cs := db.CheckpointStats()
-			ws = db.WAL().Stats()
-			fmt.Printf("checkpoint: CSN %d, chain %d links (%d full re-roots of %d total), %d bytes live\n",
-				csn, cs.ChainLinks, cs.FullLinks, cs.Links, dev.Size())
-			fmt.Printf("checkpoint pauses: %v total (%v last); retired %d segments, archived %d\n",
-				time.Duration(cs.PauseNS).Round(time.Microsecond),
-				time.Duration(cs.LastPauseNS).Round(time.Microsecond),
-				ws.RetiredSegments, ws.ArchivedSegments)
-		} else {
-			// Bound the log file so the next -wal run recovers from a compact
-			// checkpoint instead of replaying this whole run.
-			csn, err := db.Checkpoint()
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "smallbank: checkpoint:", err)
-				os.Exit(1)
-			}
-			fmt.Printf("checkpoint: CSN %d written to %s (%d bytes)\n", csn, *walPath, dev.Size())
+		// Seal the run with one more chain link, so the next -wal run
+		// recovers from the folded chain instead of replaying this whole
+		// run (a full re-root retires covered segments when -retire is
+		// on), and report the chain that run will fold.
+		csn, err := db.Checkpoint()
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "smallbank: checkpoint:", err)
+			os.Exit(1)
 		}
+		cs := db.CheckpointStats()
+		ws = db.WAL().Stats()
+		fmt.Printf("checkpoint: CSN %d, chain %d links (%d full re-roots of %d total), %d bytes live\n",
+			csn, cs.ChainLinks, cs.FullLinks, cs.Links, dev.Size())
+		fmt.Printf("checkpoint pauses: %v total (%v last); retired %d segments, archived %d\n",
+			time.Duration(cs.PauseNS).Round(time.Microsecond),
+			time.Duration(cs.LastPauseNS).Round(time.Microsecond),
+			ws.RetiredSegments, ws.ArchivedSegments)
 	}
 
 	lc := res.Contention.Lock
@@ -672,12 +640,12 @@ func runOpenSystem(db *engine.DB, r openRun) {
 // runCrashChaos drives the crash/recover harness and prints the
 // per-cycle durability audit. Exits non-zero if any cycle violates the
 // durability contract.
-func runCrashChaos(mode core.CCMode, platform core.Platform, cycles int, seed int64, async bool, segSize int64, fuzzy bool) {
-	fmt.Fprintf(os.Stderr, "crash chaos: %d crash/recover cycles, mode %s, seed %d, async %v, segment size %d, fuzzy %v...\n",
-		cycles, mode, seed, async, segSize, fuzzy)
+func runCrashChaos(mode core.CCMode, platform core.Platform, cycles int, seed int64, async bool, fuzzy bool) {
+	fmt.Fprintf(os.Stderr, "crash chaos: %d crash/recover cycles, mode %s, seed %d, async %v, fuzzy %v...\n",
+		cycles, mode, seed, async, fuzzy)
 	rep, err := workload.RunCrashChaos(workload.CrashChaosConfig{
 		Mode: mode, Platform: platform, Cycles: cycles, Seed: seed,
-		Async: async, SegmentSize: segSize, Fuzzy: fuzzy,
+		Async: async, Fuzzy: fuzzy,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "smallbank:", err)

@@ -1,15 +1,16 @@
 // Command walinspect dumps and validates a write-ahead-log image: it
 // scans the frame stream (length + CRC32C framing, see internal/wal),
-// reports the classification recovery would act on — last checkpoint,
-// schemas in effect, redo commits, CSN high-water mark — and flags a
-// torn or corrupt tail. With -repair it truncates the file to the valid
-// prefix, exactly what engine recovery would do.
+// reports the classification recovery would act on — folded checkpoint
+// chain, schemas in effect, redo commits, CSN high-water mark — and
+// flags a torn or corrupt tail. With -repair it truncates the log to
+// the valid prefix, exactly what engine recovery would do.
 //
-// The argument may be a single log file or a directory of wal.NNNN
-// segments (the -wal-segment-size layout): a directory is validated as
-// a segmented layout — contiguous indices, no corruption in sealed
-// segments — and classified as the concatenated stream, with frames
-// allowed to straddle segment boundaries.
+// The argument is a log directory of wal.NNNN segments (what
+// cmd/smallbank -wal writes): it is validated as a segmented layout —
+// contiguous indices, no corruption in sealed segments — and classified
+// as the concatenated stream, with frames allowed to straddle segment
+// boundaries. A single segment file (an archived one, say) is accepted
+// too, as a read-only dump: -repair and -archive need the directory.
 //
 // Fuzzy incremental checkpoints appear as delta-begin/delta-rows/
 // delta-end frame triples; the classification reports the folded chain
@@ -20,12 +21,11 @@
 //
 // Usage:
 //
-//	walinspect run.wal                  # summary + torn-tail verdict
-//	walinspect -frames run.wal          # additionally dump every frame
-//	walinspect -repair run.wal          # truncate a torn tail in place
-//	walinspect waldir/                  # segmented: validate + classify wal.NNNN files
+//	walinspect waldir/                  # validate + classify wal.NNNN files
+//	walinspect -frames waldir/          # additionally dump every frame
 //	walinspect -repair waldir/          # truncate the torn tail across segments
 //	walinspect -archive waldir/archive waldir/   # classify archived + live segments
+//	walinspect waldir/archive/wal.0003  # read-only dump of one segment file
 //
 // Exit status is 1 on a torn tail left unrepaired, 2 on usage, I/O or
 // segment-layout errors.
@@ -34,7 +34,9 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"path/filepath"
 	"sort"
 
 	"sicost/internal/wal"
@@ -43,185 +45,159 @@ import (
 func main() {
 	var (
 		frames  = flag.Bool("frames", false, "dump every decoded frame")
-		repair  = flag.Bool("repair", false, "truncate a torn tail in place")
+		repair  = flag.Bool("repair", false, "truncate a torn tail in place (log directory only)")
 		archive = flag.String("archive", "", "directory of archived wal.NNNN segments to merge before the live ones (PITR)")
 	)
 	flag.Parse()
 	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: walinspect [-frames] [-repair] [-archive dir] <logfile|segmentdir>")
+		fmt.Fprintln(os.Stderr, "usage: walinspect [-frames] [-repair] [-archive dir] <segmentdir|segmentfile>")
 		os.Exit(2)
 	}
-	path := flag.Arg(0)
+	os.Exit(run(flag.Arg(0), options{frames: *frames, repair: *repair, archive: *archive}, os.Stdout, os.Stderr))
+}
+
+type options struct {
+	frames, repair bool
+	archive        string
+}
+
+// run inspects the log at path and returns the exit status. Layout
+// errors (index gaps, duplicates, corruption inside a sealed segment)
+// are fatal; a torn tail in the LAST segment is repairable, truncated
+// across segments with -repair.
+func run(path string, o options, stdout, stderr io.Writer) int {
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "walinspect:", err)
+		return 2
+	}
 	st, err := os.Stat(path)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "walinspect:", err)
-		os.Exit(2)
+		return fail(err)
 	}
-	if st.IsDir() {
-		if *repair && *archive != "" {
-			fmt.Fprintln(os.Stderr, "walinspect: -repair cannot be combined with -archive (repair the live directory alone)")
-			os.Exit(2)
+	var segs []wal.SegmentData
+	switch {
+	case !st.IsDir() && (o.repair || o.archive != ""):
+		return fail(fmt.Errorf("%s is a single segment file, dumped read-only: -repair and -archive need the log directory of wal.NNNN segments", path))
+	case !st.IsDir():
+		b, err := os.ReadFile(path)
+		if err != nil {
+			return fail(err)
 		}
-		inspectSegments(path, *archive, *frames, *repair)
-		return
+		idx, _ := wal.ParseSegmentName(filepath.Base(path))
+		segs = []wal.SegmentData{{Index: idx, Data: b}}
+	case o.repair && o.archive != "":
+		return fail(fmt.Errorf("-repair cannot be combined with -archive (repair the live directory alone)"))
+	default:
+		if segs, err = readSegments(path); err != nil {
+			return fail(err)
+		}
+		if o.archive != "" {
+			arch, err := readSegments(o.archive)
+			if err != nil {
+				return fail(err)
+			}
+			segs = append(arch, segs...)
+			sort.Slice(segs, func(i, j int) bool { return segs[i].Index < segs[j].Index })
+		}
+		if len(segs) == 0 {
+			return fail(fmt.Errorf("%s: no wal.NNNN segments", path))
+		}
 	}
-	if *archive != "" {
-		fmt.Fprintln(os.Stderr, "walinspect: -archive requires a segment directory argument")
-		os.Exit(2)
-	}
-	b, err := os.ReadFile(path)
+	info, err := wal.ClassifySegments(segs)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "walinspect:", err)
-		os.Exit(2)
+		return fail(err)
 	}
-
-	info := wal.Classify(b)
-	fmt.Printf("%s: %d bytes, %d valid frames in %d bytes\n", path, len(b), info.Frames, info.ValidBytes)
-
-	if *frames {
-		dumpFrames(b)
+	var all []byte
+	for _, s := range segs {
+		all = append(all, s.Data...)
 	}
-
-	printClassification(info)
+	fmt.Fprintf(stdout, "%s: %d segments, %d bytes, %d valid frames in %d bytes\n",
+		path, info.Segments, len(all), info.Frames, info.ValidBytes)
+	printSegmentSpans(stdout, segs, all)
+	if o.frames {
+		dumpFrames(stdout, all)
+	}
+	printClassification(stdout, info)
 
 	if info.TornBytes == 0 {
-		fmt.Println("tail: clean")
-		return
+		fmt.Fprintln(stdout, "tail: clean")
+		return 0
 	}
-	fmt.Printf("tail: TORN — %d bytes past offset %d do not decode\n", info.TornBytes, info.ValidBytes)
-	if !*repair {
-		fmt.Println("run with -repair to truncate to the valid prefix")
-		os.Exit(1)
+	fmt.Fprintf(stdout, "tail: TORN — %d bytes past stream offset %d do not decode\n", info.TornBytes, info.ValidBytes)
+	if !o.repair {
+		if st.IsDir() {
+			fmt.Fprintln(stdout, "run with -repair to truncate to the valid prefix")
+		}
+		return 1
 	}
-	if err := os.WriteFile(path, b[:info.ValidBytes], 0o644); err != nil {
-		fmt.Fprintln(os.Stderr, "walinspect: repair:", err)
-		os.Exit(2)
+	sl, err := wal.OpenSegmentLog(path, 1<<30)
+	if err != nil {
+		return fail(fmt.Errorf("repair: %w", err))
 	}
-	fmt.Printf("repaired: truncated to %d bytes\n", info.ValidBytes)
+	err = sl.TruncateTail(int64(info.ValidBytes))
+	sl.Close()
+	if err != nil {
+		return fail(fmt.Errorf("repair: %w", err))
+	}
+	fmt.Fprintf(stdout, "repaired: truncated to %d bytes\n", info.ValidBytes)
+	return 0
 }
 
 // printClassification prints the recovery-relevant view of a classified
 // log: checkpoint, schemas, redo span and CSN high-water mark.
-func printClassification(info *wal.RecoveryInfo) {
+func printClassification(w io.Writer, info *wal.RecoveryInfo) {
 	if info.Checkpoint != nil {
 		rows := 0
 		for _, t := range info.Checkpoint.Tables {
 			rows += len(t.Rows)
 		}
-		if info.ChainLinks > 0 {
-			fmt.Printf("checkpoint: CSN %d, %d tables, %d rows (folded from a chain of %d delta links)\n",
-				info.Checkpoint.CSN, len(info.Checkpoint.Tables), rows, info.ChainLinks)
-		} else {
-			fmt.Printf("checkpoint: CSN %d, %d tables, %d rows\n", info.Checkpoint.CSN, len(info.Checkpoint.Tables), rows)
-		}
+		fmt.Fprintf(w, "checkpoint: CSN %d, %d tables, %d rows (folded from a chain of %d links)\n",
+			info.Checkpoint.CSN, len(info.Checkpoint.Tables), rows, info.ChainLinks)
 	} else {
-		fmt.Println("checkpoint: none (recovery replays the full log)")
+		fmt.Fprintln(w, "checkpoint: none (recovery replays the full log)")
 	}
 	for _, s := range info.Schemas {
-		fmt.Printf("schema: %s (%d columns, %d unique indexes)\n", s.Name, len(s.Columns), len(s.Unique))
+		fmt.Fprintf(w, "schema: %s (%d columns, %d unique indexes)\n", s.Name, len(s.Columns), len(s.Unique))
 	}
 	if n := len(info.Commits); n > 0 {
-		fmt.Printf("redo: %d commits, CSN %d..%d\n", n, info.Commits[0].CSN, info.Commits[n-1].CSN)
+		fmt.Fprintf(w, "redo: %d commits, CSN %d..%d\n", n, info.Commits[0].CSN, info.Commits[n-1].CSN)
 	} else {
-		fmt.Println("redo: no commits beyond the checkpoint")
+		fmt.Fprintln(w, "redo: no commits beyond the checkpoint")
 	}
-	fmt.Printf("high-water CSN: %d\n", info.HighCSN)
-}
-
-// inspectSegments validates and classifies a directory of wal.NNNN
-// segments: layout errors (index gaps, duplicates, corruption inside a
-// sealed segment) are fatal; a torn tail in the LAST segment is the
-// same repairable condition as in a flat log, truncated across
-// segments with -repair.
-func inspectSegments(dir, archiveDir string, frames, repair bool) {
-	segs, total := readSegments(dir)
-	if archiveDir != "" {
-		arch, atotal := readSegments(archiveDir)
-		segs = append(arch, segs...)
-		total += atotal
-		sort.Slice(segs, func(i, j int) bool { return segs[i].Index < segs[j].Index })
-	}
-	if len(segs) == 0 {
-		fmt.Fprintf(os.Stderr, "walinspect: %s: no wal.NNNN segments\n", dir)
-		os.Exit(2)
-	}
-	info, err := wal.ClassifySegments(segs)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "walinspect:", err)
-		os.Exit(2)
-	}
-	fmt.Printf("%s: %d segments, %d bytes, %d valid frames in %d bytes\n",
-		dir, info.Segments, total, info.Frames, info.ValidBytes)
-	printSegmentSpans(segs)
-	if frames {
-		var all []byte
-		for _, s := range segs {
-			all = append(all, s.Data...)
-		}
-		dumpFrames(all)
-	}
-	printClassification(info)
-
-	if info.TornBytes == 0 {
-		fmt.Println("tail: clean")
-		return
-	}
-	fmt.Printf("tail: TORN — %d bytes past stream offset %d do not decode\n", info.TornBytes, info.ValidBytes)
-	if !repair {
-		fmt.Println("run with -repair to truncate to the valid prefix")
-		os.Exit(1)
-	}
-	sl, err := wal.OpenSegmentLog(dir, 1<<30)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "walinspect: repair:", err)
-		os.Exit(2)
-	}
-	if err := sl.TruncateTail(int64(info.ValidBytes)); err != nil {
-		sl.Close()
-		fmt.Fprintln(os.Stderr, "walinspect: repair:", err)
-		os.Exit(2)
-	}
-	sl.Close()
-	fmt.Printf("repaired: truncated to %d bytes\n", info.ValidBytes)
+	fmt.Fprintf(w, "high-water CSN: %d\n", info.HighCSN)
 }
 
 // readSegments loads every wal.NNNN file of dir, sorted by index.
-func readSegments(dir string) ([]wal.SegmentData, int) {
+func readSegments(dir string) ([]wal.SegmentData, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "walinspect:", err)
-		os.Exit(2)
+		return nil, err
 	}
 	var segs []wal.SegmentData
-	total := 0
 	for _, e := range entries {
 		idx, ok := wal.ParseSegmentName(e.Name())
 		if !ok {
 			continue
 		}
-		b, err := os.ReadFile(dir + string(os.PathSeparator) + e.Name())
+		b, err := os.ReadFile(filepath.Join(dir, e.Name()))
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "walinspect:", err)
-			os.Exit(2)
+			return nil, err
 		}
 		segs = append(segs, wal.SegmentData{Index: idx, Data: b})
-		total += len(b)
 	}
 	sort.Slice(segs, func(i, j int) bool { return segs[i].Index < segs[j].Index })
-	return segs, total
+	return segs, nil
 }
 
 // printSegmentSpans prints one line per segment with the commit-CSN
 // range of the frames that START inside it — the map a point-in-time
 // recovery uses to pick which segment prefix to restore. Frames are
-// decoded from the concatenation (they may straddle boundaries) and
+// decoded from the concatenation all (they may straddle boundaries) and
 // attributed to the segment holding their first byte.
-func printSegmentSpans(segs []wal.SegmentData) {
-	var all []byte
+func printSegmentSpans(w io.Writer, segs []wal.SegmentData, all []byte) {
 	starts := make([]int, len(segs))
-	for i, s := range segs {
-		starts[i] = len(all)
-		all = append(all, s.Data...)
+	for i := 1; i < len(segs); i++ {
+		starts[i] = starts[i-1] + len(segs[i-1].Data)
 	}
 	type span struct{ lo, hi uint64 }
 	spans := make([]span, len(segs))
@@ -247,16 +223,16 @@ func printSegmentSpans(segs []wal.SegmentData) {
 	}
 	for i, s := range segs {
 		if spans[i].lo == 0 {
-			fmt.Printf("  %s: %d bytes, no commits\n", wal.SegmentName(s.Index), len(s.Data))
+			fmt.Fprintf(w, "  %s: %d bytes, no commits\n", wal.SegmentName(s.Index), len(s.Data))
 			continue
 		}
-		fmt.Printf("  %s: %d bytes, commits CSN %d..%d\n",
+		fmt.Fprintf(w, "  %s: %d bytes, commits CSN %d..%d\n",
 			wal.SegmentName(s.Index), len(s.Data), spans[i].lo, spans[i].hi)
 	}
 }
 
 // dumpFrames walks the log and prints one line per decodable frame.
-func dumpFrames(b []byte) {
+func dumpFrames(w io.Writer, b []byte) {
 	off := 0
 	for i := 0; ; i++ {
 		f, n, err := wal.DecodeFrameAt(b, off)
@@ -265,29 +241,22 @@ func dumpFrames(b []byte) {
 		}
 		switch {
 		case f.Commit != nil:
-			fmt.Printf("  [%d] @%d commit tx=%d csn=%d rows=%d (%d bytes)\n",
+			fmt.Fprintf(w, "  [%d] @%d commit tx=%d csn=%d rows=%d (%d bytes)\n",
 				i, off, f.Commit.TxID, f.Commit.CSN, len(f.Commit.Rows), n)
-		case f.Checkpoint != nil:
-			rows := 0
-			for _, t := range f.Checkpoint.Tables {
-				rows += len(t.Rows)
-			}
-			fmt.Printf("  [%d] @%d checkpoint csn=%d tables=%d rows=%d (%d bytes)\n",
-				i, off, f.Checkpoint.CSN, len(f.Checkpoint.Tables), rows, n)
 		case f.Schema != nil:
-			fmt.Printf("  [%d] @%d schema %s (%d bytes)\n", i, off, f.Schema.Name, n)
+			fmt.Fprintf(w, "  [%d] @%d schema %s (%d bytes)\n", i, off, f.Schema.Name, n)
 		case f.DeltaBegin != nil:
 			kind := "delta"
 			if f.DeltaBegin.Base == 0 {
 				kind = "full"
 			}
-			fmt.Printf("  [%d] @%d delta-begin %s csn=%d base=%d schemas=%d (%d bytes)\n",
+			fmt.Fprintf(w, "  [%d] @%d delta-begin %s csn=%d base=%d schemas=%d (%d bytes)\n",
 				i, off, kind, f.DeltaBegin.CSN, f.DeltaBegin.Base, len(f.DeltaBegin.Schemas), n)
 		case f.DeltaRows != nil:
-			fmt.Printf("  [%d] @%d delta-rows csn=%d rows=%d (%d bytes)\n",
+			fmt.Fprintf(w, "  [%d] @%d delta-rows csn=%d rows=%d (%d bytes)\n",
 				i, off, f.DeltaRows.CSN, len(f.DeltaRows.Rows), n)
 		case f.DeltaEnd != nil:
-			fmt.Printf("  [%d] @%d delta-end csn=%d rows=%d (%d bytes)\n",
+			fmt.Fprintf(w, "  [%d] @%d delta-end csn=%d rows=%d (%d bytes)\n",
 				i, off, f.DeltaEnd.CSN, f.DeltaEnd.Rows, n)
 		}
 		off += n

@@ -256,7 +256,7 @@ func TestDefaultTxDeadlineFromConfig(t *testing.T) {
 // unstamped, sequencer not wedged, nothing durable — while a record
 // already claimed by a flush window completes fully durable.
 func TestDeadlineDuringFlushGroupSync(t *testing.T) {
-	dev := wal.NewMemDevice()
+	dev := newMemLog(t)
 	db := Open(Config{
 		Mode: core.SnapshotFUW,
 		WAL:  wal.Config{Device: dev, FsyncLatency: 60 * time.Millisecond},
@@ -333,7 +333,7 @@ func TestDeadlineDuringFlushGroupSync(t *testing.T) {
 // commit must wait out the verdict and succeed — late but fully
 // durable, never half-published.
 func TestDeadlineDuringFlushGroupInFlight(t *testing.T) {
-	dev := wal.NewMemDevice()
+	dev := newMemLog(t)
 	db := Open(Config{
 		Mode: core.SnapshotFUW,
 		WAL:  wal.Config{Device: dev, FsyncLatency: 40 * time.Millisecond},
@@ -374,7 +374,7 @@ func TestDeadlineDuringFlushGroupInFlight(t *testing.T) {
 // deadline before publishing; once published it owes durability and the
 // deadline can no longer tear it. Either outcome is all-or-nothing.
 func TestDeadlineAsyncCommitNeverHalfPublished(t *testing.T) {
-	dev := wal.NewMemDevice()
+	dev := newMemLog(t)
 	db := Open(Config{
 		Mode:        core.SnapshotFUW,
 		WAL:         wal.Config{Device: dev, FsyncLatency: 30 * time.Millisecond},

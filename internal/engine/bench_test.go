@@ -3,7 +3,6 @@ package engine
 import (
 	"fmt"
 	"math/rand"
-	"path/filepath"
 	"runtime"
 	"sort"
 	"sync"
@@ -182,23 +181,16 @@ func BenchmarkCommitParallelHot(b *testing.B) {
 // (begin, read, update, commit). latency-only is the pre-durability
 // WAL: the flush loop simulates group-commit latency but persists
 // nothing. mem adds the record encoding and CRC32C framing into an
-// in-memory device, so mem-latency is the pure codec cost. file adds
-// the OS write of each flushed batch to a real log file.
+// in-memory segment log, so mem-latency is the pure codec cost. (The
+// real-file price is BenchmarkCommitDurableMPL16's and the benchspine
+// embed-durable workload's.)
 func BenchmarkCommitDurable(b *testing.B) {
 	for _, v := range []struct {
 		name string
 		dev  func(b *testing.B) wal.LogDevice
 	}{
 		{"latency-only", func(b *testing.B) wal.LogDevice { return nil }},
-		{"mem", func(b *testing.B) wal.LogDevice { return wal.NewMemDevice() }},
-		{"file", func(b *testing.B) wal.LogDevice {
-			dev, err := wal.OpenFileDevice(filepath.Join(b.TempDir(), "bench.wal"))
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.Cleanup(func() { dev.Close() })
-			return dev
-		}},
+		{"mem", func(b *testing.B) wal.LogDevice { return newMemLog(b) }},
 	} {
 		b.Run(v.name, func(b *testing.B) {
 			const rows = 1024
@@ -240,59 +232,40 @@ func BenchmarkCommitDurable(b *testing.B) {
 }
 
 // BenchmarkCommitDurableMPL16 prices group commit under contention for
-// the device: 16 committers on disjoint key stripes against a real log
-// file. baseline pays one fsync per MaxBatch-sized flush group (the
-// pre-coalescing flush loop, Config.SyncEveryGroup); coalesced covers
-// every group queued during the previous fsync with ONE device sync;
-// async publishes before durability and rides the same coalesced syncs
-// off the commit path; segments adds rotation every 256KiB. The
-// commits/sync metric is the tentpole's acceptance gate: coalesced must
-// beat baseline ≥4× at this MPL.
+// the device: 16 committers on disjoint key stripes against a real
+// file-backed segment log. coalesced covers every record queued during
+// the previous fsync with ONE device sync, in a segment large enough
+// never to rotate; async publishes before durability and rides the same
+// syncs off the commit path; segments adds rotation every 256KiB. The
+// commits/sync metric is the group-commit gauge.
 func BenchmarkCommitDurableMPL16(b *testing.B) {
 	const (
 		mpl    = 16
 		stripe = 64
 		rows   = mpl * stripe
 	)
-	fileDev := func(b *testing.B) wal.LogDevice {
-		dev, err := wal.OpenFileDevice(filepath.Join(b.TempDir(), "bench.wal"))
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Cleanup(func() { dev.Close() })
-		return dev
-	}
-	segDev := func(b *testing.B) wal.LogDevice {
-		dev, err := wal.OpenSegmentLog(b.TempDir(), 256<<10)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Cleanup(func() { dev.Close() })
-		return dev
-	}
 	for _, v := range []struct {
-		name     string
-		dev      func(b *testing.B) wal.LogDevice
-		baseline bool // one sync per flush group (pre-coalescing loop)
-		async    bool
+		name    string
+		segSize int64
+		async   bool
 	}{
-		{"baseline-file", fileDev, true, false},
-		{"coalesced-file", fileDev, false, false},
-		{"async-file", fileDev, false, true},
-		{"segments-file", segDev, false, false},
+		{"coalesced-file", 1 << 30, false},
+		{"async-file", 1 << 30, true},
+		{"segments-file", 256 << 10, false},
 	} {
 		b.Run(v.name, func(b *testing.B) {
+			dev, err := wal.OpenSegmentLog(b.TempDir(), v.segSize)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.Cleanup(func() { dev.Close() })
 			// FsyncLatency models a realistic ~200µs device sync on top of
 			// the real file I/O: tmpfs fsyncs complete in microseconds, so
 			// without it no queue forms behind the sync and every variant
-			// degenerates to one commit per window. MaxBatch 1 makes the
-			// baseline the classic fsync-per-commit loop.
+			// degenerates to one commit per window.
 			db := Open(Config{
 				Mode: core.SnapshotFUW, Platform: core.PlatformPostgres,
-				WAL: wal.Config{
-					Device: v.dev(b), MaxBatch: 1, SyncEveryGroup: v.baseline,
-					FsyncLatency: 200 * time.Microsecond,
-				},
+				WAL:         wal.Config{Device: dev, FsyncLatency: 200 * time.Microsecond},
 				AsyncCommit: v.async,
 			})
 			b.Cleanup(db.Close)
@@ -348,17 +321,14 @@ func BenchmarkCommitDurableMPL16(b *testing.B) {
 }
 
 // BenchmarkCommitCheckpointMPL16 prices checkpoint interference on the
-// commit path: 16 committers on disjoint stripes against a file device
-// (simulated 200µs sync), with a deliberately large cold table so the
-// checkpoint has real work to do. none is the interference-free
-// baseline; stw takes a stop-the-world Checkpoint every 25ms — every
-// commit stalls behind the full snapshot and rewrite, which is the
-// pause the fuzzy machinery exists to kill; fuzzy runs the log-growth
-// scheduler taking incremental links concurrently with the committers,
-// holding the barrier only to cut and append a begin marker. The
-// p99-ns metric is the acceptance gate: fuzzy must stay within 2× of
-// none at this MPL (stw is the contrast, typically an order of
-// magnitude worse).
+// commit path: 16 committers on disjoint stripes against a file-backed
+// segment log (simulated 200µs sync), with a deliberately large cold
+// table so the checkpoint has real work to do. none is the
+// interference-free baseline; fuzzy runs the log-growth scheduler
+// taking incremental links concurrently with the committers, holding
+// the barrier only to cut and append a begin marker. The p99-ns metric
+// is the acceptance gate: fuzzy must stay within 2× of none at this
+// MPL.
 func BenchmarkCommitCheckpointMPL16(b *testing.B) {
 	const (
 		mpl    = 16
@@ -375,15 +345,13 @@ func BenchmarkCommitCheckpointMPL16(b *testing.B) {
 	}
 	for _, v := range []struct {
 		name  string
-		stw   bool
 		fuzzy bool
 	}{
-		{"none", false, false},
-		{"stw", true, false},
-		{"fuzzy", false, true},
+		{"none", false},
+		{"fuzzy", true},
 	} {
 		b.Run(v.name, func(b *testing.B) {
-			dev, err := wal.OpenFileDevice(filepath.Join(b.TempDir(), "bench.wal"))
+			dev, err := wal.OpenSegmentLog(b.TempDir(), 1<<30)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -408,26 +376,6 @@ func BenchmarkCommitCheckpointMPL16(b *testing.B) {
 			}
 			if err := tx.Commit(); err != nil {
 				b.Fatal(err)
-			}
-			stop := make(chan struct{})
-			var ckptWG sync.WaitGroup
-			if v.stw {
-				ckptWG.Add(1)
-				go func() {
-					defer ckptWG.Done()
-					t := time.NewTicker(25 * time.Millisecond)
-					defer t.Stop()
-					for {
-						select {
-						case <-stop:
-							return
-						case <-t.C:
-							if _, err := db.Checkpoint(); err != nil {
-								return
-							}
-						}
-					}
-				}()
 			}
 			lats := make([][]int64, mpl)
 			b.ReportAllocs()
@@ -459,8 +407,6 @@ func BenchmarkCommitCheckpointMPL16(b *testing.B) {
 			}
 			wg.Wait()
 			b.StopTimer()
-			close(stop)
-			ckptWG.Wait()
 			var all []int64
 			for _, l := range lats {
 				all = append(all, l...)

@@ -8,22 +8,22 @@ import (
 	"sicost/internal/wal"
 )
 
-// TestCheckpointIncrementalChainRecovery builds a three-link chain —
+// TestCheckpointChainRecovery builds a three-link chain —
 // full root, two delta links — with commits between the links, and
 // recovers it: the fold must land on the final cut, replay nothing that
 // a link already covers, and reproduce the exact final state.
-func TestCheckpointIncrementalChainRecovery(t *testing.T) {
-	dev := wal.NewMemDevice()
+func TestCheckpointChainRecovery(t *testing.T) {
+	dev := newMemLog(t)
 	db := openDurableKV(t, dev) // rows {1:100, 2:200} at CSN 1
-	if _, err := db.CheckpointIncremental(); err != nil {
+	if _, err := db.Checkpoint(); err != nil {
 		t.Fatal(err) // full root at cut 1
 	}
 	commitUpdate(t, db, 1, 111)
-	if _, err := db.CheckpointIncremental(); err != nil {
+	if _, err := db.Checkpoint(); err != nil {
 		t.Fatal(err) // delta link at cut 2, covering key 1
 	}
 	commitUpdate(t, db, 2, 222)
-	if cut, err := db.CheckpointIncremental(); err != nil || cut != 3 {
+	if cut, err := db.Checkpoint(); err != nil || cut != 3 {
 		t.Fatalf("third link: cut %d err %v, want cut 3", cut, err)
 	}
 	cs := db.CheckpointStats()
@@ -54,35 +54,32 @@ func TestCheckpointIncrementalChainRecovery(t *testing.T) {
 	}
 }
 
-// TestCheckpointIncrementalTornLastLink is the fallback contract at the
+// TestCheckpointTornLastLink is the fallback contract at the
 // engine level: the log is cut at EVERY byte inside the final delta
 // link, and each truncation must recover to the exact pre-crash state —
 // the incomplete link never partially folds, and the commits it covered
 // are replayed as redo from the previous link's cut instead.
-func TestCheckpointIncrementalTornLastLink(t *testing.T) {
-	dev := wal.NewMemDevice()
+func TestCheckpointTornLastLink(t *testing.T) {
+	dev := newMemLog(t)
 	db := openDurableKV(t, dev)
-	if _, err := db.CheckpointIncremental(); err != nil {
+	if _, err := db.Checkpoint(); err != nil {
 		t.Fatal(err) // full root at cut 1
 	}
 	commitUpdate(t, db, 1, 111)
-	if _, err := db.CheckpointIncremental(); err != nil {
+	if _, err := db.Checkpoint(); err != nil {
 		t.Fatal(err) // delta link at cut 2
 	}
 	commitUpdate(t, db, 2, 222)
 	before := dev.Size()
-	if _, err := db.CheckpointIncremental(); err != nil {
+	if _, err := db.Checkpoint(); err != nil {
 		t.Fatal(err) // delta link at cut 3 — the one we tear
 	}
 	after := dev.Size()
 	db.Close()
-	full, err := dev.Contents()
-	if err != nil {
-		t.Fatal(err)
-	}
+	full := logImage(t, dev)
 
 	for cut := before; cut < after; cut++ {
-		torn := wal.NewMemDeviceBytes(append([]byte(nil), full[:cut]...))
+		torn := newMemLog(t, wal.SegmentData{Data: full[:cut]})
 		db2, rep, rerr := Recover(torn, Config{})
 		if rerr != nil {
 			t.Fatalf("cut %d: %v", cut, rerr)
@@ -105,7 +102,7 @@ func TestCheckpointIncrementalTornLastLink(t *testing.T) {
 // CheckpointChainMax=2 the third link must be written full again
 // (Base 0), starting a fresh chain recovery folds without the old root.
 func TestCheckpointChainMaxReRoots(t *testing.T) {
-	dev := wal.NewMemDevice()
+	dev := newMemLog(t)
 	db := Open(Config{WAL: wal.Config{Device: dev}, CheckpointChainMax: 2})
 	if err := db.CreateTable(kvSchema("T")); err != nil {
 		t.Fatal(err)
@@ -119,7 +116,7 @@ func TestCheckpointChainMaxReRoots(t *testing.T) {
 	}
 	for i := int64(0); i < 3; i++ {
 		commitUpdate(t, db, 1, 100+i)
-		if _, err := db.CheckpointIncremental(); err != nil {
+		if _, err := db.Checkpoint(); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -99,8 +99,7 @@ type Config struct {
 	// can override per-handle with Tx.SetDeadline.
 	DefaultTxDeadline time.Duration
 	// CheckpointLogBytes, when positive, runs a background scheduler
-	// that takes a fuzzy incremental checkpoint (CheckpointIncremental)
-	// whenever the log has grown by at least this many bytes since the
+	// that takes a fuzzy incremental checkpoint (Checkpoint) whenever the log has grown by at least this many bytes since the
 	// last checkpoint. Requires a durable device; ignored otherwise.
 	CheckpointLogBytes int64
 	// CheckpointChainMax bounds the delta chain: every
@@ -109,9 +108,8 @@ type Config struct {
 	// Zero means DefaultCheckpointChainMax.
 	CheckpointChainMax int
 	// RetireSegments unlinks sealed segments wholly covered by the
-	// checkpoint chain after each completed link (segmented devices
-	// only), bounding log size online without the stop-the-world
-	// Rewrite.
+	// checkpoint chain after each completed link, bounding log size
+	// online.
 	RetireSegments bool
 	// ArchiveDir, when non-empty, copies each retired segment there
 	// before the unlink — the point-in-time-recovery source.
@@ -203,15 +201,16 @@ type DB struct {
 	// read side across its allocCSNEnqueue→publishCSN window (WAL enqueue
 	// included), so Checkpoint's write side opens only when no commit is
 	// between allocation and publication. At that instant every
-	// allocated CSN is published, which is what lets the checkpoint
-	// rewrite (truncate) the log without losing redo work: sync commits
-	// are durable before they publish, and an async commit's pending
-	// frame carries a CSN ≤ the cut, so the snapshot already covers it
-	// (recovery skips the late frame).
+	// allocated CSN is published, so a begin marker appended under the
+	// barrier splits the byte stream exactly at the cut: every frame
+	// before it carries a CSN ≤ cut, and the segments behind a complete
+	// chain root can be retired without losing redo work (an async
+	// commit's pending frame may land after the marker with a CSN ≤ the
+	// cut; the link already covers it and recovery skips the late frame).
 	ckptMu sync.RWMutex
 	// Fuzzy incremental checkpoint state. ckptRunMu serializes whole
-	// checkpoint runs (STW and incremental — a run spans the barrier
-	// cut, the streamed link and the end-marker sync); ckptStateMu
+	// checkpoint runs (a run spans the barrier cut, the streamed link
+	// and the end-marker sync); ckptStateMu
 	// guards the chain bookkeeping those runs update.
 	ckptRunMu   sync.Mutex
 	ckptStateMu sync.Mutex
@@ -493,10 +492,10 @@ func (db *DB) Faults() *faultinject.Registry { return db.faults }
 // CreateTable declares a table. With a durable log attached the schema
 // is appended as a DDL frame, so a log that has never been checkpointed
 // still rebuilds its table definitions on recovery. The create and the
-// DDL append run under the checkpoint barrier's read side: a checkpoint
-// cutting between them could snapshot the store without the table and
-// then Rewrite the log, discarding the schema frame permanently — later
-// commit frames for the table would then fail recovery.
+// DDL append run under the checkpoint barrier's read side, so no
+// checkpoint cut falls between them: a link's embedded schema set and
+// the DDL frames in front of its begin marker — the ones retirement may
+// unlink — always describe the same tables.
 func (db *DB) CreateTable(schema *core.Schema) error {
 	db.ckptMu.RLock()
 	defer db.ckptMu.RUnlock()
@@ -511,58 +510,10 @@ func (db *DB) CreateTable(schema *core.Schema) error {
 // written full again, advancing the segment-retirement bound.
 const DefaultCheckpointChainMax = 8
 
-// Checkpoint serializes a consistent snapshot of the database at the
-// current commit high-water mark and truncates the log to it, bounding
-// recovery's replay cost. It requires a durable log device. The
-// snapshot is point-in-time consistent: it is taken under the commit
-// barrier (see ckptMu) — every commit stalls for the whole snapshot
-// and rewrite, the stop-the-world cost CheckpointIncremental exists to
-// avoid. Returns the cut.
-func (db *DB) Checkpoint() (uint64, error) {
-	if !db.log.Persistent() {
-		return 0, core.ErrWALClosed
-	}
-	db.ckptRunMu.Lock()
-	defer db.ckptRunMu.Unlock()
-	start := time.Now()
-	db.ckptMu.Lock()
-	cut := db.visibleCSN.Load()
-	// The full image supersedes the dirty epochs; drain them so the
-	// next incremental link is not bloated with keys the image covers.
-	for _, name := range db.store.TableNames() {
-		if t, terr := db.store.Table(name); terr == nil {
-			t.SwapDirty()
-		}
-	}
-	ckpt, err := (&wal.Checkpointer{Log: db.log}).Run(db.store, cut)
-	sample := 0
-	if err == nil {
-		if sl, ok := db.log.Device().(*wal.SegmentLog); ok {
-			sample = sl.CurrentSegment()
-		}
-	}
-	db.ckptMu.Unlock()
-	pause := time.Since(start).Nanoseconds()
-	db.ckptPauseNS.Add(pause)
-	db.lastPauseNS.Store(pause)
-	if err != nil {
-		db.resetChain()
-		return 0, err
-	}
-	// The checkpoint frame is a valid chain root: delta links may build
-	// on its cut (foldChain accepts Base == the frame's CSN).
-	db.ckptStateMu.Lock()
-	db.chainBase, db.chainLinks, db.chainRootSeg = cut, 1, sample
-	db.ckptStateMu.Unlock()
-	if db.tracer.Enabled() {
-		db.tracer.Emit(trace.Event{Kind: trace.EvCheckpoint, CSN: cut, Bytes: len(wal.EncodeCheckpoint(ckpt))})
-	}
-	return cut, nil
-}
-
-// CheckpointIncremental takes one fuzzy checkpoint: a delta link over
-// the keys dirtied since the previous link (or a full base-0 link when
-// there is no chain, or the chain reached CheckpointChainMax). The
+// Checkpoint takes one fuzzy checkpoint, bounding recovery's replay
+// cost: a delta link over the keys dirtied since the previous link (or
+// a full base-0 link when there is no chain, or the chain reached
+// CheckpointChainMax). It requires a durable log device. The
 // commit barrier is held only for the cut — read the visible CSN, swap
 // the dirty epochs, append the begin marker, sample the retirement
 // bound — while the expensive parts (resolving after-images, streaming
@@ -573,7 +524,7 @@ func (db *DB) Checkpoint() (uint64, error) {
 // the chain root are retired when Config.RetireSegments is set.
 // Returns the cut (unchanged and without writing anything when no
 // commit landed since the previous link).
-func (db *DB) CheckpointIncremental() (uint64, error) {
+func (db *DB) Checkpoint() (uint64, error) {
 	if !db.log.Persistent() {
 		return 0, core.ErrWALClosed
 	}
@@ -616,10 +567,7 @@ func (db *DB) CheckpointIncremental() (uint64, error) {
 		// Sampled before the append: if the begin itself triggers a
 		// rotation the marker lands one segment later, so the bound only
 		// ever errs conservative (one extra segment kept).
-		sample = 0
-		if sl, ok := db.log.Device().(*wal.SegmentLog); ok {
-			sample = sl.CurrentSegment()
-		}
+		sample = db.log.Device().CurrentSegment()
 	}
 	linkBytes, err := db.log.BeginDelta(begin)
 	db.ckptMu.Unlock()
@@ -718,7 +666,7 @@ func (db *DB) ckptLoop() {
 			if db.log.Stats().Bytes-last < db.cfg.CheckpointLogBytes {
 				continue
 			}
-			if _, err := db.CheckpointIncremental(); err != nil {
+			if _, err := db.Checkpoint(); err != nil {
 				continue
 			}
 			last = db.log.Stats().Bytes
@@ -730,9 +678,8 @@ func (db *DB) ckptLoop() {
 // the WAL-side view (delta links durable, retired and archived
 // segments) lives in wal.Stats.
 type CheckpointStats struct {
-	// Links counts completed incremental links, FullLinks the chain
-	// re-roots among them (STW checkpoints count in neither — see
-	// wal.Stats.Checkpoints).
+	// Links counts completed links, FullLinks the chain re-roots among
+	// them.
 	Links     int64
 	FullLinks int64
 	// ChainLinks and ChainBase describe the current chain: its length
@@ -743,8 +690,7 @@ type CheckpointStats struct {
 	// approximate under concurrent commits).
 	DirtyKeys int
 	// PauseNS is the cumulative commit-barrier hold time across
-	// checkpoints (an STW run counts its whole snapshot and rewrite);
-	// LastPauseNS the most recent hold.
+	// checkpoints; LastPauseNS the most recent hold.
 	PauseNS     int64
 	LastPauseNS int64
 }

@@ -6,6 +6,8 @@ import (
 	"time"
 
 	"sicost/internal/core"
+	"sicost/internal/faultinject"
+	"sicost/internal/wal"
 )
 
 // kvSchema is a minimal two-column table used throughout the tests.
@@ -581,9 +583,10 @@ func TestDoubleWriteSameRowInTxn(t *testing.T) {
 }
 
 func TestWALFailureAbortsCommit(t *testing.T) {
+	reg := faultinject.New(1)
 	db := Open(Config{
 		Mode: core.SnapshotFUW, Platform: core.PlatformPostgres,
-		WAL: walConfigForTest(),
+		WAL: walConfigForTest(), Faults: reg,
 	})
 	defer db.Close()
 	if err := db.CreateTable(kvSchema("T")); err != nil {
@@ -597,13 +600,15 @@ func TestWALFailureAbortsCommit(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	db.WAL().InjectFailure(core.ErrInjected)
+	if err := reg.Arm(faultinject.Spec{Point: wal.FaultFlush}); err != nil {
+		t.Fatal(err)
+	}
 	tx := db.Begin()
 	mustSetV(t, tx, 1, 999)
 	if err := tx.Commit(); !errors.Is(err, core.ErrInjected) {
 		t.Fatalf("commit with failing WAL: %v", err)
 	}
-	db.WAL().InjectFailure(nil)
+	reg.Disarm(wal.FaultFlush)
 
 	chk := db.Begin()
 	if got := mustGetV(t, chk, 1); got != 100 {

@@ -28,9 +28,9 @@ type RecoveryReport struct {
 
 // Recover rebuilds a database from a log device: ARIES-style redo-only
 // recovery over the committed row images the WAL persists. The scan
-// truncates any torn tail (repairing the device in place), the last
-// checkpoint snapshot is restored verbatim, commit frames beyond the
-// checkpoint are replayed in CSN order, unique indexes are rebuilt from
+// truncates any torn tail (repairing the device in place), the folded
+// checkpoint chain is restored verbatim, commit frames beyond its cut
+// are replayed in CSN order, unique indexes are rebuilt from
 // the recovered final state, and the CSN sequencer resumes from the
 // recovered high-water mark. cfg configures the revived instance (mode,
 // platform, cost model, faults, tracer); its WAL device is forced to
@@ -162,9 +162,6 @@ func Recover(dev wal.LogDevice, cfg Config) (*DB, *RecoveryReport, error) {
 		db.ckptStateMu.Lock()
 		db.chainBase = info.Checkpoint.CSN
 		db.chainLinks = info.ChainLinks
-		if db.chainLinks == 0 {
-			db.chainLinks = 1 // legacy full-image root counts as the root link
-		}
 		db.chainRootSeg = 0
 		db.ckptStateMu.Unlock()
 	}

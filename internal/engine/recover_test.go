@@ -11,6 +11,34 @@ import (
 	"sicost/internal/wal"
 )
 
+// newMemLog returns the suites' log device: the production segmented
+// log over memory, with segments small enough that a few commits
+// rotate. An image seeds it — one SegmentData per segment; a raw byte
+// image goes in as segment 0, the tail the torn-tail rule applies to.
+func newMemLog(t testing.TB, image ...wal.SegmentData) *wal.SegmentLog {
+	t.Helper()
+	dev, err := wal.NewMemSegmentLog(512, image...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return dev
+}
+
+// logImage returns dev's byte stream: every live segment concatenated
+// in index order.
+func logImage(t testing.TB, dev wal.LogDevice) []byte {
+	t.Helper()
+	segs, err := dev.Segments()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var all []byte
+	for _, s := range segs {
+		all = append(all, s.Data...)
+	}
+	return all
+}
+
 // openDurableKV builds a DB on an in-memory log device with table T
 // preloaded with (1,100) and (2,200).
 func openDurableKV(t *testing.T, dev wal.LogDevice) *DB {
@@ -56,7 +84,7 @@ func commitUpdate(t *testing.T, db *DB, k, v int64) {
 // TestRecoverWithoutCheckpoint rebuilds a never-checkpointed log: table
 // definitions come from durable DDL frames, state from pure redo.
 func TestRecoverWithoutCheckpoint(t *testing.T) {
-	dev := wal.NewMemDevice()
+	dev := newMemLog(t)
 	db := openDurableKV(t, dev)
 	commitUpdate(t, db, 1, 111)
 	tx := db.Begin()
@@ -91,7 +119,7 @@ func TestRecoverWithoutCheckpoint(t *testing.T) {
 // TestCheckpointRecoverRoundTrip checkpoints mid-history: recovery must
 // restore the snapshot and replay only the commits after the cut.
 func TestCheckpointRecoverRoundTrip(t *testing.T) {
-	dev := wal.NewMemDevice()
+	dev := newMemLog(t)
 	db := openDurableKV(t, dev)
 	commitUpdate(t, db, 1, 111)
 	cut, err := db.Checkpoint()
@@ -141,7 +169,7 @@ func TestCheckpointRecoverRoundTrip(t *testing.T) {
 // TestRecoverTruncatesTornTail appends garbage to a clean log: recovery
 // must discard it, repair the device, and keep every durable commit.
 func TestRecoverTruncatesTornTail(t *testing.T) {
-	dev := wal.NewMemDevice()
+	dev := newMemLog(t)
 	db := openDurableKV(t, dev)
 	commitUpdate(t, db, 1, 111)
 	db.Close()
@@ -168,7 +196,7 @@ func TestRecoverTruncatesTornTail(t *testing.T) {
 // TestRecoverRebuildsIndexes recovers a table with a unique secondary
 // index and checks both lookups and the uniqueness constraint survive.
 func TestRecoverRebuildsIndexes(t *testing.T) {
-	dev := wal.NewMemDevice()
+	dev := newMemLog(t)
 	db := Open(Config{WAL: wal.Config{Device: dev}})
 	schema := &core.Schema{
 		Name: "U",
@@ -212,7 +240,7 @@ func TestRecoverRebuildsIndexes(t *testing.T) {
 // empty CSN slot, and leave the commit sequencer and the checkpoint
 // barrier fully operational.
 func TestWALCommitFailureDoesNotWedgeSequencer(t *testing.T) {
-	dev := wal.NewMemDevice()
+	dev := newMemLog(t)
 	reg := faultinject.New(1)
 	db := Open(Config{WAL: wal.Config{Device: dev}, Faults: reg})
 	defer db.Close()
@@ -258,7 +286,7 @@ func TestWALCommitFailureDoesNotWedgeSequencer(t *testing.T) {
 // and release the checkpoint barrier while the panic unwinds to the
 // caller.
 func TestWALCommitPanicPublishesSlot(t *testing.T) {
-	dev := wal.NewMemDevice()
+	dev := newMemLog(t)
 	reg := faultinject.New(1)
 	db := Open(Config{WAL: wal.Config{Device: dev}, Faults: reg})
 	defer db.Close()
@@ -304,7 +332,7 @@ func TestWALCommitPanicPublishesSlot(t *testing.T) {
 // discovered would be replayed after a crash and resurrect the aborted
 // transaction's writes.
 func TestSSIDoomedCommitLogsNothing(t *testing.T) {
-	dev := wal.NewMemDevice()
+	dev := newMemLog(t)
 	db := Open(Config{Mode: core.SerializableSI, WAL: wal.Config{Device: dev}})
 	if err := db.CreateTable(kvSchema("T")); err != nil {
 		t.Fatal(err)
@@ -345,14 +373,25 @@ func TestSSIDoomedCommitLogsNothing(t *testing.T) {
 	}
 }
 
-// TestCreateTableCheckpointRace races DDL against checkpoint rewrites.
+// TestCreateTableCheckpointRace races DDL against checkpoints that
+// re-root the chain and retire the segments behind it every time.
 // CreateTable holds the checkpoint barrier across the store create and
-// the DDL append; without it a checkpoint can cut between the two,
-// snapshot the store without the table, and Rewrite the log — the
-// schema frame is gone, and recovery fails on the table's commits.
+// the DDL append; whichever side of a cut a table lands on — DDL frame
+// in a retired segment, or only in the next link's embedded schema set
+// — recovery must find its definition and its commits.
 func TestCreateTableCheckpointRace(t *testing.T) {
-	dev := wal.NewMemDevice()
-	db := openDurableKV(t, dev)
+	dev := newMemLog(t)
+	db := Open(Config{WAL: wal.Config{Device: dev}, RetireSegments: true, CheckpointChainMax: 1})
+	if err := db.CreateTable(kvSchema("T")); err != nil {
+		t.Fatal(err)
+	}
+	seed := db.Begin()
+	if err := seed.Insert("T", kv(1, 100)); err != nil {
+		t.Fatal(err)
+	}
+	if err := seed.Commit(); err != nil {
+		t.Fatal(err)
+	}
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -388,6 +427,14 @@ func TestCreateTableCheckpointRace(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+	// One more re-root after the race, so even a run whose checkpointer
+	// barely got scheduled retires the segments holding the DDL frames.
+	if _, err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if db.WAL().Stats().RetiredSegments == 0 {
+		t.Fatal("no segment was retired — the race never unlinked a DDL frame")
+	}
 	db.Close()
 
 	db2, _, err := Recover(dev, Config{})
@@ -422,7 +469,7 @@ func TestRecoverRejectsCorruptPayloads(t *testing.T) {
 		TxID: 1, CSN: 1,
 		Rows: []wal.RowImage{{Table: "T", Key: core.Int(1), Rec: core.Record{core.Int(1)}}},
 	})...)
-	if _, _, err := Recover(wal.NewMemDeviceBytes(log), Config{}); err == nil {
+	if _, _, err := Recover(newMemLog(t, wal.SegmentData{Data: log}), Config{}); err == nil {
 		t.Fatal("schema-mismatched row image accepted")
 	}
 
@@ -430,7 +477,7 @@ func TestRecoverRejectsCorruptPayloads(t *testing.T) {
 	// decoder treats it as the torn tail, so it is never replayed.
 	log = append([]byte{}, wal.EncodeSchema(schema)...)
 	log = append(log, wal.EncodeCommit(&wal.CommitFrame{TxID: 1, CSN: 0})...)
-	db, rep, err := Recover(wal.NewMemDeviceBytes(log), Config{})
+	db, rep, err := Recover(newMemLog(t, wal.SegmentData{Data: log}), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -445,7 +492,7 @@ func TestRecoverRejectsCorruptPayloads(t *testing.T) {
 		TxID: 1, CSN: 1,
 		Rows: []wal.RowImage{{Table: "T", Key: core.Int(2), Rec: core.Record{core.Int(1), core.Int(5)}}},
 	})...)
-	if _, _, err := Recover(wal.NewMemDeviceBytes(log), Config{}); err == nil {
+	if _, _, err := Recover(newMemLog(t, wal.SegmentData{Data: log}), Config{}); err == nil {
 		t.Fatal("key-mismatched row image accepted")
 	}
 }

@@ -46,20 +46,15 @@ func runAblationGroupCommit(cfg Config) (*Result, error) {
 		},
 	}
 	for _, variant := range []struct {
-		name      string
-		maxBatch  int
-		syncEvery bool
+		name     string
+		maxBatch int
 	}{
-		{"group-commit", 0, false},
-		// One commit per flush group AND one device sync per group:
-		// without SyncEveryGroup the coalescing flush loop would still
-		// amortize the sync across every group queued during it,
-		// silently re-enabling group commit.
-		{"no-group-commit", 1, true},
+		{"group-commit", 0},
+		// One commit record per device sync.
+		{"no-group-commit", 1},
 	} {
 		engCfg := PostgresDB(cfg.Scale)
 		engCfg.WAL.MaxBatch = variant.maxBatch
-		engCfg.WAL.SyncEveryGroup = variant.syncEvery
 		cfg.logf("ablation-groupcommit: %s", variant.name)
 		s, err := runSweep(variant.name, sweepSpec{
 			strategy: smallbank.StrategySI, engCfg: engCfg,

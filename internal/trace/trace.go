@@ -84,10 +84,6 @@ const (
 	// is zero; Depth is the number of commit records acknowledged and
 	// Bytes their total payload.
 	EvWALFlush
-	// EvCheckpoint: the engine wrote a checkpoint frame, truncating the
-	// log. Tx is zero; CSN is the snapshot cut and Bytes the encoded
-	// frame size.
-	EvCheckpoint
 	// EvRecovery: a database was rebuilt from a log device. Tx is zero;
 	// CSN is the recovered high-water mark, Depth the number of commit
 	// frames replayed and Bytes the valid log prefix length.
@@ -98,8 +94,7 @@ const (
 	// start), this is emitted after visibility resolution and skips reads
 	// of the transaction's own writes, so a transaction's read-ver events
 	// are exactly its dependency-relevant read set (engine.TxInfo.Reads).
-	// Appended after the device-level kinds to keep their wire values
-	// stable; within a transaction it occurs between begin and commit.
+	// Within a transaction it occurs between begin and commit.
 	EvReadVer
 	// EvWriteVer: one committed version created by the transaction on
 	// Table/Key, CSN = the commit CSN. Emitted inside Commit after the
@@ -126,7 +121,7 @@ const (
 var kindNames = [numKinds]string{
 	"begin", "snapshot", "read", "write", "sfu",
 	"lock-wait", "lock-wake", "conflict", "abort", "commit",
-	"wal-commit", "wal-flush", "checkpoint", "recovery",
+	"wal-commit", "wal-flush", "recovery",
 	"read-ver", "write-ver", "ckpt-begin", "ckpt-end",
 }
 

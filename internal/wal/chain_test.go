@@ -192,46 +192,39 @@ func TestFoldChainDropsOrphansAndRowCountMismatch(t *testing.T) {
 	}
 }
 
-// TestFoldChainExtendsLegacyCheckpoint pins upgrade compatibility: a
-// delta link may base on a legacy full-image Checkpoint frame's cut, so
-// a log written by the STW checkpointer keeps folding after the engine
-// switches to incremental links.
-func TestFoldChainExtendsLegacyCheckpoint(t *testing.T) {
+// TestFoldChainIgnoresRetiredCheckpointRoot pins the end of upgrade
+// compatibility: the full-image checkpoint frame no longer roots a
+// chain. A stream whose only "root" is such a record holds no
+// checkpoint at all — the record ends the valid prefix, and recovery
+// replays every commit in front of it from the schema frame up.
+func TestFoldChainIgnoresRetiredCheckpointRoot(t *testing.T) {
 	s := testSchema()
-	rec := func(k int64, v string) core.Record { return core.Record{core.Int(k), core.Str(v)} }
 	var log []byte
-	log = append(log, EncodeCheckpoint(&Checkpoint{
-		CSN: 5,
-		Tables: []CheckpointTable{{
-			Schema: s,
-			Rows: []CheckpointRow{
-				{Key: core.Int(1), CSN: 4, Rec: rec(1, "a")},
-				{Key: core.Int(2), CSN: 5, Rec: rec(2, "b")},
-			},
-		}},
-	})...)
-	log = append(log, commitFrameBytes(6)...)
-	log = append(log, deltaLink(5, 6, []core.Schema{s}, []DeltaRow{
-		{Table: "T", Key: core.Int(2)},
-	})...)
+	log = append(log, EncodeSchema(&s)...)
+	log = append(log, commitFrameBytes(1)...)
+	log = append(log, commitFrameBytes(2)...)
+	clean := len(log)
+	log = append(log, retiredCheckpointFrame(2)...)
+	// A delta link based on the retired record's cut is unreachable, and
+	// would be an orphan even if it were not.
+	log = append(log, deltaLink(2, 3, []core.Schema{s}, []DeltaRow{{Table: "T", Key: core.Int(1)}})...)
 
 	info := Classify(log)
-	if info.Checkpoint.CSN != 6 || info.ChainLinks != 1 {
-		t.Fatalf("legacy root not extended: %+v links %d", info.Checkpoint, info.ChainLinks)
+	if info.Checkpoint != nil || info.ChainLinks != 0 {
+		t.Fatalf("retired checkpoint record rooted a chain: %+v links %d", info.Checkpoint, info.ChainLinks)
 	}
-	rows := info.Checkpoint.Tables[0].Rows
-	if len(rows) != 1 || rows[0].Key != core.Int(1) {
-		t.Fatalf("fold over legacy root: %+v, want row 1 only", rows)
+	if info.ValidBytes != clean || len(info.Commits) != 2 || info.HighCSN != 2 {
+		t.Fatalf("full redo expected in front of the record: %+v", info)
 	}
-	// A later full link re-roots and supersedes the legacy base entirely.
-	log = append(log, deltaLink(0, 9, []core.Schema{s}, []DeltaRow{
-		{Table: "T", Key: core.Int(3), CSN: 9, Rec: rec(3, "c")},
-	})...)
-	info = Classify(log)
-	if info.Checkpoint.CSN != 9 || info.ChainLinks != 1 {
-		t.Fatalf("full link did not re-root: %+v links %d", info.Checkpoint, info.ChainLinks)
+	if len(info.Schemas) != 1 || info.Schemas[0].Name != "T" {
+		t.Fatalf("schema frame not recovered: %+v", info.Schemas)
 	}
-	if rows := info.Checkpoint.Tables[0].Rows; len(rows) != 1 || rows[0].Key != core.Int(3) {
-		t.Fatalf("re-rooted fold kept stale rows: %+v", rows)
+
+	// An orphan delta link in a stream with no root at all folds nothing.
+	if cp, n := foldChain([]Frame{
+		{DeltaBegin: &DeltaBegin{CSN: 3, Base: 2}},
+		{DeltaEnd: &DeltaEnd{CSN: 3}},
+	}); cp != nil || n != 0 {
+		t.Fatalf("rootless delta link folded: %+v, %d links", cp, n)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"sync"
 	"testing"
+	"time"
 
 	"sicost/internal/core"
 	"sicost/internal/faultinject"
@@ -14,14 +15,14 @@ import (
 // flight when the gate closes the loop, and everything enqueued while
 // it is blocked lands in window 2.
 type gateDevice struct {
-	MemDevice
+	*SegmentLog
 	entered chan struct{} // closed when the first Append begins
 	release chan struct{} // the first Append blocks until this closes
 	first   sync.Once
 }
 
-func newGateDevice() *gateDevice {
-	return &gateDevice{entered: make(chan struct{}), release: make(chan struct{})}
+func newGateDevice(t *testing.T) *gateDevice {
+	return &gateDevice{SegmentLog: newTestLog(t), entered: make(chan struct{}), release: make(chan struct{})}
 }
 
 func (d *gateDevice) Append(b []byte) error {
@@ -29,7 +30,7 @@ func (d *gateDevice) Append(b []byte) error {
 		close(d.entered)
 		<-d.release
 	})
-	return d.MemDevice.Append(b)
+	return d.SegmentLog.Append(b)
 }
 
 func enq(t *testing.T, w *WAL, csn uint64) <-chan error {
@@ -44,12 +45,12 @@ func enq(t *testing.T, w *WAL, csn uint64) <-chan error {
 	return done
 }
 
-// TestCoalescedWindowOneSyncManyGroups pins the tentpole contract: a
-// window of many MaxBatch-sized flush groups is covered by ONE device
-// sync, so CommitsPerSync exceeds the per-group batch bound.
-func TestCoalescedWindowOneSyncManyGroups(t *testing.T) {
-	dev := newGateDevice()
-	w := New(Config{Device: dev, MaxBatch: 2})
+// TestWindowSharesOneSync pins the group-commit contract: every record
+// queued while a sync is in flight shares the next window's one append
+// and one device sync.
+func TestWindowSharesOneSync(t *testing.T) {
+	dev := newGateDevice(t)
+	w := New(Config{Device: dev})
 	defer w.Close()
 
 	d1 := enq(t, w, 1)
@@ -69,10 +70,9 @@ func TestCoalescedWindowOneSyncManyGroups(t *testing.T) {
 	}
 
 	s := w.Stats()
-	// Window 1: one group, one sync. Window 2: six records = three
-	// groups of two, one sync.
-	if s.Syncs != 2 || s.Flushes != 4 || s.Records != 7 {
-		t.Fatalf("stats = %+v, want Syncs=2 Flushes=4 Records=7", s)
+	// Window 1: one record. Window 2: the six that queued behind it.
+	if s.Syncs != 2 || s.Flushes != 2 || s.Records != 7 {
+		t.Fatalf("stats = %+v, want Syncs=2 Flushes=2 Records=7", s)
 	}
 	if got := s.CommitsPerSync(); got != 3.5 {
 		t.Fatalf("CommitsPerSync = %v, want 3.5", got)
@@ -85,11 +85,12 @@ func TestCoalescedWindowOneSyncManyGroups(t *testing.T) {
 	}
 }
 
-// TestSyncEveryGroupBaseline pins the ablation baseline: with
-// SyncEveryGroup, every flush group pays its own sync.
-func TestSyncEveryGroupBaseline(t *testing.T) {
-	dev := newGateDevice()
-	w := New(Config{Device: dev, MaxBatch: 2, SyncEveryGroup: true})
+// TestMaxBatchBoundsRecordsPerSync pins the ablation arm: MaxBatch caps
+// the commit records one device sync makes durable, so a backlog drains
+// in MaxBatch-sized windows, each paying its own sync.
+func TestMaxBatchBoundsRecordsPerSync(t *testing.T) {
+	dev := newGateDevice(t)
+	w := New(Config{Device: dev, MaxBatch: 2})
 	defer w.Close()
 
 	d1 := enq(t, w, 1)
@@ -107,25 +108,25 @@ func TestSyncEveryGroupBaseline(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if s := w.Stats(); s.Syncs != s.Flushes || s.Syncs != 4 || s.Records != 7 {
-		t.Fatalf("stats = %+v, want one sync per group (4 each)", s)
+	// Window 1: one record; then six records in three windows of two.
+	if s := w.Stats(); s.Syncs != 4 || s.Flushes != 4 || s.Records != 7 {
+		t.Fatalf("stats = %+v, want one sync per 2-record window (4 each)", s)
 	}
 }
 
-// TestFailedGroupCountsOnceInWindow is the Flushes/Bytes accounting
-// regression test: a flush group rejected by an injected device error
-// while the rest of its window proceeds must count exactly once — in
-// FailedFlushes — and contribute nothing to Flushes, Records or Bytes.
-// (The old accounting charged the group's bytes before the device write
-// and again when the remaining groups' sync landed.)
-func TestFailedGroupCountsOnceInWindow(t *testing.T) {
-	dev := newGateDevice()
+// TestFailedWindowCountsOnce is the Flushes/Bytes accounting regression
+// test: a window rejected by an injected device error counts exactly
+// once — in FailedFlushes — contributes nothing to Flushes, Records or
+// Bytes, puts no byte on the device, and leaves the WAL healthy for the
+// windows behind it.
+func TestFailedWindowCountsOnce(t *testing.T) {
+	dev := newGateDevice(t)
 	w := New(Config{Device: dev, MaxBatch: 2})
 	reg := faultinject.New(11)
 	w.SetFaults(reg)
 	defer w.Close()
 
-	// Skip window 1's group, then fail exactly one group of window 2.
+	// Skip window 1, then fail exactly the next window.
 	if err := reg.Arm(faultinject.Spec{Point: FaultFlush, After: 1, Count: 1, Action: faultinject.ActError}); err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +141,7 @@ func TestFailedGroupCountsOnceInWindow(t *testing.T) {
 	if err := <-d1; err != nil {
 		t.Fatal(err)
 	}
-	// Window 2 groups: {2,3} fails (injected), {4,5} and {6,7} succeed.
+	// Backlog windows: {2,3} fails (injected), {4,5} and {6,7} succeed.
 	for i, d := range dones {
 		csn := uint64(i + 2)
 		err := <-d
@@ -157,20 +158,20 @@ func TestFailedGroupCountsOnceInWindow(t *testing.T) {
 	if s.FailedFlushes != 1 {
 		t.Fatalf("FailedFlushes = %d, want 1", s.FailedFlushes)
 	}
-	if s.Flushes != 3 || s.Records != 5 || s.Syncs != 2 {
-		t.Fatalf("stats = %+v, want Flushes=3 Records=5 Syncs=2", s)
+	if s.Flushes != 3 || s.Records != 5 || s.Syncs != 3 {
+		t.Fatalf("stats = %+v, want Flushes=3 Records=5 Syncs=3", s)
 	}
 	// The sharp double-count check: accounted bytes must equal what the
-	// device actually holds — the failed group's frames never reached it.
+	// device actually holds — the failed window's frames never reached it.
 	if s.Bytes != dev.Size() {
-		t.Fatalf("Bytes %d != device size %d (failed group double-counted)", s.Bytes, dev.Size())
+		t.Fatalf("Bytes %d != device size %d (failed window double-counted)", s.Bytes, dev.Size())
 	}
 	// The injected error is transient, not a crash; the WAL stays alive
 	// and the device log stays fully decodable.
 	if w.Broken() != nil {
-		t.Fatalf("transient group failure bricked the WAL: %v", w.Broken())
+		t.Fatalf("transient window failure bricked the WAL: %v", w.Broken())
 	}
-	b, _ := dev.Contents()
+	b := logImage(t, dev)
 	frames, valid := ScanLog(b)
 	if valid != len(b) || len(frames) != 5 {
 		t.Fatalf("device: %d frames, %d/%d valid — want the 5 acked commits", len(frames), valid, len(b))
@@ -194,7 +195,7 @@ func TestFailedGroupCountsOnceInWindow(t *testing.T) {
 // append — no record of the window is acknowledged or durable — and the
 // WAL bricks.
 func TestSyncCrashLosesWholeWindow(t *testing.T) {
-	dev := NewMemDevice()
+	dev := newTestLog(t)
 	w := New(Config{Device: dev})
 	reg := faultinject.New(13)
 	w.SetFaults(reg)
@@ -234,12 +235,18 @@ func TestSyncCrashLosesWholeWindow(t *testing.T) {
 // brick so the engine knows the published state is no longer
 // recoverable.
 func TestAsyncRecordFailureBricks(t *testing.T) {
-	dev := NewMemDevice()
-	w := New(Config{Device: dev})
-	defer w.Close()
-
 	boom := errors.New("late disk death")
-	w.InjectFailure(boom)
+	failing := func() *WAL {
+		w := New(Config{Device: newTestLog(t)})
+		reg := faultinject.New(1)
+		w.SetFaults(reg)
+		if err := reg.Arm(faultinject.Spec{Point: FaultFlush, Err: boom}); err != nil {
+			t.Fatal(err)
+		}
+		return w
+	}
+	w := failing()
+	defer w.Close()
 	done, err := w.Enqueue(&Record{TxID: 100, CSN: 1, Async: true,
 		Rows: []RowImage{{Table: "t", Key: core.Int(1), Rec: core.Record{core.Int(1)}}}})
 	if err != nil {
@@ -253,9 +260,8 @@ func TestAsyncRecordFailureBricks(t *testing.T) {
 	}
 	// Sync records failing the same way do NOT brick: their committer
 	// aborts instead.
-	w2 := New(Config{Device: NewMemDevice()})
+	w2 := failing()
 	defer w2.Close()
-	w2.InjectFailure(boom)
 	done2, err := w2.Enqueue(&Record{TxID: 101, CSN: 1,
 		Rows: []RowImage{{Table: "t", Key: core.Int(1), Rec: core.Record{core.Int(1)}}}})
 	if err != nil {
@@ -274,7 +280,7 @@ func TestAsyncRecordFailureBricks(t *testing.T) {
 // its record resolves, and a closed WAL releases waiters with
 // ErrWALClosed.
 func TestWaitDurableCSN(t *testing.T) {
-	dev := NewMemDevice()
+	dev := newTestLog(t)
 	w := New(Config{Device: dev})
 
 	if err := durableCommit(w, 1); err != nil {
@@ -297,5 +303,50 @@ func TestWaitDurableCSN(t *testing.T) {
 	w.Close()
 	if err := <-got; !errors.Is(err, core.ErrWALClosed) {
 		t.Fatalf("wait on closed WAL = %v, want ErrWALClosed", err)
+	}
+}
+
+// TestCrashIsAtomicAcrossDeviceUsers is the regression test for a
+// simulated crash on one goroutine racing a flush window on another: a
+// checkpoint link dying mid-batch (wal/ckpt-delta) drops the page cache
+// — including the window's appended-but-unsynced frames — so the
+// window's sync must not then succeed and acknowledge commits that are
+// no longer on the device. The window is parked between its append and
+// its sync by a delay on wal/sync; whichever side wins the race, an
+// acknowledged commit must be recoverable.
+func TestCrashIsAtomicAcrossDeviceUsers(t *testing.T) {
+	dev := newTestLog(t)
+	w := New(Config{Device: dev})
+	reg := faultinject.New(17)
+	w.SetFaults(reg)
+	defer w.Close()
+	for _, spec := range []faultinject.Spec{
+		{Point: FaultSync, Count: 1, Action: faultinject.ActDelay, Delay: 50 * time.Millisecond},
+		{Point: FaultCkptDelta, Count: 1, Action: faultinject.ActPanic},
+	} {
+		if err := reg.Arm(spec); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	acked := make(chan error, 1)
+	go func() { acked <- durableCommit(w, 1) }()
+	for dev.Size() == 0 { // the window's append has reached the device
+		time.Sleep(100 * time.Microsecond)
+	}
+	if _, err := w.AppendDeltaRows(&DeltaRows{CSN: 1}); !errors.Is(err, core.ErrInjected) {
+		t.Fatalf("delta append through the crash = %v, want ErrInjected", err)
+	}
+	commitErr := <-acked
+
+	info, err := Recover(dev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if commitErr == nil && len(info.Commits) != 1 {
+		t.Fatalf("commit acknowledged after the crash dropped its frames: recovery finds %d commits", len(info.Commits))
+	}
+	if commitErr != nil && w.Broken() == nil {
+		t.Fatalf("commit failed with %v on a healthy WAL", commitErr)
 	}
 }

@@ -20,8 +20,11 @@ import (
 const (
 	frameHeaderSize = 8
 
-	frameCommit     = 1
-	frameCheckpoint = 2
+	frameCommit = 1
+	// Kind 2 was the full-image checkpoint frame, retired when a full
+	// chain link became the only checkpoint. The number stays reserved —
+	// never reused — so a log carrying one is rejected as corrupt rather
+	// than misread.
 	frameSchema     = 3
 	frameDeltaBegin = 4
 	frameDeltaRows  = 5
@@ -65,8 +68,9 @@ type CheckpointTable struct {
 }
 
 // Checkpoint is a point-in-time-consistent snapshot of the database at
-// CSN: every commit with csn <= CSN is included, none after. It embeds
-// all schemas, so a checkpointed log is self-contained.
+// CSN: every commit with csn <= CSN is included, none after. It is the
+// in-memory image recovery folds the checkpoint chain into and hands
+// the engine; it has no wire form of its own.
 type Checkpoint struct {
 	CSN    uint64
 	Tables []CheckpointTable
@@ -78,7 +82,7 @@ type Checkpoint struct {
 // builds on; Base == 0 marks a *full* link (the chain root: every live
 // key is streamed, so no older log bytes are needed to fold it). The
 // begin marker embeds all table schemas as of the cut, making a chain
-// rooted at a full link self-contained the way a Checkpoint frame is.
+// rooted at a full link self-contained.
 type DeltaBegin struct {
 	CSN     uint64
 	Base    uint64
@@ -119,7 +123,6 @@ type DeltaEnd struct {
 // Frame is one decoded log frame; exactly one field is non-nil.
 type Frame struct {
 	Commit     *CommitFrame
-	Checkpoint *Checkpoint
 	Schema     *core.Schema
 	DeltaBegin *DeltaBegin
 	DeltaRows  *DeltaRows
@@ -196,24 +199,6 @@ func EncodeCommit(c *CommitFrame) []byte {
 			p = append(p, 0)
 		} else {
 			p = append(p, 1)
-			p = appendRecord(p, r.Rec)
-		}
-	}
-	return frame(p)
-}
-
-// EncodeCheckpoint renders a checkpoint frame, header included.
-func EncodeCheckpoint(c *Checkpoint) []byte {
-	p := []byte{frameCheckpoint}
-	p = appendU64(p, c.CSN)
-	p = appendU32(p, uint32(len(c.Tables)))
-	for i := range c.Tables {
-		t := &c.Tables[i]
-		p = appendSchema(p, &t.Schema)
-		p = appendU32(p, uint32(len(t.Rows)))
-		for _, r := range t.Rows {
-			p = appendValue(p, r.Key)
-			p = appendU64(p, r.CSN)
 			p = appendRecord(p, r.Rec)
 		}
 	}
@@ -454,43 +439,6 @@ func (r *reader) commitFrame() (*CommitFrame, error) {
 	return c, nil
 }
 
-func (r *reader) checkpointFrame() (*Checkpoint, error) {
-	c := &Checkpoint{}
-	var err error
-	if c.CSN, err = r.u64(); err != nil {
-		return nil, err
-	}
-	ntables, err := r.u32()
-	if err != nil {
-		return nil, err
-	}
-	for i := uint32(0); i < ntables; i++ {
-		var t CheckpointTable
-		if t.Schema, err = r.schema(); err != nil {
-			return nil, err
-		}
-		nrows, err := r.u32()
-		if err != nil {
-			return nil, err
-		}
-		for j := uint32(0); j < nrows; j++ {
-			var row CheckpointRow
-			if row.Key, err = r.value(); err != nil {
-				return nil, err
-			}
-			if row.CSN, err = r.u64(); err != nil {
-				return nil, err
-			}
-			if row.Rec, err = r.record(); err != nil {
-				return nil, err
-			}
-			t.Rows = append(t.Rows, row)
-		}
-		c.Tables = append(c.Tables, t)
-	}
-	return c, nil
-}
-
 func (r *reader) deltaBeginFrame() (*DeltaBegin, error) {
 	d := &DeltaBegin{}
 	var err error
@@ -599,8 +547,6 @@ func DecodeFrameAt(b []byte, off int) (Frame, int, error) {
 	switch payload[0] {
 	case frameCommit:
 		f.Commit, err = r.commitFrame()
-	case frameCheckpoint:
-		f.Checkpoint, err = r.checkpointFrame()
 	case frameSchema:
 		var s core.Schema
 		s, err = r.schema()

@@ -62,32 +62,35 @@ func TestCommitFrameRoundTrip(t *testing.T) {
 	}
 }
 
-func TestCheckpointRoundTrip(t *testing.T) {
-	in := &Checkpoint{
-		CSN: 17,
-		Tables: []CheckpointTable{{
-			Schema: testSchema(),
-			Rows: []CheckpointRow{
-				{Key: core.Int(1), CSN: 5, Rec: core.Record{core.Int(1), core.Str("a")}},
-				{Key: core.Int(2), CSN: 17, Rec: core.Record{core.Int(2), core.Str("b")}},
-			},
-		}},
+// TestRetiredCheckpointKindIsCorrupt pins the reservation of frame kind
+// 2 (the retired full-image checkpoint): a record of that kind, however
+// well framed, is not a frame. In the tail segment it is a torn tail —
+// the valid prefix ends in front of it — and in a sealed segment it is
+// corruption recovery refuses to repair.
+func TestRetiredCheckpointKindIsCorrupt(t *testing.T) {
+	old := retiredCheckpointFrame(9)
+	if _, _, err := DecodeFrameAt(old, 0); err == nil {
+		t.Fatal("retired checkpoint kind decoded as a frame")
 	}
-	f := mustDecodeOne(t, EncodeCheckpoint(in))
-	out := f.Checkpoint
-	if out == nil {
-		t.Fatal("decoded frame is not a checkpoint")
+
+	clean := append(commitFrameBytes(1), commitFrameBytes(2)...)
+	tail := append(append([]byte(nil), clean...), old...)
+	tail = append(tail, commitFrameBytes(3)...) // unreachable behind the corrupt record
+	info, err := ClassifySegments([]SegmentData{{Index: 0, Data: tail}})
+	if err != nil {
+		t.Fatalf("retired kind in the tail segment must be a torn tail, got %v", err)
 	}
-	if out.CSN != 17 || len(out.Tables) != 1 {
-		t.Fatalf("checkpoint header: %+v", out)
+	if info.ValidBytes != len(clean) || info.TornBytes != len(tail)-len(clean) ||
+		len(info.Commits) != 2 || info.Checkpoint != nil {
+		t.Fatalf("tail classification: %+v", info)
 	}
-	tb := out.Tables[0]
-	if tb.Schema.Name != "T" || len(tb.Schema.Columns) != 2 || tb.Schema.PK != 0 ||
-		len(tb.Schema.Unique) != 1 || tb.Schema.Unique[0] != 1 {
-		t.Fatalf("schema round-trip: %+v", tb.Schema)
-	}
-	if len(tb.Rows) != 2 || tb.Rows[0].CSN != 5 || !tb.Rows[1].Rec.Equal(in.Tables[0].Rows[1].Rec) {
-		t.Fatalf("rows round-trip: %+v", tb.Rows)
+
+	_, err = ClassifySegments([]SegmentData{
+		{Index: 0, Data: tail},
+		{Index: 1, Data: commitFrameBytes(4)},
+	})
+	if err == nil {
+		t.Fatal("retired kind in a sealed segment was accepted")
 	}
 }
 

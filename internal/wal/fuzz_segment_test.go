@@ -80,9 +80,9 @@ func FuzzRecoverSegments(f *testing.F) {
 		{Table: "t", Key: core.Int(1), CSN: 3, Rec: core.Record{core.Int(1), core.Int(3)}},
 		{Table: "t", Key: core.Int(2)}, // tombstone image
 	})
-	f.Add([]byte{2, 0}, append(append([]byte(nil), chain...), lastLink...))        // complete chain over two segments
-	f.Add([]byte{4, 0}, append(append([]byte(nil), chain...), lastLink...))       // chain frames straddling boundaries
-	f.Add([]byte{3, 0}, append(append([]byte(nil), chain...), lastLink[:9]...))   // torn mid-begin of the last link
+	f.Add([]byte{2, 0}, append(append([]byte(nil), chain...), lastLink...))                   // complete chain over two segments
+	f.Add([]byte{4, 0}, append(append([]byte(nil), chain...), lastLink...))                   // chain frames straddling boundaries
+	f.Add([]byte{3, 0}, append(append([]byte(nil), chain...), lastLink[:9]...))               // torn mid-begin of the last link
 	f.Add([]byte{2, 0}, append(append([]byte(nil), chain...), lastLink[:len(lastLink)-5]...)) // torn before the end marker
 
 	f.Fuzz(func(t *testing.T, head, body []byte) {
@@ -101,14 +101,13 @@ func FuzzRecoverSegments(f *testing.F) {
 		if info.Segments != len(segs) {
 			t.Fatalf("info.Segments = %d, layout has %d", info.Segments, len(segs))
 		}
-		// The accepted concatenation must also rebuild (or error) without
-		// panicking, exactly like a flat image.
-		var all []byte
-		for _, s := range segs {
-			all = append(all, s.Data...)
+		// The accepted layout must also rebuild (or error) without
+		// panicking.
+		dev, err := wal.NewMemSegmentLog(1<<20, segs...)
+		if err != nil {
+			t.Fatalf("accepted layout does not open: %v", err)
 		}
-		db, _, rerr := engine.Recover(wal.NewMemDeviceBytes(all), engine.Config{})
-		if rerr == nil {
+		if db, _, rerr := engine.Recover(dev, engine.Config{}); rerr == nil {
 			db.Close()
 		}
 	})

@@ -29,13 +29,12 @@ func FuzzRecoverLog(f *testing.F) {
 		PK: 0,
 	}
 	f.Add(wal.EncodeSchema(&schema))
-	f.Add(wal.EncodeCheckpoint(&wal.Checkpoint{
-		CSN: 2,
-		Tables: []wal.CheckpointTable{{
-			Schema: schema,
-			Rows:   []wal.CheckpointRow{{Key: core.Int(1), CSN: 2, Rec: core.Record{core.Int(1), core.Int(9)}}},
-		}},
-	}))
+	// A full chain link: begin marker, one rows batch, end marker.
+	link := wal.EncodeDeltaBegin(&wal.DeltaBegin{CSN: 2, Schemas: []core.Schema{schema}})
+	link = append(link, wal.EncodeDeltaRows(&wal.DeltaRows{CSN: 2, Rows: []wal.DeltaRow{
+		{Table: "t", Key: core.Int(1), CSN: 2, Rec: core.Record{core.Int(1), core.Int(9)}},
+	}})...)
+	f.Add(append(link, wal.EncodeDeltaEnd(&wal.DeltaEnd{CSN: 2, Rows: 1})...))
 	// A valid log with a torn tail.
 	torn := append(wal.EncodeSchema(&schema), wal.EncodeCommit(&wal.CommitFrame{TxID: 1, CSN: 1})...)
 	f.Add(torn[:len(torn)-3])
@@ -52,8 +51,11 @@ func FuzzRecoverLog(f *testing.F) {
 		// image as corrupt (CSN 0, schema/record mismatch, duplicate
 		// index values...), but a log that classifies must either open
 		// or error.
-		db, _, err := engine.Recover(wal.NewMemDeviceBytes(data), engine.Config{})
-		if err == nil {
+		dev, err := wal.NewMemSegmentLog(1<<20, wal.SegmentData{Data: data})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if db, _, err := engine.Recover(dev, engine.Config{}); err == nil {
 			db.Close()
 		}
 	})

@@ -14,22 +14,20 @@ func commitFrameBytes(csn uint64, rows ...RowImage) []byte {
 }
 
 func TestClassifyCheckpointAndRedo(t *testing.T) {
-	ckpt := &Checkpoint{
-		CSN: 5,
-		Tables: []CheckpointTable{{
-			Schema: testSchema(),
-			Rows:   []CheckpointRow{{Key: core.Int(1), CSN: 4, Rec: core.Record{core.Int(1), core.Str("a")}}},
-		}},
-	}
 	var log []byte
-	log = append(log, EncodeCheckpoint(ckpt)...)
+	log = append(log, deltaLink(0, 5, []core.Schema{testSchema()}, []DeltaRow{
+		{Table: "T", Key: core.Int(1), CSN: 4, Rec: core.Record{core.Int(1), core.Str("a")}},
+	})...)
 	log = append(log, commitFrameBytes(7)...)
 	log = append(log, commitFrameBytes(6)...)
 	log = append(log, commitFrameBytes(3)...) // pre-cut commit in an untruncated log
 
 	info := Classify(log)
-	if info.Checkpoint == nil || info.Checkpoint.CSN != 5 {
-		t.Fatalf("checkpoint: %+v", info.Checkpoint)
+	if info.Checkpoint == nil || info.Checkpoint.CSN != 5 || info.ChainLinks != 1 {
+		t.Fatalf("checkpoint: %+v (%d links)", info.Checkpoint, info.ChainLinks)
+	}
+	if rows := info.Checkpoint.Tables[0].Rows; len(rows) != 1 || rows[0].CSN != 4 {
+		t.Fatalf("folded rows: %+v, want row 1 at its version CSN 4", rows)
 	}
 	if len(info.Commits) != 2 || info.Commits[0].CSN != 6 || info.Commits[1].CSN != 7 {
 		t.Fatalf("redo commits not CSN-sorted past the cut: %+v", info.Commits)
@@ -37,7 +35,7 @@ func TestClassifyCheckpointAndRedo(t *testing.T) {
 	if info.HighCSN != 7 {
 		t.Fatalf("HighCSN = %d, want 7", info.HighCSN)
 	}
-	if info.TornBytes != 0 || info.ValidBytes != len(log) || info.Frames != 4 {
+	if info.TornBytes != 0 || info.ValidBytes != len(log) || info.Frames != 6 {
 		t.Fatalf("scan accounting: %+v", info)
 	}
 	if len(info.Schemas) != 1 || info.Schemas[0].Name != "T" {
@@ -45,11 +43,11 @@ func TestClassifyCheckpointAndRedo(t *testing.T) {
 	}
 }
 
-func TestClassifyLastCheckpointWins(t *testing.T) {
+func TestClassifyLastRootWins(t *testing.T) {
 	var log []byte
-	log = append(log, EncodeCheckpoint(&Checkpoint{CSN: 3})...)
+	log = append(log, deltaLink(0, 3, nil)...)
 	log = append(log, commitFrameBytes(4)...)
-	log = append(log, EncodeCheckpoint(&Checkpoint{CSN: 8})...)
+	log = append(log, deltaLink(0, 8, nil)...)
 	log = append(log, commitFrameBytes(9)...)
 
 	info := Classify(log)
@@ -82,7 +80,7 @@ func TestClassifySchemaDedupLastWins(t *testing.T) {
 func TestRecoverRepairsTornTail(t *testing.T) {
 	clean := append(commitFrameBytes(1), commitFrameBytes(2)...)
 	torn := append(append([]byte{}, clean...), 0xde, 0xad, 0xbe)
-	dev := NewMemDeviceBytes(torn)
+	dev := newTestLog(t, SegmentData{Data: torn})
 
 	info, err := Recover(dev)
 	if err != nil {
@@ -156,7 +154,10 @@ func TestRecoveryIdempotenceQuick(t *testing.T) {
 		clean := len(log)
 		log = append(log, h.junk...)
 
-		dev := NewMemDeviceBytes(log)
+		dev, err := NewMemSegmentLog(testSegSize, SegmentData{Data: log})
+		if err != nil {
+			return false
+		}
 		first, err := Recover(dev)
 		if err != nil {
 			return false

@@ -59,22 +59,6 @@ type SegmentData struct {
 	Data  []byte
 }
 
-// Segmented is implemented by devices that store the log as an ordered
-// sequence of segments. Recover uses it to validate the layout —
-// indices must be contiguous and a torn tail may only appear in the
-// final segment — instead of blindly scanning the concatenation.
-type Segmented interface {
-	Segments() ([]SegmentData, error)
-}
-
-// TailTruncator is implemented by devices that can discard everything
-// past a logical offset without rewriting the whole log. Recover
-// prefers it over Rewrite for torn-tail repair: a segmented log drops
-// the tail segments and truncates the one containing the cut.
-type TailTruncator interface {
-	TruncateTail(valid int64) error
-}
-
 // segFile is one open segment of a SegmentLog.
 type segFile interface {
 	append(b []byte) error
@@ -108,15 +92,14 @@ type segStore interface {
 	syncDir() error
 }
 
-// SegmentLog is a LogDevice that stores the byte stream as wal.000N
+// SegmentLog is the LogDevice: it stores the byte stream as wal.000N
 // segments, rotating to a fresh segment when an append would push the
 // current one past the size threshold. Rotation happens only between
-// Appends, so one flush group never spans segments — but recovery scans
+// Appends, so one flush window never spans segments — but recovery scans
 // the concatenation, so even a frame split across a boundary (e.g. by a
-// foreign writer) decodes fine. Rewrite (checkpoint truncation) writes
-// the new image as the next segment and then unlinks the old ones
-// oldest-first, so a crash at any point leaves a contiguous, decodable
-// sequence.
+// foreign writer) decodes fine. The log shrinks only from the front
+// (RetireSegments, oldest-first) and the back (TruncateTail), so a crash
+// at any point leaves a contiguous, decodable sequence.
 type SegmentLog struct {
 	mu      sync.Mutex
 	store   segStore
@@ -189,22 +172,33 @@ func openSegments(store segStore, segSize int64) (*SegmentLog, error) {
 }
 
 // NewMemSegmentLog returns an in-memory segmented log (tests and the
-// crash-chaos harness).
-func NewMemSegmentLog(segSize int64) (*SegmentLog, error) {
-	return openSegments(&memSegStore{segs: map[int]*memSeg{}}, segSize)
+// crash-chaos harness), seeded with image when given: a captured
+// Segments() result or a fuzz corpus input. The image counts as synced
+// — a captured image is by definition on the platter — and must have
+// contiguous indices.
+func NewMemSegmentLog(segSize int64, image ...SegmentData) (*SegmentLog, error) {
+	st := &memSegStore{segs: map[int]*memSeg{}}
+	for _, sd := range image {
+		st.segs[sd.Index] = &memSeg{buf: append([]byte(nil), sd.Data...)}
+	}
+	return openSegments(st, segSize)
 }
 
 // OpenSegmentLog opens (creating if needed) a segmented log in dir.
 // Existing wal.000N files are adopted; foreign files are ignored.
 func OpenSegmentLog(dir string, segSize int64) (*SegmentLog, error) {
+	if st, err := os.Stat(dir); err == nil && !st.IsDir() {
+		return nil, fmt.Errorf("wal: %s is a regular file, not a log directory: the log is a directory of %s, %s, ... segment files (the single-file layout is retired)",
+			dir, SegmentName(0), SegmentName(1))
+	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
 	return openSegments(&fileSegStore{dir: dir}, segSize)
 }
 
-// SetFaults installs the registry consulted by FaultRotate. The WAL
-// propagates its own registry here via wal.SetFaults.
+// SetFaults implements LogDevice: the registry consulted by FaultRotate
+// and FaultRetire. The WAL propagates its own registry here.
 func (l *SegmentLog) SetFaults(r *faultinject.Registry) {
 	l.mu.Lock()
 	l.faults = r
@@ -233,22 +227,6 @@ func (l *SegmentLog) SetPrealloc(n int64) error {
 		}
 	}
 	return nil
-}
-
-// fireRotate hits FaultRotate, converting an injected crash panic into
-// (err, crashed) like the WAL's own fault sites: the flush goroutine
-// must survive to report the failure.
-func (l *SegmentLog) fireRotate() (err error, crashed bool) {
-	defer func() {
-		if r := recover(); r != nil {
-			p, ok := faultinject.AsPanic(r)
-			if !ok {
-				panic(r)
-			}
-			err, crashed = p, true
-		}
-	}()
-	return l.faults.Fire(FaultRotate, faultinject.Ctx{}), false
 }
 
 // cur returns the current (last) segment's meta slot.
@@ -281,17 +259,11 @@ func (l *SegmentLog) Append(b []byte) error {
 // between leaves either [.., N] or [.., N, N+1(empty)], both contiguous
 // and decodable.
 func (l *SegmentLog) rotate() error {
-	if err, crashed := l.fireRotate(); err != nil || crashed {
+	if err, crashed := fire(l.faults, FaultRotate); err != nil {
 		if crashed {
 			// Process death mid-rotation: the unsynced tail of the
 			// current segment is lost with the page cache.
-			cm := l.curMeta()
-			if cm.size > l.curSynced {
-				if terr := l.cur.truncate(l.curSynced); terr == nil {
-					l.total -= cm.size - l.curSynced
-					cm.size = l.curSynced
-				}
-			}
+			_, _ = l.dropUnsynced()
 		}
 		return fmt.Errorf("wal: segment rotation: %w", err)
 	}
@@ -340,11 +312,17 @@ func (l *SegmentLog) Sync() error {
 	return nil
 }
 
-// DropUnsynced implements VolatileDevice: a power failure loses the
-// current segment's unsynced tail.
+// DropUnsynced implements LogDevice: a power failure loses the current
+// segment's unsynced tail.
 func (l *SegmentLog) DropUnsynced() (int64, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	return l.dropUnsynced()
+}
+
+// dropUnsynced truncates the current segment back to its synced size;
+// the caller holds l.mu.
+func (l *SegmentLog) dropUnsynced() (int64, error) {
 	cm := l.curMeta()
 	dropped := cm.size - l.curSynced
 	if dropped <= 0 {
@@ -358,21 +336,7 @@ func (l *SegmentLog) DropUnsynced() (int64, error) {
 	return dropped, nil
 }
 
-// Contents implements LogDevice: the concatenation of every segment in
-// index order.
-func (l *SegmentLog) Contents() ([]byte, error) {
-	segs, err := l.Segments()
-	if err != nil {
-		return nil, err
-	}
-	var all []byte
-	for _, s := range segs {
-		all = append(all, s.Data...)
-	}
-	return all, nil
-}
-
-// Segments implements Segmented.
+// Segments implements LogDevice.
 func (l *SegmentLog) Segments() ([]SegmentData, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -400,73 +364,7 @@ func (l *SegmentLog) Segments() ([]SegmentData, error) {
 	return out, nil
 }
 
-// Rewrite implements LogDevice: checkpoint truncation writes the new
-// image as segment N+1 (synced before it counts), then unlinks segments
-// oldest-first. A crash after the new segment is durable leaves a
-// suffix [k..N+1]; recovery scans the concatenation, and the last
-// checkpoint frame — the one just written — wins, so every crash state
-// recovers to the same database.
-func (l *SegmentLog) Rewrite(b []byte) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	next := l.curMeta().idx + 1
-	f, err := l.store.create(next)
-	if err != nil {
-		return fmt.Errorf("wal: rewrite segment: %w", err)
-	}
-	if l.prealloc > 0 {
-		if err := f.prealloc(l.prealloc); err != nil {
-			f.close()
-			l.store.remove(next)
-			return fmt.Errorf("wal: rewrite segment prealloc: %w", err)
-		}
-	}
-	if err := f.append(b); err != nil {
-		f.close()
-		l.store.remove(next)
-		return fmt.Errorf("wal: rewrite segment: %w", err)
-	}
-	if err := f.sync(); err != nil {
-		f.close()
-		return fmt.Errorf("wal: rewrite segment: %w", err)
-	}
-	if err := l.store.syncDir(); err != nil {
-		f.close()
-		return fmt.Errorf("wal: rewrite segment: %w", err)
-	}
-	// The new image is durable; retire the old segments oldest-first so
-	// any partial removal still leaves a contiguous index range.
-	l.cur.close()
-	for _, m := range l.segs {
-		if err := l.store.remove(m.idx); err != nil {
-			// The old segment sticks around; recovery still lands on the
-			// new checkpoint. Report nothing — the log stays correct.
-			continue
-		}
-	}
-	_ = l.store.syncDir()
-	l.segs = []segMeta{{idx: next, size: int64(len(b))}}
-	l.cur = f
-	l.curSynced = int64(len(b))
-	l.total = int64(len(b))
-	return nil
-}
-
-// fireRetire hits FaultRetire with the usual panic conversion.
-func (l *SegmentLog) fireRetire() (err error, crashed bool) {
-	defer func() {
-		if r := recover(); r != nil {
-			p, ok := faultinject.AsPanic(r)
-			if !ok {
-				panic(r)
-			}
-			err, crashed = p, true
-		}
-	}()
-	return l.faults.Fire(FaultRetire, faultinject.Ctx{}), false
-}
-
-// RetireSegments implements Retirer: unlink sealed segments with index
+// RetireSegments implements LogDevice: unlink sealed segments with index
 // < beforeIdx, oldest first, each optionally copied to archiveDir
 // first (copy synced before the unlink, so the archive never misses a
 // retired segment). The current segment is never retired. A failure —
@@ -478,8 +376,11 @@ func (l *SegmentLog) RetireSegments(beforeIdx int, archiveDir string) (retired, 
 	defer l.mu.Unlock()
 	for len(l.segs) > 1 && l.segs[0].idx < beforeIdx {
 		m := l.segs[0]
-		ferr, crashed := l.fireRetire()
-		if ferr != nil || crashed {
+		if ferr, crashed := fire(l.faults, FaultRetire); ferr != nil {
+			if crashed {
+				// Process death mid-retire takes the page cache with it.
+				_, _ = l.dropUnsynced()
+			}
 			_ = l.store.syncDir()
 			return retired, archived, fmt.Errorf("wal: segment retire %s: %w", SegmentName(m.idx), ferr)
 		}
@@ -513,7 +414,7 @@ func (l *SegmentLog) RetireSegments(beforeIdx int, archiveDir string) (retired, 
 	return retired, archived, nil
 }
 
-// TruncateTail implements TailTruncator: discard everything past the
+// TruncateTail implements LogDevice: discard everything past the
 // logical offset valid (torn-tail repair). Later segments are removed
 // newest-first, then the segment containing the cut is truncated.
 func (l *SegmentLog) TruncateTail(valid int64) error {
@@ -580,8 +481,8 @@ func (l *SegmentLog) Size() int64 {
 	return l.total
 }
 
-// CurrentSegment returns the index of the segment new appends land in.
-// The engine samples it while appending a chain root's begin marker
+// CurrentSegment implements LogDevice: the index of the segment new
+// appends land in. The engine samples it while appending a chain root's begin marker
 // (under the commit barrier): every earlier segment is covered once
 // that chain completes, so the sample is the chain's retirement bound.
 func (l *SegmentLog) CurrentSegment() int {

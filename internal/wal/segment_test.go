@@ -1,9 +1,11 @@
 package wal
 
 import (
+	"bytes"
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"sicost/internal/core"
@@ -79,14 +81,12 @@ func TestSegmentRotation(t *testing.T) {
 	}
 }
 
-// TestSegmentRewriteCheckpoint checks checkpoint truncation on a
-// segmented log: the snapshot lands in a fresh segment, old segments
-// are retired, and post-checkpoint commits recover on top.
-func TestSegmentRewriteCheckpoint(t *testing.T) {
-	dev, err := NewMemSegmentLog(256)
-	if err != nil {
-		t.Fatal(err)
-	}
+// TestSegmentRetireBehindFullLink checks how a checkpoint bounds the
+// log: a full chain link is appended at the tail, the sealed segments
+// behind its begin marker are retired, and post-checkpoint commits
+// recover on top of the folded link.
+func TestSegmentRetireBehindFullLink(t *testing.T) {
+	dev := newTestLog(t)
 	w := New(Config{Device: dev})
 	defer w.Close()
 
@@ -95,16 +95,26 @@ func TestSegmentRewriteCheckpoint(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	preSegs := dev.SegmentCount()
-	if preSegs < 2 {
-		t.Fatalf("want rotations before the checkpoint, have %d segment", preSegs)
+	if dev.SegmentCount() < 2 {
+		t.Fatalf("want rotations before the checkpoint, have %d segment", dev.SegmentCount())
 	}
-	ckpt := &Checkpoint{CSN: 12, Tables: []CheckpointTable{{Schema: testSchema()}}}
-	if err := w.WriteCheckpoint(ckpt); err != nil {
+	bound := dev.CurrentSegment()
+	if _, err := w.BeginDelta(&DeltaBegin{CSN: 12, Schemas: []core.Schema{testSchema()}}); err != nil {
 		t.Fatal(err)
 	}
-	if dev.SegmentCount() != 1 {
-		t.Fatalf("checkpoint left %d segments, want 1", dev.SegmentCount())
+	if _, err := w.EndDelta(&DeltaEnd{CSN: 12}); err != nil {
+		t.Fatal(err)
+	}
+	preSegs := dev.SegmentCount()
+	retired, _, err := w.Retire(bound, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if retired != bound || dev.SegmentCount() != preSegs-retired {
+		t.Fatalf("retired %d of %d segments behind bound %d, %d left", retired, preSegs, bound, dev.SegmentCount())
+	}
+	if s := w.Stats(); s.RetiredSegments != int64(retired) || s.DeltaCheckpoints != 1 {
+		t.Fatalf("stats = %+v, want RetiredSegments=%d DeltaCheckpoints=1", s, retired)
 	}
 	for csn := uint64(13); csn <= 16; csn++ {
 		if err := durableCommit(w, csn); err != nil {
@@ -124,8 +134,7 @@ func TestSegmentRewriteCheckpoint(t *testing.T) {
 }
 
 // TestSegmentTornTailRepair tears the final segment and checks Recover
-// truncates in place (TruncateTail, not a whole-log Rewrite) and is
-// idempotent.
+// truncates in place and is idempotent.
 func TestSegmentTornTailRepair(t *testing.T) {
 	dev, err := NewMemSegmentLog(256)
 	if err != nil {
@@ -365,5 +374,29 @@ func TestFileSegmentLogRejectsGap(t *testing.T) {
 	}
 	if _, err := OpenSegmentLog(dir, 256); err == nil {
 		t.Fatal("gap in segment sequence accepted")
+	}
+}
+
+// TestOpenSegmentLogRejectsRegularFile pins the input validation for
+// the retired single-file layout: pointing the log at an existing
+// regular file must name the path and the expected directory layout,
+// not surface a bare ENOTDIR from MkdirAll.
+func TestOpenSegmentLogRejectsRegularFile(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "run.wal")
+	if err := os.WriteFile(path, commitFrameBytes(1), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err := OpenSegmentLog(path, 1<<20)
+	if err == nil {
+		t.Fatal("OpenSegmentLog adopted a regular file as a log directory")
+	}
+	for _, want := range []string{path, "directory", SegmentName(0)} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not mention %q", err, want)
+		}
+	}
+	// The file is left exactly as it was.
+	if b, rerr := os.ReadFile(path); rerr != nil || !bytes.Equal(b, commitFrameBytes(1)) {
+		t.Fatalf("rejected file was modified: %v", rerr)
 	}
 }

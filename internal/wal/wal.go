@@ -8,12 +8,13 @@
 // (Config.FsyncLatency), which is all the throughput experiments need;
 // durability is real when a LogDevice is attached (Config.Device): the
 // flush loop encodes each commit record — row after-images plus CSN —
-// into CRC32-framed binary frames (codec.go), appends each flush group
-// to the device, and issues one Sync per coalesced window of groups
-// (many appends, one fdatasync). Checkpoint and schema frames share the
-// same framing, and Recover (recover.go) classifies a device image back
-// into snapshot + redo work with torn-tail truncation; segment.go adds
-// the wal.000N segmented layout. Read-only transactions never touch the
+// into CRC32-framed binary frames (codec.go) and covers every record
+// queued during the previous sync with one append and one Sync (group
+// commit). Schema frames and the fuzzy checkpoint chain's link frames
+// share the same framing, and Recover (recover.go) classifies a device
+// image back into folded checkpoint + redo work with torn-tail
+// truncation. The one device is the wal.000N segmented log
+// (segment.go). Read-only transactions never touch the
 // log, which is the mechanism behind the paper's §IV-D observation that
 // strategies turning the read-only Balance program into an updater pay
 // ~20% at MPL=1 (5/5 instead of 4/5 of transactions must wait for the
@@ -39,22 +40,20 @@ const (
 	// failures. The engine fires it before CSN allocation, so an
 	// ActPanic here cannot wedge the sequencer.
 	FaultCommit = "wal/commit"
-	// FaultFlush fires once per flush-group device write, before any
-	// byte of that group reaches the device; an injected error fails
-	// every commit record in that group without persisting it (groups
-	// already appended in the same window are unaffected, and later
-	// groups still flush). An ActPanic spec here models the process
-	// dying mid-write: the unsynced appends of earlier groups in the
-	// window are lost with the page cache, a torn prefix of the crashed
-	// group's first frame reaches the platter (so nothing
-	// unacknowledged becomes durable), and the WAL bricks itself —
-	// every later commit fails until recovery rebuilds the engine.
+	// FaultFlush fires once per flush window, before any byte of it
+	// reaches the device; an injected error fails every commit record in
+	// the window without persisting it and without bricking (later
+	// windows still flush). An ActPanic spec here models the process
+	// dying mid-write: unsynced appends are lost with the page cache, a
+	// torn prefix of the window's first frame reaches the platter (so
+	// nothing unacknowledged becomes durable), and the WAL bricks itself
+	// — every later commit fails until recovery rebuilds the engine.
 	FaultFlush = "wal/flush"
-	// FaultSync fires once per coalesced window, after every group's
-	// append and before the device Sync. An injected error is a failed
+	// FaultSync fires once per flush window, after its append and
+	// before the device Sync. An injected error is a failed
 	// fsync: durability of the whole window is unknown, so the WAL
 	// bricks (the fsyncgate discipline). An ActPanic models power dying
-	// inside the coalesced-sync window: every unsynced append vanishes
+	// between append and sync: every unsynced append vanishes
 	// with the page cache and nothing in the window is acknowledged.
 	FaultSync = "wal/sync"
 	// FaultCkptDelta fires once per delta-rows append of a fuzzy
@@ -72,15 +71,11 @@ type Config struct {
 	// attached, zero disables the log entirely (commits return
 	// immediately), which unit tests use.
 	FsyncLatency time.Duration
-	// MaxBatch caps the number of commit records appended by a single
-	// flush-group device write; 0 means unbounded (pure group commit).
+	// MaxBatch caps the number of commit records made durable by one
+	// device sync; 0 means unbounded (pure group commit: every record
+	// queued during a sync shares the next one). The group-commit
+	// ablation sets 1 — one fsync per commit.
 	MaxBatch int
-	// SyncEveryGroup restores the pre-coalescing discipline: one device
-	// Sync (and one FsyncLatency wait) per flush group. The default
-	// coalesces every group pending at the start of a flush window into
-	// one Sync — many appends, one fdatasync — which is what lets
-	// MaxBatch bound device-write sizes without multiplying syncs.
-	SyncEveryGroup bool
 	// Device, when non-nil, is the durable medium: every flush encodes
 	// its batch and appends the frames to the device before
 	// acknowledging. Nil keeps the historical latency-only simulation.
@@ -88,8 +83,7 @@ type Config struct {
 	// PreallocBytes, when positive, asks the device to create log
 	// segments at this physical size up front (zero-padded past the
 	// logical tail), so steady-state appends overwrite allocated blocks
-	// instead of extending the file on every flush. Ignored by devices
-	// without the notion (memory, flat files); see
+	// instead of extending the file on every flush. See
 	// SegmentLog.SetPrealloc for the recovery story.
 	PreallocBytes int64
 }
@@ -125,27 +119,21 @@ type Record struct {
 }
 
 // Stats aggregates device activity; used by tests and by the
-// group-commit ablation experiment. Only flush groups whose covering
-// Sync succeeded count toward Flushes/Records/Bytes; groups that failed
+// group-commit ablation experiment. Only flush windows whose Sync
+// succeeded count toward Flushes/Records/Bytes; windows that failed
 // (injected error, injected crash, device error, or a failed Sync)
-// count in FailedFlushes and contribute nothing else — in particular, a
-// group rejected by an injected device error while its window's other
-// groups proceed is counted exactly once, as failed.
+// count in FailedFlushes and contribute nothing else.
 type Stats struct {
-	// Flushes counts flush groups appended and covered by a successful
-	// Sync; Syncs counts the device syncs themselves. With coalescing,
-	// Flushes/Syncs > 1 is the whole point: many appends, one
-	// fdatasync.
+	// Flushes counts flush windows appended and made durable; Syncs
+	// counts every device sync (a window's, a schema frame's, a chain
+	// link's end marker).
 	Flushes int64
 	Syncs   int64
 	Records int64
 	Bytes   int64
-	// FailedFlushes counts flush groups that failed; their records
+	// FailedFlushes counts flush windows that failed; their records
 	// were rejected, not acknowledged.
 	FailedFlushes int64
-	// Checkpoints counts checkpoint frames written (each rewrites the
-	// device to checkpoint + empty tail).
-	Checkpoints int64
 	// DeltaCheckpoints counts fuzzy chain links made durable (end
 	// marker synced).
 	DeltaCheckpoints int64
@@ -157,7 +145,7 @@ type Stats struct {
 }
 
 // AvgBatch returns the mean number of commit records per successful
-// flush group.
+// flush window.
 func (s Stats) AvgBatch() float64 {
 	if s.Flushes == 0 {
 		return 0
@@ -166,8 +154,7 @@ func (s Stats) AvgBatch() float64 {
 }
 
 // CommitsPerSync returns the mean number of commit records made durable
-// per device sync — the coalescing win the async/segmented rework is
-// after.
+// per device sync — the group-commit gauge.
 func (s Stats) CommitsPerSync() float64 {
 	if s.Syncs == 0 {
 		return 0
@@ -182,7 +169,7 @@ type WAL struct {
 	tracer *trace.Recorder
 
 	// devMu serializes all device operations (flush appends and syncs,
-	// checkpoint rewrites, schema appends) so frames never interleave
+	// control-frame appends, retirement) so frames never interleave
 	// mid-write.
 	devMu sync.Mutex
 
@@ -192,7 +179,6 @@ type WAL struct {
 	pending []*Record
 	flusher bool // a flush loop is running
 	closed  bool
-	failErr error // injected fault: every subsequent flush fails with it
 	broken  error // sticky: the device died (crash or IO error); recovery required
 	stats   Stats
 
@@ -213,27 +199,23 @@ func New(cfg Config) *WAL {
 	w := &WAL{cfg: cfg}
 	w.idle.L = &w.mu
 	w.durable.L = &w.mu
-	if cfg.PreallocBytes > 0 {
-		if d, ok := cfg.Device.(interface{ SetPrealloc(int64) error }); ok {
-			// Preallocation is a performance lever, not a correctness one:
-			// a device that cannot extend (full disk, odd medium) just
-			// runs append-grown.
-			_ = d.SetPrealloc(cfg.PreallocBytes)
-		}
+	if cfg.PreallocBytes > 0 && cfg.Device != nil {
+		// Preallocation is a performance lever, not a correctness one: a
+		// device that cannot extend (full disk, odd medium) just runs
+		// append-grown.
+		_ = cfg.Device.SetPrealloc(cfg.PreallocBytes)
 	}
 	return w
 }
 
 // SetFaults installs the fault registry consulted by the FaultCommit,
-// FaultFlush and FaultSync points (nil disables), propagating it to a
-// device that has fault points of its own (SegmentLog's rotation).
+// FaultFlush, FaultSync and FaultCkptDelta points (nil disables),
+// propagating it to the device's own points (rotation, retirement).
 // Call before commits are in flight.
 func (w *WAL) SetFaults(r *faultinject.Registry) {
 	w.faults = r
-	if d, ok := w.cfg.Device.(interface {
-		SetFaults(*faultinject.Registry)
-	}); ok {
-		d.SetFaults(r)
+	if w.cfg.Device != nil {
+		w.cfg.Device.SetFaults(r)
 	}
 }
 
@@ -249,9 +231,9 @@ func (w *WAL) CommitFault(tx uint64) error {
 }
 
 // Commit appends rec to the log and blocks until it is durable (the
-// device sync covering its flush group completed). It returns
+// device sync covering its flush window completed). It returns
 // core.ErrWALClosed if the device shuts down first, the injected fault
-// if one is set, or the sticky crash error once a flush has torn the
+// if one fired, or the sticky crash error once a flush has torn the
 // device.
 func (w *WAL) Commit(rec *Record) error {
 	if err := w.CommitFault(rec.TxID); err != nil {
@@ -345,44 +327,11 @@ func (w *WAL) Withdraw(rec *Record) bool {
 	return false
 }
 
-// fireFlush hits the FaultFlush point, converting an injected panic
-// (ActPanic modelling a mid-flush crash) into its error value instead
-// of letting it kill the background flush goroutine — and with it the
-// whole process. crashed reports that conversion, which the flush loop
-// turns into a torn device append plus a bricked WAL.
-func (w *WAL) fireFlush() (err error, crashed bool) {
-	defer func() {
-		if r := recover(); r != nil {
-			p, ok := faultinject.AsPanic(r)
-			if !ok {
-				panic(r)
-			}
-			err, crashed = p, true
-		}
-	}()
-	return w.faults.Fire(FaultFlush, faultinject.Ctx{}), false
-}
-
-// fireSync hits the FaultSync point with the same panic conversion.
-func (w *WAL) fireSync() (err error, crashed bool) {
-	defer func() {
-		if r := recover(); r != nil {
-			p, ok := faultinject.AsPanic(r)
-			if !ok {
-				panic(r)
-			}
-			err, crashed = p, true
-		}
-	}()
-	return w.faults.Fire(FaultSync, faultinject.Ctx{}), false
-}
-
 // flushLoop drains pending records window by window. Exactly one loop
 // runs at a time; it exits when the queue empties, so an idle log costs
-// nothing. In the default coalescing mode a window is everything
-// pending at loop-start — split into MaxBatch-sized append groups but
-// covered by a single Sync; with SyncEveryGroup each window is one
-// group, the pre-coalescing one-sync-per-group discipline.
+// nothing. A window is everything pending at loop-start (at most
+// MaxBatch records when that is set): the records that queued up during
+// the previous window's sync share this one's.
 func (w *WAL) flushLoop() {
 	for {
 		w.mu.Lock()
@@ -394,181 +343,73 @@ func (w *WAL) flushLoop() {
 			w.mu.Unlock()
 			return
 		}
-		var window []*Record
-		if w.cfg.SyncEveryGroup && w.cfg.MaxBatch > 0 && len(w.pending) > w.cfg.MaxBatch {
-			window = w.pending[:w.cfg.MaxBatch:w.cfg.MaxBatch]
-			w.pending = w.pending[w.cfg.MaxBatch:]
-		} else {
-			window = w.pending
-			w.pending = nil
+		window := w.pending
+		if n := w.cfg.MaxBatch; n > 0 && len(window) > n {
+			window = window[:n:n]
 		}
-		injected := w.failErr
-		if injected == nil {
-			injected = w.broken
-		}
+		w.pending = w.pending[len(window):]
 		w.mu.Unlock()
 
-		w.flushWindow(window, injected)
+		w.flushWindow(window)
 	}
 }
 
-// group is one device-write unit inside a flush window.
-type group struct {
-	recs   []*Record
-	frames []byte
-	bytes  int
-}
-
-// splitGroups cuts a window into MaxBatch-sized flush groups and
-// encodes each one's frame block.
-func (w *WAL) splitGroups(window []*Record) []group {
-	var groups []group
-	for len(window) > 0 {
-		n := len(window)
-		if w.cfg.MaxBatch > 0 && n > w.cfg.MaxBatch {
-			n = w.cfg.MaxBatch
-		}
-		g := group{recs: window[:n]}
-		for _, r := range g.recs {
-			g.bytes += r.Bytes
-			g.frames = append(g.frames, r.enc...)
-		}
-		groups = append(groups, g)
-		window = window[n:]
+// flushWindow makes one window durable: one device append of every
+// record's frame, one Sync. An injected FaultFlush error rejects the
+// window before any byte reaches the device and leaves the WAL healthy;
+// a crash (injected panic) loses the unsynced appends, leaves at most a
+// torn fragment, and bricks the WAL, as does any device error or failed
+// sync. Either the whole window is acknowledged or none of it is.
+func (w *WAL) flushWindow(window []*Record) {
+	var frames []byte
+	bytes := 0
+	for _, r := range window {
+		bytes += r.Bytes
+		frames = append(frames, r.enc...)
 	}
-	return groups
-}
 
-// flushWindow appends every group of the window to the device and
-// covers them with one Sync. Group-level failures are independent: an
-// injected device error rejects exactly that group's records (counted
-// once, in FailedFlushes — never also in Flushes/Bytes) while earlier
-// appends stay covered by the window's Sync and later groups still
-// run. Crashes (injected panics) lose the window's unsynced appends,
-// leave at most a torn fragment, and brick the WAL.
-func (w *WAL) flushWindow(window []*Record, injected error) {
-	groups := w.splitGroups(window)
-
-	// The device sync occupies the log for the configured latency,
-	// once per window: every group in the window shares the wait —
-	// coalesced group commit.
+	// The device sync occupies the log for the configured latency, once
+	// per window: every record in it shares the wait — group commit.
 	time.Sleep(w.cfg.FsyncLatency)
 
-	if injected != nil {
-		w.mu.Lock()
-		w.stats.FailedFlushes += int64(len(groups))
-		w.mu.Unlock()
-		for _, g := range groups {
-			w.resolve(g.recs, injected)
-		}
-		return
-	}
-
-	var appended []group
-	var crashErr error
-	failFrom := len(groups) // first group index not appended due to crash
-	for gi, g := range groups {
-		err, crashed := w.fireFlush()
-		if crashed {
-			// Mid-write crash: the page cache — earlier groups' unsynced
-			// appends — is lost; a torn prefix of this group's first
-			// frame made the platter mid-write.
-			w.dropUnsynced()
-			w.tornAppend(g.frames)
-			w.brick(err)
-			crashErr, failFrom = err, gi
-			break
-		}
-		if err != nil {
-			// Injected device error for this group only: rejected before
-			// any byte reached the device; the rest of the window
-			// proceeds.
-			w.mu.Lock()
-			w.stats.FailedFlushes++
-			w.mu.Unlock()
-			w.resolve(g.recs, err)
-			continue
-		}
-		if derr := w.devAppend(g.frames); derr != nil {
-			w.brick(derr)
-			crashErr, failFrom = derr, gi
-			break
-		}
-		appended = append(appended, g)
-	}
-
-	if crashErr != nil {
-		// The crash loses every unacknowledged record of the window:
-		// the appended-but-unsynced groups and everything after the
-		// crash point.
-		w.mu.Lock()
-		w.stats.FailedFlushes += int64(len(appended) + len(groups) - failFrom)
-		w.mu.Unlock()
-		for _, g := range appended {
-			w.resolve(g.recs, crashErr)
-		}
-		for _, g := range groups[failFrom:] {
-			w.resolve(g.recs, crashErr)
-		}
-		return
-	}
-
-	if len(appended) == 0 {
-		return
-	}
-
-	serr, scrashed := w.fireSync()
-	if scrashed {
-		// Power dies inside the coalesced-sync window, before the sync
-		// reaches the device: the whole window's appends sit in the
-		// lost page cache.
-		w.dropUnsynced()
-		w.failWindow(appended, serr)
-		return
-	}
-	if serr == nil {
-		serr = w.devSync()
-	}
-	if serr != nil {
-		// Failed fsync: durability of everything since the last
-		// successful sync is unknown (fsyncgate) — brick.
-		w.failWindow(appended, serr)
-		return
-	}
-
+	err := w.writeWindow(frames)
 	w.mu.Lock()
-	w.stats.Syncs++
-	for _, g := range appended {
+	if err != nil {
+		w.stats.FailedFlushes++
+	} else {
 		w.stats.Flushes++
-		w.stats.Records += int64(len(g.recs))
-		w.stats.Bytes += int64(g.bytes)
+		w.stats.Syncs++
+		w.stats.Records += int64(len(window))
+		w.stats.Bytes += int64(bytes)
 	}
 	w.mu.Unlock()
-
-	if w.tracer.Enabled() {
-		// Device-level events: no transaction; Depth is the group size.
-		for _, g := range appended {
-			w.tracer.Emit(trace.Event{Kind: trace.EvWALFlush, Depth: len(g.recs), Bytes: g.bytes})
-		}
+	if err == nil && w.tracer.Enabled() {
+		// A device-level event: no transaction; Depth is the window size.
+		w.tracer.Emit(trace.Event{Kind: trace.EvWALFlush, Depth: len(window), Bytes: bytes})
 	}
-
-	for _, g := range appended {
-		w.resolve(g.recs, nil)
-	}
+	w.resolve(window, err)
 }
 
-// failWindow bricks the WAL with err and rejects every appended group.
-func (w *WAL) failWindow(appended []group, err error) {
-	w.brick(err)
-	w.mu.Lock()
-	w.stats.FailedFlushes += int64(len(appended))
-	w.mu.Unlock()
-	for _, g := range appended {
-		w.resolve(g.recs, err)
+// writeWindow runs a window's fault points and device calls, bricking
+// the WAL on everything but a plain injected FaultFlush error. Records
+// still queued when the WAL bricked fail fast with the sticky cause.
+func (w *WAL) writeWindow(frames []byte) error {
+	if err := w.Broken(); err != nil {
+		return err
 	}
+	err, crashed := fire(w.faults, FaultFlush)
+	if crashed {
+		// Mid-write crash: a torn prefix of the window's first frame
+		// made the platter.
+		w.crash(err, frames)
+	}
+	if err != nil {
+		return err
+	}
+	return w.devWrite(frames, true, FaultSync)
 }
 
-// resolve delivers one verdict to every record of a flush group,
+// resolve delivers one verdict to every record of a flush window,
 // advancing the durability watermark for successes and bricking the WAL
 // when an async (already published) record fails — that loss cannot be
 // rolled back by aborting a transaction.
@@ -606,56 +447,73 @@ func (w *WAL) brick(err error) {
 	w.mu.Unlock()
 }
 
-// devAppend writes one flush group to the device.
-func (w *WAL) devAppend(frames []byte) error {
-	if w.cfg.Device == nil || len(frames) == 0 {
-		return nil
-	}
+// devWrite is the one way bytes reach the device: append b, fire
+// syncFault (a window's FaultSync; "" for none), then sync when asked —
+// all in one devMu hold, so nobody else's append (and the rotation it
+// may trigger, whose seal syncs the old segment) lands between a
+// window's append and its sync. A bricked WAL is refused inside the
+// mutex and any failure bricks before it is released, so device state
+// and the sticky error change together: nothing can be appended or
+// acknowledged behind a crash or device error that another goroutine (a
+// checkpoint link racing a flush window) hit first. An injected
+// syncFault error is a failed fsync — durability of everything since
+// the last good sync is unknown (fsyncgate); a panic there is power
+// dying before the sync reaches the device, the append lost with the
+// page cache. Without a device only the fault point runs.
+func (w *WAL) devWrite(b []byte, sync bool, syncFault string) error {
 	w.devMu.Lock()
 	defer w.devMu.Unlock()
-	return w.cfg.Device.Append(frames)
+	dev := w.cfg.Device
+	err := w.Broken()
+	if err == nil && dev != nil && len(b) > 0 {
+		err = dev.Append(b)
+	}
+	if err == nil && syncFault != "" {
+		var crashed bool
+		if err, crashed = fire(w.faults, syncFault); crashed {
+			w.crashLocked(err, nil)
+		}
+	}
+	if err == nil && dev != nil && sync {
+		err = dev.Sync()
+	}
+	if err != nil {
+		w.brick(err)
+	}
+	return err
 }
 
-// devSync issues the device sync covering every append since the last.
-func (w *WAL) devSync() error {
-	if w.cfg.Device == nil {
-		return nil
-	}
+// crash simulates the process dying at a fault point, atomically with
+// respect to every other device user: the page cache (every unsynced
+// append, whoever made it) is lost, and when the crash interrupted a
+// write of frames a strict prefix of their first frame is persisted,
+// deterministically cut by the write's checksum. Keeping the cut inside
+// the first frame guarantees no unacknowledged commit becomes durable,
+// while still leaving a genuinely torn tail for recovery to truncate.
+// The fragment is synced: it models bytes the platter received
+// mid-write, not page cache. The WAL is bricked before devMu is
+// released.
+func (w *WAL) crash(cause error, frames []byte) {
 	w.devMu.Lock()
 	defer w.devMu.Unlock()
-	return w.cfg.Device.Sync()
+	w.crashLocked(cause, frames)
 }
 
-// dropUnsynced simulates losing the page cache on a crash-capable
-// device; a no-op for devices without the synced/unsynced distinction.
-func (w *WAL) dropUnsynced() {
-	if vd, ok := w.cfg.Device.(VolatileDevice); ok {
-		w.devMu.Lock()
-		_, _ = vd.DropUnsynced()
-		w.devMu.Unlock()
+// crashLocked is crash for a caller already holding devMu.
+func (w *WAL) crashLocked(cause error, frames []byte) {
+	if dev := w.cfg.Device; dev != nil && w.Broken() == nil {
+		_, _ = dev.DropUnsynced()
+		if len(frames) > 0 {
+			_, first, err := DecodeFrameAt(frames, 0)
+			if err != nil || first <= 0 {
+				first = len(frames)
+			}
+			cut := int(crc32.Checksum(frames, castagnoli) % uint32(first))
+			_ = dev.Append(frames[:cut])
+			_ = dev.Sync()
+		}
 	}
-}
-
-// tornAppend simulates the crash-interrupted device write: a strict
-// prefix of the group's first frame is persisted, deterministically cut
-// by the group checksum. Keeping the cut inside the first frame
-// guarantees no unacknowledged commit becomes durable, while still
-// leaving a genuinely torn tail for recovery to truncate. The fragment
-// is synced: it models bytes the platter received mid-write, not page
-// cache.
-func (w *WAL) tornAppend(frames []byte) {
-	if w.cfg.Device == nil || len(frames) == 0 {
-		return
-	}
-	_, first, err := DecodeFrameAt(frames, 0)
-	if err != nil || first <= 0 {
-		first = len(frames)
-	}
-	cut := int(crc32.Checksum(frames, castagnoli) % uint32(first))
-	w.devMu.Lock()
-	_ = w.cfg.Device.Append(frames[:cut])
-	_ = w.cfg.Device.Sync()
-	w.devMu.Unlock()
+	w.brick(cause)
 }
 
 // DurableWatermark returns the highest CSN acknowledged durable and
@@ -710,44 +568,55 @@ func (w *WAL) Drain() {
 	w.mu.Unlock()
 }
 
-// WriteCheckpoint truncates the log to a single checkpoint frame. The
-// caller (engine.DB.Checkpoint) must guarantee quiescence: no commit
-// may sit between CSN allocation and publication, so every durable
-// frame is covered by the snapshot and Rewrite loses nothing. (Async
-// records may still be in the flush queue, but the barrier guarantees
-// their CSNs are published, hence ≤ the cut: their frames land after
-// the checkpoint and recovery skips them as already covered.)
-func (w *WAL) WriteCheckpoint(c *Checkpoint) error {
+// guardOpen rejects device-side operations on a device-less, closed or
+// bricked WAL.
+func (w *WAL) guardOpen() error {
 	if w.cfg.Device == nil {
 		return core.ErrWALClosed
 	}
 	w.mu.Lock()
+	defer w.mu.Unlock()
 	if w.closed {
-		w.mu.Unlock()
 		return core.ErrWALClosed
 	}
-	if w.broken != nil {
-		err := w.broken
-		w.mu.Unlock()
-		return err
+	return w.broken
+}
+
+// appendControl is the one path every non-commit frame (schema, chain
+// link markers and row batches) takes to the device: reject a closed,
+// bricked or device-less WAL, fire the frame's fault point if it has
+// one, append, sync when the frame is a durability point, then account
+// the bytes — or brick. The first failure is the sticky cause; a later
+// one never overwrites it. A crash at the fault point (ActPanic) loses
+// unsynced appends and leaves at most a torn prefix of enc on the
+// platter. Any failure bricks: a half-written link or DDL frame whose
+// device state is unknown cannot be reasoned about frame by frame.
+func (w *WAL) appendControl(enc []byte, fault string, sync bool) (int, error) {
+	err := w.guardOpen()
+	if err != nil {
+		return 0, err
 	}
-	w.mu.Unlock()
-
-	enc := EncodeCheckpoint(c)
-	w.devMu.Lock()
-	err := w.cfg.Device.Rewrite(enc)
-	w.devMu.Unlock()
-
-	w.mu.Lock()
+	if fault != "" {
+		var crashed bool
+		if err, crashed = fire(w.faults, fault); crashed {
+			w.crash(err, enc)
+		} else if err != nil {
+			w.brick(err)
+		}
+	}
 	if err == nil {
-		w.stats.Checkpoints++
-		w.stats.Bytes += int64(len(enc))
-	} else {
-		w.broken = err
-		w.durable.Broadcast()
+		err = w.devWrite(enc, sync, "")
+	}
+	if err != nil {
+		return 0, err
+	}
+	w.mu.Lock()
+	w.stats.Bytes += int64(len(enc))
+	if sync {
+		w.stats.Syncs++
 	}
 	w.mu.Unlock()
-	return err
+	return len(enc), nil
 }
 
 // AppendSchema persists a DDL frame so a log without a checkpoint can
@@ -758,132 +627,30 @@ func (w *WAL) AppendSchema(s *core.Schema) error {
 	if w.cfg.Device == nil {
 		return nil
 	}
-	w.mu.Lock()
-	if w.closed {
-		w.mu.Unlock()
-		return core.ErrWALClosed
-	}
-	if w.broken != nil {
-		err := w.broken
-		w.mu.Unlock()
-		return err
-	}
-	w.mu.Unlock()
-
-	enc := EncodeSchema(s)
-	w.devMu.Lock()
-	err := w.cfg.Device.Append(enc)
-	if err == nil {
-		err = w.cfg.Device.Sync()
-	}
-	w.devMu.Unlock()
-
-	w.mu.Lock()
-	if err == nil {
-		w.stats.Bytes += int64(len(enc))
-		w.stats.Syncs++
-	} else {
-		w.broken = err
-		w.durable.Broadcast()
-	}
-	w.mu.Unlock()
+	_, err := w.appendControl(EncodeSchema(s), "", true)
 	return err
 }
 
-// guardOpen rejects device-side operations on a closed or bricked WAL.
-func (w *WAL) guardOpen() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.closed {
-		return core.ErrWALClosed
-	}
-	return w.broken
-}
-
 // BeginDelta appends a fuzzy-checkpoint chain-link begin marker. The
-// caller (engine.DB.CheckpointIncremental) holds the commit barrier's
-// write side across this append, which is the whole point: no commit
-// with CSN > d.CSN can precede the marker in the byte stream, so every
-// frame before it is covered by the chain once the link completes. The
-// marker is NOT synced here — the end marker's sync covers it, and a
-// begin lost with the page cache just leaves an incomplete link that
-// recovery ignores.
+// caller (engine.DB.Checkpoint) holds the commit barrier's write side
+// across this append, which is the whole point: no commit with CSN >
+// d.CSN can precede the marker in the byte stream, so every frame
+// before it is covered by the chain once the link completes. The marker
+// is NOT synced here — the end marker's sync covers it, and a begin
+// lost with the page cache just leaves an incomplete link that recovery
+// ignores.
 func (w *WAL) BeginDelta(d *DeltaBegin) (int, error) {
-	if w.cfg.Device == nil {
-		return 0, core.ErrWALClosed
-	}
-	if err := w.guardOpen(); err != nil {
-		return 0, err
-	}
-	enc := EncodeDeltaBegin(d)
-	w.devMu.Lock()
-	err := w.cfg.Device.Append(enc)
-	w.devMu.Unlock()
-	w.mu.Lock()
-	if err == nil {
-		w.stats.Bytes += int64(len(enc))
-	} else if w.broken == nil {
-		w.broken = err
-		w.durable.Broadcast()
-	}
-	w.mu.Unlock()
-	return len(enc), err
-}
-
-// fireCkptDelta hits the FaultCkptDelta point with the flush loop's
-// panic conversion: an ActPanic models the process dying mid-delta.
-func (w *WAL) fireCkptDelta() (err error, crashed bool) {
-	defer func() {
-		if r := recover(); r != nil {
-			p, ok := faultinject.AsPanic(r)
-			if !ok {
-				panic(r)
-			}
-			err, crashed = p, true
-		}
-	}()
-	return w.faults.Fire(FaultCkptDelta, faultinject.Ctx{}), false
+	return w.appendControl(EncodeDeltaBegin(d), "", false)
 }
 
 // AppendDeltaRows appends one batch of a link's after-images. It runs
 // WITHOUT the commit barrier — versions at or below the cut are
 // immutable, so commits interleave freely with these appends. A crash
-// here (FaultCkptDelta with ActPanic) loses unsynced appends, leaves at
-// most a torn prefix of this batch on the platter and bricks the WAL:
-// recovery sees an incomplete link and falls back to the previous
-// complete chain state. Any other append failure also bricks — a
-// half-written link whose device state is unknown cannot be reasoned
-// about frame by frame.
+// here (FaultCkptDelta with ActPanic) bricks the WAL mid-link: recovery
+// sees an incomplete link and falls back to the previous complete chain
+// state.
 func (w *WAL) AppendDeltaRows(d *DeltaRows) (int, error) {
-	if w.cfg.Device == nil {
-		return 0, core.ErrWALClosed
-	}
-	if err := w.guardOpen(); err != nil {
-		return 0, err
-	}
-	enc := EncodeDeltaRows(d)
-	ferr, crashed := w.fireCkptDelta()
-	if crashed {
-		w.dropUnsynced()
-		w.tornAppend(enc)
-		w.brick(ferr)
-		return 0, ferr
-	}
-	if ferr == nil {
-		ferr = w.devAppend(enc)
-	}
-	w.mu.Lock()
-	if ferr == nil {
-		w.stats.Bytes += int64(len(enc))
-	} else if w.broken == nil {
-		w.broken = ferr
-		w.durable.Broadcast()
-	}
-	w.mu.Unlock()
-	if ferr != nil {
-		return 0, ferr
-	}
-	return len(enc), nil
+	return w.appendControl(EncodeDeltaRows(d), FaultCkptDelta, false)
 }
 
 // EndDelta appends the link's end marker and syncs: the durability
@@ -891,78 +658,37 @@ func (w *WAL) AppendDeltaRows(d *DeltaRows) (int, error) {
 // ordered, one sync covers them all). Only after EndDelta returns nil
 // may the engine extend its in-memory chain state or retire segments.
 func (w *WAL) EndDelta(d *DeltaEnd) (int, error) {
-	if w.cfg.Device == nil {
-		return 0, core.ErrWALClosed
-	}
-	if err := w.guardOpen(); err != nil {
-		return 0, err
-	}
-	enc := EncodeDeltaEnd(d)
-	w.devMu.Lock()
-	err := w.cfg.Device.Append(enc)
+	n, err := w.appendControl(EncodeDeltaEnd(d), "", true)
 	if err == nil {
-		err = w.cfg.Device.Sync()
-	}
-	w.devMu.Unlock()
-	w.mu.Lock()
-	if err == nil {
-		w.stats.Bytes += int64(len(enc))
-		w.stats.Syncs++
+		w.mu.Lock()
 		w.stats.DeltaCheckpoints++
-	} else if w.broken == nil {
-		w.broken = err
-		w.durable.Broadcast()
+		w.mu.Unlock()
 	}
-	w.mu.Unlock()
-	return len(enc), err
-}
-
-// Retirer is implemented by log devices that can unlink sealed segments
-// wholly covered by a durable checkpoint chain (the segmented log).
-type Retirer interface {
-	// RetireSegments removes every sealed segment with index < beforeIdx,
-	// oldest first; with archiveDir non-empty each is copied there before
-	// the unlink. It returns how many segments were removed and how many
-	// of those were archived. A crash mid-retire leaves a shorter prefix
-	// removed — still a valid suffix layout.
-	RetireSegments(beforeIdx int, archiveDir string) (retired, archived int, err error)
+	return n, err
 }
 
 // Retire unlinks sealed segments with index < beforeIdx, optionally
 // archiving each to archiveDir first (point-in-time-recovery source).
 // The caller must only pass a beforeIdx at or below the segment index
 // that was current when the chain's ROOT link appended its begin marker
-// — everything before that point is reconstructible from the chain. A
-// no-op (0, 0, nil) when the device does not support retirement.
+// — everything before that point is reconstructible from the chain.
 func (w *WAL) Retire(beforeIdx int, archiveDir string) (retired, archived int, err error) {
-	r, ok := w.cfg.Device.(Retirer)
-	if !ok {
-		return 0, 0, nil
-	}
 	if err := w.guardOpen(); err != nil {
 		return 0, 0, err
 	}
+	// Like devWrite: refuse and brick inside devMu.
 	w.devMu.Lock()
-	retired, archived, err = r.RetireSegments(beforeIdx, archiveDir)
+	if err = w.Broken(); err == nil {
+		if retired, archived, err = w.cfg.Device.RetireSegments(beforeIdx, archiveDir); err != nil {
+			w.brick(err)
+		}
+	}
 	w.devMu.Unlock()
 	w.mu.Lock()
 	w.stats.RetiredSegments += int64(retired)
 	w.stats.ArchivedSegments += int64(archived)
-	if err != nil && w.broken == nil {
-		w.broken = err
-		w.durable.Broadcast()
-	}
 	w.mu.Unlock()
 	return retired, archived, err
-}
-
-// InjectFailure makes every subsequent flush window acknowledge its
-// records with err (nil clears the fault). Nothing reaches the device
-// while the fault is set. Used by failure-injection tests.
-func (w *WAL) InjectFailure(err error) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.failErr = err
 }
 
 // Broken returns the sticky device-death error (nil while healthy). A

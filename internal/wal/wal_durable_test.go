@@ -19,7 +19,7 @@ func durableCommit(w *WAL, csn uint64) error {
 }
 
 func TestDurableCommitPersistsDecodableFrames(t *testing.T) {
-	dev := NewMemDevice()
+	dev := newTestLog(t)
 	w := New(Config{Device: dev})
 	defer w.Close()
 
@@ -28,10 +28,7 @@ func TestDurableCommitPersistsDecodableFrames(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	b, err := dev.Contents()
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := logImage(t, dev)
 	frames, valid := ScanLog(b)
 	if valid != len(b) {
 		t.Fatalf("device holds a torn log after clean commits: %d of %d bytes valid", valid, len(b))
@@ -50,11 +47,15 @@ func TestDurableCommitPersistsDecodableFrames(t *testing.T) {
 }
 
 func TestInjectedFailureKeepsDeviceUntouched(t *testing.T) {
-	dev := NewMemDevice()
+	dev := newTestLog(t)
 	w := New(Config{Device: dev})
+	reg := faultinject.New(1)
+	w.SetFaults(reg)
 	defer w.Close()
 	boom := errors.New("disk on fire")
-	w.InjectFailure(boom)
+	if err := reg.Arm(faultinject.Spec{Point: FaultFlush, Err: boom}); err != nil {
+		t.Fatal(err)
+	}
 	if err := durableCommit(w, 1); !errors.Is(err, boom) {
 		t.Fatalf("commit = %v, want injected error", err)
 	}
@@ -65,7 +66,7 @@ func TestInjectedFailureKeepsDeviceUntouched(t *testing.T) {
 		t.Fatalf("stats = %+v", s)
 	}
 	// An injected failure is transient, not a crash: the WAL recovers.
-	w.InjectFailure(nil)
+	reg.Disarm(FaultFlush)
 	if err := durableCommit(w, 2); err != nil {
 		t.Fatalf("after clearing: %v", err)
 	}
@@ -81,7 +82,7 @@ func TestInjectedFailureKeepsDeviceUntouched(t *testing.T) {
 // strict prefix of the batch's first frame on the device, and brick the
 // WAL until recovery.
 func TestFlushCrashTearsAndBricks(t *testing.T) {
-	dev := NewMemDevice()
+	dev := newTestLog(t)
 	w := New(Config{Device: dev})
 	reg := faultinject.New(3)
 	w.SetFaults(reg)
@@ -108,7 +109,7 @@ func TestFlushCrashTearsAndBricks(t *testing.T) {
 
 	// The device may have gained a torn prefix, but never a full new
 	// frame: the unacknowledged commit must not be durable.
-	b, _ := dev.Contents()
+	b := logImage(t, dev)
 	frames, valid := ScanLog(b)
 	if len(frames) != 1 {
 		t.Fatalf("device decodes %d frames after crash, want the 1 acked commit", len(frames))
@@ -136,7 +137,7 @@ func TestFlushCrashTearsAndBricks(t *testing.T) {
 // errDevice fails every operation after a configurable number of
 // appends; it models a dying disk rather than an injected fault.
 type errDevice struct {
-	MemDevice
+	*SegmentLog
 	fail bool
 }
 
@@ -144,11 +145,11 @@ func (d *errDevice) Append(b []byte) error {
 	if d.fail {
 		return fmt.Errorf("I/O error")
 	}
-	return d.MemDevice.Append(b)
+	return d.SegmentLog.Append(b)
 }
 
 func TestDeviceErrorBricksWAL(t *testing.T) {
-	dev := &errDevice{}
+	dev := &errDevice{SegmentLog: newTestLog(t)}
 	w := New(Config{Device: dev})
 	defer w.Close()
 	if err := durableCommit(w, 1); err != nil {
@@ -167,49 +168,74 @@ func TestDeviceErrorBricksWAL(t *testing.T) {
 	}
 }
 
-func TestWriteCheckpointTruncatesLog(t *testing.T) {
-	dev := NewMemDevice()
+// parkedAppendDevice parks one Append — signalling entered — until the
+// WAL it serves reports broken, then fails it: a control-frame append
+// that passed the open guard while the log was healthy and reaches a
+// dying device after something else has already bricked the WAL.
+type parkedAppendDevice struct {
+	*SegmentLog
+	w       *WAL
+	entered chan struct{}
+	err     error
+}
+
+func (d *parkedAppendDevice) Append([]byte) error {
+	close(d.entered)
+	for d.w.Broken() == nil {
+		time.Sleep(50 * time.Microsecond)
+	}
+	return d.err
+}
+
+// TestControlAppendKeepsFirstBrickCause is the first-cause-wins
+// regression test: AppendSchema used to assign the sticky error
+// unconditionally, so a schema append failing on a WAL that bricked
+// while it was in flight replaced the original cause — the one an
+// operator needs — with its own. (The first brick here is an async
+// record's failed flush, not a failed device sync: a sync needs the
+// device mutex the parked schema append holds.)
+func TestControlAppendKeepsFirstBrickCause(t *testing.T) {
+	first, second := errors.New("flush: EIO"), errors.New("write: ENOSPC")
+	dev := &parkedAppendDevice{SegmentLog: newTestLog(t), entered: make(chan struct{}), err: second}
 	w := New(Config{Device: dev})
+	dev.w = w
+	reg := faultinject.New(1)
+	w.SetFaults(reg)
 	defer w.Close()
-	for csn := uint64(1); csn <= 4; csn++ {
-		if err := durableCommit(w, csn); err != nil {
-			t.Fatal(err)
-		}
-	}
-	ckpt := &Checkpoint{CSN: 4, Tables: []CheckpointTable{{Schema: testSchema()}}}
-	if err := w.WriteCheckpoint(ckpt); err != nil {
+
+	s := testSchema()
+	schemaErr := make(chan error, 1)
+	go func() { schemaErr <- w.AppendSchema(&s) }()
+	<-dev.entered
+
+	if err := reg.Arm(faultinject.Spec{Point: FaultFlush, Err: first}); err != nil {
 		t.Fatal(err)
 	}
-	b, _ := dev.Contents()
-	frames, valid := ScanLog(b)
-	if valid != len(b) || len(frames) != 1 || frames[0].Checkpoint == nil {
-		t.Fatalf("after checkpoint the log must be exactly 1 checkpoint frame; got %d frames", len(frames))
-	}
-	if frames[0].Checkpoint.CSN != 4 {
-		t.Fatalf("checkpoint CSN %d, want 4", frames[0].Checkpoint.CSN)
-	}
-	if s := w.Stats(); s.Checkpoints != 1 {
-		t.Fatalf("stats = %+v, want Checkpoints=1", s)
-	}
-	// Commits after the checkpoint append beyond it.
-	if err := durableCommit(w, 5); err != nil {
+	done, err := w.Enqueue(&Record{TxID: 100, CSN: 1, Async: true,
+		Rows: []RowImage{{Table: "t", Key: core.Int(1), Rec: core.Record{core.Int(1)}}}})
+	if err != nil {
 		t.Fatal(err)
 	}
-	b, _ = dev.Contents()
-	if frames, _ := ScanLog(b); len(frames) != 2 || frames[1].Commit == nil {
-		t.Fatalf("post-checkpoint commit not appended: %d frames", len(frames))
+	if ferr := <-done; !errors.Is(ferr, first) {
+		t.Fatalf("async record = %v, want the injected flush error", ferr)
+	}
+	if err := <-schemaErr; !errors.Is(err, second) {
+		t.Fatalf("schema append = %v, want its own device error", err)
+	}
+	if !errors.Is(w.Broken(), first) {
+		t.Fatalf("Broken() = %v after the failing schema append, want the first cause %v", w.Broken(), first)
 	}
 }
 
 func TestAppendSchemaPersistsDDL(t *testing.T) {
-	dev := NewMemDevice()
+	dev := newTestLog(t)
 	w := New(Config{Device: dev})
 	defer w.Close()
 	s := testSchema()
 	if err := w.AppendSchema(&s); err != nil {
 		t.Fatal(err)
 	}
-	b, _ := dev.Contents()
+	b := logImage(t, dev)
 	frames, _ := ScanLog(b)
 	if len(frames) != 1 || frames[0].Schema == nil || frames[0].Schema.Name != "T" {
 		t.Fatalf("DDL frame not persisted: %+v", frames)
@@ -228,8 +254,10 @@ func TestAppendSchemaPersistsDDL(t *testing.T) {
 // verdict, and the device must end with a fully valid log containing
 // exactly the acknowledged commits.
 func TestDurableCommitStress(t *testing.T) {
-	dev := NewMemDevice()
+	dev := newTestLog(t)
 	w := New(Config{Device: dev, MaxBatch: 4})
+	reg := faultinject.New(5)
+	w.SetFaults(reg)
 
 	const committers = 8
 	const perCommitter = 30
@@ -253,9 +281,11 @@ func TestDurableCommitStress(t *testing.T) {
 		defer fg.Done()
 		boom := errors.New("transient")
 		for i := 0; i < 20; i++ {
-			w.InjectFailure(boom)
+			if err := reg.Arm(faultinject.Spec{Point: FaultFlush, Err: boom}); err != nil {
+				t.Error(err)
+			}
 			time.Sleep(50 * time.Microsecond)
-			w.InjectFailure(nil)
+			reg.Disarm(FaultFlush)
 			time.Sleep(150 * time.Microsecond)
 		}
 	}()
@@ -268,10 +298,7 @@ func TestDurableCommitStress(t *testing.T) {
 	for csn := range acked {
 		want[csn] = true
 	}
-	b, err := dev.Contents()
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := logImage(t, dev)
 	frames, valid := ScanLog(b)
 	if valid != len(b) {
 		t.Fatalf("log torn after clean close: %d of %d bytes valid", valid, len(b))

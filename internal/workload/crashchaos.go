@@ -14,8 +14,8 @@ import (
 
 // CrashChaosConfig parameterizes a crash/recover chaos run: repeated
 // cycles of workload → injected crash → recovery → audit → resume
-// against one shared log device, the harness behind cmd/smallbank
-// -crash and the durability regression tests.
+// against one shared in-memory segmented log, the harness behind
+// cmd/smallbank -crash and the durability regression tests.
 type CrashChaosConfig struct {
 	// Mode and Platform configure the engine (defaults: SnapshotFUW on
 	// PlatformPostgres, the paper's primary platform).
@@ -47,18 +47,13 @@ type CrashChaosConfig struct {
 	// a zero-delta mix so money conservation holds on every committed
 	// prefix.
 	Async bool
-	// SegmentSize > 0 replaces the flat log device with a segmented log
-	// rotated at SegmentSize bytes, and adds the segment-rotation crash
-	// point to the rotation.
-	SegmentSize int64
-	// Fuzzy runs the fuzzy incremental checkpoint machinery during the
-	// bursts: the engine's log-growth scheduler checkpoints with a small
-	// threshold (so links land inside bursts, concurrent with commits),
-	// segmented runs retire covered segments online with archiving, and
-	// the crash rotation gains the mid-delta (wal/ckpt-delta) and
-	// mid-retire (wal/retire) points. The per-recovery checkpoint
-	// cadence uses CheckpointIncremental instead of the stop-the-world
-	// Checkpoint.
+	// Fuzzy keeps the checkpoint machinery live during the bursts: the
+	// engine's log-growth scheduler checkpoints with a small threshold
+	// (so links land inside bursts, concurrent with commits), covered
+	// segments are retired online with archiving, and the crash rotation
+	// gains the mid-delta (wal/ckpt-delta) and mid-retire (wal/retire)
+	// points. Without it checkpoints happen only between bursts, on the
+	// CheckpointEvery cadence.
 	Fuzzy bool
 	// TxDeadline > 0 stamps every transaction with a default deadline
 	// and adds FsyncLatency of simulated device-sync time, so deadlines
@@ -115,11 +110,10 @@ type CrashCycle struct {
 	// burst quiesced: the highest CSN whose commit was acknowledged
 	// durable. Recovery must never land below it.
 	DurableSeq uint64
-	// Segments is the number of log segments recovery scanned (1 for a
-	// flat device).
+	// Segments is the number of log segments recovery scanned.
 	Segments int
-	// ChainLinks is the number of fuzzy-checkpoint delta links recovery
-	// folded (0 when it restored a legacy full-image checkpoint).
+	// ChainLinks is the number of checkpoint-chain links recovery folded
+	// (0 when the log held no complete chain).
 	ChainLinks int
 	// Checkpointed reports whether a checkpoint was taken after this
 	// cycle's recovery.
@@ -156,14 +150,18 @@ func (r *CrashChaosReport) CrashesFired() uint64 {
 	return n
 }
 
+// crashSegmentSize is the harness's rotation threshold: small enough
+// that every burst rotates several times, so crashes land on both sides
+// of segment boundaries and retirement has sealed segments to unlink.
+const crashSegmentSize = 4096
+
 // crashPoints is the rotation of crash sites: a torn mid-flush device
-// write, power dying inside the coalesced-sync window, a death inside
-// the WAL commit window, a death at the head of commit stamping, a
-// death mid-statement while holding row locks, and a death at
-// transaction begin. Segmented runs add a crash inside segment
-// rotation, between sealing the full segment and opening its
-// successor. Together they cover the log tail in every interesting
-// state.
+// write, power dying between a window's append and its sync, a death
+// inside the WAL commit window, a death at the head of commit stamping,
+// a death mid-statement while holding row locks, a death at transaction
+// begin, and a crash inside segment rotation, between sealing the full
+// segment and opening its successor. Together they cover the log tail
+// in every interesting state.
 func (c *CrashChaosConfig) crashPoints() []string {
 	pts := []string{
 		wal.FaultFlush,
@@ -172,15 +170,10 @@ func (c *CrashChaosConfig) crashPoints() []string {
 		engine.FaultCommitStamp,
 		storage.FaultRowWrite,
 		engine.FaultBegin,
-	}
-	if c.SegmentSize > 0 {
-		pts = append(pts, wal.FaultRotate)
+		wal.FaultRotate,
 	}
 	if c.Fuzzy {
-		pts = append(pts, wal.FaultCkptDelta)
-		if c.SegmentSize > 0 {
-			pts = append(pts, wal.FaultRetire)
-		}
+		pts = append(pts, wal.FaultCkptDelta, wal.FaultRetire)
 	}
 	return pts
 }
@@ -287,7 +280,7 @@ func diffState(want, got dbState) string {
 }
 
 // RunCrashChaos drives the durability contract end to end: load a bank
-// on a durable in-memory log device, then repeatedly run a short
+// on an in-memory segmented log, then repeatedly run a short
 // SmallBank burst with one crash fault armed, kill the instance,
 // recover a fresh instance from the device, and audit it —
 //
@@ -311,15 +304,9 @@ func diffState(want, got dbState) string {
 func RunCrashChaos(cfg CrashChaosConfig) (*CrashChaosReport, error) {
 	cfg.defaults()
 
-	var dev wal.LogDevice
-	if cfg.SegmentSize > 0 {
-		sl, err := wal.NewMemSegmentLog(cfg.SegmentSize)
-		if err != nil {
-			return nil, err
-		}
-		dev = sl
-	} else {
-		dev = wal.NewMemDevice()
+	dev, err := wal.NewMemSegmentLog(crashSegmentSize)
+	if err != nil {
+		return nil, err
 	}
 	reg := faultinject.New(cfg.Seed)
 	ecfg := engine.Config{
@@ -336,13 +323,15 @@ func RunCrashChaos(cfg CrashChaosConfig) (*CrashChaosReport, error) {
 		// runs) several times over the run.
 		ecfg.CheckpointLogBytes = 4096
 		ecfg.CheckpointChainMax = 3
-		if cfg.SegmentSize > 0 {
-			ecfg.RetireSegments = true
-			ecfg.ArchiveDir = "archive"
-		}
+		ecfg.RetireSegments = true
+		ecfg.ArchiveDir = "archive"
 	}
 
-	db := engine.Open(ecfg)
+	// The loader's big batch transactions run without the burst's
+	// per-transaction budget; it is armed once the load is compacted.
+	loadCfg := ecfg
+	loadCfg.DefaultTxDeadline = 0
+	db := engine.Open(loadCfg)
 	if err := smallbank.CreateSchema(db); err != nil {
 		db.Close()
 		return nil, err
@@ -358,6 +347,7 @@ func RunCrashChaos(cfg CrashChaosConfig) (*CrashChaosReport, error) {
 		db.Close()
 		return nil, err
 	}
+	db.SetDefaultTxDeadline(cfg.TxDeadline)
 
 	rep := &CrashChaosReport{InitialTotal: initial}
 	violatef := func(format string, args ...any) {
@@ -421,7 +411,7 @@ func RunCrashChaos(cfg CrashChaosConfig) (*CrashChaosReport, error) {
 
 		// Pre-repair device image for the idempotence audit, taken before
 		// Recover may truncate a torn tail in place.
-		img, err := dev.Contents()
+		img, err := dev.Segments()
 		if err != nil {
 			return nil, fmt.Errorf("workload: crash cycle %d: device read: %w", i, err)
 		}
@@ -487,7 +477,12 @@ func RunCrashChaos(cfg CrashChaosConfig) (*CrashChaosReport, error) {
 
 		// Idempotence: recovering the untouched pre-repair image must
 		// land in the identical state.
-		db3, rrep3, err := engine.Recover(wal.NewMemDeviceBytes(img), ecfg)
+		dev3, err := wal.NewMemSegmentLog(crashSegmentSize, img...)
+		if err != nil {
+			db2.Close()
+			return nil, fmt.Errorf("workload: crash cycle %d: device image: %w", i, err)
+		}
+		db3, rrep3, err := engine.Recover(dev3, ecfg)
 		if err != nil {
 			violatef("cycle %d (%s): re-recovery of pre-repair image failed: %v", i, cyc.Point, err)
 		} else {
@@ -508,11 +503,7 @@ func RunCrashChaos(cfg CrashChaosConfig) (*CrashChaosReport, error) {
 
 		db = db2
 		if cfg.CheckpointEvery > 0 && (i+1)%cfg.CheckpointEvery == 0 {
-			ckpt := db.Checkpoint
-			if cfg.Fuzzy {
-				ckpt = db.CheckpointIncremental
-			}
-			if _, err := ckpt(); err != nil {
+			if _, err := db.Checkpoint(); err != nil {
 				violatef("cycle %d (%s): checkpoint after recovery failed: %v", i, cyc.Point, err)
 			} else {
 				cyc.Checkpointed = true
