@@ -12,7 +12,7 @@
 //	sisqld -addr :5433 -mode ssi
 //	sisqld -addr 127.0.0.1:0 -customers 100      # ephemeral port, printed on stdout
 //	sisqld -max-conns 64 -idle-timeout 30s -stmt-deadline 2s
-//	sisqld -pprof localhost:6060                 # sicost_server expvar + pprof
+//	sisqld -pprof localhost:6060                 # sicost_server, sicost_wal expvars + pprof
 //
 // Talk to it with netcat:
 //
@@ -107,6 +107,9 @@ func main() {
 		// aborted-on-disconnect counts (see docs/SERVER.md).
 		expvar.Publish("sicost_server", expvar.Func(func() any { return srv.Stats() }))
 		expvar.Publish("sicost_txn_metrics", expvar.Func(func() any { return db.TxnMetrics() }))
+		// The log from outside: syncs, records and commits per sync say
+		// how the simulated device grouped the commits it made wait.
+		expvar.Publish("sicost_wal", expvar.Func(db.LogVars))
 		go func() {
 			fmt.Fprintf(os.Stderr, "pprof/expvar: http://%s/debug/pprof http://%s/debug/vars\n", *pprofAddr, *pprofAddr)
 			if err := http.ListenAndServe(*pprofAddr, nil); err != nil {

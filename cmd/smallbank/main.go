@@ -270,21 +270,8 @@ func main() {
 		// Standard pprof endpoints plus the engine's transaction metrics
 		// as an expvar, so `curl host/debug/vars` shows live counters.
 		expvar.Publish("sicost_txn_metrics", expvar.Func(func() any { return db.TxnMetrics() }))
-		// Durability-lag gauge: how far published commits run ahead of the
-		// device (always 0 in sync mode once quiescent; the async mode's
-		// exposure window otherwise), plus the raw flush/sync counters.
-		expvar.Publish("sicost_wal", expvar.Func(func() any {
-			durable, commit := db.DurableSeq(), db.CommitSeq()
-			return map[string]any{
-				"CommitSeq":     commit,
-				"DurableSeq":    durable,
-				"DurabilityLag": commit - durable,
-				"Stats":         db.WAL().Stats(),
-				// Fuzzy-checkpoint gauges: chain shape, dirty-set size,
-				// cumulative commit-barrier pause (see OBSERVABILITY.md §9).
-				"Checkpoint": db.CheckpointStats(),
-			}
-		}))
+		// Durability lag, flush/sync counters, checkpoint gauges.
+		expvar.Publish("sicost_wal", expvar.Func(db.LogVars))
 		if lim := db.Admission(); lim != nil {
 			// Live admission gauges: concurrency limit, queue depth, shed
 			// and deadline-expired counts, breaker state (see

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"encoding/json"
 	"errors"
 	"math/rand"
 	"sync"
@@ -102,6 +103,9 @@ func TestAsyncCommitVisibleBeforeDurable(t *testing.T) {
 	if ds, cs := db.DurableSeq(), db.CommitSeq(); ds >= cs {
 		t.Fatalf("no durability lag: DurableSeq %d, CommitSeq %d", ds, cs)
 	}
+	if v := logVars(t, db); v.DurabilityLag != v.CommitSeq-v.DurableSeq || v.DurabilityLag == 0 {
+		t.Fatalf("sicost_wal in the lag window: %+v", v)
+	}
 
 	dev.Open()
 	if err := <-tx.Durable(); err != nil {
@@ -113,6 +117,32 @@ func TestAsyncCommitVisibleBeforeDurable(t *testing.T) {
 	if ds, cs := db.DurableSeq(), db.CommitSeq(); ds != cs {
 		t.Fatalf("lag after sync: DurableSeq %d, CommitSeq %d", ds, cs)
 	}
+	// What `curl /debug/vars` shows: the lag closed, and the counters
+	// behind the group-commit gauge.
+	v := logVars(t, db)
+	if v.DurabilityLag != 0 || v.Stats.Syncs == 0 || v.Stats.Records != 2 ||
+		v.CommitsPerSync != v.Stats.CommitsPerSync() {
+		t.Fatalf("sicost_wal after the sync: %+v", v)
+	}
+}
+
+// logVars decodes DB.LogVars the way a scraper of the sicost_wal expvar
+// sees it: through its JSON.
+func logVars(t *testing.T, db *DB) (v struct {
+	CommitSeq, DurableSeq, DurabilityLag uint64
+	Stats                                wal.Stats
+	CommitsPerSync                       float64
+	Checkpoint                           CheckpointStats
+}) {
+	t.Helper()
+	b, err := json.Marshal(db.LogVars())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(b, &v); err != nil {
+		t.Fatal(err)
+	}
+	return v
 }
 
 // TestSyncCommitDurableFutureResolved: sync commits (and read-only

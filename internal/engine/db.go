@@ -480,6 +480,26 @@ func (db *DB) DurableSeq() uint64 {
 	return visible
 }
 
+// LogVars is the value the commands publish as the sicost_wal expvar:
+// the durability-lag gauge (how far published commits run ahead of the
+// device: 0 in sync mode once quiescent, the exposure window under
+// async commit), the log's raw flush/sync counters with the
+// group-commit gauge derived from them, and the fuzzy-checkpoint gauges
+// (chain shape, dirty-set size, cumulative commit-barrier pause). See
+// docs/OBSERVABILITY.md §9.
+func (db *DB) LogVars() any {
+	durable, commit := db.DurableSeq(), db.CommitSeq()
+	stats := db.log.Stats()
+	return map[string]any{
+		"CommitSeq":      commit,
+		"DurableSeq":     durable,
+		"DurabilityLag":  commit - durable,
+		"Stats":          stats,
+		"CommitsPerSync": stats.CommitsPerSync(),
+		"Checkpoint":     db.CheckpointStats(),
+	}
+}
+
 // LockAudit reports the lock table's outstanding grants and queued
 // waiters. A quiescent database must report 0/0; the chaos harness's
 // lock-leak invariant checks exactly that after a faulted run.

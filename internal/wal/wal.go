@@ -2,15 +2,27 @@
 // the paper's testbed: a dedicated log disk with the write cache
 // disabled, so every commit of an updating transaction must wait for a
 // real device write — amortized across concurrent committers by group
-// commit (the paper configures commit-delay to exploit exactly this).
+// commit.
 //
 // The log is layered. The latency of the device is simulated
-// (Config.FsyncLatency), which is all the throughput experiments need;
-// durability is real when a LogDevice is attached (Config.Device): the
+// (Config.FsyncLatency), which is all the throughput experiments need:
+// the device is a clock of serial syncs of exactly FsyncLatency each. A
+// sync starts as soon as the device is free and a record is waiting, and
+// carries the records that had arrived by then; one that arrives while a
+// sync is in flight waits for the next. Nothing delays a sync to let
+// siblings join it (the paper's commit-delay setting is not modelled).
+// The flush loop computes each sync's deadline and waits for it with
+// sleepUntil — nanosleep(2) on Linux, because the runtime's own timers
+// round a 2.5 ms sleep up to 3.2 ms — so the log wait is the one the
+// platform profile states, which the paper's result, a ratio of log
+// waits to CPU work, depends on.
+//
+// Durability is real when a LogDevice is attached (Config.Device): the
 // flush loop encodes each commit record — row after-images plus CSN —
 // into CRC32-framed binary frames (codec.go) and covers every record
-// queued during the previous sync with one append and one Sync (group
-// commit). Schema frames and the fuzzy checkpoint chain's link frames
+// of a window with one append and one Sync (group commit; with no
+// simulated latency a window is every record queued during the previous
+// sync). Schema frames and the fuzzy checkpoint chain's link frames
 // share the same framing, and Recover (recover.go) classifies a device
 // image back into folded checkpoint + redo work with torn-tail
 // truncation. The one device is the wal.000N segmented log
@@ -23,6 +35,7 @@ package wal
 
 import (
 	"hash/crc32"
+	"sort"
 	"sync"
 	"time"
 
@@ -67,13 +80,15 @@ const (
 
 // Config parameterizes the log device.
 type Config struct {
-	// FsyncLatency is the time one device sync takes. With no Device
-	// attached, zero disables the log entirely (commits return
-	// immediately), which unit tests use.
+	// FsyncLatency is the time one simulated device sync takes, exactly:
+	// syncs are serial, and a commit record is acknowledged no earlier
+	// than its arrival plus FsyncLatency. With no Device attached, zero
+	// disables the log entirely (commits return immediately), which unit
+	// tests use.
 	FsyncLatency time.Duration
 	// MaxBatch caps the number of commit records made durable by one
 	// device sync; 0 means unbounded (pure group commit: every record
-	// queued during a sync shares the next one). The group-commit
+	// that arrives during a sync shares the next one). The group-commit
 	// ablation sets 1 — one fsync per commit.
 	MaxBatch int
 	// Device, when non-nil, is the durable medium: every flush encodes
@@ -116,6 +131,10 @@ type Record struct {
 
 	enc  []byte
 	done chan error
+	// arrived is when Enqueue queued the record, stamped only under a
+	// simulated sync latency: the device clock decides which sync
+	// carries a record by it.
+	arrived time.Time
 }
 
 // Stats aggregates device activity; used by tests and by the
@@ -181,6 +200,9 @@ type WAL struct {
 	closed  bool
 	broken  error // sticky: the device died (crash or IO error); recovery required
 	stats   Stats
+	// freeAt is when the simulated device finished its last sync: the
+	// earliest instant the next one may start (see claimWindow).
+	freeAt time.Time
 
 	// Durability watermark. The engine enqueues commit records in CSN
 	// order (allocation and enqueue share the sequencer's critical
@@ -286,6 +308,10 @@ func (w *WAL) Enqueue(rec *Record) (<-chan error, error) {
 	if rec.CSN != 0 {
 		w.outstandingRecs++
 	}
+	if w.cfg.FsyncLatency > 0 {
+		// Stamped under mu, so pending is ordered by arrival.
+		rec.arrived = time.Now()
+	}
 	w.pending = append(w.pending, rec)
 	if !w.flusher {
 		w.flusher = true
@@ -329,9 +355,7 @@ func (w *WAL) Withdraw(rec *Record) bool {
 
 // flushLoop drains pending records window by window. Exactly one loop
 // runs at a time; it exits when the queue empties, so an idle log costs
-// nothing. A window is everything pending at loop-start (at most
-// MaxBatch records when that is set): the records that queued up during
-// the previous window's sync share this one's.
+// nothing.
 func (w *WAL) flushLoop() {
 	for {
 		w.mu.Lock()
@@ -343,15 +367,53 @@ func (w *WAL) flushLoop() {
 			w.mu.Unlock()
 			return
 		}
-		window := w.pending
-		if n := w.cfg.MaxBatch; n > 0 && len(window) > n {
-			window = window[:n:n]
-		}
-		w.pending = w.pending[len(window):]
+		window, deadline := w.claimWindow()
 		w.mu.Unlock()
 
+		// The device sync occupies the log for the configured latency,
+		// once per window: every record in it shares the wait — group
+		// commit.
+		if !deadline.IsZero() {
+			sleepUntil(deadline)
+		}
 		w.flushWindow(window)
 	}
+}
+
+// claimWindow takes the next window off the queue and, under a
+// simulated sync latency, the instant its sync completes (zero
+// otherwise: nothing to wait for). The caller holds mu.
+//
+// The simulated device is a clock, not a sleep. Its syncs are serial
+// and take exactly FsyncLatency each: a sync starts as soon as the
+// device is free and a record is waiting — max(freeAt, first arrival) —
+// carries the records that had arrived by then, and completes
+// FsyncLatency later. A record that arrives while a sync is in flight
+// waits for the next one, however late the flusher itself woke, and the
+// flusher's lateness in one window never delays the next. Without the
+// latency (a bare device, or none) a window is everything pending: the
+// records that queued up during the previous window's real sync. Either
+// way MaxBatch caps it.
+//
+// A bricked WAL claims without a deadline: the records still queued
+// fail at once with the sticky cause, not one sync period apart.
+func (w *WAL) claimWindow() (window []*Record, deadline time.Time) {
+	n := len(w.pending)
+	if lat := w.cfg.FsyncLatency; lat > 0 && w.broken == nil {
+		start := w.pending[0].arrived
+		if w.freeAt.After(start) {
+			start = w.freeAt
+		}
+		n = sort.Search(n, func(i int) bool { return w.pending[i].arrived.After(start) })
+		deadline = start.Add(lat)
+		w.freeAt = deadline
+	}
+	if w.cfg.MaxBatch > 0 {
+		n = min(n, w.cfg.MaxBatch)
+	}
+	window = w.pending[:n:n]
+	w.pending = w.pending[n:]
+	return window, deadline
 }
 
 // flushWindow makes one window durable: one device append of every
@@ -368,12 +430,13 @@ func (w *WAL) flushWindow(window []*Record) {
 		frames = append(frames, r.enc...)
 	}
 
-	// The device sync occupies the log for the configured latency, once
-	// per window: every record in it shares the wait — group commit.
-	time.Sleep(w.cfg.FsyncLatency)
-
 	err := w.writeWindow(frames)
 	w.mu.Lock()
+	if w.cfg.FsyncLatency > 0 && w.cfg.Device != nil {
+		// The real append and sync came on top of the simulated one: the
+		// device was busy until now.
+		w.freeAt = time.Now()
+	}
 	if err != nil {
 		w.stats.FailedFlushes++
 	} else {
@@ -384,10 +447,21 @@ func (w *WAL) flushWindow(window []*Record) {
 	}
 	w.mu.Unlock()
 	if err == nil && w.tracer.Enabled() {
-		// A device-level event: no transaction; Depth is the window size.
-		w.tracer.Emit(trace.Event{Kind: trace.EvWALFlush, Depth: len(window), Bytes: bytes})
+		w.traceFlush(len(window), bytes)
 	}
 	w.resolve(window, err)
+}
+
+// traceFlush emits a window's EvWALFlush — a device-level event: no
+// transaction; Depth is the window size. It is a function of its own to
+// keep the Event out of flushWindow's frame: a flusher is a fresh
+// goroutine per burst (one per commit at low MPL), and its deepest call
+// chain — down through the device's file write — must fit the stack a
+// goroutine starts with, or every commit pays for growing one.
+//
+//go:noinline
+func (w *WAL) traceFlush(depth, bytes int) {
+	w.tracer.Emit(trace.Event{Kind: trace.EvWALFlush, Depth: depth, Bytes: bytes})
 }
 
 // writeWindow runs a window's fault points and device calls, bricking
