@@ -143,9 +143,9 @@ benchspine:
 # checker finds an isolation violation; a second run races shutdown
 # against a full admission queue under the race detector.
 overload:
-	$(GO) run ./cmd/smallbank -open -rate 4000 -admission -deadline 50ms \
+	$(GO) run ./cmd/smallbank -rate 4000 -admission -deadline 50ms \
 		-customers 300 -hotspot 20 -ramp 50ms -measure 400ms -seed 7 -check > /dev/null
-	$(GO) test -race -count=1 -run 'TestAdmission|TestRunOpen' ./internal/engine ./internal/workload
+	$(GO) test -race -count=1 -run 'TestAdmission|TestRunArrivals|TestRunRejectsBadConfig|TestInteractionAccountsAlike' ./internal/engine ./internal/workload
 
 # Fuzz the network server's wire layer: arbitrary bytes through the
 # request decoder and through a full connection drive; the handler must

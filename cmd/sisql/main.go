@@ -41,20 +41,12 @@ func main() {
 	)
 	flag.Parse()
 
-	cfg := engine.Config{Mode: core.SnapshotFUW, Platform: core.PlatformPostgres}
-	switch *mode {
-	case "si":
-	case "2pl":
-		cfg.Mode = core.Strict2PL
-	case "ssi":
-		cfg.Mode = core.SerializableSI
-	default:
-		fmt.Fprintf(os.Stderr, "sisql: unknown mode %q\n", *mode)
+	plat, ccMode, err := core.ParseProfile(*platform, *mode)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "sisql:", err)
 		os.Exit(2)
 	}
-	if *platform == "commercial" {
-		cfg.Platform = core.PlatformCommercial
-	}
+	cfg := engine.Config{Mode: ccMode, Platform: plat}
 
 	db := engine.Open(cfg)
 	defer db.Close()

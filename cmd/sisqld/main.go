@@ -55,26 +55,16 @@ func main() {
 	)
 	flag.Parse()
 
-	var engCfg engine.Config
-	switch *platform {
-	case "postgres":
-		engCfg = experiments.PostgresDB(1.0)
-	case "commercial":
+	plat, ccMode, err := core.ParseProfile(*platform, *mode)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "sisqld:", err)
+		os.Exit(2)
+	}
+	engCfg := experiments.PostgresDB(1.0)
+	if plat == core.PlatformCommercial {
 		engCfg = experiments.CommercialDB(1.0)
-	default:
-		fmt.Fprintf(os.Stderr, "sisqld: unknown platform %q\n", *platform)
-		os.Exit(2)
 	}
-	switch *mode {
-	case "si":
-	case "2pl":
-		engCfg.Mode = core.Strict2PL
-	case "ssi":
-		engCfg.Mode = core.SerializableSI
-	default:
-		fmt.Fprintf(os.Stderr, "sisqld: unknown mode %q\n", *mode)
-		os.Exit(2)
-	}
+	engCfg.Mode = ccMode
 	engCfg.LockWaitTimeout = *lockTimeout
 	// Serve on free hardware: the simulated per-operation delays model
 	// the paper's measured platforms, which is workload-harness business,

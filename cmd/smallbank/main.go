@@ -16,8 +16,8 @@
 //	smallbank -retry backoff -retry-base 200us -retry-cap 20ms
 //	smallbank -trace run.jsonl             # dump the lifecycle event trace
 //	smallbank -pprof localhost:6060        # serve pprof/expvar while running
-//	smallbank -open -rate 20000            # open-system run at a fixed offered load
-//	smallbank -open -rate 20000 -admission # ... behind the adaptive admission gate
+//	smallbank -rate 20000                  # open system: Poisson arrivals instead of -mpl clients
+//	smallbank -rate 20000 -admission       # ... behind the adaptive admission gate
 //	smallbank -deadline 50ms               # per-transaction time budget
 //	smallbank -wal waldir -wal-segment-size 1048576 -ckpt-bytes 4194304 -retire
 //	                                       # fuzzy incremental checkpoints + online
@@ -54,7 +54,7 @@ func main() {
 		listStrats   = flag.Bool("strategies", false, "list strategies and exit")
 		platform     = flag.String("platform", "postgres", "platform profile: postgres or commercial")
 		mode         = flag.String("mode", "si", "concurrency control: si, 2pl or ssi")
-		mpl          = flag.Int("mpl", 20, "multiprogramming level")
+		mpl          = flag.Int("mpl", 20, "multiprogramming level (closed loop; ignored when -rate is set)")
 		customers    = flag.Int("customers", 18000, "customers loaded")
 		hotspot      = flag.Int("hotspot", 1000, "hotspot size")
 		hotProb      = flag.Float64("hotprob", 0.9, "fraction of transactions on the hotspot")
@@ -86,12 +86,11 @@ func main() {
 		retryBudget  = flag.Duration("retry-budget", 0, "backoff policy: total backoff budget per interaction (0 = unlimited)")
 		tracePath    = flag.String("trace", "", "write the transaction-lifecycle event trace to this JSONL file")
 		pprofAddr    = flag.String("pprof", "", "serve net/http/pprof and expvar on this address (e.g. localhost:6060)")
-		open         = flag.Bool("open", false, "open-system driver: Poisson arrivals at -rate instead of -mpl closed loops")
-		rate         = flag.Float64("rate", 10000, "-open: offered load in arrivals per second")
+		rate         = flag.Float64("rate", 0, "open system: Poisson arrivals per second instead of -mpl closed-loop clients (0 = closed loop)")
 		admit        = flag.Bool("admission", false, "adaptive admission control in front of Begin (AIMD + abort-storm circuit breaker)")
 		admitLimit   = flag.Int("admission-limit", 0, "admission: initial concurrency limit (0 = controller default)")
 		admitQueue   = flag.Int("admission-queue", 0, "admission: wait-queue bound; Begins past it are shed (0 = controller default)")
-		maxInFlight  = flag.Int("max-inflight", 0, "-open: driver backstop on concurrent virtual clients (0 = driver default)")
+		maxInFlight  = flag.Int("max-inflight", 0, "-rate: driver backstop on concurrent virtual clients (0 = driver default)")
 		txDeadline   = flag.Duration("deadline", 0, "per-transaction time budget; expiry aborts with the deadline reason (0 = none)")
 		sharedRate   = flag.Float64("retry-shared-rate", 0, "shared retry budget: tokens/sec refill across all clients (0 = no shared budget)")
 		sharedBurst  = flag.Float64("retry-shared-burst", 0, "shared retry budget: bucket capacity (default: refill rate)")
@@ -118,26 +117,16 @@ func main() {
 		os.Exit(2)
 	}
 
-	var engCfg engine.Config
-	switch *platform {
-	case "postgres":
-		engCfg = experiments.PostgresDB(*scale)
-	case "commercial":
+	plat, ccMode, err := core.ParseProfile(*platform, *mode)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "smallbank:", err)
+		os.Exit(2)
+	}
+	engCfg := experiments.PostgresDB(*scale)
+	if plat == core.PlatformCommercial {
 		engCfg = experiments.CommercialDB(*scale)
-	default:
-		fmt.Fprintf(os.Stderr, "smallbank: unknown platform %q\n", *platform)
-		os.Exit(2)
 	}
-	switch *mode {
-	case "si":
-	case "2pl":
-		engCfg.Mode = core.Strict2PL
-	case "ssi":
-		engCfg.Mode = core.SerializableSI
-	default:
-		fmt.Fprintf(os.Stderr, "smallbank: unknown mode %q\n", *mode)
-		os.Exit(2)
-	}
+	engCfg.Mode = ccMode
 	if !strategy.SoundOn(engCfg.Platform) && strategy.GuaranteesSerializable() {
 		fmt.Fprintf(os.Stderr, "warning: %s is NOT sound on %s (§II-C)\n", strategy.Name, engCfg.Platform)
 	}
@@ -312,76 +301,67 @@ func main() {
 		// the balance-conservation invariant is exactly checkable.
 		mix = workload.Mix{}
 	}
-	if !*open {
-		fmt.Fprintf(os.Stderr, "running %s on %s/%s: MPL %d, hotspot %d/%d, %v+%v...\n",
-			strategy.Name, *platform, *mode, *mpl, *hotspot, *customers, *ramp, *measure)
-	} else {
-		fmt.Fprintf(os.Stderr, "running %s on %s/%s (open system)...\n", strategy.Name, *platform, *mode)
-	}
-
 	cfg := workload.Config{
-		Strategy: strategy, MPL: *mpl, Customers: *customers,
+		Strategy: strategy, Customers: *customers,
 		HotspotSize: *hotspot, HotspotProb: *hotProb, Mix: mix,
 		Ramp: *ramp, Measure: *measure, Seed: *seed,
 		MaxRetries: *retries, Retry: policy,
+		Rate: *rate, MaxInFlight: *maxInFlight,
 		Check: ochk,
 	}
+	load := fmt.Sprintf("%.0f arrivals/s offered", *rate)
+	if *rate <= 0 {
+		cfg.MPL = *mpl
+		load = fmt.Sprintf("MPL %d", *mpl)
+	}
+	fmt.Fprintf(os.Stderr, "running %s on %s/%s: %s, hotspot %d/%d, %v+%v...\n",
+		strategy.Name, *platform, *mode, load, *hotspot, *customers, *ramp, *measure)
 
 	rec.SetEnabled(true) // no-op when -trace is unset (nil recorder)
 
-	if *open {
-		if *chaos {
-			fmt.Fprintln(os.Stderr, "smallbank: -open and -chaos are mutually exclusive")
-			os.Exit(2)
-		}
-		runOpenSystem(db, openRun{
-			cfg: workload.OpenConfig{
-				Strategy: strategy, Rate: *rate, Customers: *customers,
-				HotspotSize: *hotspot, HotspotProb: *hotProb, Mix: mix,
-				Ramp: *ramp, Measure: *measure, Seed: *seed,
-				MaxRetries: *retries, Retry: policy,
-				MaxInFlight: *maxInFlight,
-				Check:       ochk,
-			},
-			policy:    policy,
-			rec:       rec,
-			tracePath: *tracePath,
-			offline:   chk,
-			expectSer: engCfg.Mode != core.SnapshotFUW ||
-				(strategy.GuaranteesSerializable() && strategy.SoundOn(engCfg.Platform)),
-		})
-		return
-	}
+	// 2PL and SSI guarantee serializable executions regardless of
+	// strategy; under plain SI only a sound serializable strategy does
+	// (§II-C). Neither faults nor overload may change that. Under bare
+	// SI the anomalies ARE the experiment.
+	expectSer := engCfg.Mode != core.SnapshotFUW ||
+		(strategy.GuaranteesSerializable() && strategy.SoundOn(engCfg.Platform))
 
 	var res *workload.Result
 	var chaosRep *workload.ChaosReport
 	if *chaos {
-		// 2PL and SSI guarantee serializable executions regardless of
-		// strategy; under plain SI only a sound serializable strategy
-		// does. Faults must never change that.
-		expectSer := engCfg.Mode != core.SnapshotFUW ||
-			(strategy.GuaranteesSerializable() && strategy.SoundOn(engCfg.Platform))
 		chaosRep, err = workload.RunChaos(db, cfg, workload.ChaosConfig{
 			Specs:              workload.DefaultFaultPlan(),
 			Check:              *check,
 			ExpectSerializable: expectSer && *check,
 		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "smallbank:", err)
-			os.Exit(1)
+		if err == nil {
+			res = chaosRep.Result
 		}
-		res = chaosRep.Result
 	} else {
 		res, err = workload.Run(db, cfg)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "smallbank:", err)
-			os.Exit(1)
-		}
 	}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "smallbank:", err)
+		os.Exit(1)
+	}
+	// The run is reported in full before any audit below fails it.
+	failed := false
 
 	fmt.Printf("throughput: %.1f TPS (%d commits, %d aborts in %v)\n",
 		res.TPS, res.Commits, res.Aborts, res.Measured)
-	fmt.Printf("mean response time: %v\n\n", res.MeanLatency.Round(time.Microsecond))
+	if *rate > 0 {
+		fmt.Printf("offered: %.1f/s (%d arrivals), peak %d in flight\n",
+			float64(res.Arrivals)/res.Measured.Seconds(), res.Arrivals, res.InFlightPeak)
+	}
+	if res.Shed+res.DeadlineExpired+res.Dropped > 0 {
+		fmt.Printf("overload: %d shed, %d deadline-expired, %d dropped at driver backstop\n",
+			res.Shed, res.DeadlineExpired, res.Dropped)
+	}
+	fmt.Printf("response time: mean %v, p50 %v, p95 %v, p99 %v\n\n",
+		res.Latency.Mean().Round(time.Microsecond),
+		res.Latency.Quantile(0.50).Round(time.Microsecond),
+		res.Latency.Quantile(0.95).Round(time.Microsecond),
+		res.Latency.Quantile(0.99).Round(time.Microsecond))
 	fmt.Printf("%-18s %10s %10s %10s %10s %12s %10s\n",
 		"type", "commits", "serial", "deadlock", "app", "abort-rate", "p95")
 	for t := 0; t < smallbank.NumTxnTypes; t++ {
@@ -393,8 +373,24 @@ func main() {
 			100*st.SerializationAbortRate(),
 			st.Latency.Quantile(0.95).Round(time.Microsecond))
 	}
-	fmt.Printf("\nretries: %d (backoff time %v, give-ups %d, policy %s)\n",
-		res.Retries, res.BackoffTime.Round(time.Microsecond), res.GiveUps, policy.Name())
+	fmt.Printf("\nretries: %d (backoff time %v, give-ups %d, %d by shared budget, policy %s)\n",
+		res.Retries, res.BackoffTime.Round(time.Microsecond), res.GiveUps, res.BudgetGiveUps, policy.Name())
+
+	if lim := db.Admission(); lim != nil {
+		st := lim.Stats()
+		fmt.Printf("admission: limit %d, breaker %s (%d trips, %d grows, %d shrinks)\n",
+			st.Gate.Limit, st.Breaker, st.Trips, st.Grows, st.Shrinks)
+		fmt.Printf("admission gate: %d admitted, %d queued (avg wait %v), %d shed, %d expired in queue\n",
+			st.Gate.Admitted, st.Gate.Queued, st.Gate.AvgWait.Round(time.Microsecond),
+			st.Gate.Shed, st.Gate.Expired)
+		// Every client has finished, so a held slot or a queued waiter
+		// is a leak — one of the assertions `make overload` relies on.
+		if st.Gate.InFlight != 0 || st.Gate.QueueDepth != 0 {
+			fmt.Fprintf(os.Stderr, "smallbank: admission gate leak: %d in flight, %d queued after drain\n",
+				st.Gate.InFlight, st.Gate.QueueDepth)
+			failed = true
+		}
+	}
 
 	if *walAsync {
 		// Quiesce the async tail so the stats and the checkpoint below
@@ -488,15 +484,9 @@ func main() {
 		if offRep != nil && offRep.Serializable != res.Check.Serializable {
 			fmt.Fprintln(os.Stderr, "warning: online and offline checkers disagree on serializability")
 		}
-		// A violation verdict fails the run only when the configuration
-		// promises serializable executions: 2PL and SSI always, plain SI
-		// only under a sound serializable strategy (§II-C). Under bare SI
-		// the anomalies ARE the experiment.
-		expectSer := engCfg.Mode != core.SnapshotFUW ||
-			(strategy.GuaranteesSerializable() && strategy.SoundOn(engCfg.Platform))
 		if expectSer && (!res.Check.Serializable || res.Check.SIViolations != 0) {
 			fmt.Fprintln(os.Stderr, "smallbank: online checker detected isolation violations")
-			os.Exit(1)
+			failed = true
 		}
 	}
 
@@ -515,112 +505,18 @@ func main() {
 		if chaosRep.CheckerReport != nil {
 			fmt.Printf("serializability under faults: %s", chaosRep.CheckerReport.Describe())
 		}
-		if !chaosRep.OK() {
+		if chaosRep.OK() {
+			fmt.Println("invariants: all held")
+		} else {
 			fmt.Println("\nINVARIANT VIOLATIONS:")
 			for _, v := range chaosRep.Violations {
 				fmt.Println("  -", v)
 			}
-			os.Exit(1)
+			failed = true
 		}
-		fmt.Println("invariants: all held")
 	}
-}
-
-// openRun bundles the open-system mode's configuration.
-type openRun struct {
-	cfg       workload.OpenConfig
-	policy    workload.RetryPolicy
-	rec       *trace.Recorder
-	tracePath string
-	offline   *checker.Checker
-	expectSer bool
-}
-
-// runOpenSystem drives one open-system run and prints the overload
-// accounting: goodput against offered load, shed/deadline/drop
-// attribution, response-time quantiles and the admission controller's
-// state. It exits non-zero on an admission-gate leak (a waiter or slot
-// surviving the run) or on a checker violation the configuration
-// promised could not happen — the assertions `make overload` relies on.
-func runOpenSystem(db *engine.DB, r openRun) {
-	fmt.Fprintf(os.Stderr, "open-system run: %.0f arrivals/s offered, hotspot %d/%d, %v+%v...\n",
-		r.cfg.Rate, r.cfg.HotspotSize, r.cfg.Customers, r.cfg.Ramp, r.cfg.Measure)
-
-	res, err := workload.RunOpen(db, r.cfg)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "smallbank:", err)
+	if failed {
 		os.Exit(1)
-	}
-
-	offered := float64(res.Arrivals) / res.Measured.Seconds()
-	fmt.Printf("offered: %.1f/s (%d arrivals), goodput: %.1f TPS (%d commits, %d aborts in %v)\n",
-		offered, res.Arrivals, res.Goodput, res.Commits, res.Aborts, res.Measured)
-	fmt.Printf("overload: %d shed, %d deadline-expired, %d dropped at driver backstop, peak %d in flight\n",
-		res.Shed, res.DeadlineExpired, res.Dropped, res.InFlightPeak)
-	fmt.Printf("retries: %d, give-ups %d (%d by shared budget, policy %s)\n",
-		res.Retries, res.GiveUps, res.BudgetGiveUps, r.policy.Name())
-	if res.Latency.Count > 0 {
-		fmt.Printf("response time: mean %v, p50 %v, p95 %v, p99 %v\n",
-			res.Latency.Mean().Round(time.Microsecond),
-			res.Latency.Quantile(0.50).Round(time.Microsecond),
-			res.Latency.Quantile(0.95).Round(time.Microsecond),
-			res.Latency.Quantile(0.99).Round(time.Microsecond))
-	}
-	fmt.Println("\naborts by taxonomy reason:")
-	printed := false
-	for rr := core.AbortNone + 1; rr <= core.AbortOther; rr++ {
-		if n := res.AbortsByReason[rr]; n > 0 {
-			fmt.Printf("  %-15s %d\n", rr, n)
-			printed = true
-		}
-	}
-	if !printed {
-		fmt.Println("  (none)")
-	}
-
-	if lim := db.Admission(); lim != nil {
-		st := lim.Stats()
-		fmt.Printf("\nadmission: limit %d, breaker %s (%d trips, %d grows, %d shrinks)\n",
-			st.Gate.Limit, st.Breaker, st.Trips, st.Grows, st.Shrinks)
-		fmt.Printf("admission gate: %d admitted, %d queued (avg wait %v), %d shed, %d expired in queue\n",
-			st.Gate.Admitted, st.Gate.Queued, st.Gate.AvgWait.Round(time.Microsecond),
-			st.Gate.Shed, st.Gate.Expired)
-		// The leak assertion: after RunOpen returns, every virtual client
-		// has finished, so a held slot or queued waiter is a bug.
-		if st.Gate.InFlight != 0 || st.Gate.QueueDepth != 0 {
-			fmt.Fprintf(os.Stderr, "smallbank: admission gate leak: %d in flight, %d queued after drain\n",
-				st.Gate.InFlight, st.Gate.QueueDepth)
-			os.Exit(1)
-		}
-	}
-
-	ws := db.WAL().Stats()
-	fmt.Printf("\nWAL: %d flushes, %d syncs, %d records (avg batch %.1f), %d bytes\n",
-		ws.Flushes, ws.Syncs, ws.Records, ws.AvgBatch(), ws.Bytes)
-
-	if r.rec != nil {
-		r.rec.SetEnabled(false)
-		events := append(res.TraceEvents, r.rec.Drain()...)
-		if err := writeTrace(events, r.rec.Dropped(), r.tracePath); err != nil {
-			fmt.Fprintln(os.Stderr, "smallbank:", err)
-			os.Exit(1)
-		}
-	}
-
-	var offRep *checker.Report
-	if r.offline != nil {
-		offRep = r.offline.Analyze()
-		fmt.Printf("\nserializability: %s", offRep.Describe())
-	}
-	if res.Check != nil {
-		fmt.Printf("online check: %s", res.Check.Describe())
-		if offRep != nil && offRep.Serializable != res.Check.Serializable {
-			fmt.Fprintln(os.Stderr, "warning: online and offline checkers disagree on serializability")
-		}
-		if r.expectSer && (!res.Check.Serializable || res.Check.SIViolations != 0) {
-			fmt.Fprintln(os.Stderr, "smallbank: online checker detected isolation violations")
-			os.Exit(1)
-		}
 	}
 }
 

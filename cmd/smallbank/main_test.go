@@ -9,20 +9,83 @@ import (
 	"testing"
 )
 
+// buildSmallbank compiles the real binary into the test's temp dir.
+func buildSmallbank(t *testing.T) string {
+	t.Helper()
+	if testing.Short() {
+		t.Skip("builds and runs the smallbank binary")
+	}
+	bin := filepath.Join(t.TempDir(), "smallbank")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	return bin
+}
+
+// small is a quick bank both arrival processes finish in well under a
+// second.
+var small = []string{"-customers", "200", "-hotspot", "20", "-ramp", "20ms", "-measure", "150ms", "-seed", "3"}
+
+// run executes the binary and requires exit status 0.
+func run(t *testing.T, bin string, args ...string) string {
+	t.Helper()
+	out, err := exec.Command(bin, append(args, small...)...).CombinedOutput()
+	if err != nil {
+		t.Fatalf("smallbank %v: %v\n%s", args, err, out)
+	}
+	return string(out)
+}
+
+func requireLines(t *testing.T, out string, wants ...string) {
+	t.Helper()
+	for _, want := range wants {
+		if !strings.Contains(out, want) {
+			t.Errorf("output does not contain %q:\n%s", want, out)
+		}
+	}
+}
+
+// TestRateRunOverWalSealsTheChain: an arrivals run over -wal ends like
+// a closed loop — full WAL line, the async drain, the sealing
+// checkpoint — so the next run folds the chain instead of replaying the
+// whole run.
+func TestRateRunOverWalSealsTheChain(t *testing.T) {
+	bin := buildSmallbank(t)
+	dir := filepath.Join(t.TempDir(), "wal")
+	out := run(t, bin, "-rate", "1500", "-wal", dir, "-wal-async")
+	requireLines(t, out, "offered:", "commits/sync", "async commit: durable CSN", "checkpoint: CSN")
+	out = run(t, bin, "-rate", "1500", "-wal", dir)
+	requireLines(t, out, "recovered "+dir, " 0 commits replayed", "checkpoint: CSN")
+}
+
+// TestAdmissionAuditedUnderClosedLoop: the admission report — and the
+// gate-leak exit check that sits with it — runs whenever -admission is
+// set, not only for an open system.
+func TestAdmissionAuditedUnderClosedLoop(t *testing.T) {
+	bin := buildSmallbank(t)
+	out := run(t, bin, "-admission", "-mpl", "8")
+	requireLines(t, out, "running SI on postgres/si: MPL 8", "admission: limit", "admission gate:")
+	if strings.Contains(out, "offered:") {
+		t.Errorf("closed loop printed an offered-load line:\n%s", out)
+	}
+}
+
+// TestRateChaosAuditsInvariants: -rate with -chaos arms the fault plan
+// and audits conservation and lock leaks like any other run.
+func TestRateChaosAuditsInvariants(t *testing.T) {
+	bin := buildSmallbank(t)
+	out := run(t, bin, "-rate", "1500", "-chaos", "-check", "-mode", "2pl", "-retry", "backoff")
+	requireLines(t, out, "offered:", "faults fired", "conservation: initial",
+		"lock audit: 0 held, 0 queued", "serializability under faults:", "invariants: all held")
+}
+
 // TestWalFlagRejectsRegularFile runs the real binary with -wal pointed
 // at an existing regular file — what the retired single-file layout
 // left behind. It must exit 1 before loading anything, naming the path
 // and the directory layout it expects, and must not touch the file.
 func TestWalFlagRejectsRegularFile(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds and runs the smallbank binary")
-	}
-	dir := t.TempDir()
-	bin := filepath.Join(dir, "smallbank")
-	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
-		t.Fatalf("go build: %v\n%s", err, out)
-	}
-	path := filepath.Join(dir, "run.wal")
+	bin := buildSmallbank(t)
+	path := filepath.Join(t.TempDir(), "run.wal")
 	if err := os.WriteFile(path, []byte("old flat log"), 0o644); err != nil {
 		t.Fatal(err)
 	}

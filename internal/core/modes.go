@@ -74,3 +74,28 @@ func (p Platform) String() string {
 		return fmt.Sprintf("platform(%d)", uint8(p))
 	}
 }
+
+// ParseProfile resolves the -platform and -mode names every binary
+// takes ("postgres" | "commercial", "si" | "2pl" | "ssi"); an unknown
+// name is an error that quotes it.
+func ParseProfile(platform, mode string) (Platform, CCMode, error) {
+	var p Platform
+	switch platform {
+	case "postgres":
+		p = PlatformPostgres
+	case "commercial":
+		p = PlatformCommercial
+	default:
+		return 0, 0, fmt.Errorf("unknown platform %q (want postgres or commercial)", platform)
+	}
+	switch mode {
+	case "si":
+		return p, SnapshotFUW, nil
+	case "2pl":
+		return p, Strict2PL, nil
+	case "ssi":
+		return p, SerializableSI, nil
+	default:
+		return 0, 0, fmt.Errorf("unknown mode %q (want si, 2pl or ssi)", mode)
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -260,5 +261,32 @@ func TestModeAndPlatformStrings(t *testing.T) {
 	}
 	if Platform(9).String() != "platform(9)" {
 		t.Fatal("unknown Platform formatting")
+	}
+}
+
+func TestParseProfile(t *testing.T) {
+	for _, c := range []struct {
+		platform, mode string
+		p              Platform
+		m              CCMode
+	}{
+		{"postgres", "si", PlatformPostgres, SnapshotFUW},
+		{"commercial", "2pl", PlatformCommercial, Strict2PL},
+		{"postgres", "ssi", PlatformPostgres, SerializableSI},
+	} {
+		p, m, err := ParseProfile(c.platform, c.mode)
+		if err != nil || p != c.p || m != c.m {
+			t.Errorf("ParseProfile(%q, %q) = %v, %v, %v", c.platform, c.mode, p, m, err)
+		}
+	}
+	for _, bad := range [][2]string{{"bogus", "si"}, {"postgres", "bogus"}, {"", ""}, {"Postgres", "si"}} {
+		_, _, err := ParseProfile(bad[0], bad[1])
+		if err == nil {
+			t.Errorf("ParseProfile(%q, %q) accepted", bad[0], bad[1])
+		} else if bad[0] == "bogus" || bad[1] == "bogus" {
+			if !strings.Contains(err.Error(), `"bogus"`) {
+				t.Errorf("error does not quote the unknown name: %v", err)
+			}
+		}
 	}
 }

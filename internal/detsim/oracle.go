@@ -282,7 +282,6 @@ func cloneInfos(infos []engine.TxInfo) []engine.TxInfo {
 		out[i] = in
 		out[i].Reads = append([]engine.VersionRef(nil), in.Reads...)
 		out[i].Writes = append([]engine.VersionRef(nil), in.Writes...)
-		out[i].SFU = append([]engine.VersionRef(nil), in.SFU...)
 	}
 	return out
 }

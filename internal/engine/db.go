@@ -86,9 +86,7 @@ type Config struct {
 	// front of Begin: at most limit transactions execute at once, up
 	// to MaxQueue more wait FIFO, and the rest are shed with
 	// core.ErrOverload. An AIMD controller moves the limit from
-	// commit-latency and abort-attribution deltas; enabling admission
-	// therefore also enables commit-latency metering (two clock reads
-	// per updating commit — see SetMetricsEnabled).
+	// commit-latency and abort-attribution deltas.
 	Admission *admission.Config
 	// DefaultTxDeadline, when positive, stamps every transaction with
 	// deadline = Begin time + DefaultTxDeadline. The deadline is
@@ -147,9 +145,6 @@ type TxInfo struct {
 	// writes). Writes lists versions created.
 	Reads  []VersionRef
 	Writes []VersionRef
-	// SFU lists rows select-for-updated (commercial platform semantics
-	// make these behave like writes for concurrency control).
-	SFU []VersionRef
 }
 
 // Observer receives every commit, in commit order for updating
@@ -281,10 +276,6 @@ type DB struct {
 	// txnMetrics holds the abort taxonomy and the lock-wait/commit-latency
 	// histograms; always allocated (recording into it is atomic adds).
 	txnMetrics metrics.TxnMetrics
-	// meterCommitLatency gates the commit-latency histogram's time.Now
-	// calls: the workload driver enables it for measured runs, keeping
-	// the default commit path free of clock reads.
-	meterCommitLatency atomic.Bool
 }
 
 // Open creates a database instance from cfg.
@@ -317,8 +308,6 @@ func Open(cfg Config) *DB {
 	db.defaultDeadline.Store(int64(cfg.DefaultTxDeadline))
 	if cfg.Admission != nil {
 		db.gate = admission.New(*cfg.Admission)
-		// The controller steers by commit latency; metering must be on.
-		db.meterCommitLatency.Store(true)
 		db.admStop = make(chan struct{})
 		db.admDone = make(chan struct{})
 		go db.admissionLoop()
@@ -838,12 +827,6 @@ func (db *DB) Tracer() *trace.Recorder { return db.tracer }
 // the abort taxonomy, and the lock-wait and commit-latency histograms.
 // Snapshots from two points of a run diff with TxnSnapshot.Delta.
 func (db *DB) TxnMetrics() metrics.TxnSnapshot { return db.txnMetrics.Snapshot() }
-
-// SetMetricsEnabled gates the commit-latency histogram (it needs two
-// clock reads per updating commit, which the ≤5%-overhead budget keeps
-// off the default path). Abort taxonomy and lock-wait metrics are
-// always on: they only touch cold paths.
-func (db *DB) SetMetricsEnabled(on bool) { db.meterCommitLatency.Store(on) }
 
 // SetDefaultTxDeadline changes the per-transaction time budget stamped
 // on every future Begin (0 disarms it). In-flight transactions keep the

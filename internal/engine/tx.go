@@ -665,10 +665,10 @@ func (tx *Tx) Commit() error {
 	// updater's commit path too.
 	updating := len(tx.writes) > 0 || len(tx.sfus) > 0
 
-	// Commit-latency metering is opt-in (SetMetricsEnabled): the two
-	// clock reads stay off the default commit path.
+	// Every updating commit is metered: two clock reads against a
+	// commit cycle of microseconds.
 	var commitStart time.Time
-	if updating && tx.db.meterCommitLatency.Load() {
+	if updating {
 		commitStart = time.Now()
 	}
 
@@ -825,7 +825,6 @@ func (tx *Tx) Commit() error {
 		// survive a crash.
 		for _, s := range tx.sfus {
 			s.row.NoteSFUCommit(csn)
-			info.SFU = append(info.SFU, VersionRef{Table: s.table.Name(), Key: s.key, CSN: csn})
 		}
 		tx.db.publishCSN(csn)
 		tx.db.ckptMu.RUnlock()
@@ -849,7 +848,7 @@ func (tx *Tx) Commit() error {
 	tx.done = true
 	tx.db.commits.Add(1)
 	tx.db.txnMetrics.Commits.Add(1)
-	if !commitStart.IsZero() {
+	if updating {
 		tx.db.txnMetrics.CommitLatency.Record(time.Since(commitStart))
 	}
 	if tx.db.tracer.Enabled() {

@@ -258,7 +258,7 @@ func runAblationLatency(cfg Config) (*Result, error) {
 				if err != nil {
 					return nil, err
 				}
-				ms = append(ms, float64(out.MeanLatency.Microseconds())/1000)
+				ms = append(ms, float64(out.Latency.Mean().Microseconds())/1000)
 			}
 			mean, ci := ci95(ms)
 			series.Points = append(series.Points, Point{Label: fmt.Sprintf("%d", mpl), Mean: mean, CI: ci})

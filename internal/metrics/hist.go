@@ -244,8 +244,7 @@ type TxnMetrics struct {
 	// acquires only; the fast path records nothing).
 	LockWait Histogram
 	// CommitLatency is the distribution of updating-commit durations
-	// (WAL wait + stamping + publication), recorded only while latency
-	// metering is enabled (engine.DB.SetMetricsEnabled).
+	// (WAL wait + stamping + publication).
 	CommitLatency Histogram
 }
 

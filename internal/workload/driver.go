@@ -3,7 +3,10 @@
 // randomly chosen SmallBank transactions against the engine — 90% of
 // transactions on a hotspot region of the customer table — through a
 // ramp-up period followed by a measurement interval, tracking commits,
-// aborts (by reason) and response times per transaction type.
+// aborts (by reason) and response times per transaction type. The same
+// driver also offers load as an open system (Config.Rate: Poisson
+// arrivals, one virtual client each); the arrival process is the only
+// thing that differs — one interaction, one retry loop, one Result.
 package workload
 
 import (
@@ -11,6 +14,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"sicost/internal/core"
@@ -79,9 +83,24 @@ func (m Mix) pick(rng *rand.Rand) smallbank.TxnType {
 // Config parameterizes one workload run.
 type Config struct {
 	Strategy *smallbank.Strategy
-	// MPL is the multiprogramming level: the number of concurrent
-	// clients.
+	// Exactly one of MPL and Rate selects the arrival process.
+	//
+	// MPL is the multiprogramming level of a closed system: that many
+	// clients, each starting its next transaction the moment the last
+	// one answers. Past saturation a closed system just slows down.
 	MPL int
+	// Rate offers load as an open system instead: Poisson arrivals at
+	// this many per second, each served by its own virtual client, so
+	// the number in flight is whatever the rate induces and overload is
+	// visible — queueing delay, abort storms, goodput decline land on
+	// the engine (pair with engine.Config.Admission and a
+	// BudgetedPolicy to measure the decline flattening into a plateau).
+	Rate float64
+	// MaxInFlight caps the concurrent virtual clients of a Rate run;
+	// arrivals past it never touch the engine and are counted in
+	// Result.Dropped (default 16384). A driver memory backstop, not
+	// admission control.
+	MaxInFlight int
 	// Customers is the loaded table size (18000 in the paper).
 	Customers int
 	// HotspotSize is the number of customers in the hotspot (1000
@@ -92,6 +111,7 @@ type Config struct {
 	HotspotProb float64
 	Mix         Mix
 	// Ramp is discarded warm-up time; Measure is the measured interval.
+	// An interaction belongs to the window it started (arrived) in.
 	Ramp, Measure time.Duration
 	Seed          int64
 	// MaxRetries bounds how often one logical transaction is retried
@@ -118,8 +138,11 @@ func (c *Config) defaults() error {
 	if c.Strategy == nil {
 		c.Strategy = smallbank.StrategySI
 	}
-	if c.MPL <= 0 {
-		return fmt.Errorf("workload: MPL must be positive")
+	if (c.MPL > 0) == (c.Rate > 0) {
+		return fmt.Errorf("workload: exactly one of MPL (closed loop) and Rate (arrivals) must be positive, got MPL %d, Rate %v", c.MPL, c.Rate)
+	}
+	if c.MaxInFlight <= 0 {
+		c.MaxInFlight = 16384
 	}
 	if c.Customers <= 1 {
 		return fmt.Errorf("workload: need at least 2 customers")
@@ -195,10 +218,20 @@ type Result struct {
 	Aborts   int64
 	PerType  [smallbank.NumTxnTypes]TypeStats
 	// TPS is committed transactions per second over the measurement
-	// interval.
+	// interval (the goodput of a Rate run).
 	TPS float64
-	// MeanLatency is the mean committed-interaction response time.
-	MeanLatency time.Duration
+	// Latency is the response-time distribution of committed
+	// interactions, all types together (PerType has each type's).
+	Latency metrics.LatencyRecorder
+	// Arrivals counts the interactions offered in the measurement
+	// interval; Dropped is the subset a Rate run discarded at the
+	// MaxInFlight backstop. InFlightPeak is the high-water mark of
+	// concurrent clients: MPL in a closed system, the effective MPL the
+	// offered rate induced in an open one.
+	Arrivals, Dropped, InFlightPeak int64
+	// Shed and DeadlineExpired count interactions whose final verdict
+	// was core.ErrOverload / core.ErrTxDeadline.
+	Shed, DeadlineExpired int64
 	// Retries, BackoffTime and GiveUps aggregate the retry discipline's
 	// activity over the measurement interval.
 	Retries     int64
@@ -222,8 +255,7 @@ type Result struct {
 	Contention engine.ContentionStats
 	// Engine is the engine-side transaction-metrics delta over the whole
 	// run (ramp included): commit count, the abort taxonomy, and the
-	// lock-wait and commit-latency histograms. Commit-latency metering
-	// is switched on for the run's duration by Run itself.
+	// lock-wait and commit-latency histograms.
 	Engine metrics.TxnSnapshot
 	// Check is the online checker's finalized report when Config.Check
 	// was set: the live serializability/SI verdict over the whole run
@@ -246,12 +278,14 @@ func (r *Result) AbortAttribution() float64 {
 	return r.Engine.Aborts.AttributionRate()
 }
 
-// clientStats is each goroutine's private accumulator.
+// clientStats accumulates outcomes: one per closed-loop client (private,
+// no locking), one shared by every virtual client of a Rate run.
 type clientStats struct {
 	perType [smallbank.NumTxnTypes]TypeStats
-	// ledger is the client's committed money movement over the whole
-	// run (see Result.CommittedDelta).
-	ledger int64
+	// ledger is the committed money movement over the whole run (see
+	// Result.CommittedDelta).
+	ledger                         int64
+	started, shed, deadlineExpired int64
 }
 
 func newClientStats() *clientStats {
@@ -262,19 +296,50 @@ func newClientStats() *clientStats {
 	return cs
 }
 
+// add folds one interaction in. Money moved counts over the whole run;
+// everything else only when the interaction started in the measurement
+// interval.
+func (cs *clientStats) add(o outcome, measuring bool) {
+	if o.err == nil {
+		cs.ledger += ledgerDelta(o.typ, o.params)
+	}
+	if !measuring {
+		return
+	}
+	cs.started++
+	st := &cs.perType[o.typ]
+	for r, n := range o.aborts {
+		if n > 0 {
+			st.Aborts[core.AbortReason(r)] += n
+		}
+	}
+	st.Retries += o.retries
+	st.Backoff += o.backoff
+	switch {
+	case o.err == nil:
+		st.Commits++
+		st.Latency.Add(o.latency)
+	case o.gaveUp:
+		st.GiveUps++
+	}
+	switch core.ClassifyAbort(o.err) {
+	case core.AbortOverload:
+		cs.shed++
+	case core.AbortDeadline:
+		cs.deadlineExpired++
+	}
+}
+
 // Run executes the workload against db (already loaded via
-// smallbank.Load with cfg.Customers customers).
+// smallbank.Load with cfg.Customers customers). It returns once the
+// window has closed and every client has finished or given up.
 func Run(db *engine.DB, cfg Config) (*Result, error) {
 	if err := cfg.defaults(); err != nil {
 		return nil, err
 	}
 
+	// Snapshot the engine's counters so Result reports this run's delta.
 	contBase := db.Contention()
-	// Meter commit latency for the duration of the run (it is off by
-	// default to keep the bare commit path clock-free), and snapshot the
-	// engine metrics so Result.Engine is this run's delta.
-	db.SetMetricsEnabled(true)
-	defer db.SetMetricsEnabled(false)
 	engineBase := db.TxnMetrics()
 	var budget *RetryBudget
 	var budgetBase int64
@@ -304,26 +369,17 @@ func Run(db *engine.DB, cfg Config) (*Result, error) {
 	// The clock starts after instrumentation setup: allocating a private
 	// recorder's rings is real work (notably under the race detector),
 	// and it must not eat into the ramp or the measurement interval.
-	start := time.Now()
-	measureStart := start.Add(cfg.Ramp)
-	deadline := measureStart.Add(cfg.Measure)
-
-	var wg sync.WaitGroup
-	stats := make([]*clientStats, cfg.MPL)
-	for c := 0; c < cfg.MPL; c++ {
-		stats[c] = newClientStats()
-		wg.Add(1)
-		go func(id int, cs *clientStats) {
-			defer wg.Done()
-			db.Machine().EnterSession()
-			defer db.Machine().LeaveSession()
-			rng := rand.New(rand.NewSource(cfg.Seed + int64(id)*7919))
-			client(db, cfg, rng, cs, measureStart, deadline)
-		}(c, stats[c])
-	}
-	wg.Wait()
+	w := window{start: time.Now()}
+	w.measureStart = w.start.Add(cfg.Ramp)
+	w.end = w.measureStart.Add(cfg.Measure)
 
 	res := &Result{Config: cfg, Measured: cfg.Measure}
+	offer := closedLoop
+	if cfg.Rate > 0 {
+		offer = arrivals
+	}
+	stats := offer(db, &cfg, w, res)
+
 	if sub != nil {
 		sub.Close() // final drain: every committed event reaches the checker
 		// End-of-stream settle pass: with every terminal delivered and no
@@ -338,35 +394,37 @@ func Run(db *engine.DB, cfg Config) (*Result, error) {
 			db.SetTracer(nil)
 		}
 	}
+	res.Arrivals = res.Dropped // plus every interaction that started, below
 	for i := range res.PerType {
 		res.PerType[i].Aborts = make(map[core.AbortReason]int64)
 	}
-	var lat metrics.LatencyRecorder
 	for _, cs := range stats {
 		res.CommittedDelta += cs.ledger
+		res.Arrivals += cs.started
+		res.Shed += cs.shed
+		res.DeadlineExpired += cs.deadlineExpired
 		for i := range cs.perType {
-			res.PerType[i].Commits += cs.perType[i].Commits
-			for r, n := range cs.perType[i].Aborts {
-				res.PerType[i].Aborts[r] += n
+			from, to := &cs.perType[i], &res.PerType[i]
+			to.Commits += from.Commits
+			for r, n := range from.Aborts {
+				to.Aborts[r] += n
 			}
-			res.PerType[i].Retries += cs.perType[i].Retries
-			res.PerType[i].Backoff += cs.perType[i].Backoff
-			res.PerType[i].GiveUps += cs.perType[i].GiveUps
-			res.PerType[i].Latency.Merge(&cs.perType[i].Latency)
-			lat.Merge(&cs.perType[i].Latency)
+			to.Retries += from.Retries
+			to.Backoff += from.Backoff
+			to.GiveUps += from.GiveUps
+			to.Latency.Merge(&from.Latency)
+			res.Latency.Merge(&from.Latency)
 		}
 	}
 	for i := range res.PerType {
-		res.Retries += res.PerType[i].Retries
-		res.BackoffTime += res.PerType[i].Backoff
-		res.GiveUps += res.PerType[i].GiveUps
-	}
-	for i := range res.PerType {
-		res.Commits += res.PerType[i].Commits
-		res.Aborts += res.PerType[i].TotalAborts()
+		st := &res.PerType[i]
+		res.Commits += st.Commits
+		res.Aborts += st.TotalAborts()
+		res.Retries += st.Retries
+		res.BackoffTime += st.Backoff
+		res.GiveUps += st.GiveUps
 	}
 	res.TPS = float64(res.Commits) / cfg.Measure.Seconds()
-	res.MeanLatency = lat.Mean()
 	res.Contention = db.Contention().Delta(contBase)
 	res.Engine = db.TxnMetrics().Delta(engineBase)
 	if budget != nil {
@@ -375,66 +433,149 @@ func Run(db *engine.DB, cfg Config) (*Result, error) {
 	return res, nil
 }
 
-// client is one closed-system thread: run a transaction, wait for the
-// reply, immediately start the next (§IV: "no think time"), or sleep
-// first when the retry policy prescribes backoff.
-func client(db *engine.DB, cfg Config, rng *rand.Rand, cs *clientStats, measureStart, deadline time.Time) {
-	for {
-		now := time.Now()
-		if now.After(deadline) {
-			return
-		}
-		measuring := now.After(measureStart)
+// window is one run's timeline: ramp from start to measureStart, the
+// measurement interval from there to end.
+type window struct{ start, measureStart, end time.Time }
 
-		typ := cfg.Mix.pick(rng)
-		params := pickParams(cfg, rng, typ)
+// streamRNG seeds request stream id of a run. The multiplier keeps
+// neighbouring streams apart; figures and goldens depend on it.
+func streamRNG(seed, id int64) *rand.Rand { return rand.New(rand.NewSource(seed + id*7919)) }
 
-		begin := time.Now()
-		committed := false
-		var spentBackoff time.Duration
-		for failures := 0; ; {
-			err := runAttempt(db, cfg.Strategy, typ, params)
-			if err == nil {
-				committed = true
-				cs.ledger += ledgerDelta(typ, params)
-				if measuring {
-					cs.perType[typ].Commits++
+// closedLoop is the paper's arrival process: MPL clients, each running
+// a transaction, waiting for the reply and immediately starting the
+// next (§IV: "no think time") until the window closes. Each client
+// accumulates privately; all MPL of them are in flight throughout.
+func closedLoop(db *engine.DB, cfg *Config, w window, res *Result) []*clientStats {
+	res.InFlightPeak = int64(cfg.MPL)
+	var wg sync.WaitGroup
+	stats := make([]*clientStats, cfg.MPL)
+	for c := range stats {
+		stats[c] = newClientStats()
+		wg.Add(1)
+		go func(id int, cs *clientStats) {
+			defer wg.Done()
+			db.Machine().EnterSession()
+			defer db.Machine().LeaveSession()
+			rng := streamRNG(cfg.Seed, int64(id))
+			for {
+				now := time.Now()
+				if now.After(w.end) {
+					return
 				}
-				break
-			}
-			if measuring {
-				cs.perType[typ].Aborts[core.ClassifyAbort(err)]++
-			}
-			if errors.Is(err, core.ErrShuttingDown) {
-				return // database is draining; the client is done
-			}
-			if !core.IsRetriable(err) {
-				break // application rollback or hard error: new params
-			}
-			failures++
-			d, retry := cfg.Retry.Backoff(failures, spentBackoff, rng)
-			if !retry {
-				if measuring {
-					cs.perType[typ].GiveUps++
-				}
-				break
-			}
-			if d > 0 {
-				time.Sleep(d)
-				spentBackoff += d
-				if measuring {
-					cs.perType[typ].Backoff += d
+				o := interaction(db, cfg, rng, now, w.end)
+				cs.add(o, now.After(w.measureStart))
+				if errors.Is(o.err, core.ErrShuttingDown) {
+					return // database is draining; the client is done
 				}
 			}
-			if measuring {
-				cs.perType[typ].Retries++
-			}
-			if time.Now().After(deadline) {
-				return
-			}
+		}(c, stats[c])
+	}
+	wg.Wait()
+	return stats
+}
+
+// arrivals is the open-system arrival process: exponential gaps at
+// cfg.Rate, accumulated from the start so timer jitter does not drift
+// the offered rate, one goroutine (a session for the length of one
+// interaction) per arrival. It records the backstop's drops and the
+// in-flight peak in res and returns the shared accumulator.
+func arrivals(db *engine.DB, cfg *Config, w window, res *Result) []*clientStats {
+	var (
+		wg       sync.WaitGroup
+		mu       sync.Mutex // guards cs
+		cs       = newClientStats()
+		inFlight atomic.Int64
+	)
+	gaps := streamRNG(cfg.Seed, 0)
+	next := w.start
+	for id := int64(0); ; id++ {
+		next = next.Add(time.Duration(gaps.ExpFloat64() / cfg.Rate * float64(time.Second)))
+		if next.After(w.end) {
+			break
 		}
-		if committed && measuring {
-			cs.perType[typ].Latency.Add(time.Since(begin))
+		time.Sleep(time.Until(next))
+		measuring := next.After(w.measureStart)
+		n := inFlight.Add(1)
+		if n > int64(cfg.MaxInFlight) {
+			inFlight.Add(-1)
+			if measuring {
+				res.Dropped++
+			}
+			continue
+		}
+		res.InFlightPeak = max(res.InFlightPeak, n)
+		wg.Add(1)
+		go func(id int64, arrived time.Time) {
+			defer wg.Done()
+			defer inFlight.Add(-1)
+			db.Machine().EnterSession()
+			defer db.Machine().LeaveSession()
+			o := interaction(db, cfg, streamRNG(cfg.Seed+1, id), arrived, w.end)
+			mu.Lock()
+			cs.add(o, measuring)
+			mu.Unlock()
+		}(id, next)
+	}
+	wg.Wait()
+	return []*clientStats{cs}
+}
+
+// outcome is what one logical interaction did, first attempt to final
+// verdict.
+type outcome struct {
+	typ    smallbank.TxnType
+	params smallbank.Params
+	// aborts counts the attempts that did not commit, by reason.
+	aborts  [metrics.NumAbortReasons]int64
+	retries int64
+	backoff time.Duration
+	// err is the last attempt's error; nil means the interaction
+	// committed, after latency (backoff included) from its start.
+	err     error
+	latency time.Duration
+	// gaveUp: the retry policy refused another attempt.
+	gaveUp bool
+}
+
+// draw picks the next request of a stream: a transaction type from the
+// mix, then its parameters.
+func draw(cfg *Config, rng *rand.Rand) (smallbank.TxnType, smallbank.Params) {
+	typ := cfg.Mix.pick(rng)
+	return typ, pickParams(*cfg, rng, typ)
+}
+
+// interaction runs one logical transaction to its verdict: draw a
+// request, attempt it, and after a retriable abort consult the retry
+// policy, back off as told and attempt again with the same parameters.
+// It ends on commit, on an error no retry can cure (application
+// rollback, shutdown), on the policy's refusal, or — left undecided,
+// neither commit nor give-up — when a retry would start past hardStop,
+// so a run ends even when every attempt fails.
+func interaction(db *engine.DB, cfg *Config, rng *rand.Rand, started, hardStop time.Time) (o outcome) {
+	o.typ, o.params = draw(cfg, rng)
+	for failures := 0; ; {
+		o.err = runAttempt(db, cfg.Strategy, o.typ, o.params)
+		if o.err == nil {
+			o.latency = time.Since(started)
+			return o
+		}
+		o.aborts[core.ClassifyAbort(o.err)]++
+		if !core.IsRetriable(o.err) {
+			return o
+		}
+		failures++
+		d, retry := cfg.Retry.Backoff(failures, o.backoff, rng)
+		if !retry {
+			o.gaveUp = true
+			return o
+		}
+		if d > 0 {
+			time.Sleep(d)
+			o.backoff += d
+		}
+		o.retries++
+		if time.Now().After(hardStop) {
+			return o
 		}
 	}
 }

@@ -1,7 +1,10 @@
 package workload
 
 import (
+	"fmt"
 	"math/rand"
+	"os"
+	"strings"
 	"testing"
 	"time"
 
@@ -74,8 +77,14 @@ func TestConfigValidation(t *testing.T) {
 	if good.Strategy == nil || good.MaxRetries != 50 {
 		t.Fatal("defaults not applied")
 	}
+	open := Config{Rate: 100, Customers: 100, HotspotSize: 10, Measure: time.Millisecond}
+	if err := (&open).defaults(); err != nil || open.MaxInFlight <= 0 {
+		t.Fatalf("arrivals config: err %v, MaxInFlight %d", err, open.MaxInFlight)
+	}
 	bad := []Config{
-		{MPL: 0, Customers: 100, HotspotSize: 10, Measure: time.Millisecond},
+		{MPL: 0, Customers: 100, HotspotSize: 10, Measure: time.Millisecond},            // neither MPL nor Rate
+		{MPL: 2, Rate: 100, Customers: 100, HotspotSize: 10, Measure: time.Millisecond}, // both
+		{Rate: 100, Customers: 1, HotspotSize: 1, Measure: time.Millisecond},
 		{MPL: 1, Customers: 1, HotspotSize: 1, Measure: time.Millisecond},
 		{MPL: 1, Customers: 100, HotspotSize: 1000, Measure: time.Millisecond},
 		{MPL: 1, Customers: 100, HotspotSize: 10, HotspotProb: 1.5, Measure: time.Millisecond},
@@ -131,7 +140,7 @@ func TestRunProducesThroughput(t *testing.T) {
 	if perTypeSum != res.Commits {
 		t.Fatalf("per-type commits %d != total %d", perTypeSum, res.Commits)
 	}
-	if res.MeanLatency <= 0 {
+	if res.Latency.Mean() <= 0 {
 		t.Fatal("no latency recorded")
 	}
 	// All five types should have run at this volume.
@@ -144,8 +153,14 @@ func TestRunProducesThroughput(t *testing.T) {
 
 func TestRunRejectsBadConfig(t *testing.T) {
 	db := loadedDB(t, core.SnapshotFUW, 50)
-	if _, err := Run(db, Config{MPL: 0, Customers: 50, HotspotSize: 10, Measure: time.Millisecond}); err == nil {
-		t.Fatal("bad config accepted")
+	for name, cfg := range map[string]Config{
+		"neither MPL nor Rate": {Customers: 50, HotspotSize: 10, Measure: time.Millisecond},
+		"both MPL and Rate":    {MPL: 2, Rate: 100, Customers: 50, HotspotSize: 10, Measure: time.Millisecond},
+		"single customer":      {Rate: 100, Customers: 1, HotspotSize: 5, Measure: time.Millisecond},
+	} {
+		if _, err := Run(db, cfg); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
 	}
 }
 
@@ -183,14 +198,13 @@ func TestAbortAccountingUnderContention(t *testing.T) {
 
 // TestEngineMetricsDelta pins the observability contract of Result.Engine:
 // it is a delta over the driver's own run (work done before Run is
-// excluded), the commit-latency histogram is populated because Run
-// switches metering on, and the abort taxonomy attributes essentially
-// every abort — the paper-facing acceptance bar is ≥95% on a hotspot mix.
+// excluded), the commit-latency histogram is populated, and the abort
+// taxonomy attributes essentially every abort — the paper-facing
+// acceptance bar is ≥95% on a hotspot mix.
 func TestEngineMetricsDelta(t *testing.T) {
 	db := loadedDB(t, core.SnapshotFUW, 100)
 
-	// Commit one transaction before the run; the delta must not see it,
-	// and the latency histogram must stay empty while metering is off.
+	// Commit one transaction before the run; the delta must not see it.
 	tx := db.Begin()
 	if err := smallbank.RunDepositChecking(tx, smallbank.StrategySI, smallbank.Params{N1: smallbank.CustomerName(1), V: 1}); err != nil {
 		t.Fatal(err)
@@ -199,9 +213,6 @@ func TestEngineMetricsDelta(t *testing.T) {
 		t.Fatal(err)
 	}
 	pre := db.TxnMetrics()
-	if pre.CommitLatency.Count != 0 {
-		t.Fatalf("commit latency metered outside Run: %d", pre.CommitLatency.Count)
-	}
 
 	var mix Mix
 	mix[smallbank.TransactSaving] = 0.5
@@ -222,27 +233,17 @@ func TestEngineMetricsDelta(t *testing.T) {
 		// Engine counts the ramp too, so it can only be >= the measured window.
 		t.Fatalf("engine commits %d < measured commits %d", res.Engine.Commits, res.Commits)
 	}
-	if res.Engine.CommitLatency.Count == 0 {
-		t.Fatal("Run did not enable commit-latency metering")
+	if got, want := res.Engine.CommitLatency.Count, res.Engine.Commits; got == 0 || got > want {
+		t.Fatalf("commit-latency delta holds %d samples for %d commits in the run", got, want)
+	}
+	if total := db.TxnMetrics(); total.Commits != pre.Commits+res.Engine.Commits {
+		t.Fatalf("engine commits %d, want %d before + %d in the run", total.Commits, pre.Commits, res.Engine.Commits)
 	}
 	if res.Engine.Aborts.Total() == 0 {
 		t.Fatal("2-customer hotspot produced no engine-level aborts")
 	}
 	if attr := res.AbortAttribution(); attr < 0.95 {
 		t.Fatalf("abort attribution %.3f below the 95%% bar (vector %v)", attr, res.Engine.Aborts)
-	}
-
-	// Metering is switched back off when Run returns.
-	after := db.TxnMetrics()
-	tx2 := db.Begin()
-	if err := smallbank.RunDepositChecking(tx2, smallbank.StrategySI, smallbank.Params{N1: smallbank.CustomerName(2), V: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if err := tx2.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	if got := db.TxnMetrics().CommitLatency.Count; got != after.CommitLatency.Count {
-		t.Fatalf("commit latency still metered after Run: %d -> %d", after.CommitLatency.Count, got)
 	}
 }
 
@@ -326,4 +327,34 @@ func TestDriverFindsAnomalyUnderPlainSI(t *testing.T) {
 		}
 	}
 	t.Fatal("plain SI never produced a non-serializable execution on a pathological hotspot")
+}
+
+// TestClosedLoopRequestStreamGolden pins the closed loop's request
+// stream: for a fixed seed, the first 200 (type, params) draws of
+// clients 0 and 1 equal testdata/closed_stream.golden (recorded at
+// commit 8bbb4aa) — the sequence every recorded figure and
+// TestMPL1LogWaitClosedForm's tolerances were measured on.
+func TestClosedLoopRequestStreamGolden(t *testing.T) {
+	want, err := os.ReadFile("testdata/closed_stream.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{MPL: 2, Customers: 18000, HotspotSize: 1000, HotspotProb: 0.9, Mix: UniformMix(), Seed: 42}
+	var got strings.Builder
+	for id := int64(0); id < 2; id++ {
+		rng := streamRNG(cfg.Seed, id)
+		for i := 0; i < 200; i++ {
+			typ, p := draw(&cfg, rng)
+			fmt.Fprintf(&got, "%d %s %s %s %d\n", id, typ, p.N1, p.N2, p.V)
+		}
+	}
+	if got.String() != string(want) {
+		g, w := strings.Split(got.String(), "\n"), strings.Split(string(want), "\n")
+		for i := range g {
+			if i >= len(w) || g[i] != w[i] {
+				t.Fatalf("request stream diverges at draw %d: got %q, golden %q", i, g[i], w[min(i, len(w)-1)])
+			}
+		}
+		t.Fatalf("request stream is a strict prefix of the golden: %d lines, want %d", len(g), len(w))
+	}
 }

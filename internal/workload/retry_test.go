@@ -126,3 +126,88 @@ func TestRetryStatsSurfaceInResult(t *testing.T) {
 		t.Fatalf("per-type retries %d != total %d", perTypeRetries, res.Retries)
 	}
 }
+
+func TestRetryBudgetTokenBucket(t *testing.T) {
+	// No refill: exactly burst tokens, then denials.
+	b := NewRetryBudget(0, 3)
+	for i := 0; i < 3; i++ {
+		if !b.Allow() {
+			t.Fatalf("token %d refused with a full bucket", i)
+		}
+	}
+	if b.Allow() {
+		t.Fatal("empty bucket granted a token")
+	}
+	if b.Allow() {
+		t.Fatal("empty zero-rate bucket refilled")
+	}
+	if b.Denied() != 2 {
+		t.Fatalf("denied = %d, want 2", b.Denied())
+	}
+}
+
+func TestRetryBudgetRefills(t *testing.T) {
+	b := NewRetryBudget(1000, 1) // 1 token/ms
+	if !b.Allow() {
+		t.Fatal("initial token refused")
+	}
+	if b.Allow() {
+		t.Fatal("bucket granted past burst")
+	}
+	time.Sleep(5 * time.Millisecond)
+	if !b.Allow() {
+		t.Fatal("bucket did not refill")
+	}
+}
+
+func TestBudgetedPolicyChargesOnlyRealRetries(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	b := NewRetryBudget(0, 2)
+	p := BudgetedPolicy{Inner: ImmediatePolicy{MaxRetries: 1}, Budget: b}
+
+	// n=2 > MaxRetries: the inner policy refuses, so the budget must
+	// not be consulted (no token spent, no denial counted).
+	if _, ok := p.Backoff(2, 0, rng); ok {
+		t.Fatal("inner refusal overridden")
+	}
+	if b.Denied() != 0 {
+		t.Fatalf("denied = %d after inner refusal", b.Denied())
+	}
+	// Two inner-approved retries drain the bucket; the third becomes a
+	// give-up charged as a denial.
+	for i := 0; i < 2; i++ {
+		if _, ok := p.Backoff(1, 0, rng); !ok {
+			t.Fatalf("budgeted retry %d refused with tokens left", i)
+		}
+	}
+	if _, ok := p.Backoff(1, 0, rng); ok {
+		t.Fatal("retry granted on an empty budget")
+	}
+	if b.Denied() != 1 {
+		t.Fatalf("denied = %d, want 1", b.Denied())
+	}
+}
+
+func TestRunSurfacesBudgetGiveUps(t *testing.T) {
+	// Hot single-row contention under 2PL with lock timeouts generates
+	// retriable aborts; a zero-refill budget of 1 means nearly every
+	// retry is denied and the run must surface those give-ups.
+	db := loadedDB(t, core.Strict2PL, 20)
+	budget := NewRetryBudget(0, 1)
+	res, err := Run(db, Config{
+		MPL:         8,
+		Customers:   20,
+		HotspotSize: 2,
+		HotspotProb: 1.0,
+		Measure:     measure(150 * time.Millisecond),
+		Seed:        4,
+		MaxRetries:  10,
+		Retry:       BudgetedPolicy{Inner: ImmediatePolicy{MaxRetries: 10}, Budget: budget},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.BudgetGiveUps != budget.Denied() {
+		t.Fatalf("BudgetGiveUps = %d, budget denied %d", res.BudgetGiveUps, budget.Denied())
+	}
+}

@@ -16,8 +16,8 @@
 //     edges, dangerous structures, and the materialization/promotion
 //     repairs (internal/sdg);
 //   - the SmallBank benchmark with every strategy of the paper's §III-D
-//     (internal/smallbank) and a closed-system workload driver
-//     (internal/workload);
+//     (internal/smallbank) and the workload driver, closed loop or
+//     Poisson arrivals (internal/workload);
 //   - a runtime multi-version serialization graph checker that certifies
 //     executions serializable or produces an anomaly witness
 //     (internal/checker);
@@ -205,7 +205,8 @@ func RunSmallBank(db *DB, s *Strategy, typ TxnType, p TxnParams) error {
 
 // Workload driver.
 type (
-	// WorkloadConfig parameterizes a closed-system run.
+	// WorkloadConfig parameterizes a run: MPL closed-loop clients or
+	// Rate Poisson arrivals per second.
 	WorkloadConfig = workload.Config
 	// WorkloadResult is its outcome.
 	WorkloadResult = workload.Result
