@@ -33,8 +33,10 @@ race:
 	$(GO) test -race ./...
 
 # Concurrency stress suite (goroutine fleets + property-based lock-table
-# equivalence, plus the MPL-16 online-checker subscription) under the
-# race detector, twice, to vary schedules.
+# equivalence, lock-free chain readers against pruning writers and the
+# prune-visibility property in storage, checkpoints streaming under an
+# overwrite storm in engine, plus the MPL-16 online-checker
+# subscription) under the race detector, twice, to vary schedules.
 stress:
 	$(GO) test -race -count=2 -run 'TestStress|TestQuick' ./internal/storage ./internal/engine ./internal/workload
 
@@ -138,13 +140,18 @@ benchspine:
 
 # Overload smoke: a short open-system run at an offered load well past
 # saturation with the adaptive admission gate and per-transaction
-# deadlines on, online-checked. The binary exits nonzero if the
-# admission gate leaks a slot or waiter after the drain, or if the
-# checker finds an isolation violation; a second run races shutdown
-# against a full admission queue under the race detector.
+# deadlines on, online-checked — the admission arm of EXPERIMENTS.md's
+# overload table: a 16-slot wait queue and budgeted backoff retries (with
+# the default 4096-slot queue every admitted transaction has spent its
+# deadline waiting, and the run commits nothing). The binary exits
+# nonzero if the admission gate leaks a slot or waiter after the drain,
+# if nothing commits inside the measured window, or if the checker finds
+# an isolation violation; a second run races shutdown against a full
+# admission queue under the race detector.
 overload:
-	$(GO) run ./cmd/smallbank -rate 4000 -admission -deadline 50ms \
-		-customers 300 -hotspot 20 -ramp 50ms -measure 400ms -seed 7 -check > /dev/null
+	$(GO) run ./cmd/smallbank -rate 4000 -admission -admission-queue 16 -deadline 100ms \
+		-retry backoff -retry-shared-rate 200 \
+		-customers 300 -hotspot 20 -ramp 100ms -measure 400ms -seed 7 -check > /dev/null
 	$(GO) test -race -count=1 -run 'TestAdmission|TestRunArrivals|TestRunRejectsBadConfig|TestInteractionAccountsAlike' ./internal/engine ./internal/workload
 
 # Fuzz the network server's wire layer: arbitrary bytes through the

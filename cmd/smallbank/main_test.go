@@ -70,6 +70,19 @@ func TestAdmissionAuditedUnderClosedLoop(t *testing.T) {
 	}
 }
 
+// TestAdmissionZeroGoodputFails: behind the gate, a measured window in
+// which nothing commits fails the run (here every transaction's budget
+// is spent before its first statement) — after the full report.
+func TestAdmissionZeroGoodputFails(t *testing.T) {
+	bin := buildSmallbank(t)
+	out, err := exec.Command(bin, append([]string{"-rate", "1500", "-admission", "-deadline", "1us"}, small...)...).CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+		t.Fatalf("exit = %v, want status 1; output:\n%s", err, out)
+	}
+	requireLines(t, string(out), "throughput: 0.0 TPS", "admission gate:", "no transaction committed in the measured window")
+}
+
 // TestRateChaosAuditsInvariants: -rate with -chaos arms the fault plan
 // and audits conservation and lock leaks like any other run.
 func TestRateChaosAuditsInvariants(t *testing.T) {

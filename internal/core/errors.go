@@ -65,6 +65,13 @@ var (
 	// simulated log device.
 	ErrWALClosed = errors.New("wal: log device closed")
 
+	// ErrSnapshotTooOld is returned by a read as of a CSN the snapshot
+	// horizon has passed (DB.ScanAsOf): version chains have been pruned
+	// behind the horizon, so the engine can no longer vouch for the
+	// state at that CSN. Transactions never see it — an open
+	// transaction's snapshot holds the horizon back.
+	ErrSnapshotTooOld = errors.New("engine: snapshot too old, versions pruned behind the horizon")
+
 	// ErrInjected is the base error used by failure-injection tests.
 	ErrInjected = errors.New("engine: injected fault")
 )

@@ -133,6 +133,7 @@ func logVars(t *testing.T, db *DB) (v struct {
 	Stats                                wal.Stats
 	CommitsPerSync                       float64
 	Checkpoint                           CheckpointStats
+	Horizon                              HorizonStats
 }) {
 	t.Helper()
 	b, err := json.Marshal(db.LogVars())

@@ -263,8 +263,13 @@ type DB struct {
 	// deadlines, then measure with them.
 	defaultDeadline atomic.Int64
 
-	obsMu    sync.Mutex
-	observer Observer
+	// observer is the installed commit observer (nil: none). Begin
+	// samples it once, so a transaction either records its read and
+	// write sets for the observer throughout or not at all.
+	observer atomic.Pointer[Observer]
+
+	// hz is the snapshot horizon (horizon.go).
+	hz horizon
 
 	ssi *ssiState
 
@@ -303,7 +308,7 @@ func Open(cfg Config) *DB {
 	}
 	db.seqWaiters = make(map[uint64]chan struct{})
 	if cfg.Mode == core.SerializableSI {
-		db.ssi = newSSIState()
+		db.ssi = newSSIState(&db.hz)
 	}
 	db.defaultDeadline.Store(int64(cfg.DefaultTxDeadline))
 	if cfg.Admission != nil {
@@ -473,8 +478,9 @@ func (db *DB) DurableSeq() uint64 {
 // the durability-lag gauge (how far published commits run ahead of the
 // device: 0 in sync mode once quiescent, the exposure window under
 // async commit), the log's raw flush/sync counters with the
-// group-commit gauge derived from them, and the fuzzy-checkpoint gauges
-// (chain shape, dirty-set size, cumulative commit-barrier pause). See
+// group-commit gauge derived from them, the fuzzy-checkpoint gauges
+// (chain shape, dirty-set size, cumulative commit-barrier pause) and
+// the snapshot horizon (what version pruning waits for). See
 // docs/OBSERVABILITY.md §9.
 func (db *DB) LogVars() any {
 	durable, commit := db.DurableSeq(), db.CommitSeq()
@@ -486,6 +492,7 @@ func (db *DB) LogVars() any {
 		"Stats":          stats,
 		"CommitsPerSync": stats.CommitsPerSync(),
 		"Checkpoint":     db.CheckpointStats(),
+		"Horizon":        db.HorizonStats(),
 	}
 }
 
@@ -526,8 +533,10 @@ const DefaultCheckpointChainMax = 8
 // commit barrier is held only for the cut — read the visible CSN, swap
 // the dirty epochs, append the begin marker, sample the retirement
 // bound — while the expensive parts (resolving after-images, streaming
-// them, the end-marker sync) run concurrently with commits: versions
-// at or below the cut are immutable, and appending the begin marker
+// them, the end-marker sync) run concurrently with commits: the cut is
+// pinned in the snapshot horizon from the barrier hold until the
+// after-images are resolved, so the versions the link reads are not
+// pruned under it, and appending the begin marker
 // under the barrier guarantees no commit with CSN > cut precedes it in
 // the byte stream. After a full link completes, segments wholly behind
 // the chain root are retired when Config.RetireSegments is set.
@@ -557,6 +566,12 @@ func (db *DB) Checkpoint() (uint64, error) {
 		db.ckptMu.Unlock()
 		return cut, nil // nothing committed since the previous link
 	}
+	// Pinned while the barrier still holds the visible CSN at cut, so no
+	// horizon — which never exceeds the visible CSN — has passed it.
+	if err := db.hz.pin(cut); err != nil {
+		db.ckptMu.Unlock()
+		return 0, err
+	}
 	dirty := make(map[string][]core.Value)
 	for _, name := range db.store.TableNames() {
 		t, terr := db.store.Table(name)
@@ -584,6 +599,7 @@ func (db *DB) Checkpoint() (uint64, error) {
 	db.ckptPauseNS.Add(pause)
 	db.lastPauseNS.Store(pause)
 	if err != nil {
+		db.hz.unpin(cut)
 		db.resetChain()
 		return 0, err
 	}
@@ -594,6 +610,9 @@ func (db *DB) Checkpoint() (uint64, error) {
 	} else {
 		rows = wal.SnapshotDelta(db.store, dirty, cut)
 	}
+	// The rows now reference the immutable records themselves; the
+	// chains may be cut.
+	db.hz.unpin(cut)
 	if db.tracer.Enabled() {
 		db.tracer.Emit(trace.Event{Kind: trace.EvCkptBegin, CSN: cut, Depth: len(rows)})
 	}
@@ -745,11 +764,14 @@ func (db *DB) SetResources(cfg simres.Config) { db.machine = simres.New(cfg) }
 // WAL exposes the simulated log device for stats and fault injection.
 func (db *DB) WAL() *wal.WAL { return db.log }
 
-// SetObserver installs the commit observer (nil disables).
+// SetObserver installs the commit observer (nil disables). It takes
+// effect for transactions begun afterwards.
 func (db *DB) SetObserver(o Observer) {
-	db.obsMu.Lock()
-	db.observer = o
-	db.obsMu.Unlock()
+	if o == nil {
+		db.observer.Store(nil)
+		return
+	}
+	db.observer.Store(&o)
 }
 
 // SetWaitObserver installs the lock wait/wake observer (nil disables).
@@ -881,19 +903,23 @@ func (db *DB) Begin() *Tx {
 	// it precedes the first data access.
 	db.machine.UseCPU(db.machine.TxnCost(0))
 
-	// The snapshot point is one atomic load: every CSN ≤ visibleCSN is
-	// fully stamped (publishCSN advances in order, after stamping).
-	start := db.visibleCSN.Load()
-
 	tx := &Tx{
 		db:       db,
 		id:       db.nextTxID.Add(1),
-		start:    start,
 		reg:      true,
 		admitted: admitted,
 		lockWait: db.cfg.LockWaitTimeout,
 		deadline: deadline,
 	}
+	if o := db.observer.Load(); o != nil {
+		tx.obs = *o
+	}
+	// The snapshot point is one atomic load: every CSN ≤ visibleCSN is
+	// fully stamped (publishCSN advances in order, after stamping). It is
+	// taken inside the horizon registry, so the horizon never passes a
+	// snapshot somebody holds.
+	db.hz.begin(tx, &db.visibleCSN)
+	start := tx.start
 	if beginErr != nil {
 		tx.failedErr = beginErr
 	}
@@ -915,6 +941,10 @@ func (db *DB) endTx(tx *Tx) {
 		if tx.admitted {
 			tx.admitted = false
 			db.gate.Release()
+		}
+		db.hz.end(tx)
+		if db.hz.ends.Add(1)%horizonEvery == 0 {
+			db.hz.advance(db.DurableSeq())
 		}
 		db.inflightN.Add(-1)
 		db.inflight.Done()
@@ -958,23 +988,27 @@ func (db *DB) ScanLatest(table string, fn func(key core.Value, rec core.Record) 
 // compute "published state restricted to acked-durable CSNs" from the
 // live database, without replaying the log. Like ScanLatest it bypasses
 // transactions; versions of in-flight transactions (CSN 0) are skipped.
+//
+// Version chains are pruned behind the snapshot horizon, so a cut the
+// horizon has passed fails with core.ErrSnapshotTooOld rather than
+// yielding rows the engine can no longer vouch for. The horizon never
+// passes DurableSeq (nor, therefore, CommitSeq), and the scan pins its
+// cut while it runs.
 func (db *DB) ScanAsOf(table string, cut uint64, fn func(key core.Value, rec core.Record) bool) error {
 	t, err := db.store.Table(table)
 	if err != nil {
 		return err
 	}
+	if err := db.hz.pin(cut); err != nil {
+		return err
+	}
+	defer db.hz.unpin(cut)
 	for _, k := range t.Keys() {
 		row := t.Row(k)
 		if row == nil {
 			continue
 		}
-		v := row.Head()
-		for v != nil {
-			if c := v.CSN(); c != 0 && c <= cut {
-				break
-			}
-			v = v.Prev
-		}
+		v := row.CommittedAsOf(cut)
 		if v == nil || v.Rec == nil {
 			continue
 		}
@@ -983,14 +1017,4 @@ func (db *DB) ScanAsOf(table string, cut uint64, fn func(key core.Value, rec cor
 		}
 	}
 	return nil
-}
-
-// notifyCommit delivers the commit record to the observer if installed.
-func (db *DB) notifyCommit(info TxInfo) {
-	db.obsMu.Lock()
-	o := db.observer
-	db.obsMu.Unlock()
-	if o != nil {
-		o.OnCommit(info)
-	}
 }

@@ -349,7 +349,7 @@ func TestVersionChainsStayOrdered(t *testing.T) {
 	}
 	row := tbl.Row(core.Int(1))
 	prev := ^uint64(0)
-	for v := row.Head(); v != nil; v = v.Prev {
+	for v := row.Head(); v != nil; v = v.Prev.Load() {
 		c := v.CSN()
 		if c == 0 {
 			t.Fatal("uncommitted version left behind")

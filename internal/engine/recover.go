@@ -140,7 +140,7 @@ func Recover(dev wal.LogDevice, cfg Config) (*DB, *RecoveryReport, error) {
 				if err := ix.Insert(0, v.Rec[ix.ColPos()], k); err != nil {
 					return fail(fmt.Errorf("engine: recover: index rebuild on %s.%s: %w", name, ix.Column(), err))
 				}
-				ix.Commit(0, v.CSN())
+				ix.Commit(0, v.CSN(), 0)
 			}
 		}
 	}

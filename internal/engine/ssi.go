@@ -58,28 +58,29 @@ func (t *ssiTxn) isDoomed() bool {
 
 // ssiState is the per-database SSI side structure.
 type ssiState struct {
+	// hz is the database's snapshot horizon: no active or future
+	// transaction starts below it, which is what makes a finished
+	// transaction's marks removable.
+	hz *horizon
+
 	mu      sync.Mutex
-	active  map[uint64]*ssiTxn
 	readers map[storage.LockKey][]*ssiTxn // SIREAD marks
 	writers map[storage.LockKey][]*ssiTxn
 	sweeps  int
 }
 
-func newSSIState() *ssiState {
+func newSSIState(hz *horizon) *ssiState {
 	return &ssiState{
-		active:  make(map[uint64]*ssiTxn),
+		hz:      hz,
 		readers: make(map[storage.LockKey][]*ssiTxn),
 		writers: make(map[storage.LockKey][]*ssiTxn),
 	}
 }
 
-// begin registers tx and attaches its SSI record.
+// begin attaches tx's SSI record. The set of active transactions is the
+// horizon's registry; SSI keeps none of its own.
 func (s *ssiState) begin(tx *Tx) {
-	t := &ssiTxn{id: tx.id, start: tx.start, deadFlag: make(chan struct{})}
-	tx.ssi = t
-	s.mu.Lock()
-	s.active[tx.id] = t
-	s.mu.Unlock()
+	tx.ssi = &ssiTxn{id: tx.id, start: tx.start, deadFlag: make(chan struct{})}
 }
 
 // concurrent reports whether u overlapped t (t is active). Committing
@@ -178,60 +179,47 @@ func (s *ssiState) precommit(tx *Tx) error {
 	return nil
 }
 
-// finish records tx's commit CSN and deregisters it from the active set.
+// finish records tx's commit CSN.
 func (s *ssiState) finish(tx *Tx, csn uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	tx.ssi.finished = true
 	tx.ssi.committing = false
 	tx.ssi.commitCSN = csn
-	delete(s.active, tx.id)
 	s.maybeSweepLocked()
 }
 
-// abort deregisters an aborted tx.
+// abort records that tx aborted.
 func (s *ssiState) abort(tx *Tx) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	tx.ssi.finished = true
 	tx.ssi.committing = false
 	tx.ssi.commitCSN = 0
-	delete(s.active, tx.id)
 	s.maybeSweepLocked()
-}
-
-// minActiveStart returns the smallest snapshot among active transactions,
-// or ^uint64(0) when none are active. Caller holds s.mu.
-func (s *ssiState) minActiveStart() uint64 {
-	min := ^uint64(0)
-	for _, t := range s.active {
-		if t.start < min {
-			min = t.start
-		}
-	}
-	return min
 }
 
 // removable reports whether a list entry can never matter again: the
 // transaction finished and no active (or future) transaction can be
-// concurrent with it. Caller holds s.mu.
-func (s *ssiState) removable(t *ssiTxn, minStart uint64) bool {
+// concurrent with it — it committed at or below the snapshot horizon.
+// Caller holds s.mu.
+func removable(t *ssiTxn, horizon uint64) bool {
 	if !t.finished {
 		return false
 	}
 	if t.commitCSN == 0 {
 		return true // aborted
 	}
-	return t.commitCSN <= minStart
+	return t.commitCSN <= horizon
 }
 
 // pruneLocked compacts one key's list. Caller holds s.mu.
 func (s *ssiState) pruneLocked(m map[storage.LockKey][]*ssiTxn, k storage.LockKey) []*ssiTxn {
 	list := m[k]
-	minStart := s.minActiveStart()
+	horizon := s.hz.csn.Load()
 	kept := list[:0]
 	for _, t := range list {
-		if !s.removable(t, minStart) {
+		if !removable(t, horizon) {
 			kept = append(kept, t)
 		}
 	}
@@ -251,12 +239,12 @@ func (s *ssiState) maybeSweepLocked() {
 	if s.sweeps%512 != 0 {
 		return
 	}
-	minStart := s.minActiveStart()
+	horizon := s.hz.csn.Load()
 	for _, m := range []map[storage.LockKey][]*ssiTxn{s.readers, s.writers} {
 		for k, list := range m {
 			kept := list[:0]
 			for _, t := range list {
-				if !s.removable(t, minStart) {
+				if !removable(t, horizon) {
 					kept = append(kept, t)
 				}
 			}

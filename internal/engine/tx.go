@@ -56,9 +56,18 @@ type Tx struct {
 	// honoured by the sync-commit WAL flush-group wait.
 	deadline time.Time
 
+	// snapPrev/snapNext link the handle into its stripe of the snapshot
+	// horizon's open-transaction registry (horizon.go), from Begin to
+	// endTx; guarded by the stripe's mutex.
+	snapPrev, snapNext *Tx
+
+	// obs is the commit observer sampled at Begin (nil: none installed).
+	// Only its consumer pays for the read set and the commit summary.
+	obs Observer
+
 	writes []writeRec
 	sfus   []sfuRec
-	reads  []VersionRef
+	reads  []VersionRef // kept only while obs != nil
 
 	// failedErr is set after a serialization failure or deadlock; like
 	// PostgreSQL's "current transaction is aborted" state, every later
@@ -280,16 +289,19 @@ func (tx *Tx) visibleVersion(row *storage.Row) *storage.Version {
 	return row.Visible(tx.start, tx.id)
 }
 
-// recordRead registers a read for the observer/SSI. Reads of the
-// transaction's own writes are not dependencies and are skipped. The
-// EvReadVer event mirrors the recorded entry exactly (version CSN
-// included), so a trace consumer can rebuild the dependency-relevant
-// read set without the Observer hook.
+// recordRead registers a read for the observer and the trace, whichever
+// is listening. Reads of the transaction's own writes are not
+// dependencies and are skipped. The EvReadVer event mirrors the
+// recorded entry exactly (version CSN included), so a trace consumer
+// can rebuild the dependency-relevant read set without the Observer
+// hook.
 func (tx *Tx) recordRead(tbl *storage.Table, key core.Value, v *storage.Version) {
 	if v.Creator == tx.id && v.CSN() == 0 {
 		return
 	}
-	tx.reads = append(tx.reads, VersionRef{Table: tbl.Name(), Key: key, CSN: v.CSN()})
+	if tx.obs != nil {
+		tx.reads = append(tx.reads, VersionRef{Table: tbl.Name(), Key: key, CSN: v.CSN()})
+	}
 	if tx.db.tracer.Enabled() {
 		tx.db.tracer.Emit(trace.Event{Kind: trace.EvReadVer, Tx: tx.id, Table: tbl.Name(), Key: key, CSN: v.CSN()})
 	}
@@ -573,6 +585,19 @@ func (tx *Tx) ReadForUpdate(table string, key core.Value) (core.Record, error) {
 // on the commercial platform, no select-for-updates).
 func (tx *Tx) ReadOnly() bool { return len(tx.writes) == 0 && len(tx.sfus) == 0 }
 
+// firstWriteTo reports whether tx.writes[i] is the transaction's first
+// write to its table, so per-table work (index commit and abort) runs
+// once per table. A transaction writes a handful of rows; scanning
+// them costs less than a set.
+func (tx *Tx) firstWriteTo(i int) bool {
+	for _, w := range tx.writes[:i] {
+		if w.table == tx.writes[i].table {
+			return false
+		}
+	}
+	return true
+}
+
 // rowImages collects the final after-image of every row this
 // transaction wrote, for the durable commit record. tx.writes holds one
 // entry per distinct row (repeat writes go through Row.UpdateOwn and
@@ -686,13 +711,8 @@ func (tx *Tx) Commit() error {
 		}
 	}
 
-	info := TxInfo{
-		ID:       tx.id,
-		StartCSN: tx.start,
-		ReadOnly: len(tx.writes) == 0,
-		Tag:      tx.tag,
-		Reads:    tx.reads,
-	}
+	// Read-only: logically commits at its snapshot.
+	commitCSN := tx.start
 
 	if updating {
 		// Commit-time CPU of an updating transaction (log-record and
@@ -790,7 +810,6 @@ func (tx *Tx) Commit() error {
 		}
 		for _, w := range tx.writes {
 			w.ver.MarkCommitted(csn)
-			info.Writes = append(info.Writes, VersionRef{Table: w.table.Name(), Key: w.key, CSN: csn})
 		}
 		// The committed write set, one EvWriteVer per row, emitted after
 		// the CSN exists and before EvCommit (same shard, so per-tx FIFO
@@ -802,12 +821,13 @@ func (tx *Tx) Commit() error {
 				tx.db.tracer.Emit(trace.Event{Kind: trace.EvWriteVer, Tx: tx.id, Table: w.table.Name(), Key: w.key, CSN: csn})
 			}
 		}
-		seen := make(map[*storage.Table]bool)
-		for _, w := range tx.writes {
-			if !seen[w.table] {
-				seen[w.table] = true
+		// One horizon read serves the index entries now and the version
+		// chains after publication; an older horizon only prunes less.
+		horizon := tx.db.hz.csn.Load()
+		for i, w := range tx.writes {
+			if len(w.table.Indexes()) > 0 && tx.firstWriteTo(i) {
 				for _, ix := range w.table.Indexes() {
-					ix.Commit(tx.id, csn)
+					ix.Commit(tx.id, csn, horizon)
 				}
 			}
 		}
@@ -828,21 +848,30 @@ func (tx *Tx) Commit() error {
 		}
 		tx.db.publishCSN(csn)
 		tx.db.ckptMu.RUnlock()
+		// Vacuum on write: cut each written chain behind the horizon,
+		// after publication (the new version is the one later snapshots
+		// read) and before the locks release (no other writer links into
+		// these chains meanwhile). Readers walk them lock-free throughout;
+		// none reads below the horizon.
+		pruned := 0
+		for _, w := range tx.writes {
+			pruned += w.row.Prune(horizon)
+		}
+		if pruned > 0 {
+			tx.db.hz.pruned.Add(uint64(pruned))
+		}
 		// Delay-only: the commit is published; a stall here holds row
 		// locks across an already-visible commit.
 		tx.db.faults.FireDelayOnly(FaultCSNPublish, faultinject.Ctx{Tx: tx.id})
-		info.CommitCSN = csn
+		commitCSN = csn
 		tx.commitCSN = csn
 		if async {
 			tx.durable = done
 		}
-	} else {
-		// Read-only: logically commits at its snapshot.
-		info.CommitCSN = tx.start
 	}
 
 	if tx.ssi != nil {
-		tx.db.ssi.finish(tx, info.CommitCSN)
+		tx.db.ssi.finish(tx, commitCSN)
 	}
 	tx.db.locks.ReleaseAll(tx.id)
 	tx.done = true
@@ -852,10 +881,23 @@ func (tx *Tx) Commit() error {
 		tx.db.txnMetrics.CommitLatency.Record(time.Since(commitStart))
 	}
 	if tx.db.tracer.Enabled() {
-		tx.db.tracer.Emit(trace.Event{Kind: trace.EvCommit, Tx: tx.id, CSN: info.CommitCSN})
+		tx.db.tracer.Emit(trace.Event{Kind: trace.EvCommit, Tx: tx.id, CSN: commitCSN})
 	}
 	tx.db.endTx(tx)
-	tx.db.notifyCommit(info)
+	if tx.obs != nil {
+		info := TxInfo{
+			ID:        tx.id,
+			StartCSN:  tx.start,
+			CommitCSN: commitCSN,
+			ReadOnly:  len(tx.writes) == 0,
+			Tag:       tx.tag,
+			Reads:     tx.reads,
+		}
+		for _, w := range tx.writes {
+			info.Writes = append(info.Writes, VersionRef{Table: w.table.Name(), Key: w.key, CSN: commitCSN})
+		}
+		tx.obs.OnCommit(info)
+	}
 	return nil
 }
 
@@ -869,10 +911,8 @@ func (tx *Tx) Abort() {
 	for i := len(tx.writes) - 1; i >= 0; i-- {
 		tx.writes[i].row.RemoveUncommitted(tx.id)
 	}
-	seen := make(map[*storage.Table]bool)
-	for _, w := range tx.writes {
-		if !seen[w.table] {
-			seen[w.table] = true
+	for i, w := range tx.writes {
+		if len(w.table.Indexes()) > 0 && tx.firstWriteTo(i) {
 			for _, ix := range w.table.Indexes() {
 				ix.Abort(tx.id)
 			}

@@ -152,12 +152,23 @@ func (ix *UniqueIndex) Lookup(snapshotCSN, self uint64, val core.Value) (core.Va
 
 // Commit stamps all of tx's uncommitted entries with csn. Each stamp is
 // applied under the entry's stripe lock so concurrent Lookups never see
-// a torn CSN.
-func (ix *UniqueIndex) Commit(tx, csn uint64) {
+// a torn CSN. Each stamped value's entry list then takes the cut
+// Row.Prune gives a version chain: nothing below the newest entry
+// committed at or below horizon is kept, under the same guarantee that
+// no reader uses a snapshot below horizon.
+func (ix *UniqueIndex) Commit(tx, csn, horizon uint64) {
 	for _, e := range ix.takePending(tx) {
 		s := ix.stripe(e.val)
 		s.mu.Lock()
 		e.csn = csn
+		chain := s.entries[e.val]
+		for i, c := range chain {
+			if c.csn != 0 && c.csn <= horizon {
+				clear(chain[i+1:])
+				s.entries[e.val] = chain[:i+1]
+				break
+			}
+		}
 		s.mu.Unlock()
 	}
 }

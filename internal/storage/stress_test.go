@@ -315,7 +315,7 @@ func TestStressStripedStorage(t *testing.T) {
 				}
 				if rng.Intn(2) == 0 {
 					csn := committed.Add(1)
-					ix.Commit(tx, csn)
+					ix.Commit(tx, csn, 0)
 					if pk, ok := ix.Lookup(^uint64(0), 0, val); !ok || pk != core.Int(int64(id)) {
 						t.Errorf("lookup after commit: got %v, %v", pk, ok)
 						return

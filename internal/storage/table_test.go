@@ -142,7 +142,7 @@ func TestUniqueIndexLifecycle(t *testing.T) {
 		t.Fatalf("re-insert by creator: %v", err)
 	}
 
-	ix.Commit(1, 5)
+	ix.Commit(1, 5, 0)
 	if pk, ok := ix.Lookup(5, 9, core.Int(100)); !ok || pk != core.Str("alice") {
 		t.Fatalf("post-commit lookup = %v, %v", pk, ok)
 	}
@@ -163,7 +163,7 @@ func TestUniqueIndexLifecycle(t *testing.T) {
 	if _, ok := ix.Lookup(10, 9, core.Int(100)); !ok {
 		t.Fatal("tombstone leaked before commit")
 	}
-	ix.Commit(4, 6)
+	ix.Commit(4, 6, 0)
 	if _, ok := ix.Lookup(6, 9, core.Int(100)); ok {
 		t.Fatal("entry visible after committed delete")
 	}
@@ -185,7 +185,7 @@ func TestUniqueIndexAbortCleans(t *testing.T) {
 	if err := ix.Insert(2, core.Int(7), core.Str("b")); err != nil {
 		t.Fatalf("insert after abort: %v", err)
 	}
-	ix.Commit(2, 3)
+	ix.Commit(2, 3, 0)
 	if pk, ok := ix.Lookup(3, 9, core.Int(7)); !ok || pk != core.Str("b") {
 		t.Fatal("post-abort reinsert lost")
 	}

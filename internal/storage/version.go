@@ -7,6 +7,15 @@
 // immediately, to others only after commit), row-level exclusive locks
 // serialize writers, and readers never block. Concurrency control policy
 // (snapshot isolation, 2PL, SSI) lives above, in internal/engine.
+//
+// Old versions are pruned, not kept for ever. The engine maintains one
+// snapshot horizon — a CSN no current or future reader reads below — and
+// the committing writer cuts each chain it wrote behind that horizon
+// (Row.Prune; UniqueIndex.Commit takes the same cut), which is
+// vacuum-on-write in the manner of PostgreSQL's HOT pruning. A chain
+// therefore keeps the newest version committed at or below the horizon
+// and everything newer; a reader at or above the horizon never notices,
+// because it stops at that version or before it.
 package storage
 
 import (
@@ -25,9 +34,10 @@ type Version struct {
 	Rec core.Record
 	// Creator is the transaction id that produced this version.
 	Creator uint64
-	// Prev is the next older version, immutable once the version is
-	// linked into a chain.
-	Prev *Version
+	// Prev is the next older version. It is written when the version is
+	// linked (Install) and cleared when the chain is cut below the
+	// version (Row.Prune); chain walkers load it atomically.
+	Prev atomic.Pointer[Version]
 
 	csn atomic.Uint64
 }
@@ -73,7 +83,7 @@ func (r *Row) Head() *Version { return r.head.Load() }
 // transaction id, or nil if none is. A nil result or a tombstone
 // (Rec == nil) both mean "no row" to the caller.
 func (r *Row) Visible(snapshotCSN, self uint64) *Version {
-	for v := r.Head(); v != nil; v = v.Prev {
+	for v := r.Head(); v != nil; v = v.Prev.Load() {
 		if v.VisibleTo(snapshotCSN, self) {
 			return v
 		}
@@ -83,8 +93,21 @@ func (r *Row) Visible(snapshotCSN, self uint64) *Version {
 
 // NewestCommitted returns the newest committed version, or nil.
 func (r *Row) NewestCommitted() *Version {
-	for v := r.Head(); v != nil; v = v.Prev {
+	for v := r.Head(); v != nil; v = v.Prev.Load() {
 		if v.CSN() != 0 {
+			return v
+		}
+	}
+	return nil
+}
+
+// CommittedAsOf returns the newest committed version with CSN ≤ cut, or
+// nil: the row as a reader that is no transaction sees it at cut (a
+// checkpoint link, a scan of the state some CSN published). Unlike
+// Visible it honours nobody's uncommitted writes.
+func (r *Row) CommittedAsOf(cut uint64) *Version {
+	for v := r.Head(); v != nil; v = v.Prev.Load() {
+		if c := v.CSN(); c != 0 && c <= cut {
 			return v
 		}
 	}
@@ -97,7 +120,7 @@ func (r *Row) NewestCommitted() *Version {
 func (r *Row) Install(v *Version) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	v.Prev = r.head.Load()
+	v.Prev.Store(r.head.Load())
 	r.head.Store(v)
 }
 
@@ -111,7 +134,7 @@ func (r *Row) RemoveUncommitted(tx uint64) bool {
 	if h == nil || h.Creator != tx || h.CSN() != 0 {
 		return false
 	}
-	r.head.Store(h.Prev)
+	r.head.Store(h.Prev.Load())
 	return true
 }
 
@@ -146,10 +169,34 @@ func (r *Row) NoteSFUCommit(csn uint64) {
 // this row (commercial platform), or 0.
 func (r *Row) LastSFUCommit() uint64 { return r.lastSFUCommit.Load() }
 
+// Prune cuts the chain below the newest committed version with
+// CSN ≤ horizon and returns the number of versions dropped. The caller
+// holds the row's exclusive lock (the committing writer, between
+// publishing its CSN and releasing its locks) and guarantees that no
+// current or future reader uses a snapshot below horizon: such a reader
+// stops at the cut version or above it, so it never follows the pointer
+// being cleared, and readers need no lock.
+func (r *Row) Prune(horizon uint64) int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	keep := r.CommittedAsOf(horizon)
+	if keep == nil {
+		return 0
+	}
+	n := 0
+	for d := keep.Prev.Load(); d != nil; d = d.Prev.Load() {
+		n++
+	}
+	if n > 0 {
+		keep.Prev.Store(nil)
+	}
+	return n
+}
+
 // ChainLen returns the number of versions in the chain; diagnostics only.
 func (r *Row) ChainLen() int {
 	n := 0
-	for v := r.Head(); v != nil; v = v.Prev {
+	for v := r.Head(); v != nil; v = v.Prev.Load() {
 		n++
 	}
 	return n

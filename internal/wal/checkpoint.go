@@ -12,10 +12,12 @@ import (
 // key was deleted (or never live) at the cut. It does NOT need the
 // commit barrier while it runs — versions with csn <= cut are immutable
 // once published, so commits stamping newer versions concurrently never
-// perturb the result. The caller guarantees only
+// perturb the result. The caller guarantees
 // that the dirty set was drained under the barrier at cut (every
 // commit <= cut has marked its keys; keys dirtied by later commits
-// belong to the next epoch).
+// belong to the next epoch) and that cut stays at or above the engine's
+// snapshot horizon while this runs, so pruning writers leave the
+// versions it reads in place.
 //
 // Keys are resolved in sorted (table, key) order so the streamed link
 // is deterministic for a given dirty set.
@@ -36,12 +38,9 @@ func SnapshotDelta(store *storage.Store, dirty map[string][]core.Value, cut uint
 		for _, k := range keys {
 			dr := DeltaRow{Table: name, Key: k}
 			if row := t.Row(k); row != nil {
-				for c := row.Head(); c != nil; c = c.Prev {
-					if csn := c.CSN(); csn != 0 && csn <= cut {
-						dr.CSN = csn
-						dr.Rec = c.Rec // nil for a tombstone version
-						break
-					}
+				if v := row.CommittedAsOf(cut); v != nil {
+					dr.CSN = v.CSN()
+					dr.Rec = v.Rec // nil for a tombstone version
 				}
 			}
 			out = append(out, dr)
@@ -52,8 +51,9 @@ func SnapshotDelta(store *storage.Store, dirty map[string][]core.Value, cut uint
 
 // SnapshotAll streams every live row as of cut as DeltaRow images —
 // the payload of a full (Base == 0) chain link. Like SnapshotDelta it
-// runs without the commit barrier: versions at or below the cut are
-// immutable, and keys born after the cut resolve to nothing. Keys with
+// runs without the commit barrier and under the same horizon
+// guarantee: versions at or below the cut are immutable, and keys born
+// after the cut resolve to nothing. Keys with
 // no live version at the cut are skipped entirely — a full link folds
 // from an empty map, so a tombstone would carry nothing.
 func SnapshotAll(store *storage.Store, cut uint64) []DeltaRow {
@@ -68,13 +68,8 @@ func SnapshotAll(store *storage.Store, cut uint64) []DeltaRow {
 			if row == nil {
 				continue
 			}
-			for c := row.Head(); c != nil; c = c.Prev {
-				if csn := c.CSN(); csn != 0 && csn <= cut {
-					if c.Rec != nil {
-						out = append(out, DeltaRow{Table: name, Key: k, CSN: csn, Rec: c.Rec})
-					}
-					break
-				}
+			if v := row.CommittedAsOf(cut); v != nil && v.Rec != nil {
+				out = append(out, DeltaRow{Table: name, Key: k, CSN: v.CSN(), Rec: v.Rec})
 			}
 		}
 	}

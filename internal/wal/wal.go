@@ -423,13 +423,7 @@ func (w *WAL) claimWindow() (window []*Record, deadline time.Time) {
 // torn fragment, and bricks the WAL, as does any device error or failed
 // sync. Either the whole window is acknowledged or none of it is.
 func (w *WAL) flushWindow(window []*Record) {
-	var frames []byte
-	bytes := 0
-	for _, r := range window {
-		bytes += r.Bytes
-		frames = append(frames, r.enc...)
-	}
-
+	frames, bytes := windowFrames(window)
 	err := w.writeWindow(frames)
 	w.mu.Lock()
 	if w.cfg.FsyncLatency > 0 && w.cfg.Device != nil {
@@ -450,6 +444,30 @@ func (w *WAL) flushWindow(window []*Record) {
 		w.traceFlush(len(window), bytes)
 	}
 	w.resolve(window, err)
+}
+
+// windowFrames returns the bytes one window appends and their accounted
+// size: a lone record's own encoding as it stands (the device copies or
+// writes out what it is handed and keeps no reference), or every
+// record's, concatenated into a buffer sized once. Like traceFlush it
+// stays out of line: inlined, its loops' locals would sit in
+// flushWindow's frame for the whole device write beneath it.
+//
+//go:noinline
+func windowFrames(window []*Record) (frames []byte, bytes int) {
+	if len(window) == 1 {
+		return window[0].enc, window[0].Bytes
+	}
+	size := 0
+	for _, r := range window {
+		bytes += r.Bytes
+		size += len(r.enc)
+	}
+	frames = make([]byte, 0, size)
+	for _, r := range window {
+		frames = append(frames, r.enc...)
+	}
+	return frames, bytes
 }
 
 // traceFlush emits a window's EvWALFlush — a device-level event: no

@@ -89,8 +89,9 @@ func TestRunOnlineCheckerRetainsTrace(t *testing.T) {
 // TestStressOnlineCheck is the race-detector stress: MPL 16 on a
 // pathological hotspot with the online checker subscribed to the live
 // stream, under both serializability-guaranteeing modes. The checker
-// must keep its window bounded while thousands of transactions stream
-// through, produce zero false verdicts, and lose no events.
+// must keep its window bounded while hundreds to thousands of commits
+// (and several times as many aborted attempts) stream through, produce
+// zero false verdicts, and lose no events.
 func TestStressOnlineCheck(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
@@ -112,6 +113,17 @@ func TestStressOnlineCheck(t *testing.T) {
 				MPL:      16, Customers: 200, HotspotSize: 4, HotspotProb: 1.0,
 				Ramp: 20 * time.Millisecond, Measure: measure(400 * time.Millisecond), Seed: 17,
 				Check: chk,
+				// Jittered backoff, not the default immediate rerun: under SSI
+				// sixteen clients rerunning at once on four customers abort
+				// each other for as long as they stay in step, and how long
+				// that is depends on the scheduler — measured under -race
+				// -count=2 beside the other stress packages, immediate reruns
+				// committed 33–703 transactions in this window (5–10 % of
+				// attempts, with give-ups) and missed the 100-commit floor
+				// below in half the runs; with backoff it is 420–2171 and no
+				// give-up. The floor is about the checker having a stream
+				// worth checking, not about retry luck.
+				Retry: DefaultBackoff(50),
 			})
 			if err != nil {
 				t.Fatal(err)
