@@ -93,7 +93,7 @@ func main() {
 
 	if *pprofAddr != "" {
 		// Live server gauges and counters next to the engine's transaction
-		// metrics: `curl host/debug/vars` shows sessions, sheds, drains and
+		// metrics: `curl host/debug/vars` shows connections, sheds, drains and
 		// aborted-on-disconnect counts (see docs/SERVER.md).
 		expvar.Publish("sicost_server", expvar.Func(func() any { return srv.Stats() }))
 		expvar.Publish("sicost_txn_metrics", expvar.Func(func() any { return db.TxnMetrics() }))

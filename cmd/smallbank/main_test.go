@@ -89,7 +89,7 @@ func TestRateChaosAuditsInvariants(t *testing.T) {
 	bin := buildSmallbank(t)
 	out := run(t, bin, "-rate", "1500", "-chaos", "-check", "-mode", "2pl", "-retry", "backoff")
 	requireLines(t, out, "offered:", "faults fired", "conservation: initial",
-		"lock audit: 0 held, 0 queued", "serializability under faults:", "invariants: all held")
+		"lock audit: 0 held, 0 queued", "online check:", "invariants: all held")
 }
 
 // TestWalFlagRejectsRegularFile runs the real binary with -wal pointed

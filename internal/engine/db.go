@@ -273,13 +273,11 @@ type DB struct {
 
 	ssi *ssiState
 
-	commits atomic.Uint64
-	aborts  atomic.Uint64
-
 	// tracer records lifecycle events; nil disables every emission point.
 	tracer *trace.Recorder
-	// txnMetrics holds the abort taxonomy and the lock-wait/commit-latency
-	// histograms; always allocated (recording into it is atomic adds).
+	// txnMetrics holds the commit count, the abort taxonomy and the
+	// commit-latency histogram; always allocated (recording into it is
+	// atomic adds). Lock waits are recorded by the lock table.
 	txnMetrics metrics.TxnMetrics
 }
 
@@ -302,7 +300,6 @@ func Open(cfg Config) *DB {
 		db.store.SetFaults(cfg.Faults)
 		db.log.SetFaults(cfg.Faults)
 	}
-	db.locks.SetWaitHistogram(&db.txnMetrics.LockWait)
 	if cfg.Tracer != nil {
 		db.setTracer(cfg.Tracer)
 	}
@@ -822,9 +819,14 @@ func (db *DB) Contention() ContentionStats {
 	}
 }
 
-// Stats returns cumulative commit and abort counts.
+// Stats returns cumulative commit and abort counts. Every rollback is
+// an abort here, voluntary ones (core.AbortNone) included — unlike
+// AbortSnapshot.Total, which leaves those out.
 func (db *DB) Stats() (commits, aborts uint64) {
-	return db.commits.Load(), db.aborts.Load()
+	for _, n := range db.txnMetrics.Aborts.Snapshot() {
+		aborts += n
+	}
+	return db.txnMetrics.Commits.Load(), aborts
 }
 
 // setTracer wires a recorder into every emission layer (engine, lock
@@ -848,7 +850,11 @@ func (db *DB) Tracer() *trace.Recorder { return db.tracer }
 // TxnMetrics snapshots the engine's transaction metrics: commit count,
 // the abort taxonomy, and the lock-wait and commit-latency histograms.
 // Snapshots from two points of a run diff with TxnSnapshot.Delta.
-func (db *DB) TxnMetrics() metrics.TxnSnapshot { return db.txnMetrics.Snapshot() }
+func (db *DB) TxnMetrics() metrics.TxnSnapshot {
+	s := db.txnMetrics.Snapshot()
+	s.LockWait = db.locks.WaitHistogram()
+	return s
+}
 
 // SetDefaultTxDeadline changes the per-transaction time budget stamped
 // on every future Begin (0 disarms it). In-flight transactions keep the

@@ -875,7 +875,6 @@ func (tx *Tx) Commit() error {
 	}
 	tx.db.locks.ReleaseAll(tx.id)
 	tx.done = true
-	tx.db.commits.Add(1)
 	tx.db.txnMetrics.Commits.Add(1)
 	if updating {
 		tx.db.txnMetrics.CommitLatency.Record(time.Since(commitStart))
@@ -926,7 +925,6 @@ func (tx *Tx) Abort() {
 	if tx.id != 0 {
 		// Handles rejected at Begin (shutdown) never ran; they are not
 		// aborted work.
-		tx.db.aborts.Add(1)
 		reason := core.ClassifyAbort(tx.abortCause)
 		tx.db.txnMetrics.Aborts.Inc(reason)
 		if tx.db.tracer.Enabled() {

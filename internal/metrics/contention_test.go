@@ -3,7 +3,6 @@ package metrics
 import (
 	"sync"
 	"testing"
-	"time"
 )
 
 func TestContentionCounterRounding(t *testing.T) {
@@ -66,73 +65,5 @@ func TestContentionCounterConcurrent(t *testing.T) {
 	}
 	if sum != workers*iters {
 		t.Fatalf("PerShard sum = %d, want %d", sum, workers*iters)
-	}
-}
-
-func TestLatencyRecorderSnapshot(t *testing.T) {
-	var r LatencyRecorder
-	r.Add(10 * time.Millisecond)
-	r.Add(30 * time.Millisecond)
-	snap := r.Snapshot()
-	r.Add(50 * time.Millisecond) // must not leak into the snapshot
-	if snap.Count() != 2 {
-		t.Fatalf("snapshot Count = %d, want 2", snap.Count())
-	}
-	if got := snap.Mean(); got != 20*time.Millisecond {
-		t.Fatalf("snapshot Mean = %v, want 20ms", got)
-	}
-	if r.Count() != 3 {
-		t.Fatalf("original Count = %d, want 3", r.Count())
-	}
-}
-
-// TestLatencyRecorderMisuseDetected pins the guard: a recorder observed
-// mid-operation (the bug class the single-owner contract forbids)
-// panics instead of corrupting its sample slice.
-func TestLatencyRecorderMisuseDetected(t *testing.T) {
-	var r LatencyRecorder
-	r.enter() // simulate another goroutine inside an operation
-	defer func() {
-		if recover() == nil {
-			t.Fatal("concurrent Add did not panic")
-		}
-	}()
-	r.Add(time.Millisecond)
-}
-
-// TestLatencyRecorderSelfMergePanics: Merge(r, r) would deadlock or
-// double-count in a lock-based design; the guard turns it into a panic.
-func TestLatencyRecorderSelfMergePanics(t *testing.T) {
-	var r LatencyRecorder
-	r.Add(time.Millisecond)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("self-merge did not panic")
-		}
-	}()
-	r.Merge(&r)
-}
-
-// TestLatencyRecorderMergeSnapshot is the sanctioned cross-goroutine
-// pattern: workers record privately, the coordinator merges snapshots.
-func TestLatencyRecorderMergeSnapshot(t *testing.T) {
-	var workers [4]LatencyRecorder
-	var wg sync.WaitGroup
-	for i := range workers {
-		wg.Add(1)
-		go func(r *LatencyRecorder) {
-			defer wg.Done()
-			for j := 0; j < 100; j++ {
-				r.Add(time.Duration(j) * time.Microsecond)
-			}
-		}(&workers[i])
-	}
-	wg.Wait()
-	var total LatencyRecorder
-	for i := range workers {
-		total.Merge(workers[i].Snapshot())
-	}
-	if total.Count() != 400 {
-		t.Fatalf("merged Count = %d, want 400", total.Count())
 	}
 }

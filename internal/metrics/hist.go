@@ -9,19 +9,38 @@ import (
 	"sicost/internal/core"
 )
 
-// HistBuckets is the bucket count of Histogram: fixed power-of-two
-// boundaries from 1ns up, HDR-style (constant relative error, here one
-// significant bit). Bucket i counts durations in [2^i, 2^(i+1)) ns;
-// bucket 0 also absorbs sub-nanosecond samples and the last bucket
-// absorbs everything above ~1.5 days, so no sample is ever dropped.
-const HistBuckets = 48
+// The bucket layout of Histogram is log-linear, HDR-style: every power
+// of two is cut into histSub equal sub-buckets, so a bucket is never
+// wider than 1/histSub of the values it holds. Durations below
+// 2*histSub ns have a bucket each (exact); a duration n at or above
+// that, with top bit e, falls in the bucket of width 2^(e-histSubBits)
+// that its top histSubBits+1 bits select. The layout reaches
+// 2^histMaxBits ns (about 18 minutes); the last bucket also absorbs
+// everything longer and negative samples count as 0, so no sample is
+// ever dropped.
+//
+// Error bound: Quantile answers from inside the bucket that holds the
+// exact nearest-rank sample, so it is off by less than one bucket
+// width — a relative error below 1/histSub = 1/64 (1.6 %), and zero
+// below 128 ns. Count, Mean (the sum is kept apart) and the cumulative
+// Max are exact. 64 sub-buckets, not 32: TestMPL1LogWaitClosedForm
+// takes the ratio of two medians with 0.02 to spare, which two errors
+// of 1/32 would use up.
+const (
+	histSubBits = 6
+	histSub     = 1 << histSubBits
+	histMaxBits = 40
+	// HistBuckets is the bucket count of Histogram: 2*histSub exact
+	// buckets, then histSub for every further power of two.
+	HistBuckets = (histMaxBits - histSubBits + 1) * histSub
+)
 
 // Histogram is a concurrent, allocation-free latency histogram with
-// fixed log-spaced buckets. Unlike LatencyRecorder (exact samples,
-// single-owner), Histogram is safe for concurrent Record from many
+// fixed log-linear buckets. It is safe for concurrent Record from many
 // goroutines — every field is atomic — which is what the engine's hot
-// paths need: recording is a few atomic adds plus one CAS loop for the
-// maximum, and reading is always a consistent-enough Snapshot.
+// paths and the workload driver's clients need: recording is three
+// atomic adds plus one CAS loop for the maximum, and reading is always
+// a consistent-enough Snapshot.
 //
 // The zero value is ready to use.
 type Histogram struct {
@@ -33,17 +52,30 @@ type Histogram struct {
 	counts   [HistBuckets]atomic.Uint64
 }
 
-// bucketOf maps a duration to its bucket index.
-func bucketOf(d time.Duration) int {
-	n := d.Nanoseconds()
-	if n < 1 {
-		return 0
+// bucketOf maps a non-negative nanosecond count to its bucket index.
+func bucketOf(n int64) int {
+	shift := bits.Len64(uint64(n)) - 1 - histSubBits
+	if shift <= 0 {
+		return int(n)
 	}
-	b := bits.Len64(uint64(n)) - 1
-	if b >= HistBuckets {
-		b = HistBuckets - 1
+	if i := shift<<histSubBits + int(n>>uint(shift)); i < HistBuckets {
+		return i
 	}
-	return b
+	return HistBuckets - 1
+}
+
+// bucketBounds returns bucket i's [lo, hi) nanosecond range; the last
+// bucket has no upper edge.
+func bucketBounds(i int) (lo, hi int64) {
+	shift := i>>histSubBits - 1
+	if shift <= 0 {
+		return int64(i), int64(i) + 1
+	}
+	lo = int64(i&(histSub-1)+histSub) << uint(shift)
+	if i == HistBuckets-1 {
+		return lo, math.MaxInt64
+	}
+	return lo, lo + int64(1)<<uint(shift)
 }
 
 // Record adds one duration sample. Safe for concurrent use.
@@ -54,7 +86,7 @@ func (h *Histogram) Record(d time.Duration) {
 	}
 	h.count.Add(1)
 	h.sumNanos.Add(uint64(n))
-	h.counts[bucketOf(d)].Add(1)
+	h.counts[bucketOf(n)].Add(1)
 	for {
 		cur := h.maxNanos.Load()
 		if n <= cur || h.maxNanos.CompareAndSwap(cur, n) {
@@ -65,6 +97,9 @@ func (h *Histogram) Record(d time.Duration) {
 
 // Count returns the number of recorded samples.
 func (h *Histogram) Count() uint64 { return h.count.Load() }
+
+// Sum returns the total of the recorded samples.
+func (h *Histogram) Sum() time.Duration { return time.Duration(h.sumNanos.Load()) }
 
 // Snapshot returns a point-in-time copy of the histogram. Concurrent
 // Records may land between field loads; the snapshot is monotone (each
@@ -81,8 +116,9 @@ func (h *Histogram) Snapshot() HistSnapshot {
 	return s
 }
 
-// HistSnapshot is an immutable copy of a Histogram, diffable between
-// run phases (ramp-up vs measurement) via Delta.
+// HistSnapshot is an immutable copy of a Histogram: diffable between
+// run phases (ramp-up vs measurement) via Delta, and addable across
+// histograms via Merge.
 type HistSnapshot struct {
 	Count    uint64
 	SumNanos uint64
@@ -91,18 +127,35 @@ type HistSnapshot struct {
 }
 
 // Delta returns s minus an earlier snapshot prev, counter-wise. The
-// maximum is not diffable; Delta keeps s's maximum, which upper-bounds
-// the window's true maximum.
+// maximum is not diffable, but the window's buckets bound it: the
+// delta's maximum is the upper edge of its highest non-empty bucket,
+// capped by s's cumulative maximum — within one bucket width of the
+// window's true maximum, and never a sample from before prev.
 func (s HistSnapshot) Delta(prev HistSnapshot) HistSnapshot {
 	d := HistSnapshot{
 		Count:    s.Count - prev.Count,
 		SumNanos: s.SumNanos - prev.SumNanos,
-		MaxNanos: s.MaxNanos,
 	}
 	for i := range s.Counts {
 		d.Counts[i] = s.Counts[i] - prev.Counts[i]
+		if d.Counts[i] > 0 {
+			_, hi := bucketBounds(i)
+			d.MaxNanos = min(hi-1, s.MaxNanos)
+		}
 	}
 	return d
+}
+
+// Merge returns the histogram of s's and o's samples together: what
+// one Histogram would hold had it recorded both.
+func (s HistSnapshot) Merge(o HistSnapshot) HistSnapshot {
+	s.Count += o.Count
+	s.SumNanos += o.SumNanos
+	s.MaxNanos = max(s.MaxNanos, o.MaxNanos)
+	for i := range s.Counts {
+		s.Counts[i] += o.Counts[i]
+	}
+	return s
 }
 
 // Mean returns the average sample (0 when empty).
@@ -116,47 +169,33 @@ func (s HistSnapshot) Mean() time.Duration {
 // Max returns the largest sample seen (0 when empty).
 func (s HistSnapshot) Max() time.Duration { return time.Duration(s.MaxNanos) }
 
-// Quantile returns an estimate of the q-quantile (0 ≤ q ≤ 1) by locating
-// the bucket containing the target rank and interpolating linearly
-// inside it. The estimate's relative error is bounded by the bucket
-// width (a factor of two).
+// Quantile returns the q-quantile (0 ≤ q ≤ 1; 0 when empty) by nearest
+// rank: it locates the bucket holding the ceil(q·Count)-th smallest
+// sample and interpolates linearly inside it, never past Max. The
+// answer is within one bucket width of that sample (see the layout
+// comment for the bound); the largest sample is Max itself.
 func (s HistSnapshot) Quantile(q float64) time.Duration {
 	if s.Count == 0 {
 		return 0
 	}
-	rank := q * float64(s.Count)
-	if rank < 1 {
-		rank = 1
+	rank := uint64(max(math.Ceil(q*float64(s.Count)), 1))
+	if rank >= s.Count {
+		return s.Max()
 	}
-	cum := 0.0
+	var cum uint64
 	for i, c := range s.Counts {
-		if c == 0 {
+		if cum+c < rank {
+			cum += c
 			continue
 		}
+		// The bucket's c samples sit, for all the histogram knows,
+		// evenly across it: the k-th of them at (k - 1/2)/c of the way.
 		lo, hi := bucketBounds(i)
-		if cum+float64(c) >= rank {
-			frac := (rank - cum) / float64(c)
-			est := float64(lo) + frac*float64(hi-lo)
-			if m := float64(s.MaxNanos); est > m && m > 0 {
-				est = m
-			}
-			return time.Duration(est)
-		}
-		cum += float64(c)
+		frac := (float64(rank-cum) - 0.5) / float64(c)
+		est := float64(lo) + frac*float64(hi-lo)
+		return time.Duration(min(est, float64(s.MaxNanos)))
 	}
 	return time.Duration(s.MaxNanos)
-}
-
-// bucketBounds returns bucket i's [lo, hi) nanosecond range.
-func bucketBounds(i int) (lo, hi int64) {
-	lo = int64(1) << uint(i)
-	if i == 0 {
-		lo = 0
-	}
-	if i >= 62 {
-		return lo, math.MaxInt64
-	}
-	return lo, int64(1) << uint(i+1)
 }
 
 // NumAbortReasons sizes the abort-taxonomy counter array: one slot per
@@ -231,38 +270,38 @@ func (s AbortSnapshot) AttributionRate() float64 {
 	return float64(s.Attributed()) / float64(t)
 }
 
-// TxnMetrics bundles the engine-side transaction metrics: commit and
-// abort counts by taxonomy reason, the lock-wait time distribution and
-// the updating-commit latency distribution. One instance lives in each
-// engine.DB; every field is concurrent-safe.
+// TxnMetrics holds the transaction metrics the engine itself records:
+// commit and abort counts by taxonomy reason and the updating-commit
+// latency distribution. One instance lives in each engine.DB; every
+// field is concurrent-safe.
 type TxnMetrics struct {
 	// Commits counts committed transactions (read-only included).
 	Commits atomic.Uint64
 	// Aborts is the abort taxonomy (core.ClassifyAbort classes).
 	Aborts AbortCounters
-	// LockWait is the distribution of row-lock wait times (blocked
-	// acquires only; the fast path records nothing).
-	LockWait Histogram
 	// CommitLatency is the distribution of updating-commit durations
 	// (WAL wait + stamping + publication).
 	CommitLatency Histogram
 }
 
 // Snapshot copies every counter; snapshots from two phases of a run
-// diff with Delta.
+// diff with Delta. LockWait is left empty: the lock table records its
+// own waits, and engine.DB.TxnMetrics fills the field in from there.
 func (m *TxnMetrics) Snapshot() TxnSnapshot {
 	return TxnSnapshot{
 		Commits:       m.Commits.Load(),
 		Aborts:        m.Aborts.Snapshot(),
-		LockWait:      m.LockWait.Snapshot(),
 		CommitLatency: m.CommitLatency.Snapshot(),
 	}
 }
 
-// TxnSnapshot is an immutable copy of TxnMetrics.
+// TxnSnapshot is an immutable copy of the engine-side transaction
+// metrics (engine.DB.TxnMetrics).
 type TxnSnapshot struct {
-	Commits       uint64
-	Aborts        AbortSnapshot
+	Commits uint64
+	Aborts  AbortSnapshot
+	// LockWait is the distribution of row-lock wait times (blocked
+	// acquires only; the fast path records nothing).
 	LockWait      HistSnapshot
 	CommitLatency HistSnapshot
 }

@@ -1,6 +1,9 @@
 package metrics
 
 import (
+	"math"
+	"math/rand"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -8,10 +11,16 @@ import (
 	"sicost/internal/core"
 )
 
+// within reports whether got is inside the histogram's error bound of
+// want: less than one bucket width, i.e. a relative 1/histSub.
+func within(got, want time.Duration) bool {
+	return math.Abs(float64(got-want)) <= float64(want)/histSub
+}
+
 func TestHistogramBasics(t *testing.T) {
 	var h Histogram
 	if s := h.Snapshot(); s.Count != 0 || s.Mean() != 0 || s.Quantile(0.99) != 0 || s.Max() != 0 {
-		t.Fatalf("empty snapshot not zero: %+v", s)
+		t.Fatalf("empty snapshot not zero: count %d mean %v p99 %v max %v", s.Count, s.Mean(), s.Quantile(0.99), s.Max())
 	}
 	for _, d := range []time.Duration{time.Microsecond, 2 * time.Microsecond, 4 * time.Microsecond, time.Millisecond} {
 		h.Record(d)
@@ -23,16 +32,47 @@ func TestHistogramBasics(t *testing.T) {
 	if s.Max() != time.Millisecond {
 		t.Fatalf("max = %v, want 1ms", s.Max())
 	}
-	if m := s.Mean(); m < 200*time.Microsecond || m > 300*time.Microsecond {
-		t.Fatalf("mean = %v, want ~251µs", m)
+	if m := s.Mean(); m != 251750*time.Nanosecond {
+		t.Fatalf("mean = %v, want 251.75µs exactly", m)
 	}
-	// The p50 target rank lands in the 2µs bucket; log buckets bound the
-	// estimate within a factor of two.
-	if q := s.Quantile(0.5); q < time.Microsecond || q > 4*time.Microsecond {
-		t.Fatalf("p50 = %v, want within [1µs, 4µs]", q)
+	if q := s.Quantile(0.5); !within(q, 2*time.Microsecond) {
+		t.Fatalf("p50 = %v, want 2µs within 1/%d", q, histSub)
 	}
 	if q := s.Quantile(1.0); q != time.Millisecond {
-		t.Fatalf("p100 = %v, want clamped to max 1ms", q)
+		t.Fatalf("p100 = %v, want the max 1ms", q)
+	}
+}
+
+// TestHistogramNearestRank: quantiles follow the nearest-rank rule of an
+// exact recorder (the ceil(q·n)-th smallest sample), to within the
+// bucket width; mean, count, and the two extremes are exact.
+func TestHistogramNearestRank(t *testing.T) {
+	var h Histogram
+	for _, d := range []time.Duration{50, 10, 40, 20, 30} {
+		h.Record(d * time.Millisecond)
+	}
+	s := h.Snapshot()
+	if s.Count != 5 || s.Mean() != 30*time.Millisecond {
+		t.Fatalf("count %d mean %v, want 5 and 30ms", s.Count, s.Mean())
+	}
+	for _, c := range []struct {
+		q    float64
+		want time.Duration
+	}{{0, 10}, {0.2, 10}, {0.21, 20}, {0.5, 30}, {0.8, 40}, {0.81, 50}} {
+		if got := s.Quantile(c.q); !within(got, c.want*time.Millisecond) {
+			t.Errorf("Quantile(%v) = %v, want %vms within 1/%d", c.q, got, int64(c.want), histSub)
+		}
+	}
+	if got := s.Quantile(1); got != 50*time.Millisecond {
+		t.Errorf("Quantile(1) = %v, want the max 50ms exactly", got)
+	}
+	// Below 2*histSub ns every value has its own bucket: exact.
+	var small Histogram
+	for d := time.Duration(1); d <= 2*histSub-1; d++ {
+		small.Record(d)
+	}
+	if got := small.Snapshot().Quantile(0.5); got != histSub {
+		t.Errorf("median of 1..%dns = %v, want %dns", 2*histSub-1, got, histSub)
 	}
 }
 
@@ -48,6 +88,19 @@ func TestHistogramExtremes(t *testing.T) {
 	if s.Counts[0] != 2 || s.Counts[HistBuckets-1] != 1 {
 		t.Fatalf("bucket spread wrong: first=%d last=%d", s.Counts[0], s.Counts[HistBuckets-1])
 	}
+	if q := s.Quantile(0.9); q != s.Max() {
+		t.Fatalf("p90 = %v, want the max: the last bucket has no upper edge to interpolate to", q)
+	}
+	// Every bucket's bounds map back to it, and the buckets tile the range.
+	for i := 0; i < HistBuckets; i++ {
+		lo, hi := bucketBounds(i)
+		if bucketOf(lo) != i || (i < HistBuckets-1 && (bucketOf(hi-1) != i || bucketOf(hi) != i+1)) {
+			t.Fatalf("bucket %d = [%d, %d) does not round-trip", i, lo, hi)
+		}
+		if lo >= 2*histSub && float64(hi-lo) > float64(lo)/histSub && i < HistBuckets-1 {
+			t.Fatalf("bucket %d = [%d, %d) wider than 1/%d of its values", i, lo, hi, histSub)
+		}
+	}
 }
 
 func TestHistogramDelta(t *testing.T) {
@@ -62,6 +115,34 @@ func TestHistogramDelta(t *testing.T) {
 	}
 	if d.Mean() != time.Second {
 		t.Fatalf("delta mean = %v, want 1s", d.Mean())
+	}
+}
+
+// TestHistogramDeltaMaxIsTheWindows: a window that never saw the
+// cumulative maximum (the bulk load's one-second commit, say) must not
+// report it as its own.
+func TestHistogramDeltaMaxIsTheWindows(t *testing.T) {
+	var h Histogram
+	h.Record(time.Second)
+	base := h.Snapshot()
+	for i := 0; i < 10; i++ {
+		h.Record(time.Millisecond - time.Duration(i)*time.Microsecond)
+	}
+	cur := h.Snapshot()
+	if cur.Max() != time.Second {
+		t.Fatalf("cumulative max = %v, want 1s", cur.Max())
+	}
+	d := cur.Delta(base)
+	if !within(d.Max(), time.Millisecond) {
+		t.Fatalf("window max = %v, want about 1ms", d.Max())
+	}
+	if e := cur.Delta(cur); e.Max() != 0 || e.Count != 0 {
+		t.Fatalf("empty window: max %v count %d, want zeros", e.Max(), e.Count)
+	}
+	// A window that does hold the cumulative maximum reports it exactly.
+	h.Record(2 * time.Second)
+	if d := h.Snapshot().Delta(cur); d.Max() != 2*time.Second {
+		t.Fatalf("window max = %v, want the cumulative 2s", d.Max())
 	}
 }
 
@@ -83,9 +164,117 @@ func TestHistogramConcurrentRecord(t *testing.T) {
 	if s.Count != goroutines*per {
 		t.Fatalf("count = %d, want %d", s.Count, goroutines*per)
 	}
+	const n = goroutines * per
+	if want := uint64(n*(n-1)/2) * 1000; s.SumNanos != want || h.Sum() != time.Duration(want) {
+		t.Fatalf("sum = %d (Sum() %v), want %d", s.SumNanos, h.Sum(), want)
+	}
 	want := time.Duration(goroutines*per-1) * time.Microsecond
 	if s.Max() != want {
 		t.Fatalf("max = %v, want %v (CAS loop must not lose the maximum)", s.Max(), want)
+	}
+}
+
+func TestHistogramSnapshot(t *testing.T) {
+	var h Histogram
+	h.Record(10 * time.Millisecond)
+	h.Record(30 * time.Millisecond)
+	snap := h.Snapshot()
+	h.Record(50 * time.Millisecond) // must not leak into the snapshot
+	if snap.Count != 2 {
+		t.Fatalf("snapshot Count = %d, want 2", snap.Count)
+	}
+	if got := snap.Mean(); got != 20*time.Millisecond {
+		t.Fatalf("snapshot Mean = %v, want 20ms", got)
+	}
+	if h.Count() != 3 {
+		t.Fatalf("original Count = %d, want 3", h.Count())
+	}
+}
+
+// TestHistogramMergeSnapshot: histograms recorded apart merge into what
+// one histogram would have recorded.
+func TestHistogramMergeSnapshot(t *testing.T) {
+	var workers [4]Histogram
+	var one Histogram
+	var wg sync.WaitGroup
+	for i := range workers {
+		wg.Add(1)
+		go func(h *Histogram) {
+			defer wg.Done()
+			for j := 0; j < 100; j++ {
+				h.Record(time.Duration(j) * time.Microsecond)
+				one.Record(time.Duration(j) * time.Microsecond)
+			}
+		}(&workers[i])
+	}
+	wg.Wait()
+	var total HistSnapshot
+	for i := range workers {
+		total = total.Merge(workers[i].Snapshot())
+	}
+	if total.Count != 400 {
+		t.Fatalf("merged Count = %d, want 400", total.Count)
+	}
+	if total != one.Snapshot() {
+		t.Fatal("merge of four histograms differs from one histogram that recorded the same samples")
+	}
+}
+
+// TestHistogramAccuracyProperty is the error bound as a property: over
+// random sample sets spread log-uniformly across 100 ns – 10 s, every
+// quantile is within one bucket width (relative 1/histSub) of the exact
+// nearest-rank value of the sorted samples; Count and Mean are exact;
+// Merge equals recording both sets into one histogram; and the Delta of
+// a merge gives the other operand back.
+func TestHistogramAccuracyProperty(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	draw := func(n int, h ...*Histogram) []time.Duration {
+		ds := make([]time.Duration, n)
+		for i := range ds {
+			ds[i] = time.Duration(100 * math.Pow(1e8, rng.Float64())) // 100ns .. 10s
+			for _, h := range h {
+				h.Record(ds[i])
+			}
+		}
+		return ds
+	}
+	for round := 0; round < 50; round++ {
+		var a, b, both Histogram
+		as := draw(1+rng.Intn(2000), &a, &both)
+		sa := a.Snapshot()
+
+		sort.Slice(as, func(i, j int) bool { return as[i] < as[j] })
+		var sum time.Duration
+		for _, d := range as {
+			sum += d
+		}
+		if sa.Count != uint64(len(as)) || sa.Mean() != sum/time.Duration(len(as)) || sa.Max() != as[len(as)-1] {
+			t.Fatalf("round %d: count %d mean %v max %v, want %d, %v, %v",
+				round, sa.Count, sa.Mean(), sa.Max(), len(as), sum/time.Duration(len(as)), as[len(as)-1])
+		}
+		for _, q := range []float64{0, 0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99, 0.999, 1} {
+			exact := as[max(int(math.Ceil(q*float64(len(as))))-1, 0)]
+			if got := sa.Quantile(q); !within(got, exact) {
+				t.Fatalf("round %d, %d samples: Quantile(%v) = %v, exact nearest-rank %v: off by more than 1/%d",
+					round, len(as), q, got, exact, histSub)
+			}
+		}
+
+		bs := draw(1+rng.Intn(2000), &b, &both)
+		sb := b.Snapshot()
+		merged := sa.Merge(sb)
+		if merged != both.Snapshot() {
+			t.Fatalf("round %d: merge(a, b) differs from recording a then b", round)
+		}
+		d := merged.Delta(sa)
+		bmax := time.Duration(0)
+		for _, x := range bs {
+			bmax = max(bmax, x)
+		}
+		if d.Count != sb.Count || d.SumNanos != sb.SumNanos || d.Counts != sb.Counts || !within(d.Max(), bmax) {
+			t.Fatalf("round %d: merge(a, b).Delta(a) is not b (count %d vs %d, max %v vs %v)",
+				round, d.Count, sb.Count, d.Max(), bmax)
+		}
 	}
 }
 
@@ -123,32 +312,32 @@ func TestTxnMetricsSnapshotDelta(t *testing.T) {
 	var m TxnMetrics
 	m.Commits.Add(3)
 	m.Aborts.Inc(core.AbortWAL)
-	m.LockWait.Record(time.Millisecond)
+	m.CommitLatency.Record(time.Millisecond)
 	base := m.Snapshot()
 	m.Commits.Add(2)
 	m.Aborts.Inc(core.AbortWAL)
 	m.CommitLatency.Record(time.Microsecond)
 	d := m.Snapshot().Delta(base)
-	if d.Commits != 2 || d.Aborts[core.AbortWAL] != 1 || d.LockWait.Count != 0 || d.CommitLatency.Count != 1 {
-		t.Fatalf("delta wrong: %+v", d)
+	if d.Commits != 2 || d.Aborts[core.AbortWAL] != 1 || d.CommitLatency.Count != 1 || d.CommitLatency.Max() > 2*time.Microsecond {
+		t.Fatalf("delta wrong: commits %d, wal aborts %d, commit latency count %d max %v",
+			d.Commits, d.Aborts[core.AbortWAL], d.CommitLatency.Count, d.CommitLatency.Max())
 	}
 }
 
-// TestLatencyRecorderMaxRace is the -race regression test for the
-// max-latency accounting: Max must be readable from a monitor goroutine
-// while the owner records, and the final maximum must never be lost.
-// Before maxNanos was CAS-maintained, a monitor's read raced the
-// owner's update and the race detector flagged it (and a racing
-// read-modify-write could publish a stale, smaller maximum).
-func TestLatencyRecorderMaxRace(t *testing.T) {
-	var r LatencyRecorder
+// TestHistogramMaxRace is the -race regression test for the maximum:
+// it must be readable from a monitor goroutine while another records,
+// never go backwards, and the final maximum must never be lost — a
+// racing read-modify-write instead of the CAS loop could publish a
+// stale, smaller one.
+func TestHistogramMaxRace(t *testing.T) {
+	var h Histogram
 	const n = 5000
 	done := make(chan struct{})
-	go func() { // monitor: polls Max concurrently with the owner's Adds
+	go func() { // monitor: polls the maximum concurrently with the Records
 		defer close(done)
 		var last time.Duration
-		for i := 0; i < n; i++ {
-			m := r.Max()
+		for i := 0; i < n/10; i++ {
+			m := h.Snapshot().Max()
 			if m < last {
 				t.Errorf("Max went backwards: %v after %v", m, last)
 				return
@@ -156,21 +345,17 @@ func TestLatencyRecorderMaxRace(t *testing.T) {
 			last = m
 		}
 	}()
-	for i := 1; i <= n; i++ { // owner goroutine
-		r.Add(time.Duration(i))
+	for i := 1; i <= n; i++ {
+		h.Record(time.Duration(i))
 	}
 	<-done
-	if r.Max() != time.Duration(n) {
-		t.Fatalf("max = %v, want %v", r.Max(), time.Duration(n))
-	}
-	snap := r.Snapshot()
+	snap := h.Snapshot()
 	if snap.Max() != time.Duration(n) {
-		t.Fatalf("snapshot max = %v, want %v", snap.Max(), time.Duration(n))
+		t.Fatalf("max = %v, want %v", snap.Max(), time.Duration(n))
 	}
-	var merged LatencyRecorder
-	merged.Add(7 * time.Nanosecond)
-	merged.Merge(snap)
-	if merged.Max() != time.Duration(n) {
-		t.Fatalf("merged max = %v, want %v", merged.Max(), time.Duration(n))
+	var small Histogram
+	small.Record(7 * time.Nanosecond)
+	if m := small.Snapshot().Merge(snap).Max(); m != time.Duration(n) {
+		t.Fatalf("merged max = %v, want %v", m, time.Duration(n))
 	}
 }

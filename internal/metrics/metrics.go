@@ -1,141 +1,12 @@
-// Package metrics provides the small statistics toolkit the workload
-// driver and experiment harness need: latency recording with quantiles,
-// and 95% confidence intervals over repeated runs (the paper plots the
-// average of five runs with 95% CI error bars).
+// Package metrics provides the small statistics toolkit the engine,
+// the workload driver and the experiment harness share: one concurrent
+// log-linear latency Histogram (hist.go), sharded contention counters,
+// the abort taxonomy counters, and 95% confidence intervals over
+// repeated runs (the paper plots the average of five runs with 95% CI
+// error bars).
 package metrics
 
-import (
-	"math"
-	"sort"
-	"sync/atomic"
-	"time"
-)
-
-// LatencyRecorder accumulates durations. It is NOT safe for concurrent
-// use: each workload client owns one and they are merged afterwards
-// (via Snapshot or Merge, on the merging goroutine, after the owning
-// goroutine has finished). Because the single-owner rule is easy to
-// break by accident in driver merge code, every entry point carries a
-// lightweight misuse detector: overlapping calls from two goroutines
-// panic with a clear message instead of silently corrupting samples.
-type LatencyRecorder struct {
-	busy    int32 // misuse detector; 1 while a call is in progress
-	samples []time.Duration
-	// maxNanos tracks the largest sample. It is maintained with a CAS
-	// loop (not a blind store) and read with an atomic load, so Max is
-	// safe to call from a monitoring goroutine while the owner is still
-	// recording — the one concurrent access the recorder supports. A
-	// plain read-compare-store here raced Snapshot/Merge and could lose
-	// the maximum; the CAS loop cannot.
-	maxNanos int64
-}
-
-// enter/exit bracket every method. The CAS costs two uncontended
-// atomic ops in correct single-owner use; on concurrent use exactly
-// one of the racing calls panics before touching the sample slice, so
-// the detector itself never introduces a data race.
-func (r *LatencyRecorder) enter() {
-	if !atomic.CompareAndSwapInt32(&r.busy, 0, 1) {
-		panic("metrics: concurrent LatencyRecorder use (it is single-owner; merge via Snapshot after the owner finishes)")
-	}
-}
-
-func (r *LatencyRecorder) exit() { atomic.StoreInt32(&r.busy, 0) }
-
-// Add records one sample.
-func (r *LatencyRecorder) Add(d time.Duration) {
-	r.enter()
-	defer r.exit()
-	r.samples = append(r.samples, d)
-	r.bumpMax(d.Nanoseconds())
-}
-
-// bumpMax raises maxNanos to at least n via CAS, never lowering it.
-func (r *LatencyRecorder) bumpMax(n int64) {
-	for {
-		cur := atomic.LoadInt64(&r.maxNanos)
-		if n <= cur || atomic.CompareAndSwapInt64(&r.maxNanos, cur, n) {
-			return
-		}
-	}
-}
-
-// Max returns the largest sample recorded so far (0 when empty). Unlike
-// the other accessors it takes no ownership bracket: the atomic load
-// makes it safe to call concurrently with the owner's Add, so progress
-// monitors can poll it live.
-func (r *LatencyRecorder) Max() time.Duration {
-	return time.Duration(atomic.LoadInt64(&r.maxNanos))
-}
-
-// Count returns the number of samples.
-func (r *LatencyRecorder) Count() int {
-	r.enter()
-	defer r.exit()
-	return len(r.samples)
-}
-
-// Merge appends another recorder's samples. Both recorders must be
-// quiescent (their owners finished); merging a recorder into itself is
-// misuse and panics.
-func (r *LatencyRecorder) Merge(o *LatencyRecorder) {
-	r.enter()
-	defer r.exit()
-	o.enter()
-	defer o.exit()
-	r.samples = append(r.samples, o.samples...)
-	r.bumpMax(atomic.LoadInt64(&o.maxNanos))
-}
-
-// Snapshot returns an independent copy of the recorder. It is the safe
-// hand-off point for driver merge paths: the owner goroutine finishes,
-// the merger snapshots, and the copy can be merged or inspected without
-// aliasing the owner's backing array.
-func (r *LatencyRecorder) Snapshot() *LatencyRecorder {
-	r.enter()
-	defer r.exit()
-	out := &LatencyRecorder{
-		samples:  make([]time.Duration, len(r.samples)),
-		maxNanos: atomic.LoadInt64(&r.maxNanos),
-	}
-	copy(out.samples, r.samples)
-	return out
-}
-
-// Mean returns the average latency (0 when empty).
-func (r *LatencyRecorder) Mean() time.Duration {
-	r.enter()
-	defer r.exit()
-	if len(r.samples) == 0 {
-		return 0
-	}
-	var sum time.Duration
-	for _, s := range r.samples {
-		sum += s
-	}
-	return sum / time.Duration(len(r.samples))
-}
-
-// Quantile returns the q-quantile (0 ≤ q ≤ 1) by nearest-rank; 0 when
-// empty.
-func (r *LatencyRecorder) Quantile(q float64) time.Duration {
-	r.enter()
-	defer r.exit()
-	if len(r.samples) == 0 {
-		return 0
-	}
-	sorted := make([]time.Duration, len(r.samples))
-	copy(sorted, r.samples)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	idx := int(math.Ceil(q*float64(len(sorted)))) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(sorted) {
-		idx = len(sorted) - 1
-	}
-	return sorted[idx]
-}
+import "math"
 
 // Mean returns the arithmetic mean of xs (0 when empty).
 func Mean(xs []float64) float64 {

@@ -7,38 +7,6 @@ import (
 	"time"
 )
 
-func TestLatencyRecorder(t *testing.T) {
-	var r LatencyRecorder
-	if r.Count() != 0 || r.Mean() != 0 || r.Quantile(0.5) != 0 {
-		t.Fatal("empty recorder must be zero-valued")
-	}
-	for _, d := range []time.Duration{10, 20, 30, 40, 50} {
-		r.Add(d * time.Millisecond)
-	}
-	if r.Count() != 5 {
-		t.Fatalf("Count = %d", r.Count())
-	}
-	if r.Mean() != 30*time.Millisecond {
-		t.Fatalf("Mean = %v", r.Mean())
-	}
-	if got := r.Quantile(0.5); got != 30*time.Millisecond {
-		t.Fatalf("median = %v", got)
-	}
-	if got := r.Quantile(1.0); got != 50*time.Millisecond {
-		t.Fatalf("max = %v", got)
-	}
-	if got := r.Quantile(0.0); got != 10*time.Millisecond {
-		t.Fatalf("min = %v", got)
-	}
-
-	var other LatencyRecorder
-	other.Add(100 * time.Millisecond)
-	r.Merge(&other)
-	if r.Count() != 6 {
-		t.Fatal("merge failed")
-	}
-}
-
 func TestMeanStdDev(t *testing.T) {
 	if Mean(nil) != 0 || StdDev(nil) != 0 || StdDev([]float64{5}) != 0 {
 		t.Fatal("empty/singleton cases")
@@ -118,13 +86,14 @@ func TestQuantileMonotoneProperty(t *testing.T) {
 		if len(raw) == 0 {
 			return true
 		}
-		var r LatencyRecorder
+		var h Histogram
 		for _, v := range raw {
-			r.Add(time.Duration(v))
+			h.Record(time.Duration(v))
 		}
+		s := h.Snapshot()
 		prev := time.Duration(-1)
 		for _, q := range []float64{0, 0.25, 0.5, 0.75, 0.9, 1} {
-			cur := r.Quantile(q)
+			cur := s.Quantile(q)
 			if cur < prev {
 				return false
 			}

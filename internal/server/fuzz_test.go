@@ -34,8 +34,8 @@ func fuzzServer() *Server {
 			MaxConns: 64,
 			// Generous idle timeout: a backstop against a wedged reader,
 			// never the reason an iteration ends. The tight statement
-			// deadline keeps self-blocking inputs (sibling sessions
-			// contending for one lock) well under the wedge timeout.
+			// deadline keeps an input that waits on a lock held by another
+			// worker's connection well under the wedge timeout.
 			IdleTimeout:       5 * time.Second,
 			StatementDeadline: time.Second,
 			MaxLine:           1 << 16,
@@ -49,7 +49,8 @@ func fuzzServer() *Server {
 // connection drive through ServeConn (the handler must neither panic
 // nor wedge — it must return promptly once the client is gone, with no
 // transaction left behind). Seeds cover truncated lines, huge lines,
-// invalid UTF-8 and interleaved sessions.
+// invalid UTF-8 and requests that name a session (refused: a
+// connection is one session).
 func FuzzServerProtocol(f *testing.F) {
 	f.Add([]byte(`{"q":"SELECT Balance FROM Checking WHERE CustomerId = 1"}` + "\n"))
 	f.Add([]byte(`{"q":"BEGIN","session":3}` + "\n" + `{"q":"COMMIT","session":3}` + "\n"))

@@ -10,24 +10,23 @@ import (
 
 // The wire protocol is newline-delimited JSON: one request object per
 // line in, one response object per line out, in request order. A
-// connection multiplexes up to MaxSessions independent SQL sessions,
-// selected per request by the "session" field (default 0) — the network
-// equivalent of cmd/sisql's \1..\9 session switching.
+// connection is one SQL session (PostgreSQL's model: one backend, one
+// session); a client that wants a second session opens a second
+// connection.
 
 // Request is one client request line.
 type Request struct {
 	// Q is the SQL statement (the sqlmini dialect, plus
 	// BEGIN/COMMIT/ROLLBACK).
 	Q string `json:"q"`
-	// Session selects which of the connection's sessions executes Q;
-	// sessions are created on first use. Must be in [0, MaxSessions).
+	// Session must be absent or 0. It is decoded only to be refused:
+	// a request naming another session gets a structured error, never
+	// a silent run on the connection's only session.
 	Session int `json:"session,omitempty"`
 }
 
 // Response is one server response line.
 type Response struct {
-	// Session echoes the request's session id.
-	Session int `json:"session,omitempty"`
 	// Status reports the outcome of a successful request: "BEGIN",
 	// "COMMIT", "ROLLBACK" or "OK".
 	Status string `json:"status,omitempty"`
@@ -57,22 +56,16 @@ type Response struct {
 	Final bool `json:"final,omitempty"`
 }
 
-// MaxSessions is the per-connection session bound: requests selecting a
-// session id outside [0, MaxSessions) are rejected, so a hostile client
-// cannot grow the session map without opening connections (which the
-// admission gate bounds).
-const MaxSessions = 16
-
 // DecodeRequest parses one request line. It never panics on arbitrary
-// bytes (FuzzServerProtocol pins that down) and rejects session ids
-// outside the per-connection bound.
+// bytes (FuzzServerProtocol pins that down) and rejects a request that
+// names a session other than the connection's own.
 func DecodeRequest(line []byte) (Request, error) {
 	var req Request
 	if err := json.Unmarshal(line, &req); err != nil {
 		return Request{}, fmt.Errorf("server: bad request: %w", err)
 	}
-	if req.Session < 0 || req.Session >= MaxSessions {
-		return Request{}, fmt.Errorf("server: session %d out of [0, %d)", req.Session, MaxSessions)
+	if req.Session != 0 {
+		return Request{}, fmt.Errorf("server: session %d: a connection is one session, open another connection for another session", req.Session)
 	}
 	if strings.TrimSpace(req.Q) == "" {
 		return Request{}, fmt.Errorf("server: empty statement")

@@ -1,9 +1,9 @@
 // Package server implements the engine's network front-end: a
 // long-running TCP server speaking a newline-delimited JSON protocol
-// (proto.go), with a per-connection session layer that owns transaction
+// (proto.go), one SQL session per connection, which owns transaction
 // lifecycle end-to-end. The contract is disconnect safety: a client
 // disconnect, a read or write error, an idle timeout or a hard drain
-// abort ALWAYS rolls back the connection's open transactions and
+// abort ALWAYS rolls back the connection's open transaction and
 // releases its admission slot — no leaked locks, no pinned snapshots,
 // no gate-slot leaks. Connection limits map onto an
 // internal/admission.Gate (excess connections are shed with a
@@ -31,7 +31,7 @@ import (
 
 // Fault-point names of the wire layer. All three model the network
 // failing out from under a live session; the invariant under every one
-// of them is the same: the connection's sessions roll back and the
+// of them is the same: the connection's session rolls back and the
 // admission slot releases.
 const (
 	// FaultConnRead fires before each request read. An injected error
@@ -66,17 +66,12 @@ type Config struct {
 	// a fast structured error instead of a hung dial.
 	AcceptTimeout time.Duration
 	// IdleTimeout closes a connection that sends no request for this
-	// long, rolling back its open transactions — the abandoned-session
+	// long, rolling back its open transaction — the abandoned-session
 	// reaper; 0 disables it.
 	IdleTimeout time.Duration
 	// StatementDeadline is the per-statement time budget, mapped onto
 	// Tx.SetDeadline (see SessionConfig); 0 means
-	// DefaultStatementDeadline, negative disables it. The default is
-	// load-bearing for liveness, not just hygiene: a connection's
-	// sessions share one goroutine, so session 2 waiting on a lock that
-	// session 1 of the SAME connection holds can never be released by
-	// the client — only the deadline unwedges it (statements failing
-	// with core.ErrTxDeadline after the budget).
+	// DefaultStatementDeadline, negative disables it.
 	StatementDeadline time.Duration
 	// DrainWindow is how long Shutdown waits for connections to finish
 	// after notifying them, before hard-closing the rest; 0 means
@@ -130,7 +125,6 @@ type Server struct {
 	protoErrors  atomic.Uint64
 	hangups      atomic.Uint64
 	requests     atomic.Uint64
-	sessions     atomic.Int64
 }
 
 // New builds a server over cfg.DB.
@@ -216,7 +210,8 @@ func (s *Server) handle(nc net.Conn) {
 	}
 	defer s.gate.Release()
 
-	c := &conn{srv: s, nc: nc, sessions: map[int]*Session{}}
+	c := &conn{srv: s, nc: nc,
+		sess: NewSession(s.db, SessionConfig{StatementDeadline: s.cfg.StatementDeadline})}
 	s.mu.Lock()
 	if s.draining {
 		// Raced a starting drain: reject like a closed gate.
@@ -297,10 +292,9 @@ func (s *Server) Shutdown() {
 // Stats is a point-in-time snapshot of the server counters; cmd/sisqld
 // publishes it as the sicost_server expvar.
 type Stats struct {
-	// Conns and Sessions are live gauges; Accepted counts every
+	// Conns is a live gauge (one session each); Accepted counts every
 	// connection ever handed to the server.
 	Conns    int
-	Sessions int64
 	Accepted uint64
 	// Shed counts connections rejected at admission (queue full, wait
 	// expired, or draining).
@@ -336,7 +330,6 @@ func (s *Server) Stats() Stats {
 	s.mu.Unlock()
 	return Stats{
 		Conns:               conns,
-		Sessions:            s.sessions.Load(),
 		Accepted:            s.accepted.Load(),
 		Shed:                s.shed.Load(),
 		Drained:             s.drained.Load(),
@@ -354,10 +347,10 @@ func (s *Server) Stats() Stats {
 
 // conn is one live connection.
 type conn struct {
-	srv      *Server
-	nc       net.Conn
-	wmu      sync.Mutex // serializes loop writes against drain notices
-	sessions map[int]*Session
+	srv  *Server
+	nc   net.Conn
+	wmu  sync.Mutex // serializes loop writes against drain notices
+	sess *Session
 	// forced marks a connection hard-closed by the drain (so its exit
 	// counts as a hard abort, not a graceful drain).
 	forced atomic.Bool
@@ -410,14 +403,7 @@ func (c *conn) loop() {
 			}
 			continue
 		}
-		sess := c.sessions[req.Session]
-		if sess == nil {
-			sess = NewSession(s.db, SessionConfig{StatementDeadline: s.cfg.StatementDeadline})
-			c.sessions[req.Session] = sess
-			s.sessions.Add(1)
-		}
-		resp := sess.Execute(req.Q)
-		resp.Session = req.Session
+		resp := c.sess.Execute(req.Q)
 		// The statement has executed; a hangup here is the failure the
 		// client can never classify (did my COMMIT land?).
 		if err := s.cfg.Faults.Fire(FaultConnHangup, faultinject.Ctx{}); err != nil {
@@ -430,17 +416,14 @@ func (c *conn) loop() {
 	}
 }
 
-// teardown ends the connection: every session's open transaction rolls
-// back, the session gauge drops, the socket closes. Runs exactly once,
-// on the connection's own goroutine, after the loop exits — so session
-// handles are never touched concurrently.
+// teardown ends the connection: the session's open transaction rolls
+// back and the socket closes. Runs exactly once, on the connection's own
+// goroutine, after the loop exits — so the session is never touched
+// concurrently.
 func (c *conn) teardown() {
-	for _, sess := range c.sessions {
-		if sess.Close() {
-			c.srv.abortedOnDsc.Add(1)
-		}
+	if c.sess.Close() {
+		c.srv.abortedOnDsc.Add(1)
 	}
-	c.srv.sessions.Add(-int64(len(c.sessions)))
 	c.nc.Close()
 }
 

@@ -73,11 +73,17 @@ func dial(t testing.TB, addr string) *client {
 	return &client{t: t, nc: nc, br: bufio.NewReader(nc)}
 }
 
-func (c *client) send(q string, session int) Response {
+func (c *client) send(q string) Response {
 	c.t.Helper()
-	req, _ := json.Marshal(Request{Q: q, Session: session})
-	if _, err := c.nc.Write(append(req, '\n')); err != nil {
-		c.t.Fatalf("write %q: %v", q, err)
+	req, _ := json.Marshal(Request{Q: q})
+	return c.sendLine(req)
+}
+
+// sendLine writes one raw request line and reads its response.
+func (c *client) sendLine(line []byte) Response {
+	c.t.Helper()
+	if _, err := c.nc.Write(append(line, '\n')); err != nil {
+		c.t.Fatalf("write %q: %v", line, err)
 	}
 	return c.read()
 }
@@ -96,9 +102,9 @@ func (c *client) read() Response {
 }
 
 // mustOK fails the test on an error response.
-func (c *client) mustOK(q string, session int) Response {
+func (c *client) mustOK(q string) Response {
 	c.t.Helper()
-	r := c.send(q, session)
+	r := c.send(q)
 	if r.Err != "" {
 		c.t.Fatalf("%q: unexpected error %q (abort %s)", q, r.Err, r.Abort)
 	}
@@ -111,7 +117,7 @@ func TestServerStatements(t *testing.T) {
 	c := dial(t, addr)
 	defer c.nc.Close()
 
-	r := c.mustOK("SELECT Balance FROM Checking WHERE CustomerId = 1", 0)
+	r := c.mustOK("SELECT Balance FROM Checking WHERE CustomerId = 1")
 	if len(r.Rows) != 1 || len(r.Rows[0]) != 1 {
 		t.Fatalf("rows = %v, want one single-column row", r.Rows)
 	}
@@ -120,54 +126,76 @@ func TestServerStatements(t *testing.T) {
 		t.Fatalf("balance %v (%T), want a number", r.Rows[0][0], r.Rows[0][0])
 	}
 
-	if r := c.mustOK("BEGIN", 0); r.Status != "BEGIN" || !r.InTx {
+	if r := c.mustOK("BEGIN"); r.Status != "BEGIN" || !r.InTx {
 		t.Fatalf("BEGIN -> %+v", r)
 	}
-	c.mustOK("UPDATE Checking SET Balance = Balance + 7 WHERE CustomerId = 1", 0)
-	if r := c.mustOK("COMMIT", 0); r.Status != "COMMIT" || r.InTx {
+	c.mustOK("UPDATE Checking SET Balance = Balance + 7 WHERE CustomerId = 1")
+	if r := c.mustOK("COMMIT"); r.Status != "COMMIT" || r.InTx {
 		t.Fatalf("COMMIT -> %+v", r)
 	}
 
-	r = c.mustOK("SELECT Balance FROM Checking WHERE CustomerId = 1", 0)
+	r = c.mustOK("SELECT Balance FROM Checking WHERE CustomerId = 1")
 	if got := r.Rows[0][0].(float64); got != bal+7 {
 		t.Fatalf("balance after commit = %v, want %v", got, bal+7)
 	}
 
 	// Statement errors carry the abort taxonomy and leave the line usable.
-	r = c.send("SELECT * FROM NoSuchTable WHERE X = 1", 0)
+	r = c.send("SELECT * FROM NoSuchTable WHERE X = 1")
 	if r.Err == "" || r.Retriable {
 		t.Fatalf("bad table -> %+v, want non-retriable error", r)
 	}
-	c.mustOK("SELECT Balance FROM Checking WHERE CustomerId = 2", 0)
+	c.mustOK("SELECT Balance FROM Checking WHERE CustomerId = 2")
 }
 
+// TestServerSessionMultiplexing: there is none. A connection is one
+// session, and a request that names another is refused with a
+// structured error pointing at the fix — never run on the only session,
+// where it would silently join (or commit) somebody else's transaction.
 func TestServerSessionMultiplexing(t *testing.T) {
 	db := newBankDB(t, 10)
-	_, addr := startServer(t, Config{DB: db})
+	srv, addr := startServer(t, Config{DB: db})
 	c := dial(t, addr)
 	defer c.nc.Close()
 
-	// Two sessions on one connection: session 1's open transaction does
-	// not see session 2's committed write until it restarts (SI), and the
-	// echoed session ids route responses.
-	c.mustOK("BEGIN", 1)
-	before := c.mustOK("SELECT Balance FROM Checking WHERE CustomerId = 3", 1)
-	c.mustOK("UPDATE Checking SET Balance = Balance + 100 WHERE CustomerId = 3", 2)
-	during := c.mustOK("SELECT Balance FROM Checking WHERE CustomerId = 3", 1)
-	if during.Session != 1 {
-		t.Fatalf("session echo = %d, want 1", during.Session)
+	c.mustOK("BEGIN")
+	c.mustOK("UPDATE Checking SET Balance = Balance + 100 WHERE CustomerId = 3")
+	for _, line := range []string{
+		`{"q":"COMMIT","session":1}`,
+		`{"q":"SELECT Balance FROM Checking WHERE CustomerId = 3","session":15}`,
+		`{"session":-1,"q":"ROLLBACK"}`,
+	} {
+		r := c.sendLine([]byte(line))
+		if r.Err == "" || !strings.Contains(r.Err, "open another connection") || r.Retriable {
+			t.Fatalf("%s -> %+v, want a non-retriable error telling the client to open another connection", line, r)
+		}
+		if r.Status != "" || r.Rows != nil {
+			t.Fatalf("%s was executed: %+v", line, r)
+		}
 	}
+	if n := srv.Stats().ProtocolErrors; n != 3 {
+		t.Fatalf("protocol errors = %d, want 3", n)
+	}
+	// The refused lines touched nothing: the transaction is still open
+	// and still the connection's own; session 0 spelled out is that one.
+	if r := c.sendLine([]byte(`{"q":"ROLLBACK","session":0}`)); r.Err != "" || r.Status != "ROLLBACK" {
+		t.Fatalf("explicit session 0 -> %+v, want ROLLBACK", r)
+	}
+
+	// A second session is a second connection: its committed write stays
+	// invisible to the first one's open snapshot (SI).
+	c.mustOK("BEGIN")
+	before := c.mustOK("SELECT Balance FROM Checking WHERE CustomerId = 3")
+	c2 := dial(t, addr)
+	defer c2.nc.Close()
+	c2.mustOK("UPDATE Checking SET Balance = Balance + 100 WHERE CustomerId = 3")
+	during := c.mustOK("SELECT Balance FROM Checking WHERE CustomerId = 3")
 	if before.Rows[0][0].(float64) != during.Rows[0][0].(float64) {
 		t.Fatalf("snapshot read moved inside the transaction: %v -> %v", before.Rows[0], during.Rows[0])
 	}
-	c.mustOK("COMMIT", 1)
-	after := c.mustOK("SELECT Balance FROM Checking WHERE CustomerId = 3", 1)
+	c.mustOK("COMMIT")
+	after := c.mustOK("SELECT Balance FROM Checking WHERE CustomerId = 3")
 	if after.Rows[0][0].(float64) != before.Rows[0][0].(float64)+100 {
 		t.Fatalf("committed write not visible: %v", after.Rows[0])
-	}
-
-	if r := c.send("SELECT 1", MaxSessions); r.Err == "" {
-		t.Fatalf("session %d accepted, want out-of-range rejection", MaxSessions)
 	}
 }
 
@@ -176,8 +204,8 @@ func TestServerDisconnectRollsBack(t *testing.T) {
 	srv, addr := startServer(t, Config{DB: db})
 
 	c := dial(t, addr)
-	c.mustOK("BEGIN", 0)
-	c.mustOK("UPDATE Checking SET Balance = Balance + 50 WHERE CustomerId = 1", 0)
+	c.mustOK("BEGIN")
+	c.mustOK("UPDATE Checking SET Balance = Balance + 50 WHERE CustomerId = 1")
 	before := readBalance(t, addr, 1)
 
 	// Abrupt disconnect mid-transaction: the write must vanish and the
@@ -200,7 +228,7 @@ func TestServerShedsPastMaxConns(t *testing.T) {
 
 	holder := dial(t, addr)
 	defer holder.nc.Close()
-	holder.mustOK("SELECT Balance FROM Checking WHERE CustomerId = 1", 0)
+	holder.mustOK("SELECT Balance FROM Checking WHERE CustomerId = 1")
 
 	shed := dial(t, addr)
 	defer shed.nc.Close()
@@ -219,8 +247,8 @@ func TestServerIdleTimeout(t *testing.T) {
 
 	c := dial(t, addr)
 	defer c.nc.Close()
-	c.mustOK("BEGIN", 0)
-	c.mustOK("UPDATE Checking SET Balance = Balance + 1 WHERE CustomerId = 2", 0)
+	c.mustOK("BEGIN")
+	c.mustOK("UPDATE Checking SET Balance = Balance + 1 WHERE CustomerId = 2")
 
 	r := c.read() // the idle reaper's final notice
 	if !r.Final || r.Notice == "" {
@@ -238,7 +266,7 @@ func TestServerStatementDeadline(t *testing.T) {
 	c := dial(t, addr)
 	defer c.nc.Close()
 
-	r := c.send("SELECT Balance FROM Checking WHERE CustomerId = 1", 0)
+	r := c.send("SELECT Balance FROM Checking WHERE CustomerId = 1")
 	if r.Err == "" || r.Abort != core.AbortDeadline.String() {
 		t.Fatalf("instant deadline -> %+v, want deadline abort", r)
 	}
@@ -250,8 +278,8 @@ func TestServerDrainAbortsOpenTxns(t *testing.T) {
 
 	idle := dial(t, addr)
 	defer idle.nc.Close()
-	idle.mustOK("BEGIN", 0)
-	idle.mustOK("UPDATE Checking SET Balance = Balance + 9 WHERE CustomerId = 5", 0)
+	idle.mustOK("BEGIN")
+	idle.mustOK("UPDATE Checking SET Balance = Balance + 9 WHERE CustomerId = 5")
 	before := readBalance(t, addr, 5)
 
 	// The client never finishes: Shutdown must notify, wait the window,
@@ -293,13 +321,13 @@ func TestServerDrainGraceful(t *testing.T) {
 	srv, addr := startServer(t, Config{DB: db, DrainWindow: 2 * time.Second})
 
 	c := dial(t, addr)
-	c.mustOK("BEGIN", 0)
+	c.mustOK("BEGIN")
 	done := make(chan struct{})
 	go func() { srv.Shutdown(); close(done) }()
 	if r := c.read(); r.Notice == "" {
 		t.Fatalf("drain notice -> %+v", r)
 	}
-	c.mustOK("COMMIT", 0)
+	c.mustOK("COMMIT")
 	c.nc.Close()
 	select {
 	case <-done:
@@ -324,8 +352,8 @@ func TestServerWireFaults(t *testing.T) {
 	// back, exactly like a disconnect.
 	faults.Arm(faultinject.Spec{Point: FaultConnRead, Rate: 1, After: 2, Action: faultinject.ActError})
 	c := dial(t, addr)
-	c.mustOK("BEGIN", 0)
-	c.mustOK("UPDATE Checking SET Balance = Balance + 3 WHERE CustomerId = 1", 0)
+	c.mustOK("BEGIN")
+	c.mustOK("UPDATE Checking SET Balance = Balance + 3 WHERE CustomerId = 1")
 	waitFor(t, "read-fault rollback", func() bool {
 		st := srv.Stats()
 		return st.ReadErrors >= 1 && st.AbortedOnDisconnect >= 1 && db.InFlightTxns() == 0
@@ -380,7 +408,7 @@ func TestServerProtocolErrors(t *testing.T) {
 	if r := c.read(); r.Err == "" || r.Final {
 		t.Fatalf("garbage line -> %+v, want non-final error", r)
 	}
-	c.mustOK("SELECT Balance FROM Checking WHERE CustomerId = 1", 0)
+	c.mustOK("SELECT Balance FROM Checking WHERE CustomerId = 1")
 
 	// ...but an over-long line closes the connection: past the scanner
 	// cap the boundary is unrecoverable.
@@ -398,7 +426,7 @@ func readBalance(t testing.TB, addr string, id int) int64 {
 	t.Helper()
 	c := dial(t, addr)
 	defer c.nc.Close()
-	r := c.mustOK(fmt.Sprintf("SELECT Balance FROM Checking WHERE CustomerId = %d", id), 0)
+	r := c.mustOK(fmt.Sprintf("SELECT Balance FROM Checking WHERE CustomerId = %d", id))
 	return int64(r.Rows[0][0].(float64))
 }
 

@@ -20,7 +20,7 @@ type SessionConfig struct {
 }
 
 // Session is one SQL session: the transport-independent execution layer
-// shared by the TCP server (per-connection sessions) and cmd/sisql (the
+// shared by the TCP server (one per connection) and cmd/sisql (the
 // in-process shell), so the two cannot diverge on parse, execution or
 // abort classification. Like engine.Tx it is a single-goroutine handle;
 // the owner must Close it when the transport goes away, which rolls
@@ -56,9 +56,8 @@ func (s *Session) Execute(q string) Response {
 	// Per-statement budget: re-arm the open transaction's deadline so a
 	// long transaction gets StatementDeadline per statement — COMMIT
 	// included — not in total. (Auto-commit statements are stamped by
-	// the tx-init hook instead.) Without the re-arm, time burned by a
-	// sibling session on the same connection would expire this one's
-	// transaction between its own statements.
+	// the tx-init hook instead.) Without the re-arm, the client's think
+	// time between statements would count against the transaction.
 	if tx := s.sql.Tx(); tx != nil && s.cfg.StatementDeadline > 0 {
 		tx.SetDeadline(time.Now().Add(s.cfg.StatementDeadline))
 	}

@@ -128,20 +128,19 @@ type LockTable struct {
 
 	// Per-stripe contention counters (shard = stripe index): fastPath
 	// counts acquires granted without blocking, waits counts acquires
-	// that queued, deadlocks counts requests denied with ErrDeadlock,
-	// and waitNanos accumulates blocked time.
+	// that queued and deadlocks counts requests denied with ErrDeadlock.
 	fastPath  *metrics.ContentionCounter
 	waits     *metrics.ContentionCounter
 	deadlocks *metrics.ContentionCounter
-	waitNanos *metrics.ContentionCounter
+	// waitHist holds the duration of every blocked acquire: the one
+	// record of a wait (LockStats.WaitTime is its sum, the engine's
+	// TxnMetrics().LockWait a snapshot of it).
+	waitHist metrics.Histogram
 
 	// tracer records EvLockWait/EvLockWake lifecycle events; nil
 	// disables. Events are emitted only on the blocking slow path, never
 	// on the fast path, so the unblocked acquire stays trace-free.
 	tracer *trace.Recorder
-	// waitHist, when set, receives the duration of every blocked
-	// acquire (the engine wires it to its TxnMetrics.LockWait).
-	waitHist *metrics.Histogram
 }
 
 // NewLockTable creates an empty lock manager with DefaultLockStripes
@@ -165,7 +164,6 @@ func NewLockTableStriped(n int) *LockTable {
 		fastPath:  metrics.NewContentionCounter(size),
 		waits:     metrics.NewContentionCounter(size),
 		deadlocks: metrics.NewContentionCounter(size),
-		waitNanos: metrics.NewContentionCounter(size),
 	}
 	lt.lockPool.New = func() any {
 		return &lock{holders: make(map[uint64]LockMode, 2)}
@@ -284,14 +282,6 @@ func (lt *LockTable) SetHooks(h WaitHooks) {
 func (lt *LockTable) SetTracer(r *trace.Recorder) {
 	lt.lockAll()
 	lt.tracer = r
-	lt.unlockAll()
-}
-
-// SetWaitHistogram installs the blocked-acquire duration histogram (nil
-// disables). Not safe to call while transactions are in flight.
-func (lt *LockTable) SetWaitHistogram(h *metrics.Histogram) {
-	lt.lockAll()
-	lt.waitHist = h
 	lt.unlockAll()
 }
 
@@ -454,10 +444,7 @@ func (lt *LockTable) acquireSlow(tx uint64, key LockKey, mode LockMode, idx int,
 		}
 	}
 	elapsed := time.Since(start)
-	lt.waitNanos.Add(idx, uint64(elapsed))
-	if lt.waitHist != nil {
-		lt.waitHist.Record(elapsed)
-	}
+	lt.waitHist.Record(elapsed)
 	if lt.tracer.Enabled() {
 		lt.tracer.Emit(trace.Event{
 			Kind: trace.EvLockWake, Tx: tx,
@@ -729,10 +716,13 @@ func (lt *LockTable) Stats() LockStats {
 		FastPath:       lt.fastPath.Total(),
 		Waits:          lt.waits.Total(),
 		Deadlocks:      lt.deadlocks.Total(),
-		WaitTime:       time.Duration(lt.waitNanos.Total()),
+		WaitTime:       lt.waitHist.Sum(),
 		PerStripeWaits: lt.waits.PerShard(),
 	}
 }
+
+// WaitHistogram snapshots the distribution of blocked-acquire durations.
+func (lt *LockTable) WaitHistogram() metrics.HistSnapshot { return lt.waitHist.Snapshot() }
 
 // Delta returns s minus an earlier snapshot prev (counter-wise), for
 // windowed measurement (e.g. excluding a workload's ramp-up phase).

@@ -2,12 +2,12 @@ package wal
 
 import (
 	"errors"
+	"sort"
 	"testing"
 	"time"
 
 	"sicost/internal/core"
 	"sicost/internal/faultinject"
-	"sicost/internal/metrics"
 )
 
 // The simulated device's timing. Lower bounds are exact — the device
@@ -42,6 +42,12 @@ func waitQueued(t *testing.T, w *WAL, n int) {
 	}
 }
 
+// median returns the exact nearest-rank median of ds, which it sorts.
+func median(ds []time.Duration) time.Duration {
+	sort.Slice(ds, func(i, j int) bool { return ds[i] < ds[j] })
+	return ds[(len(ds)-1)/2]
+}
+
 // TestSyncTakesItsLatency: a commit against an idle device waits one
 // sync, never less than FsyncLatency and — at the median — not much
 // more, at both latencies the platform profiles use (2.5 ms, and the
@@ -50,7 +56,7 @@ func waitQueued(t *testing.T, w *WAL, n int) {
 func TestSyncTakesItsLatency(t *testing.T) {
 	for _, lat := range []time.Duration{200 * time.Microsecond, 2500 * time.Microsecond} {
 		w := New(Config{FsyncLatency: lat})
-		var took metrics.LatencyRecorder
+		var took []time.Duration
 		for i := 0; i < 40; i++ {
 			t0 := time.Now()
 			if err := commitN(w, uint64(i), 1); err != nil {
@@ -60,10 +66,10 @@ func TestSyncTakesItsLatency(t *testing.T) {
 			if el < lat {
 				t.Fatalf("latency %v: commit %d acknowledged after %v", lat, i, el)
 			}
-			took.Add(el)
+			took = append(took, el)
 		}
 		w.Close()
-		med := took.Quantile(0.5)
+		med := median(took)
 		t.Logf("latency %v: median commit %v", lat, med)
 		if med > lat+500*time.Microsecond {
 			t.Errorf("latency %v: median commit took %v", lat, med)
@@ -190,11 +196,11 @@ func TestBackToBackWindowsDoNotDrift(t *testing.T) {
 			t.Fatalf("record %d acknowledged after %v, before its sync could end (%v)", i, acks[i], floor)
 		}
 	}
-	var windows metrics.LatencyRecorder
+	var windows []time.Duration
 	for i := 1; i < n; i++ {
-		windows.Add(acks[i] - acks[i-1])
+		windows = append(windows, acks[i]-acks[i-1])
 	}
-	med := windows.Quantile(0.5)
+	med := median(windows)
 	t.Logf("%d windows of %v: total %v, median window %v", n, lat, acks[n-1], med)
 	if med > lat+300*time.Microsecond {
 		t.Errorf("median window took %v", med)

@@ -39,8 +39,8 @@ func TestRunArrivalsProducesGoodput(t *testing.T) {
 	if res.Commits > res.Arrivals {
 		t.Fatalf("commits %d > arrivals %d", res.Commits, res.Arrivals)
 	}
-	if int64(res.Latency.Count()) != res.Commits {
-		t.Fatalf("latency count %d != commits %d", res.Latency.Count(), res.Commits)
+	if int64(res.Latency.Count) != res.Commits {
+		t.Fatalf("latency count %d != commits %d", res.Latency.Count, res.Commits)
 	}
 	if res.InFlightPeak <= 0 {
 		t.Fatal("in-flight peak never recorded")
@@ -167,9 +167,9 @@ func TestInteractionAccountsAlike(t *testing.T) {
 			if res.Retries != 50 || res.GiveUps != 0 {
 				t.Errorf("retries %d, give-ups %d, want 50 and 0", res.Retries, res.GiveUps)
 			}
-			if res.Commits == 0 || int64(res.Latency.Count()) != res.Commits || int64(bal.Latency.Count()) != res.Commits {
+			if res.Commits == 0 || int64(res.Latency.Count) != res.Commits || int64(bal.Latency.Count) != res.Commits {
 				t.Errorf("latency samples %d (Balance %d) for %d commits",
-					res.Latency.Count(), bal.Latency.Count(), res.Commits)
+					res.Latency.Count, bal.Latency.Count, res.Commits)
 			}
 			if res.Arrivals != res.Commits+res.Dropped {
 				t.Errorf("arrivals %d != commits %d + dropped %d", res.Arrivals, res.Commits, res.Dropped)

@@ -3,7 +3,6 @@ package workload
 import (
 	"fmt"
 
-	"sicost/internal/checker"
 	"sicost/internal/engine"
 	"sicost/internal/faultinject"
 	"sicost/internal/smallbank"
@@ -16,13 +15,11 @@ type ChaosConfig struct {
 	// Specs are armed on the database's fault registry for the duration
 	// of the run and disarmed afterwards.
 	Specs []faultinject.Spec
-	// Check attaches the MVSG checker to the run and records its
-	// verdict in the report.
-	Check bool
-	// ExpectSerializable, with Check, makes a non-serializable verdict
-	// an invariant violation. Set it when the strategy/mode combination
-	// guarantees serializable executions — fault injection must never
-	// change that.
+	// ExpectSerializable makes a lost isolation guarantee an invariant
+	// violation: the run's online checker (Config.Check, which must be
+	// set) reporting a dependency cycle or an SI-rule violation in
+	// Result.Check. Set it when the strategy/mode combination guarantees
+	// serializable executions — fault injection must never change that.
 	ExpectSerializable bool
 }
 
@@ -45,8 +42,6 @@ type ChaosReport struct {
 	// FaultStats snapshots per-point trigger counts (captured before
 	// the specs are disarmed).
 	FaultStats []faultinject.PointStats
-	// CheckerReport is the MVSG analysis when ChaosConfig.Check is set.
-	CheckerReport *checker.Report
 	// Violations lists every invariant the run broke; empty means the
 	// engine survived the fault plan cleanly.
 	Violations []string
@@ -79,13 +74,17 @@ func ConservingMix() Mix {
 
 // RunChaos executes the workload with chaos.Specs armed and audits the
 // standing invariants afterwards: money conservation, no leaked locks
-// or waiters, and (optionally) an unchanged serializability verdict.
+// or waiters, and (optionally) an unchanged serializability verdict,
+// taken from the run's online checker (cfg.Check).
 // The database must have been opened with engine.Config.Faults when
 // chaos.Specs is non-empty.
 func RunChaos(db *engine.DB, cfg Config, chaos ChaosConfig) (*ChaosReport, error) {
 	reg := db.Faults()
 	if reg == nil && len(chaos.Specs) > 0 {
 		return nil, fmt.Errorf("workload: chaos run needs a database opened with engine.Config.Faults")
+	}
+	if chaos.ExpectSerializable && cfg.Check == nil {
+		return nil, fmt.Errorf("workload: ChaosConfig.ExpectSerializable needs an online checker in Config.Check")
 	}
 	var zero Mix
 	if cfg.Mix == zero {
@@ -95,13 +94,6 @@ func RunChaos(db *engine.DB, cfg Config, chaos ChaosConfig) (*ChaosReport, error
 	initial, err := smallbank.TotalMoney(db)
 	if err != nil {
 		return nil, fmt.Errorf("workload: initial audit: %w", err)
-	}
-
-	var chk *checker.Checker
-	if chaos.Check {
-		chk = checker.New()
-		db.SetObserver(chk)
-		defer db.SetObserver(nil)
 	}
 
 	for _, s := range chaos.Specs {
@@ -139,12 +131,9 @@ func RunChaos(db *engine.DB, cfg Config, chaos ChaosConfig) (*ChaosReport, error
 		rep.Violations = append(rep.Violations, fmt.Sprintf(
 			"lock leak: %d held, %d queued after quiesce", rep.HeldLocks, rep.QueuedLocks))
 	}
-	if chk != nil {
-		rep.CheckerReport = chk.Analyze()
-		if chaos.ExpectSerializable && !rep.CheckerReport.Serializable {
-			rep.Violations = append(rep.Violations, fmt.Sprintf(
-				"serializability lost under faults: %s", rep.CheckerReport.Describe()))
-		}
+	if c := res.Check; chaos.ExpectSerializable && (!c.Serializable || c.SIViolations != 0) {
+		rep.Violations = append(rep.Violations, fmt.Sprintf(
+			"serializability lost under faults: %s", c.Describe()))
 	}
 	return rep, nil
 }

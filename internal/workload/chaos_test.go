@@ -1,13 +1,16 @@
 package workload
 
 import (
+	"strings"
 	"testing"
 	"time"
 
 	"sicost/internal/core"
 	"sicost/internal/engine"
 	"sicost/internal/faultinject"
+	"sicost/internal/onlinecheck"
 	"sicost/internal/smallbank"
+	"sicost/internal/wal"
 )
 
 // faultedDB builds a loaded bank wired to a fault registry.
@@ -49,9 +52,10 @@ func TestChaosInvariants(t *testing.T) {
 				faultinject.Spec{Point: engine.FaultCommitStamp, Rate: 0.01, Action: faultinject.ActPanic},
 				faultinject.Spec{Point: engine.FaultLockAcquire, Rate: 0.01, Action: faultinject.ActDelay, Delay: 200 * time.Microsecond},
 			)
-			rep, err := RunChaos(db, chaosConfig(measure(500*time.Millisecond)), ChaosConfig{
+			cfg := chaosConfig(measure(500 * time.Millisecond))
+			cfg.Check = onlinecheck.New(onlinecheck.Config{SIRules: mode != core.Strict2PL})
+			rep, err := RunChaos(db, cfg, ChaosConfig{
 				Specs:              specs,
-				Check:              true,
 				ExpectSerializable: true,
 			})
 			if err != nil {
@@ -62,6 +66,9 @@ func TestChaosInvariants(t *testing.T) {
 			}
 			if rep.Result.Commits == 0 {
 				t.Fatal("chaos run committed nothing")
+			}
+			if rep.Result.Check.Txns == 0 {
+				t.Fatal("online checker saw no transaction")
 			}
 			if rep.Fired() == 0 {
 				t.Fatal("fault plan never fired")
@@ -85,6 +92,52 @@ func TestChaosInvariants(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestChaosFlagsLostSerializability is the negative test of the verdict
+// audit: the unmodified programs under plain SI on a two-customer
+// hotspot commit a write skew sooner or later (the paper's premise), and
+// a chaos run told to expect serializability must then list the online
+// checker's finding as a violation. A 1 ms log sync keeps transactions
+// open long enough to overlap: 15 of 15 runs found the anomaly within
+// four attempts.
+func TestChaosFlagsLostSerializability(t *testing.T) {
+	if testing.Short() {
+		t.Skip("stochastic anomaly search")
+	}
+	for attempt := 0; attempt < 20; attempt++ {
+		db := engine.Open(engine.Config{
+			Mode: core.SnapshotFUW, Platform: core.PlatformPostgres,
+			WAL: wal.Config{FsyncLatency: time.Millisecond},
+		})
+		t.Cleanup(db.Close)
+		if err := smallbank.CreateSchema(db); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := smallbank.Load(db, smallbank.LoadConfig{Customers: 40, Seed: 42}); err != nil {
+			t.Fatal(err)
+		}
+		rep, err := RunChaos(db, Config{
+			Strategy: smallbank.StrategySI, Mix: UniformMix(),
+			MPL: 10, Customers: 40, HotspotSize: 2, HotspotProb: 1.0,
+			Measure: 300 * time.Millisecond, Seed: int64(attempt * 31),
+			Check: onlinecheck.New(onlinecheck.Config{SIRules: true}),
+		}, ChaosConfig{ExpectSerializable: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Result.Check.Serializable {
+			if !rep.OK() {
+				t.Fatalf("serializable run violated invariants: %v", rep.Violations)
+			}
+			continue
+		}
+		if len(rep.Violations) != 1 || !strings.Contains(rep.Violations[0], "serializability lost under faults") {
+			t.Fatalf("non-serializable verdict not flagged: violations %v\n%s", rep.Violations, rep.Result.Check.Describe())
+		}
+		return
+	}
+	t.Fatal("plain SI never produced a non-serializable execution on a pathological hotspot")
 }
 
 // TestChaosDetectsRealLeak simulates a buggy client that holds a write
@@ -130,6 +183,9 @@ func TestRunChaosRequiresRegistry(t *testing.T) {
 	})
 	if err == nil {
 		t.Fatal("chaos run without a registry accepted")
+	}
+	if _, err := RunChaos(db, chaosConfig(10*time.Millisecond), ChaosConfig{ExpectSerializable: true}); err == nil {
+		t.Fatal("ExpectSerializable without an online checker accepted: nothing would have been checked")
 	}
 	// No specs: plain audited run is fine on a fault-free database.
 	rep, err := RunChaos(db, chaosConfig(measure(100*time.Millisecond)), ChaosConfig{})

@@ -185,9 +185,9 @@ type TypeStats struct {
 	// GiveUps counts interactions abandoned when the retry policy
 	// refused another attempt (retry or budget exhaustion).
 	GiveUps int64
-	// Latency records the client-perceived response time of each
-	// completed interaction (including its retries and backoff).
-	Latency metrics.LatencyRecorder
+	// Latency is the distribution of the client-perceived response time
+	// of each committed interaction (including its retries and backoff).
+	Latency metrics.HistSnapshot
 }
 
 // TotalAborts sums aborts across reasons.
@@ -222,7 +222,7 @@ type Result struct {
 	TPS float64
 	// Latency is the response-time distribution of committed
 	// interactions, all types together (PerType has each type's).
-	Latency metrics.LatencyRecorder
+	Latency metrics.HistSnapshot
 	// Arrivals counts the interactions offered in the measurement
 	// interval; Dropped is the subset a Rate run discarded at the
 	// MaxInFlight backstop. InFlightPeak is the high-water mark of
@@ -282,14 +282,18 @@ func (r *Result) AbortAttribution() float64 {
 // no locking), one shared by every virtual client of a Rate run.
 type clientStats struct {
 	perType [smallbank.NumTxnTypes]TypeStats
+	// lat is the run's response-time record, one concurrent histogram
+	// per program type shared by every client (perType[].Latency stays
+	// empty here).
+	lat *[smallbank.NumTxnTypes]metrics.Histogram
 	// ledger is the committed money movement over the whole run (see
 	// Result.CommittedDelta).
 	ledger                         int64
 	started, shed, deadlineExpired int64
 }
 
-func newClientStats() *clientStats {
-	cs := &clientStats{}
+func newClientStats(lat *[smallbank.NumTxnTypes]metrics.Histogram) *clientStats {
+	cs := &clientStats{lat: lat}
 	for i := range cs.perType {
 		cs.perType[i].Aborts = make(map[core.AbortReason]int64)
 	}
@@ -318,7 +322,7 @@ func (cs *clientStats) add(o outcome, measuring bool) {
 	switch {
 	case o.err == nil:
 		st.Commits++
-		st.Latency.Add(o.latency)
+		cs.lat[o.typ].Record(o.latency)
 	case o.gaveUp:
 		st.GiveUps++
 	}
@@ -378,7 +382,8 @@ func Run(db *engine.DB, cfg Config) (*Result, error) {
 	if cfg.Rate > 0 {
 		offer = arrivals
 	}
-	stats := offer(db, &cfg, w, res)
+	lat := new([smallbank.NumTxnTypes]metrics.Histogram)
+	stats := offer(db, &cfg, w, res, lat)
 
 	if sub != nil {
 		sub.Close() // final drain: every committed event reaches the checker
@@ -412,12 +417,12 @@ func Run(db *engine.DB, cfg Config) (*Result, error) {
 			to.Retries += from.Retries
 			to.Backoff += from.Backoff
 			to.GiveUps += from.GiveUps
-			to.Latency.Merge(&from.Latency)
-			res.Latency.Merge(&from.Latency)
 		}
 	}
 	for i := range res.PerType {
 		st := &res.PerType[i]
+		st.Latency = lat[i].Snapshot()
+		res.Latency = res.Latency.Merge(st.Latency)
 		res.Commits += st.Commits
 		res.Aborts += st.TotalAborts()
 		res.Retries += st.Retries
@@ -445,12 +450,12 @@ func streamRNG(seed, id int64) *rand.Rand { return rand.New(rand.NewSource(seed 
 // a transaction, waiting for the reply and immediately starting the
 // next (§IV: "no think time") until the window closes. Each client
 // accumulates privately; all MPL of them are in flight throughout.
-func closedLoop(db *engine.DB, cfg *Config, w window, res *Result) []*clientStats {
+func closedLoop(db *engine.DB, cfg *Config, w window, res *Result, lat *[smallbank.NumTxnTypes]metrics.Histogram) []*clientStats {
 	res.InFlightPeak = int64(cfg.MPL)
 	var wg sync.WaitGroup
 	stats := make([]*clientStats, cfg.MPL)
 	for c := range stats {
-		stats[c] = newClientStats()
+		stats[c] = newClientStats(lat)
 		wg.Add(1)
 		go func(id int, cs *clientStats) {
 			defer wg.Done()
@@ -479,11 +484,11 @@ func closedLoop(db *engine.DB, cfg *Config, w window, res *Result) []*clientStat
 // the offered rate, one goroutine (a session for the length of one
 // interaction) per arrival. It records the backstop's drops and the
 // in-flight peak in res and returns the shared accumulator.
-func arrivals(db *engine.DB, cfg *Config, w window, res *Result) []*clientStats {
+func arrivals(db *engine.DB, cfg *Config, w window, res *Result, lat *[smallbank.NumTxnTypes]metrics.Histogram) []*clientStats {
 	var (
 		wg       sync.WaitGroup
 		mu       sync.Mutex // guards cs
-		cs       = newClientStats()
+		cs       = newClientStats(lat)
 		inFlight atomic.Int64
 	)
 	gaps := streamRNG(cfg.Seed, 0)

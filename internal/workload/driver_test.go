@@ -294,14 +294,15 @@ func TestDriverFindsAnomalyUnderPlainSI(t *testing.T) {
 		t.Skip("stochastic anomaly search; deterministic version lives in internal/detsim")
 	}
 	// The anomaly is a scheduling race, so this is probabilistic; each
-	// attempt hits with probability well above a third, making ten
-	// misses in a row vanishingly unlikely unless SI is accidentally
-	// too strong. A free-hardware engine is too fast for its own good
+	// attempt hits with probability about 0.3 on a two-core host (50
+	// runs: found on attempt 1 to 10, ten misses in a row twice in 66),
+	// making twenty misses in a row vanishingly unlikely unless SI is
+	// accidentally too strong. A free-hardware engine is too fast for its own good
 	// here: on one OS CPU a whole transaction can run inside a single
 	// scheduling quantum and snapshots stop overlapping, so charge a
 	// little simulated per-statement CPU to stretch transaction
 	// lifetimes and force genuine concurrency on the hotspot.
-	for attempt := 0; attempt < 10; attempt++ {
+	for attempt := 0; attempt < 20; attempt++ {
 		db := engine.Open(engine.Config{
 			Mode: core.SnapshotFUW, Platform: core.PlatformPostgres,
 			Res: simres.Config{VirtualCPUs: 2, StmtCPU: 50 * time.Microsecond},
