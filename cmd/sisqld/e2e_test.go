@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
+	"net/http"
 	"os/exec"
 	"path/filepath"
 	"strings"
@@ -29,47 +30,9 @@ func TestSisqldEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs the sisqld binary")
 	}
-	bin := filepath.Join(t.TempDir(), "sisqld")
-	build := exec.Command("go", "build", "-o", bin, ".")
-	if out, err := build.CombinedOutput(); err != nil {
-		t.Fatalf("go build: %v\n%s", err, out)
-	}
-
-	cmd := exec.Command(bin,
-		"-addr", "127.0.0.1:0", "-customers", "100",
+	d := startSisqld(t, "-customers", "100",
 		"-idle-timeout", "2s", "-stmt-deadline", "2s", "-drain", "1s")
-	stdout, err := cmd.StdoutPipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var stderr bytes.Buffer
-	cmd.Stderr = &stderr
-	if err := cmd.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer cmd.Process.Kill()
-
-	// The first stdout line announces the ephemeral address.
-	sc := bufio.NewScanner(stdout)
-	if !sc.Scan() {
-		t.Fatalf("no listening line; stderr:\n%s", stderr.String())
-	}
-	line := sc.Text()
-	addr := strings.TrimPrefix(line, "sisqld: listening on ")
-	if addr == line {
-		t.Fatalf("unexpected first line %q", line)
-	}
-	// Keep draining stdout so the process never blocks on a full pipe,
-	// and capture the drain summary for the final assertions.
-	var outMu sync.Mutex
-	var outRest []string
-	go func() {
-		for sc.Scan() {
-			outMu.Lock()
-			outRest = append(outRest, sc.Text())
-			outMu.Unlock()
-		}
-	}()
+	addr := d.addr
 
 	// The load: clients running zero-sum transfers until the server goes
 	// away. Tolerant of every failure mode — the assertion is on the
@@ -101,32 +64,208 @@ func TestSisqldEndToEnd(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 	if commits.Load() == 0 {
-		t.Fatalf("no client ever committed; stderr:\n%s", stderr.String())
+		t.Fatalf("no client ever committed; stderr:\n%s", d.stderr.String())
 	}
-	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
-		t.Fatal(err)
+	summary := d.terminate(t, func() {
+		close(stop)
+		wg.Wait()
+	})
+	t.Logf("%d commits under load; %s", commits.Load(), summary)
+}
+
+// sisqld is the real binary, running.
+type sisqld struct {
+	cmd    *exec.Cmd
+	addr   string // where it listens for SQL
+	stderr bytes.Buffer
+
+	outMu   sync.Mutex
+	outRest []string // stdout after the listening line
+}
+
+// startSisqld builds the daemon, starts it on an ephemeral port with the
+// given further flags and returns once it has announced its address.
+func startSisqld(t *testing.T, args ...string) *sisqld {
+	t.Helper()
+	bin := filepath.Join(t.TempDir(), "sisqld")
+	build := exec.Command("go", "build", "-o", bin, ".")
+	if out, err := build.CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
 	}
 
-	werr := cmd.Wait()
-	close(stop)
-	wg.Wait()
+	d := &sisqld{cmd: exec.Command(bin, append([]string{"-addr", "127.0.0.1:0"}, args...)...)}
+	stdout, err := d.cmd.StdoutPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.cmd.Stderr = &d.stderr
+	if err := d.cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { d.cmd.Process.Kill() })
+
+	// The first stdout line announces the ephemeral address.
+	sc := bufio.NewScanner(stdout)
+	if !sc.Scan() {
+		t.Fatalf("no listening line; stderr:\n%s", d.stderr.String())
+	}
+	line := sc.Text()
+	d.addr = strings.TrimPrefix(line, "sisqld: listening on ")
+	if d.addr == line {
+		t.Fatalf("unexpected first line %q", line)
+	}
+	// Keep draining stdout so the process never blocks on a full pipe,
+	// and capture the drain summary for the final assertions.
+	go func() {
+		for sc.Scan() {
+			d.outMu.Lock()
+			d.outRest = append(d.outRest, sc.Text())
+			d.outMu.Unlock()
+		}
+	}()
+	return d
+}
+
+// terminate delivers SIGTERM, waits for the daemon to exit, then runs
+// stopClients, and returns the rest of its standard output. It fails the
+// test unless the drain completed and the exit was clean: sisqld exits 1
+// when its admission gate or the engine's transaction table is not empty
+// after the drain.
+func (d *sisqld) terminate(t *testing.T, stopClients func()) string {
+	t.Helper()
+	if err := d.cmd.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	werr := d.cmd.Wait()
+	stopClients()
 	if werr != nil {
-		t.Fatalf("sisqld exited dirty: %v\nstderr:\n%s", werr, stderr.String())
+		t.Fatalf("sisqld exited dirty: %v\nstderr:\n%s", werr, d.stderr.String())
 	}
-	outMu.Lock()
-	summary := strings.Join(outRest, "\n")
-	outMu.Unlock()
+	d.outMu.Lock()
+	summary := strings.Join(d.outRest, "\n")
+	d.outMu.Unlock()
 	if !strings.Contains(summary, "sisqld: drained:") {
-		t.Fatalf("no drain summary in stdout:\n%s\nstderr:\n%s", summary, stderr.String())
+		t.Fatalf("no drain summary in stdout:\n%s\nstderr:\n%s", summary, d.stderr.String())
 	}
-	t.Logf("%d commits under load; %s", commits.Load(), summary)
+	return summary
+}
+
+// TestSisqldTwoClientsShareSyncs is the log device's commit delay seen
+// from outside: two connections run explicit-transaction UPDATEs on
+// different rows for a second, every COMMIT waits for the simulated
+// 2.5 ms sync, and /debug/vars says how the device grouped them. Clients
+// that took turns read 1.0 commits per sync; held for each other they
+// share nearly every one. The daemon must still drain and exit clean.
+func TestSisqldTwoClientsShareSyncs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the sisqld binary")
+	}
+	// Reserve a port for expvar by binding and releasing it.
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	vars := ln.Addr().String()
+	ln.Close()
+	d := startSisqld(t, "-customers", "100", "-drain", "1s", "-pprof", vars)
+
+	stop := time.Now().Add(time.Second)
+	var wg sync.WaitGroup
+	var commits atomic.Uint64
+	for id := 1; id <= 2; id++ {
+		wg.Add(1)
+		go func(id int) {
+			defer wg.Done()
+			c, err := dial(d.addr, time.Second)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer c.nc.Close()
+			for time.Now().Before(stop) {
+				for _, q := range []string{
+					"BEGIN",
+					fmt.Sprintf("UPDATE Checking SET Balance = Balance + 1 WHERE CustomerId = %d", id),
+					"COMMIT",
+				} {
+					if r, alive := c.send(q); !alive || r.Err != "" {
+						t.Errorf("%s: alive %v, response %+v", q, alive, r)
+						return
+					}
+				}
+				commits.Add(1)
+			}
+		}(id)
+	}
+	wg.Wait()
+
+	var got struct {
+		WAL struct {
+			CommitsPerSync float64
+			Stats          struct{ Syncs, Records, Holds, HoldHits int64 }
+		} `json:"sicost_wal"`
+	}
+	resp, err := http.Get("http://" + vars + "/debug/vars")
+	if err != nil {
+		t.Fatalf("expvar: %v; stderr:\n%s", err, d.stderr.String())
+	}
+	err = json.NewDecoder(resp.Body).Decode(&got)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatalf("expvar: %v", err)
+	}
+	w := got.WAL
+	t.Logf("%d commits by two clients: %d records in %d syncs (%.2f per sync), %d held, %d of them until the other was back",
+		commits.Load(), w.Stats.Records, w.Stats.Syncs, w.CommitsPerSync, w.Stats.Holds, w.Stats.HoldHits)
+	if w.CommitsPerSync < 1.3 {
+		t.Errorf("two closed-loop clients: %.2f commits per sync, want at least 1.3", w.CommitsPerSync)
+	}
+	d.terminate(t, func() {})
+}
+
+// client is one connection to the daemon.
+type client struct {
+	nc net.Conn
+	br *bufio.Reader
+}
+
+func dial(addr string, timeout time.Duration) (*client, error) {
+	nc, err := net.DialTimeout("tcp", addr, timeout)
+	if err != nil {
+		return nil, err
+	}
+	return &client{nc, bufio.NewReader(nc)}, nil
+}
+
+// send runs one statement and returns its response, skipping drain
+// notices; alive is false once the connection is of no further use.
+func (c *client) send(q string) (r server.Response, alive bool) {
+	b, _ := json.Marshal(server.Request{Q: q})
+	c.nc.SetDeadline(time.Now().Add(2 * time.Second))
+	if _, err := c.nc.Write(append(b, '\n')); err != nil {
+		return server.Response{}, false
+	}
+	for {
+		line, err := c.br.ReadBytes('\n')
+		if err != nil {
+			return server.Response{}, false
+		}
+		var r server.Response
+		if json.Unmarshal(line, &r) != nil {
+			return server.Response{}, false
+		}
+		if r.Notice != "" && r.Status == "" && r.Err == "" && !r.Final {
+			continue // drain notice
+		}
+		return r, !r.Final
+	}
 }
 
 // runTransfers runs transfers on one connection until it dies. It
 // reports true when the server is unreachable (dial failed), false when
 // the connection dropped mid-use (reconnect and continue).
 func runTransfers(addr string, rng *rand.Rand, stop <-chan struct{}, commits *atomic.Uint64) bool {
-	nc, err := net.DialTimeout("tcp", addr, 300*time.Millisecond)
+	c, err := dial(addr, 300*time.Millisecond)
 	if err != nil {
 		select {
 		case <-stop:
@@ -136,29 +275,7 @@ func runTransfers(addr string, rng *rand.Rand, stop <-chan struct{}, commits *at
 			return false
 		}
 	}
-	defer nc.Close()
-	br := bufio.NewReader(nc)
-	send := func(q string) (server.Response, bool) {
-		b, _ := json.Marshal(server.Request{Q: q})
-		nc.SetDeadline(time.Now().Add(2 * time.Second))
-		if _, err := nc.Write(append(b, '\n')); err != nil {
-			return server.Response{}, false
-		}
-		for {
-			line, err := br.ReadBytes('\n')
-			if err != nil {
-				return server.Response{}, false
-			}
-			var r server.Response
-			if json.Unmarshal(line, &r) != nil {
-				return server.Response{}, false
-			}
-			if r.Notice != "" && r.Status == "" && r.Err == "" && !r.Final {
-				continue // drain notice
-			}
-			return r, !r.Final
-		}
-	}
+	defer c.nc.Close()
 	for {
 		select {
 		case <-stop:
@@ -176,13 +293,13 @@ func runTransfers(addr string, rng *rand.Rand, stop <-chan struct{}, commits *at
 			fmt.Sprintf("UPDATE Checking SET Balance = Balance + 2 WHERE CustomerId = %d", b),
 			"COMMIT",
 		} {
-			r, alive := send(q)
+			r, alive := c.send(q)
 			if !alive {
 				return false
 			}
 			if r.Err != "" {
 				if r.InTx {
-					send("ROLLBACK")
+					c.send("ROLLBACK")
 				}
 				ok = false
 				break

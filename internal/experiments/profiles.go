@@ -44,8 +44,9 @@ func CommercialResources(scale float64) simres.Config {
 // LogDevice is the simulated WAL disk: write cache disabled, so every
 // sync takes the full 2.5 ms (× scale), one at a time; group commit
 // enabled, so a sync carries every commit record that had arrived when
-// it started. No leader delay: the paper's commit-delay setting, which
-// would hold a sync back to let siblings join, is not modelled.
+// it started; commit delay enabled, which is the device's own rule and
+// has no setting here: a sync waits for the committers the last one
+// acknowledged, one sync period at most (internal/wal, syncStart).
 func LogDevice(scale float64) wal.Config {
 	return wal.Config{FsyncLatency: time.Duration(2500*scale) * time.Microsecond}
 }

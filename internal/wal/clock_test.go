@@ -2,7 +2,9 @@ package wal
 
 import (
 	"errors"
+	"fmt"
 	"sort"
+	"sync"
 	"testing"
 	"time"
 
@@ -77,6 +79,36 @@ func TestSyncTakesItsLatency(t *testing.T) {
 	}
 }
 
+// TestBackToBackPairSharesSyncs: two clients that commit back to back
+// for 200 ms end up in one sync, not in turns — the first sync carries
+// one of them, every later one is held the moment it takes the other to
+// return.
+func TestBackToBackPairSharesSyncs(t *testing.T) {
+	w := New(Config{FsyncLatency: 2500 * time.Microsecond})
+	defer w.Close()
+	stop := time.Now().Add(200 * time.Millisecond)
+	var wg sync.WaitGroup
+	for c := uint64(0); c < 2; c++ {
+		wg.Add(1)
+		go func(c uint64) {
+			defer wg.Done()
+			for i := uint64(0); time.Now().Before(stop); i++ {
+				if err := commitN(w, 2*i+c, 1); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+	s := w.Stats()
+	t.Logf("%d commits in %d syncs (%.2f per sync), %d held, %d of them until the other was back",
+		s.Records, s.Syncs, s.CommitsPerSync(), s.Holds, s.HoldHits)
+	if s.CommitsPerSync() < 1.6 {
+		t.Errorf("two back-to-back clients: %.2f commits per sync, want at least 1.6", s.CommitsPerSync())
+	}
+}
+
 // TestArrivalDuringSyncWaitsForNext: a record that arrives while a sync
 // is in flight is not carried by it — it is acknowledged no earlier than
 // that sync's end plus a whole sync of its own.
@@ -106,62 +138,139 @@ func TestArrivalDuringSyncWaitsForNext(t *testing.T) {
 	}
 }
 
-// TestWindowMembershipIsByArrival drives the device clock directly:
-// which sync carries a record depends on when the record arrived and
-// when the device came free, not on when the flusher got round to
-// looking.
+// TestWindowMembershipIsByArrival drives the device clock directly, in
+// virtual time: which sync carries a record, and when that sync starts,
+// depends on when the records arrived, when the device came free and
+// how many committers its last sync sent back — not on when the flusher
+// got round to looking. Each step is one look by the flusher at `now`,
+// with the records that had arrived by then in the queue: it either
+// claims n records for a sync that ends at `at`, or (n = 0) finds the
+// sync held and is told to look again at `at`, the hold's limit. The
+// sync takes 5 ms and so the limit is 5 ms after the device came free.
 func TestWindowMembershipIsByArrival(t *testing.T) {
 	const lat = 5 * time.Millisecond
 	base := time.Now()
 	at := func(ms int) time.Time { return base.Add(time.Duration(ms) * time.Millisecond) }
-	queue := func(arrivals ...int) []*Record {
-		recs := make([]*Record, len(arrivals))
-		for i, ms := range arrivals {
-			recs[i] = &Record{TxID: uint64(i), arrived: at(ms)}
-		}
-		return recs
-	}
-	type claim struct {
-		n       int // records carried
-		doneAt  int // sync end, ms after base
-		pending int // records left queued
+	type step struct {
+		now  int // when the flusher looks, ms after base
+		n    int // records claimed; 0: the sync is held
+		at   int // sync end (or, held, when to look again)
+		left int // records that had arrived by now and stay queued
 	}
 	for _, tc := range []struct {
 		name     string
 		maxBatch int
-		freeAt   int
-		arrivals []int
-		want     []claim
+		freeAt   int   // end of the last sync
+		cohort   int   // committers it acknowledged
+		arrivals []int // ms after base, ascending
+		async    int   // the first async arrivals have no committer waiting
+		steps    []step
+		holds    int64 // Stats after the last step
+		hits     int64
+		heldMs   int64
 	}{
-		// An idle device starts on the first arrival and carries only it.
-		{"idle", 0, -100, []int{0, 1, 3}, []claim{{1, 5, 2}, {2, 10, 0}}},
-		// A busy device starts when free, with everything queued by then;
-		// the record that came after that start waits a further sync.
-		{"busy", 0, 2, []int{0, 1, 3}, []claim{{2, 7, 1}, {1, 12, 0}}},
-		// Equal stamps share a sync.
-		{"tie", 0, -100, []int{0, 0, 1}, []claim{{2, 5, 1}, {1, 10, 0}}},
+		// An idle device (nothing acknowledged within the limit) starts
+		// on the first arrival and carries only it. Its committer is then
+		// on its way back: the two records that came during the sync
+		// (old rule: a sync of their own at 5, done at 10) are held for
+		// one more arrival; none comes, so they start at the limit, 10,
+		// and are done at 15.
+		{name: "idle", freeAt: -100, arrivals: []int{0, 1, 3},
+			steps: []step{{0, 1, 5, 0}, {5, 0, 10, 2}, {10, 2, 15, 0}},
+			holds: 1, heldMs: 5},
+		// The same, and the committer returns at 7, inside the limit: the
+		// sync starts on its arrival and carries all three. The flusher
+		// reads that off at the limit; the sync's end is still ahead.
+		{name: "queued-plus-return", freeAt: -100, arrivals: []int{0, 1, 3, 7},
+			steps: []step{{0, 1, 5, 0}, {5, 0, 10, 2}, {10, 3, 12, 0}},
+			holds: 1, hits: 1, heldMs: 2},
+		// A busy device (free at 2, looked at late) starts when free with
+		// everything queued by then. The record that came at 3 (old
+		// rule: a sync at 7, done at 12) is held for the two committers
+		// acknowledged at 7 until the limit, 12, and is done at 17.
+		{name: "busy", freeAt: 2, arrivals: []int{0, 1, 3},
+			steps: []step{{3, 2, 7, 1}, {7, 0, 12, 1}, {12, 1, 17, 0}},
+			holds: 1, heldMs: 5},
+		// Equal stamps share a sync; the third record is held like busy's.
+		{name: "tie", freeAt: -100, arrivals: []int{0, 0, 1},
+			steps: []step{{1, 2, 5, 1}, {5, 0, 10, 1}, {10, 1, 15, 0}},
+			holds: 1, heldMs: 5},
 		// MaxBatch caps a window; the cut-off records were there when the
 		// next sync starts, so they chain at exactly one latency each.
-		{"maxbatch", 1, 4, []int{0, 1, 3}, []claim{{1, 9, 2}, {1, 14, 1}, {1, 19, 0}}},
+		// One fsync per commit has nobody to wait for: never held.
+		{name: "maxbatch-1", maxBatch: 1, freeAt: 4, cohort: 1, arrivals: []int{0, 1, 3},
+			steps: []step{{4, 1, 9, 2}, {9, 1, 14, 1}, {14, 1, 19, 0}}},
+		// Both committers acknowledged at 0 return inside the limit: one
+		// sync carries both and starts on the second arrival.
+		{name: "cohort-returns", freeAt: 0, cohort: 2, arrivals: []int{1, 3},
+			steps: []step{{1, 0, 5, 1}, {5, 2, 8, 0}},
+			holds: 1, hits: 1, heldMs: 2},
+		// The second returns after the limit: the sync starts at the
+		// limit with the first. One miss is let pass: the record of 7,
+		// waiting when one committer is acknowledged at 10, is held for
+		// it too, in vain again. Two misses in a row are not, and the
+		// next sync that would be held (the record of 16, one acknowledged
+		// at 20) starts at once instead.
+		{name: "cohort-late", freeAt: 0, cohort: 2, arrivals: []int{1, 7, 16},
+			steps: []step{{1, 0, 5, 1}, {5, 1, 10, 0}, {10, 0, 15, 1}, {15, 1, 20, 0}, {20, 1, 25, 0}},
+			holds: 2, heldMs: 9},
+		// A device idle for longer than the limit starts on arrival.
+		{name: "idle-past-limit", freeAt: 0, cohort: 2, arrivals: []int{6, 7},
+			steps: []step{{6, 1, 11, 0}}},
+		// Anti-phase, broken: one record came during the sync that ended
+		// at 10 and acknowledged one committer; that one returns at 11 and
+		// both share the sync that starts then.
+		{name: "waiting-plus-cohort", freeAt: 10, cohort: 1, arrivals: []int{8, 11},
+			steps: []step{{10, 0, 15, 1}, {15, 2, 16, 0}},
+			holds: 1, hits: 1, heldMs: 1},
+		// A full window ends the hold: with MaxBatch 2 the sync starts
+		// when the second record is there, not the third.
+		{name: "maxbatch-2", maxBatch: 2, freeAt: 10, cohort: 2, arrivals: []int{8, 11, 12},
+			steps: []step{{10, 0, 15, 1}, {15, 2, 16, 1}},
+			holds: 1, hits: 1, heldMs: 1},
+		// ... and a window already full when the device comes free is not
+		// held at all.
+		{name: "maxbatch-2-full", maxBatch: 2, freeAt: 10, cohort: 2, arrivals: []int{8, 9},
+			steps: []step{{10, 2, 15, 0}}},
+		// One client: its own return is the arrival that completes the
+		// cohort, so its sync starts on arrival, as under the old rule.
+		{name: "k=1", freeAt: 10, cohort: 1, arrivals: []int{12},
+			steps: []step{{12, 1, 17, 0}}},
+		// Async records have no committer waiting: a sync that carried
+		// only them sends nobody back, and the next one is not held.
+		{name: "async", freeAt: -100, arrivals: []int{0, 1}, async: 1,
+			steps: []step{{0, 1, 5, 0}, {5, 1, 10, 0}}},
 	} {
 		w := New(Config{FsyncLatency: lat, MaxBatch: tc.maxBatch})
-		w.freeAt = at(tc.freeAt)
-		w.pending = queue(tc.arrivals...)
-		for i, want := range tc.want {
+		w.freeAt, w.cohort = at(tc.freeAt), tc.cohort
+		arrivals := tc.arrivals
+		for i, want := range tc.steps {
+			for len(arrivals) > 0 && arrivals[0] <= want.now {
+				id := len(tc.arrivals) - len(arrivals)
+				w.pending = append(w.pending, &Record{TxID: uint64(id), Async: id < tc.async, arrived: at(arrivals[0])})
+				arrivals = arrivals[1:]
+			}
 			w.mu.Lock()
-			window, deadline := w.claimWindow()
+			window, deadline := w.claimAt(at(want.now))
 			left := len(w.pending)
 			w.mu.Unlock()
-			got := claim{len(window), int(deadline.Sub(base) / time.Millisecond), left}
+			got := step{want.now, len(window), int(deadline.Sub(base) / time.Millisecond), left}
 			if got != want {
-				t.Errorf("%s: claim %d = %+v, want %+v", tc.name, i, got, want)
+				t.Errorf("%s: step %d = %+v, want %+v", tc.name, i, got, want)
 			}
+		}
+		s := w.Stats()
+		if s.Holds != tc.holds || s.HoldHits != tc.hits || s.HeldNanos != tc.heldMs*int64(time.Millisecond) {
+			t.Errorf("%s: %d holds, %d hits, held %v; want %d, %d, %d ms",
+				tc.name, s.Holds, s.HoldHits, time.Duration(s.HeldNanos), tc.holds, tc.hits, tc.heldMs)
 		}
 	}
 
 	// No simulated latency: no clock, a window is everything pending.
 	w := New(Config{Device: newTestLog(t)})
-	w.pending = queue(0, 1, 3)
+	for _, ms := range []int{0, 1, 3} {
+		w.pending = append(w.pending, &Record{arrived: at(ms)})
+	}
 	w.mu.Lock()
 	window, deadline := w.claimWindow()
 	w.mu.Unlock()
@@ -286,36 +395,294 @@ func TestCloseDuringSyncWait(t *testing.T) {
 	}
 }
 
+// startHold leaves w with a hold in progress and returns the held
+// record, its verdict channel and when the hold began: a first record
+// has had the device to itself, the second came during that sync and is
+// now held for the first one's committer — who is not coming.
+func startHold(t *testing.T, w *WAL) (held *Record, verdict <-chan error, since time.Time) {
+	t.Helper()
+	d1 := enqN(t, w, 1)
+	waitQueued(t, w, 0)
+	held = &Record{TxID: 2, Bytes: 1}
+	verdict, err := w.Enqueue(held)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := <-d1; err != nil {
+		t.Fatal(err)
+	}
+	since = time.Now()
+	for stop := since.Add(5 * time.Second); ; time.Sleep(50 * time.Microsecond) {
+		w.mu.Lock()
+		ok := w.held
+		w.mu.Unlock()
+		if ok {
+			return held, verdict, since
+		}
+		if time.Now().After(stop) {
+			t.Fatal("the second record's sync was never held")
+		}
+	}
+}
+
+// TestDrainAndCloseEndAHold: Drain and Close promise that no Enqueue
+// follows, so a hold in progress is waiting for nobody. Its sync starts
+// the instant they are called — the held record is acknowledged one
+// sync later, not one sync after the hold's limit — and Close, which
+// fails what is merely queued, lets that sync complete as it does one
+// in flight. Ending a hold this way is no miss: nothing backs off.
+func TestDrainAndCloseEndAHold(t *testing.T) {
+	const lat = 60 * time.Millisecond
+	for name, quiesce := range map[string]func(*WAL){"Drain": (*WAL).Drain, "Close": (*WAL).Close} {
+		w := New(Config{FsyncLatency: lat})
+		_, verdict, since := startHold(t, w)
+		time.Sleep(lat / 6)
+		called := time.Now()
+		if called.Sub(since) > lat/2 {
+			w.Close()
+			t.Skipf("host stalled: %v of the hold had gone before %s was called", called.Sub(since), name)
+		}
+		quiesce(w)
+		took := time.Since(called)
+		select {
+		case err := <-verdict:
+			if err != nil {
+				t.Errorf("%s: held record: verdict %v, want it durable", name, err)
+			}
+		default:
+			t.Errorf("%s returned with the held record unresolved", name)
+		}
+		// The limit was a whole sync after the hold began: sleeping it out
+		// would have cost lat - lat/6 more.
+		if took < lat || took > lat+lat/2 {
+			t.Errorf("%s during a hold took %v; want one sync (%v) from the call", name, took, lat)
+		}
+		w.mu.Lock()
+		running, backoff := w.flusher, w.holdBackoff
+		w.mu.Unlock()
+		if s := w.Stats(); running || backoff != 0 || s.Syncs != 2 || s.Holds != 1 || s.HoldHits != 0 {
+			t.Errorf("%s: flusher running %v, back-off %d, stats %+v; want two syncs, one of them held, no miss", name, running, backoff, s)
+		}
+		w.Close()
+	}
+}
+
+// TestWithdrawDuringHold: a held record is still only queued, so its
+// committer can take it back (a transaction deadline expiring); the hold
+// then has nothing to start a sync for, the flusher exits at the limit,
+// and the log goes on.
+func TestWithdrawDuringHold(t *testing.T) {
+	const lat = 20 * time.Millisecond
+	w := New(Config{FsyncLatency: lat})
+	defer w.Close()
+	held, verdict, _ := startHold(t, w)
+	if !w.Withdraw(held) {
+		t.Fatal("a held record could not be withdrawn")
+	}
+	w.Drain()
+	select {
+	case err := <-verdict:
+		t.Fatalf("withdrawn record got a verdict: %v", err)
+	default:
+	}
+	if s := w.Stats(); s.Syncs != 1 || s.Records != 1 || s.Holds != 0 {
+		t.Fatalf("stats = %+v, want the first record's sync only", s)
+	}
+	if err := commitN(w, 3, 1); err != nil {
+		t.Fatal(err)
+	}
+
+	// With another record held beside it, the hold goes on for the
+	// shorter queue (virtual time: two records came during a sync that
+	// ended at 10 ms and acknowledged one committer).
+	base := time.Now()
+	at := func(ms int) time.Time { return base.Add(time.Duration(ms) * time.Millisecond) }
+	v := New(Config{FsyncLatency: lat})
+	v.freeAt, v.cohort = at(10), 1
+	v.pending = []*Record{{TxID: 1, arrived: at(8)}, {TxID: 2, arrived: at(9)}}
+	if window, again := v.claimAt(at(10)); window != nil || !again.Equal(at(30)) {
+		t.Fatalf("claimed %d records, deadline %v; want the sync held to its limit", len(window), again.Sub(base))
+	}
+	if !v.Withdraw(v.pending[0]) {
+		t.Fatal("a held record could not be withdrawn")
+	}
+	if window, done := v.claimAt(at(30)); len(window) != 1 || window[0].TxID != 2 || !done.Equal(at(50)) {
+		t.Fatalf("claimed %d records, done at %v; want the one left, at the limit plus a sync", len(window), done.Sub(base))
+	}
+}
+
 // TestBrickedQueueFailsAtOnce: once a window has bricked the WAL, the
 // windows queued behind it fail with the sticky cause immediately —
 // they used to wait out a full sync each before looking.
 func TestBrickedQueueFailsAtOnce(t *testing.T) {
 	const lat = 50 * time.Millisecond
-	w := New(Config{FsyncLatency: lat, MaxBatch: 1})
-	reg := faultinject.New(5)
-	w.SetFaults(reg)
-	defer w.Close()
-	if err := reg.Arm(faultinject.Spec{Point: FaultFlush, Count: 1, Action: faultinject.ActPanic}); err != nil {
-		t.Fatal(err)
-	}
+	// One record per sync; and unbounded windows, where the seven records
+	// behind the first are one window that would be held for the first
+	// one's committer: a bricked WAL does not hold either.
+	for _, tc := range []struct {
+		maxBatch int
+		failed   int64
+	}{{1, 8}, {0, 2}} {
+		w := New(Config{FsyncLatency: lat, MaxBatch: tc.maxBatch})
+		reg := faultinject.New(5)
+		w.SetFaults(reg)
+		if err := reg.Arm(faultinject.Spec{Point: FaultFlush, Count: 1, Action: faultinject.ActPanic}); err != nil {
+			t.Fatal(err)
+		}
 
-	dones := make([]<-chan error, 8)
-	for i := range dones {
-		dones[i] = enqN(t, w, uint64(i))
-	}
-	var bricked time.Time
-	for i, d := range dones {
-		if err := <-d; !errors.Is(err, core.ErrInjected) {
-			t.Fatalf("record %d: verdict %v, want the crash", i, err)
+		dones := make([]<-chan error, 8)
+		for i := range dones {
+			dones[i] = enqN(t, w, uint64(i))
+			if i == 0 {
+				waitQueued(t, w, 0)
+			}
 		}
-		if i == 0 {
-			bricked = time.Now()
+		var bricked time.Time
+		for i, d := range dones {
+			if err := <-d; !errors.Is(err, core.ErrInjected) {
+				t.Fatalf("MaxBatch %d, record %d: verdict %v, want the crash", tc.maxBatch, i, err)
+			}
+			if i == 0 {
+				bricked = time.Now()
+			}
+		}
+		if el := time.Since(bricked); el > lat/2 {
+			t.Fatalf("MaxBatch %d: the 7 records behind the bricking window took %v to fail; want at once (one sync is %v)", tc.maxBatch, el, lat)
+		}
+		if s := w.Stats(); s.FailedFlushes != tc.failed || s.Syncs != 0 || s.Holds != 0 {
+			t.Fatalf("MaxBatch %d: stats = %+v, want %d failed windows, no sync and no hold", tc.maxBatch, s, tc.failed)
+		}
+		w.Close()
+	}
+}
+
+// claimBeforeHold is the device clock as it was before syncs were held,
+// kept as the reference the hold is measured against: a sync starts as
+// soon as the device is free and a record is waiting.
+func claimBeforeHold(w *WAL) (window []*Record, deadline time.Time) {
+	start := w.pending[0].arrived
+	if w.freeAt.After(start) {
+		start = w.freeAt
+	}
+	n := sort.Search(len(w.pending), func(i int) bool { return w.pending[i].arrived.After(start) })
+	window, w.pending = w.pending[:n:n], w.pending[n:]
+	w.freeAt = start.Add(w.cfg.FsyncLatency)
+	return window, w.freeAt
+}
+
+// simClosedLoop runs mpl closed-loop clients against the device clock in
+// virtual time — nothing sleeps — for ten seconds of it, and returns
+// their commit rate and the clock's counters. Each client's next commit
+// record arrives ret after the acknowledgement of its last; the first
+// ones arrive 300 µs apart, so that clients do not start out in step.
+// The flusher looks at the queue when a real one would: when a record
+// reaches an empty queue, at a hold's limit, and when a sync ends.
+func simClosedLoop(lat time.Duration, ret []time.Duration, claim func(w *WAL, now time.Time) ([]*Record, time.Time)) (tps float64, s Stats) {
+	const span = 10 * time.Second
+	w := New(Config{FsyncLatency: lat})
+	base := time.Unix(1_000_000, 0)
+	next := make([]time.Time, len(ret)) // when client i's next record arrives; zero: it is queued
+	for i := range next {
+		next[i] = base.Add(time.Duration(i) * 300 * time.Microsecond)
+	}
+	// arrive queues, in arrival order, the records that have arrived by now.
+	arrive := func(now time.Time) {
+		var due []int
+		for i, at := range next {
+			if !at.IsZero() && !at.After(now) {
+				due = append(due, i)
+			}
+		}
+		sort.Slice(due, func(a, b int) bool { return next[due[a]].Before(next[due[b]]) })
+		for _, i := range due {
+			w.pending = append(w.pending, &Record{TxID: uint64(i), arrived: next[i]})
+			next[i] = time.Time{}
 		}
 	}
-	if el := time.Since(bricked); el > lat {
-		t.Fatalf("the 7 records behind the bricking window took %v to fail; want at once (one sync is %v)", el, lat)
+	commits := 0
+	for now := base; now.Before(base.Add(span)); {
+		if arrive(now); len(w.pending) == 0 {
+			// No flusher is running: the earliest arrival starts one.
+			now = next[0]
+			for _, at := range next {
+				if at.Before(now) {
+					now = at
+				}
+			}
+			arrive(now)
+		}
+		window, at := claim(w, now)
+		now = at // a held sync's limit, or the sync's end
+		for _, r := range window {
+			next[r.TxID] = at.Add(ret[r.TxID])
+			commits++
+		}
 	}
-	if s := w.Stats(); s.FailedFlushes != 8 || s.Syncs != 0 {
-		t.Fatalf("stats = %+v, want 8 failed windows and no sync", s)
+	return float64(commits) / span.Seconds(), w.stats
+}
+
+// TestHoldRegimes is the hold's regime table: closed-loop clients that
+// return with their next commit a fixed time after each acknowledgement
+// (client i of a row takes 50 µs × i longer, so that a cohort's arrivals
+// spread), at a 2.5 ms sync, under the hold and under the rule before
+// it. One client is untouched in every column. Clients that return
+// quickly share one sync instead of taking turns (before: half of them
+// per sync, MPL ÷ 5 ms). Where they return too late for the hold to pay
+// — 4 ms is past the limit — the back-off keeps what the misses cost
+// under 3 %. The mixed rows are populations in which holds that reach
+// their cohort alternate with holds that do not; the last is the worst
+// of 400 drawn at random (2 to 8 clients, returns log-uniform from 50 µs
+// to 25 ms: mean ratio 1.09) and the one before it, made up to be hard,
+// the worst found. They get 5 %, for in them a hold also moves which
+// clients meet in a sync, which a fixed return time turns into a
+// standing pattern.
+func TestHoldRegimes(t *testing.T) {
+	const lat = 2500 * time.Microsecond
+	held := func(w *WAL, now time.Time) ([]*Record, time.Time) { return w.claimAt(now) }
+	before := func(w *WAL, _ time.Time) ([]*Record, time.Time) { return claimBeforeHold(w) }
+	// run returns the rate under the hold over the rate before it, which
+	// must not be below floor.
+	run := func(name string, rets []time.Duration, floor float64) (ratio float64, s Stats) {
+		was, _ := simClosedLoop(lat, rets, before)
+		is, s := simClosedLoop(lat, rets, held)
+		perHold := time.Duration(0)
+		if s.Holds > 0 {
+			perHold = time.Duration(s.HeldNanos / s.Holds)
+		}
+		t.Logf("%-28s %8.1f %8.1f %6.3f %6d %6d %9v", name, was, is, is/was, s.Holds, s.HoldHits, perHold.Round(time.Microsecond))
+		if is < floor*was {
+			t.Errorf("%s: %.1f tps, %.3f of the %.1f before; want at least %.2f", name, is, is/was, was, floor)
+		}
+		return is / was, s
+	}
+	t.Logf("%-28s %8s %8s %6s %6s %6s %9s", "MPL × return", "before", "held", "ratio", "holds", "hits", "held/hold")
+	for _, mpl := range []int{1, 2, 4, 8} {
+		for _, ret := range []time.Duration{100, 400, 1000, 1500, 2000, 4000} {
+			rets := make([]time.Duration, mpl)
+			for i := range rets {
+				rets[i] = (ret + time.Duration(i)*50) * time.Microsecond
+			}
+			ratio, s := run(fmt.Sprintf("%d × %v", mpl, rets[0]), rets, 0.97)
+			switch {
+			case mpl == 1 && (ratio != 1 || s.Holds != 0):
+				t.Errorf("MPL 1, return %v: %.3f of the rate before, %d holds: one client must not notice", rets[0], ratio, s.Holds)
+			case (mpl == 2 || mpl == 4) && ret <= 400 && ratio < 1.4:
+				t.Errorf("MPL %d, return %v: %.2f of the rate before; want at least 1.4", mpl, rets[0], ratio)
+			}
+		}
+	}
+	const us = time.Microsecond
+	for _, rets := range [][]time.Duration{
+		{400 * us, 4000 * us},
+		{400 * us, 2600 * us},
+		{2400 * us, 2600 * us},
+		{400 * us, 450 * us, 4000 * us, 4100 * us},
+		{400 * us, 4000 * us, 4050 * us, 4100 * us},
+		{400 * us, 2600 * us, 2700 * us, 3000 * us},
+		{1000 * us, 6000 * us, 7000 * us, 9000 * us},
+		{100 * us, 10000 * us, 15000 * us, 22000 * us},
+		{53 * us, 4192 * us, 5664 * us, 9856 * us, 8320 * us},
+	} {
+		run(fmt.Sprint(rets), rets, 0.95)
 	}
 }

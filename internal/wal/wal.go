@@ -7,15 +7,21 @@
 // The log is layered. The latency of the device is simulated
 // (Config.FsyncLatency), which is all the throughput experiments need:
 // the device is a clock of serial syncs of exactly FsyncLatency each. A
-// sync starts as soon as the device is free and a record is waiting, and
-// carries the records that had arrived by then; one that arrives while a
-// sync is in flight waits for the next. Nothing delays a sync to let
-// siblings join it (the paper's commit-delay setting is not modelled).
-// The flush loop computes each sync's deadline and waits for it with
-// sleepUntil — nanosleep(2) on Linux, because the runtime's own timers
-// round a 2.5 ms sleep up to 3.2 ms — so the log wait is the one the
-// platform profile states, which the paper's result, a ratio of log
-// waits to CPU work, depends on.
+// sync carries the records that had arrived when it started; one that
+// arrives while a sync is in flight waits for the next. The testbed's
+// commit delay is part of the clock: the committers a sync has just
+// acknowledged are on their way back with their next commit, so the
+// next sync starts when as many records as it acknowledged have arrived
+// since, or one FsyncLatency after the device came free (the hold
+// limit), whichever is first — closed-loop clients share a sync instead
+// of taking turns. A record that finds the device idle for longer than
+// the limit starts its sync at once, and a hold that keeps ending at
+// the limit backs off (see syncStart). The flush loop computes each
+// sync's deadline and waits for it with sleepUntil — nanosleep(2) on
+// Linux, because the runtime's own timers round a 2.5 ms sleep up to
+// 3.2 ms — so the log wait is the one the platform profile states,
+// which the paper's result, a ratio of log waits to CPU work, depends
+// on.
 //
 // Durability is real when a LogDevice is attached (Config.Device): the
 // flush loop encodes each commit record — row after-images plus CSN —
@@ -161,6 +167,14 @@ type Stats struct {
 	// of those were copied to the archive directory first.
 	RetiredSegments  int64
 	ArchivedSegments int64
+	// Holds counts simulated syncs whose start was held back for the
+	// committers the previous sync acknowledged (see syncStart); HoldHits
+	// counts those that started because that many records had arrived,
+	// the rest ran into the hold limit; HeldNanos is the total time syncs
+	// were held.
+	Holds     int64
+	HoldHits  int64
+	HeldNanos int64
 }
 
 // AvgBatch returns the mean number of commit records per successful
@@ -200,9 +214,22 @@ type WAL struct {
 	closed  bool
 	broken  error // sticky: the device died (crash or IO error); recovery required
 	stats   Stats
-	// freeAt is when the simulated device finished its last sync: the
-	// earliest instant the next one may start (see claimWindow).
-	freeAt time.Time
+	// The simulated device's clock (see claimAt and syncStart). freeAt
+	// is when it finished its last sync: the earliest instant the next
+	// one may start. cohort is how many committers that sync acknowledged
+	// and sent off to their next transaction (async records have nobody
+	// waiting). holdBackoff grows with every hold that ended at its limit
+	// without them and shrinks with every one they ended, and holdSkip is
+	// how many holds are still to pass up after the last miss. quietAt
+	// is when Drain or Close last promised that no Enqueue follows; it
+	// binds until a record arrives after it. held is set while the flusher
+	// sleeps to a hold's limit.
+	freeAt      time.Time
+	cohort      int
+	holdBackoff int
+	holdSkip    int
+	quietAt     time.Time
+	held        bool
 
 	// Durability watermark. The engine enqueues commit records in CSN
 	// order (allocation and enqueue share the sequencer's critical
@@ -359,7 +386,10 @@ func (w *WAL) Withdraw(rec *Record) bool {
 func (w *WAL) flushLoop() {
 	for {
 		w.mu.Lock()
-		if len(w.pending) == 0 || w.closed {
+		// A sync that was being held is this loop's to start even if Close
+		// came meanwhile: without the hold it would have been in flight.
+		if len(w.pending) == 0 || w.closed && !w.held {
+			w.held = false
 			w.flusher = false
 			// Closing drains remaining waiters in Close; wake it now
 			// that no flush is in flight.
@@ -376,44 +406,149 @@ func (w *WAL) flushLoop() {
 		if !deadline.IsZero() {
 			sleepUntil(deadline)
 		}
-		w.flushWindow(window)
+		if window != nil {
+			w.flushWindow(window)
+		}
 	}
 }
 
-// claimWindow takes the next window off the queue and, under a
-// simulated sync latency, the instant its sync completes (zero
-// otherwise: nothing to wait for). The caller holds mu.
-//
-// The simulated device is a clock, not a sleep. Its syncs are serial
-// and take exactly FsyncLatency each: a sync starts as soon as the
-// device is free and a record is waiting — max(freeAt, first arrival) —
-// carries the records that had arrived by then, and completes
-// FsyncLatency later. A record that arrives while a sync is in flight
-// waits for the next one, however late the flusher itself woke, and the
-// flusher's lateness in one window never delays the next. Without the
-// latency (a bare device, or none) a window is everything pending: the
-// records that queued up during the previous window's real sync. Either
-// way MaxBatch caps it.
-//
-// A bricked WAL claims without a deadline: the records still queued
-// fail at once with the sticky cause, not one sync period apart.
+// claimWindow takes the next window off the queue and returns it with
+// the instant its simulated sync completes; the caller holds mu. Without
+// a simulated latency (a bare device, or none) there is no clock and
+// nothing to wait for: a window is everything pending, the records that
+// queued up during the previous window's real sync. A bricked WAL claims
+// the same way: the records still queued fail at once with the sticky
+// cause, not one sync period apart. Either way MaxBatch caps the window.
 func (w *WAL) claimWindow() (window []*Record, deadline time.Time) {
-	n := len(w.pending)
-	if lat := w.cfg.FsyncLatency; lat > 0 && w.broken == nil {
-		start := w.pending[0].arrived
-		if w.freeAt.After(start) {
-			start = w.freeAt
-		}
-		n = sort.Search(n, func(i int) bool { return w.pending[i].arrived.After(start) })
-		deadline = start.Add(lat)
-		w.freeAt = deadline
+	if w.cfg.FsyncLatency > 0 && w.broken == nil {
+		return w.claimAt(time.Now())
 	}
+	w.held = false
+	return w.takeWindow(len(w.pending)), time.Time{}
+}
+
+// takeWindow cuts the first n queued records, MaxBatch at most, off the
+// queue.
+func (w *WAL) takeWindow(n int) []*Record {
 	if w.cfg.MaxBatch > 0 {
 		n = min(n, w.cfg.MaxBatch)
 	}
-	window = w.pending[:n:n]
+	window := w.pending[:n:n]
 	w.pending = w.pending[n:]
-	return window, deadline
+	return window
+}
+
+// claimAt is claimWindow under a simulated sync latency, looking at the
+// queue at the instant now. A nil window means the sync is being held
+// and now is too early to tell when it starts: the deadline is then the
+// hold's limit, when the caller looks again.
+//
+// The simulated device is a clock, not a sleep. Its syncs are serial
+// and take exactly FsyncLatency each: a sync starts at the instant
+// syncStart reads off the queue's arrival stamps, carries the records
+// that had arrived by then, and completes FsyncLatency later. A record
+// that arrives while a sync is in flight waits for the next one,
+// however late the flusher itself woke, and the flusher's lateness in
+// one window never delays the next.
+func (w *WAL) claimAt(now time.Time) (window []*Record, deadline time.Time) {
+	start, ok := w.syncStart(now)
+	if w.held = !ok; w.held {
+		return nil, start
+	}
+	window = w.takeWindow(sort.Search(len(w.pending), func(i int) bool { return w.pending[i].arrived.After(start) }))
+	w.cohort = 0
+	for _, r := range window {
+		if !r.Async {
+			w.cohort++
+		}
+	}
+	w.freeAt = start.Add(w.cfg.FsyncLatency)
+	return window, w.freeAt
+}
+
+// maxHoldBackoff caps the back-off of syncStart: where the committers
+// never return inside the limit, one sync in maxHoldBackoff − 1 is held
+// in vain.
+const maxHoldBackoff = 64
+
+// syncStart returns the instant the next simulated sync starts, or
+// ok=false and the instant to look again when that cannot be told yet.
+// It is a function of the queue's arrival stamps, the clock's state and
+// now; the caller holds mu and the queue is not empty.
+//
+// Without a hold the sync starts as soon as the device is free and a
+// record is waiting: max(freeAt, first arrival). The hold is the
+// testbed's commit delay. The sync that completed at freeAt sent cohort
+// committers back to their clients, and they are what is coming: the
+// next sync starts when cohort further records have arrived since freeAt
+// (records already queued by then ride along; MaxBatch of them fill the
+// window and end the hold too), or at the hold limit, freeAt +
+// FsyncLatency, whichever is first: a sync is never held for longer than
+// it takes. Nothing is held when the first record finds the device idle
+// for longer than the limit, when MaxBatch is 1, or when the cohort was
+// back before the device came free — one client, whose own return is
+// the arrival that starts its sync, never waits. The flusher sleeps to
+// the limit and reads off afterwards when the cohort was complete; the
+// limit is no longer than a sync, so that sync's deadline is still
+// ahead.
+//
+// A hold that ends at its limit delayed everything queued for nobody: a
+// miss. Misses among hits are the price of holding; misses that keep
+// coming mean the committers take longer than the limit to return, or
+// that the arrivals ending the holds are not the committers they wait
+// for, and the hold backs off: a miss doubles holdBackoff and adds two,
+// a hit takes one off, and after a miss the next holdBackoff − 2 syncs
+// that would be held start without delay instead. So one miss among
+// hits passes up nothing, hits and misses in turns soon pass up
+// maxHoldBackoff − 2 holds for each one tried, and committers that
+// speed up are found again. Drain and Close promise that nobody is
+// coming: a hold ends the instant they were called, and is neither.
+func (w *WAL) syncStart(now time.Time) (start time.Time, ok bool) {
+	start = w.pending[0].arrived
+	if w.freeAt.After(start) {
+		start = w.freeAt
+	}
+	limit := w.freeAt.Add(w.cfg.FsyncLatency)
+	quiet := !w.quietAt.Before(w.pending[len(w.pending)-1].arrived) && w.quietAt.Before(limit)
+	if quiet {
+		limit = w.quietAt
+	}
+	if w.cohort == 0 || w.cfg.MaxBatch == 1 || !start.Before(limit) {
+		return start, true
+	}
+	// The record whose arrival ends the hold is the cohort-th after
+	// freeAt, or the one that fills the window.
+	last := sort.Search(len(w.pending), func(i int) bool { return w.pending[i].arrived.After(w.freeAt) }) + w.cohort
+	if w.cfg.MaxBatch > 0 {
+		last = min(last, w.cfg.MaxBatch)
+	}
+	var end time.Time // when that record arrived; zero: not yet
+	if len(w.pending) >= last {
+		end = w.pending[last-1].arrived
+	}
+	if !end.IsZero() && !end.After(start) {
+		return start, true
+	}
+	if w.holdSkip > 0 {
+		w.holdSkip--
+		return start, true
+	}
+	switch {
+	case !end.IsZero() && !end.After(limit):
+		w.stats.HoldHits++
+		w.holdBackoff = max(0, w.holdBackoff-1)
+	case now.Before(limit):
+		return limit, false
+	default:
+		end = limit
+		if !quiet {
+			w.holdBackoff = min(2*w.holdBackoff+2, maxHoldBackoff)
+			w.holdSkip = w.holdBackoff - 2
+		}
+	}
+	w.stats.Holds++
+	w.stats.HeldNanos += int64(end.Sub(start))
+	return end, true
 }
 
 // flushWindow makes one window durable: one device append of every
@@ -651,9 +786,11 @@ func (w *WAL) WaitDurableCSN(csn uint64) error {
 // Drain blocks until the flush queue is empty and no flush is in
 // flight. DB.Close uses it to flush async commits before teardown; the
 // caller must guarantee no new Enqueues arrive (a broken WAL still
-// drains — its pending records fail fast).
+// drains — its pending records fail fast). A simulated sync being held
+// for returning committers starts now: none is coming.
 func (w *WAL) Drain() {
 	w.mu.Lock()
+	w.quietAt = time.Now()
 	for w.flusher || len(w.pending) > 0 {
 		w.idle.Wait()
 	}
@@ -800,20 +937,22 @@ func (w *WAL) Stats() Stats {
 }
 
 // Close shuts the device down. Pending, unflushed records fail with
-// core.ErrWALClosed; records already in a device write are acknowledged
-// by that flush. Close is idempotent, safe against concurrent Commit
-// and concurrent Close, and returns only once no flush goroutine is
-// running — a closed WAL has no background activity left. (DB.Close
-// drains the queue first, so a graceful shutdown flushes async commits
-// rather than failing them.)
+// core.ErrWALClosed; records already in a device write — or in a
+// simulated sync that was being held, which starts now — are
+// acknowledged by that flush. Close is idempotent, safe against
+// concurrent Commit and concurrent Close, and returns only once no
+// flush goroutine is running — a closed WAL has no background activity
+// left. (DB.Close drains the queue first, so a graceful shutdown
+// flushes async commits rather than failing them.)
 func (w *WAL) Close() {
 	w.mu.Lock()
 	w.closed = true
-	pending := w.pending
-	w.pending = nil
+	w.quietAt = time.Now()
 	for w.flusher {
 		w.idle.Wait()
 	}
+	pending := w.pending
+	w.pending = nil
 	w.durable.Broadcast()
 	w.mu.Unlock()
 	// The flush loop exited and Enqueue rejects new records once closed,
