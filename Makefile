@@ -35,10 +35,12 @@ race:
 # Concurrency stress suite (goroutine fleets + property-based lock-table
 # equivalence, lock-free chain readers against pruning writers and the
 # prune-visibility property in storage, checkpoints streaming under an
-# overwrite storm in engine, plus the MPL-16 online-checker
-# subscription) under the race detector, twice, to vary schedules.
+# overwrite storm in engine, committers leading, queueing to lead,
+# withdrawing and committing async against one log in wal, plus the
+# MPL-16 online-checker subscription) under the race detector, twice, to
+# vary schedules.
 stress:
-	$(GO) test -race -count=2 -run 'TestStress|TestQuick' ./internal/storage ./internal/engine ./internal/workload
+	$(GO) test -race -count=2 -run 'TestStress|TestQuick' ./internal/storage ./internal/wal ./internal/engine ./internal/workload
 
 # Short fuzz smoke on both targets (30s each); CI-friendly bound.
 fuzz:
@@ -128,7 +130,7 @@ bench:
 	$(GO) test -run XXX -bench 'BenchmarkCommitCheckpointMPL16' -benchtime 1s -count 3 -benchmem ./internal/engine | tee bench_ckpt.txt
 	$(GO) test -run XXX -bench 'BenchmarkServerRoundTrip' -benchtime 1s -count 3 -benchmem ./internal/server | tee bench_server.txt
 	$(GO) run ./cmd/benchjson -o BENCH_engine.json \
-		-note "Parallel commit benchmark, uniform keys; baseline = pre-sharding global-mutex design. The tracing set measures the serial commit cycle with the lifecycle recorder absent (off), installed-but-disabled (the <=5% budget: one atomic load per emission point), and capturing (enabled). The durable set prices the WAL: latency-only (no device) vs in-memory device (encoding + CRC32C framing); the CommitDurableMPL16 group prices group commit at 16 committers against a file device with a simulated 200us sync (which takes 200us since PR 13; under time.Sleep it took about 1.1ms, so these rows and the CommitCheckpointMPL16 ones, re-recorded at PR 13, do not compare with recordings before it; both were recorded again at PR 19, when the simulated device began to hold each sync for the committers the last one acknowledged: 8.0 -> 10-14 commits/sync) — coalesced windows vs asynchronous commit vs a segment-rotated log, with commits/sync as the coalescing gauge. The checking set prices the online isolation checker: off/traced/checked time the same commit cycle with ring consumption off-timer (traced->checked is the <=5% commit-path budget), and BenchmarkIngest reports the checker's own off-path cost per event. The admission set prices the adaptive admission gate at Begin: off (Config.Admission nil, one pointer branch — the <=5% acceptance budget against the plain commit cycle) vs on (uncontended fast-path slot acquire/release around each transaction, AIMD controller ticking in the background). The checkpoint set prices checkpoint interference at 16 committers against a file device with a large cold table: none (no checkpoints, the baseline) and fuzzy (the log-growth scheduler streaming incremental links concurrently with commits); p99-ns is the acceptance gauge — fuzzy must stay within 2x of none. The server set prices one full network round-trip — request encode, loopback TCP, line parse, statement execute, response encode/decode — through cmd/sisqld's serving stack (internal/server) with an autocommit single-row SELECT." \
+		-note "Parallel commit benchmark, uniform keys; baseline = pre-sharding global-mutex design. The tracing set measures the serial commit cycle with the lifecycle recorder absent (off), installed-but-disabled (the <=5% budget: one atomic load per emission point), and capturing (enabled). The durable set prices the WAL: latency-only (no device) vs in-memory device (encoding + CRC32C framing); the CommitDurableMPL16 group prices group commit at 16 committers against a file device with a simulated 200us sync (which takes 200us since PR 13; under time.Sleep it took about 1.1ms, so these rows and the CommitCheckpointMPL16 ones, re-recorded at PR 13, do not compare with recordings before it; both were recorded again at PR 19, when the simulated device began to hold each sync for the committers the last one acknowledged: 8.0 -> 10-14 commits/sync, and the whole durable set at PR 20, when a sync committer began to flush on its own goroutine and a commit frame became one allocation: CommitDurable/mem 5.6us and 17 allocs -> 2.8us and 12, the MPL16 rows 15 -> 11 allocs) — coalesced windows vs asynchronous commit vs a segment-rotated log, with commits/sync as the coalescing gauge. The checking set prices the online isolation checker: off/traced/checked time the same commit cycle with ring consumption off-timer (traced->checked is the <=5% commit-path budget), and BenchmarkIngest reports the checker's own off-path cost per event. The admission set prices the adaptive admission gate at Begin: off (Config.Admission nil, one pointer branch — the <=5% acceptance budget against the plain commit cycle) vs on (uncontended fast-path slot acquire/release around each transaction, AIMD controller ticking in the background). The checkpoint set prices checkpoint interference at 16 committers against a file device with a large cold table: none (no checkpoints, the baseline) and fuzzy (the log-growth scheduler streaming incremental links concurrently with commits); p99-ns is the acceptance gauge — fuzzy must stay within 2x of none. The server set prices one full network round-trip — request encode, loopback TCP, line parse, statement execute, response encode/decode — through cmd/sisqld's serving stack (internal/server) with an autocommit single-row SELECT." \
 		baseline=bench/baseline_preshard.txt sharded=bench_latest.txt tracing=bench_traced.txt durable=bench_durable.txt checking=bench_check.txt admission=bench_admission.txt checkpoint=bench_ckpt.txt server=bench_server.txt
 	rm -f bench_latest.txt bench_traced.txt bench_durable.txt bench_check.txt bench_admission.txt bench_ckpt.txt bench_server.txt
 

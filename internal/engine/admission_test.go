@@ -251,10 +251,10 @@ func TestDefaultTxDeadlineFromConfig(t *testing.T) {
 }
 
 // TestDeadlineDuringFlushGroupSync covers the WAL flush-group wait: a
-// sync commit whose record is still queued behind a busy flusher when
-// the deadline fires must withdraw and abort cleanly — versions
-// unstamped, sequencer not wedged, nothing durable — while a record
-// already claimed by a flush window completes fully durable.
+// sync commit whose record is still queued behind another committer's
+// flush when the deadline fires must withdraw and abort cleanly —
+// versions unstamped, sequencer not wedged, nothing durable — while a
+// record already claimed by a flush window completes fully durable.
 func TestDeadlineDuringFlushGroupSync(t *testing.T) {
 	dev := newMemLog(t)
 	db := Open(Config{
@@ -273,7 +273,7 @@ func TestDeadlineDuringFlushGroupSync(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// tx1 occupies the flusher for ~60ms.
+	// tx1 leads its own flush: ~60ms in the simulated sync.
 	tx1 := db.Begin()
 	if err := tx1.Update("T", core.Int(1), kv(1, 101)); err != nil {
 		t.Fatal(err)
@@ -282,8 +282,9 @@ func TestDeadlineDuringFlushGroupSync(t *testing.T) {
 	go func() { tx1Done <- tx1.Commit() }()
 	time.Sleep(10 * time.Millisecond) // let the flush window claim tx1's record
 
-	// tx2's record lands in pending behind the busy flusher; its
-	// deadline fires mid-wait and the record is withdrawn.
+	// tx2's record is queued while tx1 leads; under a deadline it does
+	// not wait in line to lead, its deadline fires mid-wait and the
+	// record is withdrawn.
 	tx2 := db.Begin()
 	if err := tx2.Insert("T", kv(2, 200)); err != nil {
 		t.Fatal(err)
@@ -296,6 +297,9 @@ func TestDeadlineDuringFlushGroupSync(t *testing.T) {
 	// tx1 was already in flight: it must complete durable.
 	if err := <-tx1Done; err != nil {
 		t.Fatalf("in-flight commit: %v", err)
+	}
+	if got, want := db.CommitSeq(), tx1.CommitCSN()+1; got != want {
+		t.Fatalf("published %d, want %d: tx2's CSN as an empty slot behind tx1's", got, want)
 	}
 
 	// The sequencer is not wedged (tx2's CSN published as empty slot)
@@ -347,15 +351,19 @@ func TestDeadlineDuringFlushGroupInFlight(t *testing.T) {
 	if err := tx.Insert("T", kv(1, 100)); err != nil {
 		t.Fatal(err)
 	}
-	// The deadline expires inside the 40ms flush, but the record is
-	// claimed by the flush window the moment it is enqueued (idle
-	// flusher): withdraw must lose and the commit complete.
+	// The deadline expires inside the 40ms flush, but no flush was
+	// running when the record was enqueued, so its committer leads: it
+	// is in flight, there is nothing to withdraw, and the commit
+	// completes.
 	tx.SetDeadline(time.Now().Add(10 * time.Millisecond))
 	if err := tx.Commit(); err != nil {
 		t.Fatalf("in-flight commit past deadline: %v", err)
 	}
 	if err := db.WaitDurable(tx.CommitCSN()); err != nil {
 		t.Fatalf("durability: %v", err)
+	}
+	if s := db.WAL().Stats(); s.LedFlushes != 1 {
+		t.Fatalf("stats %+v; want the one window flushed by its committer", s)
 	}
 
 	rdb, _, err := Recover(dev, Config{Mode: core.SnapshotFUW})

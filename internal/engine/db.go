@@ -12,6 +12,7 @@
 package engine
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -362,9 +363,12 @@ func (db *DB) Admission() *admission.Limiter { return db.gate }
 // order is exactly CSN order. That invariant is what makes the WAL's
 // durability watermark a prefix property: when CSN n is durable, every
 // logged commit ≤ n is durable too (the foundation of WaitDurable and
-// of async-commit recovery losing only a tail). On enqueue failure the
-// CSN is still returned — the committer must publish it as an empty
-// slot so the publication sequence stays gapless.
+// of async-commit recovery losing only a tail). The critical section is
+// the counter and the queue append: the record's frame was encoded
+// before it (wal.WAL.Encode) and Enqueue only stamps the CSN in and
+// checksums it. On enqueue failure the CSN is still returned — the
+// committer must publish it as an empty slot so the publication sequence
+// stays gapless.
 func (db *DB) allocCSNEnqueue(rec *wal.Record) (uint64, <-chan error, error) {
 	db.faults.FireDelayOnly(FaultCSNAlloc, faultinject.Ctx{})
 	db.seqMu.Lock()
@@ -376,6 +380,10 @@ func (db *DB) allocCSNEnqueue(rec *wal.Record) (uint64, <-chan error, error) {
 	return csn, done, err
 }
 
+// publishYields bounds how often publishCSN yields the processor to a
+// predecessor that has not published yet before it parks.
+const publishYields = 16
+
 // publishCSN makes csn visible to new snapshots, in CSN order: a
 // committer whose predecessor is still stamping waits here. The wait is
 // bounded — between allocCSNEnqueue and publishCSN a committer only stamps
@@ -384,7 +392,18 @@ func (db *DB) allocCSNEnqueue(rec *wal.Record) (uint64, <-chan error, error) {
 // broadcast: a committer that arrives early parks on its own channel,
 // and whoever publishes csn-1 closes it — each advance wakes exactly
 // the one goroutine that can make progress.
+//
+// Before it parks, an early committer yields the processor a few times.
+// Queue order is CSN order, so its predecessor's record was durable no
+// later than its own: the predecessor is runnable or running and has one
+// stamping loop to go, which is shorter than a park and a wake — and
+// after a park this committer would become runnable behind whatever the
+// predecessor does next. It yields instead of spinning because on one
+// processor the predecessor needs this one.
 func (db *DB) publishCSN(csn uint64) {
+	for i := 0; i < publishYields && db.visibleCSN.Load() != csn-1; i++ {
+		runtime.Gosched()
+	}
 	db.seqMu.Lock()
 	if db.visibleCSN.Load() != csn-1 {
 		db.seqWaits.Add(1)

@@ -621,20 +621,32 @@ func (tx *Tx) rowImages() []wal.RowImage {
 	return rows
 }
 
-// waitFlush waits for a sync commit's flush verdict, bounded by the
-// transaction deadline. The commit must end fully durable or cleanly
-// aborted, never half-published, so deadline expiry is only honoured
-// while the record can still be torn from the log: if WAL.Withdraw wins
-// (the record was still queued, no flush window claimed it) the commit
-// fails with core.ErrTxDeadline and the caller rolls back exactly like
-// an enqueue failure — versions unstamped, CSN published as an empty
-// slot. If the record is already in flight, the verdict is awaited and
-// the commit completes — late, but durable. Async commits never reach
-// here: they publish first and carry their durability debt in the
-// future.
+// waitFlush takes a sync commit's record to its flush verdict. The
+// committer flushes on its own goroutine (wal.WAL.Lead): with no flush
+// running it leads — it writes and syncs its own record and everybody
+// else's queued with it — and otherwise waits in line to lead next, or
+// for whoever leads to reach its record.
+//
+// The wait is bounded by the transaction deadline. The commit must end
+// fully durable or cleanly aborted, never half-published, so deadline
+// expiry is only honoured while the record can still be torn from the
+// log: if WAL.Withdraw wins (the record was still queued behind somebody
+// else's flush, no window claimed it) the commit fails with
+// core.ErrTxDeadline and the caller rolls back exactly like an enqueue
+// failure — versions unstamped, CSN published as an empty slot. A
+// committer that leads is in flight, as is a record a window has
+// claimed: the verdict is awaited and the commit completes — late, but
+// durable. Async commits never reach here: they publish first and carry
+// their durability debt in the future.
 func (tx *Tx) waitFlush(rec *wal.Record, done <-chan error) error {
+	tx.db.log.Lead(rec, tx.deadline.IsZero())
 	if tx.deadline.IsZero() {
 		return <-done
+	}
+	select {
+	case err := <-done:
+		return err
+	default:
 	}
 	rem := time.Until(tx.deadline)
 	if rem > 0 {
@@ -792,6 +804,9 @@ func (tx *Tx) Commit() error {
 		}
 		if tx.db.log.Persistent() {
 			rec.Rows = tx.rowImages()
+			// Encoded here, outside the sequencer: Enqueue only stamps
+			// the CSN into the frame.
+			tx.db.log.Encode(rec)
 		}
 		tx.db.ckptMu.RLock()
 		csn, done, err := tx.db.allocCSNEnqueue(rec)

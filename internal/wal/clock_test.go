@@ -20,11 +20,7 @@ import (
 // channel.
 func enqN(t *testing.T, w *WAL, txID uint64) <-chan error {
 	t.Helper()
-	done, err := w.Enqueue(&Record{TxID: txID, Bytes: 1})
-	if err != nil {
-		t.Fatalf("enqueue %d: %v", txID, err)
-	}
-	return done
+	return enqueue(t, w, &Record{TxID: txID, Bytes: 1})
 }
 
 // waitQueued blocks until the flusher has claimed a window and exactly
@@ -404,10 +400,7 @@ func startHold(t *testing.T, w *WAL) (held *Record, verdict <-chan error, since 
 	d1 := enqN(t, w, 1)
 	waitQueued(t, w, 0)
 	held = &Record{TxID: 2, Bytes: 1}
-	verdict, err := w.Enqueue(held)
-	if err != nil {
-		t.Fatal(err)
-	}
+	verdict = enqueue(t, w, held)
 	if err := <-d1; err != nil {
 		t.Fatal(err)
 	}

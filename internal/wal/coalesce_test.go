@@ -35,14 +35,10 @@ func (d *gateDevice) Append(b []byte) error {
 
 func enq(t *testing.T, w *WAL, csn uint64) <-chan error {
 	t.Helper()
-	done, err := w.Enqueue(&Record{
+	return enqueue(t, w, &Record{
 		TxID: csn + 100, CSN: csn,
 		Rows: []RowImage{{Table: "t", Key: core.Int(int64(csn)), Rec: core.Record{core.Int(int64(csn))}}},
 	})
-	if err != nil {
-		t.Fatalf("enqueue %d: %v", csn, err)
-	}
-	return done
 }
 
 // TestWindowSharesOneSync pins the group-commit contract: every record
@@ -262,11 +258,8 @@ func TestAsyncRecordFailureBricks(t *testing.T) {
 	// aborts instead.
 	w2 := failing()
 	defer w2.Close()
-	done2, err := w2.Enqueue(&Record{TxID: 101, CSN: 1,
+	done2 := enqueue(t, w2, &Record{TxID: 101, CSN: 1,
 		Rows: []RowImage{{Table: "t", Key: core.Int(1), Rec: core.Record{core.Int(1)}}}})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if ferr := <-done2; !errors.Is(ferr, boom) {
 		t.Fatalf("future = %v", ferr)
 	}

@@ -186,23 +186,70 @@ func frame(payload []byte) []byte {
 	return append(out, payload...)
 }
 
-// EncodeCommit renders a commit frame, header included.
-func EncodeCommit(c *CommitFrame) []byte {
-	p := []byte{frameCommit}
-	p = appendU64(p, c.TxID)
-	p = appendU64(p, c.CSN)
-	p = appendU32(p, uint32(len(c.Rows)))
+// commitCSNOffset is where a commit frame carries its CSN: behind the
+// header, the type byte and the TxID.
+const commitCSNOffset = frameHeaderSize + 1 + 8
+
+func valueSize(v core.Value) int {
+	switch v.K {
+	case core.KindInt:
+		return 1 + 8
+	case core.KindString:
+		return 1 + 4 + len(v.S)
+	}
+	return 1
+}
+
+// commitFrameSize is the exact length of c's frame, header included.
+func commitFrameSize(c *CommitFrame) int {
+	n := commitCSNOffset + 8 + 4
 	for _, r := range c.Rows {
-		p = appendStr(p, r.Table)
-		p = appendValue(p, r.Key)
-		if r.Rec == nil {
-			p = append(p, 0)
-		} else {
-			p = append(p, 1)
-			p = appendRecord(p, r.Rec)
+		n += 4 + len(r.Table) + valueSize(r.Key) + 1
+		if r.Rec != nil {
+			n += 4
+			for _, v := range r.Rec {
+				n += valueSize(v)
+			}
 		}
 	}
-	return frame(p)
+	return n
+}
+
+// encodeCommit renders c's frame in the one buffer it allocates: the
+// header's room first, its length filled in, the checksum left to
+// sealCommit.
+func encodeCommit(c *CommitFrame) []byte {
+	b := make([]byte, frameHeaderSize, commitFrameSize(c))
+	b = append(b, frameCommit)
+	b = appendU64(b, c.TxID)
+	b = appendU64(b, c.CSN)
+	b = appendU32(b, uint32(len(c.Rows)))
+	for _, r := range c.Rows {
+		b = appendStr(b, r.Table)
+		b = appendValue(b, r.Key)
+		if r.Rec == nil {
+			b = append(b, 0)
+		} else {
+			b = append(b, 1)
+			b = appendRecord(b, r.Rec)
+		}
+	}
+	binary.LittleEndian.PutUint32(b, uint32(len(b)-frameHeaderSize))
+	return b
+}
+
+// sealCommit gives the commit frame b its CSN and, over the payload that
+// is complete with it, its checksum.
+func sealCommit(b []byte, csn uint64) {
+	binary.LittleEndian.PutUint64(b[commitCSNOffset:], csn)
+	binary.LittleEndian.PutUint32(b[4:], crc32.Checksum(b[frameHeaderSize:], castagnoli))
+}
+
+// EncodeCommit renders a commit frame, header included.
+func EncodeCommit(c *CommitFrame) []byte {
+	b := encodeCommit(c)
+	sealCommit(b, c.CSN)
+	return b
 }
 
 // EncodeSchema renders a schema (DDL) frame, header included.

@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
@@ -169,5 +170,76 @@ func TestScanLogStopsAtTornTail(t *testing.T) {
 	// A clean log scans to its full length.
 	if _, valid := ScanLog(log); valid != len(log) {
 		t.Fatalf("clean log valid prefix %d, want %d", valid, len(log))
+	}
+}
+
+// commitFrames is what the commit-frame encoder is pinned on: no rows
+// (an SFU-only commit), SmallBank's shape, strings, a NULL, a tombstone.
+func commitFrames() []*CommitFrame {
+	return []*CommitFrame{
+		{TxID: 1, CSN: 2},
+		{TxID: 7, CSN: 1 << 40, Rows: []RowImage{
+			{Table: "Saving", Key: core.Int(7), Rec: core.Record{core.Int(7), core.Int(500)}},
+			{Table: "Checking", Key: core.Int(7), Rec: core.Record{core.Int(7), core.Int(-12)}},
+			{Table: "Conflict", Key: core.Int(7), Rec: core.Record{core.Int(7), core.Int(3)}},
+		}},
+		{TxID: 42, CSN: 99, Rows: []RowImage{
+			{Table: "Account", Key: core.Str("cust-1"), Rec: core.Record{core.Str("cust-1"), core.Null(), core.Str("")}},
+			{Table: "Checking", Key: core.Int(-3), Rec: nil},
+			{Table: "", Key: core.Null(), Rec: core.Record{}},
+		}},
+	}
+}
+
+// encodeCommitByAppend is the commit-frame encoding as it was before the
+// frame was built in place: the payload grown by append, then copied
+// behind its header by frame. Recovery, walinspect and the fuzz corpus
+// know this byte stream.
+func encodeCommitByAppend(c *CommitFrame) []byte {
+	p := []byte{frameCommit}
+	p = appendU64(p, c.TxID)
+	p = appendU64(p, c.CSN)
+	p = appendU32(p, uint32(len(c.Rows)))
+	for _, r := range c.Rows {
+		p = appendStr(p, r.Table)
+		p = appendValue(p, r.Key)
+		if r.Rec == nil {
+			p = append(p, 0)
+		} else {
+			p = append(p, 1)
+			p = appendRecord(p, r.Rec)
+		}
+	}
+	return frame(p)
+}
+
+// TestCommitFrameBytesUnchanged: building the frame in one buffer, and
+// stamping the CSN into a frame encoded without it, produce byte for
+// byte the frames the old encoder did.
+func TestCommitFrameBytesUnchanged(t *testing.T) {
+	for i, c := range commitFrames() {
+		want := encodeCommitByAppend(c)
+		got := EncodeCommit(c)
+		if !bytes.Equal(got, want) {
+			t.Errorf("frame %d: EncodeCommit\n got %x\nwant %x", i, got, want)
+		}
+		if len(got) != cap(got) || len(got) != commitFrameSize(c) {
+			t.Errorf("frame %d: %d bytes in a buffer of %d, sized for %d", i, len(got), cap(got), commitFrameSize(c))
+		}
+		late := encodeCommit(&CommitFrame{TxID: c.TxID, Rows: c.Rows})
+		sealCommit(late, c.CSN)
+		if !bytes.Equal(late, want) {
+			t.Errorf("frame %d: encoded without its CSN, then sealed\n got %x\nwant %x", i, late, want)
+		}
+	}
+}
+
+// TestCommitFrameOneAllocation: a commit frame costs its own buffer and
+// nothing else, whatever the number of rows.
+func TestCommitFrameOneAllocation(t *testing.T) {
+	for i, c := range commitFrames() {
+		if n := testing.AllocsPerRun(100, func() { EncodeCommit(c) }); n != 1 {
+			t.Errorf("frame %d (%d rows): %v allocations per EncodeCommit, want 1", i, len(c.Rows), n)
+		}
 	}
 }

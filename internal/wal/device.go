@@ -67,12 +67,13 @@ type LogDevice interface {
 	SetFaults(r *faultinject.Registry)
 }
 
-// fire hits a fault point on the flush goroutine or inside the device,
+// fire hits a fault point inside the flush loop or the device,
 // converting an injected panic (ActPanic modelling a crash at that
-// point) into its error value instead of letting it kill the background
-// goroutine — and with it the whole process. crashed reports that
-// conversion; the caller turns it into lost page cache, a torn append
-// and a bricked WAL as the point demands.
+// point) into its error value instead of letting it unwind the loop —
+// out of a committer with the leader mutex held, or out of the
+// background goroutine and with it the whole process. crashed reports
+// that conversion; the caller turns it into lost page cache, a torn
+// append and a bricked WAL as the point demands.
 func fire(reg *faultinject.Registry, point string) (err error, crashed bool) {
 	defer func() {
 		if r := recover(); r != nil {

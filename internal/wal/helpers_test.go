@@ -19,6 +19,20 @@ func newTestLog(t testing.TB, image ...SegmentData) *SegmentLog {
 	return dev
 }
 
+// enqueue queues the sync record rec from the test's own goroutine, so
+// that queue order is the test's order, and has a goroutine stand in for
+// the record's committer: it leads the flush, or waits to, as the engine
+// does between Enqueue and receiving the verdict.
+func enqueue(t testing.TB, w *WAL, rec *Record) <-chan error {
+	t.Helper()
+	done, err := w.Enqueue(rec)
+	if err != nil {
+		t.Fatalf("enqueue %d: %v", rec.TxID, err)
+	}
+	go w.Lead(rec, true)
+	return done
+}
+
 // logImage returns the device's byte stream: every live segment
 // concatenated in index order.
 func logImage(t testing.TB, dev LogDevice) []byte {

@@ -23,17 +23,20 @@
 // which the paper's result, a ratio of log waits to CPU work, depends
 // on.
 //
-// Durability is real when a LogDevice is attached (Config.Device): the
-// flush loop encodes each commit record — row after-images plus CSN —
-// into CRC32-framed binary frames (codec.go) and covers every record
-// of a window with one append and one Sync (group commit; with no
+// Durability is real when a LogDevice is attached (Config.Device): each
+// commit record — row after-images plus CSN — is encoded into a
+// CRC32-framed binary frame (codec.go) and the flush loop covers every
+// record of a window with one append and one Sync (group commit; with no
 // simulated latency a window is every record queued during the previous
-// sync). Schema frames and the fuzzy checkpoint chain's link frames
-// share the same framing, and Recover (recover.go) classifies a device
-// image back into folded checkpoint + redo work with torn-tail
-// truncation. The one device is the wal.000N segmented log
-// (segment.go). Read-only transactions never touch the
-// log, which is the mechanism behind the paper's §IV-D observation that
+// sync). As on the paper's PostgreSQL there is no log-writer hop on a
+// commit: the committer that needs its record durable runs the flush
+// loop itself and flushes everybody's (Lead); a background goroutine
+// runs it only for records nobody is waiting to lead. Schema frames and
+// the fuzzy checkpoint chain's link frames share the same framing, and
+// Recover (recover.go) classifies a device image back into folded
+// checkpoint + redo work with torn-tail truncation. The one device is
+// the wal.000N segmented log (segment.go). Read-only transactions never
+// touch the log, which is the mechanism behind the paper's §IV-D observation that
 // strategies turning the read-only Balance program into an updater pay
 // ~20% at MPL=1 (5/5 instead of 4/5 of transactions must wait for the
 // disk).
@@ -41,6 +44,7 @@ package wal
 
 import (
 	"hash/crc32"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -135,6 +139,8 @@ type Record struct {
 	// bricks the WAL instead.
 	Async bool
 
+	// enc is the record's frame: Encode renders it, Enqueue fills in the
+	// CSN and the checksum.
 	enc  []byte
 	done chan error
 	// arrived is when Enqueue queued the record, stamped only under a
@@ -149,13 +155,16 @@ type Record struct {
 // (injected error, injected crash, device error, or a failed Sync)
 // count in FailedFlushes and contribute nothing else.
 type Stats struct {
-	// Flushes counts flush windows appended and made durable; Syncs
-	// counts every device sync (a window's, a schema frame's, a chain
-	// link's end marker).
-	Flushes int64
-	Syncs   int64
-	Records int64
-	Bytes   int64
+	// Flushes counts flush windows appended and made durable, LedFlushes
+	// those of them that a committer flushed on its own goroutine (see
+	// Lead; the rest ran on the background goroutine); Syncs counts every
+	// device sync (a window's, a schema frame's, a chain link's end
+	// marker).
+	Flushes    int64
+	LedFlushes int64
+	Syncs      int64
+	Records    int64
+	Bytes      int64
 	// FailedFlushes counts flush windows that failed; their records
 	// were rejected, not acknowledged.
 	FailedFlushes int64
@@ -206,11 +215,25 @@ type WAL struct {
 	// mid-write.
 	devMu sync.Mutex
 
+	// leadMu is held by whoever runs the flush loop — a committer leading
+	// its own record out (Lead) or the background goroutine — and is what
+	// the one committer waiting to lead next blocks on: a sync.Mutex spins
+	// before it parks, and a bare device's window is over within the spin.
+	// It is locked before mu, except where mu's holder knows it to be free
+	// (flusher is false).
+	leadMu sync.Mutex
+
 	mu      sync.Mutex
 	idle    sync.Cond // broadcast when the flush loop exits
 	durable sync.Cond // broadcast when the durability watermark moves or the WAL dies
 	pending []*Record
-	flusher bool // a flush loop is running
+	// flusher: a flush loop is running, or the heir is about to run it;
+	// while it is false leadMu is free and nobody waits for it. heir is
+	// the queued record whose committer is blocked on leadMu to run the
+	// loop when its present owner leaves (at most one; it clears heir
+	// itself once it has the mutex).
+	flusher bool
+	heir    *Record
 	closed  bool
 	broken  error // sticky: the device died (crash or IO error); recovery required
 	stats   Stats
@@ -295,7 +318,20 @@ func (w *WAL) Commit(rec *Record) error {
 	if done == nil {
 		return nil
 	}
+	w.Lead(rec, true)
 	return <-done
+}
+
+// Encode renders rec's commit frame — everything but the CSN and the
+// checksum over it, which Enqueue fills in — and sets rec.Bytes to the
+// frame's size. The engine calls it before it enters the sequencer, so
+// the CSN-allocation critical section copies no row image; Enqueue
+// encodes a record that comes without. No-op without a device.
+func (w *WAL) Encode(rec *Record) {
+	if w.cfg.Device != nil {
+		rec.enc = encodeCommit(&CommitFrame{TxID: rec.TxID, Rows: rec.Rows})
+		rec.Bytes = len(rec.enc)
+	}
 }
 
 // Enqueue appends rec to the flush queue without waiting for
@@ -304,6 +340,11 @@ func (w *WAL) Commit(rec *Record) error {
 // is disabled (the record is trivially "durable"), or a non-nil error
 // when the log is closed or broken and nothing was enqueued.
 //
+// A record whose committer is gone (Async) gets the background flush
+// loop. A sync record's committer follows up with Lead, which runs the
+// loop on its own goroutine: until then — or until Drain — a sync record
+// with no loop running just sits in the queue.
+//
 // The engine calls Enqueue inside the CSN-allocation critical section,
 // so queue order equals CSN order: the durable part of the log is
 // always a CSN prefix, which is what makes the durability watermark
@@ -311,8 +352,10 @@ func (w *WAL) Commit(rec *Record) error {
 // lose-only-the-tail recovery guarantee meaningful.
 func (w *WAL) Enqueue(rec *Record) (<-chan error, error) {
 	if w.cfg.Device != nil {
-		rec.enc = EncodeCommit(&CommitFrame{TxID: rec.TxID, CSN: rec.CSN, Rows: rec.Rows})
-		rec.Bytes = len(rec.enc)
+		if rec.enc == nil {
+			w.Encode(rec)
+		}
+		sealCommit(rec.enc, rec.CSN)
 	}
 	if w.tracer.Enabled() {
 		w.tracer.Emit(trace.Event{Kind: trace.EvWALCommit, Tx: rec.TxID, Bytes: rec.Bytes})
@@ -340,13 +383,58 @@ func (w *WAL) Enqueue(rec *Record) (<-chan error, error) {
 		rec.arrived = time.Now()
 	}
 	w.pending = append(w.pending, rec)
-	if !w.flusher {
-		w.flusher = true
-		go w.flushLoop()
+	if rec.Async && !w.flusher {
+		w.startFlusher()
 	}
 	w.mu.Unlock()
 
 	return rec.done, nil
+}
+
+// startFlusher starts the background flush loop; the caller holds mu and
+// no loop is running (so leadMu is free).
+func (w *WAL) startFlusher() {
+	w.flusher = true
+	w.leadMu.Lock()
+	go w.flushLoop(nil)
+}
+
+// Lead is the second half of a sync commit: the committer of rec, which
+// Enqueue queued, flushes on its own goroutine instead of handing the
+// record to another one and parking — the commit path of the paper's
+// PostgreSQL, where the backend that needs its commit record durable
+// writes the log itself and whoever writes, writes everybody's. With no
+// flush loop running the caller runs it: it claims every record queued,
+// its own among them, appends, syncs, resolves them, and returns as soon
+// as its own record has a verdict. With a loop running, a caller that
+// may wait becomes the heir — it blocks on leadMu and runs the loop next
+// — unless there is an heir already. Every other caller returns at
+// once; its record is flushed by the loop's owner, the heir, or the
+// background goroutine an owner starts when it leaves records behind
+// that nobody is waiting to lead. wait is false for a committer that
+// must be able to give up (a transaction deadline): it never blocks
+// here without flushing, and a record the loop has not claimed can
+// still be withdrawn.
+//
+// Lead consumes no verdict: the caller receives from the channel Enqueue
+// returned.
+func (w *WAL) Lead(rec *Record, wait bool) {
+	w.mu.Lock()
+	running := w.flusher
+	if running && (w.heir != nil || !wait) || !slices.Contains(w.pending, rec) {
+		w.mu.Unlock()
+		return
+	}
+	if running {
+		w.heir = rec
+		w.mu.Unlock()
+		w.leadMu.Lock()
+	} else {
+		w.flusher = true
+		w.leadMu.Lock()
+		w.mu.Unlock()
+	}
+	w.flushLoop(rec)
 }
 
 // Withdraw removes rec from the flush queue if — and only if — no flush
@@ -381,19 +469,45 @@ func (w *WAL) Withdraw(rec *Record) bool {
 }
 
 // flushLoop drains pending records window by window. Exactly one loop
-// runs at a time; it exits when the queue empties, so an idle log costs
-// nothing.
-func (w *WAL) flushLoop() {
+// runs at a time — its caller holds leadMu and has set flusher — on the
+// goroutine of the committer of own (Lead), or on a background goroutine
+// (own is nil). The background loop runs until the queue is empty or an
+// heir is waiting to take over, so an idle log costs nothing; a
+// committer's until own has its verdict.
+func (w *WAL) flushLoop(own *Record) {
 	for {
 		w.mu.Lock()
 		// A sync that was being held is this loop's to start even if Close
 		// came meanwhile: without the hold it would have been in flight.
-		if len(w.pending) == 0 || w.closed && !w.held {
+		leave := len(w.pending) == 0 || w.closed && !w.held
+		if own == nil {
+			leave = leave || w.heir != nil
+		} else {
+			if w.heir == own {
+				w.heir = nil
+			}
+			// Claimed by a window of this loop or of its predecessor's,
+			// all of them resolved by now (or withdrawn, or failed by Close).
+			leave = leave || !slices.Contains(w.pending, own)
+		}
+		if leave {
 			w.held = false
-			w.flusher = false
-			// Closing drains remaining waiters in Close; wake it now
-			// that no flush is in flight.
-			w.idle.Broadcast()
+			switch {
+			case w.heir != nil:
+				// Blocked on leadMu, or about to be: the loop is the heir's.
+				w.leadMu.Unlock()
+			case len(w.pending) > 0 && !w.closed:
+				// Records whose committers are not coming to lead them
+				// (async, or waiting under a deadline): the background
+				// goroutine takes the loop over, leadMu with it.
+				go w.flushLoop(nil)
+			default:
+				w.flusher = false
+				w.leadMu.Unlock()
+				// Closing drains remaining waiters in Close; wake it now
+				// that no flush is in flight.
+				w.idle.Broadcast()
+			}
 			w.mu.Unlock()
 			return
 		}
@@ -407,7 +521,7 @@ func (w *WAL) flushLoop() {
 			sleepUntil(deadline)
 		}
 		if window != nil {
-			w.flushWindow(window)
+			w.flushWindow(window, own != nil)
 		}
 	}
 }
@@ -556,8 +670,9 @@ func (w *WAL) syncStart(now time.Time) (start time.Time, ok bool) {
 // window before any byte reaches the device and leaves the WAL healthy;
 // a crash (injected panic) loses the unsynced appends, leaves at most a
 // torn fragment, and bricks the WAL, as does any device error or failed
-// sync. Either the whole window is acknowledged or none of it is.
-func (w *WAL) flushWindow(window []*Record) {
+// sync. Either the whole window is acknowledged or none of it is. led
+// says that a committer is running the loop.
+func (w *WAL) flushWindow(window []*Record, led bool) {
 	frames, bytes := windowFrames(window)
 	err := w.writeWindow(frames)
 	w.mu.Lock()
@@ -570,13 +685,17 @@ func (w *WAL) flushWindow(window []*Record) {
 		w.stats.FailedFlushes++
 	} else {
 		w.stats.Flushes++
+		if led {
+			w.stats.LedFlushes++
+		}
 		w.stats.Syncs++
 		w.stats.Records += int64(len(window))
 		w.stats.Bytes += int64(bytes)
 	}
 	w.mu.Unlock()
 	if err == nil && w.tracer.Enabled() {
-		w.traceFlush(len(window), bytes)
+		// A device-level event: no transaction; Depth is the window size.
+		w.tracer.Emit(trace.Event{Kind: trace.EvWALFlush, Depth: len(window), Bytes: bytes})
 	}
 	w.resolve(window, err)
 }
@@ -584,11 +703,7 @@ func (w *WAL) flushWindow(window []*Record) {
 // windowFrames returns the bytes one window appends and their accounted
 // size: a lone record's own encoding as it stands (the device copies or
 // writes out what it is handed and keeps no reference), or every
-// record's, concatenated into a buffer sized once. Like traceFlush it
-// stays out of line: inlined, its loops' locals would sit in
-// flushWindow's frame for the whole device write beneath it.
-//
-//go:noinline
+// record's, concatenated into a buffer sized once.
 func windowFrames(window []*Record) (frames []byte, bytes int) {
 	if len(window) == 1 {
 		return window[0].enc, window[0].Bytes
@@ -603,18 +718,6 @@ func windowFrames(window []*Record) (frames []byte, bytes int) {
 		frames = append(frames, r.enc...)
 	}
 	return frames, bytes
-}
-
-// traceFlush emits a window's EvWALFlush — a device-level event: no
-// transaction; Depth is the window size. It is a function of its own to
-// keep the Event out of flushWindow's frame: a flusher is a fresh
-// goroutine per burst (one per commit at low MPL), and its deepest call
-// chain — down through the device's file write — must fit the stack a
-// goroutine starts with, or every commit pays for growing one.
-//
-//go:noinline
-func (w *WAL) traceFlush(depth, bytes int) {
-	w.tracer.Emit(trace.Event{Kind: trace.EvWALFlush, Depth: depth, Bytes: bytes})
 }
 
 // writeWindow runs a window's fault points and device calls, bricking
@@ -787,11 +890,16 @@ func (w *WAL) WaitDurableCSN(csn uint64) error {
 // flight. DB.Close uses it to flush async commits before teardown; the
 // caller must guarantee no new Enqueues arrive (a broken WAL still
 // drains — its pending records fail fast). A simulated sync being held
-// for returning committers starts now: none is coming.
+// for returning committers starts now: none is coming, and neither is
+// anybody to lead a sync record still queued with no loop running, so
+// the background goroutine flushes it.
 func (w *WAL) Drain() {
 	w.mu.Lock()
 	w.quietAt = time.Now()
 	for w.flusher || len(w.pending) > 0 {
+		if !w.flusher {
+			w.startFlusher()
+		}
 		w.idle.Wait()
 	}
 	w.mu.Unlock()
@@ -941,9 +1049,9 @@ func (w *WAL) Stats() Stats {
 // simulated sync that was being held, which starts now — are
 // acknowledged by that flush. Close is idempotent, safe against
 // concurrent Commit and concurrent Close, and returns only once no
-// flush goroutine is running — a closed WAL has no background activity
-// left. (DB.Close drains the queue first, so a graceful shutdown
-// flushes async commits rather than failing them.)
+// flush loop is running, a committer's or the background goroutine's — a
+// closed WAL has no activity left. (DB.Close drains the queue first, so
+// a graceful shutdown flushes async commits rather than failing them.)
 func (w *WAL) Close() {
 	w.mu.Lock()
 	w.closed = true

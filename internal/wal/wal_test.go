@@ -224,10 +224,7 @@ func TestWithdrawLosesToClaimedWindow(t *testing.T) {
 
 	// With an idle flusher the window claims the record immediately.
 	rec := &Record{TxID: 1, Bytes: 64}
-	done, err := w.Enqueue(rec)
-	if err != nil {
-		t.Fatal(err)
-	}
+	done := enqueue(t, w, rec)
 	time.Sleep(10 * time.Millisecond)
 	if w.Withdraw(rec) {
 		t.Fatal("withdrew a record already claimed by a flush window")
