@@ -43,6 +43,8 @@ stress:
 	$(GO) test -race -count=2 -run 'TestStress|TestQuick' ./internal/storage ./internal/wal ./internal/engine ./internal/workload
 
 # Short fuzz smoke on both targets (30s each); CI-friendly bound.
+# FuzzSQLMiniParse also holds the pull lexer to the two-pass reference
+# kept in its test file: same tokens, same errors, lexing error first.
 fuzz:
 	$(GO) test -fuzz FuzzCheckerHistories -fuzztime 30s ./internal/detsim
 	$(GO) test -fuzz FuzzSQLMiniParse -fuzztime 30s ./internal/sqlmini
@@ -130,7 +132,7 @@ bench:
 	$(GO) test -run XXX -bench 'BenchmarkCommitCheckpointMPL16' -benchtime 1s -count 3 -benchmem ./internal/engine | tee bench_ckpt.txt
 	$(GO) test -run XXX -bench 'BenchmarkServerRoundTrip' -benchtime 1s -count 3 -benchmem ./internal/server | tee bench_server.txt
 	$(GO) run ./cmd/benchjson -o BENCH_engine.json \
-		-note "Parallel commit benchmark, uniform keys; baseline = pre-sharding global-mutex design. The tracing set measures the serial commit cycle with the lifecycle recorder absent (off), installed-but-disabled (the <=5% budget: one atomic load per emission point), and capturing (enabled). The durable set prices the WAL: latency-only (no device) vs in-memory device (encoding + CRC32C framing); the CommitDurableMPL16 group prices group commit at 16 committers against a file device with a simulated 200us sync (which takes 200us since PR 13; under time.Sleep it took about 1.1ms, so these rows and the CommitCheckpointMPL16 ones, re-recorded at PR 13, do not compare with recordings before it; both were recorded again at PR 19, when the simulated device began to hold each sync for the committers the last one acknowledged: 8.0 -> 10-14 commits/sync, and the whole durable set at PR 20, when a sync committer began to flush on its own goroutine and a commit frame became one allocation: CommitDurable/mem 5.6us and 17 allocs -> 2.8us and 12, the MPL16 rows 15 -> 11 allocs) — coalesced windows vs asynchronous commit vs a segment-rotated log, with commits/sync as the coalescing gauge. The checking set prices the online isolation checker: off/traced/checked time the same commit cycle with ring consumption off-timer (traced->checked is the <=5% commit-path budget), and BenchmarkIngest reports the checker's own off-path cost per event. The admission set prices the adaptive admission gate at Begin: off (Config.Admission nil, one pointer branch — the <=5% acceptance budget against the plain commit cycle) vs on (uncontended fast-path slot acquire/release around each transaction, AIMD controller ticking in the background). The checkpoint set prices checkpoint interference at 16 committers against a file device with a large cold table: none (no checkpoints, the baseline) and fuzzy (the log-growth scheduler streaming incremental links concurrently with commits); p99-ns is the acceptance gauge — fuzzy must stay within 2x of none. The server set prices one full network round-trip — request encode, loopback TCP, line parse, statement execute, response encode/decode — through cmd/sisqld's serving stack (internal/server) with an autocommit single-row SELECT." \
+		-note "Parallel commit benchmark, uniform keys; baseline = pre-sharding global-mutex design. The tracing set measures the serial commit cycle with the lifecycle recorder absent (off), installed-but-disabled (the <=5% budget: one atomic load per emission point), and capturing (enabled). The durable set prices the WAL: latency-only (no device) vs in-memory device (encoding + CRC32C framing); the CommitDurableMPL16 group prices group commit at 16 committers against a file device with a simulated 200us sync (which takes 200us since PR 13; under time.Sleep it took about 1.1ms, so these rows and the CommitCheckpointMPL16 ones, re-recorded at PR 13, do not compare with recordings before it; both were recorded again at PR 19, when the simulated device began to hold each sync for the committers the last one acknowledged: 8.0 -> 10-14 commits/sync, and the whole durable set at PR 20, when a sync committer began to flush on its own goroutine and a commit frame became one allocation: CommitDurable/mem 5.6us and 17 allocs -> 2.8us and 12, the MPL16 rows 15 -> 11 allocs) — coalesced windows vs asynchronous commit vs a segment-rotated log, with commits/sync as the coalescing gauge. The checking set prices the online isolation checker: off/traced/checked time the same commit cycle with ring consumption off-timer (traced->checked is the <=5% commit-path budget), and BenchmarkIngest reports the checker's own off-path cost per event. The admission set prices the adaptive admission gate at Begin: off (Config.Admission nil, one pointer branch — the <=5% acceptance budget against the plain commit cycle) vs on (uncontended fast-path slot acquire/release around each transaction, AIMD controller ticking in the background). The checkpoint set prices checkpoint interference at 16 committers against a file device with a large cold table: none (no checkpoints, the baseline) and fuzzy (the log-growth scheduler streaming incremental links concurrently with commits); p99-ns is the acceptance gauge — fuzzy must stay within 2x of none. The server set prices one full network round-trip — request encode, loopback TCP, line parse, statement execute, response encode/decode — through cmd/sisqld's serving stack (internal/server) with an autocommit single-row SELECT. The server set was recorded again at PR 21, when the response encoder stopped going through reflection, the lexer stopped building a token slice and result rows stopped being boxed: 25 -> 8 allocs/op and 2112 -> 616 B/op; its ns/op is mostly two system calls and a wake-up each way and moves with the host (8.3-12.6us here, 10.9-12.7us in the recording it replaces)." \
 		baseline=bench/baseline_preshard.txt sharded=bench_latest.txt tracing=bench_traced.txt durable=bench_durable.txt checking=bench_check.txt admission=bench_admission.txt checkpoint=bench_ckpt.txt server=bench_server.txt
 	rm -f bench_latest.txt bench_traced.txt bench_durable.txt bench_check.txt bench_admission.txt bench_ckpt.txt bench_server.txt
 
@@ -157,8 +159,10 @@ overload:
 	$(GO) test -race -count=1 -run 'TestAdmission|TestRunArrivals|TestRunRejectsBadConfig|TestInteractionAccountsAlike' ./internal/engine ./internal/workload
 
 # Fuzz the network server's wire layer: arbitrary bytes through the
-# request decoder and through a full connection drive; the handler must
-# neither panic nor wedge, and must leak no transaction on teardown.
+# request decoder (which must answer as the json.Unmarshal-only reference
+# does) and through a full connection drive; the handler must neither
+# panic nor wedge, must leak no transaction on teardown, and every
+# response line it writes must decode with encoding/json.
 servefuzz:
 	$(GO) test -fuzz FuzzServerProtocol -fuzztime 10s ./internal/server
 

@@ -1,7 +1,9 @@
 package server
 
 import (
-	"io"
+	"bufio"
+	"encoding/json"
+	"fmt"
 	"net"
 	"sync"
 	"testing"
@@ -45,12 +47,15 @@ func fuzzServer() *Server {
 }
 
 // FuzzServerProtocol throws arbitrary bytes at the wire layer twice
-// over: DecodeRequest directly (must never panic), and a full
-// connection drive through ServeConn (the handler must neither panic
-// nor wedge — it must return promptly once the client is gone, with no
-// transaction left behind). Seeds cover truncated lines, huge lines,
-// invalid UTF-8 and requests that name a session (refused: a
-// connection is one session).
+// over: DecodeRequest directly (must never panic, and must return what
+// the json.Unmarshal-only reference returns — the recognizer for the
+// common line shape changes no answer), and a full connection drive
+// through ServeConn (the handler must neither panic nor wedge — it must
+// return promptly once the client is gone, with no transaction left
+// behind — and every response line it writes must decode with
+// encoding/json). Seeds cover truncated lines, huge lines, invalid
+// UTF-8, requests that name a session (refused: a connection is one
+// session), and lines on either side of the recognizer's shape.
 func FuzzServerProtocol(f *testing.F) {
 	f.Add([]byte(`{"q":"SELECT Balance FROM Checking WHERE CustomerId = 1"}` + "\n"))
 	f.Add([]byte(`{"q":"BEGIN","session":3}` + "\n" + `{"q":"COMMIT","session":3}` + "\n"))
@@ -63,10 +68,14 @@ func FuzzServerProtocol(f *testing.F) {
 	f.Add([]byte("\n\n\n"))
 	f.Add([]byte(`[1,2,3]` + "\n{}\ntrue\n"))
 	f.Add(make([]byte, 9000)) // NULs: one huge garbage line
+	f.Add([]byte(`{"q":"SELECT Balance FROM Checking WHERE CustomerId = 1"}`))
+	f.Add([]byte(`{"q":"a\"}"}` + "\n")) // the error quotes the statement: a response that needs escapes
+	f.Add([]byte("{\"q\":\"caf\xc3\xa9 <&> \x7f\"}"))
+	f.Add([]byte(`{"q":"BEGIN"}` + "\n{not json}\n" + `{"q":" rollback ; "}` + "\n" + `{"q":"SELECT * FROM Account WHERE Name = 'x<y>&\u2028'"}` + "\n"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Layer 1: the decoder alone, on the raw bytes as one line.
-		DecodeRequest(data)
+		checkDecodeAgainstRef(t, data)
 
 		// Layer 2: the full connection machinery over an in-memory pipe.
 		srv := fuzzServer()
@@ -77,17 +86,43 @@ func FuzzServerProtocol(f *testing.F) {
 			close(done)
 		}()
 		// net.Pipe is synchronous: drain everything the server says so
-		// its writes never block on us.
-		go io.Copy(io.Discard, cconn)
+		// its writes never block on us, and hold each complete line to
+		// the protocol (a last line cut short by our own Close is not
+		// one).
+		badLine := make(chan error, 1)
+		go func() {
+			var first error
+			br := bufio.NewReader(cconn)
+			for {
+				line, err := br.ReadBytes('\n')
+				if err != nil {
+					badLine <- first
+					return
+				}
+				var r Response
+				if err := json.Unmarshal(line, &r); err != nil && first == nil {
+					first = fmt.Errorf("response line %q does not decode: %w", line, err)
+				}
+			}
+		}()
 
 		cconn.SetWriteDeadline(time.Now().Add(2 * time.Second))
 		cconn.Write(data)
+		// A pipe write returns once the other side has read it, and the
+		// connection reads again only when it has answered every
+		// complete line it holds: after this space (which completes no
+		// line and is trimmed off a truncated last one) is taken, the
+		// responses to all of data's complete lines have been checked.
+		cconn.Write([]byte(" "))
 		cconn.Close()
 
 		select {
 		case <-done:
 		case <-time.After(10 * time.Second):
 			t.Fatalf("connection handler wedged on %d-byte input", len(data))
+		}
+		if err := <-badLine; err != nil {
+			t.Fatal(err)
 		}
 		// Whatever transactions the bytes opened died with the conn.
 		deadline := time.Now().Add(2 * time.Second)

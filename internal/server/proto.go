@@ -1,11 +1,14 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"strconv"
 	"strings"
 
 	"sicost/internal/core"
+	"sicost/internal/sqlmini"
 )
 
 // The wire protocol is newline-delimited JSON: one request object per
@@ -25,6 +28,11 @@ type Request struct {
 	Session int `json:"session,omitempty"`
 }
 
+// Rows is a SELECT's result as the executor returned it. The server
+// never boxes or copies it: AppendResponse writes the values straight
+// onto the line.
+type Rows []sqlmini.Row
+
 // Response is one server response line.
 type Response struct {
 	// Status reports the outcome of a successful request: "BEGIN",
@@ -32,7 +40,7 @@ type Response struct {
 	Status string `json:"status,omitempty"`
 	// Rows carries a SELECT's result rows: integers as JSON numbers,
 	// strings as JSON strings.
-	Rows [][]any `json:"rows,omitempty"`
+	Rows Rows `json:"rows,omitempty"`
 	// Affected is the row count of a successful UPDATE/INSERT/DELETE.
 	Affected int `json:"affected,omitempty"`
 	// Err is the error message of a failed request.
@@ -59,11 +67,25 @@ type Response struct {
 // DecodeRequest parses one request line. It never panics on arbitrary
 // bytes (FuzzServerProtocol pins that down) and rejects a request that
 // names a session other than the connection's own.
+//
+// The line every client in the tree sends — {"q":"…"} and nothing else,
+// with no byte in the string that JSON would have escaped — is taken
+// apart by hand; every other line, valid or not, goes through
+// json.Unmarshal, so what is accepted, what is refused and with which
+// message are encoding/json's decisions for both.
 func DecodeRequest(line []byte) (Request, error) {
+	if q, ok := plainRequest(line); ok {
+		return Request{Q: string(q)}.checked()
+	}
 	var req Request
 	if err := json.Unmarshal(line, &req); err != nil {
 		return Request{}, fmt.Errorf("server: bad request: %w", err)
 	}
+	return req.checked()
+}
+
+// checked applies the rules a well-formed request must still meet.
+func (req Request) checked() (Request, error) {
 	if req.Session != 0 {
 		return Request{}, fmt.Errorf("server: session %d: a connection is one session, open another connection for another session", req.Session)
 	}
@@ -73,16 +95,150 @@ func DecodeRequest(line []byte) (Request, error) {
 	return req, nil
 }
 
-// EncodeResponse renders one response line, newline included. Response
-// values are JSON-safe by construction (int64 and string row values),
-// so encoding cannot fail.
-func EncodeResponse(r Response) []byte {
-	b, err := json.Marshal(r)
-	if err != nil {
-		// Unreachable with well-formed Rows; keep the wire alive anyway.
-		b, _ = json.Marshal(Response{Err: "server: response encoding failed", Abort: core.AbortOther.String()})
+// plainRequest returns the statement bytes of a line of exactly the
+// form {"q":"…"} whose string holds only printable ASCII other than the
+// quote and the backslash: the bytes a JSON string carries as themselves.
+func plainRequest(line []byte) ([]byte, bool) {
+	const head, tail = `{"q":"`, `"}`
+	if len(line) < len(head)+len(tail) || string(line[:len(head)]) != head || string(line[len(line)-len(tail):]) != tail {
+		return nil, false
 	}
-	return append(b, '\n')
+	q := line[len(head) : len(line)-len(tail)]
+	for _, c := range q {
+		if !verbatim(c) {
+			return nil, false
+		}
+	}
+	return q, true
+}
+
+// verbatim reports whether a JSON string carries c as itself, escaped by
+// no encoder and read back unchanged by every decoder: printable ASCII
+// other than the quote and the backslash.
+func verbatim(c byte) bool { return 0x20 <= c && c < 0x7f && c != '"' && c != '\\' }
+
+// EncodeResponse renders one response line, newline included, into a
+// buffer of its own (sized so that a one-row result or a status fits
+// without regrowing).
+func EncodeResponse(r Response) []byte { return AppendResponse(make([]byte, 0, 128), r) }
+
+// AppendResponse appends r's response line, newline included, to dst:
+// the bytes json.Marshal gave the struct — fields in declaration order,
+// each omitted when empty — written without reflection. Response is a
+// closed set of strings, integers and flags, so encoding cannot fail.
+func AppendResponse(dst []byte, r Response) []byte {
+	dst = append(dst, '{')
+	dst = appendStringField(dst, `"status":`, r.Status)
+	if len(r.Rows) > 0 {
+		dst = appendRows(appendKey(dst, `"rows":`), r.Rows)
+	}
+	if r.Affected != 0 {
+		dst = strconv.AppendInt(appendKey(dst, `"affected":`), int64(r.Affected), 10)
+	}
+	dst = appendStringField(dst, `"error":`, r.Err)
+	dst = appendStringField(dst, `"abort":`, r.Abort)
+	dst = appendFlag(dst, `"retriable":`, r.Retriable)
+	dst = appendFlag(dst, `"in_tx":`, r.InTx)
+	dst = appendStringField(dst, `"notice":`, r.Notice)
+	dst = appendFlag(dst, `"final":`, r.Final)
+	return append(dst, '}', '\n')
+}
+
+// appendKey appends an object key (quotes and colon included), after a
+// comma unless it is the object's first: every value ends in a byte
+// other than '{'.
+func appendKey(dst []byte, key string) []byte {
+	if dst[len(dst)-1] != '{' {
+		dst = append(dst, ',')
+	}
+	return append(dst, key...)
+}
+
+func appendStringField(dst []byte, key, v string) []byte {
+	if v == "" {
+		return dst
+	}
+	return appendString(appendKey(dst, key), v)
+}
+
+func appendFlag(dst []byte, key string, v bool) []byte {
+	if !v {
+		return dst
+	}
+	return append(appendKey(dst, key), "true"...)
+}
+
+// appendString appends s as a JSON string. Verbatim bytes are copied; a
+// string holding anything encoding/json would write differently (which
+// adds the HTML-sensitive <>& to the bytes that are not verbatim) is
+// handed to encoding/json, so its escaping rules live there only.
+func appendString(dst []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; !verbatim(c) || c == '<' || c == '>' || c == '&' {
+			b, _ := json.Marshal(s) // a string always marshals
+			return append(dst, b...)
+		}
+	}
+	dst = append(dst, '"')
+	dst = append(dst, s...)
+	return append(dst, '"')
+}
+
+// appendRows appends result rows as an array of arrays: an integer is a
+// JSON number, any other value a JSON string of core.Value's String
+// form.
+func appendRows(dst []byte, rows Rows) []byte {
+	dst = append(dst, '[')
+	for i, row := range rows {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = append(dst, '[')
+		for j, v := range row {
+			if j > 0 {
+				dst = append(dst, ',')
+			}
+			if v.K == core.KindInt {
+				dst = strconv.AppendInt(dst, v.I, 10)
+			} else {
+				dst = appendString(dst, v.String())
+			}
+		}
+		dst = append(dst, ']')
+	}
+	return append(dst, ']')
+}
+
+// UnmarshalJSON is the client's half of the row encoding, for whoever
+// decodes a response line into a Response: a JSON number becomes an
+// integer value, a JSON string a string value holding the text as sent.
+func (rs *Rows) UnmarshalJSON(b []byte) error {
+	dec := json.NewDecoder(bytes.NewReader(b))
+	dec.UseNumber()
+	var raw [][]any
+	if err := dec.Decode(&raw); err != nil {
+		return err
+	}
+	*rs = nil
+	for _, in := range raw {
+		row := make(sqlmini.Row, len(in))
+		for i, v := range in {
+			switch v := v.(type) {
+			case json.Number:
+				n, err := strconv.ParseInt(string(v), 10, 64)
+				if err != nil {
+					return fmt.Errorf("server: row value %s is not an integer", v)
+				}
+				row[i] = core.Int(n)
+			case string:
+				row[i] = core.Str(v)
+			default:
+				return fmt.Errorf("server: row value %v is neither a number nor a string", v)
+			}
+		}
+		*rs = append(*rs, row)
+	}
+	return nil
 }
 
 // errResponse builds the structured error reply for err, carrying the

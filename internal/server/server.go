@@ -350,6 +350,7 @@ type conn struct {
 	srv  *Server
 	nc   net.Conn
 	wmu  sync.Mutex // serializes loop writes against drain notices
+	wbuf []byte     // the response line being written; reused, under wmu
 	sess *Session
 	// forced marks a connection hard-closed by the drain (so its exit
 	// counts as a hard abort, not a graceful drain).
@@ -398,7 +399,10 @@ func (c *conn) loop() {
 		req, err := DecodeRequest(line)
 		if err != nil {
 			s.protoErrors.Add(1)
-			if !c.write(errResponse(err, false)) {
+			// The session is untouched by a line it never saw: report the
+			// transaction it still holds, or a client that keys its
+			// ROLLBACK on in_tx leaves it open.
+			if !c.write(errResponse(err, c.sess.InTx())) {
 				return
 			}
 			continue
@@ -432,9 +436,10 @@ func (c *conn) teardown() {
 // fault point turns injected errors into partial writes: a prefix of
 // the line reaches the wire, then the connection dies.
 func (c *conn) write(r Response) bool {
-	b := EncodeResponse(r)
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
+	c.wbuf = AppendResponse(c.wbuf[:0], r)
+	b := c.wbuf
 	if err := c.srv.cfg.Faults.Fire(FaultConnWrite, faultinject.Ctx{}); err != nil {
 		c.nc.SetWriteDeadline(time.Now().Add(connWriteTimeout))
 		c.nc.Write(b[:len(b)/2])

@@ -121,10 +121,10 @@ func TestServerStatements(t *testing.T) {
 	if len(r.Rows) != 1 || len(r.Rows[0]) != 1 {
 		t.Fatalf("rows = %v, want one single-column row", r.Rows)
 	}
-	bal, ok := r.Rows[0][0].(float64) // JSON numbers decode as float64
-	if !ok {
-		t.Fatalf("balance %v (%T), want a number", r.Rows[0][0], r.Rows[0][0])
+	if r.Rows[0][0].K != core.KindInt {
+		t.Fatalf("balance %v, want a number", r.Rows[0][0])
 	}
+	bal := r.Rows[0][0].Int64()
 
 	if r := c.mustOK("BEGIN"); r.Status != "BEGIN" || !r.InTx {
 		t.Fatalf("BEGIN -> %+v", r)
@@ -135,7 +135,7 @@ func TestServerStatements(t *testing.T) {
 	}
 
 	r = c.mustOK("SELECT Balance FROM Checking WHERE CustomerId = 1")
-	if got := r.Rows[0][0].(float64); got != bal+7 {
+	if got := r.Rows[0][0].Int64(); got != bal+7 {
 		t.Fatalf("balance after commit = %v, want %v", got, bal+7)
 	}
 
@@ -189,12 +189,12 @@ func TestServerSessionMultiplexing(t *testing.T) {
 	defer c2.nc.Close()
 	c2.mustOK("UPDATE Checking SET Balance = Balance + 100 WHERE CustomerId = 3")
 	during := c.mustOK("SELECT Balance FROM Checking WHERE CustomerId = 3")
-	if before.Rows[0][0].(float64) != during.Rows[0][0].(float64) {
+	if before.Rows[0][0] != during.Rows[0][0] {
 		t.Fatalf("snapshot read moved inside the transaction: %v -> %v", before.Rows[0], during.Rows[0])
 	}
 	c.mustOK("COMMIT")
 	after := c.mustOK("SELECT Balance FROM Checking WHERE CustomerId = 3")
-	if after.Rows[0][0].(float64) != before.Rows[0][0].(float64)+100 {
+	if after.Rows[0][0].Int64() != before.Rows[0][0].Int64()+100 {
 		t.Fatalf("committed write not visible: %v", after.Rows[0])
 	}
 }
@@ -420,6 +420,32 @@ func TestServerProtocolErrors(t *testing.T) {
 	}
 }
 
+// A line the decoder refuses never reaches the session, so the reply
+// must report the transaction the session still holds: a client that
+// keys its ROLLBACK on in_tx would otherwise leave it open and fail its
+// next BEGIN.
+func TestServerMalformedLineKeepsTxState(t *testing.T) {
+	db := newBankDB(t, 4)
+	_, addr := startServer(t, Config{DB: db})
+	c := dial(t, addr)
+	defer c.nc.Close()
+
+	if r := c.sendLine([]byte("{not json}")); r.Err == "" || r.InTx {
+		t.Fatalf("malformed line outside a transaction -> %+v, want an error without in_tx", r)
+	}
+	c.mustOK("BEGIN")
+	for _, line := range []string{"{not json}", `{"q":"COMMIT","session":2}`, `{"q":" "}`} {
+		if r := c.sendLine([]byte(line)); r.Err == "" || !r.InTx {
+			t.Fatalf("%s inside a transaction -> %+v, want an error carrying in_tx", line, r)
+		}
+	}
+	if r := c.mustOK("ROLLBACK"); r.InTx {
+		t.Fatalf("ROLLBACK -> %+v", r)
+	}
+	c.mustOK("BEGIN")
+	c.mustOK("COMMIT")
+}
+
 // readBalance fetches Checking.Balance for customer id over a throwaway
 // connection.
 func readBalance(t testing.TB, addr string, id int) int64 {
@@ -427,7 +453,7 @@ func readBalance(t testing.TB, addr string, id int) int64 {
 	c := dial(t, addr)
 	defer c.nc.Close()
 	r := c.mustOK(fmt.Sprintf("SELECT Balance FROM Checking WHERE CustomerId = %d", id))
-	return int64(r.Rows[0][0].(float64))
+	return r.Rows[0][0].Int64()
 }
 
 // waitFor polls cond until it holds or a deadline expires — connection

@@ -4,7 +4,6 @@ import (
 	"strings"
 	"time"
 
-	"sicost/internal/core"
 	"sicost/internal/engine"
 	"sicost/internal/sqlmini"
 )
@@ -62,18 +61,18 @@ func (s *Session) Execute(q string) Response {
 		tx.SetDeadline(time.Now().Add(s.cfg.StatementDeadline))
 	}
 
-	switch strings.ToUpper(strings.TrimSuffix(strings.TrimSpace(q), ";")) {
-	case "BEGIN":
+	switch kw := strings.TrimSpace(strings.TrimSuffix(strings.TrimSpace(q), ";")); {
+	case isKeyword(kw, "BEGIN"):
 		if err := s.sql.Begin(); err != nil {
 			return errResponse(err, s.InTx())
 		}
 		return Response{Status: "BEGIN", InTx: true}
-	case "COMMIT":
+	case isKeyword(kw, "COMMIT"):
 		if err := s.sql.Commit(); err != nil {
 			return errResponse(err, s.InTx())
 		}
 		return Response{Status: "COMMIT"}
-	case "ROLLBACK":
+	case isKeyword(kw, "ROLLBACK"):
 		s.sql.Rollback()
 		return Response{Status: "ROLLBACK"}
 	}
@@ -87,13 +86,20 @@ func (s *Session) Execute(q string) Response {
 		if err != nil {
 			return errResponse(err, s.InTx())
 		}
-		return Response{Status: "OK", Rows: encodeRows(rows), InTx: s.InTx()}
+		return Response{Status: "OK", Rows: rows, InTx: s.InTx()}
 	}
 	n, err := s.sql.Exec(stmt, nil)
 	if err != nil {
 		return errResponse(err, s.InTx())
 	}
 	return Response{Status: "OK", Affected: n, InTx: s.InTx()}
+}
+
+// isKeyword matches a transaction-control line against kw in any case,
+// without an upper-cased copy. The length test keeps the match to ASCII:
+// EqualFold alone also folds the three-byte Kelvin sign onto K.
+func isKeyword(line, kw string) bool {
+	return len(line) == len(kw) && strings.EqualFold(line, kw)
 }
 
 // Close ends the session, rolling back any open transaction — the
@@ -107,22 +113,4 @@ func (s *Session) Close() (hadTx bool) {
 	}
 	s.sql.Rollback()
 	return true
-}
-
-// encodeRows converts sqlmini rows to JSON-safe values: integers stay
-// numbers, everything else goes through core.Value's string form.
-func encodeRows(rows []sqlmini.Row) [][]any {
-	out := make([][]any, len(rows))
-	for i, row := range rows {
-		vals := make([]any, len(row))
-		for j, v := range row {
-			if v.K == core.KindInt {
-				vals[j] = v.Int64()
-			} else {
-				vals[j] = v.String()
-			}
-		}
-		out[i] = vals
-	}
-	return out
 }

@@ -72,14 +72,22 @@ func (s *Session) Rollback() {
 	}
 }
 
-// autoTx runs fn inside the open transaction, or in a one-statement
-// transaction when none is open (auto-commit).
-func (s *Session) autoTx(fn func(tx *engine.Tx) error) error {
+// stmtTx returns the transaction a statement runs in: the open one, or
+// a one-statement transaction of its own (auto-commit) that finish ends.
+func (s *Session) stmtTx() (tx *engine.Tx, auto bool) {
 	if s.tx != nil {
-		return fn(s.tx)
+		return s.tx, false
 	}
-	tx := s.begin()
-	if err := fn(tx); err != nil {
+	return s.begin(), true
+}
+
+// finish ends a statement that ran in tx with err: an auto-commit
+// transaction commits, or aborts when the statement failed.
+func finish(tx *engine.Tx, auto bool, err error) error {
+	switch {
+	case !auto:
+		return err
+	case err != nil:
 		tx.Abort()
 		return err
 	}
@@ -92,23 +100,20 @@ func (s *Session) Query(stmt *Stmt, params Params) ([]Row, error) {
 	if stmt.Kind != StmtSelect {
 		return nil, fmt.Errorf("sqlmini: Query requires a SELECT")
 	}
-	var rows []Row
-	err := s.autoTx(func(tx *engine.Tx) error {
-		rec, schema, err := fetch(tx, stmt, params)
-		if err != nil {
-			return err
-		}
-		row, err := project(schema, rec, stmt.Cols)
-		if err != nil {
-			return err
-		}
-		rows = append(rows, row)
-		return nil
-	})
+	tx, auto := s.stmtTx()
+	row, err := selectRow(tx, stmt, params)
+	if err = finish(tx, auto, err); err != nil {
+		return nil, err
+	}
+	return []Row{row}, nil
+}
+
+func selectRow(tx *engine.Tx, stmt *Stmt, params Params) (Row, error) {
+	rec, schema, err := fetch(tx, stmt, params)
 	if err != nil {
 		return nil, err
 	}
-	return rows, nil
+	return project(schema, rec, stmt.Cols)
 }
 
 // QueryOne runs a SELECT expected to match exactly one row.
@@ -123,63 +128,54 @@ func (s *Session) QueryOne(stmt *Stmt, params Params) (Row, error) {
 // Exec runs an UPDATE, INSERT or DELETE and returns the affected-row
 // count.
 func (s *Session) Exec(stmt *Stmt, params Params) (int, error) {
-	affected := 0
-	err := s.autoTx(func(tx *engine.Tx) error {
-		switch stmt.Kind {
-		case StmtUpdate:
-			rec, schema, err := fetch(tx, stmt, params)
-			if err != nil {
-				return err
-			}
-			out := rec.Clone()
-			for _, set := range stmt.Sets {
-				pos := schema.Col(set.Col)
-				if pos < 0 {
-					return fmt.Errorf("sqlmini: no column %s in %s", set.Col, stmt.Table)
-				}
-				v, err := evalExpr(set.Expr, schema, rec, params)
-				if err != nil {
-					return err
-				}
-				out[pos] = v
-			}
-			if err := tx.Update(stmt.Table, schema.Key(out), out); err != nil {
-				return err
-			}
-			affected = 1
-			return nil
-		case StmtInsert:
-			rec := make(core.Record, len(stmt.Values))
-			for i, e := range stmt.Values {
-				v, err := evalExpr(e, nil, nil, params)
-				if err != nil {
-					return err
-				}
-				rec[i] = v
-			}
-			if err := tx.Insert(stmt.Table, rec); err != nil {
-				return err
-			}
-			affected = 1
-			return nil
-		case StmtDelete:
-			rec, schema, err := fetch(tx, stmt, params)
-			if err != nil {
-				return err
-			}
-			if err := tx.Delete(stmt.Table, schema.Key(rec)); err != nil {
-				return err
-			}
-			affected = 1
-			return nil
-		default:
-			return fmt.Errorf("sqlmini: Exec requires UPDATE/INSERT/DELETE")
-		}
-	})
-	if err != nil {
+	tx, auto := s.stmtTx()
+	if err := finish(tx, auto, execWrite(tx, stmt, params)); err != nil {
 		return 0, err
 	}
-	return affected, nil
+	return 1, nil
+}
+
+// execWrite applies one UPDATE, INSERT or DELETE, each of which touches
+// exactly one row, inside tx.
+func execWrite(tx *engine.Tx, stmt *Stmt, params Params) error {
+	switch stmt.Kind {
+	case StmtUpdate:
+		rec, schema, err := fetch(tx, stmt, params)
+		if err != nil {
+			return err
+		}
+		out := rec.Clone()
+		for _, set := range stmt.Sets {
+			pos := schema.Col(set.Col)
+			if pos < 0 {
+				return fmt.Errorf("sqlmini: no column %s in %s", set.Col, stmt.Table)
+			}
+			v, err := evalExpr(set.Expr, schema, rec, params)
+			if err != nil {
+				return err
+			}
+			out[pos] = v
+		}
+		return tx.Update(stmt.Table, schema.Key(out), out)
+	case StmtInsert:
+		rec := make(core.Record, len(stmt.Values))
+		for i, e := range stmt.Values {
+			v, err := evalExpr(e, nil, nil, params)
+			if err != nil {
+				return err
+			}
+			rec[i] = v
+		}
+		return tx.Insert(stmt.Table, rec)
+	case StmtDelete:
+		rec, schema, err := fetch(tx, stmt, params)
+		if err != nil {
+			return err
+		}
+		return tx.Delete(stmt.Table, schema.Key(rec))
+	default:
+		return fmt.Errorf("sqlmini: Exec requires UPDATE/INSERT/DELETE")
+	}
 }
 
 // fetch resolves the WHERE clause to one record: by primary key, or

@@ -9,6 +9,9 @@ import (
 // property under test is robustness, not acceptance: Parse must return
 // a statement or an error — never panic, never both nil — and whatever
 // it accepts must satisfy the Stmt invariants the executor relies on.
+// On ASCII input the pull lexer is also held to the two-pass reference
+// (checkAgainstRefLex): same tokens, same lexing error, and that error
+// is what Parse reports wherever in the text it sits.
 //
 // Run with: go test -fuzz FuzzSQLMiniParse ./internal/sqlmini
 func FuzzSQLMiniParse(f *testing.F) {
@@ -29,6 +32,9 @@ func FuzzSQLMiniParse(f *testing.F) {
 		"SELECT :p FROM",
 		"UPDATE SET",
 		"'unterminated",
+		"SELECT FROM 'unterminated",
+		"UPDATE t SET a = a-1, b = (1)-1 WHERE k = -1",
+		"SELECT caf\xc3\xa9 FROM t WHERE k = 'caf\xc3\xa9'",
 	} {
 		f.Add(src)
 	}
@@ -36,6 +42,7 @@ func FuzzSQLMiniParse(f *testing.F) {
 		if len(src) > 1024 {
 			return
 		}
+		checkAgainstRefLex(t, src)
 		stmt, err := Parse(src)
 		if err != nil {
 			if stmt != nil {

@@ -12,7 +12,6 @@ package sqlmini
 import (
 	"fmt"
 	"strings"
-	"unicode"
 )
 
 // tokenKind classifies lexer output.
@@ -27,135 +26,110 @@ const (
 	tokPunct // ( ) , = + - * ;
 )
 
+// token is one lexeme. Its text is a slice of the source, except for a
+// string literal that contains an escaped quote.
 type token struct {
 	kind tokenKind
 	text string
 	pos  int
 }
 
-// lexer tokenizes one statement.
+// lexer hands out the tokens of one statement, one next call at a time.
+// The only state besides the position is whether the token before was
+// an operand, which is what tells a binary minus from a negative
+// literal.
 type lexer struct {
-	src  string
-	pos  int
-	toks []token
+	src         string
+	pos         int
+	prevOperand bool
 }
 
-// lex tokenizes src or reports the offending position.
-func lex(src string) ([]token, error) {
-	l := &lexer{src: src}
-	for {
-		l.skipSpace()
-		if l.pos >= len(l.src) {
-			l.toks = append(l.toks, token{kind: tokEOF, pos: l.pos})
-			return l.toks, nil
-		}
-		c := l.src[l.pos]
-		switch {
-		case isIdentStart(rune(c)):
-			l.lexIdent()
-		case c >= '0' && c <= '9':
-			l.lexNumber()
-		case c == '-' && l.pos+1 < len(l.src) && l.src[l.pos+1] >= '0' && l.src[l.pos+1] <= '9' && l.prevIsOperand():
-			// A '-' directly before a digit is a binary minus when the
-			// previous token is an operand; otherwise a negative
-			// literal.
-			l.emitPunct()
-		case c == '-' && l.pos+1 < len(l.src) && l.src[l.pos+1] >= '0' && l.src[l.pos+1] <= '9':
-			l.lexNumber()
-		case c == '\'':
-			if err := l.lexString(); err != nil {
-				return nil, err
-			}
-		case c == ':':
-			if err := l.lexParam(); err != nil {
-				return nil, err
-			}
-		case strings.IndexByte("(),=+-*;", c) >= 0:
-			l.emitPunct()
-		default:
-			return nil, fmt.Errorf("sqlmini: unexpected character %q at %d", c, l.pos)
-		}
-	}
-}
+// Byte classes. Identifiers and parameter names are ASCII letters,
+// digits and '_'; a byte past 0x7F is legal only inside a string
+// literal, which carries arbitrary bytes.
+func isSpace(c byte) bool { return c == ' ' || ('\t' <= c && c <= '\r') }
 
-func (l *lexer) prevIsOperand() bool {
-	if len(l.toks) == 0 {
-		return false
-	}
-	t := l.toks[len(l.toks)-1]
-	return t.kind == tokIdent || t.kind == tokNumber || t.kind == tokParam ||
-		(t.kind == tokPunct && t.text == ")")
-}
+func isDigit(c byte) bool { return '0' <= c && c <= '9' }
 
-func (l *lexer) skipSpace() {
-	for l.pos < len(l.src) && unicode.IsSpace(rune(l.src[l.pos])) {
+func isIdentStart(c byte) bool { return c == '_' || ('a' <= c|0x20 && c|0x20 <= 'z') }
+
+func isIdentPart(c byte) bool { return isIdentStart(c) || isDigit(c) }
+
+// next returns the following token: tokEOF at the end of the source, an
+// error naming the offending position for text no token starts with.
+func (l *lexer) next() (token, error) {
+	for l.pos < len(l.src) && isSpace(l.src[l.pos]) {
 		l.pos++
 	}
-}
-
-func isIdentStart(r rune) bool {
-	return r == '_' || unicode.IsLetter(r)
-}
-
-func isIdentPart(r rune) bool {
-	return r == '_' || unicode.IsLetter(r) || unicode.IsDigit(r)
-}
-
-func (l *lexer) lexIdent() {
 	start := l.pos
-	for l.pos < len(l.src) && isIdentPart(rune(l.src[l.pos])) {
-		l.pos++
+	if start >= len(l.src) {
+		return token{kind: tokEOF, pos: start}, nil
 	}
-	l.toks = append(l.toks, token{kind: tokIdent, text: l.src[start:l.pos], pos: start})
-}
-
-func (l *lexer) lexNumber() {
-	start := l.pos
-	if l.src[l.pos] == '-' {
+	t := token{pos: start}
+	switch c := l.src[start]; {
+	case isIdentStart(c):
+		t.kind, t.text = tokIdent, l.src[start:l.identEnd(start)]
+	case isDigit(c), c == '-' && !l.prevOperand && start+1 < len(l.src) && isDigit(l.src[start+1]):
+		// A '-' directly before a digit is a binary minus when the
+		// previous token is an operand; otherwise a negative literal.
 		l.pos++
-	}
-	for l.pos < len(l.src) && l.src[l.pos] >= '0' && l.src[l.pos] <= '9' {
-		l.pos++
-	}
-	l.toks = append(l.toks, token{kind: tokNumber, text: l.src[start:l.pos], pos: start})
-}
-
-func (l *lexer) lexString() error {
-	start := l.pos
-	l.pos++ // opening quote
-	var b strings.Builder
-	for l.pos < len(l.src) {
-		c := l.src[l.pos]
-		if c == '\'' {
-			if l.pos+1 < len(l.src) && l.src[l.pos+1] == '\'' {
-				b.WriteByte('\'') // escaped quote
-				l.pos += 2
-				continue
-			}
+		for l.pos < len(l.src) && isDigit(l.src[l.pos]) {
 			l.pos++
-			l.toks = append(l.toks, token{kind: tokString, text: b.String(), pos: start})
-			return nil
 		}
-		b.WriteByte(c)
+		t.kind, t.text = tokNumber, l.src[start:l.pos]
+	case c == '\'':
+		text, err := l.lexString()
+		if err != nil {
+			return token{}, err
+		}
+		t.kind, t.text = tokString, text
+	case c == ':':
+		if start+1 >= len(l.src) || !isIdentStart(l.src[start+1]) {
+			return token{}, fmt.Errorf("sqlmini: bad parameter name at %d", start)
+		}
+		t.kind, t.text = tokParam, l.src[start+1:l.identEnd(start+1)]
+	case strings.IndexByte("(),=+-*;", c) >= 0:
 		l.pos++
+		t.kind, t.text = tokPunct, l.src[start:l.pos]
+	default:
+		return token{}, fmt.Errorf("sqlmini: unexpected character %q at %d", c, start)
 	}
-	return fmt.Errorf("sqlmini: unterminated string literal at %d", start)
+	l.prevOperand = t.kind == tokIdent || t.kind == tokNumber || t.kind == tokParam ||
+		(t.kind == tokPunct && t.text == ")")
+	return t, nil
 }
 
-func (l *lexer) lexParam() error {
+// identEnd moves past the identifier that starts at from and returns
+// the position after it.
+func (l *lexer) identEnd(from int) int {
+	l.pos = from + 1
+	for l.pos < len(l.src) && isIdentPart(l.src[l.pos]) {
+		l.pos++
+	}
+	return l.pos
+}
+
+// lexString consumes the string literal at the position and returns its
+// value: a slice of the source unless the literal holds an escaped
+// (doubled) quote, which has to be rewritten.
+func (l *lexer) lexString() (string, error) {
 	start := l.pos
-	l.pos++ // colon
-	if l.pos >= len(l.src) || !isIdentStart(rune(l.src[l.pos])) {
-		return fmt.Errorf("sqlmini: bad parameter name at %d", start)
+	body := l.src[start+1:]
+	end, escaped := 0, false
+	for {
+		i := strings.IndexByte(body[end:], '\'')
+		if i < 0 {
+			return "", fmt.Errorf("sqlmini: unterminated string literal at %d", start)
+		}
+		end += i
+		if end+1 >= len(body) || body[end+1] != '\'' {
+			break
+		}
+		end, escaped = end+2, true
 	}
-	for l.pos < len(l.src) && isIdentPart(rune(l.src[l.pos])) {
-		l.pos++
+	l.pos = start + 1 + end + 1
+	if escaped {
+		return strings.ReplaceAll(body[:end], "''", "'"), nil
 	}
-	l.toks = append(l.toks, token{kind: tokParam, text: l.src[start+1 : l.pos], pos: start})
-	return nil
-}
-
-func (l *lexer) emitPunct() {
-	l.toks = append(l.toks, token{kind: tokPunct, text: string(l.src[l.pos]), pos: l.pos})
-	l.pos++
+	return body[:end], nil
 }

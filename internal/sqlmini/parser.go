@@ -73,22 +73,39 @@ type Assign struct {
 	Expr Expr
 }
 
-// parser consumes the token stream.
+// parser pulls tokens from the lexer one at a time: tok is the only
+// lookahead the grammar needs, and nothing ever backs up.
 type parser struct {
-	toks []token
-	i    int
-	src  string
+	lex lexer
+	tok token
+	// lexErr is the first lexing error; from then on tok reads as the
+	// end of the statement.
+	lexErr error
 }
 
 // Parse parses one statement (an optional trailing semicolon is
-// allowed).
+// allowed). A lexing error anywhere in src is reported in preference to
+// a syntax error before it.
 func Parse(src string) (*Stmt, error) {
-	toks, err := lex(src)
+	p := parser{lex: lexer{src: src}}
+	p.advance()
+	stmt, err := p.parseStatement()
 	if err != nil {
-		return nil, err
+		for p.tok.kind != tokEOF {
+			p.advance()
+		}
 	}
-	p := &parser{toks: toks, src: src}
-	var stmt *Stmt
+	if p.lexErr != nil {
+		return nil, p.lexErr
+	}
+	return stmt, err
+}
+
+func (p *parser) parseStatement() (*Stmt, error) {
+	var (
+		stmt *Stmt
+		err  error
+	)
 	switch {
 	case p.acceptKeyword("SELECT"):
 		stmt, err = p.parseSelect()
@@ -99,14 +116,14 @@ func Parse(src string) (*Stmt, error) {
 	case p.acceptKeyword("DELETE"):
 		stmt, err = p.parseDelete()
 	default:
-		return nil, fmt.Errorf("sqlmini: statement must start with SELECT/UPDATE/INSERT/DELETE: %q", src)
+		return nil, fmt.Errorf("sqlmini: statement must start with SELECT/UPDATE/INSERT/DELETE: %q", p.lex.src)
 	}
 	if err != nil {
 		return nil, err
 	}
 	p.accept(tokPunct, ";")
 	if !p.at(tokEOF, "") {
-		return nil, fmt.Errorf("sqlmini: trailing input at %d in %q", p.cur().pos, src)
+		return nil, fmt.Errorf("sqlmini: trailing input at %d in %q", p.tok.pos, p.lex.src)
 	}
 	return stmt, nil
 }
@@ -120,10 +137,18 @@ func MustParse(src string) *Stmt {
 	return s
 }
 
-func (p *parser) cur() token { return p.toks[p.i] }
+// advance makes the next token current.
+func (p *parser) advance() {
+	if p.lexErr != nil {
+		return
+	}
+	if p.tok, p.lexErr = p.lex.next(); p.lexErr != nil {
+		p.tok = token{kind: tokEOF, pos: len(p.lex.src)}
+	}
+}
 
 func (p *parser) at(kind tokenKind, text string) bool {
-	t := p.cur()
+	t := p.tok
 	if t.kind != kind {
 		return false
 	}
@@ -138,7 +163,7 @@ func (p *parser) at(kind tokenKind, text string) bool {
 
 func (p *parser) accept(kind tokenKind, text string) bool {
 	if p.at(kind, text) {
-		p.i++
+		p.advance()
 		return true
 	}
 	return false
@@ -148,23 +173,23 @@ func (p *parser) acceptKeyword(kw string) bool { return p.accept(tokIdent, kw) }
 
 func (p *parser) expectKeyword(kw string) error {
 	if !p.acceptKeyword(kw) {
-		return fmt.Errorf("sqlmini: expected %s at %d in %q", kw, p.cur().pos, p.src)
+		return fmt.Errorf("sqlmini: expected %s at %d in %q", kw, p.tok.pos, p.lex.src)
 	}
 	return nil
 }
 
 func (p *parser) expectIdent() (string, error) {
-	t := p.cur()
+	t := p.tok
 	if t.kind != tokIdent {
-		return "", fmt.Errorf("sqlmini: expected identifier at %d in %q", t.pos, p.src)
+		return "", fmt.Errorf("sqlmini: expected identifier at %d in %q", t.pos, p.lex.src)
 	}
-	p.i++
+	p.advance()
 	return t.text, nil
 }
 
 func (p *parser) expectPunct(s string) error {
 	if !p.accept(tokPunct, s) {
-		return fmt.Errorf("sqlmini: expected %q at %d in %q", s, p.cur().pos, p.src)
+		return fmt.Errorf("sqlmini: expected %q at %d in %q", s, p.tok.pos, p.lex.src)
 	}
 	return nil
 }
@@ -198,26 +223,26 @@ func (p *parser) parseExpr() (Expr, error) {
 }
 
 func (p *parser) parseTerm(neg bool) (Term, error) {
-	t := p.cur()
+	t := p.tok
 	switch t.kind {
 	case tokIdent:
-		p.i++
+		p.advance()
 		return Term{Neg: neg, Col: t.text}, nil
 	case tokParam:
-		p.i++
+		p.advance()
 		return Term{Neg: neg, Param: t.text}, nil
 	case tokNumber:
-		p.i++
+		p.advance()
 		n, err := strconv.ParseInt(t.text, 10, 64)
 		if err != nil {
 			return Term{}, fmt.Errorf("sqlmini: bad number %q at %d", t.text, t.pos)
 		}
 		return Term{Neg: neg, Lit: Value{I: n}}, nil
 	case tokString:
-		p.i++
+		p.advance()
 		return Term{Neg: neg, Lit: Value{IsStr: true, S: t.text}}, nil
 	default:
-		return Term{}, fmt.Errorf("sqlmini: expected expression term at %d in %q", t.pos, p.src)
+		return Term{}, fmt.Errorf("sqlmini: expected expression term at %d in %q", t.pos, p.lex.src)
 	}
 }
 
@@ -233,23 +258,23 @@ func (p *parser) parseWhere() (*Cond, error) {
 	if err := p.expectPunct("="); err != nil {
 		return nil, err
 	}
-	t := p.cur()
+	t := p.tok
 	switch t.kind {
 	case tokParam:
-		p.i++
+		p.advance()
 		return &Cond{Col: col, Param: t.text}, nil
 	case tokNumber:
-		p.i++
+		p.advance()
 		n, err := strconv.ParseInt(t.text, 10, 64)
 		if err != nil {
 			return nil, fmt.Errorf("sqlmini: bad number in WHERE at %d", t.pos)
 		}
 		return &Cond{Col: col, Lit: Value{I: n}, IsLit: true}, nil
 	case tokString:
-		p.i++
+		p.advance()
 		return &Cond{Col: col, Lit: Value{IsStr: true, S: t.text}, IsLit: true}, nil
 	default:
-		return nil, fmt.Errorf("sqlmini: WHERE needs a parameter or literal at %d in %q", t.pos, p.src)
+		return nil, fmt.Errorf("sqlmini: WHERE needs a parameter or literal at %d in %q", t.pos, p.lex.src)
 	}
 }
 

@@ -71,7 +71,7 @@ func queryInt(t *testing.T, sess *Session, src string, params Params) int64 {
 }
 
 func TestLexerBasics(t *testing.T) {
-	toks, err := lex(`SELECT Balance FROM T WHERE k = :x`)
+	toks, err := lexAll(`SELECT Balance FROM T WHERE k = :x`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestLexerBasics(t *testing.T) {
 	}
 
 	// String escaping.
-	toks, err = lex(`'it''s'`)
+	toks, err = lexAll(`'it''s'`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestLexerBasics(t *testing.T) {
 
 	// Errors.
 	for _, bad := range []string{"'unterminated", ": name", "@x"} {
-		if _, err := lex(bad); err == nil {
+		if _, err := lexAll(bad); err == nil {
 			t.Errorf("lex(%q) accepted", bad)
 		}
 	}
