@@ -178,6 +178,9 @@ func parsePrograms(txns []string) (map[int][]histories.Step, error) {
 // in the engine). Each complete schedule is executed on a fresh database
 // and its Outcome recorded; the result aggregates the distinct outcomes.
 //
+// A schedule that ends with a lock still held — in the table or in a
+// row's owner word — or a waiter still queued fails the exploration.
+//
 // This is stateless-model-checking-style exploration by replay: a prefix
 // of dispatch choices is deterministic (the scheduler never races), so
 // re-running a prefix from scratch reaches the identical state.
@@ -203,6 +206,10 @@ func Explore(cfg ExploreConfig) (*ExploreResult, error) {
 		r, runnable, err := runner.RunSchedule(progs, prefix, true)
 		if err != nil {
 			return fmt.Errorf("detsim: schedule %v: %w", prefix, err)
+		}
+		if r.HeldLocks != 0 || r.QueuedLocks != 0 {
+			return fmt.Errorf("detsim: schedule %v: %d locks held and %d waiters queued after every transaction ended",
+				prefix, r.HeldLocks, r.QueuedLocks)
 		}
 		if cfg.OnlineCheck && r.Online != nil && r.Online.Serializable != r.Report.Serializable {
 			return fmt.Errorf("detsim: schedule %v: online checker says serializable=%v, MVSG analysis says %v\nonline: %soffline: %s",

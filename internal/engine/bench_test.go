@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -12,6 +13,7 @@ import (
 
 	"sicost/internal/admission"
 	"sicost/internal/core"
+	"sicost/internal/storage"
 	"sicost/internal/wal"
 )
 
@@ -495,5 +497,74 @@ func BenchmarkBeginAdmitted(b *testing.B) {
 	b.Run("off", func(b *testing.B) { run(b, nil) })
 	b.Run("on", func(b *testing.B) {
 		run(b, &admission.Config{InitialLimit: 64, MinLimit: 64, MaxLimit: 64})
+	})
+}
+
+// BenchmarkRowLock prices one write-lock cycle — acquire, then the
+// transaction-end release — on the three paths a row lock can take:
+//
+//   - thin: an SI mode and nobody else wants the row. The lock is a
+//     compare-and-swap of the row's owner word each way and the lock
+//     table is entered only for the (empty) transaction-end sweep.
+//   - inflated: the same owner, but a second writer asks for the row
+//     while it is held, moves the hold into the table and queues, and
+//     gives up at once (a 1 ns lock timeout, so nothing parks and the
+//     number is CPU, not scheduling). The owner's release finds its swap
+//     refused and goes through the table. This is the full price of a
+//     conflict's bookkeeping: two requests, one inflation, one
+//     all-stripes deadlock check, one withdrawal, two releases.
+//   - table-2pl: Strict2PL, where every request goes through the table —
+//     the cycle every mode paid before the lock moved into the row.
+func BenchmarkRowLock(b *testing.B) {
+	key := core.Int(0)
+	setup := func(b *testing.B, mode core.CCMode) (*DB, *storage.Table, *storage.Row) {
+		db := benchDB(b, mode, 1)
+		tbl := db.store.MustTable("T")
+		return db, tbl, tbl.Row(key)
+	}
+	cycle := func(b *testing.B, tx *Tx, tbl *storage.Table, row *storage.Row) {
+		if err := tx.lockForWrite(tbl, key, row); err != nil {
+			b.Fatal(err)
+		}
+		tx.releaseLocks()
+		tx.thin = tx.thin[:0]
+	}
+	for _, c := range []struct {
+		name string
+		mode core.CCMode
+	}{{"thin", core.SnapshotFUW}, {"table-2pl", core.Strict2PL}} {
+		b.Run(c.name, func(b *testing.B) {
+			db, tbl, row := setup(b, c.mode)
+			tx := db.Begin()
+			defer tx.Abort()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				cycle(b, tx, tbl, row)
+			}
+		})
+	}
+	b.Run("inflated", func(b *testing.B) {
+		db, tbl, row := setup(b, core.SnapshotFUW)
+		owner, contender := db.Begin(), db.Begin()
+		defer owner.Abort()
+		defer contender.Abort()
+		contender.SetLockWaitTimeout(1)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := owner.lockForWrite(tbl, key, row); err != nil {
+				b.Fatal(err)
+			}
+			if err := contender.lockForWrite(tbl, key, row); !errors.Is(err, core.ErrLockTimeout) {
+				b.Fatalf("contender: %v", err)
+			}
+			owner.releaseLocks()
+			owner.thin = owner.thin[:0]
+		}
+		b.StopTimer()
+		if waits := db.Contention().Lock.Waits; waits != uint64(b.N) {
+			b.Fatalf("%d of %d cycles went through the queue", waits, b.N)
+		}
 	})
 }

@@ -262,25 +262,36 @@ func TestFaultPointsAbortCleanly(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			db, reg := openFaultyKV(t, core.Strict2PL)
-			if err := reg.Arm(faultinject.Spec{Point: tc.point, Count: 1, Action: faultinject.ActError}); err != nil {
-				t.Fatal(err)
-			}
-			err := tc.op(db)
-			if !errors.Is(err, core.ErrInjected) {
-				t.Fatalf("%s: got %v, want ErrInjected", tc.point, err)
-			}
-			if reg.Fired(tc.point) != 1 {
-				t.Fatalf("%s fired %d times", tc.point, reg.Fired(tc.point))
-			}
-			if held, queued := db.LockAudit(); held != 0 || queued != 0 {
-				t.Fatalf("%s leaked locks: %d held, %d queued", tc.point, held, queued)
-			}
-			// The engine is healthy afterwards (Count=1 exhausted).
-			if err := tc.op(db); err != nil {
-				t.Fatalf("%s: clean rerun failed: %v", tc.point, err)
+			// Under 2PL every lock request enters the table; under SI
+			// the lock-acquire point guards the row's owner word.
+			for _, mode := range []core.CCMode{core.Strict2PL, core.SnapshotFUW} {
+				t.Run(mode.String(), func(t *testing.T) { faultAbortsCleanly(t, mode, tc.point, tc.op) })
 			}
 		})
+	}
+}
+
+// faultAbortsCleanly arms point once, drives op into it and checks that
+// the transaction died without leaving a lock, and that the engine works
+// afterwards.
+func faultAbortsCleanly(t *testing.T, mode core.CCMode, point string, op func(db *DB) error) {
+	db, reg := openFaultyKV(t, mode)
+	if err := reg.Arm(faultinject.Spec{Point: point, Count: 1, Action: faultinject.ActError}); err != nil {
+		t.Fatal(err)
+	}
+	err := op(db)
+	if !errors.Is(err, core.ErrInjected) {
+		t.Fatalf("%s: got %v, want ErrInjected", point, err)
+	}
+	if reg.Fired(point) != 1 {
+		t.Fatalf("%s fired %d times", point, reg.Fired(point))
+	}
+	if held, queued := db.LockAudit(); held != 0 || queued != 0 {
+		t.Fatalf("%s leaked locks: %d held, %d queued", point, held, queued)
+	}
+	// The engine is healthy afterwards (Count=1 exhausted).
+	if err := op(db); err != nil {
+		t.Fatalf("%s: clean rerun failed: %v", point, err)
 	}
 }
 

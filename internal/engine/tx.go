@@ -3,6 +3,7 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"time"
 
 	"sicost/internal/core"
@@ -68,6 +69,15 @@ type Tx struct {
 	writes []writeRec
 	sfus   []sfuRec
 	reads  []VersionRef // kept only while obs != nil
+	// thin holds the rows whose write lock this transaction took in the
+	// row itself (storage.LockTable.AcquireRowUntil), to be handed back
+	// when it ends.
+	thin []*storage.Row
+	// bufs is where the backing arrays of writes and thin came from and
+	// go back to (nil until the first of either).
+	bufs *txBufs
+	// updater keeps ReadOnly's answer once the arrays are gone.
+	updater bool
 
 	// failedErr is set after a serialization failure or deadlock; like
 	// PostgreSQL's "current transaction is aborted" state, every later
@@ -91,6 +101,42 @@ type Tx struct {
 	durable   <-chan error
 
 	ssi *ssiTxn // nil unless SerializableSI
+}
+
+// txBufs carries the backing arrays of Tx.writes and Tx.thin from one
+// transaction to the next, so a 4000-row load batch does not grow them
+// from nothing and a three-row program does not allocate them at all.
+type txBufs struct {
+	writes []writeRec
+	thin   []*storage.Row
+}
+
+var txBufPool = sync.Pool{New: func() any { return new(txBufs) }}
+
+// borrow points writes and thin at recycled arrays before the first
+// append to either. It runs only after a lock is granted: a handle
+// blocked in a lock wait has written nothing an Abort from outside
+// reads.
+func (tx *Tx) borrow() {
+	if tx.bufs == nil {
+		tx.bufs = txBufPool.Get().(*txBufs)
+		tx.writes, tx.thin = tx.bufs.writes[:0], tx.bufs.thin[:0]
+	}
+}
+
+// recycle hands the arrays back, cleared of their pointers; the handle
+// keeps none, so a late use of it cannot reach another transaction's.
+func (tx *Tx) recycle() {
+	b := tx.bufs
+	if b == nil {
+		return
+	}
+	tx.updater = !tx.ReadOnly()
+	clear(tx.writes)
+	clear(tx.thin)
+	b.writes, b.thin = tx.writes[:0], tx.thin[:0]
+	tx.bufs, tx.writes, tx.thin = nil, nil, nil
+	txBufPool.Put(b)
 }
 
 // closedDurable is the pre-resolved durability future handed out for
@@ -189,15 +235,30 @@ func (tx *Tx) Durable() <-chan error {
 }
 
 // acquire takes the row lock behind the FaultLockAcquire point and the
-// transaction's lock-wait deadline.
-func (tx *Tx) acquire(key storage.LockKey, mode storage.LockMode) error {
+// transaction's lock-wait deadline. With row set (the SI modes, where
+// every lock is an exclusive lock on a row anchor in hand) the lock is
+// the row's owner word unless somebody contends for it; without, the
+// request goes through the lock table.
+func (tx *Tx) acquire(key storage.LockKey, mode storage.LockMode, row *storage.Row) error {
 	if tx.db.faults != nil {
 		if err := tx.db.faults.Fire(FaultLockAcquire, faultinject.Ctx{Tx: tx.id, Table: key.Table, Key: key.Key}); err != nil {
 			return err
 		}
 	}
-	return tx.db.locks.AcquireUntil(tx.id, key, mode, tx.lockWait, tx.deadline)
+	if row == nil {
+		return tx.db.locks.AcquireUntil(tx.id, key, mode, tx.lockWait, tx.deadline)
+	}
+	thin, err := tx.db.locks.AcquireRowUntil(tx.id, key, row, tx.lockWait, tx.deadline)
+	if thin {
+		tx.borrow()
+		tx.thin = append(tx.thin, row)
+	}
+	return err
 }
+
+// releaseLocks drops every lock the transaction holds, thin or in the
+// table, and ejects it from any wait queue.
+func (tx *Tx) releaseLocks() { tx.db.locks.ReleaseTx(tx.id, tx.thin) }
 
 // Charge spends d of simulated CPU on behalf of this transaction, on top
 // of the per-statement costs. The SmallBank strategies use it to apply
@@ -319,7 +380,7 @@ func (tx *Tx) Get(table string, key core.Value) (core.Record, error) {
 	}
 	tx.traceStmt(trace.EvRead, table, key)
 	if tx.db.cfg.Mode == core.Strict2PL {
-		if err := tx.acquire(storage.LockKey{Table: table, Key: key}, storage.Shared); err != nil {
+		if err := tx.acquire(storage.LockKey{Table: table, Key: key}, storage.Shared, nil); err != nil {
 			return nil, tx.fail(err)
 		}
 	}
@@ -381,11 +442,17 @@ func (tx *Tx) GetByIndex(table, column string, val core.Value) (core.Record, err
 // otherwise the update targets a row concurrently updated and the
 // transaction must abort with a serialization failure.
 func (tx *Tx) lockForWrite(tbl *storage.Table, key core.Value, row *storage.Row) error {
-	if err := tx.acquire(storage.LockKey{Table: tbl.Name(), Key: key}, storage.Exclusive); err != nil {
-		return tx.fail(err)
-	}
+	lk := storage.LockKey{Table: tbl.Name(), Key: key}
 	if tx.db.cfg.Mode == core.Strict2PL {
-		return nil // no version check: locks alone order 2PL writers
+		// Through the table: shared holders need its holder sets. No
+		// version check either: locks alone order 2PL writers.
+		if err := tx.acquire(lk, storage.Exclusive, nil); err != nil {
+			return tx.fail(err)
+		}
+		return nil
+	}
+	if err := tx.acquire(lk, storage.Exclusive, row); err != nil {
+		return tx.fail(err)
 	}
 	if nc := row.NewestCommitted(); nc != nil && nc.CSN() > tx.start {
 		tx.traceConflict(trace.ConflictFUW, tbl.Name(), key)
@@ -438,14 +505,23 @@ func (tx *Tx) Update(table string, key core.Value, rec core.Record) error {
 			return tx.fail(err)
 		}
 	}
-	rec = rec.Clone()
-	if row.UpdateOwn(tx.id, rec) {
+	// Into a variable of its own: assigning the copy to rec would make
+	// the parameter escape, and every caller's record literal with it.
+	image := rec.Clone()
+	if row.UpdateOwn(tx.id, image) {
 		return nil // second write to the same row within this txn
 	}
-	ver := &storage.Version{Rec: rec, Creator: tx.id}
-	row.Install(ver)
-	tx.writes = append(tx.writes, writeRec{table: tbl, key: key, row: row, ver: ver})
+	tx.install(tbl, key, row, image)
 	return nil
+}
+
+// install links a new uncommitted version of row carrying image (nil: a
+// tombstone) and records the write.
+func (tx *Tx) install(tbl *storage.Table, key core.Value, row *storage.Row, image core.Record) {
+	ver := &storage.Version{Rec: image, Creator: tx.id}
+	row.Install(ver)
+	tx.borrow()
+	tx.writes = append(tx.writes, writeRec{table: tbl, key: key, row: row, ver: ver})
 }
 
 // Insert adds a new record; it fails with ErrUniqueViolation when a live
@@ -489,10 +565,7 @@ func (tx *Tx) Insert(table string, rec core.Record) error {
 			return tx.fail(err)
 		}
 	}
-	rec = rec.Clone()
-	ver := &storage.Version{Rec: rec, Creator: tx.id}
-	row.Install(ver)
-	tx.writes = append(tx.writes, writeRec{table: tbl, key: key, row: row, ver: ver})
+	tx.install(tbl, key, row, rec.Clone())
 	return nil
 }
 
@@ -532,9 +605,7 @@ func (tx *Tx) Delete(table string, key core.Value) error {
 	if row.UpdateOwn(tx.id, nil) {
 		return nil
 	}
-	ver := &storage.Version{Rec: nil, Creator: tx.id}
-	row.Install(ver)
-	tx.writes = append(tx.writes, writeRec{table: tbl, key: key, row: row, ver: ver})
+	tx.install(tbl, key, row, nil)
 	return nil
 }
 
@@ -583,7 +654,7 @@ func (tx *Tx) ReadForUpdate(table string, key core.Value) (core.Record, error) {
 
 // ReadOnly reports whether the transaction has performed no writes (and,
 // on the commercial platform, no select-for-updates).
-func (tx *Tx) ReadOnly() bool { return len(tx.writes) == 0 && len(tx.sfus) == 0 }
+func (tx *Tx) ReadOnly() bool { return !tx.updater && len(tx.writes) == 0 && len(tx.sfus) == 0 }
 
 // firstWriteTo reports whether tx.writes[i] is the transaction's first
 // write to its table, so per-table work (index commit and abort) runs
@@ -888,7 +959,7 @@ func (tx *Tx) Commit() error {
 	if tx.ssi != nil {
 		tx.db.ssi.finish(tx, commitCSN)
 	}
-	tx.db.locks.ReleaseAll(tx.id)
+	tx.releaseLocks()
 	tx.done = true
 	tx.db.txnMetrics.Commits.Add(1)
 	if updating {
@@ -912,6 +983,7 @@ func (tx *Tx) Commit() error {
 		}
 		tx.obs.OnCommit(info)
 	}
+	tx.recycle()
 	return nil
 }
 
@@ -935,7 +1007,7 @@ func (tx *Tx) Abort() {
 	if tx.ssi != nil {
 		tx.db.ssi.abort(tx)
 	}
-	tx.db.locks.ReleaseAll(tx.id)
+	tx.releaseLocks()
 	tx.done = true
 	if tx.id != 0 {
 		// Handles rejected at Begin (shutdown) never ran; they are not
@@ -947,6 +1019,7 @@ func (tx *Tx) Abort() {
 		}
 	}
 	tx.db.endTx(tx)
+	tx.recycle()
 }
 
 // Stmts returns the number of statements executed so far (diagnostics).

@@ -9,6 +9,7 @@ package smallbank
 import (
 	"fmt"
 	"math/rand"
+	"strconv"
 
 	"sicost/internal/core"
 	"sicost/internal/engine"
@@ -77,8 +78,19 @@ func ConflictSchema() *core.Schema {
 }
 
 // CustomerName renders the account name of customer i, the benchmark's
-// parameter space.
-func CustomerName(i int) string { return fmt.Sprintf("cust%07d", i) }
+// parameter space: "cust%07d", written out by hand because the loader
+// and every generated transaction call it.
+func CustomerName(i int) string {
+	if i < 0 {
+		return fmt.Sprintf("cust%07d", i)
+	}
+	var buf [24]byte
+	b := append(buf[:0], "cust"...)
+	for w := 1_000_000; w > 1 && i < w; w /= 10 {
+		b = append(b, '0')
+	}
+	return string(strconv.AppendInt(b, int64(i), 10))
+}
 
 // FixedConflictID keys the single shared Conflict row used by the
 // fixed-row materialization ablation (§II-B's "simplest approach");
@@ -129,12 +141,19 @@ func CreateSchema(db *engine.DB) error {
 // generated balances (§IV), one Conflict row per customer and the fixed
 // Conflict row 0. It returns the total money loaded (savings plus
 // checking), which invariant checks use.
+//
+// Everything loaded is durable when Load returns, but the log is waited
+// for once: the batches commit asynchronously, one behind the other, and
+// Load waits for the last of them (the log's durable mark is a prefix of
+// the commit order). A log device that fails underneath makes Load
+// return its sticky error.
 func Load(db *engine.DB, cfg LoadConfig) (total int64, err error) {
 	cfg.defaults()
 	rng := rand.New(rand.NewSource(cfg.Seed))
 
 	// The fixed conflict row for the single-row materialization ablation.
 	tx := db.Begin()
+	tx.SetAsync(true)
 	if err := tx.Insert(TableConflict, core.Record{core.Int(FixedConflictID), core.Int(0)}); err != nil {
 		tx.Abort()
 		return 0, err
@@ -142,6 +161,7 @@ func Load(db *engine.DB, cfg LoadConfig) (total int64, err error) {
 	if err := tx.Commit(); err != nil {
 		return 0, err
 	}
+	last := tx.CommitCSN()
 
 	for start := 0; start < cfg.Customers; start += cfg.BatchSize {
 		end := start + cfg.BatchSize
@@ -149,6 +169,7 @@ func Load(db *engine.DB, cfg LoadConfig) (total int64, err error) {
 			end = cfg.Customers
 		}
 		tx := db.Begin()
+		tx.SetAsync(true)
 		for i := start; i < end; i++ {
 			sav := cfg.MinSaving + rng.Int63n(cfg.MaxSaving-cfg.MinSaving+1)
 			chk := cfg.MinChecking + rng.Int63n(cfg.MaxChecking-cfg.MinChecking+1)
@@ -174,6 +195,10 @@ func Load(db *engine.DB, cfg LoadConfig) (total int64, err error) {
 		if err := tx.Commit(); err != nil {
 			return 0, err
 		}
+		last = tx.CommitCSN()
+	}
+	if err := db.WaitDurable(last); err != nil {
+		return 0, err
 	}
 	return total, nil
 }

@@ -44,6 +44,10 @@ type waiter struct {
 type lock struct {
 	holders map[uint64]LockMode
 	queue   []*waiter
+	// row is the anchor whose owner word this entry has marked
+	// rowContended (nil for a key locked without its row); the word is
+	// cleared when the entry is freed.
+	row *Row
 }
 
 // compatibleWithHolders reports whether a request by tx at mode can be
@@ -113,6 +117,18 @@ type txShard struct {
 // snapshot, and only then queues. Release and wake-up are per-stripe
 // again.
 //
+// An exclusive lock on a row whose anchor the caller holds need not enter
+// the table at all (AcquireRowUntil): uncontended, it is the anchor's
+// owner word, as PostgreSQL keeps a row's write lock in the tuple header
+// and enters the shared lock manager only to wait. The first conflicting
+// request inflates it: under the key's stripe mutex it marks the word
+// rowContended and materialises the entry with the thin owner as its
+// holder, and from there everything above applies. Only a holder of the
+// stripe mutex sets or clears rowContended, and an entry with a row
+// exists exactly while that row's word is contended. A database locks a
+// key always through its row or never (one concurrency-control mode per
+// instance); the two must not be mixed on one key.
+//
 // Mutex order: stripe mutexes in ascending index, then txShard
 // mutexes. Code holding a txShard mutex never acquires a stripe mutex.
 type LockTable struct {
@@ -132,6 +148,11 @@ type LockTable struct {
 	fastPath  *metrics.ContentionCounter
 	waits     *metrics.ContentionCounter
 	deadlocks *metrics.ContentionCounter
+	// Thin row locks (shard = transaction id): thinGrants counts owner
+	// words taken, thinReleases those given back or moved into the table
+	// by an inflater. Their difference is the thin locks held now.
+	thinGrants   *metrics.ContentionCounter
+	thinReleases *metrics.ContentionCounter
 	// waitHist holds the duration of every blocked acquire: the one
 	// record of a wait (LockStats.WaitTime is its sum, the engine's
 	// TxnMetrics().LockWait a snapshot of it).
@@ -164,6 +185,9 @@ func NewLockTableStriped(n int) *LockTable {
 		fastPath:  metrics.NewContentionCounter(size),
 		waits:     metrics.NewContentionCounter(size),
 		deadlocks: metrics.NewContentionCounter(size),
+
+		thinGrants:   metrics.NewContentionCounter(size),
+		thinReleases: metrics.NewContentionCounter(size),
 	}
 	lt.lockPool.New = func() any {
 		return &lock{holders: make(map[uint64]LockMode, 2)}
@@ -195,11 +219,16 @@ func (lt *LockTable) txShardOf(tx uint64) *txShard {
 // newLock takes a recycled (or fresh) empty lock entry.
 func (lt *LockTable) newLock() *lock { return lt.lockPool.Get().(*lock) }
 
-// freeLock recycles an entry that was just removed from a stripe map.
-// Caller guarantees holders and queue are empty and no concurrent
+// freeLock recycles an entry that was just removed from a stripe map,
+// handing its row's lock back to the owner word. Caller holds the stripe
+// mutex and guarantees holders and queue are empty and no concurrent
 // reference exists (entries are only reachable through stripe maps,
 // under the stripe mutex).
 func (lt *LockTable) freeLock(l *lock) {
+	if l.row != nil {
+		l.row.owner.Store(0)
+		l.row = nil
+	}
 	l.queue = nil
 	lt.lockPool.Put(l)
 }
@@ -362,17 +391,9 @@ func (lt *LockTable) AcquireTimeout(tx uint64, key LockKey, mode LockMode, timeo
 // deadline means no deadline; an already-expired deadline fails without
 // touching the queue.
 func (lt *LockTable) AcquireUntil(tx uint64, key LockKey, mode LockMode, timeout time.Duration, deadline time.Time) error {
-	wait := timeout
-	waitErr := core.ErrLockTimeout
-	if !deadline.IsZero() {
-		rem := time.Until(deadline)
-		if rem <= 0 {
-			return core.ErrTxDeadline
-		}
-		if timeout <= 0 || rem < timeout {
-			wait = rem
-			waitErr = core.ErrTxDeadline
-		}
+	wait, waitErr, err := waitBound(timeout, deadline)
+	if err != nil {
+		return err
 	}
 	idx := lt.stripeIndex(key)
 	s := lt.stripes[idx]
@@ -383,29 +404,134 @@ func (lt *LockTable) AcquireUntil(tx uint64, key LockKey, mode LockMode, timeout
 		lt.fastPath.Inc(idx)
 		return nil
 	}
-	return lt.acquireSlow(tx, key, mode, idx, wait, waitErr)
+	_, err = lt.acquireSlow(tx, key, mode, nil, idx, wait, waitErr)
+	return err
+}
+
+// waitBound resolves a request's two bounds into the one a wait runs
+// under and the error its expiry fails with; err is set when the
+// deadline has already passed.
+func waitBound(timeout time.Duration, deadline time.Time) (wait time.Duration, waitErr, err error) {
+	if deadline.IsZero() {
+		return timeout, core.ErrLockTimeout, nil
+	}
+	rem := time.Until(deadline)
+	if rem <= 0 {
+		return 0, nil, core.ErrTxDeadline
+	}
+	if timeout <= 0 || rem < timeout {
+		return rem, core.ErrTxDeadline, nil
+	}
+	return timeout, core.ErrLockTimeout, nil
+}
+
+// rowContended is the owner word of a row whose lock lives in the table.
+// Transaction ids count up from 1 and never reach it.
+const rowContended = 1 << 63
+
+// AcquireRowUntil is AcquireUntil at Exclusive for a caller that holds
+// key's row anchor. Uncontended, the lock is one compare-and-swap of the
+// anchor's owner word and the table is not entered: thin reports such a
+// grant, which the caller must remember and hand back through ReleaseTx.
+// A request that finds the word taken goes through the table, first
+// moving the thin owner's hold into it, and queues, deadlock-checks,
+// times out and is traced exactly like AcquireUntil's. The deadline is
+// read only there: a thin grant takes no time to expire in.
+func (lt *LockTable) AcquireRowUntil(tx uint64, key LockKey, row *Row, timeout time.Duration, deadline time.Time) (thin bool, err error) {
+	switch row.owner.Load() {
+	case 0:
+		if row.owner.CompareAndSwap(0, tx) {
+			lt.thinGrants.Inc(int(tx))
+			return true, nil
+		}
+	case tx:
+		lt.fastPath.Inc(int(tx))
+		return false, nil
+	}
+	wait, waitErr, err := waitBound(timeout, deadline)
+	if err != nil {
+		return false, err
+	}
+	idx := lt.stripeIndex(key)
+	s := lt.stripes[idx]
+	s.mu.Lock()
+	granted, thin := lt.tryGrantRowLocked(s, tx, key, row)
+	s.mu.Unlock()
+	if granted {
+		return thin, nil
+	}
+	return lt.acquireSlow(tx, key, Exclusive, row, idx, wait, waitErr)
+}
+
+// tryGrantRowLocked is tryGrantLocked for an exclusive request that
+// names its row: it settles the owner word first. A free word is taken
+// thin; a word another transaction holds thin is inflated — marked
+// rowContended, with the entry materialised and that transaction its
+// holder — and the request then stands before the table like any other.
+// Caller holds s.mu, under which a word moves only between 0 and a thin
+// owner: whoever reads rowContended here finds the entry, and it stays.
+func (lt *LockTable) tryGrantRowLocked(s *lockStripe, tx uint64, key LockKey, row *Row) (granted, thin bool) {
+	for {
+		owner := row.owner.Load()
+		switch owner {
+		case rowContended:
+			if lt.tryGrantLocked(s, tx, key, Exclusive) {
+				lt.fastPath.Inc(int(tx))
+				return true, false
+			}
+			return false, false
+		case 0:
+			if row.owner.CompareAndSwap(0, tx) {
+				lt.thinGrants.Inc(int(tx))
+				return true, true
+			}
+		default:
+			// Another transaction's: re-entry never gets here (only tx
+			// writes tx into the word, and AcquireRowUntil saw it did
+			// not). The owner gives the lock up with a compare-and-swap back to
+			// 0 and, when that fails, with ReleaseAll, which reads
+			// held[owner] before it comes for this stripe's mutex: the key
+			// must be in there before the word can make that swap fail.
+			lt.addHeld(owner, key)
+			if row.owner.CompareAndSwap(owner, rowContended) {
+				l := lt.newLock()
+				l.row = row
+				l.holders[owner] = Exclusive
+				s.locks[key] = l
+				lt.thinReleases.Inc(int(owner))
+				return false, false
+			}
+			lt.removeHeld(owner, key) // released meanwhile
+		}
+	}
 }
 
 // acquireSlow is the blocking path: with every stripe locked in
 // canonical order it re-checks grantability (the state may have moved
 // between the fast path and here), snapshots the global waits-for
 // relation for deadlock detection, and queues the request. The wait
-// itself happens with no stripe mutex held. timeoutErr is the verdict a
+// itself happens with no stripe mutex held. A non-nil row makes it
+// AcquireRowUntil's slow path (thin as there). timeoutErr is the verdict a
 // timed-out wait fails with (ErrLockTimeout for the lock_timeout bound,
 // ErrTxDeadline when the transaction deadline was the binding bound).
-func (lt *LockTable) acquireSlow(tx uint64, key LockKey, mode LockMode, idx int, timeout time.Duration, timeoutErr error) error {
+func (lt *LockTable) acquireSlow(tx uint64, key LockKey, mode LockMode, row *Row, idx int, timeout time.Duration, timeoutErr error) (thin bool, err error) {
 	s := lt.stripes[idx]
 	lt.lockAll()
-	if lt.tryGrantLocked(s, tx, key, mode) {
+	if row != nil {
+		if granted, thin := lt.tryGrantRowLocked(s, tx, key, row); granted {
+			lt.unlockAll()
+			return thin, nil
+		}
+	} else if lt.tryGrantLocked(s, tx, key, mode) {
 		lt.unlockAll()
 		lt.fastPath.Inc(idx)
-		return nil
+		return false, nil
 	}
-	l := s.locks[key] // non-nil: tryGrantLocked grants when absent
+	l := s.locks[key] // non-nil: either call above grants when absent
 	if lt.wouldDeadlock(tx, l) {
 		lt.unlockAll()
 		lt.deadlocks.Inc(idx)
-		return core.ErrDeadlock
+		return false, core.ErrDeadlock
 	}
 	_, upgrade := l.holders[tx]
 	w := &waiter{tx: tx, mode: mode, ready: make(chan error, 1)}
@@ -431,7 +557,6 @@ func (lt *LockTable) acquireSlow(tx uint64, key LockKey, mode LockMode, idx int,
 		})
 	}
 	start := time.Now()
-	var err error
 	if timeout <= 0 {
 		err = <-w.ready
 	} else {
@@ -453,7 +578,7 @@ func (lt *LockTable) acquireSlow(tx uint64, key LockKey, mode LockMode, idx int,
 			Reason: uint8(core.ClassifyAbort(err)),
 		})
 	}
-	return err
+	return false, err
 }
 
 // withdraw removes a timed-out waiter from its queue. The race with a
@@ -545,6 +670,24 @@ func (lt *LockTable) Release(tx uint64, key LockKey) {
 	if released {
 		lt.removeHeld(tx, key)
 	}
+}
+
+// ReleaseTx is ReleaseAll for a transaction that took row locks thin:
+// each of thin goes back with a compare-and-swap of its owner word to 0.
+// Where that fails a waiter has inflated the lock, the table holds it in
+// tx's name, and ReleaseAll — which takes the key's stripe mutex, behind
+// the inflater — drops it and wakes the waiter.
+func (lt *LockTable) ReleaseTx(tx uint64, thin []*Row) {
+	freed := 0
+	for _, r := range thin {
+		if r.owner.CompareAndSwap(tx, 0) {
+			freed++
+		}
+	}
+	if freed > 0 {
+		lt.thinReleases.Add(int(tx), uint64(freed))
+	}
+	lt.ReleaseAll(tx)
 }
 
 // ReleaseAll drops every lock tx holds and removes tx from any wait
@@ -677,11 +820,16 @@ func (lt *LockTable) QueueLen(key LockKey) int {
 	return 0
 }
 
-// Outstanding reports the number of granted holds and queued waiters
-// across the whole table. Quiescent databases must report 0/0 — the
-// chaos harness's lock-leak invariant (a faulted commit or injected
-// panic must not strand a lock entry).
+// Outstanding reports the number of granted holds — thin row locks
+// included — and queued waiters across the whole table. Quiescent
+// databases must report 0/0 — the chaos harness's lock-leak invariant (a
+// faulted commit or injected panic must not strand a lock entry or an
+// owner word).
 func (lt *LockTable) Outstanding() (held, queued int) {
+	// Releases first: read in this order the difference cannot go
+	// negative under concurrent grants.
+	released := lt.thinReleases.Total()
+	held = int(lt.thinGrants.Total() - released)
 	lt.lockAll()
 	for _, s := range lt.stripes {
 		for _, l := range s.locks {
@@ -701,7 +849,7 @@ func (lt *LockTable) Outstanding() (held, queued int) {
 // time is attributable per run.
 type LockStats struct {
 	Stripes   int
-	FastPath  uint64        // acquires granted without blocking
+	FastPath  uint64        // acquires granted without blocking, thin row locks included
 	Waits     uint64        // acquires that queued
 	Deadlocks uint64        // requests denied with ErrDeadlock
 	WaitTime  time.Duration // total blocked time across waiters
@@ -713,7 +861,7 @@ type LockStats struct {
 func (lt *LockTable) Stats() LockStats {
 	return LockStats{
 		Stripes:        len(lt.stripes),
-		FastPath:       lt.fastPath.Total(),
+		FastPath:       lt.fastPath.Total() + lt.thinGrants.Total(),
 		Waits:          lt.waits.Total(),
 		Deadlocks:      lt.deadlocks.Total(),
 		WaitTime:       lt.waitHist.Sum(),

@@ -77,6 +77,15 @@ type qharness struct {
 	mu      sync.Mutex
 	wakes   []qwake
 	pending map[uint64]qpending
+
+	// rowLocks makes the harness the engine's SI modes in miniature:
+	// every request is exclusive, and goes through AcquireRowUntil when
+	// rows is set (through the table alone when it is not); thin is what
+	// each transaction then has to hand back. Locks are only released
+	// all at once, as a transaction's end releases them.
+	rowLocks bool
+	rows     map[LockKey]*Row
+	thin     map[uint64][]*Row
 }
 
 func newQHarness(stripes int) *qharness {
@@ -84,6 +93,7 @@ func newQHarness(stripes int) *qharness {
 		lt:      NewLockTableStriped(stripes),
 		waitCh:  make(chan struct{}, 1),
 		pending: make(map[uint64]qpending),
+		thin:    make(map[uint64][]*Row),
 	}
 	h.lt.SetHooks(WaitHooks{
 		OnWait: func(tx uint64, key LockKey) {
@@ -138,14 +148,41 @@ func (h *qharness) settleWakes(wakes []qwake) error {
 	return nil
 }
 
+// newRowQHarness is a harness whose requests are all exclusive, taken
+// through the rows when thin is set and through the table when not.
+func newRowQHarness(stripes int, thin bool) *qharness {
+	h := newQHarness(stripes)
+	h.rowLocks = true
+	if thin {
+		h.rows = make(map[LockKey]*Row)
+		for k := 0; k < quickKeys; k++ {
+			h.rows[slk(k)] = &Row{}
+		}
+	}
+	return h
+}
+
 // acquire runs one Acquire to its synchronous outcome: granted,
 // deadlock-denied, or parked in the wait queue.
 func (h *qharness) acquire(tx uint64, key LockKey, mode LockMode) (string, error) {
 	done := make(chan error, 1)
-	go func() { done <- h.lt.Acquire(tx, key, mode) }()
+	row := h.rows[key]
+	var thin bool // a grant that follows a wait is never thin
+	go func() {
+		if row == nil {
+			done <- h.lt.Acquire(tx, key, mode)
+			return
+		}
+		var err error
+		thin, err = h.lt.AcquireRowUntil(tx, key, row, 0, time.Time{})
+		done <- err
+	}()
 	select {
 	case err := <-done:
 		if err == nil {
+			if thin {
+				h.thin[tx] = append(h.thin[tx], row)
+			}
 			return "granted", nil
 		}
 		if errors.Is(err, core.ErrDeadlock) {
@@ -163,11 +200,18 @@ func (h *qharness) acquire(tx uint64, key LockKey, mode LockMode) (string, error
 // step executes one script op and returns its observable outcome,
 // including any wake events, as a canonical string.
 func (h *qharness) step(op qop) (string, error) {
-	switch op.Kind % 4 {
+	kind, mode := op.Kind%4, op.mode()
+	if h.rowLocks {
+		mode = Exclusive
+		if kind == 2 {
+			kind = 3
+		}
+	}
+	switch kind {
 	case 2:
 		h.lt.Release(op.tx(), op.key())
 	case 3:
-		h.lt.ReleaseAll(op.tx())
+		h.releaseAll(op.tx())
 	default:
 		if _, blocked := h.pending[op.tx()]; blocked {
 			// A transaction parked in the queue cannot issue statements;
@@ -175,7 +219,7 @@ func (h *qharness) step(op qop) (string, error) {
 			// sets are compared after every step, so this agrees).
 			return "skipped", nil
 		}
-		return h.acquire(op.tx(), op.key(), op.mode())
+		return h.acquire(op.tx(), op.key(), mode)
 	}
 	wakes := h.takeWakes()
 	if err := h.settleWakes(wakes); err != nil {
@@ -184,17 +228,29 @@ func (h *qharness) step(op qop) (string, error) {
 	return fmt.Sprintf("ok wakes=%v", wakes), nil
 }
 
+// releaseAll ends tx: everything it holds, thin or in the table, goes.
+func (h *qharness) releaseAll(tx uint64) {
+	h.lt.ReleaseTx(tx, h.thin[tx])
+	delete(h.thin, tx)
+}
+
 // observe captures the complete observable state: per-(tx,key) holds,
-// per-key queue lengths, sorted held-key sets, and the blocked set.
+// per-key queue lengths, sorted held-key sets, the blocked set and the
+// table's own count of holds and waiters. A lock held thin is a hold
+// like any other here: where the lock lives is not observable.
 func (h *qharness) observe() string {
 	var b []byte
 	for tx := uint64(1); tx <= quickTxns; tx++ {
+		held := h.lt.HeldKeys(tx)
 		for k := 0; k < quickKeys; k++ {
 			key := slk(k)
 			s, x := h.lt.Holds(tx, key, Shared), h.lt.Holds(tx, key, Exclusive)
+			if row := h.rows[key]; row != nil && row.owner.Load() == tx {
+				s, x = true, true
+				held = append(held, key)
+			}
 			b = append(b, byte('0'+boolBit(s)), byte('0'+boolBit(x)))
 		}
-		held := h.lt.HeldKeys(tx)
 		sort.Slice(held, func(i, j int) bool { return held[i].Key.Less(held[j].Key) })
 		b = append(b, fmt.Sprintf("|held%d=%v", tx, held)...)
 		if p, ok := h.pending[tx]; ok {
@@ -204,6 +260,8 @@ func (h *qharness) observe() string {
 	for k := 0; k < quickKeys; k++ {
 		b = append(b, fmt.Sprintf("|q%d=%d", k, h.lt.QueueLen(slk(k)))...)
 	}
+	nHeld, nQueued := h.lt.Outstanding()
+	b = append(b, fmt.Sprintf("|outstanding=%d/%d", nHeld, nQueued)...)
 	return string(b)
 }
 
@@ -218,7 +276,7 @@ func boolBit(v bool) int {
 // property, ejecting any still-parked waiters.
 func (h *qharness) drain() error {
 	for tx := uint64(1); tx <= quickTxns; tx++ {
-		h.lt.ReleaseAll(tx)
+		h.releaseAll(tx)
 		if err := h.settleWakes(h.takeWakes()); err != nil {
 			return err
 		}
@@ -234,6 +292,26 @@ func (h *qharness) drain() error {
 // every outcome, every wake, and every observable state — including
 // which transaction a deadlock denial picks as victim.
 func TestQuickShardedEquivalence(t *testing.T) {
+	quickEquivalence(t, "sharded",
+		func() *qharness { return newQHarness(1) }, // the classic single-mutex table
+		func() *qharness { return newQHarness(8) })
+}
+
+// TestQuickThinEquivalence is the same property for the lock that lives
+// in the row: on random schedules of exclusive requests and transaction
+// ends, taking each lock thin and entering the table only on conflict
+// grants the same requests in the same order, blocks and wakes the same
+// transactions, picks the same deadlock victims and counts the same
+// holds and waiters as sending every request through the table.
+func TestQuickThinEquivalence(t *testing.T) {
+	quickEquivalence(t, "thin",
+		func() *qharness { return newRowQHarness(8, false) },
+		func() *qharness { return newRowQHarness(8, true) })
+}
+
+// quickEquivalence runs random scripts against a reference harness and
+// the one under test (named what in failures) in lock step.
+func quickEquivalence(t *testing.T, what string, newRef, newShr func() *qharness) {
 	cfg := &quick.Config{
 		MaxCount: 60,
 		Rand:     rand.New(rand.NewSource(7)),
@@ -242,14 +320,13 @@ func TestQuickShardedEquivalence(t *testing.T) {
 		cfg.MaxCount = 10
 	}
 	property := func(script []qop) bool {
-		ref := newQHarness(1) // the classic single-mutex table
-		shr := newQHarness(8)
+		ref, shr := newRef(), newShr()
 		defer func() {
 			if err := ref.drain(); err != nil {
 				t.Errorf("ref drain: %v", err)
 			}
 			if err := shr.drain(); err != nil {
-				t.Errorf("sharded drain: %v", err)
+				t.Errorf("%s drain: %v", what, err)
 			}
 		}()
 		if len(script) > 64 {
@@ -263,17 +340,17 @@ func TestQuickShardedEquivalence(t *testing.T) {
 			}
 			shrOut, err := shr.step(op)
 			if err != nil {
-				t.Errorf("step %d %s: sharded: %v", i, op.describe(), err)
+				t.Errorf("step %d %s: %s: %v", i, op.describe(), what, err)
 				return false
 			}
 			if refOut != shrOut {
-				t.Errorf("step %d %s: outcome diverged:\n  ref:     %s\n  sharded: %s",
-					i, op.describe(), refOut, shrOut)
+				t.Errorf("step %d %s: outcome diverged:\n  ref: %s\n  %s: %s",
+					i, op.describe(), refOut, what, shrOut)
 				return false
 			}
 			if refState, shrState := ref.observe(), shr.observe(); refState != shrState {
-				t.Errorf("step %d %s: state diverged:\n  ref:     %s\n  sharded: %s",
-					i, op.describe(), refState, shrState)
+				t.Errorf("step %d %s: state diverged:\n  ref: %s\n  %s: %s",
+					i, op.describe(), refState, what, shrState)
 				return false
 			}
 		}

@@ -15,10 +15,17 @@ import (
 // inserts are growing the table.
 const tableStripes = 32
 
+// rowSlab is how many row anchors a stripe allocates at a time.
+const rowSlab = 64
+
 // rowStripe is one partition of the row map.
 type rowStripe struct {
 	mu   sync.RWMutex
 	rows map[core.Value]*Row
+	// slab is what is left of the block the next anchors are cut from:
+	// anchors are never freed, so allocating them one by one buys
+	// nothing (guarded by mu, write side).
+	slab []Row
 
 	// dirty is the set of keys written by commits published since the
 	// last checkpoint epoch swap (SwapDirty). It has its own mutex so
@@ -26,6 +33,10 @@ type rowStripe struct {
 	// is one map insert under a per-stripe mutex.
 	dirtyMu sync.Mutex
 	dirty   map[core.Value]struct{}
+	// dirtyHint is the size of the epoch last swapped out, at which the
+	// next epoch's map starts: checkpoints are paced by log growth, so
+	// epochs dirty about as many keys each.
+	dirtyHint int
 }
 
 // Table is a versioned heap keyed by primary key, with any declared
@@ -93,7 +104,10 @@ func (t *Table) EnsureRow(key core.Value) *Row {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if r = s.rows[key]; r == nil {
-		r = &Row{}
+		if len(s.slab) == 0 {
+			s.slab = make([]Row, rowSlab)
+		}
+		r, s.slab = &s.slab[0], s.slab[1:]
 		s.rows[key] = r
 	}
 	return r
@@ -169,7 +183,7 @@ func (t *Table) MarkDirty(key core.Value) {
 	s := t.stripe(key)
 	s.dirtyMu.Lock()
 	if s.dirty == nil {
-		s.dirty = make(map[core.Value]struct{})
+		s.dirty = make(map[core.Value]struct{}, s.dirtyHint)
 	}
 	s.dirty[key] = struct{}{}
 	s.dirtyMu.Unlock()
@@ -178,7 +192,9 @@ func (t *Table) MarkDirty(key core.Value) {
 // SwapDirty drains and returns the dirty-key set accumulated since the
 // previous swap, resetting the epoch. The fuzzy checkpoint calls it
 // under the commit barrier's write side: keys dirtied by commits after
-// the swap accumulate for the next link.
+// the swap accumulate for the next link, in a map the first of them
+// allocates at the size of the one swapped out (not here: every commit
+// waits for this caller) instead of regrowing it from empty.
 func (t *Table) SwapDirty() []core.Value {
 	var keys []core.Value
 	for i := range t.stripes {
@@ -187,7 +203,7 @@ func (t *Table) SwapDirty() []core.Value {
 		for k := range s.dirty {
 			keys = append(keys, k)
 		}
-		s.dirty = nil
+		s.dirtyHint, s.dirty = len(s.dirty), nil
 		s.dirtyMu.Unlock()
 	}
 	return keys

@@ -73,6 +73,12 @@ type Row struct {
 	// whose snapshot predates it fail with a serialization error, which
 	// is the paper's "treated for concurrency control like an Update".
 	lastSFUCommit atomic.Uint64
+
+	// owner is the row's write-lock word (LockTable.AcquireRowUntil): 0
+	// when nobody holds the lock thin, a transaction id while that
+	// transaction holds it and nobody waits, rowContended while the lock
+	// table's entry for the row says who holds it and who queues.
+	owner atomic.Uint64
 }
 
 // Head returns the newest version (committed or not), or nil for a row

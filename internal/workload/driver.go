@@ -175,6 +175,16 @@ func (c *Config) defaults() error {
 // TypeStats aggregates one transaction type's outcomes during the
 // measurement interval.
 type TypeStats struct {
+	typeCounts
+	// Latency is the distribution of the client-perceived response time
+	// of each committed interaction (including its retries and backoff).
+	Latency metrics.HistSnapshot
+}
+
+// typeCounts is the part of TypeStats a client keeps for itself; the
+// latency distribution is recorded once per run, in a histogram the
+// clients share.
+type typeCounts struct {
 	Commits int64
 	// Aborts counts attempts that did not commit, by reason.
 	Aborts map[core.AbortReason]int64
@@ -185,13 +195,10 @@ type TypeStats struct {
 	// GiveUps counts interactions abandoned when the retry policy
 	// refused another attempt (retry or budget exhaustion).
 	GiveUps int64
-	// Latency is the distribution of the client-perceived response time
-	// of each committed interaction (including its retries and backoff).
-	Latency metrics.HistSnapshot
 }
 
 // TotalAborts sums aborts across reasons.
-func (s *TypeStats) TotalAborts() int64 {
+func (s *typeCounts) TotalAborts() int64 {
 	var n int64
 	for _, v := range s.Aborts {
 		n += v
@@ -202,7 +209,7 @@ func (s *TypeStats) TotalAborts() int64 {
 // SerializationAbortRate is the fraction of attempts of this type that
 // failed with a serialization error — the quantity of the paper's
 // Figure 6.
-func (s *TypeStats) SerializationAbortRate() float64 {
+func (s *typeCounts) SerializationAbortRate() float64 {
 	attempts := s.Commits + s.TotalAborts()
 	if attempts == 0 {
 		return 0
@@ -281,10 +288,9 @@ func (r *Result) AbortAttribution() float64 {
 // clientStats accumulates outcomes: one per closed-loop client (private,
 // no locking), one shared by every virtual client of a Rate run.
 type clientStats struct {
-	perType [smallbank.NumTxnTypes]TypeStats
+	perType [smallbank.NumTxnTypes]typeCounts
 	// lat is the run's response-time record, one concurrent histogram
-	// per program type shared by every client (perType[].Latency stays
-	// empty here).
+	// per program type shared by every client.
 	lat *[smallbank.NumTxnTypes]metrics.Histogram
 	// ledger is the committed money movement over the whole run (see
 	// Result.CommittedDelta).
