@@ -13,7 +13,9 @@ import (
 	"sicost/internal/engine"
 	"sicost/internal/experiments"
 	"sicost/internal/sdg"
+	"sicost/internal/simres"
 	"sicost/internal/smallbank"
+	"sicost/internal/trace"
 	"sicost/internal/workload"
 )
 
@@ -235,8 +237,12 @@ func BenchmarkCheckerAnalyze(b *testing.B) {
 	if _, err := sicost.LoadSmallBank(db, sicost.LoadConfig{Customers: 200, Seed: 1}); err != nil {
 		b.Fatal(err)
 	}
-	chk := sicost.NewChecker()
-	db.SetObserver(chk)
+	// Simulated CPU keeps the event rate the model's and not the host's,
+	// so the pump keeps up with the rings.
+	db.SetResources(simres.Config{VirtualCPUs: 2, StmtCPU: 50 * time.Microsecond})
+	rec := sicost.NewTrace(sicost.TraceOptions{ShardCap: 1 << 12})
+	db.SetTracer(rec)
+	sub := trace.Subscribe(rec, func([]trace.Event) {}, trace.SubOptions{Retain: true})
 	if _, err := workload.Run(db, workload.Config{
 		Strategy: smallbank.StrategySI, MPL: 8, Customers: 200,
 		HotspotSize: 20, HotspotProb: 0.9,
@@ -244,9 +250,14 @@ func BenchmarkCheckerAnalyze(b *testing.B) {
 	}); err != nil {
 		b.Fatal(err)
 	}
+	sub.Close()
+	if n := rec.Dropped(); n != 0 {
+		b.Fatalf("trace dropped %d events", n)
+	}
+	txns := sicost.TraceTxns(sub.Events())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rep := chk.Analyze()
+		rep := sicost.CheckTxns(txns)
 		if rep.Txns == 0 {
 			b.Fatal("empty history")
 		}

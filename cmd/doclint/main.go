@@ -19,6 +19,13 @@
 //     segment is a namespace some Fault* constant declares) must match
 //     a declared fault point (`FaultX = "ns/..."` in non-test sources).
 //
+// Flags without a user: the inverse of the flag rule above. A flag a
+// command registers must be mentioned somewhere a user would meet it —
+// a code span or fenced block of README.md, EXPERIMENTS.md or docs/, a
+// Makefile line, or a command's own tests — or it is flagged, so a knob
+// nobody sets cannot come back unnoticed. Mentions are matched by flag
+// name, not per command.
+//
 // `make docs` runs it over the whole module alongside go vet.
 //
 // Usage:
@@ -58,6 +65,12 @@ func main() {
 			os.Exit(1)
 		}
 		problems = append(problems, docProblems...)
+		flagProblems, err := lintUnusedFlags(root)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "doclint: %v\n", err)
+			os.Exit(1)
+		}
+		problems = append(problems, flagProblems...)
 		for _, p := range problems {
 			fmt.Println(p)
 			bad++
@@ -154,6 +167,9 @@ var (
 	metricRefRe    = regexp.MustCompile(`sicost_[a-z_]+`)
 	faultDeclRe    = regexp.MustCompile(`Fault[A-Za-z0-9]*\s*=\s*"([a-z0-9/-]+)"`)
 	faultRefRe     = regexp.MustCompile(`^[a-z][a-z0-9-]*(?:/[a-z0-9-]+)+$`)
+	// testFlagRe matches a flag as a command's test passes it: the start
+	// of a string literal ("-mode", "-mode=2pl").
+	testFlagRe = regexp.MustCompile(`"-[a-z][a-z0-9-]*`)
 )
 
 // lintDocs verifies that every file under <root>/docs references only
@@ -168,7 +184,7 @@ func lintDocs(root string) ([]string, error) {
 	if err != nil {
 		return nil, err
 	}
-	flags, metrics, err := collectCmdDecls(filepath.Join(root, "cmd"))
+	flags, metrics, _, err := collectCmdDecls(filepath.Join(root, "cmd"))
 	if err != nil {
 		return nil, err
 	}
@@ -193,11 +209,13 @@ func lintDocs(root string) ([]string, error) {
 
 // collectCmdDecls scans cmd/ sources for flag registrations
 // (flag.String("name", ...) and friends) and published sicost_*
-// expvar names, the ground truth the docs are checked against.
-func collectCmdDecls(cmdDir string) (flags, metrics map[string]bool, err error) {
-	flags, metrics = map[string]bool{}, map[string]bool{}
+// expvar names, the ground truth the docs are checked against. byCmd
+// holds the flags each command's own (non-test) sources register, keyed
+// by the command's directory.
+func collectCmdDecls(cmdDir string) (flags, metrics map[string]bool, byCmd map[string][]string, err error) {
+	flags, metrics, byCmd = map[string]bool{}, map[string]bool{}, map[string][]string{}
 	if _, serr := os.Stat(cmdDir); os.IsNotExist(serr) {
-		return flags, metrics, nil
+		return flags, metrics, byCmd, nil
 	}
 	err = filepath.WalkDir(cmdDir, func(path string, d fs.DirEntry, err error) error {
 		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") {
@@ -209,13 +227,16 @@ func collectCmdDecls(cmdDir string) (flags, metrics map[string]bool, err error) 
 		}
 		for _, m := range flagDeclRe.FindAllStringSubmatch(string(b), -1) {
 			flags[m[1]] = true
+			if !strings.HasSuffix(path, "_test.go") {
+				byCmd[filepath.Dir(path)] = append(byCmd[filepath.Dir(path)], m[1])
+			}
 		}
 		for _, m := range metricDeclRe.FindAllStringSubmatch(string(b), -1) {
 			metrics[m[1]] = true
 		}
 		return nil
 	})
-	return flags, metrics, err
+	return flags, metrics, byCmd, err
 }
 
 // collectFaultDecls scans the module's non-test Go sources for
@@ -284,21 +305,7 @@ func lintDoc(root, path, text string, flags, metrics, faults map[string]bool) []
 	}
 
 	prose, fenced := splitFences(text)
-	var flagToks []string
-	for _, span := range inlineSpanRe.FindAllStringSubmatch(prose, -1) {
-		for _, m := range flagTokenRe.FindAllStringSubmatch(span[1], -1) {
-			flagToks = append(flagToks, m[1])
-		}
-	}
-	for _, line := range fenced {
-		if !strings.Contains(line, "./cmd/") {
-			continue
-		}
-		for _, m := range flagTokenRe.FindAllStringSubmatch(line, -1) {
-			flagToks = append(flagToks, m[1])
-		}
-	}
-	for _, tok := range dedup(flagToks) {
+	for _, tok := range dedup(docFlagTokens(prose, fenced, "./cmd/")) {
 		if !flags[strings.TrimPrefix(tok, "-")] {
 			flag("mentions flag %s, which no command registers", tok)
 		}
@@ -328,6 +335,93 @@ func lintDoc(root, path, text string, flags, metrics, faults map[string]bool) []
 		}
 	}
 	return problems
+}
+
+// docFlagTokens returns the -flag tokens of a markdown document's code:
+// its inline spans, and the fenced-block lines that contain marker (""
+// takes every fenced line).
+func docFlagTokens(prose string, fenced []string, marker string) []string {
+	var toks []string
+	for _, span := range inlineSpanRe.FindAllStringSubmatch(prose, -1) {
+		for _, m := range flagTokenRe.FindAllStringSubmatch(span[1], -1) {
+			toks = append(toks, m[1])
+		}
+	}
+	for _, line := range fenced {
+		if !strings.Contains(line, marker) {
+			continue
+		}
+		for _, m := range flagTokenRe.FindAllStringSubmatch(line, -1) {
+			toks = append(toks, m[1])
+		}
+	}
+	return toks
+}
+
+// lintUnusedFlags flags every flag a command registers that nothing a
+// user reads or runs mentions: no code span or fenced block of
+// README.md, EXPERIMENTS.md or docs/*.md, no Makefile line, no test of a
+// command.
+func lintUnusedFlags(root string) ([]string, error) {
+	cmdDir := filepath.Join(root, "cmd")
+	_, _, byCmd, err := collectCmdDecls(cmdDir)
+	if err != nil || len(byCmd) == 0 {
+		return nil, err
+	}
+	mentioned := map[string]bool{}
+	note := func(toks []string) {
+		for _, t := range toks {
+			mentioned[strings.TrimLeft(t, `"-`)] = true
+		}
+	}
+	// A missing document is no mention, not an error. (The Glob patterns
+	// are constants: Glob cannot fail.)
+	read := func(path string) (string, error) {
+		b, err := os.ReadFile(path)
+		if os.IsNotExist(err) {
+			return "", nil
+		}
+		return string(b), err
+	}
+	docs, _ := filepath.Glob(filepath.Join(root, "docs", "*.md"))
+	for _, path := range append(docs, filepath.Join(root, "README.md"), filepath.Join(root, "EXPERIMENTS.md")) {
+		text, err := read(path)
+		if err != nil {
+			return nil, err
+		}
+		prose, fenced := splitFences(text)
+		note(docFlagTokens(prose, fenced, ""))
+	}
+	makefile, err := read(filepath.Join(root, "Makefile"))
+	if err != nil {
+		return nil, err
+	}
+	for _, m := range flagTokenRe.FindAllStringSubmatch(makefile, -1) {
+		note(m[1:])
+	}
+	tests, _ := filepath.Glob(filepath.Join(cmdDir, "*", "*_test.go"))
+	for _, path := range tests {
+		text, err := read(path)
+		if err != nil {
+			return nil, err
+		}
+		note(testFlagRe.FindAllString(text, -1))
+	}
+	var cmds []string
+	for dir := range byCmd {
+		cmds = append(cmds, dir)
+	}
+	sort.Strings(cmds)
+	var problems []string
+	for _, dir := range cmds {
+		for _, name := range byCmd[dir] {
+			if !mentioned[name] {
+				problems = append(problems, fmt.Sprintf(
+					"%s: registers -%s, which no README/EXPERIMENTS/docs code span, Makefile line or command test mentions", dir, name))
+			}
+		}
+	}
+	return problems, nil
 }
 
 // splitFences separates a markdown document into its prose (fenced

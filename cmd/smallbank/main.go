@@ -13,7 +13,7 @@
 //	smallbank -chaos -mode 2pl -check      # fault-injected run + invariant audit
 //	smallbank -crash -crash-cycles 20      # crash/recover chaos + durability audit
 //	smallbank -wal waldir                  # durable log directory (resumes if non-empty)
-//	smallbank -retry backoff -retry-base 200us -retry-cap 20ms
+//	smallbank -retry backoff -retries 20   # capped exponential backoff between retries
 //	smallbank -trace run.jsonl             # dump the lifecycle event trace
 //	smallbank -pprof localhost:6060        # serve pprof/expvar while running
 //	smallbank -rate 20000                  # open system: Poisson arrivals instead of -mpl clients
@@ -56,7 +56,6 @@ func main() {
 		mpl          = flag.Int("mpl", 20, "multiprogramming level (closed loop; ignored when -rate is set)")
 		customers    = flag.Int("customers", 18000, "customers loaded")
 		hotspot      = flag.Int("hotspot", 1000, "hotspot size")
-		hotProb      = flag.Float64("hotprob", 0.9, "fraction of transactions on the hotspot")
 		balMix       = flag.Float64("balmix", 0, "Balance fraction (0 = uniform mix)")
 		ramp         = flag.Duration("ramp", 500*time.Millisecond, "ramp-up")
 		measure      = flag.Duration("measure", 2*time.Second, "measurement interval")
@@ -70,29 +69,22 @@ func main() {
 		walPath      = flag.String("wal", "", "durable log directory of wal.NNNN segments; a non-empty log is recovered instead of loaded")
 		walAsync     = flag.Bool("wal-async", false, "asynchronous commit (synchronous_commit=off): publish before durable")
 		walSegSize   = flag.Int64("wal-segment-size", 1<<20, "rotate the log into a fresh wal.NNNN segment at this many bytes")
-		walPrealloc  = flag.Int64("wal-prealloc", 0, "create wal.NNNN segments at this physical size up front")
 		ckptBytes    = flag.Int64("ckpt-bytes", 0, "fuzzy incremental checkpoint after this many bytes of log growth (0 = off)")
 		ckptChain    = flag.Int("ckpt-chain", 0, "delta links per chain before a full link re-roots it (0 = engine default)")
 		retire       = flag.Bool("retire", false, "retire fully-covered wal.NNNN segments after each chain re-root")
 		archiveDir   = flag.String("archive", "", "copy retired segments into this directory before deleting (PITR; needs -retire)")
 		crashFuzzy   = flag.Bool("crash-fuzzy", false, "-crash: fuzzy checkpoints + segment retirement live during the rotation")
 		lockTimeout  = flag.Duration("locktimeout", 0, "per-transaction lock-wait timeout (0 = wait forever)")
-		retryKind    = flag.String("retry", "immediate", "retry policy: immediate or backoff")
+		retryKind    = flag.String("retry", "immediate", "retry policy: immediate, or backoff (capped exponential from 200µs to 20ms, half jitter)")
 		retries      = flag.Int("retries", 50, "max retries per interaction")
-		retryBase    = flag.Duration("retry-base", 200*time.Microsecond, "backoff policy: first backoff step")
-		retryCap     = flag.Duration("retry-cap", 20*time.Millisecond, "backoff policy: per-step cap")
-		retryJitter  = flag.Float64("retry-jitter", 0.5, "backoff policy: jitter fraction in [0,1]")
-		retryBudget  = flag.Duration("retry-budget", 0, "backoff policy: total backoff budget per interaction (0 = unlimited)")
 		tracePath    = flag.String("trace", "", "write the transaction-lifecycle event trace to this JSONL file")
 		pprofAddr    = flag.String("pprof", "", "serve net/http/pprof and expvar on this address (e.g. localhost:6060)")
 		rate         = flag.Float64("rate", 0, "open system: Poisson arrivals per second instead of -mpl closed-loop clients (0 = closed loop)")
 		admit        = flag.Bool("admission", false, "adaptive admission control in front of Begin (AIMD + abort-storm circuit breaker)")
-		admitLimit   = flag.Int("admission-limit", 0, "admission: initial concurrency limit (0 = controller default)")
 		admitQueue   = flag.Int("admission-queue", 0, "admission: wait-queue bound; Begins past it are shed (0 = controller default)")
 		maxInFlight  = flag.Int("max-inflight", 0, "-rate: driver backstop on concurrent virtual clients (0 = driver default)")
 		txDeadline   = flag.Duration("deadline", 0, "per-transaction time budget; expiry aborts with the deadline reason (0 = none)")
-		sharedRate   = flag.Float64("retry-shared-rate", 0, "shared retry budget: tokens/sec refill across all clients (0 = no shared budget)")
-		sharedBurst  = flag.Float64("retry-shared-burst", 0, "shared retry budget: bucket capacity (default: refill rate)")
+		sharedRate   = flag.Float64("retry-shared-rate", 0, "shared retry budget: tokens/sec refill across all clients, bucket of one second's worth (0 = no shared budget)")
 	)
 	flag.Parse()
 
@@ -139,7 +131,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "smallbank: -archive needs -retire")
 		os.Exit(2)
 	}
-	engCfg.WAL.PreallocBytes = *walPrealloc
 	engCfg.CheckpointLogBytes = *ckptBytes
 	engCfg.CheckpointChainMax = *ckptChain
 	engCfg.RetireSegments = *retire
@@ -150,29 +141,19 @@ func main() {
 	case "immediate":
 		policy = workload.ImmediatePolicy{MaxRetries: *retries}
 	case "backoff":
-		policy = workload.BackoffPolicy{
-			MaxRetries: *retries, Base: *retryBase, Cap: *retryCap,
-			Jitter: *retryJitter, Budget: *retryBudget,
-		}
+		policy = workload.DefaultBackoff(*retries)
 	default:
 		fmt.Fprintf(os.Stderr, "smallbank: unknown retry policy %q\n", *retryKind)
 		os.Exit(2)
 	}
 
 	if *sharedRate > 0 {
-		burst := *sharedBurst
-		if burst <= 0 {
-			burst = *sharedRate
-		}
-		policy = workload.BudgetedPolicy{Inner: policy, Budget: workload.NewRetryBudget(*sharedRate, burst)}
+		policy = workload.BudgetedPolicy{Inner: policy, Budget: workload.NewRetryBudget(*sharedRate, *sharedRate)}
 	}
 
 	engCfg.LockWaitTimeout = *lockTimeout
 	if *admit {
 		acfg := admission.Config{}
-		if *admitLimit > 0 {
-			acfg.InitialLimit = *admitLimit
-		}
 		if *admitQueue > 0 {
 			acfg.MaxQueue = *admitQueue
 		}
@@ -297,7 +278,7 @@ func main() {
 	}
 	cfg := workload.Config{
 		Strategy: strategy, Customers: *customers,
-		HotspotSize: *hotspot, HotspotProb: *hotProb, Mix: mix,
+		HotspotSize: *hotspot, HotspotProb: 0.9, Mix: mix, // the paper fixes 90 % on the hotspot
 		Ramp: *ramp, Measure: *measure, Seed: *seed,
 		MaxRetries: *retries, Retry: policy,
 		Rate: *rate, MaxInFlight: *maxInFlight,

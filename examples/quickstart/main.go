@@ -42,11 +42,11 @@ func main() {
 	fmt.Printf("alice's total balance: $%d.%02d\n", total/100, total%100)
 
 	// The paper's point: plain SI admits non-serializable executions of
-	// SmallBank. Attach the runtime checker and replay the dangerous
+	// SmallBank. Record the lifecycle trace and replay the dangerous
 	// interleaving (WriteCheck concurrent with TransactSaving, observed
-	// by Balance).
-	chk := sicost.NewChecker()
-	db.SetObserver(chk)
+	// by Balance); the checker reads the committed history off the trace.
+	rec := sicost.NewTrace(sicost.TraceOptions{Shards: 1, ShardCap: 1 << 10})
+	db.SetTracer(rec)
 
 	wc := db.Begin() // WriteCheck's snapshot is taken now
 	if err := sicost.RunSmallBank(db, sicost.StrategySI, sicost.TransactSaving,
@@ -63,13 +63,13 @@ func main() {
 	if err := wc.Commit(); err != nil {
 		log.Fatal(err)
 	}
-	rep := chk.Analyze()
+	rep := sicost.CheckTrace(rec.Drain())
 	fmt.Printf("\nplain SI, dangerous interleaving: %s", rep.Describe())
 
 	// Now the same interleaving with the paper's cheapest repair:
 	// PromoteWT-upd (an identity update on Saving inside WriteCheck).
 	// First-Updater-Wins turns the anomaly into a retriable failure.
-	chk.Reset()
+	// (Drain emptied the recorder: the next check sees only what follows.)
 	wc2 := db.Begin()
 	if err := sicost.RunSmallBank(db, sicost.StrategyPromoteWTUpd, sicost.TransactSaving,
 		sicost.TxnParams{N1: alice, V: 900_00}); err != nil {
@@ -89,7 +89,7 @@ func main() {
 	} else {
 		fmt.Println("\nPromoteWT-upd: interleaving was already safe this time.")
 	}
-	rep = chk.Analyze()
+	rep = sicost.CheckTrace(rec.Drain())
 	fmt.Printf("with the strategy: %s", rep.Describe())
 }
 

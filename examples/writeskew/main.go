@@ -77,8 +77,8 @@ func onDutyCount(db *sicost.DB) int64 {
 func runWriteSkew(label string, mode core.CCMode) {
 	db := newDB(mode, sicost.PlatformPostgres)
 	defer db.Close()
-	chk := sicost.NewChecker()
-	db.SetObserver(chk)
+	rec := sicost.NewTrace(sicost.TraceOptions{Shards: 1, ShardCap: 1 << 10})
+	db.SetTracer(rec)
 
 	// Both doctors decide to leave at the same moment. Run the two
 	// transactions concurrently; under 2PL one blocks, so drive them
@@ -105,7 +105,7 @@ func runWriteSkew(label string, mode core.CCMode) {
 	err1, err2 := <-done1, <-done2
 
 	left := onDutyCount(db)
-	rep := chk.Analyze()
+	rep := sicost.CheckTrace(rec.Drain())
 	fmt.Printf("%-9s alice: %-12v bob: %-12v on duty: %d   execution: %s\n",
 		label, short(err1), short(err2), left, rep.Classify())
 	if left == 0 {

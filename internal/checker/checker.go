@@ -1,10 +1,15 @@
-// Package checker validates executions for serializability at runtime.
-// It records every committed transaction's read and write versions (via
-// the engine's Observer hook), builds the multi-version serialization
-// graph (MVSG) — WR, WW and RW (antidependency) edges — and searches it
-// for cycles. An acyclic MVSG proves the recorded execution serializable;
-// a cycle is a concrete non-serializability witness, such as the write
-// skew and read-only anomalies that motivate the paper.
+// Package checker validates executions for serializability after the
+// fact. It reads the committed transactions out of the engine's
+// lifecycle trace (Txns: start and commit timestamps plus the versions
+// read and written — the history model of the timestamp-based checkers
+// in PAPERS.md), builds the multi-version serialization graph (MVSG) —
+// WR, WW and RW (antidependency) edges — and searches it for cycles
+// (Analyze). An acyclic MVSG proves the recorded execution
+// serializable; a cycle is a concrete non-serializability witness, such
+// as the write skew and read-only anomalies that motivate the paper.
+//
+// The package judges the engine and therefore does not import it: the
+// event stream (internal/trace) is the only thing it is told.
 //
 // The paper relies on the static theory (internal/sdg) to decide which
 // program mixes are safe; this package is the dynamic counterpart the
@@ -17,53 +22,72 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 
 	"sicost/internal/core"
-	"sicost/internal/engine"
 	"sicost/internal/graph"
+	"sicost/internal/trace"
 )
 
-// Checker accumulates commit records. It is safe for concurrent use and
-// implements engine.Observer.
-type Checker struct {
-	mu    sync.Mutex
-	infos []engine.TxInfo
+// Ref identifies one version of one item: the version a transaction
+// read, or the one it created (CSN = its commit CSN).
+type Ref struct {
+	Table string
+	Key   core.Value
+	CSN   uint64
 }
 
-// New creates an empty checker. Install it with db.SetObserver.
-func New() *Checker { return &Checker{} }
-
-// OnCommit implements engine.Observer.
-func (c *Checker) OnCommit(info engine.TxInfo) {
-	c.mu.Lock()
-	c.infos = append(c.infos, info)
-	c.mu.Unlock()
+// Txn is one committed transaction as the trace describes it.
+type Txn struct {
+	ID        uint64
+	StartCSN  uint64
+	CommitCSN uint64
+	// Tag is the application's label (the SmallBank driver stores the
+	// program name), for anomaly reports.
+	Tag string
+	// Reads lists the versions read, reads of the transaction's own
+	// writes excluded; Writes lists the versions created.
+	Reads  []Ref
+	Writes []Ref
 }
 
-// NumTxns returns the number of recorded commits.
-func (c *Checker) NumTxns() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.infos)
-}
-
-// Infos returns a copy of the recorded commit history, in commit order.
-// The deterministic-simulation oracle (internal/detsim) uses it to
-// cross-validate Analyze against an independent brute-force search.
-func (c *Checker) Infos() []engine.TxInfo {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]engine.TxInfo, len(c.infos))
-	copy(out, c.infos)
+// Txns assembles the committed transactions of an event stream, in
+// commit order: begin gives the snapshot, read-ver and write-ver events
+// the two sets, commit the CSN and the tag. Aborted and unfinished
+// transactions are dropped. A commit whose begin is not in the stream (a
+// transaction open when recording started) is kept with StartCSN 0, as
+// the online checker keeps its gap transactions.
+func Txns(events []trace.Event) []Txn {
+	open := make(map[uint64]*Txn)
+	txn := func(id uint64) *Txn {
+		t := open[id]
+		if t == nil {
+			t = &Txn{ID: id}
+			open[id] = t
+		}
+		return t
+	}
+	var out []Txn
+	for i := range events {
+		ev := &events[i]
+		switch ev.Kind {
+		case trace.EvBegin:
+			txn(ev.Tx).StartCSN = ev.CSN
+		case trace.EvReadVer:
+			t := txn(ev.Tx)
+			t.Reads = append(t.Reads, Ref{Table: ev.Table, Key: ev.Key, CSN: ev.CSN})
+		case trace.EvWriteVer:
+			t := txn(ev.Tx)
+			t.Writes = append(t.Writes, Ref{Table: ev.Table, Key: ev.Key, CSN: ev.CSN})
+		case trace.EvCommit:
+			t := txn(ev.Tx)
+			t.CommitCSN, t.Tag = ev.CSN, ev.Tag
+			out = append(out, *t)
+			delete(open, ev.Tx)
+		case trace.EvAbort:
+			delete(open, ev.Tx)
+		}
+	}
 	return out
-}
-
-// Reset discards all recorded history.
-func (c *Checker) Reset() {
-	c.mu.Lock()
-	c.infos = nil
-	c.mu.Unlock()
 }
 
 // DepKind labels an MVSG edge.
@@ -119,22 +143,17 @@ type versionRecord struct {
 	tx  uint64
 }
 
-// Analyze builds the MVSG over everything recorded so far and checks it
+// Analyze builds the MVSG over the committed transactions and checks it
 // for cycles.
-func (c *Checker) Analyze() *Report {
-	c.mu.Lock()
-	infos := make([]engine.TxInfo, len(c.infos))
-	copy(infos, c.infos)
-	c.mu.Unlock()
-
+func Analyze(txns []Txn) *Report {
 	type itemKey struct {
 		table string
 		key   core.Value
 	}
 	writers := make(map[itemKey][]versionRecord)
-	tags := make(map[uint64]string, len(infos))
+	tags := make(map[uint64]string, len(txns))
 	writerSet := make(map[uint64]bool)
-	for _, in := range infos {
+	for _, in := range txns {
 		tags[in.ID] = in.Tag
 		if len(in.Writes) > 0 {
 			writerSet[in.ID] = true
@@ -180,13 +199,13 @@ func (c *Checker) Analyze() *Report {
 		}
 	}
 	// WR and RW edges from reads.
-	for _, in := range infos {
+	for _, in := range txns {
 		for _, r := range in.Reads {
 			k := itemKey{r.Table, r.Key}
 			// WR: the creator of the version read happens before the
 			// reader. Reads of versions created outside the recorded
-			// window (e.g. the loader ran before Reset) have no source
-			// node; skip those.
+			// window (e.g. the loader ran before the recorder was
+			// installed) have no source node; skip those.
 			vs := writers[k]
 			i := sort.Search(len(vs), func(i int) bool { return vs[i].csn >= r.CSN })
 			if i < len(vs) && vs[i].csn == r.CSN {
@@ -201,14 +220,14 @@ func (c *Checker) Analyze() *Report {
 	}
 
 	g := graph.New()
-	for _, in := range infos {
+	for _, in := range txns {
 		g.AddNode(txNode(in.ID))
 	}
 	for _, d := range deps {
 		g.AddEdge(txNode(d.From), txNode(d.To))
 	}
 
-	rep := &Report{Txns: len(infos), Edges: deps, Serializable: true, Tags: tags, Writers: writerSet}
+	rep := &Report{Txns: len(txns), Edges: deps, Serializable: true, Tags: tags, Writers: writerSet}
 	cyc := g.FindCycle()
 	if cyc == nil {
 		return rep

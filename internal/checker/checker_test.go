@@ -1,11 +1,13 @@
 package checker
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
 	"sicost/internal/core"
 	"sicost/internal/engine"
+	"sicost/internal/trace"
 )
 
 func kvSchema(name string) *core.Schema {
@@ -21,9 +23,9 @@ func kvSchema(name string) *core.Schema {
 
 func kv(k, v int64) core.Record { return core.Record{core.Int(k), core.Int(v)} }
 
-// newDB creates an SI database with table T = {(1,0),(2,0)} and a fresh
-// checker recording from after the load.
-func newDB(t *testing.T, mode core.CCMode) (*engine.DB, *Checker) {
+// newDB creates an SI database with table T = {(1,0),(2,0)} and a
+// recorder installed after the load.
+func newDB(t *testing.T, mode core.CCMode) (*engine.DB, *trace.Recorder) {
 	t.Helper()
 	db := engine.Open(engine.Config{Mode: mode, Platform: core.PlatformPostgres})
 	t.Cleanup(db.Close)
@@ -39,9 +41,20 @@ func newDB(t *testing.T, mode core.CCMode) (*engine.DB, *Checker) {
 	if err := seed.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	c := New()
-	db.SetObserver(c)
-	return db, c
+	rec := trace.New(trace.Options{Shards: 1, ShardCap: 1 << 10})
+	db.SetTracer(rec)
+	return db, rec
+}
+
+// analyze is the whole offline check: drain the recorder, read the
+// committed transactions out of the stream, build and search the MVSG.
+func analyze(t *testing.T, rec *trace.Recorder) *Report {
+	t.Helper()
+	evs := rec.Drain()
+	if n := rec.Dropped(); n != 0 {
+		t.Fatalf("recorder dropped %d events", n)
+	}
+	return Analyze(Txns(evs))
 }
 
 func get(t *testing.T, tx *engine.Tx, k int64) int64 {
@@ -68,14 +81,14 @@ func commit(t *testing.T, tx *engine.Tx) {
 }
 
 func TestSerialHistoryIsSerializable(t *testing.T) {
-	db, c := newDB(t, core.SnapshotFUW)
+	db, rec := newDB(t, core.SnapshotFUW)
 	for i := int64(0); i < 5; i++ {
 		tx := db.Begin()
 		v := get(t, tx, 1)
 		set(t, tx, 1, v+1)
 		commit(t, tx)
 	}
-	rep := c.Analyze()
+	rep := analyze(t, rec)
 	if !rep.Serializable {
 		t.Fatalf("serial history flagged: %s", rep.Describe())
 	}
@@ -91,7 +104,7 @@ func TestSerialHistoryIsSerializable(t *testing.T) {
 }
 
 func TestWriteSkewDetected(t *testing.T) {
-	db, c := newDB(t, core.SnapshotFUW)
+	db, rec := newDB(t, core.SnapshotFUW)
 
 	t1 := db.Begin()
 	t1.SetTag("left")
@@ -106,7 +119,7 @@ func TestWriteSkewDetected(t *testing.T) {
 	commit(t, t1)
 	commit(t, t2)
 
-	rep := c.Analyze()
+	rep := analyze(t, rec)
 	if rep.Serializable {
 		t.Fatalf("write skew missed: %s", rep.Describe())
 	}
@@ -125,7 +138,7 @@ func TestWriteSkewDetected(t *testing.T) {
 // Record 2004), the anomaly SmallBank §III-C is built on: a read-only
 // transaction makes an otherwise-serializable pair non-serializable.
 func TestReadOnlyAnomalyDetected(t *testing.T) {
-	db, c := newDB(t, core.SnapshotFUW)
+	db, rec := newDB(t, core.SnapshotFUW)
 
 	// Row 1 is the savings account (x), row 2 checking (y); both 0.
 	t1 := db.Begin() // WriteCheck: sees x+y=0 < 10, charges penalty
@@ -154,7 +167,7 @@ func TestReadOnlyAnomalyDetected(t *testing.T) {
 	set(t, t1, 2, -11)
 	commit(t, t1)
 
-	rep := c.Analyze()
+	rep := analyze(t, rec)
 	if rep.Serializable {
 		t.Fatalf("read-only anomaly missed: %s", rep.Describe())
 	}
@@ -174,7 +187,7 @@ func TestReadOnlyAnomalyDetected(t *testing.T) {
 }
 
 func TestWithoutReaderPairIsSerializable(t *testing.T) {
-	db, c := newDB(t, core.SnapshotFUW)
+	db, rec := newDB(t, core.SnapshotFUW)
 
 	t1 := db.Begin()
 	t2 := db.Begin()
@@ -186,14 +199,14 @@ func TestWithoutReaderPairIsSerializable(t *testing.T) {
 	set(t, t1, 2, -11)
 	commit(t, t1)
 
-	rep := c.Analyze()
+	rep := analyze(t, rec)
 	if !rep.Serializable {
 		t.Fatalf("WC/TS without reader must be serializable (T1 before T2): %s", rep.Describe())
 	}
 }
 
 func TestLostUpdatePreventionKeepsGraphAcyclic(t *testing.T) {
-	db, c := newDB(t, core.SnapshotFUW)
+	db, rec := newDB(t, core.SnapshotFUW)
 	t1 := db.Begin()
 	t2 := db.Begin()
 	_ = get(t, t1, 1)
@@ -204,14 +217,14 @@ func TestLostUpdatePreventionKeepsGraphAcyclic(t *testing.T) {
 		t.Fatal("FUW should have fired")
 	}
 	t2.Abort()
-	rep := c.Analyze()
+	rep := analyze(t, rec)
 	if !rep.Serializable {
 		t.Fatalf("aborted txn contaminated the graph: %s", rep.Describe())
 	}
 }
 
 func TestWWandWRChains(t *testing.T) {
-	db, c := newDB(t, core.SnapshotFUW)
+	db, rec := newDB(t, core.SnapshotFUW)
 	// Three sequential writers then a reader: WW chain + WR edge.
 	for i := int64(1); i <= 3; i++ {
 		tx := db.Begin()
@@ -222,7 +235,7 @@ func TestWWandWRChains(t *testing.T) {
 	_ = get(t, r, 1)
 	commit(t, r)
 
-	rep := c.Analyze()
+	rep := analyze(t, rec)
 	ww, wr := 0, 0
 	for _, d := range rep.Edges {
 		switch d.Kind {
@@ -244,19 +257,20 @@ func TestWWandWRChains(t *testing.T) {
 }
 
 func TestResetSkipsForeignVersions(t *testing.T) {
-	db, c := newDB(t, core.SnapshotFUW)
+	db, rec := newDB(t, core.SnapshotFUW)
 	w := db.Begin()
 	set(t, w, 1, 5)
 	commit(t, w)
-	c.Reset()
-	if c.NumTxns() != 0 {
-		t.Fatal("reset failed")
+	// The reset: what was recorded so far is drained and discarded, so
+	// the writer is outside the analyzed window.
+	if got := Txns(rec.Drain()); len(got) != 1 {
+		t.Fatalf("drained %d transactions before the reset, want the writer", len(got))
 	}
 	// A reader of the pre-reset version must not crash or dangle edges.
 	r := db.Begin()
 	_ = get(t, r, 1)
 	commit(t, r)
-	rep := c.Analyze()
+	rep := analyze(t, rec)
 	if !rep.Serializable || rep.Txns != 1 {
 		t.Fatalf("post-reset analysis: %+v", rep)
 	}
@@ -268,7 +282,7 @@ func TestResetSkipsForeignVersions(t *testing.T) {
 }
 
 func TestSSIKeepsHistoryAcyclicUnderWriteSkewLoad(t *testing.T) {
-	db, c := newDB(t, core.SerializableSI)
+	db, rec := newDB(t, core.SerializableSI)
 	// Fire many concurrent write-skew attempts; SSI aborts some, and
 	// whatever commits must form an acyclic MVSG.
 	for round := 0; round < 30; round++ {
@@ -287,7 +301,7 @@ func TestSSIKeepsHistoryAcyclicUnderWriteSkewLoad(t *testing.T) {
 			t2.Abort()
 		}
 	}
-	rep := c.Analyze()
+	rep := analyze(t, rec)
 	if !rep.Serializable {
 		t.Fatalf("SSI produced a cycle: %s", rep.Describe())
 	}
@@ -300,6 +314,54 @@ func txRead(tx *engine.Tx, k int64) bool {
 
 func txWrite(tx *engine.Tx, k, v int64) bool {
 	return tx.Update("T", core.Int(k), kv(k, v)) == nil
+}
+
+// TestTxnsFromStream reads a hand-written stream: only commits survive,
+// in commit order, with exactly the sets the events spell out.
+func TestTxnsFromStream(t *testing.T) {
+	x, y := core.Str("x"), core.Str("y")
+	evs := []trace.Event{
+		{Kind: trace.EvBegin, Tx: 1, CSN: 4},
+		{Kind: trace.EvSnapshot, Tx: 1, CSN: 4},
+		{Kind: trace.EvBegin, Tx: 2, CSN: 4},
+		// t1 reads x, writes y, then reads y back: the engine emits a
+		// statement-level read for the own-write read but no read-ver.
+		{Kind: trace.EvRead, Tx: 1, Table: "H", Key: x},
+		{Kind: trace.EvReadVer, Tx: 1, Table: "H", Key: x, CSN: 3},
+		{Kind: trace.EvWrite, Tx: 1, Table: "H", Key: y},
+		{Kind: trace.EvRead, Tx: 1, Table: "H", Key: y},
+		// t2 reads and writes x, then aborts: dropped whole.
+		{Kind: trace.EvReadVer, Tx: 2, Table: "H", Key: x, CSN: 3},
+		{Kind: trace.EvWrite, Tx: 2, Table: "H", Key: x},
+		{Kind: trace.EvAbort, Tx: 2, Reason: uint8(core.AbortSerialization), Tag: "loser"},
+		// t3 only takes SELECT FOR UPDATE: commits with no writes.
+		{Kind: trace.EvBegin, Tx: 3, CSN: 4},
+		{Kind: trace.EvSFU, Tx: 3, Table: "H", Key: x},
+		{Kind: trace.EvReadVer, Tx: 3, Table: "H", Key: x, CSN: 3},
+		{Kind: trace.EvCommit, Tx: 3, CSN: 4, Tag: "sfu"},
+		{Kind: trace.EvWALCommit, Tx: 1, Bytes: 90},
+		{Kind: trace.EvWriteVer, Tx: 1, Table: "H", Key: y, CSN: 5},
+		{Kind: trace.EvCommit, Tx: 1, CSN: 5, Tag: "writer"},
+		// t9 was open when recording started: no begin in the stream.
+		{Kind: trace.EvReadVer, Tx: 9, Table: "H", Key: y, CSN: 5},
+		{Kind: trace.EvCommit, Tx: 9, CSN: 5, Tag: "late"},
+		// t4 never finishes.
+		{Kind: trace.EvBegin, Tx: 4, CSN: 5},
+		{Kind: trace.EvReadVer, Tx: 4, Table: "H", Key: x, CSN: 3},
+	}
+	want := []Txn{
+		{ID: 3, StartCSN: 4, CommitCSN: 4, Tag: "sfu", Reads: []Ref{{"H", x, 3}}},
+		{ID: 1, StartCSN: 4, CommitCSN: 5, Tag: "writer", Reads: []Ref{{"H", x, 3}}, Writes: []Ref{{"H", y, 5}}},
+		{ID: 9, StartCSN: 0, CommitCSN: 5, Tag: "late", Reads: []Ref{{"H", y, 5}}},
+	}
+	got := Txns(evs)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("Txns:\n got %+v\nwant %+v", got, want)
+	}
+	rep := Analyze(got)
+	if !rep.Serializable || rep.Txns != 3 || rep.Tags[9] != "late" || !rep.Writers[1] || rep.Writers[3] {
+		t.Fatalf("report: %+v", rep)
+	}
 }
 
 func TestDepKindString(t *testing.T) {

@@ -4,7 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
-	"sicost/internal/engine"
+	"sicost/internal/checker"
 	"sicost/internal/histories"
 )
 
@@ -43,27 +43,27 @@ func TestCheckerCrossValidation(t *testing.T) {
 
 // wsHistory is a hand-built write-skew history: both transactions start
 // at snapshot 0, read both items at version 0, and write disjoint items.
-func wsHistory() []engine.TxInfo {
-	r := func(it int, csn uint64) engine.VersionRef {
-		return engine.VersionRef{Table: histories.Table, Key: itemKeyVal(it), CSN: csn}
+func wsHistory() []checker.Txn {
+	r := func(it int, csn uint64) checker.Ref {
+		return checker.Ref{Table: histories.Table, Key: itemKeyVal(it), CSN: csn}
 	}
-	return []engine.TxInfo{
+	return []checker.Txn{
 		{ID: 1, StartCSN: 0, CommitCSN: 1,
-			Reads:  []engine.VersionRef{r(0, 0), r(1, 0)},
-			Writes: []engine.VersionRef{r(0, 1)}},
+			Reads:  []checker.Ref{r(0, 0), r(1, 0)},
+			Writes: []checker.Ref{r(0, 1)}},
 		{ID: 2, StartCSN: 0, CommitCSN: 2,
-			Reads:  []engine.VersionRef{r(0, 0), r(1, 0)},
-			Writes: []engine.VersionRef{r(1, 2)}},
+			Reads:  []checker.Ref{r(0, 0), r(1, 0)},
+			Writes: []checker.Ref{r(1, 2)}},
 	}
 }
 
 // TestOracleKnownVerdicts pins the oracle on histories with known
 // answers, independently of the checker.
 func TestOracleKnownVerdicts(t *testing.T) {
-	if !SerializableBrute(nil) || !SerializableBrute([]engine.TxInfo{{ID: 1}}) {
+	if !SerializableBrute(nil) || !SerializableBrute([]checker.Txn{{ID: 1}}) {
 		t.Fatal("empty and single-transaction histories are vacuously serializable")
 	}
-	if !SerializableBrute([]engine.TxInfo{{ID: 1}, {ID: 2}}) {
+	if !SerializableBrute([]checker.Txn{{ID: 1}, {ID: 2}}) {
 		t.Fatal("two empty transactions must be serializable")
 	}
 	h := wsHistory()
@@ -77,7 +77,7 @@ func TestOracleKnownVerdicts(t *testing.T) {
 	// Serial version: t2 starts after t1 committed and reads its write.
 	serial := wsHistory()
 	serial[1].StartCSN = 1
-	serial[1].Reads = []engine.VersionRef{
+	serial[1].Reads = []checker.Ref{
 		{Table: histories.Table, Key: itemKeyVal(0), CSN: 1},
 		{Table: histories.Table, Key: itemKeyVal(1), CSN: 0},
 	}
@@ -113,14 +113,11 @@ func TestHistoryGenShape(t *testing.T) {
 		}
 		var lastCommit uint64
 		for _, in := range h {
-			if in.ReadOnly {
-				if len(in.Writes) != 0 || in.CommitCSN != in.StartCSN {
+			if len(in.Writes) == 0 {
+				if in.CommitCSN != in.StartCSN {
 					t.Fatalf("bad read-only txn: %+v", in)
 				}
 				continue
-			}
-			if len(in.Writes) == 0 {
-				t.Fatalf("writer with no writes: %+v", in)
 			}
 			if in.CommitCSN <= lastCommit {
 				t.Fatalf("commit CSNs not ascending: %d after %d", in.CommitCSN, lastCommit)

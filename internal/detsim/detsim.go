@@ -8,11 +8,17 @@
 //
 // The scheduler dispatches one step at a time to per-transaction
 // goroutines and then waits until the system is quiescent: the step
-// either completed, or the engine's WaitObserver hook reported that its
-// transaction blocked on a row lock. A later step that releases the lock
-// wakes the blocked transaction synchronously (the engine posts the wake
-// before the releasing operation returns), so the scheduler knows
-// deterministically which pending steps to collect before moving on.
+// either completed, or the lock table's wait hook
+// (engine.DB.SetWaitHooks) reported that its transaction blocked on a
+// row lock. A later step that releases the lock wakes the blocked
+// transaction synchronously (the engine posts the wake before the
+// releasing operation returns), so the scheduler knows deterministically
+// which pending steps to collect before moving on.
+//
+// Every schedule is recorded by one trace recorder, drained once when
+// the schedule ends; that stream is the single history the MVSG analysis
+// (internal/checker), the online checker (internal/onlinecheck) and the
+// brute-force oracle all read.
 //
 // On top of the scheduler, Explore (enumerate.go) exhaustively runs all
 // interleavings of small transaction sets, and the checker oracle
@@ -31,8 +37,16 @@ import (
 	"sicost/internal/faultinject"
 	"sicost/internal/histories"
 	"sicost/internal/onlinecheck"
+	"sicost/internal/storage"
 	"sicost/internal/trace"
 )
+
+// traceCap is the per-schedule trace ring, allocated once per schedule
+// inside Explore's exhaustive DFS and therefore small: a scripted step
+// emits two to five events, so this holds schedules of a hundred-odd
+// steps (the longest in the suite is 40). One that outgrows it is an
+// error, never a silently short history.
+const traceCap = 1 << 9
 
 // Status is how one dispatched step ended.
 type Status uint8
@@ -83,17 +97,22 @@ type Result struct {
 	// Errs maps script transaction numbers to the error that terminated
 	// them (absent for clean commits; nil-valued for explicit aborts).
 	Errs map[int]error
+	// Trace is the schedule's lifecycle event stream under a counter
+	// clock: scripted traffic only (the loader commits before recording
+	// starts), byte-stable as JSONL for schedules without lock waits (a
+	// blocked step's wait/wake events race the next dispatched step's).
+	Trace []trace.Event
+	// Txns are the committed transactions read out of Trace: what Report
+	// was computed from, and the input of the brute-force oracle.
+	Txns []checker.Txn
 	// Report is the serializability analysis of everything that
-	// committed (MVSG over the recorded reads/writes).
+	// committed (MVSG over Txns).
 	Report *checker.Report
-	// Online is the online windowed checker's verdict over the
-	// schedule's trace stream (Runner.OnlineCheck). Cross-validating it
-	// against Report is how the exhaustive interleaving suite proves
-	// the incremental checker equivalent to the post-hoc analysis.
+	// Online is the online windowed checker's verdict over Trace
+	// (Runner.OnlineCheck). Cross-validating it against Report is how the
+	// exhaustive interleaving suite proves the incremental checker
+	// equivalent to the post-hoc analysis.
 	Online *onlinecheck.Report
-	// Infos are the raw commit records the Report was computed from
-	// (input to the brute-force oracle).
-	Infos []engine.TxInfo
 	// Final holds the final committed value of every item.
 	Final map[string]int64
 	// Contention is the engine's lock/sequencer counter snapshot after
@@ -124,19 +143,10 @@ type Runner struct {
 	// the loader's seed commit hits commit-path points too: gate specs
 	// with After to skip it.
 	Faults *faultinject.Registry
-	// Tracer, when set, records the schedule's transaction-lifecycle
-	// events (internal/trace). It is installed only after the loader's
-	// seed transaction commits, so the stream holds scripted traffic
-	// exclusively — pair with trace.CounterClock for runs whose JSONL
-	// dump is byte-stable (schedules without lock waits; a blocked
-	// step's wait/wake events race the next dispatched step's).
-	Tracer *trace.Recorder
 	// OnlineCheck additionally runs the schedule's trace stream through
 	// the online windowed checker (internal/onlinecheck) and stores the
-	// verdict in Result.Online. When Tracer is nil a private
-	// deterministic recorder is installed; when Tracer is set its
-	// stream is consumed (drained) at finalize. SI-rule checking is on
-	// for the snapshot modes and off for Strict2PL.
+	// verdict in Result.Online. SI-rule checking is on for the snapshot
+	// modes and off for Strict2PL.
 	OnlineCheck bool
 }
 
@@ -145,33 +155,32 @@ type Runner struct {
 // provably blocked. It returns an error for structurally invalid
 // schedules (a step of a still-blocked transaction, use before begin).
 func (r Runner) Run(script string) (*Result, error) {
-	steps, err := histories.Parse(script)
+	progs, order, err := parseProgs(script)
 	if err != nil {
 		return nil, err
 	}
-	progs := make(map[int][]histories.Step)
-	var order []int
+	res, _, err := r.RunSchedule(progs, order, true)
+	return res, err
+}
+
+// parseProgs splits a script into per-transaction programs and the
+// dispatch order its steps spell out.
+func parseProgs(script string) (progs map[int][]histories.Step, order []int, err error) {
+	steps, err := histories.Parse(script)
+	if err != nil {
+		return nil, nil, err
+	}
+	progs = make(map[int][]histories.Step)
 	for _, s := range steps {
 		progs[s.Txn] = append(progs[s.Txn], s)
 		order = append(order, s.Txn)
 	}
 	for txn, prog := range progs {
 		if prog[0].Kind != histories.OpBegin {
-			return nil, fmt.Errorf("detsim: transaction %d used before begin", txn)
+			return nil, nil, fmt.Errorf("detsim: transaction %d used before begin", txn)
 		}
 	}
-	sc, err := newSched(r, progs)
-	if err != nil {
-		return nil, err
-	}
-	defer sc.close()
-	for _, t := range order {
-		if err := sc.dispatchNext(t); err != nil {
-			return nil, err
-		}
-	}
-	sc.finalize()
-	return sc.res, nil
+	return progs, order, nil
 }
 
 // RunSchedule runs pre-parsed per-transaction programs under an explicit
@@ -192,7 +201,9 @@ func (r Runner) RunSchedule(progs map[int][]histories.Step, order []int, finaliz
 	}
 	runnable := sc.runnable()
 	if finalize {
-		sc.finalize()
+		if err := sc.finalize(); err != nil {
+			return nil, nil, err
+		}
 	}
 	return sc.res, runnable, nil
 }
@@ -229,28 +240,14 @@ type completion struct {
 type sched struct {
 	r           Runner
 	db          *engine.DB
-	chk         *checker.Checker
 	txns        map[int]*txnState
 	byID        map[uint64]int
 	events      chan event
 	completions chan completion
 	res         *Result
-	// onlineRec is the recorder whose stream feeds the online checker
-	// at finalize (Runner.OnlineCheck): the caller's Tracer, or a small
-	// private deterministic one.
-	onlineRec *trace.Recorder
-}
-
-// waitObs adapts the scheduler to engine.WaitObserver. The hooks run
-// inside the lock table; they only post to a buffered channel.
-type waitObs sched
-
-func (o *waitObs) OnTxWait(txID uint64, table string, key core.Value) {
-	o.events <- event{txID: txID, wake: false}
-}
-
-func (o *waitObs) OnTxWake(txID uint64, table string, key core.Value, err error) {
-	o.events <- event{txID: txID, wake: true, err: err}
+	// rec records the schedule; finalize drains it once, and every
+	// verdict in the Result is computed from that one stream.
+	rec *trace.Recorder
 }
 
 func newSched(r Runner, progs map[int][]histories.Step) (*sched, error) {
@@ -289,12 +286,9 @@ func newSched(r Runner, progs map[int][]histories.Step) (*sched, error) {
 		return nil, err
 	}
 
-	chk := checker.New()
-	db.SetObserver(chk)
 	sc := &sched{
 		r:    r,
 		db:   db,
-		chk:  chk,
 		txns: make(map[int]*txnState, len(progs)),
 		byID: make(map[uint64]int, len(progs)),
 		// Sized so hook posts can never block the lock table: every
@@ -308,22 +302,16 @@ func newSched(r Runner, progs map[int][]histories.Step) (*sched, error) {
 			Errs:      make(map[int]error),
 		},
 	}
-	// The loader committed before the observer hooks were of interest;
-	// exclude it from the analyzed window.
-	chk.Reset()
-	if r.Tracer != nil {
-		db.SetTracer(r.Tracer)
-	}
-	if r.OnlineCheck {
-		sc.onlineRec = r.Tracer
-		if sc.onlineRec == nil {
-			// One small shard: strict global FIFO, and cheap enough to
-			// allocate per schedule inside Explore's exhaustive DFS.
-			sc.onlineRec = trace.New(trace.Options{Shards: 1, ShardCap: 1 << 12, Clock: trace.CounterClock()})
-			db.SetTracer(sc.onlineRec)
-		}
-	}
-	db.SetWaitObserver((*waitObs)(sc))
+	// Installed after the loader committed, so the stream holds scripted
+	// traffic only. One shard: strict global FIFO.
+	sc.rec = trace.New(trace.Options{Shards: 1, ShardCap: traceCap, Clock: trace.CounterClock()})
+	db.SetTracer(sc.rec)
+	// The hooks run inside the lock table; they only post to a buffered
+	// channel.
+	db.SetWaitHooks(storage.WaitHooks{
+		OnWait: func(tx uint64, _ storage.LockKey) { sc.events <- event{txID: tx} },
+		OnWake: func(tx uint64, _ storage.LockKey, err error) { sc.events <- event{txID: tx, wake: true, err: err} },
+	})
 	for txn, prog := range progs {
 		sc.txns[txn] = &txnState{prog: prog, pending: -1}
 	}
@@ -335,7 +323,7 @@ func newSched(r Runner, progs map[int][]histories.Step) (*sched, error) {
 // step channels are closed, so no goroutine is left stranded.
 func (sc *sched) close() {
 	sc.teardown()
-	sc.db.SetWaitObserver(nil)
+	sc.db.SetWaitHooks(storage.WaitHooks{})
 	for _, st := range sc.txns {
 		if st.steps != nil {
 			close(st.steps)
@@ -566,7 +554,7 @@ func (sc *sched) runnable() []int {
 // finalize marks still-blocked steps Stuck (the schedule ended without
 // waking them), tears the remaining transactions down, then computes
 // the checker report and final item values.
-func (sc *sched) finalize() {
+func (sc *sched) finalize() error {
 	for _, st := range sc.txns {
 		if st.blocked && st.pending >= 0 {
 			sc.res.Steps[st.pending].Status = Stuck
@@ -575,10 +563,14 @@ func (sc *sched) finalize() {
 	sc.teardown()
 
 	sc.res.HeldLocks, sc.res.QueuedLocks = sc.db.LockAudit()
-	sc.res.Infos = sc.chk.Infos()
-	sc.res.Report = sc.chk.Analyze()
-	if sc.onlineRec != nil {
-		sc.res.Online = onlinecheck.Run(sc.onlineRec.Drain(),
+	sc.res.Trace = sc.rec.Drain()
+	if n := sc.rec.Dropped(); n != 0 {
+		return fmt.Errorf("detsim: schedule outgrew the trace ring (%d events dropped)", n)
+	}
+	sc.res.Txns = checker.Txns(sc.res.Trace)
+	sc.res.Report = checker.Analyze(sc.res.Txns)
+	if sc.r.OnlineCheck {
+		sc.res.Online = onlinecheck.Run(sc.res.Trace,
 			onlinecheck.Config{SIRules: sc.r.Mode != core.Strict2PL})
 	}
 	sc.res.Contention = sc.db.Contention()
@@ -587,6 +579,7 @@ func (sc *sched) finalize() {
 		sc.res.Final[key.S] = rec[1].Int64()
 		return true
 	})
+	return nil
 }
 
 // execStep runs one step on its transaction's goroutine.

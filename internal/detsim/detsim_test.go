@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"sicost/internal/checker"
 	"sicost/internal/core"
 	"sicost/internal/histories"
 )
@@ -270,10 +271,10 @@ func TestOracleAgreesOnPaperSchedules(t *testing.T) {
 				// nothing committed to cross-check.
 				continue
 			}
-			agree, checkerSays, oracleSays := CheckerAgrees(res.Infos)
+			agree, checkerSays, oracleSays := CheckerAgrees(res.Txns)
 			if !agree {
 				t.Errorf("%s under %s: checker=%v oracle=%v; history:\n%s",
-					s.Name, mc.name, checkerSays, oracleSays, FormatHistory(res.Infos))
+					s.Name, mc.name, checkerSays, oracleSays, FormatHistory(res.Txns))
 			}
 			if checkerSays != res.Report.Serializable {
 				t.Errorf("%s under %s: replayed checker verdict %v != original %v",
@@ -286,6 +287,38 @@ func TestOracleAgreesOnPaperSchedules(t *testing.T) {
 // TestStuckStep covers the harness's force-abort path: the schedule
 // ends while t1 is still blocked behind t2's row lock, so finalize must
 // mark the step stuck and eject it.
+// TestWitnessTextPinned pins what the offline analysis prints for the
+// two anomalies the paper argues from, computed from the trace alone.
+// The text was taken at PR 23, where the engine handed the analysis its
+// commit records directly: ids, sets, commit order and the tag riding on
+// the commit event all have to survive the stream for it to match.
+func TestWitnessTextPinned(t *testing.T) {
+	for _, tc := range []struct {
+		s    histories.Schedule
+		want string
+	}{
+		{histories.WriteSkew, `checked 2 transactions, 2 dependencies: NOT serializable (write skew)
+witness cycle:
+  t2(t1) --rw[H."y"]--> t3(t2)
+  t3(t2) --rw[H."x"]--> t2(t1)
+`},
+		{histories.ReadOnlyAnomaly, `checked 3 transactions, 3 dependencies: NOT serializable (read-only anomaly)
+witness cycle:
+  t2(t1) --rw[H."x"]--> t3(t2)
+  t3(t2) --wr[H."x"]--> t4(t3)
+  t4(t3) --rw[H."y"]--> t2(t1)
+`},
+	} {
+		r, err := Runner{Mode: core.SnapshotFUW, Items: tc.s.Items}.Run(tc.s.Script)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := checker.Analyze(checker.Txns(r.Trace)).Describe(); got != tc.want {
+			t.Fatalf("%s:\n--- got ---\n%s--- want ---\n%s", tc.s.Name, got, tc.want)
+		}
+	}
+}
+
 func TestStuckStep(t *testing.T) {
 	res, err := Runner{Mode: core.SnapshotFUW, Platform: core.PlatformPostgres}.
 		Run("b1 b2 w2(x,2) w1(x,1)")

@@ -57,9 +57,9 @@ func FuzzCheckerHistories(f *testing.F) {
 				// blocked transaction): not a history, nothing to check.
 				continue
 			}
-			agree, checkerSays, oracleSays := CheckerAgrees(res.Infos)
+			agree, checkerSays, oracleSays := CheckerAgrees(res.Txns)
 			if !agree {
-				min := MinimizeDivergence(res.Infos)
+				min := MinimizeDivergence(res.Txns)
 				t.Fatalf("mode=%v platform=%v script=%q: checker=%v oracle=%v\nminimized:\n%s",
 					mc.mode, mc.platform, script, checkerSays, oracleSays, FormatHistory(min))
 			}

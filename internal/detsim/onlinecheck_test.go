@@ -2,11 +2,12 @@ package detsim
 
 import (
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
+	"sicost/internal/checker"
 	"sicost/internal/core"
-	"sicost/internal/engine"
 	"sicost/internal/histories"
 	"sicost/internal/onlinecheck"
 	"sicost/internal/trace"
@@ -145,11 +146,11 @@ func TestOnlineExploreCrossValidation(t *testing.T) {
 	}
 }
 
-// eventsFromInfos synthesizes a trace stream from a committed history:
+// eventsFromTxns synthesizes a trace stream from a committed history:
 // begin, the exact read set, the committed write set, commit — the same
 // information the engine emits, so random oracle histories can be
 // replayed through the online checker.
-func eventsFromInfos(infos []engine.TxInfo) []trace.Event {
+func eventsFromTxns(txns []checker.Txn) []trace.Event {
 	var evs []trace.Event
 	ts := int64(0)
 	stamp := func(e trace.Event) trace.Event {
@@ -157,7 +158,7 @@ func eventsFromInfos(infos []engine.TxInfo) []trace.Event {
 		e.TS = ts
 		return e
 	}
-	for _, in := range infos {
+	for _, in := range txns {
 		evs = append(evs, stamp(trace.Event{Kind: trace.EvBegin, Tx: in.ID, CSN: in.StartCSN}))
 		for _, r := range in.Reads {
 			evs = append(evs, stamp(trace.Event{Kind: trace.EvReadVer, Tx: in.ID, Table: r.Table, Key: r.Key, CSN: r.CSN}))
@@ -165,9 +166,24 @@ func eventsFromInfos(infos []engine.TxInfo) []trace.Event {
 		for _, w := range in.Writes {
 			evs = append(evs, stamp(trace.Event{Kind: trace.EvWriteVer, Tx: in.ID, Table: w.Table, Key: w.Key, CSN: w.CSN}))
 		}
-		evs = append(evs, stamp(trace.Event{Kind: trace.EvCommit, Tx: in.ID, CSN: in.CommitCSN}))
+		evs = append(evs, stamp(trace.Event{Kind: trace.EvCommit, Tx: in.ID, CSN: in.CommitCSN, Tag: in.Tag}))
 	}
 	return evs
+}
+
+// TestTxnsReadBackGeneratedHistories: the stream that spells a history
+// out reads back, through checker.Txns, as that history — so the random
+// corpus reaches the offline analysis and the online checker as one
+// input, whichever form a test hands over.
+func TestTxnsReadBackGeneratedHistories(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	gen := HistoryGen{}
+	for i := 0; i < 500; i++ {
+		h := gen.Generate(rng)
+		if got := checker.Txns(eventsFromTxns(h)); !reflect.DeepEqual(got, h) {
+			t.Fatalf("history %d read back differently:\n%s\nfrom\n%s", i, FormatHistory(got), FormatHistory(h))
+		}
+	}
 }
 
 // TestOnlineRandomCrossValidation is the online checker's version of
@@ -186,7 +202,7 @@ func TestOnlineRandomCrossValidation(t *testing.T) {
 	nonSer := 0
 	for i := 0; i < n; i++ {
 		h := gen.Generate(rng)
-		evs := eventsFromInfos(h)
+		evs := eventsFromTxns(h)
 		rep := onlinecheck.Run(evs, onlinecheck.Config{SIRules: true, Batch: len(evs) + 1})
 		oracle := SerializableBrute(h)
 		if rep.Serializable != oracle {

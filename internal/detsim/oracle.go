@@ -23,7 +23,6 @@ import (
 
 	"sicost/internal/checker"
 	"sicost/internal/core"
-	"sicost/internal/engine"
 	"sicost/internal/histories"
 )
 
@@ -35,8 +34,8 @@ import (
 //
 // The search is exponential in the worst case; callers keep histories
 // small (the fuzzer uses <= 8 transactions).
-func SerializableBrute(infos []engine.TxInfo) bool {
-	n := len(infos)
+func SerializableBrute(txns []checker.Txn) bool {
+	n := len(txns)
 	if n <= 1 {
 		return true
 	}
@@ -45,8 +44,8 @@ func SerializableBrute(infos []engine.TxInfo) bool {
 	for i := range pre {
 		pre[i] = make([]bool, n)
 	}
-	for i, a := range infos {
-		for j, b := range infos {
+	for i, a := range txns {
+		for j, b := range txns {
 			if i == j {
 				continue
 			}
@@ -147,7 +146,7 @@ func (g HistoryGen) defaults() HistoryGen {
 }
 
 // Generate produces one random committed history.
-func (g HistoryGen) Generate(rng *rand.Rand) []engine.TxInfo {
+func (g HistoryGen) Generate(rng *rand.Rand) []checker.Txn {
 	g = g.defaults()
 	nTxns := 1 + rng.Intn(g.MaxTxns)
 	// committed[i] = CSNs of committed versions of item i, ascending;
@@ -157,12 +156,12 @@ func (g HistoryGen) Generate(rng *rand.Rand) []engine.TxInfo {
 		committed[i] = []uint64{0}
 	}
 	commitSeq := uint64(0)
-	infos := make([]engine.TxInfo, 0, nTxns)
+	txns := make([]checker.Txn, 0, nTxns)
 	for t := 0; t < nTxns; t++ {
 		// Start snapshot: any commit point so far — concurrent
 		// transactions arise when a later one starts below commitSeq.
 		start := uint64(rng.Intn(int(commitSeq) + 1))
-		info := engine.TxInfo{ID: uint64(t + 1), StartCSN: start}
+		info := checker.Txn{ID: uint64(t + 1), StartCSN: start}
 		nOps := 1 + rng.Intn(g.MaxOps)
 		wrote := make(map[int]bool)
 		var writes []int
@@ -188,27 +187,26 @@ func (g HistoryGen) Generate(rng *rand.Rand) []engine.TxInfo {
 				k := sort.Search(len(vs), func(i int) bool { return vs[i] > start }) - 1
 				csn = vs[k]
 			}
-			info.Reads = append(info.Reads, engine.VersionRef{
+			info.Reads = append(info.Reads, checker.Ref{
 				Table: histories.Table, Key: itemKeyVal(it), CSN: csn,
 			})
 		}
 		if len(writes) > 0 {
 			commitSeq++
 			for _, it := range writes {
-				info.Writes = append(info.Writes, engine.VersionRef{
+				info.Writes = append(info.Writes, checker.Ref{
 					Table: histories.Table, Key: itemKeyVal(it), CSN: commitSeq,
 				})
 				committed[it] = append(committed[it], commitSeq)
 			}
 			info.CommitCSN = commitSeq
 		} else {
-			info.ReadOnly = true
 			info.CommitCSN = start
 		}
 		info.Tag = fmt.Sprintf("g%d", t+1)
-		infos = append(infos, info)
+		txns = append(txns, info)
 	}
-	return infos
+	return txns
 }
 
 func itemKeyVal(i int) core.Value {
@@ -217,13 +215,9 @@ func itemKeyVal(i int) core.Value {
 
 // CheckerAgrees runs both deciders on the history and reports whether
 // they agree, along with each verdict.
-func CheckerAgrees(infos []engine.TxInfo) (agree, checkerSays, oracleSays bool) {
-	c := checker.New()
-	for _, in := range infos {
-		c.OnCommit(in)
-	}
-	checkerSays = c.Analyze().Serializable
-	oracleSays = SerializableBrute(infos)
+func CheckerAgrees(txns []checker.Txn) (agree, checkerSays, oracleSays bool) {
+	checkerSays = checker.Analyze(txns).Serializable
+	oracleSays = SerializableBrute(txns)
 	return checkerSays == oracleSays, checkerSays, oracleSays
 }
 
@@ -231,20 +225,20 @@ func CheckerAgrees(infos []engine.TxInfo) (agree, checkerSays, oracleSays bool) 
 // disagree: it greedily drops whole transactions, then individual reads
 // and writes, as long as the divergence persists. The returned history
 // still diverges.
-func MinimizeDivergence(infos []engine.TxInfo) []engine.TxInfo {
-	diverges := func(h []engine.TxInfo) bool {
+func MinimizeDivergence(txns []checker.Txn) []checker.Txn {
+	diverges := func(h []checker.Txn) bool {
 		agree, _, _ := CheckerAgrees(h)
 		return !agree
 	}
-	if !diverges(infos) {
-		return infos
+	if !diverges(txns) {
+		return txns
 	}
-	cur := append([]engine.TxInfo(nil), infos...)
+	cur := append([]checker.Txn(nil), txns...)
 	for changed := true; changed; {
 		changed = false
 		// Drop transactions.
 		for i := 0; i < len(cur); i++ {
-			trial := append(append([]engine.TxInfo(nil), cur[:i]...), cur[i+1:]...)
+			trial := append(append([]checker.Txn(nil), cur[:i]...), cur[i+1:]...)
 			if diverges(trial) {
 				cur = trial
 				changed = true
@@ -254,8 +248,8 @@ func MinimizeDivergence(infos []engine.TxInfo) []engine.TxInfo {
 		// Drop individual reads and writes.
 		for i := range cur {
 			for j := 0; j < len(cur[i].Reads); j++ {
-				trial := cloneInfos(cur)
-				trial[i].Reads = append(append([]engine.VersionRef(nil), trial[i].Reads[:j]...), trial[i].Reads[j+1:]...)
+				trial := cloneTxns(cur)
+				trial[i].Reads = append(append([]checker.Ref(nil), trial[i].Reads[:j]...), trial[i].Reads[j+1:]...)
 				if diverges(trial) {
 					cur = trial
 					changed = true
@@ -263,8 +257,8 @@ func MinimizeDivergence(infos []engine.TxInfo) []engine.TxInfo {
 				}
 			}
 			for j := 0; j < len(cur[i].Writes); j++ {
-				trial := cloneInfos(cur)
-				trial[i].Writes = append(append([]engine.VersionRef(nil), trial[i].Writes[:j]...), trial[i].Writes[j+1:]...)
+				trial := cloneTxns(cur)
+				trial[i].Writes = append(append([]checker.Ref(nil), trial[i].Writes[:j]...), trial[i].Writes[j+1:]...)
 				if diverges(trial) {
 					cur = trial
 					changed = true
@@ -276,21 +270,21 @@ func MinimizeDivergence(infos []engine.TxInfo) []engine.TxInfo {
 	return cur
 }
 
-func cloneInfos(infos []engine.TxInfo) []engine.TxInfo {
-	out := make([]engine.TxInfo, len(infos))
-	for i, in := range infos {
+func cloneTxns(txns []checker.Txn) []checker.Txn {
+	out := make([]checker.Txn, len(txns))
+	for i, in := range txns {
 		out[i] = in
-		out[i].Reads = append([]engine.VersionRef(nil), in.Reads...)
-		out[i].Writes = append([]engine.VersionRef(nil), in.Writes...)
+		out[i].Reads = append([]checker.Ref(nil), in.Reads...)
+		out[i].Writes = append([]checker.Ref(nil), in.Writes...)
 	}
 	return out
 }
 
 // FormatHistory renders a history for failure reports: one line per
 // transaction with its snapshot, reads and writes.
-func FormatHistory(infos []engine.TxInfo) string {
+func FormatHistory(txns []checker.Txn) string {
 	var b strings.Builder
-	for _, in := range infos {
+	for _, in := range txns {
 		fmt.Fprintf(&b, "T%d[start=%d,commit=%d]", in.ID, in.StartCSN, in.CommitCSN)
 		for _, r := range in.Reads {
 			fmt.Fprintf(&b, " r(%s@%d)", r.Key.S, r.CSN)

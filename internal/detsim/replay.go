@@ -1,7 +1,6 @@
 package detsim
 
 import (
-	"fmt"
 	"sort"
 
 	"sicost/internal/histories"
@@ -64,18 +63,9 @@ func ReplayTrace(events []trace.Event, progs map[int][]histories.Step) []int {
 // Result.ReplaySkipped; a small value means the replay tracked the
 // recording closely.
 func (r Runner) RunTrace(script string, events []trace.Event) (*Result, error) {
-	steps, err := histories.Parse(script)
+	progs, _, err := parseProgs(script)
 	if err != nil {
 		return nil, err
-	}
-	progs := make(map[int][]histories.Step)
-	for _, s := range steps {
-		progs[s.Txn] = append(progs[s.Txn], s)
-	}
-	for txn, prog := range progs {
-		if prog[0].Kind != histories.OpBegin {
-			return nil, fmt.Errorf("detsim: transaction %d used before begin", txn)
-		}
 	}
 	order := ReplayTrace(events, progs)
 	sc, err := newSched(r, progs)
@@ -93,6 +83,8 @@ func (r Runner) RunTrace(script string, events []trace.Event) (*Result, error) {
 			return nil, err
 		}
 	}
-	sc.finalize()
+	if err := sc.finalize(); err != nil {
+		return nil, err
+	}
 	return sc.res, nil
 }

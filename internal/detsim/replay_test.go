@@ -19,23 +19,18 @@ var updateGolden = flag.Bool("update", false, "rewrite golden trace files from t
 // event order is fully determined by the dispatch order.
 const fuwScript = "b1 b2 w2(x,7) c2 w1(x,8) c1"
 
-// recordTrace runs script deterministically with a counter-clock recorder
-// installed and returns the drained, validated stream.
+// recordTrace runs script deterministically and returns the schedule's
+// validated counter-clock stream.
 func recordTrace(t *testing.T, mode core.CCMode, script string) []trace.Event {
 	t.Helper()
-	rec := trace.New(trace.Options{Clock: trace.CounterClock()})
-	r := Runner{Mode: mode, Platform: core.PlatformPostgres, Tracer: rec}
-	if _, err := r.Run(script); err != nil {
+	res, err := Runner{Mode: mode, Platform: core.PlatformPostgres}.Run(script)
+	if err != nil {
 		t.Fatal(err)
 	}
-	evs := rec.Drain()
-	if rec.Dropped() != 0 {
-		t.Fatalf("recorder dropped %d events", rec.Dropped())
-	}
-	if err := trace.Validate(evs); err != nil {
+	if err := trace.Validate(res.Trace); err != nil {
 		t.Fatalf("recorded trace invalid: %v", err)
 	}
-	return evs
+	return res.Trace
 }
 
 func TestReplayTraceRoundTrip(t *testing.T) {

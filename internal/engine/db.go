@@ -123,53 +123,6 @@ type Config struct {
 	Tracer *trace.Recorder
 }
 
-// VersionRef identifies a version a transaction read or wrote, for the
-// serializability checker.
-type VersionRef struct {
-	Table string
-	Key   core.Value
-	// CSN is the commit sequence number of the version read (for reads)
-	// or created (for writes; filled at commit).
-	CSN uint64
-}
-
-// TxInfo is the post-commit summary handed to the Observer.
-type TxInfo struct {
-	ID        uint64
-	StartCSN  uint64
-	CommitCSN uint64
-	ReadOnly  bool
-	// Tag is application-provided (the SmallBank driver stores the
-	// transaction type) for anomaly reports.
-	Tag string
-	// Reads lists versions read (excluding reads of the txn's own
-	// writes). Writes lists versions created.
-	Reads  []VersionRef
-	Writes []VersionRef
-}
-
-// Observer receives every commit, in commit order for updating
-// transactions. The serializability checker implements it.
-type Observer interface {
-	OnCommit(TxInfo)
-}
-
-// WaitObserver is the engine's step-yield hook: it is told whenever a
-// transaction blocks on a row lock (the FUW and 2PL wait paths) and
-// whenever a blocked transaction is resolved — woken with the lock
-// granted (err == nil) or ejected because it aborted while queued
-// (err != nil). Wake notifications fire synchronously inside the
-// operation that causes them (a commit, abort or failed statement of
-// another transaction), before that operation returns, so a scripted
-// scheduler (internal/detsim) can drive transactions through exact
-// statement-level interleavings without wall-clock grace periods.
-// Callbacks run with the lock table's mutex held: they must be quick and
-// must not call back into the database.
-type WaitObserver interface {
-	OnTxWait(txID uint64, table string, key core.Value)
-	OnTxWake(txID uint64, table string, key core.Value, err error)
-}
-
 // DB is one simulated database instance.
 type DB struct {
 	cfg     Config
@@ -263,11 +216,6 @@ type DB struct {
 	// per-transaction budget on a running database — e.g. load without
 	// deadlines, then measure with them.
 	defaultDeadline atomic.Int64
-
-	// observer is the installed commit observer (nil: none). Begin
-	// samples it once, so a transaction either records its read and
-	// write sets for the observer throughout or not at all.
-	observer atomic.Pointer[Observer]
 
 	// hz is the snapshot horizon (horizon.go).
 	hz horizon
@@ -780,32 +728,19 @@ func (db *DB) SetResources(cfg simres.Config) { db.machine = simres.New(cfg) }
 // WAL exposes the simulated log device for stats and fault injection.
 func (db *DB) WAL() *wal.WAL { return db.log }
 
-// SetObserver installs the commit observer (nil disables). It takes
-// effect for transactions begun afterwards.
-func (db *DB) SetObserver(o Observer) {
-	if o == nil {
-		db.observer.Store(nil)
-		return
-	}
-	db.observer.Store(&o)
-}
-
-// SetWaitObserver installs the lock wait/wake observer (nil disables).
-// Must not be called while transactions are in flight.
-func (db *DB) SetWaitObserver(o WaitObserver) {
-	if o == nil {
-		db.locks.SetHooks(storage.WaitHooks{})
-		return
-	}
-	db.locks.SetHooks(storage.WaitHooks{
-		OnWait: func(tx uint64, key storage.LockKey) {
-			o.OnTxWait(tx, key.Table, key.Key)
-		},
-		OnWake: func(tx uint64, key storage.LockKey, err error) {
-			o.OnTxWake(tx, key.Table, key.Key, err)
-		},
-	})
-}
+// SetWaitHooks installs the lock table's wait/wake hooks (the zero value
+// removes them): OnWait fires when a transaction blocks on a row lock
+// (the FUW and 2PL wait paths), OnWake when a blocked transaction is
+// resolved — granted (err == nil) or ejected because it aborted while
+// queued. OnWake fires synchronously inside the operation that causes
+// it (a commit, abort or failed statement of another transaction),
+// before that operation returns, so a scripted scheduler
+// (internal/detsim) can drive transactions through exact statement-level
+// interleavings without wall-clock grace periods. The hooks run with
+// lock-table mutexes held: they must be quick and must not call back
+// into the database. Must not be called while transactions are in
+// flight.
+func (db *DB) SetWaitHooks(h storage.WaitHooks) { db.locks.SetHooks(h) }
 
 // CommitSeq returns the current global commit sequence number (the
 // newest published CSN).
@@ -935,9 +870,6 @@ func (db *DB) Begin() *Tx {
 		admitted: admitted,
 		lockWait: db.cfg.LockWaitTimeout,
 		deadline: deadline,
-	}
-	if o := db.observer.Load(); o != nil {
-		tx.obs = *o
 	}
 	// The snapshot point is one atomic load: every CSN ≤ visibleCSN is
 	// fully stamped (publishCSN advances in order, after stamping). It is

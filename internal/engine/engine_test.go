@@ -667,39 +667,3 @@ func TestScanLatest(t *testing.T) {
 		t.Fatal("scan of missing table accepted")
 	}
 }
-
-func TestObserverReceivesCommitInfo(t *testing.T) {
-	db := openKV(t, core.SnapshotFUW, core.PlatformPostgres)
-	var infos []TxInfo
-	db.SetObserver(observerFunc(func(info TxInfo) { infos = append(infos, info) }))
-
-	tx := db.Begin()
-	tx.SetTag("demo")
-	_ = mustGetV(t, tx, 1)
-	mustSetV(t, tx, 2, 222)
-	if err := tx.Commit(); err != nil {
-		t.Fatal(err)
-	}
-
-	if len(infos) != 1 {
-		t.Fatalf("observer calls = %d", len(infos))
-	}
-	info := infos[0]
-	if info.Tag != "demo" || info.ReadOnly {
-		t.Fatalf("info = %+v", info)
-	}
-	if len(info.Reads) != 1 || info.Reads[0].Key != core.Int(1) {
-		t.Fatalf("reads = %+v", info.Reads)
-	}
-	if len(info.Writes) != 1 || info.Writes[0].Key != core.Int(2) || info.Writes[0].CSN != info.CommitCSN {
-		t.Fatalf("writes = %+v", info.Writes)
-	}
-	if info.CommitCSN <= info.StartCSN {
-		t.Fatalf("CSNs: start %d commit %d", info.StartCSN, info.CommitCSN)
-	}
-}
-
-// observerFunc adapts a function to the Observer interface.
-type observerFunc func(TxInfo)
-
-func (f observerFunc) OnCommit(info TxInfo) { f(info) }

@@ -76,6 +76,63 @@ func TestTraceCommitLifecycle(t *testing.T) {
 	}
 }
 
+// TestTraceCarriesCommitInfo: the read-ver, write-ver and commit events
+// of one transaction are everything a checker is told about it — the
+// snapshot, the version read (own writes excluded), the version created
+// at the commit CSN, and the application tag on the terminal event.
+func TestTraceCarriesCommitInfo(t *testing.T) {
+	db, rec := traceDB(t, core.SnapshotFUW, 4)
+	tx := db.Begin()
+	tx.SetTag("demo")
+	if _, err := tx.Get("T", core.Int(1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Update("T", core.Int(2), kv(2, 222)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tx.Get("T", core.Int(2)); err != nil { // own write: no read-ver
+		t.Fatal(err)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	var begin, commit trace.Event
+	var reads, writes []trace.Event
+	for _, ev := range rec.Drain() {
+		switch ev.Kind {
+		case trace.EvBegin:
+			begin = ev
+		case trace.EvReadVer:
+			reads = append(reads, ev)
+		case trace.EvWriteVer:
+			writes = append(writes, ev)
+		case trace.EvCommit:
+			commit = ev
+		}
+	}
+	if commit.Tx != tx.ID() || commit.Tag != "demo" {
+		t.Fatalf("commit = %+v", commit)
+	}
+	if len(reads) != 1 || reads[0].Table != "T" || reads[0].Key != core.Int(1) || reads[0].CSN != begin.CSN {
+		t.Fatalf("reads = %+v (snapshot %d)", reads, begin.CSN)
+	}
+	if len(writes) != 1 || writes[0].Key != core.Int(2) || writes[0].CSN != commit.CSN {
+		t.Fatalf("writes = %+v", writes)
+	}
+	if commit.CSN <= begin.CSN {
+		t.Fatalf("CSNs: start %d commit %d", begin.CSN, commit.CSN)
+	}
+
+	// An abort is terminal too, and carries the tag the same way.
+	ab := db.Begin()
+	ab.SetTag("gone")
+	ab.Abort()
+	evs := rec.Drain()
+	if last := evs[len(evs)-1]; last.Kind != trace.EvAbort || last.Tag != "gone" {
+		t.Fatalf("abort = %+v", last)
+	}
+}
+
 func TestTraceConflictAndAbortTaxonomy(t *testing.T) {
 	db, rec := traceDB(t, core.SnapshotFUW, 4)
 

@@ -62,13 +62,8 @@ type Tx struct {
 	// endTx; guarded by the stripe's mutex.
 	snapPrev, snapNext *Tx
 
-	// obs is the commit observer sampled at Begin (nil: none installed).
-	// Only its consumer pays for the read set and the commit summary.
-	obs Observer
-
 	writes []writeRec
 	sfus   []sfuRec
-	reads  []VersionRef // kept only while obs != nil
 	// thin holds the rows whose write lock this transaction took in the
 	// row itself (storage.LockTable.AcquireRowUntil), to be handed back
 	// when it ends.
@@ -162,8 +157,9 @@ func (tx *Tx) Platform() core.Platform { return tx.db.cfg.Platform }
 // StartCSN returns the snapshot's commit sequence number.
 func (tx *Tx) StartCSN() uint64 { return tx.start }
 
-// SetTag attaches an application label (e.g. the transaction type) that
-// is passed through to the commit observer.
+// SetTag attaches an application label (e.g. the transaction type); the
+// trace's terminal event carries it, which is how an anomaly witness
+// names the programs on its cycle.
 func (tx *Tx) SetTag(tag string) { tx.tag = tag }
 
 // SetLockWaitTimeout overrides the database's lock-wait deadline for
@@ -350,22 +346,16 @@ func (tx *Tx) visibleVersion(row *storage.Row) *storage.Version {
 	return row.Visible(tx.start, tx.id)
 }
 
-// recordRead registers a read for the observer and the trace, whichever
-// is listening. Reads of the transaction's own writes are not
-// dependencies and are skipped. The EvReadVer event mirrors the
-// recorded entry exactly (version CSN included), so a trace consumer
-// can rebuild the dependency-relevant read set without the Observer
-// hook.
+// recordRead puts the version a read resolved to into the trace: the
+// EvReadVer events of a transaction are its dependency-relevant read
+// set, which is what both isolation checkers rebuild from the stream.
+// Reads of the transaction's own writes are not dependencies and are
+// skipped.
 func (tx *Tx) recordRead(tbl *storage.Table, key core.Value, v *storage.Version) {
-	if v.Creator == tx.id && v.CSN() == 0 {
+	if !tx.db.tracer.Enabled() || (v.Creator == tx.id && v.CSN() == 0) {
 		return
 	}
-	if tx.obs != nil {
-		tx.reads = append(tx.reads, VersionRef{Table: tbl.Name(), Key: key, CSN: v.CSN()})
-	}
-	if tx.db.tracer.Enabled() {
-		tx.db.tracer.Emit(trace.Event{Kind: trace.EvReadVer, Tx: tx.id, Table: tbl.Name(), Key: key, CSN: v.CSN()})
-	}
+	tx.db.tracer.Emit(trace.Event{Kind: trace.EvReadVer, Tx: tx.id, Table: tbl.Name(), Key: key, CSN: v.CSN()})
 }
 
 // Get returns the record stored under key in table, as visible to this
@@ -966,23 +956,9 @@ func (tx *Tx) Commit() error {
 		tx.db.txnMetrics.CommitLatency.Record(time.Since(commitStart))
 	}
 	if tx.db.tracer.Enabled() {
-		tx.db.tracer.Emit(trace.Event{Kind: trace.EvCommit, Tx: tx.id, CSN: commitCSN})
+		tx.db.tracer.Emit(trace.Event{Kind: trace.EvCommit, Tx: tx.id, CSN: commitCSN, Tag: tx.tag})
 	}
 	tx.db.endTx(tx)
-	if tx.obs != nil {
-		info := TxInfo{
-			ID:        tx.id,
-			StartCSN:  tx.start,
-			CommitCSN: commitCSN,
-			ReadOnly:  len(tx.writes) == 0,
-			Tag:       tx.tag,
-			Reads:     tx.reads,
-		}
-		for _, w := range tx.writes {
-			info.Writes = append(info.Writes, VersionRef{Table: w.table.Name(), Key: w.key, CSN: commitCSN})
-		}
-		tx.obs.OnCommit(info)
-	}
 	tx.recycle()
 	return nil
 }
@@ -1015,7 +991,7 @@ func (tx *Tx) Abort() {
 		reason := core.ClassifyAbort(tx.abortCause)
 		tx.db.txnMetrics.Aborts.Inc(reason)
 		if tx.db.tracer.Enabled() {
-			tx.db.tracer.Emit(trace.Event{Kind: trace.EvAbort, Tx: tx.id, Reason: uint8(reason)})
+			tx.db.tracer.Emit(trace.Event{Kind: trace.EvAbort, Tx: tx.id, Reason: uint8(reason), Tag: tx.tag})
 		}
 	}
 	tx.db.endTx(tx)

@@ -1,10 +1,12 @@
-// Package histories provides a deterministic interleaving harness: a
-// compact textual DSL for multi-transaction schedules, executed step by
-// step against the engine. It exists to port the classic isolation-level
-// conformance histories — the phenomena catalogue of Berenson et al.
-// ("A Critique of ANSI SQL Isolation Levels", SIGMOD 1995, the paper's
-// reference [2]) — as an executable test matrix across the engine's
-// concurrency-control modes.
+// Package histories is the schedule language of the isolation gates: a
+// compact textual DSL for multi-transaction interleavings (Parse), and
+// the paper's anomaly interleavings written in it (scripts.go). The
+// language only describes a schedule; internal/detsim executes one, step
+// by step against the engine. It exists to port the classic
+// isolation-level conformance histories — the phenomena catalogue of
+// Berenson et al. ("A Critique of ANSI SQL Isolation Levels", SIGMOD
+// 1995, the paper's reference [2]) — as an executable test matrix across
+// the engine's concurrency-control modes (phenomena_test.go).
 //
 // A history is a whitespace-separated list of steps:
 //
@@ -15,21 +17,14 @@
 //	c1          commit transaction 1
 //	a1          abort transaction 1
 //
-// Items are single-table integer keys pre-loaded by Run. Steps that
-// block (lock waits) are detected: the harness runs each step in the
-// owning transaction's goroutine and reports Blocked when the step does
-// not complete within a grace period; a blocked transaction's next
-// steps wait for it to unblock.
+// Items are string keys of the single table Table, pre-loaded by the
+// runner.
 package histories
 
 import (
 	"fmt"
 	"strconv"
 	"strings"
-	"time"
-
-	"sicost/internal/core"
-	"sicost/internal/engine"
 )
 
 // Table is the single table histories run against.
@@ -133,286 +128,4 @@ func parseStep(tok string) (Step, error) {
 		}
 	}
 	return s, nil
-}
-
-// Outcome describes how one step ended.
-type Outcome uint8
-
-// Step outcomes.
-const (
-	OK Outcome = iota
-	// Blocked: the step did not complete within the grace period
-	// (waiting on a lock); it may complete later, after a subsequent
-	// step unblocks it.
-	Blocked
-	// Failed: the step returned an error (serialization failure,
-	// deadlock, not-found...).
-	Failed
-)
-
-// String names the outcome.
-func (o Outcome) String() string {
-	switch o {
-	case OK:
-		return "ok"
-	case Blocked:
-		return "blocked"
-	default:
-		return "failed"
-	}
-}
-
-// StepResult is the execution record of one step.
-type StepResult struct {
-	Step    Step
-	Outcome Outcome
-	// Err is set when Outcome is Failed (or when a Blocked step later
-	// completed with an error; see Result.FinalErrs).
-	Err error
-	// Val is the value read by a completed read/sfu step.
-	Val int64
-}
-
-// Result is a full history execution record.
-type Result struct {
-	Steps []StepResult
-	// Committed reports, per transaction number, whether its commit
-	// completed successfully.
-	Committed map[int]bool
-	// FinalErrs maps transaction number → the error that terminated it
-	// (nil for clean commits/aborts). A transaction whose step stayed
-	// blocked past the end of the history is aborted by the harness and
-	// recorded here with its eventual error.
-	FinalErrs map[int]error
-}
-
-// Value returns the value read by the i-th step (which must be a
-// completed read).
-func (r *Result) Value(i int) int64 { return r.Steps[i].Val }
-
-// txnDriver owns one transaction's goroutine.
-type txnDriver struct {
-	tx    *engine.Tx
-	steps chan Step
-	done  chan StepResult
-}
-
-// Runner executes histories against fresh engine instances.
-type Runner struct {
-	// Mode and Platform configure the engine.
-	Mode     core.CCMode
-	Platform core.Platform
-	// Items are pre-loaded keys with initial values.
-	Items map[string]int64
-	// Grace is how long a step may run before being declared Blocked
-	// (default 25ms).
-	Grace time.Duration
-}
-
-// Run parses and executes the history on a fresh database.
-func (r Runner) Run(history string) (*Result, error) {
-	steps, err := Parse(history)
-	if err != nil {
-		return nil, err
-	}
-	db := engine.Open(engine.Config{Mode: r.Mode, Platform: r.Platform})
-	defer db.Close()
-	schema := &core.Schema{
-		Name: Table,
-		Columns: []core.Column{
-			{Name: "K", Kind: core.KindString, NotNull: true},
-			{Name: "V", Kind: core.KindInt, NotNull: true},
-		},
-		PK: 0,
-	}
-	if err := db.CreateTable(schema); err != nil {
-		return nil, err
-	}
-	seed := db.Begin()
-	items := r.Items
-	if items == nil {
-		items = map[string]int64{"x": 0, "y": 0, "z": 0}
-	}
-	for k, v := range items {
-		if err := seed.Insert(Table, core.Record{core.Str(k), core.Int(v)}); err != nil {
-			return nil, err
-		}
-	}
-	if err := seed.Commit(); err != nil {
-		return nil, err
-	}
-
-	grace := r.Grace
-	if grace == 0 {
-		grace = 25 * time.Millisecond
-	}
-
-	res := &Result{
-		Committed: map[int]bool{},
-		FinalErrs: map[int]error{},
-	}
-	drivers := map[int]*txnDriver{}
-	blocked := map[int]bool{}
-
-	// fail tears the drivers down on a structural schedule error, so
-	// the deferred db.Close (which drains in-flight transactions) finds
-	// nothing live. Aborting a transaction whose goroutine is blocked
-	// in a step ejects the waiter; the step's verdict lands in the
-	// buffered done channel and is discarded with the driver.
-	fail := func(err error) (*Result, error) {
-		for _, d := range drivers {
-			d.tx.Abort()
-			close(d.steps)
-		}
-		return nil, err
-	}
-
-	startDriver := func(txn int) *txnDriver {
-		d := &txnDriver{
-			tx:    db.Begin(),
-			steps: make(chan Step),
-			done:  make(chan StepResult, 1),
-		}
-		d.tx.SetTag(fmt.Sprintf("t%d", txn))
-		go func() {
-			for s := range d.steps {
-				d.done <- execStep(d.tx, s)
-			}
-		}()
-		drivers[txn] = d
-		return d
-	}
-
-	for _, s := range steps {
-		if s.Kind == OpBegin {
-			if drivers[s.Txn] != nil {
-				return fail(fmt.Errorf("histories: transaction %d begun twice", s.Txn))
-			}
-			startDriver(s.Txn)
-			res.Steps = append(res.Steps, StepResult{Step: s, Outcome: OK})
-			continue
-		}
-		d := drivers[s.Txn]
-		if d == nil {
-			return fail(fmt.Errorf("histories: transaction %d used before begin", s.Txn))
-		}
-		if blocked[s.Txn] {
-			return fail(fmt.Errorf("histories: transaction %d is blocked; cannot run %v", s.Txn, s))
-		}
-		d.steps <- s
-		select {
-		case sr := <-d.done:
-			res.Steps = append(res.Steps, sr)
-			recordTerminal(res, sr)
-			// A retriable failure leaves the transaction in the
-			// aborted state; roll it back immediately (as a real
-			// client would), releasing its locks for other waiters.
-			if sr.Err != nil && core.IsRetriable(sr.Err) {
-				d.tx.Abort()
-			}
-		case <-time.After(grace):
-			blocked[s.Txn] = true
-			res.Steps = append(res.Steps, StepResult{Step: s, Outcome: Blocked})
-		}
-		// A completed step may have unblocked earlier waiters; give each
-		// blocked transaction a grace period to surface its completion.
-		for txn, d2 := range drivers {
-			if !blocked[txn] {
-				continue
-			}
-			select {
-			case sr := <-d2.done:
-				blocked[txn] = false
-				// Patch the recorded Blocked step with its eventual
-				// completion.
-				for i := len(res.Steps) - 1; i >= 0; i-- {
-					if res.Steps[i].Step.Txn == txn && res.Steps[i].Outcome == Blocked {
-						sr.Outcome = OK
-						if sr.Err != nil {
-							sr.Outcome = Failed
-						}
-						sr.Step = res.Steps[i].Step
-						res.Steps[i] = sr
-						break
-					}
-				}
-				recordTerminal(res, sr)
-				if sr.Err != nil && core.IsRetriable(sr.Err) {
-					d2.tx.Abort()
-				}
-			case <-time.After(grace):
-			}
-		}
-	}
-
-	// Drain: give still-blocked steps a chance to finish, then abort
-	// whatever remains.
-	for txn, d := range drivers {
-		if blocked[txn] {
-			select {
-			case sr := <-d.done:
-				recordTerminal(res, sr)
-			case <-time.After(grace):
-				d.tx.Abort() // force-release; the blocked step will fail
-				select {
-				case sr := <-d.done:
-					res.FinalErrs[txn] = sr.Err
-				case <-time.After(grace):
-				}
-			}
-		}
-		close(d.steps)
-		d.tx.Abort() // no-op when finished
-	}
-	return res, nil
-}
-
-func recordTerminal(res *Result, sr StepResult) {
-	switch sr.Step.Kind {
-	case OpCommit:
-		if sr.Err == nil {
-			res.Committed[sr.Step.Txn] = true
-		} else {
-			res.FinalErrs[sr.Step.Txn] = sr.Err
-		}
-	case OpAbort:
-		res.FinalErrs[sr.Step.Txn] = nil
-	default:
-		if sr.Err != nil {
-			res.FinalErrs[sr.Step.Txn] = sr.Err
-		}
-	}
-}
-
-// execStep runs one step on its transaction.
-func execStep(tx *engine.Tx, s Step) StepResult {
-	sr := StepResult{Step: s, Outcome: OK}
-	switch s.Kind {
-	case OpRead:
-		rec, err := tx.Get(Table, core.Str(s.Item))
-		if err != nil {
-			sr.Outcome, sr.Err = Failed, err
-			return sr
-		}
-		sr.Val = rec[1].Int64()
-	case OpWrite:
-		err := tx.Update(Table, core.Str(s.Item), core.Record{core.Str(s.Item), core.Int(s.Val)})
-		if err != nil {
-			sr.Outcome, sr.Err = Failed, err
-		}
-	case OpSFU:
-		rec, err := tx.ReadForUpdate(Table, core.Str(s.Item))
-		if err != nil {
-			sr.Outcome, sr.Err = Failed, err
-			return sr
-		}
-		sr.Val = rec[1].Int64()
-	case OpCommit:
-		if err := tx.Commit(); err != nil {
-			sr.Outcome, sr.Err = Failed, err
-		}
-	case OpAbort:
-		tx.Abort()
-	}
-	return sr
 }

@@ -2,8 +2,8 @@ package histories
 
 // Schedule is a named step-level interleaving from the paper (or its
 // reference lineage), expressed in this package's DSL so it can be
-// replayed both by the wall-clock Runner here and by the deterministic
-// scheduler in internal/detsim. Each schedule is a concrete witness: a
+// replayed by the deterministic scheduler in internal/detsim. Each
+// schedule is a concrete witness: a
 // specific interleaving whose outcome differs across concurrency-control
 // modes and platforms, which is exactly what the paper's §II argues from.
 type Schedule struct {
@@ -13,7 +13,7 @@ type Schedule struct {
 	Section string
 	// Script is the interleaving in the histories DSL.
 	Script string
-	// Items pre-loads the table (nil means the Runner default x=y=z=0).
+	// Items pre-loads the table (nil means the runner's default x=y=z=0).
 	Items map[string]int64
 	// Doc explains what the interleaving demonstrates.
 	Doc string

@@ -6,7 +6,26 @@ import (
 	"sicost/internal/checker"
 	"sicost/internal/core"
 	"sicost/internal/engine"
+	"sicost/internal/trace"
 )
+
+// recordHistory installs a trace recorder on db and pumps it on a
+// subscription that keeps the whole stream, so a run may outlast the
+// rings. The returned function ends the pump and analyzes the committed
+// history; a recorder that dropped events has no history to judge.
+func recordHistory(t testing.TB, db *engine.DB) (analyze func() *checker.Report) {
+	t.Helper()
+	rec := trace.New(trace.Options{ShardCap: 1 << 12})
+	db.SetTracer(rec)
+	sub := trace.Subscribe(rec, func([]trace.Event) {}, trace.SubOptions{Retain: true})
+	return func() *checker.Report {
+		sub.Close()
+		if n := rec.Dropped(); n != 0 {
+			t.Fatalf("trace dropped %d events", n)
+		}
+		return checker.Analyze(checker.Txns(sub.Events()))
+	}
+}
 
 // runAnomalyScript drives the §III-C interleaving against a database
 // running the given strategy:
@@ -23,8 +42,7 @@ import (
 // checker report and whether any step failed with a retriable error.
 func runAnomalyScript(t *testing.T, db *engine.DB, s *Strategy) (rep *checker.Report, conflicted bool) {
 	t.Helper()
-	chk := checker.New()
-	db.SetObserver(chk)
+	analyze := recordHistory(t, db)
 	name := CustomerName(0)
 
 	fail := func(err error) bool {
@@ -50,11 +68,11 @@ func runAnomalyScript(t *testing.T, db *engine.DB, s *Strategy) (rep *checker.Re
 		tsTx.Abort()
 		if fail(err) {
 			wcTx.Abort()
-			return chk.Analyze(), conflicted
+			return analyze(), conflicted
 		}
 	} else if err := tsTx.Commit(); fail(err) {
 		wcTx.Abort()
-		return chk.Analyze(), conflicted
+		return analyze(), conflicted
 	}
 
 	// Bal reads the total: sees the deposit (snapshot after TS).
@@ -64,11 +82,11 @@ func runAnomalyScript(t *testing.T, db *engine.DB, s *Strategy) (rep *checker.Re
 		balTx.Abort()
 		if fail(err) {
 			wcTx.Abort()
-			return chk.Analyze(), conflicted
+			return analyze(), conflicted
 		}
 	} else if err := balTx.Commit(); fail(err) {
 		wcTx.Abort()
-		return chk.Analyze(), conflicted
+		return analyze(), conflicted
 	}
 
 	// WC writes a check against the stale snapshot: savings 1000 +
@@ -77,13 +95,13 @@ func runAnomalyScript(t *testing.T, db *engine.DB, s *Strategy) (rep *checker.Re
 	if err := RunWriteCheck(wcTx, s, Params{N1: name, V: 1600}); err != nil {
 		wcTx.Abort()
 		if fail(err) {
-			return chk.Analyze(), conflicted
+			return analyze(), conflicted
 		}
 	} else if err := wcTx.Commit(); fail(err) {
-		return chk.Analyze(), conflicted
+		return analyze(), conflicted
 	}
 
-	return chk.Analyze(), conflicted
+	return analyze(), conflicted
 }
 
 // TestAnomalyUnderPlainSI: the full §III-C scenario commits under SI and
@@ -144,8 +162,6 @@ func TestUnsoundSfuOnPostgres(t *testing.T) {
 	// the interleaving is the other order. Use the §II-C order: WC
 	// sfu-reads FIRST, commits nothing yet; then TS writes Saving.
 	name := CustomerName(0)
-	chk := checker.New()
-	db.SetObserver(chk)
 
 	wcTx := db.Begin()
 	wcTx.SetTag("WC")

@@ -5,7 +5,6 @@ import (
 	"sync"
 	"testing"
 
-	"sicost/internal/checker"
 	"sicost/internal/core"
 	"sicost/internal/engine"
 )
@@ -185,8 +184,7 @@ func TestConcurrentAmalgamateConservation(t *testing.T) {
 func TestStrategiesSerializableUnderScriptedPairs(t *testing.T) {
 	types := []TxnType{Balance, DepositChecking, TransactSaving, Amalgamate, WriteCheck}
 	db := testDB(t, core.SnapshotFUW, core.PlatformPostgres)
-	chk := checker.New()
-	db.SetObserver(chk)
+	analyze := recordHistory(t, db)
 	name := CustomerName(0)
 	other := CustomerName(1)
 
@@ -225,7 +223,7 @@ func TestStrategiesSerializableUnderScriptedPairs(t *testing.T) {
 			}
 		}
 	}
-	rep := chk.Analyze()
+	rep := analyze()
 	if !rep.Serializable {
 		t.Fatalf("PromoteALL pairwise sweep produced a cycle:\n%s", rep.Describe())
 	}

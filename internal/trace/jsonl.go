@@ -22,6 +22,7 @@ type jsonEvent struct {
 	WaitNS int64    `json:"wait_ns,omitempty"`
 	Reason string   `json:"reason,omitempty"`
 	Bytes  int      `json:"bytes,omitempty"`
+	Tag    string   `json:"tag,omitempty"`
 }
 
 // jsonKey is the wire form of a core.Value key: exactly one of the
@@ -73,6 +74,7 @@ func MarshalEvent(ev Event) ([]byte, error) {
 		Depth:  ev.Depth,
 		WaitNS: ev.WaitNS,
 		Bytes:  ev.Bytes,
+		Tag:    ev.Tag,
 	}
 	switch ev.Key.K {
 	case core.KindInt:
@@ -112,6 +114,7 @@ func UnmarshalEvent(line []byte) (Event, error) {
 		Depth:  je.Depth,
 		WaitNS: je.WaitNS,
 		Bytes:  je.Bytes,
+		Tag:    je.Tag,
 	}
 	if je.Key != nil {
 		switch {

@@ -71,11 +71,12 @@ const (
 	EvConflict
 	// EvAbort: the transaction rolled back. Reason is the
 	// core.ClassifyAbort class of the terminating error, or AbortNone
-	// for a voluntary rollback.
+	// for a voluntary rollback. Tag is the application's label
+	// (engine.Tx.SetTag), if it set one.
 	EvAbort
 	// EvCommit: the transaction committed. CSN is the commit sequence
 	// number (for read-only transactions, the snapshot they logically
-	// committed at).
+	// committed at). Tag as for EvAbort.
 	EvCommit
 	// EvWALCommit: an updating commit enqueued its commit record on the
 	// simulated log device. Bytes is the record payload.
@@ -93,7 +94,7 @@ const (
 	// created before tracing was enabled). Unlike EvRead (statement
 	// start), this is emitted after visibility resolution and skips reads
 	// of the transaction's own writes, so a transaction's read-ver events
-	// are exactly its dependency-relevant read set (engine.TxInfo.Reads).
+	// are exactly its dependency-relevant read set (checker.Txn.Reads).
 	// Within a transaction it occurs between begin and commit.
 	EvReadVer
 	// EvWriteVer: one committed version created by the transaction on
@@ -101,7 +102,8 @@ const (
 	// CSN is allocated, one event per written row, before EvCommit —
 	// unlike EvWrite (statement start), which over-approximates the
 	// write set (a statement can fail without dooming the transaction).
-	// The write-ver events are exactly engine.TxInfo.Writes.
+	// The write-ver events are exactly the transaction's committed write
+	// set (checker.Txn.Writes).
 	EvWriteVer
 	// EvCkptBegin: a fuzzy incremental checkpoint opened its delta link.
 	// Tx is zero; CSN is the begin cut (the chain link's CSN) and Depth
@@ -192,6 +194,10 @@ type Event struct {
 	Reason uint8
 	// Bytes is the WAL payload size (EvWALCommit, EvWALFlush).
 	Bytes int
+	// Tag is the application's label for the transaction (the SmallBank
+	// driver stores the program name), carried by the terminal event
+	// (EvCommit/EvAbort) so an anomaly witness can name its programs.
+	Tag string
 }
 
 // DefaultShards is the recorder's shard count: enough that concurrent

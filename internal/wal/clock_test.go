@@ -446,9 +446,12 @@ func TestDrainAndCloseEndAHold(t *testing.T) {
 			t.Errorf("%s returned with the held record unresolved", name)
 		}
 		// The limit was a whole sync after the hold began: sleeping it out
-		// would have cost lat - lat/6 more.
-		if took < lat || took > lat+lat/2 {
-			t.Errorf("%s during a hold took %v; want one sync (%v) from the call", name, took, lat)
+		// would have cost lat - lat/6 more, and that is the property. How
+		// far past one sync a correct run lands measures the host (the
+		// stall probe above skips the worst of it), so anything short of
+		// the slept-out cost passes.
+		if sleptOut := 2*lat - lat/6; took < lat || took >= sleptOut {
+			t.Errorf("%s during a hold took %v; want one sync (%v) from the call, not the hold slept out (%v)", name, took, lat, sleptOut)
 		}
 		w.mu.Lock()
 		running, backoff := w.flusher, w.holdBackoff

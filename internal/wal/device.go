@@ -59,9 +59,6 @@ type LogDevice interface {
 	// in; sampled under the commit barrier it is a chain root's
 	// retirement bound.
 	CurrentSegment() int
-	// SetPrealloc makes the device create segments at a physical size of
-	// n bytes (see SegmentLog.SetPrealloc for the recovery story).
-	SetPrealloc(n int64) error
 	// SetFaults installs the registry consulted by the device's own
 	// fault points (FaultRotate, FaultRetire).
 	SetFaults(r *faultinject.Registry)

@@ -78,34 +78,38 @@ func TestClassifySchemaDedupLastWins(t *testing.T) {
 }
 
 func TestRecoverRepairsTornTail(t *testing.T) {
-	clean := append(commitFrameBytes(1), commitFrameBytes(2)...)
-	torn := append(append([]byte{}, clean...), 0xde, 0xad, 0xbe)
-	dev := newTestLog(t, SegmentData{Data: torn})
+	// Garbage, and the run of zeros a file system leaves where a final
+	// segment was extended but never written: both are a torn tail.
+	for _, tail := range [][]byte{{0xde, 0xad, 0xbe}, make([]byte, 64)} {
+		clean := append(commitFrameBytes(1), commitFrameBytes(2)...)
+		torn := append(append([]byte{}, clean...), tail...)
+		dev := newTestLog(t, SegmentData{Data: torn})
 
-	info, err := Recover(dev)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !info.Repaired || info.TornBytes != 3 || info.ValidBytes != len(clean) {
-		t.Fatalf("first recovery: %+v", info)
-	}
-	if info.HighCSN != 2 || len(info.Commits) != 2 {
-		t.Fatalf("classification: HighCSN=%d commits=%d", info.HighCSN, len(info.Commits))
-	}
-	if dev.Size() != int64(len(clean)) {
-		t.Fatalf("device not truncated to valid prefix: %d, want %d", dev.Size(), len(clean))
-	}
+		info, err := Recover(dev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !info.Repaired || info.TornBytes != len(tail) || info.ValidBytes != len(clean) {
+			t.Fatalf("first recovery: %+v", info)
+		}
+		if info.HighCSN != 2 || len(info.Commits) != 2 {
+			t.Fatalf("classification: HighCSN=%d commits=%d", info.HighCSN, len(info.Commits))
+		}
+		if dev.Size() != int64(len(clean)) {
+			t.Fatalf("device not truncated to valid prefix: %d, want %d", dev.Size(), len(clean))
+		}
 
-	// Second recovery: clean log, identical classification.
-	again, err := Recover(dev)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if again.Repaired || again.TornBytes != 0 {
-		t.Fatalf("second recovery repaired again: %+v", again)
-	}
-	if again.HighCSN != info.HighCSN || len(again.Commits) != len(info.Commits) {
-		t.Fatalf("recovery not idempotent: %+v vs %+v", again, info)
+		// Second recovery: clean log, identical classification.
+		again, err := Recover(dev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if again.Repaired || again.TornBytes != 0 {
+			t.Fatalf("second recovery repaired again: %+v", again)
+		}
+		if again.HighCSN != info.HighCSN || len(again.Commits) != len(info.Commits) {
+			t.Fatalf("recovery not idempotent: %+v vs %+v", again, info)
+		}
 	}
 }
 

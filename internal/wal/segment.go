@@ -64,12 +64,6 @@ type segFile interface {
 	append(b []byte) error
 	sync() error
 	truncate(n int64) error
-	// prealloc extends the segment's physical size to n bytes of zero
-	// padding without moving the logical tail, so later appends land in
-	// already-allocated blocks instead of growing the file (and its
-	// metadata) on every flush. A no-op when n is at or below the
-	// current size, and on media without the distinction (memory).
-	prealloc(n int64) error
 	read() ([]byte, error)
 	close() error
 }
@@ -104,12 +98,7 @@ type SegmentLog struct {
 	mu      sync.Mutex
 	store   segStore
 	segSize int64
-	// prealloc, when positive, is the physical size segments are created
-	// at (see SetPrealloc). Segment sizes in segMeta stay logical: the
-	// bytes actually appended, which is what recovery, rotation and
-	// Size() reason about.
-	prealloc int64
-	faults   *faultinject.Registry
+	faults  *faultinject.Registry
 
 	segs      []segMeta // ascending, contiguous indices; last is current
 	cur       segFile
@@ -205,30 +194,6 @@ func (l *SegmentLog) SetFaults(r *faultinject.Registry) {
 	l.mu.Unlock()
 }
 
-// SetPrealloc makes the log create segments at a physical size of n
-// bytes (zero-padded past the logical tail) and applies it to the
-// current segment immediately. Appends then overwrite preallocated
-// blocks instead of extending the file, sparing the per-flush metadata
-// (size) update an append-grown file pays on every fdatasync. The
-// logical tail is tracked separately: sealing a segment at rotation
-// trims the physical padding away (sealed segments must be exactly
-// their valid frames — the torn-tail rule only tolerates garbage in the
-// final segment), and a crash with padding still in place is repaired
-// by recovery's CRC scan, which cuts the zero tail like any torn write.
-// Call it before appends are in flight; n at or below the segment
-// threshold is typical (the last append may still overshoot it).
-func (l *SegmentLog) SetPrealloc(n int64) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.prealloc = n
-	if n > 0 && l.cur != nil {
-		if err := l.cur.prealloc(n); err != nil {
-			return fmt.Errorf("wal: segment %s prealloc: %w", SegmentName(l.curMeta().idx), err)
-		}
-	}
-	return nil
-}
-
 // cur returns the current (last) segment's meta slot.
 func (l *SegmentLog) curMeta() *segMeta { return &l.segs[len(l.segs)-1] }
 
@@ -267,14 +232,6 @@ func (l *SegmentLog) rotate() error {
 		}
 		return fmt.Errorf("wal: segment rotation: %w", err)
 	}
-	if l.prealloc > 0 {
-		// Seal-trim: cut the preallocated zero padding so the sealed
-		// segment is exactly its logical bytes (sealed segments admit no
-		// torn tail).
-		if err := l.cur.truncate(l.curMeta().size); err != nil {
-			return fmt.Errorf("wal: segment seal trim: %w", err)
-		}
-	}
 	if err := l.cur.sync(); err != nil {
 		return fmt.Errorf("wal: segment seal: %w", err)
 	}
@@ -282,12 +239,6 @@ func (l *SegmentLog) rotate() error {
 	f, err := l.store.create(next)
 	if err != nil {
 		return fmt.Errorf("wal: segment create: %w", err)
-	}
-	if l.prealloc > 0 {
-		if err := f.prealloc(l.prealloc); err != nil {
-			f.close()
-			return fmt.Errorf("wal: segment %s prealloc: %w", SegmentName(next), err)
-		}
 	}
 	if err := l.store.syncDir(); err != nil {
 		f.close()
@@ -463,13 +414,6 @@ func (l *SegmentLog) TruncateTail(valid int64) error {
 		l.segs[cutSeg].size = keep
 	}
 	l.curSynced = l.segs[cutSeg].size
-	if l.prealloc > 0 {
-		// Re-extend the padding the repair just cut: the surviving tail
-		// segment is current again and appends resume into it.
-		if err := l.cur.prealloc(l.prealloc); err != nil {
-			return fmt.Errorf("wal: truncate: %w", err)
-		}
-	}
 	_ = l.store.syncDir()
 	return nil
 }
@@ -533,7 +477,6 @@ func (s *memSeg) truncate(n int64) error {
 	s.buf = s.buf[:n]
 	return nil
 }
-func (s *memSeg) prealloc(int64) error { return nil }
 func (s *memSeg) read() ([]byte, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -616,14 +559,6 @@ func (s *fileSeg) truncate(n int64) error {
 	}
 	s.size = n
 	return nil
-}
-func (s *fileSeg) prealloc(n int64) error {
-	if n <= s.size {
-		return nil
-	}
-	// Zero-extend the physical file; s.size (the logical tail appends
-	// write at) is untouched.
-	return s.f.Truncate(n)
 }
 func (s *fileSeg) read() ([]byte, error) {
 	buf := make([]byte, s.size)

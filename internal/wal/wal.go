@@ -105,12 +105,6 @@ type Config struct {
 	// its batch and appends the frames to the device before
 	// acknowledging. Nil keeps the historical latency-only simulation.
 	Device LogDevice
-	// PreallocBytes, when positive, asks the device to create log
-	// segments at this physical size up front (zero-padded past the
-	// logical tail), so steady-state appends overwrite allocated blocks
-	// instead of extending the file on every flush. See
-	// SegmentLog.SetPrealloc for the recovery story.
-	PreallocBytes int64
 }
 
 // Scaled returns the config with FsyncLatency multiplied by f.
@@ -271,12 +265,6 @@ func New(cfg Config) *WAL {
 	w := &WAL{cfg: cfg}
 	w.idle.L = &w.mu
 	w.durable.L = &w.mu
-	if cfg.PreallocBytes > 0 && cfg.Device != nil {
-		// Preallocation is a performance lever, not a correctness one: a
-		// device that cannot extend (full disk, odd medium) just runs
-		// append-grown.
-		_ = cfg.Device.SetPrealloc(cfg.PreallocBytes)
-	}
 	return w
 }
 

@@ -13,6 +13,7 @@ import (
 	"sicost/internal/engine"
 	"sicost/internal/simres"
 	"sicost/internal/smallbank"
+	"sicost/internal/trace"
 )
 
 // measure shortens wall-clock measurement intervals under -short: the
@@ -247,6 +248,24 @@ func TestEngineMetricsDelta(t *testing.T) {
 	}
 }
 
+// recordHistory installs a trace recorder on db and pumps it on a
+// subscription that keeps the whole stream, so a run may outlast the
+// rings. The returned function ends the pump and analyzes the committed
+// history; a recorder that dropped events has no history to judge.
+func recordHistory(t testing.TB, db *engine.DB) (analyze func() *checker.Report) {
+	t.Helper()
+	rec := trace.New(trace.Options{ShardCap: 1 << 12})
+	db.SetTracer(rec)
+	sub := trace.Subscribe(rec, func([]trace.Event) {}, trace.SubOptions{Retain: true})
+	return func() *checker.Report {
+		sub.Close()
+		if n := rec.Dropped(); n != 0 {
+			t.Fatalf("trace dropped %d events", n)
+		}
+		return checker.Analyze(checker.Txns(sub.Events()))
+	}
+}
+
 // TestDriverSerializableUnderStrategy runs a full concurrent workload
 // with the checker attached: a repair strategy must yield an acyclic
 // MVSG even on a pathological hotspot.
@@ -260,8 +279,14 @@ func TestDriverSerializableUnderStrategy(t *testing.T) {
 		t.Run(s.Name, func(t *testing.T) {
 			t.Parallel()
 			db := loadedDB(t, core.SnapshotFUW, 60)
-			c := checker.New()
-			db.SetObserver(c)
+			// A little simulated CPU per statement, as in the anomaly
+			// hunt below: transactions overlap instead of running to
+			// completion inside one scheduling quantum, and the event
+			// rate is the model's, not the host's — on free hardware
+			// eight clients emit a million events a second, which starves
+			// the pump and makes the retained history tens of megabytes.
+			db.SetResources(simres.Config{VirtualCPUs: 2, StmtCPU: 50 * time.Microsecond})
+			analyze := recordHistory(t, db)
 			_, err := Run(db, Config{
 				Strategy: s,
 				MPL:      8, Customers: 60, HotspotSize: 3, HotspotProb: 1.0,
@@ -270,7 +295,7 @@ func TestDriverSerializableUnderStrategy(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rep := c.Analyze()
+			rep := analyze()
 			if rep.Txns == 0 {
 				t.Fatal("nothing recorded")
 			}
@@ -314,8 +339,7 @@ func TestDriverFindsAnomalyUnderPlainSI(t *testing.T) {
 		if _, err := smallbank.Load(db, smallbank.LoadConfig{Customers: 40, Seed: 42}); err != nil {
 			t.Fatal(err)
 		}
-		c := checker.New()
-		db.SetObserver(c)
+		analyze := recordHistory(t, db)
 		if _, err := Run(db, Config{
 			Strategy: smallbank.StrategySI,
 			MPL:      10, Customers: 40, HotspotSize: 2, HotspotProb: 1.0,
@@ -323,7 +347,7 @@ func TestDriverFindsAnomalyUnderPlainSI(t *testing.T) {
 		}); err != nil {
 			t.Fatal(err)
 		}
-		if rep := c.Analyze(); !rep.Serializable {
+		if rep := analyze(); !rep.Serializable {
 			return // anomaly observed, as the theory predicts
 		}
 	}

@@ -18,9 +18,9 @@
 //   - the SmallBank benchmark with every strategy of the paper's §III-D
 //     (internal/smallbank) and the workload driver, closed loop or
 //     Poisson arrivals (internal/workload);
-//   - a runtime multi-version serialization graph checker that certifies
-//     executions serializable or produces an anomaly witness
-//     (internal/checker);
+//   - a transaction-lifecycle trace (internal/trace) and a multi-version
+//     serialization graph checker over it that certifies an execution
+//     serializable or produces an anomaly witness (internal/checker);
 //   - one experiment runner per table and figure of the evaluation
 //     (internal/experiments, cmd/sibench).
 //
@@ -41,6 +41,7 @@ import (
 	"sicost/internal/experiments"
 	"sicost/internal/sdg"
 	"sicost/internal/smallbank"
+	"sicost/internal/trace"
 	"sicost/internal/workload"
 )
 
@@ -54,8 +55,6 @@ type (
 	EngineConfig = engine.Config
 	// CostModel holds per-platform strategy penalties.
 	CostModel = engine.CostModel
-	// TxInfo is the per-commit record delivered to observers.
-	TxInfo = engine.TxInfo
 
 	// Value is a typed column value; Record is a row image; Schema
 	// declares a table with its Columns.
@@ -221,16 +220,34 @@ var (
 	RunWorkload     = workload.Run
 )
 
-// Serializability checking.
+// Serializability checking: the engine says what a transaction read and
+// wrote in its lifecycle trace and nowhere else, and the checker is two
+// functions over that stream.
 type (
-	// Checker records commits and builds the MVSG.
-	Checker = checker.Checker
+	// Trace records lifecycle events; install it with db.SetTracer (or
+	// EngineConfig.Tracer) and read it with Drain.
+	Trace = trace.Recorder
+	// TraceOptions sizes a Trace.
+	TraceOptions = trace.Options
+	// TraceEvent is one recorded event.
+	TraceEvent = trace.Event
+	// CheckedTxn is one committed transaction as the trace describes it.
+	CheckedTxn = checker.Txn
 	// CheckReport is an analysis outcome (with anomaly witness).
 	CheckReport = checker.Report
 )
 
-// NewChecker creates a checker; install it with db.SetObserver.
-func NewChecker() *Checker { return checker.New() }
+// NewTrace creates a recorder; TraceTxns reads the committed
+// transactions out of a drained stream and CheckTxns builds and searches
+// their serialization graph.
+var (
+	NewTrace  = trace.New
+	TraceTxns = checker.Txns
+	CheckTxns = checker.Analyze
+)
+
+// CheckTrace is the whole offline check of a drained stream.
+func CheckTrace(events []TraceEvent) *CheckReport { return CheckTxns(TraceTxns(events)) }
 
 // Experiments (tables and figures of the paper).
 type (

@@ -28,8 +28,8 @@ func TestFacadeEndToEnd(t *testing.T) {
 		t.Fatal("no money loaded")
 	}
 
-	chk := sicost.NewChecker()
-	db.SetObserver(chk)
+	rec := sicost.NewTrace(sicost.TraceOptions{Shards: 1, ShardCap: 1 << 10})
+	db.SetTracer(rec)
 
 	for i := 0; i < 20; i++ {
 		err := sicost.RunSmallBank(db, sicost.StrategyPromoteWTUpd,
@@ -38,9 +38,9 @@ func TestFacadeEndToEnd(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	rep := chk.Analyze()
-	if !rep.Serializable {
-		t.Fatalf("sequential deposits flagged: %s", rep.Describe())
+	rep := sicost.CheckTrace(rec.Drain())
+	if !rep.Serializable || rep.Txns == 0 || rec.Dropped() != 0 {
+		t.Fatalf("sequential deposits (%d events dropped): %s", rec.Dropped(), rep.Describe())
 	}
 
 	// SDG via the facade.
