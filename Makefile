@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build cross test short vet race stress fuzz fuzzsmoke bench benchspine chaos crash walfuzz checkfuzz checksmoke docs trace-smoke overload servefuzz servechaos size ci
+.PHONY: all build cross test short vet race stress fuzz fuzzsmoke bench benchspine chaos crash walfuzz checkfuzz checksmoke docs trace-smoke figsmoke overload servefuzz servechaos size ci
 
 all: build test
 
@@ -124,6 +124,19 @@ trace-smoke:
 	$(GO) run ./cmd/tracecheck -q trace_smoke.jsonl
 	rm -f trace_smoke.jsonl
 
+# Figure smoke: every experiment cmd/sibench knows, at a toy profile
+# (seconds in all); each one that measures series must leave its CSV,
+# the relative-panel figures 5, 8 and 9 included.
+FIGSMOKE_CSV = fig4 fig5 fig6 fig7 fig8 fig9 ablation-fixedrow ablation-groupcommit \
+	ablation-engine ablation-hotspot ablation-latency
+figsmoke:
+	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
+	$(GO) run ./cmd/sibench -exp all -scale 0.1 -ramp 10ms -measure 60ms -reps 1 -mpls 2 \
+		-customers 300 -q -csv "$$dir" > /dev/null && \
+	for id in $(FIGSMOKE_CSV); do \
+		test -s "$$dir/$$id.csv" || { echo "figsmoke: sibench wrote no $$id.csv" >&2; exit 1; }; \
+	done
+
 # The Go microbenchmarks, six runs each so a reader sees the spread
 # (what each set prices is said above its Benchmark function). They are
 # printed, not archived: the numbers a change is judged on are the
@@ -194,4 +207,4 @@ size:
 			| awk '/^type Config struct \{/{f=1;next} f&&/^\}/{f=0} f&&/^\t[A-Za-z_]/{sub(/\/\/.*/,""); n+=gsub(/,/,",")+1} END{print n}'); \
 	done
 
-ci: build cross docs test benchspine race stress fuzzsmoke chaos crash walfuzz checkfuzz checksmoke trace-smoke overload servefuzz servechaos
+ci: build cross docs test benchspine race stress fuzzsmoke chaos crash walfuzz checkfuzz checksmoke trace-smoke figsmoke overload servefuzz servechaos

@@ -34,17 +34,10 @@ func benchWorkload(b *testing.B, engCfg engine.Config, s *smallbank.Strategy,
 	var totalTPS float64
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		measured := engCfg.Res
-		loadCfg := engCfg
-		loadCfg.Res.VirtualCPUs = 0
-		db := engine.Open(loadCfg)
-		if err := smallbank.CreateSchema(db); err != nil {
+		db, _, err := smallbank.Open(engCfg, smallbank.LoadConfig{Customers: benchCustomers, Seed: 7})
+		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := smallbank.Load(db, smallbank.LoadConfig{Customers: benchCustomers, Seed: 7}); err != nil {
-			b.Fatal(err)
-		}
-		db.SetResources(measured)
 		b.StartTimer()
 
 		res, err := workload.Run(db, workload.Config{

@@ -19,6 +19,11 @@
 //     segment is a namespace some Fault* constant declares) must match
 //     a declared fault point (`FaultX = "ns/..."` in non-test sources).
 //
+// Experiment ids: every `-exp <id>` on a line that mentions sibench, in
+// README.md, DESIGN.md, EXPERIMENTS.md or docs/, must be an experiment
+// cmd/sibench runs (experiments.All, or "all"), so a renamed figure
+// cannot live on in the docs.
+//
 // Flags without a user: the inverse of the flag rule above. A flag a
 // command registers must be mentioned somewhere a user would meet it —
 // a code span or fenced block of README.md, EXPERIMENTS.md or docs/, a
@@ -45,6 +50,8 @@ import (
 	"regexp"
 	"sort"
 	"strings"
+
+	"sicost/internal/experiments"
 )
 
 func main() {
@@ -71,6 +78,12 @@ func main() {
 			os.Exit(1)
 		}
 		problems = append(problems, flagProblems...)
+		expProblems, err := lintExperimentRefs(root)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "doclint: %v\n", err)
+			os.Exit(1)
+		}
+		problems = append(problems, expProblems...)
 		for _, p := range problems {
 			fmt.Println(p)
 			bad++
@@ -170,7 +183,47 @@ var (
 	// testFlagRe matches a flag as a command's test passes it: the start
 	// of a string literal ("-mode", "-mode=2pl").
 	testFlagRe = regexp.MustCompile(`"-[a-z][a-z0-9-]*`)
+	// expRe matches the ids of a sibench -exp argument ("-exp fig4,fig7");
+	// a placeholder ("-exp <id>") does not match.
+	expRe = regexp.MustCompile("(?:^|[\\s`(])-exp[ =]([A-Za-z0-9_,-]+)")
 )
+
+// lintExperimentRefs flags every experiment id a sibench line of
+// README.md, DESIGN.md, EXPERIMENTS.md or docs/*.md names that
+// experiments.All does not define.
+func lintExperimentRefs(root string) ([]string, error) {
+	known := map[string]bool{"all": true}
+	for _, e := range experiments.All() {
+		known[e.ID] = true
+	}
+	paths, _ := filepath.Glob(filepath.Join(root, "docs", "*.md")) // a constant pattern: Glob cannot fail
+	for _, name := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"} {
+		paths = append(paths, filepath.Join(root, name))
+	}
+	var problems []string
+	for _, path := range paths {
+		b, err := os.ReadFile(path)
+		if os.IsNotExist(err) {
+			continue
+		}
+		if err != nil {
+			return nil, err
+		}
+		for i, line := range strings.Split(string(b), "\n") {
+			if !strings.Contains(line, "sibench") {
+				continue
+			}
+			for _, m := range expRe.FindAllStringSubmatch(line, -1) {
+				for _, id := range strings.Split(m[1], ",") {
+					if !known[id] {
+						problems = append(problems, fmt.Sprintf("%s:%d: runs sibench -exp %s, which is no experiment", path, i+1, id))
+					}
+				}
+			}
+		}
+	}
+	return problems, nil
+}
 
 // lintDocs verifies that every file under <root>/docs references only
 // code that exists: internal/ paths, registered cmd flags, published

@@ -4,10 +4,15 @@
 //
 // Usage:
 //
-//	sibench -exp fig5a                 # one figure, quick profile
+//	sibench -exp fig5                  # one figure, quick profile
 //	sibench -exp all -reps 5 -measure 10s -ramp 3s   # closer to paper scale
 //	sibench -exp fig7 -csv out/        # also write CSV series
 //	sibench -list
+//
+// Every measured point of every figure goes through one loop (load,
+// ramp, measure, -reps times; internal/experiments). A figure with a
+// relative panel (5, 8, 9) prints it after the absolute one; its CSV
+// holds the absolute series.
 //
 // The quick defaults regenerate a figure in seconds; the paper's own
 // protocol (30s ramp, 60s measurement, 5 repetitions, MPL 1..30) is
@@ -49,7 +54,7 @@ func main() {
 		return
 	}
 	if *expFlag == "" {
-		fmt.Fprintln(os.Stderr, "sibench: -exp required (or -list); e.g. -exp fig5a")
+		fmt.Fprintln(os.Stderr, "sibench: -exp required (or -list); e.g. -exp fig5")
 		os.Exit(2)
 	}
 

@@ -48,16 +48,12 @@ func main() {
 	}
 	cfg := engine.Config{Mode: ccMode, Platform: plat}
 
-	db := engine.Open(cfg)
+	db, _, err := smallbank.Open(cfg, smallbank.LoadConfig{Customers: *customers, Seed: 1})
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "sisql:", err)
+		os.Exit(1)
+	}
 	defer db.Close()
-	if err := smallbank.CreateSchema(db); err != nil {
-		fmt.Fprintln(os.Stderr, "sisql:", err)
-		os.Exit(1)
-	}
-	if _, err := smallbank.Load(db, smallbank.LoadConfig{Customers: *customers, Seed: 1}); err != nil {
-		fmt.Fprintln(os.Stderr, "sisql:", err)
-		os.Exit(1)
-	}
 	fmt.Printf("sicost SQL shell — %s/%s, SmallBank with %d customers (names %q..)\n",
 		cfg.Mode, cfg.Platform, *customers, smallbank.CustomerName(0))
 	fmt.Println(`dialect: SELECT/UPDATE/INSERT/DELETE with "WHERE col = value", BEGIN/COMMIT/ROLLBACK; \q quits`)

@@ -32,7 +32,6 @@ import (
 	"time"
 
 	"sicost/internal/core"
-	"sicost/internal/engine"
 	"sicost/internal/experiments"
 	"sicost/internal/server"
 	"sicost/internal/smallbank"
@@ -71,13 +70,9 @@ func main() {
 	// not an interactive server's.
 	engCfg.Res.VirtualCPUs = 0
 
-	db := engine.Open(engCfg)
-	if err := smallbank.CreateSchema(db); err != nil {
-		fmt.Fprintln(os.Stderr, "sisqld:", err)
-		os.Exit(1)
-	}
 	fmt.Fprintf(os.Stderr, "loading %d customers...\n", *customers)
-	if _, err := smallbank.Load(db, smallbank.LoadConfig{Customers: *customers, Seed: *seed}); err != nil {
+	db, _, err := smallbank.Open(engCfg, smallbank.LoadConfig{Customers: *customers, Seed: *seed})
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "sisqld:", err)
 		os.Exit(1)
 	}

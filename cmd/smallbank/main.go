@@ -165,18 +165,6 @@ func main() {
 		engCfg.Faults = faults
 	}
 
-	// The recorder is created disabled so the bulk load below does not
-	// fill the rings; it is switched on for the workload run only.
-	var rec *trace.Recorder
-	if *tracePath != "" {
-		rec = trace.New(trace.Options{Disabled: true})
-		engCfg.Tracer = rec
-	}
-
-	// Load on free hardware, then install the measured profile.
-	measured := engCfg.Res
-	engCfg.Res.VirtualCPUs = 0
-
 	engCfg.AsyncCommit = *walAsync
 
 	var dev *wal.SegmentLog
@@ -216,23 +204,21 @@ func main() {
 			"recovered %s: %d segments, %d checkpoint rows, %d commits replayed, %d torn bytes truncated, CSN %d, %d customers\n",
 			*walPath, rep.Log.Segments, rep.CheckpointRows, rep.ReplayedCommits, rep.Log.TornBytes, rep.HighCSN, *customers)
 	} else {
-		db = engine.Open(engCfg)
-		if err := smallbank.CreateSchema(db); err != nil {
-			fmt.Fprintln(os.Stderr, "smallbank:", err)
-			os.Exit(1)
-		}
 		fmt.Fprintf(os.Stderr, "loading %d customers...\n", *customers)
-		if _, err := smallbank.Load(db, smallbank.LoadConfig{Customers: *customers, Seed: *seed}); err != nil {
+		if db, _, err = smallbank.Open(engCfg, smallbank.LoadConfig{Customers: *customers, Seed: *seed}); err != nil {
 			fmt.Fprintln(os.Stderr, "smallbank:", err)
 			os.Exit(1)
 		}
 	}
 	defer db.Close()
-	db.SetResources(measured)
 	// Armed after the bulk load: the loader's big batch transactions
-	// should not burn the measured run's per-transaction budget.
-	if *txDeadline > 0 {
-		db.SetDefaultTxDeadline(*txDeadline)
+	// should neither burn the measured run's per-transaction budget nor
+	// fill the trace rings.
+	db.SetDefaultTxDeadline(*txDeadline)
+	var rec *trace.Recorder
+	if *tracePath != "" {
+		rec = trace.New(trace.Options{})
+		db.SetTracer(rec)
 	}
 
 	if *pprofAddr != "" {
@@ -279,8 +265,7 @@ func main() {
 	cfg := workload.Config{
 		Strategy: strategy, Customers: *customers,
 		HotspotSize: *hotspot, HotspotProb: 0.9, Mix: mix, // the paper fixes 90 % on the hotspot
-		Ramp: *ramp, Measure: *measure, Seed: *seed,
-		MaxRetries: *retries, Retry: policy,
+		Ramp: *ramp, Measure: *measure, Seed: *seed, Retry: policy,
 		Rate: *rate, MaxInFlight: *maxInFlight,
 		Check: ochk,
 	}
@@ -291,8 +276,6 @@ func main() {
 	}
 	fmt.Fprintf(os.Stderr, "running %s on %s/%s: %s, hotspot %d/%d, %v+%v...\n",
 		strategy.Name, *platform, *mode, load, *hotspot, *customers, *ramp, *measure)
-
-	rec.SetEnabled(true) // no-op when -trace is unset (nil recorder)
 
 	// 2PL and SSI guarantee serializable executions regardless of
 	// strategy; under plain SI only a sound serializable strategy does

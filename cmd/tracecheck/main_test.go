@@ -25,7 +25,8 @@ func writeSkewTrace(t *testing.T) []trace.Event {
 	t.Helper()
 	var tick int64
 	rec := trace.New(trace.Options{Clock: func() int64 { tick++; return tick }})
-	db := engine.Open(engine.Config{Mode: core.SnapshotFUW, Platform: core.PlatformPostgres, Tracer: rec})
+	db := engine.Open(engine.Config{Mode: core.SnapshotFUW, Platform: core.PlatformPostgres})
+	db.SetTracer(rec)
 	defer db.Close()
 	schema := &core.Schema{
 		Name: "T",
@@ -127,7 +128,8 @@ func TestCheckConvictsWriteSkew(t *testing.T) {
 func TestCheckPassesCleanTrace(t *testing.T) {
 	var tick int64
 	rec := trace.New(trace.Options{Clock: func() int64 { tick++; return tick }})
-	db := engine.Open(engine.Config{Mode: core.SnapshotFUW, Platform: core.PlatformPostgres, Tracer: rec})
+	db := engine.Open(engine.Config{Mode: core.SnapshotFUW, Platform: core.PlatformPostgres})
+	db.SetTracer(rec)
 	defer db.Close()
 	schema := &core.Schema{
 		Name:    "T",

@@ -218,13 +218,13 @@ func TestLockTimeoutStillLockTimeout(t *testing.T) {
 	// is the lock timeout and the error class must stay retriable.
 	db := openKV(t, core.SnapshotFUW, core.PlatformPostgres)
 	defer db.Close()
+	db.cfg.LockWaitTimeout = 5 * time.Millisecond
 
 	holder := db.Begin()
 	if err := holder.Update("T", core.Int(1), kv(1, 101)); err != nil {
 		t.Fatal(err)
 	}
 	waiter := db.Begin()
-	waiter.SetLockWaitTimeout(5 * time.Millisecond)
 	waiter.SetDeadline(time.Now().Add(time.Minute))
 	if err := waiter.Update("T", core.Int(1), kv(1, 102)); !errors.Is(err, core.ErrLockTimeout) {
 		t.Fatalf("got %v, want ErrLockTimeout", err)
@@ -233,12 +233,13 @@ func TestLockTimeoutStillLockTimeout(t *testing.T) {
 	holder.Abort()
 }
 
-func TestDefaultTxDeadlineFromConfig(t *testing.T) {
-	db := Open(Config{Mode: core.SnapshotFUW, DefaultTxDeadline: 5 * time.Millisecond})
+func TestSetDefaultTxDeadline(t *testing.T) {
+	db := Open(Config{Mode: core.SnapshotFUW})
 	defer db.Close()
 	if err := db.CreateTable(kvSchema("T")); err != nil {
 		t.Fatal(err)
 	}
+	db.SetDefaultTxDeadline(5 * time.Millisecond)
 	tx := db.Begin()
 	if tx.Deadline().IsZero() {
 		t.Fatal("default deadline not stamped")
@@ -248,6 +249,14 @@ func TestDefaultTxDeadlineFromConfig(t *testing.T) {
 		t.Fatalf("got %v, want ErrTxDeadline", err)
 	}
 	tx.Abort()
+	// Disarmed, the next Begin carries no deadline; the expired handle
+	// kept the one it began with.
+	db.SetDefaultTxDeadline(0)
+	tx = db.Begin()
+	defer tx.Abort()
+	if !tx.Deadline().IsZero() {
+		t.Fatalf("disarmed default still stamped %v", tx.Deadline())
+	}
 }
 
 // TestDeadlineDuringFlushGroupSync covers the WAL flush-group wait: a

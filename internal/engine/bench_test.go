@@ -549,7 +549,7 @@ func BenchmarkRowLock(b *testing.B) {
 		owner, contender := db.Begin(), db.Begin()
 		defer owner.Abort()
 		defer contender.Abort()
-		contender.SetLockWaitTimeout(1)
+		db.cfg.LockWaitTimeout = 1 // the contender gives up at once
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {

@@ -80,8 +80,7 @@ type Config struct {
 	Cost *CostModel
 	// LockWaitTimeout bounds every row-lock wait; a wait that exceeds
 	// it fails with core.ErrLockTimeout (retriable). Zero waits
-	// forever. Transactions can override per-handle with
-	// Tx.SetLockWaitTimeout.
+	// forever.
 	LockWaitTimeout time.Duration
 	// Admission, when non-nil, puts an adaptive concurrency gate in
 	// front of Begin: at most limit transactions execute at once, up
@@ -89,14 +88,6 @@ type Config struct {
 	// core.ErrOverload. An AIMD controller moves the limit from
 	// commit-latency and abort-attribution deltas.
 	Admission *admission.Config
-	// DefaultTxDeadline, when positive, stamps every transaction with
-	// deadline = Begin time + DefaultTxDeadline. The deadline is
-	// honoured in the admission queue, between statements, in lock
-	// waits (bounding them alongside LockWaitTimeout) and in the
-	// sync-commit WAL flush-group wait; expiry fails the transaction
-	// with core.ErrTxDeadline (classified AbortDeadline). Transactions
-	// can override per-handle with Tx.SetDeadline.
-	DefaultTxDeadline time.Duration
 	// CheckpointLogBytes, when positive, runs a background scheduler
 	// that takes a fuzzy incremental checkpoint (Checkpoint) whenever the log has grown by at least this many bytes since the
 	// last checkpoint. Requires a durable device; ignored otherwise.
@@ -117,10 +108,6 @@ type Config struct {
 	// storage and WAL fault points; nil (the default) compiles every
 	// hook down to a pointer test.
 	Faults *faultinject.Registry
-	// Tracer records transaction-lifecycle events (internal/trace); nil
-	// (the default) compiles every emission point down to a pointer
-	// test, and a disabled recorder costs one extra atomic load.
-	Tracer *trace.Recorder
 }
 
 // DB is one simulated database instance.
@@ -211,10 +198,8 @@ type DB struct {
 	admDone chan struct{}
 	admOnce sync.Once
 
-	// defaultDeadline is Config.DefaultTxDeadline as live state
-	// (nanoseconds), so SetDefaultTxDeadline can arm or disarm the
-	// per-transaction budget on a running database — e.g. load without
-	// deadlines, then measure with them.
+	// defaultDeadline is the per-transaction budget SetDefaultTxDeadline
+	// arms (nanoseconds; 0 = none).
 	defaultDeadline atomic.Int64
 
 	// hz is the snapshot horizon (horizon.go).
@@ -249,14 +234,10 @@ func Open(cfg Config) *DB {
 		db.store.SetFaults(cfg.Faults)
 		db.log.SetFaults(cfg.Faults)
 	}
-	if cfg.Tracer != nil {
-		db.setTracer(cfg.Tracer)
-	}
 	db.seqWaiters = make(map[uint64]chan struct{})
 	if cfg.Mode == core.SerializableSI {
 		db.ssi = newSSIState(&db.hz)
 	}
-	db.defaultDeadline.Store(int64(cfg.DefaultTxDeadline))
 	if cfg.Admission != nil {
 		db.gate = admission.New(*cfg.Admission)
 		db.admStop = make(chan struct{})
@@ -783,19 +764,17 @@ func (db *DB) Stats() (commits, aborts uint64) {
 	return db.txnMetrics.Commits.Load(), aborts
 }
 
-// setTracer wires a recorder into every emission layer (engine, lock
-// table, WAL).
-func (db *DB) setTracer(r *trace.Recorder) {
+// SetTracer installs (or, with nil, removes) the lifecycle-event
+// recorder in every emission layer (engine, lock table, WAL); with none
+// installed each emission point is a pointer test. Must not be called
+// while transactions are in flight; to pause and resume capture on a
+// live database, keep the recorder installed and use its SetEnabled
+// switch instead.
+func (db *DB) SetTracer(r *trace.Recorder) {
 	db.tracer = r
 	db.locks.SetTracer(r)
 	db.log.SetTracer(r)
 }
-
-// SetTracer installs (or, with nil, removes) the lifecycle-event
-// recorder after Open. Must not be called while transactions are in
-// flight; to pause and resume capture on a live database, keep the
-// recorder installed and use its SetEnabled switch instead.
-func (db *DB) SetTracer(r *trace.Recorder) { db.setTracer(r) }
 
 // Tracer returns the installed lifecycle recorder (nil when tracing is
 // not configured).
@@ -810,9 +789,13 @@ func (db *DB) TxnMetrics() metrics.TxnSnapshot {
 	return s
 }
 
-// SetDefaultTxDeadline changes the per-transaction time budget stamped
-// on every future Begin (0 disarms it). In-flight transactions keep the
-// deadline they began with.
+// SetDefaultTxDeadline stamps every future Begin with deadline = Begin
+// time + d (0 disarms it; in-flight transactions keep the deadline they
+// began with). The deadline is honoured in the admission queue, between
+// statements, in lock waits (bounding them alongside LockWaitTimeout)
+// and in the sync-commit WAL flush-group wait; expiry fails the
+// transaction with core.ErrTxDeadline (classified AbortDeadline).
+// Tx.SetDeadline overrides it per handle.
 func (db *DB) SetDefaultTxDeadline(d time.Duration) { db.defaultDeadline.Store(int64(d)) }
 
 // Begin starts a transaction. The returned Tx must be finished with
@@ -868,7 +851,6 @@ func (db *DB) Begin() *Tx {
 		id:       db.nextTxID.Add(1),
 		reg:      true,
 		admitted: admitted,
-		lockWait: db.cfg.LockWaitTimeout,
 		deadline: deadline,
 	}
 	// The snapshot point is one atomic load: every CSN ≤ visibleCSN is

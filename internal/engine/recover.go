@@ -5,7 +5,6 @@ import (
 
 	"sicost/internal/core"
 	"sicost/internal/storage"
-	"sicost/internal/trace"
 	"sicost/internal/wal"
 )
 
@@ -33,8 +32,8 @@ type RecoveryReport struct {
 // are replayed in CSN order, unique indexes are rebuilt from
 // the recovered final state, and the CSN sequencer resumes from the
 // recovered high-water mark. cfg configures the revived instance (mode,
-// platform, cost model, faults, tracer); its WAL device is forced to
-// dev, so the revived database keeps appending to the same log.
+// platform, cost model, faults); its WAL device is forced to dev, so the
+// revived database keeps appending to the same log.
 //
 // Recovery is idempotent: recovering the same device twice — or a
 // device and its post-repair copy — yields identical state, because the
@@ -164,13 +163,6 @@ func Recover(dev wal.LogDevice, cfg Config) (*DB, *RecoveryReport, error) {
 		db.chainLinks = info.ChainLinks
 		db.chainRootSeg = 0
 		db.ckptStateMu.Unlock()
-	}
-
-	if db.tracer.Enabled() {
-		db.tracer.Emit(trace.Event{
-			Kind: trace.EvRecovery, CSN: info.HighCSN,
-			Depth: len(info.Commits), Bytes: info.ValidBytes,
-		})
 	}
 	return db, report, nil
 }

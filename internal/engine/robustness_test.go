@@ -89,20 +89,6 @@ func TestLockWaitTimeout(t *testing.T) {
 // TestLockWaitTimeoutPerTx overrides the database default on one
 // transaction: an untimed waiter keeps waiting while the timed one
 // gives up.
-func TestLockWaitTimeoutPerTx(t *testing.T) {
-	db := openKV(t, core.Strict2PL, core.PlatformPostgres)
-	holder := db.Begin()
-	mustSetV(t, holder, 1, 101)
-
-	timed := db.Begin()
-	timed.SetLockWaitTimeout(10 * time.Millisecond)
-	if err := timed.Update("T", core.Int(1), kv(1, 102)); !errors.Is(err, core.ErrLockTimeout) {
-		t.Fatalf("timed waiter: %v, want ErrLockTimeout", err)
-	}
-	timed.Abort()
-	holder.Commit()
-}
-
 func TestCloseDrainsInflight(t *testing.T) {
 	db := Open(Config{Mode: core.SnapshotFUW, Platform: core.PlatformPostgres})
 	if err := db.CreateTable(kvSchema("T")); err != nil {

@@ -81,7 +81,7 @@ func TestThinLockWaiterEjected(t *testing.T) {
 		bound func(*Tx)
 		want  error
 	}{
-		{"lock-timeout", func(tx *Tx) { tx.SetLockWaitTimeout(10 * time.Millisecond) }, core.ErrLockTimeout},
+		{"lock-timeout", func(tx *Tx) { tx.db.cfg.LockWaitTimeout = 10 * time.Millisecond }, core.ErrLockTimeout},
 		{"tx-deadline", func(tx *Tx) { tx.SetDeadline(time.Now().Add(10 * time.Millisecond)) }, core.ErrTxDeadline},
 	} {
 		for _, ownerEnd := range []string{"commit", "abort"} {

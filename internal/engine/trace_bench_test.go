@@ -15,7 +15,8 @@ import (
 // test plus one atomic load.
 func benchCommitTrace(b *testing.B, rec *trace.Recorder) {
 	const rows = 1024
-	db := Open(Config{Mode: core.SnapshotFUW, Platform: core.PlatformPostgres, Tracer: rec})
+	db := Open(Config{Mode: core.SnapshotFUW, Platform: core.PlatformPostgres})
+	db.SetTracer(rec)
 	if err := db.CreateTable(kvSchema("T")); err != nil {
 		b.Fatal(err)
 	}

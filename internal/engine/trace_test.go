@@ -16,7 +16,8 @@ import (
 func traceDB(t *testing.T, mode core.CCMode, rows int64) (*DB, *trace.Recorder) {
 	t.Helper()
 	rec := trace.New(trace.Options{Clock: trace.CounterClock()})
-	db := Open(Config{Mode: mode, Platform: core.PlatformPostgres, Tracer: rec})
+	db := Open(Config{Mode: mode, Platform: core.PlatformPostgres})
+	db.SetTracer(rec)
 	if err := db.CreateTable(kvSchema("T")); err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +263,8 @@ func TestCommitLatencyMetersUpdatingCommits(t *testing.T) {
 
 func TestTraceDisabledRecorderCapturesNothing(t *testing.T) {
 	rec := trace.New(trace.Options{Disabled: true})
-	db := Open(Config{Mode: core.SnapshotFUW, Platform: core.PlatformPostgres, Tracer: rec})
+	db := Open(Config{Mode: core.SnapshotFUW, Platform: core.PlatformPostgres})
+	db.SetTracer(rec)
 	defer db.Close()
 	if err := db.CreateTable(kvSchema("T")); err != nil {
 		t.Fatal(err)

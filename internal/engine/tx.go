@@ -48,11 +48,8 @@ type Tx struct {
 	// admitted marks a handle holding an admission-gate slot; endTx
 	// releases it along with the drain registration.
 	admitted bool
-	// lockWait bounds each row-lock wait (0 = forever); seeded from
-	// Config.LockWaitTimeout, overridable per handle.
-	lockWait time.Duration
 	// deadline is the transaction's absolute time budget (zero = none);
-	// seeded from Config.DefaultTxDeadline, overridable per handle.
+	// seeded from DB.SetDefaultTxDeadline, overridable per handle.
 	// Checked between statements, bounded into every lock wait, and
 	// honoured by the sync-commit WAL flush-group wait.
 	deadline time.Time
@@ -162,13 +159,6 @@ func (tx *Tx) StartCSN() uint64 { return tx.start }
 // names the programs on its cycle.
 func (tx *Tx) SetTag(tag string) { tx.tag = tag }
 
-// SetLockWaitTimeout overrides the database's lock-wait deadline for
-// this transaction (0 = wait forever): PostgreSQL's per-session
-// lock_timeout. A wait exceeding the deadline fails the statement with
-// core.ErrLockTimeout, which is retriable — the standard discipline
-// aborts and reruns the transaction.
-func (tx *Tx) SetLockWaitTimeout(d time.Duration) { tx.lockWait = d }
-
 // SetDeadline overrides the transaction's absolute deadline (zero
 // clears it). Past the deadline every statement fails with
 // core.ErrTxDeadline, a lock wait still pending is withdrawn with the
@@ -230,11 +220,11 @@ func (tx *Tx) Durable() <-chan error {
 	return closedDurable
 }
 
-// acquire takes the row lock behind the FaultLockAcquire point and the
-// transaction's lock-wait deadline. With row set (the SI modes, where
-// every lock is an exclusive lock on a row anchor in hand) the lock is
-// the row's owner word unless somebody contends for it; without, the
-// request goes through the lock table.
+// acquire takes the row lock behind the FaultLockAcquire point, bounded
+// by Config.LockWaitTimeout and the transaction's deadline. With row set
+// (the SI modes, where every lock is an exclusive lock on a row anchor in
+// hand) the lock is the row's owner word unless somebody contends for
+// it; without, the request goes through the lock table.
 func (tx *Tx) acquire(key storage.LockKey, mode storage.LockMode, row *storage.Row) error {
 	if tx.db.faults != nil {
 		if err := tx.db.faults.Fire(FaultLockAcquire, faultinject.Ctx{Tx: tx.id, Table: key.Table, Key: key.Key}); err != nil {
@@ -242,9 +232,9 @@ func (tx *Tx) acquire(key storage.LockKey, mode storage.LockMode, row *storage.R
 		}
 	}
 	if row == nil {
-		return tx.db.locks.AcquireUntil(tx.id, key, mode, tx.lockWait, tx.deadline)
+		return tx.db.locks.AcquireUntil(tx.id, key, mode, tx.db.cfg.LockWaitTimeout, tx.deadline)
 	}
-	thin, err := tx.db.locks.AcquireRowUntil(tx.id, key, row, tx.lockWait, tx.deadline)
+	thin, err := tx.db.locks.AcquireRowUntil(tx.id, key, row, tx.db.cfg.LockWaitTimeout, tx.deadline)
 	if thin {
 		tx.borrow()
 		tx.thin = append(tx.thin, row)

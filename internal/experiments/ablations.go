@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -18,17 +19,15 @@ import (
 // contention where the difference is starkest.
 func runAblationFixedRow(cfg Config) (*Result, error) {
 	cfg = cfg.Defaults()
-	return throughputFigure("ablation-fixedrow",
-		"Ablation: per-customer vs single-row materialization of the WT edge (PostgreSQL, hotspot 10, 60% Balance)",
-		cfg, PostgresDB(cfg.Scale), workload.BalanceHeavyMix(0.6), 10, defaultHotProb,
-		[]*smallbank.Strategy{
-			smallbank.StrategySI,
-			smallbank.StrategyMaterializeWT,
-			smallbank.StrategyMaterializeWTFixed,
+	return throughput(cfg, &Result{
+		ID:    "ablation-fixedrow",
+		Title: "Ablation: per-customer vs single-row materialization of the WT edge (PostgreSQL, hotspot 10, 60% Balance)",
+		Notes: []string{
+			"Expected: the fixed-row variant makes every WC/TS pair conflict regardless of",
+			"customer, collapsing throughput well below per-customer materialization.",
 		},
-		"Expected: the fixed-row variant makes every WC/TS pair conflict regardless of",
-		"customer, collapsing throughput well below per-customer materialization.",
-	)
+	}, strategies(PostgresDB(cfg.Scale), highContention(),
+		smallbank.StrategySI, smallbank.StrategyMaterializeWT, smallbank.StrategyMaterializeWTFixed))
 }
 
 // runAblationGroupCommit isolates the provenance of the rising
@@ -37,35 +36,17 @@ func runAblationFixedRow(cfg Config) (*Result, error) {
 // flattens immediately.
 func runAblationGroupCommit(cfg Config) (*Result, error) {
 	cfg = cfg.Defaults()
-	res := &Result{
+	wl := standard(cfg)
+	wl.Strategy = smallbank.StrategySI
+	single := PostgresDB(cfg.Scale)
+	single.WAL.MaxBatch = 1 // one commit record per device sync
+	return throughput(cfg, &Result{
 		ID: "ablation-groupcommit", Title: "Ablation: group commit on/off (PostgreSQL, plain SI)",
-		XLabel: "MPL", YLabel: "TPS",
 		Notes: []string{
 			"Expected: without group commit the log device serializes commits (~1/fsync per",
 			"updater), so throughput saturates far below the group-commit configuration.",
 		},
-	}
-	for _, variant := range []struct {
-		name     string
-		maxBatch int
-	}{
-		{"group-commit", 0},
-		// One commit record per device sync.
-		{"no-group-commit", 1},
-	} {
-		engCfg := PostgresDB(cfg.Scale)
-		engCfg.WAL.MaxBatch = variant.maxBatch
-		cfg.logf("ablation-groupcommit: %s", variant.name)
-		s, err := runSweep(variant.name, sweepSpec{
-			strategy: smallbank.StrategySI, engCfg: engCfg,
-			mix: workload.UniformMix(), hotspot: hotspotFor(cfg, defaultHotspot), hotProb: defaultHotProb,
-		}, cfg)
-		if err != nil {
-			return nil, err
-		}
-		res.Series = append(res.Series, s)
-	}
-	return res, nil
+	}, []series{{"group-commit", PostgresDB(cfg.Scale), wl}, {"no-group-commit", single, wl}})
 }
 
 // runAblationEngine compares the application-level repairs against
@@ -73,36 +54,23 @@ func runAblationGroupCommit(cfg Config) (*Result, error) {
 // shipped) and strict 2PL, all on the PostgreSQL hardware profile.
 func runAblationEngine(cfg Config) (*Result, error) {
 	cfg = cfg.Defaults()
-	res := &Result{
+	on := func(name string, mode core.CCMode, s *smallbank.Strategy) series {
+		wl := standard(cfg)
+		wl.Strategy = s
+		return series{name, ModeDB(mode, cfg.Scale), wl}
+	}
+	return throughput(cfg, &Result{
 		ID: "ablation-engine", Title: "Extension: engine-level serializability (SSI, 2PL) vs app-level strategies (PostgreSQL profile)",
-		XLabel: "MPL", YLabel: "TPS",
 		Notes: []string{
 			"SI and PromoteWT-upd bound the app-level cost; SSI pays runtime conflict",
 			"tracking and false-positive aborts; 2PL blocks readers behind writers.",
 		},
-	}
-	variants := []struct {
-		name     string
-		mode     core.CCMode
-		strategy *smallbank.Strategy
-	}{
-		{"SI (unsafe)", core.SnapshotFUW, smallbank.StrategySI},
-		{"PromoteWT-upd", core.SnapshotFUW, smallbank.StrategyPromoteWTUpd},
-		{"SSI engine", core.SerializableSI, smallbank.StrategySI},
-		{"2PL engine", core.Strict2PL, smallbank.StrategySI},
-	}
-	for _, v := range variants {
-		cfg.logf("ablation-engine: %s", v.name)
-		s, err := runSweep(v.name, sweepSpec{
-			strategy: v.strategy, engCfg: ModeDB(v.mode, cfg.Scale),
-			mix: workload.UniformMix(), hotspot: hotspotFor(cfg, defaultHotspot), hotProb: defaultHotProb,
-		}, cfg)
-		if err != nil {
-			return nil, err
-		}
-		res.Series = append(res.Series, s)
-	}
-	return res, nil
+	}, []series{
+		on("SI (unsafe)", core.SnapshotFUW, smallbank.StrategySI),
+		on("PromoteWT-upd", core.SnapshotFUW, smallbank.StrategyPromoteWTUpd),
+		on("SSI engine", core.SerializableSI, smallbank.StrategySI),
+		on("2PL engine", core.Strict2PL, smallbank.StrategySI),
+	})
 }
 
 // runAblationAdvisor validates the paper's future-work tool: the
@@ -121,9 +89,10 @@ func runAblationAdvisor(cfg Config) (*Result, error) {
 		Fsync: LogDevice(cfg.Scale).FsyncLatency,
 		Cost:  engine.DefaultCostModel(core.PlatformPostgres).Scaled(cfg.Scale),
 	}
-	hot := hotspotFor(cfg, defaultHotspot)
+	wl := standard(cfg)
+	wl.MPL = 20
 	preds, err := advisor.Advise(smallbank.BasePrograms(), advisor.Workload{
-		Weights: weights, HotspotSize: hot, HotspotProb: defaultHotProb, MPL: 20,
+		Weights: weights, HotspotSize: wl.HotspotSize, HotspotProb: wl.HotspotProb, MPL: wl.MPL,
 	}, plat)
 	if err != nil {
 		return nil, err
@@ -138,28 +107,6 @@ func runAblationAdvisor(cfg Config) (*Result, error) {
 		"all:materialize":     smallbank.StrategyMaterializeALL,
 		"all:promote-upd":     smallbank.StrategyPromoteALL,
 	}
-	measure := func(s *smallbank.Strategy) (float64, error) {
-		var tps []float64
-		for rep := 0; rep < cfg.Reps; rep++ {
-			db, err := newLoadedDB(PostgresDB(cfg.Scale), cfg)
-			if err != nil {
-				return 0, err
-			}
-			out, err := workload.Run(db, workload.Config{
-				Strategy: s, MPL: 20, Customers: cfg.Customers,
-				HotspotSize: hot, HotspotProb: defaultHotProb,
-				Ramp: cfg.Ramp, Measure: cfg.Measure,
-				Seed: cfg.Seed + int64(rep+1)*104729,
-			})
-			db.Close()
-			if err != nil {
-				return 0, err
-			}
-			tps = append(tps, out.TPS)
-		}
-		mean, _ := ci95(tps)
-		return mean, nil
-	}
 
 	type rowT struct {
 		name                string
@@ -173,11 +120,12 @@ func runAblationAdvisor(cfg Config) (*Result, error) {
 			continue // sfu options are not sound on PostgreSQL
 		}
 		cfg.logf("ablation-advisor: measuring %s", s.Name)
-		m, err := measure(s)
+		wl.Strategy = s
+		rs, err := measure(cfg, PostgresDB(cfg.Scale), wl)
 		if err != nil {
 			return nil, err
 		}
-		rows = append(rows, rowT{p.Option.Name, p.TPS, m, p.Sound})
+		rows = append(rows, rowT{p.Option.Name, p.TPS, reduce("", rs, tps).Mean, p.Sound})
 	}
 
 	// Rank agreement: Spearman-style check on the two orderings.
@@ -229,96 +177,41 @@ func runAblationAdvisor(cfg Config) (*Result, error) {
 // updater add the log wait to every transaction.
 func runAblationLatency(cfg Config) (*Result, error) {
 	cfg = cfg.Defaults()
-	res := &Result{
+	return sweep(cfg, &Result{
 		ID: "ablation-latency", Title: "Ablation: mean response time over MPL (PostgreSQL)",
 		XLabel: "MPL", YLabel: "mean response time (ms)",
 		Notes: []string{
 			"Closed system: once the CPU saturates, added clients only add queueing delay,",
 			"so response time grows linearly past the throughput knee.",
 		},
-	}
-	for _, s := range []*smallbank.Strategy{
-		smallbank.StrategySI, smallbank.StrategyPromoteWTUpd, smallbank.StrategyPromoteBWUpd,
-	} {
-		series := Series{Name: s.Name}
-		for _, mpl := range cfg.MPLs {
-			var ms []float64
-			for rep := 0; rep < cfg.Reps; rep++ {
-				db, err := newLoadedDB(PostgresDB(cfg.Scale), cfg)
-				if err != nil {
-					return nil, err
-				}
-				out, err := workload.Run(db, workload.Config{
-					Strategy: s, MPL: mpl, Customers: cfg.Customers,
-					HotspotSize: hotspotFor(cfg, defaultHotspot), HotspotProb: defaultHotProb,
-					Ramp: cfg.Ramp, Measure: cfg.Measure,
-					Seed: cfg.Seed + int64(rep+1)*104729,
-				})
-				db.Close()
-				if err != nil {
-					return nil, err
-				}
-				ms = append(ms, float64(out.Latency.Mean().Microseconds())/1000)
-			}
-			mean, ci := ci95(ms)
-			series.Points = append(series.Points, Point{Label: fmt.Sprintf("%d", mpl), Mean: mean, CI: ci})
-			cfg.logf("  %-18s MPL %-3d  %6.2f ms ±%.2f", s.Name, mpl, mean, ci)
-		}
-		res.Series = append(res.Series, series)
-	}
-	return res, nil
+	}, strategies(PostgresDB(cfg.Scale), standard(cfg),
+		smallbank.StrategySI, smallbank.StrategyPromoteWTUpd, smallbank.StrategyPromoteBWUpd),
+		cfg.MPLs, setMPL, func(r *workload.Result) float64 { return float64(r.Latency.Mean().Microseconds()) / 1000 })
 }
 
 // runAblationHotspot sweeps the hotspot size between the paper's two
 // operating points (1000 and 10), showing the contention continuum that
-// separates Figure 5 from Figure 7.
+// separates Figure 5 from Figure 7. Sizes are clamped to the loaded
+// table like every hotspot here, and each size is measured once, under
+// the label of the size it is.
 func runAblationHotspot(cfg Config) (*Result, error) {
 	cfg = cfg.Defaults()
-	res := &Result{
+	sizes := []int{10, 30, 100, 300, 1000}
+	for i, h := range sizes {
+		sizes[i] = hotspotFor(cfg, h)
+	}
+	slices.Sort(sizes)
+	sizes = slices.Compact(sizes)
+	wl := highContention()
+	wl.MPL = 20
+	return sweep(cfg, &Result{
 		ID: "ablation-hotspot", Title: "Ablation: hotspot-size sweep at MPL=20 (PostgreSQL, 60% Balance)",
 		XLabel: "hotspot size", YLabel: "TPS",
 		Notes: []string{
 			"Expected: MaterializeBW degrades as the hotspot shrinks (conflict-table",
 			"collisions grow ~1/hotspot); PromoteWT-upd tracks SI throughout.",
 		},
-	}
-	hotspots := []int{10, 30, 100, 300, 1000}
-	strategies := []*smallbank.Strategy{
-		smallbank.StrategySI,
-		smallbank.StrategyPromoteWTUpd,
-		smallbank.StrategyMaterializeBW,
-	}
-	for _, s := range strategies {
-		series := Series{Name: s.Name}
-		for _, h := range hotspots {
-			hs := h
-			if hs >= cfg.Customers {
-				hs = cfg.Customers / 2
-			}
-			var tps []float64
-			for rep := 0; rep < cfg.Reps; rep++ {
-				db, err := newLoadedDB(PostgresDB(cfg.Scale), cfg)
-				if err != nil {
-					return nil, err
-				}
-				out, err := workload.Run(db, workload.Config{
-					Strategy: s, MPL: 20, Customers: cfg.Customers,
-					HotspotSize: hs, HotspotProb: defaultHotProb,
-					Mix:  workload.BalanceHeavyMix(0.6),
-					Ramp: cfg.Ramp, Measure: cfg.Measure,
-					Seed: cfg.Seed + int64(rep+1)*104729,
-				})
-				db.Close()
-				if err != nil {
-					return nil, err
-				}
-				tps = append(tps, out.TPS)
-			}
-			mean, ci := ci95(tps)
-			series.Points = append(series.Points, Point{Label: fmt.Sprintf("%d", h), Mean: mean, CI: ci})
-			cfg.logf("  %-18s hotspot %-5d %8.0f TPS ±%.0f", s.Name, h, mean, ci)
-		}
-		res.Series = append(res.Series, series)
-	}
-	return res, nil
+	}, strategies(PostgresDB(cfg.Scale), wl,
+		smallbank.StrategySI, smallbank.StrategyPromoteWTUpd, smallbank.StrategyMaterializeBW),
+		sizes, func(wl *workload.Config, h int) { wl.HotspotSize = h }, tps)
 }

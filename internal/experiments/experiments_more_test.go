@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -14,16 +15,19 @@ func tinyCfg() Config {
 	}
 }
 
-func TestFig5bQuick(t *testing.T) {
-	res, err := runFig5b(tinyCfg())
-	if err != nil {
-		t.Fatal(err)
+// checkRelativePanel holds a figure with a relative panel to its shape:
+// Series is the absolute panel, SI first, and Text renders the relative
+// panel derived from it, in which SI is the baseline and not a series.
+func checkRelativePanel(t *testing.T, res *Result, series int) {
+	t.Helper()
+	if len(res.Series) != series || res.Series[0].Name != "SI" {
+		t.Fatalf("absolute panel: %d series, first %q", len(res.Series), res.Series[0].Name)
 	}
-	// Relative figure: SI itself is the baseline and not a series.
-	if len(res.Series) != 4 {
-		t.Fatalf("series = %d", len(res.Series))
+	rel := relativeToFirst(res.Series)
+	if len(rel) != series-1 {
+		t.Fatalf("relative series = %d", len(rel))
 	}
-	for _, s := range res.Series {
+	for _, s := range rel {
 		if s.Name == "SI" {
 			t.Fatal("baseline must not appear in the relative figure")
 		}
@@ -33,6 +37,20 @@ func TestFig5bQuick(t *testing.T) {
 			}
 		}
 	}
+	if want := RenderTable(&Result{XLabel: res.XLabel, Series: rel}); !strings.Contains(res.Text, want) {
+		t.Fatalf("Text does not carry the relative panel:\n%s", res.Text)
+	}
+	if RenderCSV(res) == "" {
+		t.Fatal("no CSV for the absolute panel")
+	}
+}
+
+func TestFig5Quick(t *testing.T) {
+	res, err := runFig5(tinyCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkRelativePanel(t, res, 5)
 }
 
 func TestFig8Quick(t *testing.T) {
@@ -40,10 +58,7 @@ func TestFig8Quick(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Merged panels render into Text.
-	if !strings.Contains(res.Text, "Figure 8(a)") || !strings.Contains(res.Text, "Figure 8(b)") {
-		t.Fatalf("merged panels missing:\n%s", res.Text)
-	}
+	checkRelativePanel(t, res, 4)
 	if !strings.Contains(res.Text, "PromoteWT-sfu") {
 		t.Fatal("sfu series missing")
 	}
@@ -54,7 +69,8 @@ func TestFig9Quick(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(res.Text, "PromoteBW-sfu") || !strings.Contains(res.Text, "Figure 9(b)") {
+	checkRelativePanel(t, res, 4)
+	if !strings.Contains(res.Text, "PromoteBW-sfu") {
 		t.Fatalf("fig9 output:\n%s", res.Text)
 	}
 }
@@ -130,9 +146,16 @@ func TestAblationHotspotQuick(t *testing.T) {
 	if len(res.Series) != 3 {
 		t.Fatalf("series = %d", len(res.Series))
 	}
+	// 300 customers: the 300 and 1000 hotspots both clamp to 150, which
+	// is measured once and labelled as what it is.
+	want := []string{"10", "30", "100", "150"}
 	for _, s := range res.Series {
-		if len(s.Points) != 5 {
-			t.Fatalf("%s hotspot points = %d", s.Name, len(s.Points))
+		var got []string
+		for _, p := range s.Points {
+			got = append(got, p.Label)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("%s hotspot labels = %v, want %v", s.Name, got, want)
 		}
 	}
 }

@@ -17,7 +17,7 @@ func quickCfg() Config {
 
 func TestAllExperimentsRegistered(t *testing.T) {
 	want := []string{
-		"table1", "fig1", "fig2", "fig3", "fig4", "fig5a", "fig5b",
+		"table1", "fig1", "fig2", "fig3", "fig4", "fig5",
 		"fig6", "fig7", "fig8", "fig9", "anomaly",
 		"ablation-fixedrow", "ablation-groupcommit", "ablation-engine", "ablation-hotspot",
 		"ablation-advisor", "ablation-latency",
@@ -111,23 +111,22 @@ func TestThroughputFigureQuick(t *testing.T) {
 }
 
 func TestRelativeToFirst(t *testing.T) {
-	abs := &Result{
-		XLabel: "MPL",
-		Series: []Series{
-			{Name: "SI", Points: []Point{{Label: "1", Mean: 200}, {Label: "2", Mean: 400}}},
-			{Name: "X", Points: []Point{{Label: "1", Mean: 100, CI: 20}, {Label: "2", Mean: 400}}},
-		},
+	rel := relativeToFirst([]Series{
+		{Name: "SI", Points: []Point{{Label: "1", Mean: 200}, {Label: "2", Mean: 400}}},
+		{Name: "X", Points: []Point{{Label: "1", Mean: 100, CI: 20}, {Label: "2", Mean: 400}}},
+	})
+	if len(rel) != 1 {
+		t.Fatalf("series = %d", len(rel))
 	}
-	rel := relativeToFirst(abs, "r", "rel")
-	if len(rel.Series) != 1 {
-		t.Fatalf("series = %d", len(rel.Series))
-	}
-	p1 := rel.Series[0].Point("1")
+	p1 := rel[0].Point("1")
 	if p1 == nil || p1.Mean != 50 || p1.CI != 10 {
 		t.Fatalf("point 1 = %+v", p1)
 	}
-	if p2 := rel.Series[0].Point("2"); p2 == nil || p2.Mean != 100 {
+	if p2 := rel[0].Point("2"); p2 == nil || p2.Mean != 100 {
 		t.Fatalf("point 2 = %+v", p2)
+	}
+	if relativeToFirst(nil) != nil {
+		t.Fatal("no series, no relative panel")
 	}
 }
 
@@ -167,18 +166,6 @@ func TestAnomalyExperiment(t *testing.T) {
 	}
 	if strings.Contains(res.Text, "stochastic hotspot run serializable: false") {
 		t.Fatalf("a strategy produced a cycle under load:\n%s", res.Text)
-	}
-}
-
-func TestMergeResults(t *testing.T) {
-	a := &Result{Title: "A", Series: []Series{{Name: "s", Points: []Point{{Label: "1", Mean: 1}}}}, Notes: []string{"n1"}}
-	b := &Result{Title: "B", Text: "bee"}
-	m := mergeResults("m", "M", a, b)
-	if !strings.Contains(m.Text, "--- A ---") || !strings.Contains(m.Text, "bee") {
-		t.Fatalf("merge:\n%s", m.Text)
-	}
-	if len(m.Notes) != 1 {
-		t.Fatal("notes not lifted")
 	}
 }
 

@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-
 	"sicost/internal/smallbank"
 	"sicost/internal/workload"
 )
@@ -24,20 +22,30 @@ func hotspotFor(cfg Config, want int) int {
 	return want
 }
 
+// standard is the workload of Figures 4–6, 8 and 9.
+func standard(cfg Config) workload.Config {
+	return workload.Config{Mix: workload.UniformMix(),
+		HotspotSize: hotspotFor(cfg, defaultHotspot), HotspotProb: defaultHotProb}
+}
+
+// highContention is Figure 7's workload: 60% Balance, 90% of
+// transactions on a hotspot of 10 customers.
+func highContention() workload.Config {
+	return workload.Config{Mix: workload.BalanceHeavyMix(0.6), HotspotSize: 10, HotspotProb: defaultHotProb}
+}
+
 // runFig4 — eliminating ALL vulnerable edges on PostgreSQL: SI vs
 // MaterializeALL vs PromoteALL.
 func runFig4(cfg Config) (*Result, error) {
 	cfg = cfg.Defaults()
-	return throughputFigure("fig4", "Figure 4: costs for SI-serializability when eliminating ALL vulnerable edges (PostgreSQL)",
-		cfg, PostgresDB(cfg.Scale), workload.UniformMix(), hotspotFor(cfg, defaultHotspot), defaultHotProb,
-		[]*smallbank.Strategy{
-			smallbank.StrategySI,
-			smallbank.StrategyMaterializeALL,
-			smallbank.StrategyPromoteALL,
+	return throughput(cfg, &Result{
+		ID: "fig4", Title: "Figure 4: costs for SI-serializability when eliminating ALL vulnerable edges (PostgreSQL)",
+		Notes: []string{
+			"Paper shape: PromoteALL starts ~20% below SI and climbs to ~95%;",
+			"MaterializeALL plateaus ~25% below SI.",
 		},
-		"Paper shape: PromoteALL starts ~20% below SI and climbs to ~95%;",
-		"MaterializeALL plateaus ~25% below SI.",
-	)
+	}, strategies(PostgresDB(cfg.Scale), standard(cfg),
+		smallbank.StrategySI, smallbank.StrategyMaterializeALL, smallbank.StrategyPromoteALL))
 }
 
 // fig5Strategies are the four targeted repairs compared in Figure 5.
@@ -51,29 +59,19 @@ func fig5Strategies() []*smallbank.Strategy {
 	}
 }
 
-// runFig5a — absolute throughput for the WT and BW options (PostgreSQL).
-func runFig5a(cfg Config) (*Result, error) {
+// runFig5 — throughput of the WT and BW options on PostgreSQL, absolute
+// (a) and relative to SI (b).
+func runFig5(cfg Config) (*Result, error) {
 	cfg = cfg.Defaults()
-	return throughputFigure("fig5a", "Figure 5(a): throughput over MPL, Options WT and BW (PostgreSQL)",
-		cfg, PostgresDB(cfg.Scale), workload.UniformMix(), hotspotFor(cfg, defaultHotspot), defaultHotProb,
-		fig5Strategies(),
-		"Paper shape: PromoteWT indistinguishable from SI; MaterializeWT ~90% of SI's peak;",
-		"BW options pay ~20% at MPL=1 (Balance must hit the log disk) and converge upward.",
-	)
-}
-
-// runFig5b — the same data normalized to SI.
-func runFig5b(cfg Config) (*Result, error) {
-	cfg = cfg.Defaults()
-	abs, err := runFig5a(cfg)
-	if err != nil {
-		return nil, err
-	}
-	rel := relativeToFirst(abs, "fig5b", "Figure 5(b): throughput relative to SI (PostgreSQL)")
-	rel.Notes = append(rel.Notes,
-		"Paper shape: WT options ~100% at MPL=1; BW options ~80% at MPL=1 (the 5/4 disk-write ratio);",
-		"the gap narrows as MPL grows — the reverse cost profile of Option WT.")
-	return rel, nil
+	return withRelative(throughput(cfg, &Result{
+		ID: "fig5", Title: "Figure 5: throughput over MPL, Options WT and BW (PostgreSQL)",
+		Notes: []string{
+			"Paper shape: PromoteWT indistinguishable from SI; MaterializeWT ~90% of SI's peak;",
+			"BW options pay ~20% at MPL=1 (Balance must hit the log disk) and converge upward.",
+			"Relative: WT options ~100% at MPL=1; BW options ~80% at MPL=1 (the 5/4 disk-write ratio);",
+			"the gap narrows as MPL grows — the reverse cost profile of Option WT.",
+		},
+	}, strategies(PostgresDB(cfg.Scale), standard(cfg), fig5Strategies()...)))
 }
 
 // runFig6 — serialization-failure abort rates per transaction type at
@@ -89,38 +87,21 @@ func runFig6(cfg Config) (*Result, error) {
 			"promoted Balance write conflicts with every updater of Checking.",
 		},
 	}
-	strategies := fig5Strategies()
-	for _, s := range strategies {
-		cfg.logf("fig6: strategy %s", s.Name)
-		series := Series{Name: s.Name}
-		byType := make([][]float64, smallbank.NumTxnTypes)
-		for rep := 0; rep < cfg.Reps; rep++ {
-			db, err := newLoadedDB(PostgresDB(cfg.Scale), cfg)
-			if err != nil {
-				return nil, err
-			}
-			out, err := workload.Run(db, workload.Config{
-				Strategy: s,
-				MPL:      20, Customers: cfg.Customers,
-				HotspotSize: hotspotFor(cfg, defaultHotspot), HotspotProb: defaultHotProb,
-				Ramp: cfg.Ramp, Measure: cfg.Measure,
-				Seed: cfg.Seed + int64(rep+1)*104729,
-			})
-			db.Close()
-			if err != nil {
-				return nil, err
-			}
-			for t := 0; t < smallbank.NumTxnTypes; t++ {
-				byType[t] = append(byType[t], 100*out.PerType[t].SerializationAbortRate())
-			}
+	wl := standard(cfg)
+	wl.MPL = 20
+	for _, s := range strategies(PostgresDB(cfg.Scale), wl, fig5Strategies()...) {
+		cfg.logf("fig6: %s", s.name)
+		rs, err := measure(cfg, s.eng, s.wl)
+		if err != nil {
+			return nil, err
 		}
-		for t := 0; t < smallbank.NumTxnTypes; t++ {
-			mean, ci := ci95(byType[t])
-			series.Points = append(series.Points, Point{
-				Label: smallbank.TxnType(t).String(), Mean: mean, CI: ci,
-			})
+		line := Series{Name: s.name}
+		for t := range smallbank.NumTxnTypes {
+			line.Points = append(line.Points, reduce(smallbank.TxnType(t).String(), rs, func(r *workload.Result) float64 {
+				return 100 * r.PerType[t].SerializationAbortRate()
+			}))
 		}
-		res.Series = append(res.Series, series)
+		res.Series = append(res.Series, line)
 	}
 	return res, nil
 }
@@ -128,72 +109,39 @@ func runFig6(cfg Config) (*Result, error) {
 // runFig7 — high contention: hotspot of 10 customers, 60% Balance mix.
 func runFig7(cfg Config) (*Result, error) {
 	cfg = cfg.Defaults()
-	return throughputFigure("fig7", "Figure 7: costs with high contention (PostgreSQL; hotspot 10, 60% Balance)",
-		cfg, PostgresDB(cfg.Scale), workload.BalanceHeavyMix(0.6), 10, defaultHotProb,
-		[]*smallbank.Strategy{
-			smallbank.StrategySI,
-			smallbank.StrategyMaterializeBW,
-			smallbank.StrategyPromoteBWUpd,
-			smallbank.StrategyMaterializeWT,
-			smallbank.StrategyPromoteWTUpd,
-			smallbank.StrategyMaterializeALL,
-			smallbank.StrategyPromoteALL,
+	return throughput(cfg, &Result{
+		ID: "fig7", Title: "Figure 7: costs with high contention (PostgreSQL; hotspot 10, 60% Balance)",
+		Notes: []string{
+			"Paper shape: eliminating the WT edge costs almost nothing; MaterializeBW ~½ of SI;",
+			"the ALL strategies bottom out around 40% of SI — the headline 'up to 60% lower throughput'.",
 		},
-		"Paper shape: eliminating the WT edge costs almost nothing; MaterializeBW ~½ of SI;",
-		"the ALL strategies bottom out around 40% of SI — the headline 'up to 60% lower throughput'.",
-	)
+	}, strategies(PostgresDB(cfg.Scale), highContention(),
+		append(fig5Strategies(), smallbank.StrategyMaterializeALL, smallbank.StrategyPromoteALL)...))
 }
 
-// runFig8 — Option WT on the commercial platform (absolute + relative).
+// runFig8 — Option WT on the commercial platform, absolute and relative.
 func runFig8(cfg Config) (*Result, error) {
 	cfg = cfg.Defaults()
-	abs, err := throughputFigure("fig8a", "Figure 8(a): Option WT throughput (Commercial Platform)",
-		cfg, CommercialDB(cfg.Scale), workload.UniformMix(), hotspotFor(cfg, defaultHotspot), defaultHotProb,
-		[]*smallbank.Strategy{
-			smallbank.StrategySI,
-			smallbank.StrategyMaterializeWT,
-			smallbank.StrategyPromoteWTSfu,
-			smallbank.StrategyPromoteWTUpd,
+	return withRelative(throughput(cfg, &Result{
+		ID: "fig8", Title: "Figure 8: eliminating the WT vulnerability (Commercial Platform)",
+		Notes: []string{
+			"Paper shape: throughput peaks near MPL 20-25 then declines (per-session overhead);",
+			"PromoteWT-sfu reaches SI's peak; materialization beats promotion-by-update here —",
+			"the reverse of PostgreSQL (guideline 4).",
 		},
-		"Paper shape: throughput peaks near MPL 20-25 then declines (per-session overhead);",
-		"PromoteWT-sfu reaches SI's peak; materialization beats promotion-by-update here —",
-		"the reverse of PostgreSQL (guideline 4).",
-	)
-	if err != nil {
-		return nil, err
-	}
-	rel := relativeToFirst(abs, "fig8b", "Figure 8(b): throughput relative to SI (Commercial Platform)")
-	return mergeResults("fig8", "Figure 8: eliminating the WT vulnerability (Commercial Platform)", abs, rel), nil
+	}, strategies(CommercialDB(cfg.Scale), standard(cfg), smallbank.StrategySI,
+		smallbank.StrategyMaterializeWT, smallbank.StrategyPromoteWTSfu, smallbank.StrategyPromoteWTUpd)))
 }
 
-// runFig9 — Option BW on the commercial platform (absolute + relative).
+// runFig9 — Option BW on the commercial platform, absolute and relative.
 func runFig9(cfg Config) (*Result, error) {
 	cfg = cfg.Defaults()
-	abs, err := throughputFigure("fig9a", "Figure 9(a): Option BW throughput (Commercial Platform)",
-		cfg, CommercialDB(cfg.Scale), workload.UniformMix(), hotspotFor(cfg, defaultHotspot), defaultHotProb,
-		[]*smallbank.Strategy{
-			smallbank.StrategySI,
-			smallbank.StrategyMaterializeBW,
-			smallbank.StrategyPromoteBWSfu,
-			smallbank.StrategyPromoteBWUpd,
+	return withRelative(throughput(cfg, &Result{
+		ID: "fig9", Title: "Figure 9: eliminating the BW vulnerability (Commercial Platform)",
+		Notes: []string{
+			"Paper shape: every BW repair loses at least ~10% of peak; PromoteBW-upd peaks at",
+			"~80% of SI's throughput.",
 		},
-		"Paper shape: every BW repair loses at least ~10% of peak; PromoteBW-upd peaks at",
-		"~80% of SI's throughput.",
-	)
-	if err != nil {
-		return nil, err
-	}
-	rel := relativeToFirst(abs, "fig9b", "Figure 9(b): throughput relative to SI (Commercial Platform)")
-	return mergeResults("fig9", "Figure 9: eliminating the BW vulnerability (Commercial Platform)", abs, rel), nil
-}
-
-// mergeResults renders two panels as one result.
-func mergeResults(id, title string, parts ...*Result) *Result {
-	out := &Result{ID: id, Title: title}
-	for _, p := range parts {
-		out.Text += fmt.Sprintf("--- %s ---\n%s\n", p.Title, RenderTable(p))
-		out.Notes = append(out.Notes, p.Notes...)
-		p.Notes = nil
-	}
-	return out
+	}, strategies(CommercialDB(cfg.Scale), standard(cfg), smallbank.StrategySI,
+		smallbank.StrategyMaterializeBW, smallbank.StrategyPromoteBWSfu, smallbank.StrategyPromoteBWUpd)))
 }

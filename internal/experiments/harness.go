@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strconv"
 	"time"
 
 	"sicost/internal/engine"
@@ -98,7 +99,8 @@ type Result struct {
 	Series         []Series
 	// Notes carries shape expectations and caveats shown with the data.
 	Notes []string
-	// Text is pre-rendered non-tabular output (static analyses).
+	// Text is pre-rendered output: a static analysis, or the relative
+	// panel of a throughput figure.
 	Text string
 }
 
@@ -116,8 +118,7 @@ func All() []Experiment {
 		{"fig2", "Figure 2: SDG for Option WT", runFig2},
 		{"fig3", "Figure 3: SDGs for Option BW", runFig3},
 		{"fig4", "Figure 4: eliminating ALL vulnerable edges (PostgreSQL)", runFig4},
-		{"fig5a", "Figure 5(a): Option WT and BW throughput (PostgreSQL)", runFig5a},
-		{"fig5b", "Figure 5(b): throughput relative to SI (PostgreSQL)", runFig5b},
+		{"fig5", "Figure 5: Option WT and BW throughput, absolute and relative to SI (PostgreSQL)", runFig5},
 		{"fig6", "Figure 6: serialization-failure abort rates at MPL=20 (PostgreSQL)", runFig6},
 		{"fig7", "Figure 7: high contention — hotspot 10, 60% Balance (PostgreSQL)", runFig7},
 		{"fig8", "Figure 8: Option WT on the commercial platform", runFig8},
@@ -151,105 +152,100 @@ func ids() []string {
 	return out
 }
 
-// newLoadedDB opens an engine with the given config, loads SmallBank on
-// free hardware, then installs the measured resource model.
-func newLoadedDB(engCfg engine.Config, cfg Config) (*engine.DB, error) {
-	measured := engCfg.Res
-	engCfg.Res = PostgresResources(0) // free machine while loading
-	engCfg.Res.VirtualCPUs = 0
-	db := engine.Open(engCfg)
-	if err := smallbank.CreateSchema(db); err != nil {
-		db.Close()
-		return nil, err
-	}
-	if _, err := smallbank.Load(db, smallbank.LoadConfig{Customers: cfg.Customers, Seed: cfg.Seed}); err != nil {
-		db.Close()
-		return nil, err
-	}
-	db.SetResources(measured)
-	return db, nil
+// series is one line of a measured figure: the database it runs on and
+// the workload it offers, before the figure's x-coordinate is applied.
+type series struct {
+	name string
+	eng  engine.Config
+	wl   workload.Config
 }
 
-// sweepSpec describes one throughput-over-MPL sweep.
-type sweepSpec struct {
-	strategy *smallbank.Strategy
-	engCfg   engine.Config
-	mix      workload.Mix
-	hotspot  int
-	hotProb  float64
+// strategies makes one series per strategy, each on eng under wl.
+func strategies(eng engine.Config, wl workload.Config, ss ...*smallbank.Strategy) []series {
+	out := make([]series, len(ss))
+	for i, s := range ss {
+		wl.Strategy = s
+		out[i] = series{s.Name, eng, wl}
+	}
+	return out
 }
 
-// runSweep measures TPS for each MPL with cfg.Reps repetitions and
-// returns the series with 95% confidence intervals.
-func runSweep(name string, spec sweepSpec, cfg Config) (Series, error) {
-	s := Series{Name: name}
-	for _, mpl := range cfg.MPLs {
-		var tps []float64
-		for rep := 0; rep < cfg.Reps; rep++ {
-			db, err := newLoadedDB(spec.engCfg, cfg)
-			if err != nil {
-				return s, err
-			}
-			res, err := workload.Run(db, workload.Config{
-				Strategy: spec.strategy,
-				MPL:      mpl, Customers: cfg.Customers,
-				HotspotSize: spec.hotspot, HotspotProb: spec.hotProb,
-				Mix:  spec.mix,
-				Ramp: cfg.Ramp, Measure: cfg.Measure,
-				Seed: cfg.Seed + int64(rep+1)*104729,
-			})
-			db.Close()
-			if err != nil {
-				return s, err
-			}
-			tps = append(tps, res.TPS)
-		}
-		mean, ci := metrics.CI95(tps)
-		s.Points = append(s.Points, Point{Label: fmt.Sprintf("%d", mpl), Mean: mean, CI: ci})
-		cfg.logf("  %-22s MPL %-3d  %8.0f TPS ±%.0f", name, mpl, mean, ci)
-	}
-	return s, nil
-}
-
-// throughputFigure runs a set of strategies over the MPL sweep on one
-// platform profile.
-func throughputFigure(id, title string, cfg Config, engCfg engine.Config, mix workload.Mix,
-	hotspot int, hotProb float64, strategies []*smallbank.Strategy, notes ...string) (*Result, error) {
-
-	res := &Result{
-		ID: id, Title: title,
-		XLabel: "MPL", YLabel: "TPS",
-		Notes: notes,
-	}
-	for _, s := range strategies {
-		cfg.logf("%s: strategy %s", id, s.Name)
-		series, err := runSweep(s.Name, sweepSpec{
-			strategy: s, engCfg: engCfg, mix: mix, hotspot: hotspot, hotProb: hotProb,
-		}, cfg)
+// measure runs one point of a figure under §IV's protocol (load, ramp,
+// measure) cfg.Reps times. Every repetition opens a fresh database
+// loaded with seed cfg.Seed and runs wl with seed
+// cfg.Seed + (rep+1)·104729.
+func measure(cfg Config, eng engine.Config, wl workload.Config) ([]*workload.Result, error) {
+	wl.Customers, wl.Ramp, wl.Measure = cfg.Customers, cfg.Ramp, cfg.Measure
+	var out []*workload.Result
+	for rep := 0; rep < cfg.Reps; rep++ {
+		db, _, err := smallbank.Open(eng, smallbank.LoadConfig{Customers: cfg.Customers, Seed: cfg.Seed})
 		if err != nil {
 			return nil, err
 		}
-		res.Series = append(res.Series, series)
+		wl.Seed = cfg.Seed + int64(rep+1)*104729
+		res, err := workload.Run(db, wl)
+		db.Close()
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, res)
+	}
+	return out, nil
+}
+
+// reduce is what a figure plots for one measured point: the mean of
+// metric over the repetitions, with its 95% confidence interval.
+func reduce(label string, rs []*workload.Result, metric func(*workload.Result) float64) Point {
+	xs := make([]float64, len(rs))
+	for i, r := range rs {
+		xs[i] = metric(r)
+	}
+	mean, ci := metrics.CI95(xs)
+	return Point{Label: label, Mean: mean, CI: ci}
+}
+
+func tps(r *workload.Result) float64 { return r.TPS }
+
+func setMPL(wl *workload.Config, mpl int) { wl.MPL = mpl }
+
+// sweep measures every series at every x and adds the lines to res: set
+// puts x into the series' workload, metric reduces a repetition to the
+// plotted value.
+func sweep(cfg Config, res *Result, ss []series, xs []int,
+	set func(*workload.Config, int), metric func(*workload.Result) float64) (*Result, error) {
+	for _, s := range ss {
+		cfg.logf("%s: %s", res.ID, s.name)
+		line := Series{Name: s.name}
+		for _, x := range xs {
+			wl := s.wl
+			set(&wl, x)
+			rs, err := measure(cfg, s.eng, wl)
+			if err != nil {
+				return nil, err
+			}
+			p := reduce(strconv.Itoa(x), rs, metric)
+			line.Points = append(line.Points, p)
+			cfg.logf("  %-22s %s %-5d %10.2f ±%.2f", s.name, res.XLabel, x, p.Mean, p.CI)
+		}
+		res.Series = append(res.Series, line)
 	}
 	return res, nil
 }
 
-// relativeToFirst converts an absolute-TPS result into one normalized to
-// its first series (SI), as the paper's 5(b)/8(b)/9(b) panels do.
-func relativeToFirst(abs *Result, id, title string) *Result {
-	rel := &Result{
-		ID: id, Title: title,
-		XLabel: abs.XLabel, YLabel: "% of SI throughput",
-		Notes: abs.Notes,
-	}
-	if len(abs.Series) == 0 {
-		return rel
-	}
-	base := abs.Series[0]
-	for _, s := range abs.Series[1:] {
-		out := Series{Name: s.Name}
-		for _, p := range s.Points {
-			bp := base.Point(p.Label)
+// throughput measures TPS over cfg.MPLs for every series.
+func throughput(cfg Config, res *Result, ss []series) (*Result, error) {
+	res.XLabel, res.YLabel = "MPL", "TPS"
+	return sweep(cfg, res, ss, cfg.MPLs, setMPL, tps)
+}
+
+// relativeToFirst is the paper's (b) panel of a throughput figure: every
+// series after the first (SI) as a percentage of it, point by point.
+func relativeToFirst(abs []Series) []Series {
+	var rel []Series
+	for i := 1; i < len(abs); i++ {
+		out := Series{Name: abs[i].Name}
+		for _, p := range abs[i].Points {
+			bp := abs[0].Point(p.Label)
 			if bp == nil || bp.Mean == 0 {
 				continue
 			}
@@ -259,7 +255,18 @@ func relativeToFirst(abs *Result, id, title string) *Result {
 				CI:    100 * p.CI / bp.Mean,
 			})
 		}
-		rel.Series = append(rel.Series, out)
+		rel = append(rel, out)
 	}
 	return rel
+}
+
+// withRelative renders the (b) panel of a measured throughput figure,
+// derived from its absolute Series, into its Text.
+func withRelative(res *Result, err error) (*Result, error) {
+	if err != nil {
+		return nil, err
+	}
+	res.Text = "\nRelative to SI (% of SI throughput):\n" +
+		RenderTable(&Result{XLabel: res.XLabel, Series: relativeToFirst(res.Series)})
+	return res, nil
 }

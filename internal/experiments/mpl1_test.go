@@ -80,7 +80,7 @@ func closedFormConfig() Config {
 // somebody else.
 func medianTPS(t *testing.T, cfg Config, s *smallbank.Strategy, engCfg engine.Config, mpl int) (float64, wal.Stats) {
 	t.Helper()
-	db, err := newLoadedDB(engCfg, cfg)
+	db, _, err := smallbank.Open(engCfg, smallbank.LoadConfig{Customers: cfg.Customers, Seed: cfg.Seed})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,12 +3,7 @@ package experiments
 import (
 	"fmt"
 	"strings"
-
-	"sicost/internal/metrics"
 )
-
-// ci95 is a local alias over repetition samples.
-func ci95(xs []float64) (mean, ci float64) { return metrics.CI95(xs) }
 
 // RenderTable renders a series-based result as an aligned text table:
 // one row per x-label, one column per series, cells "mean ±ci".
@@ -92,18 +87,20 @@ func csvEscape(s string) string {
 	return s
 }
 
-// Render produces the full human-readable report of a result.
+// Render produces the full human-readable report of a result: the
+// series table, then the text (a figure's relative panel follows its
+// absolute one), then the notes.
 func Render(r *Result) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "## %s\n\n", r.Title)
+	if len(r.Series) > 0 {
+		b.WriteString(RenderTable(r))
+	}
 	if r.Text != "" {
 		b.WriteString(r.Text)
 		if !strings.HasSuffix(r.Text, "\n") {
 			b.WriteString("\n")
 		}
-	}
-	if len(r.Series) > 0 {
-		b.WriteString(RenderTable(r))
 	}
 	for _, n := range r.Notes {
 		fmt.Fprintf(&b, "note: %s\n", n)

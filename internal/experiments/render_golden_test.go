@@ -34,7 +34,7 @@ func goldenResult() *Result {
 			"SI should dominate S2PL at high MPL",
 			"CIs are 95% over 3 runs",
 		},
-		Text: "static preamble line",
+		Text: "text after the table",
 	}
 }
 

@@ -175,7 +175,8 @@ func runAnomaly(cfg Config) (*Result, error) {
 	freshDB := func(mode core.CCMode) (*engine.DB, error) {
 		engCfg := ModeDB(mode, 0) // semantics only: free hardware
 		engCfg.WAL.FsyncLatency = 0
-		return newLoadedDB(engCfg, Config{Customers: 50, Seed: cfg.Seed}.Defaults())
+		db, _, err := smallbank.Open(engCfg, smallbank.LoadConfig{Customers: 50, Seed: cfg.Seed})
+		return db, err
 	}
 
 	// Deterministic script, plain SI: must commit and show the anomaly.

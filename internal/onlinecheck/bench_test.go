@@ -31,7 +31,8 @@ func benchCommitCheck(b *testing.B, mode string) {
 	if mode != "off" {
 		rec = trace.New(trace.Options{})
 	}
-	db := engine.Open(engine.Config{Mode: core.SnapshotFUW, Platform: core.PlatformPostgres, Tracer: rec})
+	db := engine.Open(engine.Config{Mode: core.SnapshotFUW, Platform: core.PlatformPostgres})
+	db.SetTracer(rec)
 	b.Cleanup(db.Close)
 	schema := &core.Schema{
 		Name: "T",

@@ -3,12 +3,15 @@ package smallbank
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
+	"sicost/internal/admission"
 	"sicost/internal/core"
 	"sicost/internal/engine"
 	"sicost/internal/faultinject"
+	"sicost/internal/simres"
 	"sicost/internal/wal"
 )
 
@@ -158,6 +161,80 @@ func TestLoadReportsDeadLog(t *testing.T) {
 			}
 			if held, queued := db.LockAudit(); held != 0 || queued != 0 {
 				t.Fatalf("failed load left %d locks held, %d waiters", held, queued)
+			}
+		})
+	}
+}
+
+// TestOpenLoadsOnFreeHardware: Open loads what Load loads, and the
+// measured machine it installs afterwards has charged nothing for it.
+// At 1 ms of simulated CPU per statement, a load on that machine would
+// take over a minute.
+func TestOpenLoadsOnFreeHardware(t *testing.T) {
+	res := simres.Config{VirtualCPUs: 1, StmtCPU: time.Millisecond}
+	db, total, err := Open(engine.Config{Mode: core.SnapshotFUW, Res: res},
+		LoadConfig{Customers: paperCustomers, Seed: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if total != 765386864 {
+		t.Fatalf("total loaded = %d, want 765386864 (TestLoadGolden)", total)
+	}
+	if busy := db.Machine().CPUBusy(); busy != 0 {
+		t.Fatalf("the measured machine was charged %v for the load", busy)
+	}
+	if got := db.Machine().Config(); got != res {
+		t.Fatalf("installed machine %+v, want %+v", got, res)
+	}
+}
+
+// syncFails is a log device whose syncs fail: the first schema frame,
+// which is synced at once, cannot be written.
+type syncFails struct {
+	wal.LogDevice
+	err error
+}
+
+func (d syncFails) Sync() error { return d.err }
+
+// TestOpenClosesOnError: when declaring the schema or loading fails,
+// Open closes the database it opened — its admission controller and
+// checkpoint scheduler stop with it — and returns the error.
+func TestOpenClosesOnError(t *testing.T) {
+	boom := errors.New("disk died")
+	for _, c := range []struct {
+		name  string
+		dev   func(wal.LogDevice) wal.LogDevice
+		fault string
+	}{
+		{"schema", func(d wal.LogDevice) wal.LogDevice { return syncFails{d, boom} }, ""},
+		{"load", func(d wal.LogDevice) wal.LogDevice { return d }, wal.FaultFlush},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			mem, err := wal.NewMemSegmentLog(2 << 20)
+			if err != nil {
+				t.Fatal(err)
+			}
+			reg := faultinject.New(1)
+			if c.fault != "" {
+				if err := reg.Arm(faultinject.Spec{Point: c.fault, Err: boom}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			db, total, err := Open(engine.Config{
+				Mode: core.SnapshotFUW, Faults: reg, WAL: wal.Config{Device: c.dev(mem)},
+				Admission: &admission.Config{}, CheckpointLogBytes: 1 << 20,
+			}, LoadConfig{Customers: 200, Seed: 42})
+			if !errors.Is(err, boom) || db != nil || total != 0 {
+				t.Fatalf("Open = %v, %d, %v; want nil, 0, %v", db, total, err, boom)
+			}
+			for deadline := time.Now().Add(time.Second); runtime.NumGoroutine() > before; {
+				if time.Now().After(deadline) {
+					t.Fatalf("%d goroutines after the failed Open, %d before", runtime.NumGoroutine(), before)
+				}
+				time.Sleep(time.Millisecond)
 			}
 		})
 	}

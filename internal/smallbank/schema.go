@@ -13,6 +13,7 @@ import (
 
 	"sicost/internal/core"
 	"sicost/internal/engine"
+	"sicost/internal/simres"
 )
 
 // Table names.
@@ -201,6 +202,30 @@ func Load(db *engine.DB, cfg LoadConfig) (total int64, err error) {
 		return 0, err
 	}
 	return total, nil
+}
+
+// Open stands up the paper's database: it opens an engine from cfg with
+// the simulated machine off, declares the schema and loads lc on that
+// free hardware, then installs cfg.Res, the machine to be measured. It
+// returns the database and the money Load put in it; on an error the
+// database is closed. A tracer or a default transaction deadline goes
+// in after Open returns (DB.SetTracer, DB.SetDefaultTxDeadline), so the
+// load neither fills the rings nor spends a budget.
+func Open(cfg engine.Config, lc LoadConfig) (*engine.DB, int64, error) {
+	measured := cfg.Res
+	cfg.Res = simres.Config{}
+	db := engine.Open(cfg)
+	err := CreateSchema(db)
+	var total int64
+	if err == nil {
+		total, err = Load(db, lc)
+	}
+	if err != nil {
+		db.Close()
+		return nil, 0, err
+	}
+	db.SetResources(measured)
+	return db, total, nil
 }
 
 // TotalMoney sums every savings and checking balance of the latest

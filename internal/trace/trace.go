@@ -87,7 +87,9 @@ const (
 	EvWALFlush
 	// EvRecovery: a database was rebuilt from a log device. Tx is zero;
 	// CSN is the recovered high-water mark, Depth the number of commit
-	// frames replayed and Bytes the valid log prefix length.
+	// frames replayed and Bytes the valid log prefix length. Nothing emits
+	// it (a recorder is installed after Open, so Recover never has one);
+	// the kind keeps its wire value.
 	EvRecovery
 	// EvReadVer: the version actually read by a point read of Table/Key —
 	// CSN is the commit sequence number of that version (0 for rows

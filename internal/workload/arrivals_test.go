@@ -85,7 +85,7 @@ func TestRunArrivalsShedAccounting(t *testing.T) {
 		HotspotProb: 0.2,
 		Measure:     window,
 		Seed:        2,
-		MaxRetries:  -1, // ImmediatePolicy(-1): never retry
+		Retry:       ImmediatePolicy{MaxRetries: -1}, // never retry
 	})
 	if err != nil {
 		t.Fatal(err)

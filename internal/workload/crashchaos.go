@@ -310,12 +310,11 @@ func RunCrashChaos(cfg CrashChaosConfig) (*CrashChaosReport, error) {
 	}
 	reg := faultinject.New(cfg.Seed)
 	ecfg := engine.Config{
-		Mode:              cfg.Mode,
-		Platform:          cfg.Platform,
-		WAL:               wal.Config{Device: dev, FsyncLatency: cfg.FsyncLatency},
-		Faults:            reg,
-		AsyncCommit:       cfg.Async,
-		DefaultTxDeadline: cfg.TxDeadline,
+		Mode:        cfg.Mode,
+		Platform:    cfg.Platform,
+		WAL:         wal.Config{Device: dev, FsyncLatency: cfg.FsyncLatency},
+		Faults:      reg,
+		AsyncCommit: cfg.Async,
 	}
 	if cfg.Fuzzy {
 		// Small threshold so the scheduler checkpoints inside every
@@ -327,22 +326,14 @@ func RunCrashChaos(cfg CrashChaosConfig) (*CrashChaosReport, error) {
 		ecfg.ArchiveDir = "archive"
 	}
 
-	// The loader's big batch transactions run without the burst's
-	// per-transaction budget; it is armed once the load is compacted.
-	loadCfg := ecfg
-	loadCfg.DefaultTxDeadline = 0
-	db := engine.Open(loadCfg)
-	if err := smallbank.CreateSchema(db); err != nil {
-		db.Close()
-		return nil, err
-	}
-	initial, err := smallbank.Load(db, smallbank.LoadConfig{Customers: cfg.Customers, Seed: cfg.Seed})
+	db, initial, err := smallbank.Open(ecfg, smallbank.LoadConfig{Customers: cfg.Customers, Seed: cfg.Seed})
 	if err != nil {
-		db.Close()
 		return nil, err
 	}
 	// Compact the load into a checkpoint so the first cycles replay
-	// burst commits, not the loader's.
+	// burst commits, not the loader's. The loader's big batch
+	// transactions ran without the bursts' per-transaction budget; every
+	// instance that runs a burst has it armed.
 	if _, err := db.Checkpoint(); err != nil {
 		db.Close()
 		return nil, err
@@ -365,7 +356,7 @@ func RunCrashChaos(cfg CrashChaosConfig) (*CrashChaosReport, error) {
 		HotspotProb: 0.9,
 		Mix:         mix,
 		Measure:     cfg.Burst,
-		MaxRetries:  20,
+		Retry:       ImmediatePolicy{MaxRetries: 20},
 	}
 
 	points := cfg.crashPoints()
@@ -502,6 +493,7 @@ func RunCrashChaos(cfg CrashChaosConfig) (*CrashChaosReport, error) {
 		}
 
 		db = db2
+		db.SetDefaultTxDeadline(cfg.TxDeadline)
 		if cfg.CheckpointEvery > 0 && (i+1)%cfg.CheckpointEvery == 0 {
 			if _, err := db.Checkpoint(); err != nil {
 				violatef("cycle %d (%s): checkpoint after recovery failed: %v", i, cyc.Point, err)

@@ -114,12 +114,11 @@ type Config struct {
 	// An interaction belongs to the window it started (arrived) in.
 	Ramp, Measure time.Duration
 	Seed          int64
-	// MaxRetries bounds how often one logical transaction is retried
-	// after serialization/deadlock aborts before the client gives up
-	// and moves on (each attempt's abort is still counted).
-	MaxRetries int
-	// Retry chooses the retry discipline. Nil means
-	// ImmediatePolicy{MaxRetries} — the paper's closed-loop behaviour.
+	// Retry chooses the retry discipline: whether, and after how long, a
+	// logical transaction is retried after a retriable abort, and when
+	// the client gives up and moves on (each attempt's abort is still
+	// counted). Nil means ImmediatePolicy{MaxRetries: 50}, the paper's
+	// closed-loop behaviour.
 	Retry RetryPolicy
 	// Check, when non-nil, subscribes this online windowed isolation
 	// checker to the run's live trace stream: Run attaches it to the
@@ -129,9 +128,6 @@ type Config struct {
 	// can also expose the live Stats (e.g. through expvar) while the
 	// run is in flight.
 	Check *onlinecheck.Checker
-	// CheckInterval is the subscription pump period when Check is set
-	// (0 means trace.DefaultSubInterval).
-	CheckInterval time.Duration
 }
 
 func (c *Config) defaults() error {
@@ -163,11 +159,8 @@ func (c *Config) defaults() error {
 	if c.Measure <= 0 {
 		return fmt.Errorf("workload: measurement interval must be positive")
 	}
-	if c.MaxRetries == 0 {
-		c.MaxRetries = 50
-	}
 	if c.Retry == nil {
-		c.Retry = ImmediatePolicy{MaxRetries: c.MaxRetries}
+		c.Retry = ImmediatePolicy{MaxRetries: 50}
 	}
 	return nil
 }
@@ -373,7 +366,7 @@ func Run(db *engine.DB, cfg Config) (*Result, error) {
 			db.SetTracer(rec)
 		}
 		sub = trace.Subscribe(rec, cfg.Check.Ingest,
-			trace.SubOptions{Interval: cfg.CheckInterval, Retain: reuseRec})
+			trace.SubOptions{Retain: reuseRec})
 	}
 
 	// The clock starts after instrumentation setup: allocating a private

@@ -75,7 +75,7 @@ func TestConfigValidation(t *testing.T) {
 	if err := (&good).defaults(); err != nil {
 		t.Fatal(err)
 	}
-	if good.Strategy == nil || good.MaxRetries != 50 {
+	if good.Strategy == nil || good.Retry != (ImmediatePolicy{MaxRetries: 50}) {
 		t.Fatal("defaults not applied")
 	}
 	open := Config{Rate: 100, Customers: 100, HotspotSize: 10, Measure: time.Millisecond}

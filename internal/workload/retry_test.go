@@ -201,7 +201,6 @@ func TestRunSurfacesBudgetGiveUps(t *testing.T) {
 		HotspotProb: 1.0,
 		Measure:     measure(150 * time.Millisecond),
 		Seed:        4,
-		MaxRetries:  10,
 		Retry:       BudgetedPolicy{Inner: ImmediatePolicy{MaxRetries: 10}, Budget: budget},
 	})
 	if err != nil {

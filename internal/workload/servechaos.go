@@ -114,17 +114,10 @@ func runServerChaosCycle(cfg ServerChaosConfig, cycle int, mode core.CCMode, rep
 	}
 
 	faults := faultinject.New(cfg.Seed + int64(cycle)*7919)
-	db := engine.Open(engine.Config{
+	db, initial, err := smallbank.Open(engine.Config{
 		Mode: mode, Platform: core.PlatformPostgres,
 		LockWaitTimeout: 250 * time.Millisecond,
-	})
-	if err := smallbank.CreateSchema(db); err != nil {
-		return nil, err
-	}
-	if _, err := smallbank.Load(db, smallbank.LoadConfig{Customers: cfg.Customers, Seed: cfg.Seed}); err != nil {
-		return nil, err
-	}
-	initial, err := smallbank.TotalMoney(db)
+	}, smallbank.LoadConfig{Customers: cfg.Customers, Seed: cfg.Seed})
 	if err != nil {
 		return nil, err
 	}

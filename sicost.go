@@ -224,8 +224,8 @@ var (
 // wrote in its lifecycle trace and nowhere else, and the checker is two
 // functions over that stream.
 type (
-	// Trace records lifecycle events; install it with db.SetTracer (or
-	// EngineConfig.Tracer) and read it with Drain.
+	// Trace records lifecycle events; install it with db.SetTracer
+	// between transactions and read it with Drain.
 	Trace = trace.Recorder
 	// TraceOptions sizes a Trace.
 	TraceOptions = trace.Options

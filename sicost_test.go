@@ -101,7 +101,7 @@ func TestFacadeStrategiesAndExperiments(t *testing.T) {
 	if len(sicost.AllExperiments()) < 16 {
 		t.Fatal("experiments registry shrank")
 	}
-	if _, err := sicost.ExperimentByID("fig5a"); err != nil {
+	if _, err := sicost.ExperimentByID("fig5"); err != nil {
 		t.Fatal(err)
 	}
 	if sicost.PostgresDB(1).Platform != sicost.PlatformPostgres {
