@@ -73,10 +73,13 @@ chaos:
 # state survives, unacked state vanishes, money is conserved, recovery
 # is idempotent. The second smallbank run exercises asynchronous commit,
 # auditing the durable-prefix contract instead (acked-durable commits
-# survive; only the un-acked tail may vanish).
+# survive; only the un-acked tail may vanish). The third keeps
+# checkpointing and segment retirement live inside the bursts, adding
+# crashes mid-checkpoint (wal/ckpt-rows) and mid-retirement (wal/retire).
 crash:
 	$(GO) run ./cmd/smallbank -crash -crash-cycles 10 -mode 2pl -seed 7 > /dev/null
 	$(GO) run ./cmd/smallbank -crash -crash-cycles 10 -crash-async -seed 11 > /dev/null
+	$(GO) run ./cmd/smallbank -crash -crash-cycles 10 -crash-fuzzy -seed 13 > /dev/null
 	$(GO) test -race -count=1 -run TestCrashChaos ./internal/workload
 
 # Fuzz the recovery pipeline: arbitrary bytes through the frame decoder

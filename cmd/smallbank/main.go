@@ -20,10 +20,10 @@
 //	smallbank -rate 20000 -admission       # ... behind the adaptive admission gate
 //	smallbank -deadline 50ms               # per-transaction time budget
 //	smallbank -wal waldir -wal-segment-size 1048576 -ckpt-bytes 4194304 -retire
-//	                                       # fuzzy incremental checkpoints + online
+//	                                       # checkpoints off the commit path + online
 //	                                       # segment retirement (bounded log)
 //	smallbank -crash -crash-fuzzy
-//	                                       # crash chaos with the fuzzy machinery live
+//	                                       # crash chaos with checkpointing live
 package main
 
 import (
@@ -69,11 +69,9 @@ func main() {
 		walPath      = flag.String("wal", "", "durable log directory of wal.NNNN segments; a non-empty log is recovered instead of loaded")
 		walAsync     = flag.Bool("wal-async", false, "asynchronous commit (synchronous_commit=off): publish before durable")
 		walSegSize   = flag.Int64("wal-segment-size", 1<<20, "rotate the log into a fresh wal.NNNN segment at this many bytes")
-		ckptBytes    = flag.Int64("ckpt-bytes", 0, "fuzzy incremental checkpoint after this many bytes of log growth (0 = off)")
-		ckptChain    = flag.Int("ckpt-chain", 0, "delta links per chain before a full link re-roots it (0 = engine default)")
-		retire       = flag.Bool("retire", false, "retire fully-covered wal.NNNN segments after each chain re-root")
-		archiveDir   = flag.String("archive", "", "copy retired segments into this directory before deleting (PITR; needs -retire)")
-		crashFuzzy   = flag.Bool("crash-fuzzy", false, "-crash: fuzzy checkpoints + segment retirement live during the rotation")
+		ckptBytes    = flag.Int64("ckpt-bytes", 0, "checkpoint after this many bytes of log growth (0 = off)")
+		retire       = flag.Bool("retire", false, "retire fully-covered wal.NNNN segments after each checkpoint")
+		crashFuzzy   = flag.Bool("crash-fuzzy", false, "-crash: checkpoints + segment retirement live during the rotation")
 		lockTimeout  = flag.Duration("locktimeout", 0, "per-transaction lock-wait timeout (0 = wait forever)")
 		retryKind    = flag.String("retry", "immediate", "retry policy: immediate, or backoff (capped exponential from 200µs to 20ms, half jitter)")
 		retries      = flag.Int("retries", 50, "max retries per interaction")
@@ -127,14 +125,8 @@ func main() {
 		return
 	}
 
-	if *archiveDir != "" && !*retire {
-		fmt.Fprintln(os.Stderr, "smallbank: -archive needs -retire")
-		os.Exit(2)
-	}
 	engCfg.CheckpointLogBytes = *ckptBytes
-	engCfg.CheckpointChainMax = *ckptChain
 	engCfg.RetireSegments = *retire
-	engCfg.ArchiveDir = *archiveDir
 
 	var policy workload.RetryPolicy
 	switch *retryKind {
@@ -370,10 +362,9 @@ func main() {
 			db.DurableSeq(), db.CommitSeq())
 	}
 	if dev != nil {
-		// Seal the run with one more chain link, so the next -wal run
-		// recovers from the folded chain instead of replaying this whole
-		// run (a full re-root retires covered segments when -retire is
-		// on), and report the chain that run will fold.
+		// Seal the run with one more checkpoint, so the next -wal run
+		// restores it instead of replaying this whole run (and retires
+		// covered segments when -retire is on).
 		csn, err := db.Checkpoint()
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "smallbank: checkpoint:", err)
@@ -381,12 +372,11 @@ func main() {
 		}
 		cs := db.CheckpointStats()
 		ws = db.WAL().Stats()
-		fmt.Printf("checkpoint: CSN %d, chain %d links (%d full re-roots of %d total), %d bytes live\n",
-			csn, cs.ChainLinks, cs.FullLinks, cs.Links, dev.Size())
-		fmt.Printf("checkpoint pauses: %v total (%v last); retired %d segments, archived %d\n",
+		fmt.Printf("checkpoint: CSN %d, %d checkpoints, %d bytes live\n", csn, cs.Links, dev.Size())
+		fmt.Printf("checkpoint pauses: %v total (%v last); retired %d segments\n",
 			time.Duration(cs.PauseNS).Round(time.Microsecond),
 			time.Duration(cs.LastPauseNS).Round(time.Microsecond),
-			ws.RetiredSegments, ws.ArchivedSegments)
+			ws.RetiredSegments)
 	}
 
 	lc := res.Contention.Lock
@@ -478,7 +468,7 @@ func main() {
 // per-cycle durability audit. Exits non-zero if any cycle violates the
 // durability contract.
 func runCrashChaos(mode core.CCMode, platform core.Platform, cycles int, seed int64, async bool, fuzzy bool) {
-	fmt.Fprintf(os.Stderr, "crash chaos: %d crash/recover cycles, mode %s, seed %d, async %v, fuzzy %v...\n",
+	fmt.Fprintf(os.Stderr, "crash chaos: %d crash/recover cycles, mode %s, seed %d, async %v, checkpointing %v...\n",
 		cycles, mode, seed, async, fuzzy)
 	rep, err := workload.RunCrashChaos(workload.CrashChaosConfig{
 		Mode: mode, Platform: platform, Cycles: cycles, Seed: seed,
@@ -488,20 +478,16 @@ func runCrashChaos(mode core.CCMode, platform core.Platform, cycles int, seed in
 		fmt.Fprintln(os.Stderr, "smallbank:", err)
 		os.Exit(1)
 	}
-	fmt.Printf("%5s %-22s %6s %8s %8s %6s %8s %8s %8s %5s %5s %5s\n",
-		"cycle", "crash point", "fired", "commits", "aborts", "torn", "replayed", "highCSN", "durable", "segs", "ckpt", "chain")
+	fmt.Printf("%5s %-22s %6s %8s %8s %6s %8s %8s %8s %5s %5s\n",
+		"cycle", "crash point", "fired", "commits", "aborts", "torn", "replayed", "highCSN", "durable", "segs", "ckpt")
 	for _, c := range rep.Cycles {
 		ckpt := ""
 		if c.Checkpointed {
 			ckpt = "yes"
 		}
-		chain := ""
-		if c.ChainLinks > 0 {
-			chain = fmt.Sprintf("%d", c.ChainLinks)
-		}
-		fmt.Printf("%5d %-22s %6d %8d %8d %6d %8d %8d %8d %5d %5s %5s\n",
+		fmt.Printf("%5d %-22s %6d %8d %8d %6d %8d %8d %8d %5d %5s\n",
 			c.Cycle, c.Point, c.Fired, c.Commits, c.Aborts,
-			c.TornBytes, c.ReplayedCommits, c.HighCSN, c.DurableSeq, c.Segments, ckpt, chain)
+			c.TornBytes, c.ReplayedCommits, c.HighCSN, c.DurableSeq, c.Segments, ckpt)
 	}
 	fmt.Printf("\ncrashes fired: %d/%d cycles\n", rep.CrashesFired(), len(rep.Cycles))
 	fmt.Printf("conservation: initial %d %+d committed = %d final\n",

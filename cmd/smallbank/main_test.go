@@ -47,8 +47,8 @@ func requireLines(t *testing.T, out string, wants ...string) {
 
 // TestRateRunOverWalSealsTheChain: an arrivals run over -wal ends like
 // a closed loop — full WAL line, the async drain, the sealing
-// checkpoint — so the next run folds the chain instead of replaying the
-// whole run.
+// checkpoint — so the next run restores that checkpoint instead of
+// replaying the whole run.
 func TestRateRunOverWalSealsTheChain(t *testing.T) {
 	bin := buildSmallbank(t)
 	dir := filepath.Join(t.TempDir(), "wal")

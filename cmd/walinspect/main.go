@@ -1,31 +1,27 @@
 // Command walinspect dumps and validates a write-ahead-log image: it
 // scans the frame stream (length + CRC32C framing, see internal/wal),
-// reports the classification recovery would act on — folded checkpoint
-// chain, schemas in effect, redo commits, CSN high-water mark — and
-// flags a torn or corrupt tail. With -repair it truncates the log to
-// the valid prefix, exactly what engine recovery would do.
+// reports the classification recovery would act on — the newest
+// complete checkpoint, schemas in effect, redo commits, CSN high-water
+// mark — and flags a torn or corrupt tail. With -repair it truncates
+// the log to the valid prefix, exactly what engine recovery would do.
 //
 // The argument is a log directory of wal.NNNN segments (what
 // cmd/smallbank -wal writes): it is validated as a segmented layout —
 // contiguous indices, no corruption in sealed segments — and classified
 // as the concatenated stream, with frames allowed to straddle segment
-// boundaries. A single segment file (an archived one, say) is accepted
-// too, as a read-only dump: -repair and -archive need the directory.
+// boundaries. A single segment file (a copied one, say) is accepted
+// too, as a read-only dump: -repair needs the directory.
 //
-// Fuzzy incremental checkpoints appear as delta-begin/delta-rows/
-// delta-end frame triples; the classification reports the folded chain
-// (root plus complete links) exactly as recovery would fold it. For
-// point-in-time recovery over retired segments, -archive merges a
-// directory of archived wal.NNNN segments in front of the live ones
-// before validating and classifying the combined layout.
+// Checkpoints appear as ckpt-begin/ckpt-rows/ckpt-end frame triples; the
+// classification reports the newest complete one, the one recovery
+// restores.
 //
 // Usage:
 //
-//	walinspect waldir/                  # validate + classify wal.NNNN files
-//	walinspect -frames waldir/          # additionally dump every frame
-//	walinspect -repair waldir/          # truncate the torn tail across segments
-//	walinspect -archive waldir/archive waldir/   # classify archived + live segments
-//	walinspect waldir/archive/wal.0003  # read-only dump of one segment file
+//	walinspect waldir/           # validate + classify wal.NNNN files
+//	walinspect -frames waldir/   # additionally dump every frame
+//	walinspect -repair waldir/   # truncate the torn tail across segments
+//	walinspect waldir/wal.0003   # read-only dump of one segment file
 //
 // Exit status is 1 on a torn tail left unrepaired, 2 on usage, I/O or
 // segment-layout errors.
@@ -44,21 +40,19 @@ import (
 
 func main() {
 	var (
-		frames  = flag.Bool("frames", false, "dump every decoded frame")
-		repair  = flag.Bool("repair", false, "truncate a torn tail in place (log directory only)")
-		archive = flag.String("archive", "", "directory of archived wal.NNNN segments to merge before the live ones (PITR)")
+		frames = flag.Bool("frames", false, "dump every decoded frame")
+		repair = flag.Bool("repair", false, "truncate a torn tail in place (log directory only)")
 	)
 	flag.Parse()
 	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: walinspect [-frames] [-repair] [-archive dir] <segmentdir|segmentfile>")
+		fmt.Fprintln(os.Stderr, "usage: walinspect [-frames] [-repair] <segmentdir|segmentfile>")
 		os.Exit(2)
 	}
-	os.Exit(run(flag.Arg(0), options{frames: *frames, repair: *repair, archive: *archive}, os.Stdout, os.Stderr))
+	os.Exit(run(flag.Arg(0), options{frames: *frames, repair: *repair}, os.Stdout, os.Stderr))
 }
 
 type options struct {
 	frames, repair bool
-	archive        string
 }
 
 // run inspects the log at path and returns the exit status. Layout
@@ -76,8 +70,8 @@ func run(path string, o options, stdout, stderr io.Writer) int {
 	}
 	var segs []wal.SegmentData
 	switch {
-	case !st.IsDir() && (o.repair || o.archive != ""):
-		return fail(fmt.Errorf("%s is a single segment file, dumped read-only: -repair and -archive need the log directory of wal.NNNN segments", path))
+	case !st.IsDir() && o.repair:
+		return fail(fmt.Errorf("%s is a single segment file, dumped read-only: -repair needs the log directory of wal.NNNN segments", path))
 	case !st.IsDir():
 		b, err := os.ReadFile(path)
 		if err != nil {
@@ -85,19 +79,9 @@ func run(path string, o options, stdout, stderr io.Writer) int {
 		}
 		idx, _ := wal.ParseSegmentName(filepath.Base(path))
 		segs = []wal.SegmentData{{Index: idx, Data: b}}
-	case o.repair && o.archive != "":
-		return fail(fmt.Errorf("-repair cannot be combined with -archive (repair the live directory alone)"))
 	default:
 		if segs, err = readSegments(path); err != nil {
 			return fail(err)
-		}
-		if o.archive != "" {
-			arch, err := readSegments(o.archive)
-			if err != nil {
-				return fail(err)
-			}
-			segs = append(arch, segs...)
-			sort.Slice(segs, func(i, j int) bool { return segs[i].Index < segs[j].Index })
 		}
 		if len(segs) == 0 {
 			return fail(fmt.Errorf("%s: no wal.NNNN segments", path))
@@ -146,13 +130,8 @@ func run(path string, o options, stdout, stderr io.Writer) int {
 // printClassification prints the recovery-relevant view of a classified
 // log: checkpoint, schemas, redo span and CSN high-water mark.
 func printClassification(w io.Writer, info *wal.RecoveryInfo) {
-	if info.Checkpoint != nil {
-		rows := 0
-		for _, t := range info.Checkpoint.Tables {
-			rows += len(t.Rows)
-		}
-		fmt.Fprintf(w, "checkpoint: CSN %d, %d tables, %d rows (folded from a chain of %d links)\n",
-			info.Checkpoint.CSN, len(info.Checkpoint.Tables), rows, info.ChainLinks)
+	if ck := info.Checkpoint; ck != nil {
+		fmt.Fprintf(w, "checkpoint: CSN %d, %d tables, %d rows\n", ck.CSN, len(ck.Schemas), len(ck.Rows))
 	} else {
 		fmt.Fprintln(w, "checkpoint: none (recovery replays the full log)")
 	}
@@ -190,10 +169,10 @@ func readSegments(dir string) ([]wal.SegmentData, error) {
 }
 
 // printSegmentSpans prints one line per segment with the commit-CSN
-// range of the frames that START inside it — the map a point-in-time
-// recovery uses to pick which segment prefix to restore. Frames are
-// decoded from the concatenation all (they may straddle boundaries) and
-// attributed to the segment holding their first byte.
+// range of the frames that START inside it — which commits retiring a
+// segment drops from the log. Frames are decoded from the concatenation
+// all (they may straddle boundaries) and attributed to the segment
+// holding their first byte.
 func printSegmentSpans(w io.Writer, segs []wal.SegmentData, all []byte) {
 	starts := make([]int, len(segs))
 	for i := 1; i < len(segs); i++ {
@@ -245,19 +224,15 @@ func dumpFrames(w io.Writer, b []byte) {
 				i, off, f.Commit.TxID, f.Commit.CSN, len(f.Commit.Rows), n)
 		case f.Schema != nil:
 			fmt.Fprintf(w, "  [%d] @%d schema %s (%d bytes)\n", i, off, f.Schema.Name, n)
-		case f.DeltaBegin != nil:
-			kind := "delta"
-			if f.DeltaBegin.Base == 0 {
-				kind = "full"
-			}
-			fmt.Fprintf(w, "  [%d] @%d delta-begin %s csn=%d base=%d schemas=%d (%d bytes)\n",
-				i, off, kind, f.DeltaBegin.CSN, f.DeltaBegin.Base, len(f.DeltaBegin.Schemas), n)
-		case f.DeltaRows != nil:
-			fmt.Fprintf(w, "  [%d] @%d delta-rows csn=%d rows=%d (%d bytes)\n",
-				i, off, f.DeltaRows.CSN, len(f.DeltaRows.Rows), n)
-		case f.DeltaEnd != nil:
-			fmt.Fprintf(w, "  [%d] @%d delta-end csn=%d rows=%d (%d bytes)\n",
-				i, off, f.DeltaEnd.CSN, f.DeltaEnd.Rows, n)
+		case f.CkptBegin != nil:
+			fmt.Fprintf(w, "  [%d] @%d ckpt-begin csn=%d schemas=%d (%d bytes)\n",
+				i, off, f.CkptBegin.CSN, len(f.CkptBegin.Schemas), n)
+		case f.CkptRows != nil:
+			fmt.Fprintf(w, "  [%d] @%d ckpt-rows csn=%d rows=%d (%d bytes)\n",
+				i, off, f.CkptRows.CSN, len(f.CkptRows.Rows), n)
+		case f.CkptEnd != nil:
+			fmt.Fprintf(w, "  [%d] @%d ckpt-end csn=%d rows=%d (%d bytes)\n",
+				i, off, f.CkptEnd.CSN, f.CkptEnd.Rows, n)
 		}
 		off += n
 	}

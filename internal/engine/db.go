@@ -89,21 +89,13 @@ type Config struct {
 	// commit-latency and abort-attribution deltas.
 	Admission *admission.Config
 	// CheckpointLogBytes, when positive, runs a background scheduler
-	// that takes a fuzzy incremental checkpoint (Checkpoint) whenever the log has grown by at least this many bytes since the
-	// last checkpoint. Requires a durable device; ignored otherwise.
+	// that takes a checkpoint (Checkpoint) whenever the log has grown by
+	// at least this many bytes since the last checkpoint. Requires a
+	// durable device; ignored otherwise.
 	CheckpointLogBytes int64
-	// CheckpointChainMax bounds the delta chain: every
-	// CheckpointChainMax-th link is written as a full (base-0) link,
-	// re-rooting the chain and advancing the segment-retirement bound.
-	// Zero means DefaultCheckpointChainMax.
-	CheckpointChainMax int
-	// RetireSegments unlinks sealed segments wholly covered by the
-	// checkpoint chain after each completed link, bounding log size
-	// online.
+	// RetireSegments unlinks sealed segments wholly covered by a
+	// checkpoint after each completed one, bounding log size online.
 	RetireSegments bool
-	// ArchiveDir, when non-empty, copies each retired segment there
-	// before the unlink — the point-in-time-recovery source.
-	ArchiveDir string
 	// Faults is the fault-injection registry consulted by the engine,
 	// storage and WAL fault points; nil (the default) compiles every
 	// hook down to a pointer test.
@@ -139,32 +131,23 @@ type DB struct {
 	// between allocation and publication. At that instant every
 	// allocated CSN is published, so a begin marker appended under the
 	// barrier splits the byte stream exactly at the cut: every frame
-	// before it carries a CSN ≤ cut, and the segments behind a complete
-	// chain root can be retired without losing redo work (an async
-	// commit's pending frame may land after the marker with a CSN ≤ the
-	// cut; the link already covers it and recovery skips the late frame).
+	// before it carries a CSN ≤ cut, and the segments in front of a
+	// complete checkpoint can be retired without losing redo work (an
+	// async commit's pending frame may land after the marker with a CSN ≤
+	// the cut; the checkpoint already covers it and recovery skips the
+	// late frame).
 	ckptMu sync.RWMutex
-	// Fuzzy incremental checkpoint state. ckptRunMu serializes whole
-	// checkpoint runs (a run spans the barrier cut, the streamed link
-	// and the end-marker sync); ckptStateMu
-	// guards the chain bookkeeping those runs update.
-	ckptRunMu   sync.Mutex
-	ckptStateMu sync.Mutex
-	// chainBase is the cut of the newest durable chain link (0: no
-	// chain — the next link must be full); chainLinks the chain length
-	// including the root; chainRootSeg the segment index sampled while
-	// appending the root's begin marker — the retirement bound (0
-	// disables retirement until the next full link re-roots).
-	chainBase    uint64
-	chainLinks   int
-	chainRootSeg int
+	// ckptRunMu serializes whole checkpoint runs (a run spans the barrier
+	// cut, the streamed rows and the end-marker sync). ckptCut, guarded
+	// by it, is the cut of the newest complete checkpoint (0: none).
+	ckptRunMu sync.Mutex
+	ckptCut   uint64
 	// ckptPauseNS accumulates commit-barrier hold time across
-	// checkpoints; lastPauseNS is the most recent hold. incrCkpts and
-	// fullLinks count completed links and chain re-roots.
+	// checkpoints; lastPauseNS is the most recent hold. ckpts counts
+	// completed checkpoints.
 	ckptPauseNS atomic.Int64
 	lastPauseNS atomic.Int64
-	incrCkpts   atomic.Int64
-	fullLinks   atomic.Int64
+	ckpts       atomic.Int64
 	// ckptStop/ckptDone manage the log-growth checkpoint scheduler.
 	ckptStop chan struct{}
 	ckptDone chan struct{}
@@ -423,8 +406,8 @@ func (db *DB) DurableSeq() uint64 {
 // the durability-lag gauge (how far published commits run ahead of the
 // device: 0 in sync mode once quiescent, the exposure window under
 // async commit), the log's raw flush/sync counters with the
-// group-commit gauge derived from them, the fuzzy-checkpoint gauges
-// (chain shape, dirty-set size, cumulative commit-barrier pause) and
+// group-commit gauge derived from them, the checkpoint gauges (count,
+// cumulative and last commit-barrier pause) and
 // the snapshot horizon (what version pruning waits for). See
 // docs/OBSERVABILITY.md §9.
 func (db *DB) LogVars() any {
@@ -454,9 +437,9 @@ func (db *DB) Faults() *faultinject.Registry { return db.faults }
 // is appended as a DDL frame, so a log that has never been checkpointed
 // still rebuilds its table definitions on recovery. The create and the
 // DDL append run under the checkpoint barrier's read side, so no
-// checkpoint cut falls between them: a link's embedded schema set and
-// the DDL frames in front of its begin marker — the ones retirement may
-// unlink — always describe the same tables.
+// checkpoint cut falls between them: a checkpoint's embedded schema set
+// and the DDL frames in front of its begin marker — the ones retirement
+// may unlink — always describe the same tables.
 func (db *DB) CreateTable(schema *core.Schema) error {
 	db.ckptMu.RLock()
 	defer db.ckptMu.RUnlock()
@@ -466,27 +449,23 @@ func (db *DB) CreateTable(schema *core.Schema) error {
 	return db.log.AppendSchema(schema)
 }
 
-// DefaultCheckpointChainMax is the chain-length bound applied when
-// Config.CheckpointChainMax is zero: the 8th link after a re-root is
-// written full again, advancing the segment-retirement bound.
-const DefaultCheckpointChainMax = 8
+// ckptBatch is how many rows one checkpoint rows frame carries.
+const ckptBatch = 256
 
-// Checkpoint takes one fuzzy checkpoint, bounding recovery's replay
-// cost: a delta link over the keys dirtied since the previous link (or
-// a full base-0 link when there is no chain, or the chain reached
-// CheckpointChainMax). It requires a durable log device. The
-// commit barrier is held only for the cut — read the visible CSN, swap
-// the dirty epochs, append the begin marker, sample the retirement
-// bound — while the expensive parts (resolving after-images, streaming
-// them, the end-marker sync) run concurrently with commits: the cut is
-// pinned in the snapshot horizon from the barrier hold until the
-// after-images are resolved, so the versions the link reads are not
-// pruned under it, and appending the begin marker
-// under the barrier guarantees no commit with CSN > cut precedes it in
-// the byte stream. After a full link completes, segments wholly behind
-// the chain root are retired when Config.RetireSegments is set.
+// Checkpoint writes the database as of one cut to the log, bounding
+// recovery's replay cost: recovery restores the newest complete
+// checkpoint and redoes only the commits after its cut. It requires a
+// durable log device. The commit barrier is held only for the cut —
+// read the visible CSN, pin it in the snapshot horizon, append the begin
+// marker, sample the retirement bound — while the expensive parts
+// (reading every row as of the cut, streaming the rows, the end-marker
+// sync) run concurrently with commits: the pin keeps the versions the
+// read needs from being pruned, and appending the begin marker under
+// the barrier guarantees no commit with CSN > cut precedes it in the
+// byte stream. Once the checkpoint is complete, the segments in front of
+// its begin marker are retired when Config.RetireSegments is set.
 // Returns the cut (unchanged and without writing anything when no
-// commit landed since the previous link).
+// commit landed since the previous checkpoint).
 func (db *DB) Checkpoint() (uint64, error) {
 	if !db.log.Persistent() {
 		return 0, core.ErrWALClosed
@@ -494,22 +473,12 @@ func (db *DB) Checkpoint() (uint64, error) {
 	db.ckptRunMu.Lock()
 	defer db.ckptRunMu.Unlock()
 
-	db.ckptStateMu.Lock()
-	base, links := db.chainBase, db.chainLinks
-	sample := db.chainRootSeg
-	db.ckptStateMu.Unlock()
-	chainMax := db.cfg.CheckpointChainMax
-	if chainMax <= 0 {
-		chainMax = DefaultCheckpointChainMax
-	}
-	full := base == 0 || links >= chainMax
-
 	start := time.Now()
 	db.ckptMu.Lock()
 	cut := db.visibleCSN.Load()
-	if cut == 0 || (!full && cut <= base) {
+	if cut == db.ckptCut {
 		db.ckptMu.Unlock()
-		return cut, nil // nothing committed since the previous link
+		return cut, nil // nothing committed since the previous checkpoint
 	}
 	// Pinned while the barrier still holds the visible CSN at cut, so no
 	// horizon — which never exceeds the visible CSN — has passed it.
@@ -517,103 +486,51 @@ func (db *DB) Checkpoint() (uint64, error) {
 		db.ckptMu.Unlock()
 		return 0, err
 	}
-	dirty := make(map[string][]core.Value)
-	for _, name := range db.store.TableNames() {
-		t, terr := db.store.Table(name)
-		if terr != nil {
-			continue
-		}
-		keys := t.SwapDirty()
-		if !full && len(keys) > 0 {
-			dirty[name] = keys
-		}
-	}
-	begin := &wal.DeltaBegin{CSN: cut, Schemas: wal.Schemas(db.store)}
-	if !full {
-		begin.Base = base
-	}
-	if full {
-		// Sampled before the append: if the begin itself triggers a
-		// rotation the marker lands one segment later, so the bound only
-		// ever errs conservative (one extra segment kept).
-		sample = db.log.Device().CurrentSegment()
-	}
-	linkBytes, err := db.log.BeginDelta(begin)
+	// Sampled before the append: if the begin itself triggers a rotation
+	// the marker lands one segment later, so the bound only ever errs
+	// conservative (one extra segment kept).
+	bound := db.log.Device().CurrentSegment()
+	ckptBytes, err := db.log.BeginCkpt(&wal.CkptBegin{CSN: cut, Schemas: wal.Schemas(db.store)})
 	db.ckptMu.Unlock()
 	pause := time.Since(start).Nanoseconds()
 	db.ckptPauseNS.Add(pause)
 	db.lastPauseNS.Store(pause)
 	if err != nil {
 		db.hz.unpin(cut)
-		db.resetChain()
 		return 0, err
 	}
 
-	var rows []wal.DeltaRow
-	if full {
-		rows = wal.SnapshotAll(db.store, cut)
-	} else {
-		rows = wal.SnapshotDelta(db.store, dirty, cut)
-	}
+	rows := wal.SnapshotAll(db.store, cut)
 	// The rows now reference the immutable records themselves; the
 	// chains may be cut.
 	db.hz.unpin(cut)
 	if db.tracer.Enabled() {
 		db.tracer.Emit(trace.Event{Kind: trace.EvCkptBegin, CSN: cut, Depth: len(rows)})
 	}
-	const deltaBatch = 256
-	for off := 0; off < len(rows); off += deltaBatch {
-		end := off + deltaBatch
-		if end > len(rows) {
-			end = len(rows)
+	for off := 0; off < len(rows); off += ckptBatch {
+		n, err := db.log.AppendCkptRows(&wal.CkptRows{CSN: cut, Rows: rows[off:min(off+ckptBatch, len(rows))]})
+		if err != nil {
+			return 0, err
 		}
-		n, derr := db.log.AppendDeltaRows(&wal.DeltaRows{CSN: cut, Rows: rows[off:end]})
-		if derr != nil {
-			db.resetChain()
-			return 0, derr
-		}
-		linkBytes += n
+		ckptBytes += n
 	}
-	n, err := db.log.EndDelta(&wal.DeltaEnd{CSN: cut, Rows: uint64(len(rows))})
+	n, err := db.log.EndCkpt(&wal.CkptEnd{CSN: cut, Rows: uint64(len(rows))})
 	if err != nil {
-		db.resetChain()
 		return 0, err
 	}
-	linkBytes += n
+	ckptBytes += n
 
-	db.incrCkpts.Add(1)
-	if full {
-		db.fullLinks.Add(1)
-	}
-	db.ckptStateMu.Lock()
-	db.chainBase = cut
-	if full {
-		db.chainLinks = 1
-		db.chainRootSeg = sample
-	} else {
-		db.chainLinks++
-	}
-	links = db.chainLinks
-	bound := db.chainRootSeg
-	db.ckptStateMu.Unlock()
+	db.ckptCut = cut
+	db.ckpts.Add(1)
 	if db.tracer.Enabled() {
-		db.tracer.Emit(trace.Event{Kind: trace.EvCkptEnd, CSN: cut, Depth: links, Bytes: linkBytes})
+		db.tracer.Emit(trace.Event{Kind: trace.EvCkptEnd, CSN: cut, Bytes: ckptBytes})
 	}
-	if db.cfg.RetireSegments && bound > 0 {
-		if _, _, rerr := db.log.Retire(bound, db.cfg.ArchiveDir); rerr != nil {
-			return cut, rerr
+	if db.cfg.RetireSegments {
+		if _, err := db.log.Retire(bound); err != nil {
+			return cut, err
 		}
 	}
 	return cut, nil
-}
-
-// resetChain abandons the in-memory chain state after a failed link:
-// whatever the log holds, the next checkpoint starts a fresh full link
-// (which also covers the dirty epoch the failed run drained).
-func (db *DB) resetChain() {
-	db.ckptStateMu.Lock()
-	db.chainBase, db.chainLinks, db.chainRootSeg = 0, 0, 0
-	db.ckptStateMu.Unlock()
 }
 
 // ckptLoopInterval is the checkpoint scheduler's poll period.
@@ -621,7 +538,7 @@ const ckptLoopInterval = 5 * time.Millisecond
 
 // ckptLoop is the log-growth checkpoint scheduler: whenever the device
 // has accumulated Config.CheckpointLogBytes of appends since the last
-// completed checkpoint, it takes an incremental one. Failures are left
+// completed checkpoint, it takes one. Failures are left
 // for the next tick (a bricked WAL fails fast until recovery).
 func (db *DB) ckptLoop() {
 	defer close(db.ckptDone)
@@ -647,44 +564,24 @@ func (db *DB) ckptLoop() {
 	}
 }
 
-// CheckpointStats reports the engine-side fuzzy-checkpoint counters;
-// the WAL-side view (delta links durable, retired and archived
-// segments) lives in wal.Stats.
+// CheckpointStats reports the engine-side checkpoint counters; the
+// WAL-side view (retired segments) lives in wal.Stats.
 type CheckpointStats struct {
-	// Links counts completed links, FullLinks the chain re-roots among
-	// them.
-	Links     int64
-	FullLinks int64
-	// ChainLinks and ChainBase describe the current chain: its length
-	// including the root, and the newest durable cut.
-	ChainLinks int
-	ChainBase  uint64
-	// DirtyKeys is the dirty-set size across all tables (a gauge,
-	// approximate under concurrent commits).
-	DirtyKeys int
+	// Links counts completed checkpoints.
+	Links int64
 	// PauseNS is the cumulative commit-barrier hold time across
 	// checkpoints; LastPauseNS the most recent hold.
 	PauseNS     int64
 	LastPauseNS int64
 }
 
-// CheckpointStats snapshots the fuzzy-checkpoint counters.
+// CheckpointStats snapshots the checkpoint counters.
 func (db *DB) CheckpointStats() CheckpointStats {
-	s := CheckpointStats{
-		Links:       db.incrCkpts.Load(),
-		FullLinks:   db.fullLinks.Load(),
+	return CheckpointStats{
+		Links:       db.ckpts.Load(),
 		PauseNS:     db.ckptPauseNS.Load(),
 		LastPauseNS: db.lastPauseNS.Load(),
 	}
-	db.ckptStateMu.Lock()
-	s.ChainLinks, s.ChainBase = db.chainLinks, db.chainBase
-	db.ckptStateMu.Unlock()
-	for _, name := range db.store.TableNames() {
-		if t, err := db.store.Table(name); err == nil {
-			s.DirtyKeys += t.DirtyCount()
-		}
-	}
-	return s
 }
 
 // Mode returns the configured concurrency-control mode.

@@ -185,20 +185,20 @@ func TestScanAsOfSnapshotTooOld(t *testing.T) {
 }
 
 // TestStressCheckpointUnderOverwriteStorm: checkpoints stream their
-// links while writers overwrite — and prune — a handful of rows as fast
-// as they can; what recovery rebuilds from the chain and the redo tail
-// equals what was published.
+// rows while writers overwrite — and prune — a handful of rows as fast
+// as they can; what recovery rebuilds from the last checkpoint and the
+// redo tail equals what was published.
 func TestStressCheckpointUnderOverwriteStorm(t *testing.T) {
 	if testing.Short() {
 		t.Skip("stress test")
 	}
 	dev := newMemLog(t)
-	db := Open(Config{WAL: wal.Config{Device: dev}, CheckpointChainMax: 2})
+	db := Open(Config{WAL: wal.Config{Device: dev}})
 	if err := db.CreateTable(kvSchema("T")); err != nil {
 		t.Fatal(err)
 	}
-	// The writers stay on the first rows; the cold rest makes a full
-	// link's walk long enough for them to get far ahead of its cut.
+	// The writers stay on the first rows; the cold rest makes a
+	// checkpoint's walk long enough for them to get far ahead of its cut.
 	const rows, cold = 8, 4000
 	tx := db.Begin()
 	for k := int64(0); k < rows+cold; k++ {
@@ -241,7 +241,7 @@ func TestStressCheckpointUnderOverwriteStorm(t *testing.T) {
 		}
 	}
 	wg.Wait()
-	if cs := db.CheckpointStats(); cs.Links < 4 || cs.FullLinks < 2 {
+	if cs := db.CheckpointStats(); cs.Links < 4 {
 		t.Fatalf("the storm saw too few checkpoints to mean anything: %+v", cs)
 	}
 	if hs := db.HorizonStats(); hs.Pruned == 0 {
@@ -250,11 +250,11 @@ func TestStressCheckpointUnderOverwriteStorm(t *testing.T) {
 	want, cut := scanT(t, db), db.CommitSeq()
 	db.Close()
 
-	// Every row a link streamed is the row as of the link's cut — the
+	// Every row a checkpoint streamed is the row as of its cut — the
 	// newest commit frame at or below it that wrote the key — although
 	// the writers had long pruned past it when the row was resolved.
 	// (Recovery alone would not notice: the redo tail rewrites what a
-	// wrong link row got wrong.)
+	// wrong checkpoint row got wrong.)
 	type write struct {
 		csn uint64
 		val int64
@@ -268,33 +268,30 @@ func TestStressCheckpointUnderOverwriteStorm(t *testing.T) {
 			}
 		}
 	}
-	linkRows, fullLink := 0, false
+	ckptRows := 0
 	for _, f := range frames {
-		switch {
-		case f.DeltaBegin != nil:
-			fullLink = f.DeltaBegin.Base == 0
-		case f.DeltaEnd != nil && fullLink && f.DeltaEnd.Rows != rows+cold:
-			t.Fatalf("full link at cut %d streamed %d rows of %d", f.DeltaEnd.CSN, f.DeltaEnd.Rows, rows+cold)
+		if f.CkptEnd != nil && f.CkptEnd.Rows != rows+cold {
+			t.Fatalf("checkpoint at cut %d streamed %d rows of %d", f.CkptEnd.CSN, f.CkptEnd.Rows, rows+cold)
 		}
-		if f.DeltaRows == nil {
+		if f.CkptRows == nil {
 			continue
 		}
-		for _, r := range f.DeltaRows.Rows {
+		for _, r := range f.CkptRows.Rows {
 			var asOf write
 			for _, w := range writes[r.Key.Int64()] {
-				if w.csn <= f.DeltaRows.CSN {
+				if w.csn <= f.CkptRows.CSN {
 					asOf = w
 				}
 			}
-			if r.Rec == nil || r.CSN != asOf.csn || r.Rec[1].Int64() != asOf.val {
-				t.Fatalf("link at cut %d streamed key %v as %v @%d, the log says %d @%d",
-					f.DeltaRows.CSN, r.Key, r.Rec, r.CSN, asOf.val, asOf.csn)
+			if r.CSN != asOf.csn || r.Rec[1].Int64() != asOf.val {
+				t.Fatalf("checkpoint at cut %d streamed key %v as %v @%d, the log says %d @%d",
+					f.CkptRows.CSN, r.Key, r.Rec, r.CSN, asOf.val, asOf.csn)
 			}
-			linkRows++
+			ckptRows++
 		}
 	}
-	if linkRows == 0 {
-		t.Fatal("no link row to check")
+	if ckptRows == 0 {
+		t.Fatal("no checkpoint row to check")
 	}
 
 	db2, rep, err := Recover(dev, Config{})
@@ -303,7 +300,7 @@ func TestStressCheckpointUnderOverwriteStorm(t *testing.T) {
 	}
 	defer db2.Close()
 	if rep.Log.Checkpoint == nil || rep.HighCSN != cut {
-		t.Fatalf("recovered CSN %d (checkpoint %v), want %d from a chain", rep.HighCSN, rep.Log.Checkpoint != nil, cut)
+		t.Fatalf("recovered CSN %d (checkpoint %v), want %d from a checkpoint", rep.HighCSN, rep.Log.Checkpoint != nil, cut)
 	}
 	got := scanT(t, db2)
 	if len(got) != len(want) {

@@ -27,8 +27,8 @@ type RecoveryReport struct {
 
 // Recover rebuilds a database from a log device: ARIES-style redo-only
 // recovery over the committed row images the WAL persists. The scan
-// truncates any torn tail (repairing the device in place), the folded
-// checkpoint chain is restored verbatim, commit frames beyond its cut
+// truncates any torn tail (repairing the device in place), the newest
+// complete checkpoint is restored verbatim, commit frames beyond its cut
 // are replayed in CSN order, unique indexes are rebuilt from
 // the recovered final state, and the CSN sequencer resumes from the
 // recovered high-water mark. cfg configures the revived instance (mode,
@@ -70,23 +70,24 @@ func Recover(dev wal.LogDevice, cfg Config) (*DB, *RecoveryReport, error) {
 
 	// Checkpoint snapshot: install every row verbatim, preserving its
 	// commit CSN so the recovered version chain matches the crashed one.
-	if info.Checkpoint != nil {
-		for _, t := range info.Checkpoint.Tables {
-			tbl, err := db.store.Table(t.Schema.Name)
+	if ck := info.Checkpoint; ck != nil {
+		for _, r := range ck.Rows {
+			if r.CSN == 0 || r.CSN > ck.CSN {
+				return fail(fmt.Errorf("engine: recover: checkpoint row %s/%v has CSN %d outside (0, %d]",
+					r.Table, r.Key, r.CSN, ck.CSN))
+			}
+			tbl, err := db.store.Table(r.Table)
 			if err != nil {
 				return fail(fmt.Errorf("engine: recover: %w", err))
 			}
-			for _, r := range t.Rows {
-				if r.CSN == 0 || r.CSN > info.Checkpoint.CSN {
-					return fail(fmt.Errorf("engine: recover: checkpoint row %s/%v has CSN %d outside (0, %d]",
-						t.Schema.Name, r.Key, r.CSN, info.Checkpoint.CSN))
-				}
-				if err := installRecovered(tbl, r.Key, r.Rec, r.CSN); err != nil {
-					return fail(err)
-				}
-				report.CheckpointRows++
+			if err := installRecovered(tbl, r.Key, r.Rec, r.CSN); err != nil {
+				return fail(err)
 			}
+			report.CheckpointRows++
 		}
+		db.ckptRunMu.Lock() // the scheduler goroutine is already running
+		db.ckptCut = ck.CSN
+		db.ckptRunMu.Unlock()
 	}
 
 	// Redo replay, in CSN order. Per-row log order equals per-row CSN
@@ -105,10 +106,6 @@ func Recover(dev wal.LogDevice, cfg Config) (*DB, *RecoveryReport, error) {
 			if err := installRecovered(tbl, ri.Key, ri.Rec, c.CSN); err != nil {
 				return fail(err)
 			}
-			// Replayed keys enter the dirty epoch: the first
-			// post-recovery delta link bases on the recovered cut, so it
-			// must cover the redo work between the cut and the crash.
-			tbl.MarkDirty(ri.Key)
 			report.ReplayedRows++
 		}
 		report.ReplayedCommits++
@@ -151,19 +148,6 @@ func Recover(dev wal.LogDevice, cfg Config) (*DB, *RecoveryReport, error) {
 	db.seqMu.Unlock()
 	db.visibleCSN.Store(info.HighCSN)
 	db.log.ResumeDurable(info.HighCSN)
-
-	// Seed the fuzzy-checkpoint chain state: the next incremental link
-	// bases on the recovered cut (the fold's tail), extending the chain
-	// the log already holds. The retirement bound stays 0 — the root's
-	// segment index is unknown after a restart — so no segment retires
-	// until the next full link re-roots the chain.
-	if info.Checkpoint != nil {
-		db.ckptStateMu.Lock()
-		db.chainBase = info.Checkpoint.CSN
-		db.chainLinks = info.ChainLinks
-		db.chainRootSeg = 0
-		db.ckptStateMu.Unlock()
-	}
 	return db, report, nil
 }
 

@@ -374,14 +374,14 @@ func TestSSIDoomedCommitLogsNothing(t *testing.T) {
 }
 
 // TestCreateTableCheckpointRace races DDL against checkpoints that
-// re-root the chain and retire the segments behind it every time.
-// CreateTable holds the checkpoint barrier across the store create and
-// the DDL append; whichever side of a cut a table lands on — DDL frame
-// in a retired segment, or only in the next link's embedded schema set
-// — recovery must find its definition and its commits.
+// retire the segments behind them every time. CreateTable holds the
+// checkpoint barrier across the store create and the DDL append;
+// whichever side of a cut a table lands on — DDL frame in a retired
+// segment, or only in the next checkpoint's embedded schema set —
+// recovery must find its definition and its commits.
 func TestCreateTableCheckpointRace(t *testing.T) {
 	dev := newMemLog(t)
-	db := Open(Config{WAL: wal.Config{Device: dev}, RetireSegments: true, CheckpointChainMax: 1})
+	db := Open(Config{WAL: wal.Config{Device: dev}, RetireSegments: true})
 	if err := db.CreateTable(kvSchema("T")); err != nil {
 		t.Fatal(err)
 	}
@@ -427,8 +427,9 @@ func TestCreateTableCheckpointRace(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
-	// One more re-root after the race, so even a run whose checkpointer
-	// barely got scheduled retires the segments holding the DDL frames.
+	// One more checkpoint after the race, so even a run whose
+	// checkpointer barely got scheduled retires the segments holding the
+	// DDL frames.
 	if _, err := db.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}

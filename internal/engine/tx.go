@@ -897,15 +897,6 @@ func (tx *Tx) Commit() error {
 				}
 			}
 		}
-		if tx.db.log.Persistent() {
-			// Dirty-key tracking for fuzzy checkpoints, inside the
-			// barrier's read side: a checkpoint cutting at or after csn
-			// drains its epoch only once this window closes, so the link
-			// at the cut covers every key this commit wrote.
-			for _, w := range tx.writes {
-				w.table.MarkDirty(w.key)
-			}
-		}
 		// SFU watermarks are not durable (see rowImages): they only
 		// gate conflicts with concurrent transactions, none of which
 		// survive a crash.

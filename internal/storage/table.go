@@ -26,17 +26,6 @@ type rowStripe struct {
 	// anchors are never freed, so allocating them one by one buys
 	// nothing (guarded by mu, write side).
 	slab []Row
-
-	// dirty is the set of keys written by commits published since the
-	// last checkpoint epoch swap (SwapDirty). It has its own mutex so
-	// the commit publish path never touches the row-map lock: MarkDirty
-	// is one map insert under a per-stripe mutex.
-	dirtyMu sync.Mutex
-	dirty   map[core.Value]struct{}
-	// dirtyHint is the size of the epoch last swapped out, at which the
-	// next epoch's map starts: checkpoints are paced by log growth, so
-	// epochs dirty about as many keys each.
-	dirtyHint int
 }
 
 // Table is a versioned heap keyed by primary key, with any declared
@@ -173,53 +162,6 @@ func (t *Table) Keys() []core.Value {
 	}
 	sort.Slice(keys, func(i, j int) bool { return keys[i].Less(keys[j]) })
 	return keys
-}
-
-// MarkDirty records that key was written by a published commit. The
-// engine calls it on the commit publish path (inside the checkpoint
-// barrier's read side), so a checkpoint's epoch swap under the write
-// side sees every key dirtied by commits at or before its cut.
-func (t *Table) MarkDirty(key core.Value) {
-	s := t.stripe(key)
-	s.dirtyMu.Lock()
-	if s.dirty == nil {
-		s.dirty = make(map[core.Value]struct{}, s.dirtyHint)
-	}
-	s.dirty[key] = struct{}{}
-	s.dirtyMu.Unlock()
-}
-
-// SwapDirty drains and returns the dirty-key set accumulated since the
-// previous swap, resetting the epoch. The fuzzy checkpoint calls it
-// under the commit barrier's write side: keys dirtied by commits after
-// the swap accumulate for the next link, in a map the first of them
-// allocates at the size of the one swapped out (not here: every commit
-// waits for this caller) instead of regrowing it from empty.
-func (t *Table) SwapDirty() []core.Value {
-	var keys []core.Value
-	for i := range t.stripes {
-		s := &t.stripes[i]
-		s.dirtyMu.Lock()
-		for k := range s.dirty {
-			keys = append(keys, k)
-		}
-		s.dirtyHint, s.dirty = len(s.dirty), nil
-		s.dirtyMu.Unlock()
-	}
-	return keys
-}
-
-// DirtyCount returns the current dirty-set size (an observability
-// gauge; approximate under concurrent commits).
-func (t *Table) DirtyCount() int {
-	n := 0
-	for i := range t.stripes {
-		s := &t.stripes[i]
-		s.dirtyMu.Lock()
-		n += len(s.dirty)
-		s.dirtyMu.Unlock()
-	}
-	return n
 }
 
 // RowCount returns the number of row anchors (including tombstoned rows).

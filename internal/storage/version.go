@@ -109,7 +109,7 @@ func (r *Row) NewestCommitted() *Version {
 
 // CommittedAsOf returns the newest committed version with CSN ≤ cut, or
 // nil: the row as a reader that is no transaction sees it at cut (a
-// checkpoint link, a scan of the state some CSN published). Unlike
+// checkpoint, a scan of the state some CSN published). Unlike
 // Visible it honours nobody's uncommitted writes.
 func (r *Row) CommittedAsOf(cut uint64) *Version {
 	for v := r.Head(); v != nil; v = v.Prev.Load() {

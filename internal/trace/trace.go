@@ -107,14 +107,13 @@ const (
 	// The write-ver events are exactly the transaction's committed write
 	// set (checker.Txn.Writes).
 	EvWriteVer
-	// EvCkptBegin: a fuzzy incremental checkpoint opened its delta link.
-	// Tx is zero; CSN is the begin cut (the chain link's CSN) and Depth
-	// the number of dirty keys the link will stream. Appended after
-	// EvWriteVer to keep earlier wire values stable.
+	// EvCkptBegin: a checkpoint read the database as of its cut. Tx is
+	// zero; CSN is the cut and Depth the number of rows the checkpoint
+	// will stream. Appended after EvWriteVer to keep earlier wire values
+	// stable.
 	EvCkptBegin
-	// EvCkptEnd: the delta link's end marker is durable. Tx is zero; CSN
-	// is the cut, Depth the chain length including this link, Bytes the
-	// total encoded size of the link's frames.
+	// EvCkptEnd: the checkpoint's end marker is durable. Tx is zero; CSN
+	// is the cut, Bytes the total encoded size of the checkpoint's frames.
 	EvCkptEnd
 
 	numKinds

@@ -301,7 +301,7 @@ func TestWaitDurableCSN(t *testing.T) {
 
 // TestCrashIsAtomicAcrossDeviceUsers is the regression test for a
 // simulated crash on one goroutine racing a flush window on another: a
-// checkpoint link dying mid-batch (wal/ckpt-delta) drops the page cache
+// checkpoint dying mid-batch (wal/ckpt-rows) drops the page cache
 // — including the window's appended-but-unsynced frames — so the
 // window's sync must not then succeed and acknowledge commits that are
 // no longer on the device. The window is parked between its append and
@@ -315,7 +315,7 @@ func TestCrashIsAtomicAcrossDeviceUsers(t *testing.T) {
 	defer w.Close()
 	for _, spec := range []faultinject.Spec{
 		{Point: FaultSync, Count: 1, Action: faultinject.ActDelay, Delay: 50 * time.Millisecond},
-		{Point: FaultCkptDelta, Count: 1, Action: faultinject.ActPanic},
+		{Point: FaultCkptRows, Count: 1, Action: faultinject.ActPanic},
 	} {
 		if err := reg.Arm(spec); err != nil {
 			t.Fatal(err)
@@ -327,8 +327,8 @@ func TestCrashIsAtomicAcrossDeviceUsers(t *testing.T) {
 	for dev.Size() == 0 { // the window's append has reached the device
 		time.Sleep(100 * time.Microsecond)
 	}
-	if _, err := w.AppendDeltaRows(&DeltaRows{CSN: 1}); !errors.Is(err, core.ErrInjected) {
-		t.Fatalf("delta append through the crash = %v, want ErrInjected", err)
+	if _, err := w.AppendCkptRows(&CkptRows{CSN: 1}); !errors.Is(err, core.ErrInjected) {
+		t.Fatalf("checkpoint rows append through the crash = %v, want ErrInjected", err)
 	}
 	commitErr := <-acked
 

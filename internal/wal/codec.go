@@ -21,14 +21,14 @@ const (
 	frameHeaderSize = 8
 
 	frameCommit = 1
-	// Kind 2 was the full-image checkpoint frame, retired when a full
-	// chain link became the only checkpoint. The number stays reserved —
+	// Kind 2 was the full-image checkpoint frame, retired when checkpoints
+	// became streamed begin/rows/end triples. The number stays reserved —
 	// never reused — so a log carrying one is rejected as corrupt rather
 	// than misread.
-	frameSchema     = 3
-	frameDeltaBegin = 4
-	frameDeltaRows  = 5
-	frameDeltaEnd   = 6
+	frameSchema    = 3
+	frameCkptBegin = 4
+	frameCkptRows  = 5
+	frameCkptEnd   = 6
 )
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
@@ -52,81 +52,59 @@ type CommitFrame struct {
 	Rows []RowImage
 }
 
-// CheckpointRow is one live row in a checkpoint snapshot, with the CSN
-// of its newest committed version so recovery restores versions — not
-// just values — exactly.
-type CheckpointRow struct {
-	Key core.Value
-	CSN uint64
-	Rec core.Record
-}
-
-// CheckpointTable is one table's schema plus its full live-row snapshot.
-type CheckpointTable struct {
-	Schema core.Schema
-	Rows   []CheckpointRow
-}
-
-// Checkpoint is a point-in-time-consistent snapshot of the database at
-// CSN: every commit with csn <= CSN is included, none after. It is the
-// in-memory image recovery folds the checkpoint chain into and hands
-// the engine; it has no wire form of its own.
+// Checkpoint is the newest complete checkpoint in the log: every
+// commit with csn <= CSN is included, none after. Schemas are the table
+// definitions as of the cut, Rows every live row at it.
 type Checkpoint struct {
-	CSN    uint64
-	Tables []CheckpointTable
+	CSN     uint64
+	Schemas []core.Schema
+	Rows    []CkptRow
 }
 
-// DeltaBegin opens one link of a fuzzy checkpoint chain. CSN is the
-// cut: the link's row images cover every key dirtied by commits in
-// (Base, CSN]. Base is the cut of the previous chain link this delta
-// builds on; Base == 0 marks a *full* link (the chain root: every live
-// key is streamed, so no older log bytes are needed to fold it). The
-// begin marker embeds all table schemas as of the cut, making a chain
-// rooted at a full link self-contained.
-type DeltaBegin struct {
+// CkptBegin opens a checkpoint. CSN is the cut: the checkpoint's rows
+// are the database as of that commit. The marker embeds every table
+// schema as of the cut, so a checkpoint needs no older log bytes.
+type CkptBegin struct {
 	CSN     uint64
-	Base    uint64
 	Schemas []core.Schema
 }
 
-// DeltaRow is one dirty-key after-image as of the link's cut: the
-// newest committed version with csn <= cut. Rec == nil encodes a
-// tombstone — the key was deleted (or never live) at the cut, and the
-// fold removes it.
-type DeltaRow struct {
+// CkptRow is one live row as of the cut: its newest committed version
+// with csn <= cut.
+type CkptRow struct {
 	Table string
 	Key   core.Value
 	CSN   uint64
 	Rec   core.Record
 }
 
-// DeltaRows is one batch of a link's row images, appended between the
-// link's begin and end markers. CSN binds the batch to its link;
-// batches whose CSN does not match the open link are ignored by
-// classification. Commit frames interleave freely with these batches —
-// that is the point of the fuzzy checkpoint.
-type DeltaRows struct {
+// CkptRows is one batch of a checkpoint's rows, appended between its
+// begin and end markers. CSN binds the batch to its checkpoint; batches
+// whose CSN does not match the open checkpoint are ignored by
+// classification. Commit frames interleave freely with these batches:
+// the rows are streamed off the commit barrier.
+type CkptRows struct {
 	CSN  uint64
-	Rows []DeltaRow
+	Rows []CkptRow
 }
 
-// DeltaEnd seals a link. A link is complete — and only then counts for
-// the recovery fold — when its end marker is inside the valid prefix
-// and Rows matches the total DeltaRow entries streamed since the begin
-// marker. A torn or missing end marker discards the whole link:
-// recovery falls back to the previous complete chain state.
-type DeltaEnd struct {
+// CkptEnd seals a checkpoint. A checkpoint is complete, and only then
+// counts for recovery, when its end marker is inside the valid prefix
+// and Rows matches the CkptRow entries streamed since the begin marker.
+// A torn or missing end marker discards the whole checkpoint: recovery
+// falls back to the previous complete one.
+type CkptEnd struct {
 	CSN  uint64
 	Rows uint64
 }
 
 // Frame is one decoded log frame; exactly one field is non-nil.
 type Frame struct {
-	Commit     *CommitFrame
-	Schema     *core.Schema
-	DeltaBegin *DeltaBegin
-	DeltaRows  *DeltaRows
-	DeltaEnd   *DeltaEnd
+	Commit    *CommitFrame
+	Schema    *core.Schema
+	CkptBegin *CkptBegin
+	CkptRows  *CkptRows
+	CkptEnd   *CkptEnd
 }
 
 // --- encoding -------------------------------------------------------------
@@ -259,11 +237,10 @@ func EncodeSchema(s *core.Schema) []byte {
 	return frame(p)
 }
 
-// EncodeDeltaBegin renders a chain-link begin marker, header included.
-func EncodeDeltaBegin(d *DeltaBegin) []byte {
-	p := []byte{frameDeltaBegin}
+// EncodeCkptBegin renders a checkpoint begin marker, header included.
+func EncodeCkptBegin(d *CkptBegin) []byte {
+	p := []byte{frameCkptBegin}
 	p = appendU64(p, d.CSN)
-	p = appendU64(p, d.Base)
 	p = appendU32(p, uint32(len(d.Schemas)))
 	for i := range d.Schemas {
 		p = appendSchema(p, &d.Schemas[i])
@@ -271,28 +248,23 @@ func EncodeDeltaBegin(d *DeltaBegin) []byte {
 	return frame(p)
 }
 
-// EncodeDeltaRows renders one batch of link row images, header included.
-func EncodeDeltaRows(d *DeltaRows) []byte {
-	p := []byte{frameDeltaRows}
+// EncodeCkptRows renders one batch of checkpoint rows, header included.
+func EncodeCkptRows(d *CkptRows) []byte {
+	p := []byte{frameCkptRows}
 	p = appendU64(p, d.CSN)
 	p = appendU32(p, uint32(len(d.Rows)))
 	for _, r := range d.Rows {
 		p = appendStr(p, r.Table)
 		p = appendValue(p, r.Key)
 		p = appendU64(p, r.CSN)
-		if r.Rec == nil {
-			p = append(p, 0)
-		} else {
-			p = append(p, 1)
-			p = appendRecord(p, r.Rec)
-		}
+		p = appendRecord(p, r.Rec)
 	}
 	return frame(p)
 }
 
-// EncodeDeltaEnd renders a chain-link end marker, header included.
-func EncodeDeltaEnd(d *DeltaEnd) []byte {
-	p := []byte{frameDeltaEnd}
+// EncodeCkptEnd renders a checkpoint end marker, header included.
+func EncodeCkptEnd(d *CkptEnd) []byte {
+	p := []byte{frameCkptEnd}
 	p = appendU64(p, d.CSN)
 	p = appendU64(p, d.Rows)
 	return frame(p)
@@ -486,19 +458,15 @@ func (r *reader) commitFrame() (*CommitFrame, error) {
 	return c, nil
 }
 
-func (r *reader) deltaBeginFrame() (*DeltaBegin, error) {
-	d := &DeltaBegin{}
+func (r *reader) ckptBeginFrame() (*CkptBegin, error) {
+	d := &CkptBegin{}
 	var err error
 	if d.CSN, err = r.u64(); err != nil {
 		return nil, err
 	}
-	if d.Base, err = r.u64(); err != nil {
-		return nil, err
-	}
-	if d.CSN == 0 || d.Base >= d.CSN {
-		// The cut is a published CSN (never 0) and a link must advance
-		// the chain; a marker violating either is corrupt.
-		return nil, fmt.Errorf("wal: delta begin with cut %d, base %d", d.CSN, d.Base)
+	if d.CSN == 0 {
+		// The cut is a published CSN, never 0.
+		return nil, fmt.Errorf("wal: checkpoint begin with CSN 0")
 	}
 	nschemas, err := r.u32()
 	if err != nil {
@@ -514,8 +482,8 @@ func (r *reader) deltaBeginFrame() (*DeltaBegin, error) {
 	return d, nil
 }
 
-func (r *reader) deltaRowsFrame() (*DeltaRows, error) {
-	d := &DeltaRows{}
+func (r *reader) ckptRowsFrame() (*CkptRows, error) {
+	d := &CkptRows{}
 	var err error
 	if d.CSN, err = r.u64(); err != nil {
 		return nil, err
@@ -525,7 +493,7 @@ func (r *reader) deltaRowsFrame() (*DeltaRows, error) {
 		return nil, err
 	}
 	for i := uint32(0); i < nrows; i++ {
-		var row DeltaRow
+		var row CkptRow
 		if row.Table, err = r.str(); err != nil {
 			return nil, err
 		}
@@ -535,25 +503,19 @@ func (r *reader) deltaRowsFrame() (*DeltaRows, error) {
 		if row.CSN, err = r.u64(); err != nil {
 			return nil, err
 		}
-		live, err := r.u8()
-		if err != nil {
+		if row.Rec, err = r.record(); err != nil {
 			return nil, err
 		}
-		if live != 0 {
-			if row.Rec, err = r.record(); err != nil {
-				return nil, err
-			}
-			if row.Rec == nil {
-				row.Rec = core.Record{}
-			}
+		if row.Rec == nil {
+			row.Rec = core.Record{} // live, not the nil of a tombstone
 		}
 		d.Rows = append(d.Rows, row)
 	}
 	return d, nil
 }
 
-func (r *reader) deltaEndFrame() (*DeltaEnd, error) {
-	d := &DeltaEnd{}
+func (r *reader) ckptEndFrame() (*CkptEnd, error) {
+	d := &CkptEnd{}
 	var err error
 	if d.CSN, err = r.u64(); err != nil {
 		return nil, err
@@ -562,7 +524,7 @@ func (r *reader) deltaEndFrame() (*DeltaEnd, error) {
 		return nil, err
 	}
 	if d.CSN == 0 {
-		return nil, fmt.Errorf("wal: delta end with CSN 0")
+		return nil, fmt.Errorf("wal: checkpoint end with CSN 0")
 	}
 	return d, nil
 }
@@ -600,12 +562,12 @@ func DecodeFrameAt(b []byte, off int) (Frame, int, error) {
 		if err == nil {
 			f.Schema = &s
 		}
-	case frameDeltaBegin:
-		f.DeltaBegin, err = r.deltaBeginFrame()
-	case frameDeltaRows:
-		f.DeltaRows, err = r.deltaRowsFrame()
-	case frameDeltaEnd:
-		f.DeltaEnd, err = r.deltaEndFrame()
+	case frameCkptBegin:
+		f.CkptBegin, err = r.ckptBeginFrame()
+	case frameCkptRows:
+		f.CkptRows, err = r.ckptRowsFrame()
+	case frameCkptEnd:
+		f.CkptEnd, err = r.ckptEndFrame()
 	default:
 		return Frame{}, 0, fmt.Errorf("wal: frame at %d: unknown type %d", off, payload[0])
 	}

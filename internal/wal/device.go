@@ -50,13 +50,11 @@ type LogDevice interface {
 	// containing the cut is truncated in place.
 	TruncateTail(valid int64) error
 	// RetireSegments removes every sealed segment with index < beforeIdx,
-	// oldest first; with archiveDir non-empty each is copied there before
-	// the unlink. It returns how many segments were removed and how many
-	// of those were archived. A crash mid-retire leaves a shorter prefix
-	// removed — still a valid suffix layout.
-	RetireSegments(beforeIdx int, archiveDir string) (retired, archived int, err error)
+	// oldest first, and returns how many it removed. A crash mid-retire
+	// leaves a shorter prefix removed — still a valid suffix layout.
+	RetireSegments(beforeIdx int) (retired int, err error)
 	// CurrentSegment returns the index of the segment new appends land
-	// in; sampled under the commit barrier it is a chain root's
+	// in; sampled under the commit barrier it is a checkpoint's
 	// retirement bound.
 	CurrentSegment() int
 	// SetFaults installs the registry consulted by the device's own

@@ -65,25 +65,25 @@ func FuzzRecoverSegments(f *testing.F) {
 	f.Add([]byte{2, 0}, []byte{1, 2, 3}) // garbage
 	f.Add([]byte{0, 0}, []byte{})        // empty
 
-	// Fuzzy checkpoint chain layouts: a full root link, a redo commit, a
-	// delta link based on it — then the same stream with the last link
-	// torn mid-batch, and with the link's frames straddling boundaries.
-	link := func(base, cut uint64, rows []wal.DeltaRow) []byte {
-		out := wal.EncodeDeltaBegin(&wal.DeltaBegin{CSN: cut, Base: base, Schemas: []core.Schema{schema}})
-		out = append(out, wal.EncodeDeltaRows(&wal.DeltaRows{CSN: cut, Rows: rows})...)
-		return append(out, wal.EncodeDeltaEnd(&wal.DeltaEnd{CSN: cut, Rows: uint64(len(rows))})...)
+	// Checkpoint layouts: a checkpoint, a redo commit, a second
+	// checkpoint — then the same stream with the last checkpoint torn
+	// mid-batch, and with its frames straddling boundaries.
+	ckpt := func(cut uint64, rows []wal.CkptRow) []byte {
+		out := wal.EncodeCkptBegin(&wal.CkptBegin{CSN: cut, Schemas: []core.Schema{schema}})
+		out = append(out, wal.EncodeCkptRows(&wal.CkptRows{CSN: cut, Rows: rows})...)
+		return append(out, wal.EncodeCkptEnd(&wal.CkptEnd{CSN: cut, Rows: uint64(len(rows))})...)
 	}
-	chain := append(wal.EncodeSchema(&schema),
-		link(0, 2, []wal.DeltaRow{{Table: "t", Key: core.Int(1), CSN: 2, Rec: core.Record{core.Int(1), core.Int(2)}}})...)
-	chain = append(chain, commit(3)...)
-	lastLink := link(2, 3, []wal.DeltaRow{
+	first := append(wal.EncodeSchema(&schema),
+		ckpt(2, []wal.CkptRow{{Table: "t", Key: core.Int(1), CSN: 2, Rec: core.Record{core.Int(1), core.Int(2)}}})...)
+	first = append(first, commit(3)...)
+	last := ckpt(3, []wal.CkptRow{
 		{Table: "t", Key: core.Int(1), CSN: 3, Rec: core.Record{core.Int(1), core.Int(3)}},
-		{Table: "t", Key: core.Int(2)}, // tombstone image
+		{Table: "t", Key: core.Int(2), CSN: 1, Rec: core.Record{core.Int(2), core.Int(1)}},
 	})
-	f.Add([]byte{2, 0}, append(append([]byte(nil), chain...), lastLink...))                   // complete chain over two segments
-	f.Add([]byte{4, 0}, append(append([]byte(nil), chain...), lastLink...))                   // chain frames straddling boundaries
-	f.Add([]byte{3, 0}, append(append([]byte(nil), chain...), lastLink[:9]...))               // torn mid-begin of the last link
-	f.Add([]byte{2, 0}, append(append([]byte(nil), chain...), lastLink[:len(lastLink)-5]...)) // torn before the end marker
+	f.Add([]byte{2, 0}, append(append([]byte(nil), first...), last...))               // two checkpoints over two segments
+	f.Add([]byte{4, 0}, append(append([]byte(nil), first...), last...))               // checkpoint frames straddling boundaries
+	f.Add([]byte{3, 0}, append(append([]byte(nil), first...), last[:9]...))           // torn mid-begin of the last checkpoint
+	f.Add([]byte{2, 0}, append(append([]byte(nil), first...), last[:len(last)-5]...)) // torn before the end marker
 
 	f.Fuzz(func(t *testing.T, head, body []byte) {
 		segs := fuzzSegments(append(append([]byte(nil), head...), body...))

@@ -29,12 +29,12 @@ func FuzzRecoverLog(f *testing.F) {
 		PK: 0,
 	}
 	f.Add(wal.EncodeSchema(&schema))
-	// A full chain link: begin marker, one rows batch, end marker.
-	link := wal.EncodeDeltaBegin(&wal.DeltaBegin{CSN: 2, Schemas: []core.Schema{schema}})
-	link = append(link, wal.EncodeDeltaRows(&wal.DeltaRows{CSN: 2, Rows: []wal.DeltaRow{
+	// A checkpoint: begin marker, one rows batch, end marker.
+	ckpt := wal.EncodeCkptBegin(&wal.CkptBegin{CSN: 2, Schemas: []core.Schema{schema}})
+	ckpt = append(ckpt, wal.EncodeCkptRows(&wal.CkptRows{CSN: 2, Rows: []wal.CkptRow{
 		{Table: "t", Key: core.Int(1), CSN: 2, Rec: core.Record{core.Int(1), core.Int(9)}},
 	}})...)
-	f.Add(append(link, wal.EncodeDeltaEnd(&wal.DeltaEnd{CSN: 2, Rows: 1})...))
+	f.Add(append(ckpt, wal.EncodeCkptEnd(&wal.CkptEnd{CSN: 2, Rows: 1})...))
 	// A valid log with a torn tail.
 	torn := append(wal.EncodeSchema(&schema), wal.EncodeCommit(&wal.CommitFrame{TxID: 1, CSN: 1})...)
 	f.Add(torn[:len(torn)-3])

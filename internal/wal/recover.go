@@ -11,16 +11,11 @@ import (
 // snapshot to start from, the redo work after it, and what the scan
 // discarded.
 type RecoveryInfo struct {
-	// Checkpoint is the snapshot to restore: the image produced by
-	// folding the newest complete checkpoint chain in the valid prefix
-	// (a full root link plus every complete delta link in order). Nil
-	// when the log holds no complete chain.
+	// Checkpoint is the snapshot to restore: the newest complete
+	// checkpoint in the valid prefix. A torn or incomplete last
+	// checkpoint does not count — recovery falls back to the one before
+	// it. Nil when the log holds no complete checkpoint.
 	Checkpoint *Checkpoint
-	// ChainLinks is the number of complete links folded into Checkpoint,
-	// root included (0 when there is none). A torn or incomplete final
-	// link is not counted — recovery falls back to the chain state
-	// before it.
-	ChainLinks int
 	// Schemas are the table definitions in effect: every schema frame
 	// in the valid prefix, deduplicated by table name (last wins),
 	// merged with the schemas embedded in the checkpoint.
@@ -34,8 +29,8 @@ type RecoveryInfo struct {
 	// HighCSN is the recovered commit-sequence high-water mark; the
 	// restarted sequencer continues from HighCSN+1.
 	HighCSN uint64
-	// Frames counts all valid frames scanned (chain links, schemas and
-	// commits, including commits the checkpoint already covers).
+	// Frames counts all valid frames scanned (checkpoint frames, schemas
+	// and commits, including commits the checkpoint already covers).
 	Frames int
 	// ValidBytes is the length of the valid prefix; TornBytes is what
 	// the torn-tail rule discarded (0 for a clean log).
@@ -114,109 +109,35 @@ func ClassifySegments(segs []SegmentData) (*RecoveryInfo, error) {
 	return info, nil
 }
 
-// chainLink is one complete fuzzy-checkpoint link assembled by the
-// classification scan: its begin marker plus every bound rows batch.
-type chainLink struct {
-	begin *DeltaBegin
-	rows  []DeltaRow
-}
-
-// foldChain reduces the frame stream's checkpoint structure to one
-// full checkpoint image. The scan keeps a running chain — a root (a
-// complete link with Base == 0) plus complete delta links each based on
-// the previous cut — and a pending link between a begin marker and its
-// end marker. A link is complete only when its end marker matches the
-// open begin's cut AND its row count; anything else (torn tail inside
-// the link, a new begin abandoning the old, a mismatched orphan)
-// discards the pending link, so recovery falls back to the chain state
-// before it — never a partial fold. Rows batches bind to the pending link by cut;
-// unbound batches are ignored (fuzz inputs; a healthy engine never
-// interleaves links).
-//
-// It returns the folded checkpoint (nil when the log has no complete
-// rooted chain) and the number of links folded.
-func foldChain(frames []Frame) (*Checkpoint, int) {
-	var chain []*chainLink
-	var pending *chainLink
+// lastCheckpoint returns the newest complete checkpoint in the frame
+// stream, nil when there is none. The scan keeps the newest complete
+// checkpoint and a pending one between a begin marker and its end
+// marker. A checkpoint is complete only when its end marker matches the
+// open begin's cut AND its row count; anything else (a torn tail inside
+// it, a new begin abandoning the old, a mismatched end) discards the
+// pending one, so recovery falls back to the previous complete
+// checkpoint — never a partial one. Rows batches bind to the pending
+// checkpoint by cut; unbound batches are ignored (fuzz inputs; a healthy
+// engine never interleaves checkpoints).
+func lastCheckpoint(frames []Frame) *Checkpoint {
+	var last, pending *Checkpoint
 	for i := range frames {
 		f := &frames[i]
 		switch {
-		case f.DeltaBegin != nil:
-			pending = &chainLink{begin: f.DeltaBegin}
-		case f.DeltaRows != nil:
-			if pending != nil && f.DeltaRows.CSN == pending.begin.CSN {
-				pending.rows = append(pending.rows, f.DeltaRows.Rows...)
+		case f.CkptBegin != nil:
+			pending = &Checkpoint{CSN: f.CkptBegin.CSN, Schemas: f.CkptBegin.Schemas}
+		case f.CkptRows != nil:
+			if pending != nil && f.CkptRows.CSN == pending.CSN {
+				pending.Rows = append(pending.Rows, f.CkptRows.Rows...)
 			}
-		case f.DeltaEnd != nil:
-			if pending == nil || f.DeltaEnd.CSN != pending.begin.CSN ||
-				f.DeltaEnd.Rows != uint64(len(pending.rows)) {
-				pending = nil
-				continue
-			}
-			switch {
-			case pending.begin.Base == 0:
-				// A full link roots a fresh chain; the earlier one is
-				// superseded.
-				chain = []*chainLink{pending}
-			case len(chain) > 0 && pending.begin.Base == chain[len(chain)-1].begin.CSN:
-				chain = append(chain, pending)
-				// Orphan links whose base matches nothing are dropped: a
-				// healthy engine never writes one (it extends only after
-				// the previous end marker synced).
+		case f.CkptEnd != nil:
+			if pending != nil && f.CkptEnd.CSN == pending.CSN && f.CkptEnd.Rows == uint64(len(pending.Rows)) {
+				last = pending
 			}
 			pending = nil
 		}
 	}
-	if len(chain) == 0 {
-		return nil, 0
-	}
-
-	// Fold: from empty, apply each link's after-images in order — a
-	// tombstone removes the key, a live row installs it.
-	live := map[string]map[core.Value]CheckpointRow{}
-	for _, ln := range chain {
-		for _, dr := range ln.rows {
-			m := live[dr.Table]
-			if dr.Rec == nil {
-				if m != nil {
-					delete(m, dr.Key)
-				}
-				continue
-			}
-			if dr.CSN == 0 || dr.CSN > ln.begin.CSN {
-				continue // malformed image (fuzz); a real link never streams it
-			}
-			if m == nil {
-				m = map[core.Value]CheckpointRow{}
-				live[dr.Table] = m
-			}
-			m[dr.Key] = CheckpointRow{Key: dr.Key, CSN: dr.CSN, Rec: dr.Rec}
-		}
-	}
-
-	// Tables come from the last link's embedded schema set — the
-	// definitions as of the final cut — so empty tables survive the fold.
-	last := chain[len(chain)-1].begin
-	ckpt := &Checkpoint{CSN: last.CSN}
-	seen := map[string]bool{}
-	for _, sc := range last.Schemas {
-		if seen[sc.Name] {
-			continue
-		}
-		seen[sc.Name] = true
-		ct := CheckpointTable{Schema: sc}
-		m := live[sc.Name]
-		keys := make([]core.Value, 0, len(m))
-		for k := range m {
-			keys = append(keys, k)
-		}
-		sort.Slice(keys, func(i, j int) bool { return keys[i].Less(keys[j]) })
-		for _, k := range keys {
-			ct.Rows = append(ct.Rows, m[k])
-		}
-		ckpt.Tables = append(ckpt.Tables, ct)
-	}
-	return ckpt, len(chain)
+	return last
 }
 
 // torn returns the position (in sorted order) of the segment containing
@@ -243,8 +164,8 @@ func Classify(b []byte) *RecoveryInfo {
 		TornBytes:  len(b) - validLen,
 	}
 
-	// The snapshot to restore: the newest complete chain, folded.
-	info.Checkpoint, info.ChainLinks = foldChain(frames)
+	// The snapshot to restore: the newest complete checkpoint.
+	info.Checkpoint = lastCheckpoint(frames)
 	cut := uint64(0)
 	if info.Checkpoint != nil {
 		cut = info.Checkpoint.CSN
@@ -263,8 +184,8 @@ func Classify(b []byte) *RecoveryInfo {
 		info.Schemas = append(info.Schemas, s)
 	}
 	if info.Checkpoint != nil {
-		for _, t := range info.Checkpoint.Tables {
-			addSchema(t.Schema)
+		for _, sc := range info.Checkpoint.Schemas {
+			addSchema(sc)
 		}
 	}
 	for _, f := range frames {
@@ -283,15 +204,6 @@ func Classify(b []byte) *RecoveryInfo {
 		info.Commits = append(info.Commits, f.Commit)
 		if f.Commit.CSN > info.HighCSN {
 			info.HighCSN = f.Commit.CSN
-		}
-	}
-	if info.Checkpoint != nil {
-		for _, t := range info.Checkpoint.Tables {
-			for _, r := range t.Rows {
-				if r.CSN > info.HighCSN {
-					info.HighCSN = r.CSN
-				}
-			}
 		}
 	}
 	sort.SliceStable(info.Commits, func(i, j int) bool {

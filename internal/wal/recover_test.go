@@ -15,7 +15,7 @@ func commitFrameBytes(csn uint64, rows ...RowImage) []byte {
 
 func TestClassifyCheckpointAndRedo(t *testing.T) {
 	var log []byte
-	log = append(log, deltaLink(0, 5, []core.Schema{testSchema()}, []DeltaRow{
+	log = append(log, ckptFrames(5, []core.Schema{testSchema()}, []CkptRow{
 		{Table: "T", Key: core.Int(1), CSN: 4, Rec: core.Record{core.Int(1), core.Str("a")}},
 	})...)
 	log = append(log, commitFrameBytes(7)...)
@@ -23,11 +23,11 @@ func TestClassifyCheckpointAndRedo(t *testing.T) {
 	log = append(log, commitFrameBytes(3)...) // pre-cut commit in an untruncated log
 
 	info := Classify(log)
-	if info.Checkpoint == nil || info.Checkpoint.CSN != 5 || info.ChainLinks != 1 {
-		t.Fatalf("checkpoint: %+v (%d links)", info.Checkpoint, info.ChainLinks)
+	if info.Checkpoint == nil || info.Checkpoint.CSN != 5 {
+		t.Fatalf("checkpoint: %+v", info.Checkpoint)
 	}
-	if rows := info.Checkpoint.Tables[0].Rows; len(rows) != 1 || rows[0].CSN != 4 {
-		t.Fatalf("folded rows: %+v, want row 1 at its version CSN 4", rows)
+	if rows := info.Checkpoint.Rows; len(rows) != 1 || rows[0].CSN != 4 {
+		t.Fatalf("checkpoint rows: %+v, want row 1 at its version CSN 4", rows)
 	}
 	if len(info.Commits) != 2 || info.Commits[0].CSN != 6 || info.Commits[1].CSN != 7 {
 		t.Fatalf("redo commits not CSN-sorted past the cut: %+v", info.Commits)
@@ -45,9 +45,9 @@ func TestClassifyCheckpointAndRedo(t *testing.T) {
 
 func TestClassifyLastRootWins(t *testing.T) {
 	var log []byte
-	log = append(log, deltaLink(0, 3, nil)...)
+	log = append(log, ckptFrames(3, nil)...)
 	log = append(log, commitFrameBytes(4)...)
-	log = append(log, deltaLink(0, 8, nil)...)
+	log = append(log, ckptFrames(8, nil)...)
 	log = append(log, commitFrameBytes(9)...)
 
 	info := Classify(log)

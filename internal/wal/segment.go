@@ -19,7 +19,7 @@ import (
 const FaultRotate = "wal/rotate"
 
 // FaultRetire fires inside SegmentLog.RetireSegments once per segment,
-// before that segment is archived or unlinked. An injected error or an
+// before that segment is unlinked. An injected error or an
 // ActPanic (process death mid-retire) stops the sweep with a prefix of
 // the eligible segments removed — still a contiguous suffix layout that
 // openSegments and recovery accept, because removal runs oldest-first.
@@ -79,9 +79,6 @@ type segStore interface {
 	create(idx int) (segFile, error)
 	// remove deletes a segment.
 	remove(idx int) error
-	// archive durably copies a segment's image into dir before it is
-	// removed (the point-in-time-recovery source).
-	archive(dir string, idx int, data []byte) error
 	// syncDir makes creations/removals durable (file backend).
 	syncDir() error
 }
@@ -316,13 +313,11 @@ func (l *SegmentLog) Segments() ([]SegmentData, error) {
 }
 
 // RetireSegments implements LogDevice: unlink sealed segments with index
-// < beforeIdx, oldest first, each optionally copied to archiveDir
-// first (copy synced before the unlink, so the archive never misses a
-// retired segment). The current segment is never retired. A failure —
-// injected or real — stops the sweep mid-way; because removal is
-// oldest-first, the survivors [k..N] stay a contiguous index range that
-// openSegments and ClassifySegments accept.
-func (l *SegmentLog) RetireSegments(beforeIdx int, archiveDir string) (retired, archived int, err error) {
+// < beforeIdx, oldest first. The current segment is never retired. A
+// failure — injected or real — stops the sweep mid-way; because removal
+// is oldest-first, the survivors [k..N] stay a contiguous index range
+// that openSegments and ClassifySegments accept.
+func (l *SegmentLog) RetireSegments(beforeIdx int) (retired int, err error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	for len(l.segs) > 1 && l.segs[0].idx < beforeIdx {
@@ -333,25 +328,10 @@ func (l *SegmentLog) RetireSegments(beforeIdx int, archiveDir string) (retired, 
 				_, _ = l.dropUnsynced()
 			}
 			_ = l.store.syncDir()
-			return retired, archived, fmt.Errorf("wal: segment retire %s: %w", SegmentName(m.idx), ferr)
-		}
-		if archiveDir != "" {
-			f, _, oerr := l.store.open(m.idx)
-			if oerr != nil {
-				return retired, archived, fmt.Errorf("wal: segment retire %s: %w", SegmentName(m.idx), oerr)
-			}
-			data, rerr := f.read()
-			f.close()
-			if rerr != nil {
-				return retired, archived, fmt.Errorf("wal: segment retire %s: %w", SegmentName(m.idx), rerr)
-			}
-			if aerr := l.store.archive(archiveDir, m.idx, data); aerr != nil {
-				return retired, archived, fmt.Errorf("wal: segment archive %s: %w", SegmentName(m.idx), aerr)
-			}
-			archived++
+			return retired, fmt.Errorf("wal: segment retire %s: %w", SegmentName(m.idx), ferr)
 		}
 		if rerr := l.store.remove(m.idx); rerr != nil {
-			return retired, archived, fmt.Errorf("wal: segment retire %s: %w", SegmentName(m.idx), rerr)
+			return retired, fmt.Errorf("wal: segment retire %s: %w", SegmentName(m.idx), rerr)
 		}
 		l.total -= m.size
 		l.segs = l.segs[1:]
@@ -359,10 +339,10 @@ func (l *SegmentLog) RetireSegments(beforeIdx int, archiveDir string) (retired, 
 	}
 	if retired > 0 {
 		if serr := l.store.syncDir(); serr != nil {
-			return retired, archived, fmt.Errorf("wal: segment retire: %w", serr)
+			return retired, fmt.Errorf("wal: segment retire: %w", serr)
 		}
 	}
-	return retired, archived, nil
+	return retired, nil
 }
 
 // TruncateTail implements LogDevice: discard everything past the
@@ -426,9 +406,10 @@ func (l *SegmentLog) Size() int64 {
 }
 
 // CurrentSegment implements LogDevice: the index of the segment new
-// appends land in. The engine samples it while appending a chain root's begin marker
-// (under the commit barrier): every earlier segment is covered once
-// that chain completes, so the sample is the chain's retirement bound.
+// appends land in. The engine samples it while appending a checkpoint's
+// begin marker (under the commit barrier): every earlier segment is
+// covered once that checkpoint completes, so the sample is its
+// retirement bound.
 func (l *SegmentLog) CurrentSegment() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -485,9 +466,8 @@ func (s *memSeg) read() ([]byte, error) {
 func (s *memSeg) close() error { return nil }
 
 type memSegStore struct {
-	mu       sync.Mutex
-	segs     map[int]*memSeg
-	archived map[int][]byte // retired-segment images, keyed by index
+	mu   sync.Mutex
+	segs map[int]*memSeg
 }
 
 func (st *memSegStore) list() ([]int, error) {
@@ -525,16 +505,6 @@ func (st *memSegStore) remove(idx int) error {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	delete(st.segs, idx)
-	return nil
-}
-
-func (st *memSegStore) archive(dir string, idx int, data []byte) error {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if st.archived == nil {
-		st.archived = map[int][]byte{}
-	}
-	st.archived[idx] = append([]byte(nil), data...)
 	return nil
 }
 
@@ -613,28 +583,6 @@ func (st *fileSegStore) create(idx int) (segFile, error) {
 
 func (st *fileSegStore) remove(idx int) error {
 	return os.Remove(filepath.Join(st.dir, SegmentName(idx)))
-}
-
-func (st *fileSegStore) archive(dir string, idx int, data []byte) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	f, err := os.OpenFile(filepath.Join(dir, SegmentName(idx)), os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	return syncDir(dir)
 }
 
 func (st *fileSegStore) syncDir() error { return syncDir(st.dir) }

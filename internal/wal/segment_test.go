@@ -82,9 +82,9 @@ func TestSegmentRotation(t *testing.T) {
 }
 
 // TestSegmentRetireBehindFullLink checks how a checkpoint bounds the
-// log: a full chain link is appended at the tail, the sealed segments
-// behind its begin marker are retired, and post-checkpoint commits
-// recover on top of the folded link.
+// log: a checkpoint is appended at the tail, the sealed segments behind
+// its begin marker are retired, and post-checkpoint commits recover on
+// top of it.
 func TestSegmentRetireBehindFullLink(t *testing.T) {
 	dev := newTestLog(t)
 	w := New(Config{Device: dev})
@@ -99,22 +99,22 @@ func TestSegmentRetireBehindFullLink(t *testing.T) {
 		t.Fatalf("want rotations before the checkpoint, have %d segment", dev.SegmentCount())
 	}
 	bound := dev.CurrentSegment()
-	if _, err := w.BeginDelta(&DeltaBegin{CSN: 12, Schemas: []core.Schema{testSchema()}}); err != nil {
+	if _, err := w.BeginCkpt(&CkptBegin{CSN: 12, Schemas: []core.Schema{testSchema()}}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := w.EndDelta(&DeltaEnd{CSN: 12}); err != nil {
+	if _, err := w.EndCkpt(&CkptEnd{CSN: 12}); err != nil {
 		t.Fatal(err)
 	}
 	preSegs := dev.SegmentCount()
-	retired, _, err := w.Retire(bound, "")
+	retired, err := w.Retire(bound)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if retired != bound || dev.SegmentCount() != preSegs-retired {
 		t.Fatalf("retired %d of %d segments behind bound %d, %d left", retired, preSegs, bound, dev.SegmentCount())
 	}
-	if s := w.Stats(); s.RetiredSegments != int64(retired) || s.DeltaCheckpoints != 1 {
-		t.Fatalf("stats = %+v, want RetiredSegments=%d DeltaCheckpoints=1", s, retired)
+	if s := w.Stats(); s.RetiredSegments != int64(retired) {
+		t.Fatalf("stats = %+v, want RetiredSegments=%d", s, retired)
 	}
 	for csn := uint64(13); csn <= 16; csn++ {
 		if err := durableCommit(w, csn); err != nil {

@@ -32,9 +32,9 @@
 // commit: the committer that needs its record durable runs the flush
 // loop itself and flushes everybody's (Lead); a background goroutine
 // runs it only for records nobody is waiting to lead. Schema frames and
-// the fuzzy checkpoint chain's link frames share the same framing, and
-// Recover (recover.go) classifies a device image back into folded
-// checkpoint + redo work with torn-tail truncation. The one device is
+// the checkpoint frames share the same framing, and Recover (recover.go)
+// classifies a device image back into the newest complete checkpoint +
+// redo work with torn-tail truncation. The one device is
 // the wal.000N segmented log (segment.go). Read-only transactions never
 // touch the log, which is the mechanism behind the paper's §IV-D observation that
 // strategies turning the read-only Balance program into an updater pay
@@ -79,13 +79,13 @@ const (
 	// between append and sync: every unsynced append vanishes
 	// with the page cache and nothing in the window is acknowledged.
 	FaultSync = "wal/sync"
-	// FaultCkptDelta fires once per delta-rows append of a fuzzy
-	// checkpoint link, before any byte reaches the device. An ActPanic
-	// models the process dying mid-delta: unsynced appends are lost, a
-	// torn prefix of the batch frame may reach the platter, the WAL
-	// bricks — and recovery must discard the incomplete link, falling
-	// back to the previous complete chain state.
-	FaultCkptDelta = "wal/ckpt-delta"
+	// FaultCkptRows fires once per rows-batch append of a checkpoint,
+	// before any byte reaches the device. An ActPanic models the process
+	// dying mid-checkpoint: unsynced appends are lost, a torn prefix of
+	// the batch frame may reach the platter, the WAL bricks — and
+	// recovery must discard the incomplete checkpoint, falling back to
+	// the previous complete one.
+	FaultCkptRows = "wal/ckpt-rows"
 )
 
 // Config parameterizes the log device.
@@ -152,7 +152,7 @@ type Stats struct {
 	// Flushes counts flush windows appended and made durable, LedFlushes
 	// those of them that a committer flushed on its own goroutine (see
 	// Lead; the rest ran on the background goroutine); Syncs counts every
-	// device sync (a window's, a schema frame's, a chain link's end
+	// device sync (a window's, a schema frame's, a checkpoint's end
 	// marker).
 	Flushes    int64
 	LedFlushes int64
@@ -162,14 +162,9 @@ type Stats struct {
 	// FailedFlushes counts flush windows that failed; their records
 	// were rejected, not acknowledged.
 	FailedFlushes int64
-	// DeltaCheckpoints counts fuzzy chain links made durable (end
-	// marker synced).
-	DeltaCheckpoints int64
 	// RetiredSegments counts sealed segments unlinked by Retire because
-	// the checkpoint chain covers them; ArchivedSegments counts how many
-	// of those were copied to the archive directory first.
-	RetiredSegments  int64
-	ArchivedSegments int64
+	// a checkpoint covers them.
+	RetiredSegments int64
 	// Holds counts simulated syncs whose start was held back for the
 	// committers the previous sync acknowledged (see syncStart); HoldHits
 	// counts those that started because that many records had arrived,
@@ -269,7 +264,7 @@ func New(cfg Config) *WAL {
 }
 
 // SetFaults installs the fault registry consulted by the FaultCommit,
-// FaultFlush, FaultSync and FaultCkptDelta points (nil disables),
+// FaultFlush, FaultSync and FaultCkptRows points (nil disables),
 // propagating it to the device's own points (rotation, retirement).
 // Call before commits are in flight.
 func (w *WAL) SetFaults(r *faultinject.Registry) {
@@ -773,7 +768,7 @@ func (w *WAL) brick(err error) {
 // mutex and any failure bricks before it is released, so device state
 // and the sticky error change together: nothing can be appended or
 // acknowledged behind a crash or device error that another goroutine (a
-// checkpoint link racing a flush window) hit first. An injected
+// checkpoint racing a flush window) hit first. An injected
 // syncFault error is a failed fsync — durability of everything since
 // the last good sync is unknown (fsyncgate); a panic there is power
 // dying before the sync reaches the device, the append lost with the
@@ -907,15 +902,15 @@ func (w *WAL) guardOpen() error {
 	return w.broken
 }
 
-// appendControl is the one path every non-commit frame (schema, chain
-// link markers and row batches) takes to the device: reject a closed,
-// bricked or device-less WAL, fire the frame's fault point if it has
-// one, append, sync when the frame is a durability point, then account
-// the bytes — or brick. The first failure is the sticky cause; a later
-// one never overwrites it. A crash at the fault point (ActPanic) loses
-// unsynced appends and leaves at most a torn prefix of enc on the
-// platter. Any failure bricks: a half-written link or DDL frame whose
-// device state is unknown cannot be reasoned about frame by frame.
+// appendControl is the one path every non-commit frame (schema,
+// checkpoint markers and row batches) takes to the device: reject a
+// closed, bricked or device-less WAL, fire the frame's fault point if it
+// has one, append, sync when the frame is a durability point, then
+// account the bytes — or brick. The first failure is the sticky cause; a
+// later one never overwrites it. A crash at the fault point (ActPanic)
+// loses unsynced appends and leaves at most a torn prefix of enc on the
+// platter. Any failure bricks: a half-written checkpoint or DDL frame
+// whose device state is unknown cannot be reasoned about frame by frame.
 func (w *WAL) appendControl(enc []byte, fault string, sync bool) (int, error) {
 	err := w.guardOpen()
 	if err != nil {
@@ -956,64 +951,55 @@ func (w *WAL) AppendSchema(s *core.Schema) error {
 	return err
 }
 
-// BeginDelta appends a fuzzy-checkpoint chain-link begin marker. The
-// caller (engine.DB.Checkpoint) holds the commit barrier's write side
-// across this append, which is the whole point: no commit with CSN >
-// d.CSN can precede the marker in the byte stream, so every frame
-// before it is covered by the chain once the link completes. The marker
-// is NOT synced here — the end marker's sync covers it, and a begin
-// lost with the page cache just leaves an incomplete link that recovery
-// ignores.
-func (w *WAL) BeginDelta(d *DeltaBegin) (int, error) {
-	return w.appendControl(EncodeDeltaBegin(d), "", false)
+// BeginCkpt appends a checkpoint's begin marker. The caller
+// (engine.DB.Checkpoint) holds the commit barrier's write side across
+// this append, which is the whole point: no commit with CSN > d.CSN can
+// precede the marker in the byte stream, so every frame before it is
+// covered once the checkpoint completes. The marker is NOT synced here —
+// the end marker's sync covers it, and a begin lost with the page cache
+// just leaves an incomplete checkpoint that recovery ignores.
+func (w *WAL) BeginCkpt(d *CkptBegin) (int, error) {
+	return w.appendControl(EncodeCkptBegin(d), "", false)
 }
 
-// AppendDeltaRows appends one batch of a link's after-images. It runs
+// AppendCkptRows appends one batch of a checkpoint's rows. It runs
 // WITHOUT the commit barrier — versions at or below the cut are
 // immutable, so commits interleave freely with these appends. A crash
-// here (FaultCkptDelta with ActPanic) bricks the WAL mid-link: recovery
-// sees an incomplete link and falls back to the previous complete chain
-// state.
-func (w *WAL) AppendDeltaRows(d *DeltaRows) (int, error) {
-	return w.appendControl(EncodeDeltaRows(d), FaultCkptDelta, false)
+// here (FaultCkptRows with ActPanic) bricks the WAL mid-checkpoint:
+// recovery sees an incomplete checkpoint and falls back to the previous
+// complete one.
+func (w *WAL) AppendCkptRows(d *CkptRows) (int, error) {
+	return w.appendControl(EncodeCkptRows(d), FaultCkptRows, false)
 }
 
-// EndDelta appends the link's end marker and syncs: the durability
-// point of the whole link (begin, every rows batch, end — appends are
-// ordered, one sync covers them all). Only after EndDelta returns nil
-// may the engine extend its in-memory chain state or retire segments.
-func (w *WAL) EndDelta(d *DeltaEnd) (int, error) {
-	n, err := w.appendControl(EncodeDeltaEnd(d), "", true)
-	if err == nil {
-		w.mu.Lock()
-		w.stats.DeltaCheckpoints++
-		w.mu.Unlock()
-	}
-	return n, err
+// EndCkpt appends the checkpoint's end marker and syncs: the durability
+// point of the whole checkpoint (begin, every rows batch, end — appends
+// are ordered, one sync covers them all). Only after EndCkpt returns nil
+// may the engine retire the segments in front of the begin marker.
+func (w *WAL) EndCkpt(d *CkptEnd) (int, error) {
+	return w.appendControl(EncodeCkptEnd(d), "", true)
 }
 
-// Retire unlinks sealed segments with index < beforeIdx, optionally
-// archiving each to archiveDir first (point-in-time-recovery source).
-// The caller must only pass a beforeIdx at or below the segment index
-// that was current when the chain's ROOT link appended its begin marker
-// — everything before that point is reconstructible from the chain.
-func (w *WAL) Retire(beforeIdx int, archiveDir string) (retired, archived int, err error) {
+// Retire unlinks sealed segments with index < beforeIdx. The caller
+// must only pass a beforeIdx at or below the segment index that was
+// current when a complete checkpoint appended its begin marker —
+// everything before that point is covered by the checkpoint.
+func (w *WAL) Retire(beforeIdx int) (retired int, err error) {
 	if err := w.guardOpen(); err != nil {
-		return 0, 0, err
+		return 0, err
 	}
 	// Like devWrite: refuse and brick inside devMu.
 	w.devMu.Lock()
 	if err = w.Broken(); err == nil {
-		if retired, archived, err = w.cfg.Device.RetireSegments(beforeIdx, archiveDir); err != nil {
+		if retired, err = w.cfg.Device.RetireSegments(beforeIdx); err != nil {
 			w.brick(err)
 		}
 	}
 	w.devMu.Unlock()
 	w.mu.Lock()
 	w.stats.RetiredSegments += int64(retired)
-	w.stats.ArchivedSegments += int64(archived)
 	w.mu.Unlock()
-	return retired, archived, err
+	return retired, err
 }
 
 // Broken returns the sticky device-death error (nil while healthy). A

@@ -47,12 +47,12 @@ type CrashChaosConfig struct {
 	// a zero-delta mix so money conservation holds on every committed
 	// prefix.
 	Async bool
-	// Fuzzy keeps the checkpoint machinery live during the bursts: the
-	// engine's log-growth scheduler checkpoints with a small threshold
-	// (so links land inside bursts, concurrent with commits), covered
-	// segments are retired online with archiving, and the crash rotation
-	// gains the mid-delta (wal/ckpt-delta) and mid-retire (wal/retire)
-	// points. Without it checkpoints happen only between bursts, on the
+	// Fuzzy keeps checkpointing live during the bursts: the engine's
+	// log-growth scheduler checkpoints with a small threshold (so
+	// checkpoints stream inside bursts, concurrent with commits), covered
+	// segments are retired online, and the crash rotation gains the
+	// mid-checkpoint (wal/ckpt-rows) and mid-retire (wal/retire) points.
+	// Without it checkpoints happen only between bursts, on the
 	// CheckpointEvery cadence.
 	Fuzzy bool
 	// TxDeadline > 0 stamps every transaction with a default deadline
@@ -112,9 +112,9 @@ type CrashCycle struct {
 	DurableSeq uint64
 	// Segments is the number of log segments recovery scanned.
 	Segments int
-	// ChainLinks is the number of checkpoint-chain links recovery folded
-	// (0 when the log held no complete chain).
-	ChainLinks int
+	// CheckpointCSN is the cut of the checkpoint recovery restored (0
+	// when the log held no complete checkpoint).
+	CheckpointCSN uint64
 	// Checkpointed reports whether a checkpoint was taken after this
 	// cycle's recovery.
 	Checkpointed bool
@@ -173,7 +173,7 @@ func (c *CrashChaosConfig) crashPoints() []string {
 		wal.FaultRotate,
 	}
 	if c.Fuzzy {
-		pts = append(pts, wal.FaultCkptDelta, wal.FaultRetire)
+		pts = append(pts, wal.FaultCkptRows, wal.FaultRetire)
 	}
 	return pts
 }
@@ -184,10 +184,10 @@ func (c *CrashChaosConfig) crashPoints() []string {
 func crashSpec(points []string, cycle int) faultinject.Spec {
 	p := points[cycle%len(points)]
 	after := uint64(2 + 5*(cycle%7))
-	// The checkpoint-machinery points fire a handful of times per burst
-	// (once per delta batch streamed / segment retired), not hundreds:
-	// trigger early so the armed cycle actually crashes inside them.
-	if p == wal.FaultCkptDelta || p == wal.FaultRetire {
+	// The checkpoint points fire a handful of times per burst (once per
+	// rows batch streamed / segment retired), not hundreds: trigger early
+	// so the armed cycle actually crashes inside them.
+	if p == wal.FaultCkptRows || p == wal.FaultRetire {
 		after = uint64(cycle % 3)
 	}
 	return faultinject.Spec{
@@ -317,13 +317,10 @@ func RunCrashChaos(cfg CrashChaosConfig) (*CrashChaosReport, error) {
 		AsyncCommit: cfg.Async,
 	}
 	if cfg.Fuzzy {
-		// Small threshold so the scheduler checkpoints inside every
-		// burst, and a short chain so full links re-root (and retirement
-		// runs) several times over the run.
+		// Small threshold so the scheduler checkpoints (and retirement
+		// runs) inside every burst.
 		ecfg.CheckpointLogBytes = 4096
-		ecfg.CheckpointChainMax = 3
 		ecfg.RetireSegments = true
-		ecfg.ArchiveDir = "archive"
 	}
 
 	db, initial, err := smallbank.Open(ecfg, smallbank.LoadConfig{Customers: cfg.Customers, Seed: cfg.Seed})
@@ -418,7 +415,9 @@ func RunCrashChaos(cfg CrashChaosConfig) (*CrashChaosReport, error) {
 		cyc.ReplayedCommits = rrep.ReplayedCommits
 		cyc.HighCSN = rrep.HighCSN
 		cyc.Segments = rrep.Log.Segments
-		cyc.ChainLinks = rrep.Log.ChainLinks
+		if rrep.Log.Checkpoint != nil {
+			cyc.CheckpointCSN = rrep.Log.Checkpoint.CSN
+		}
 
 		recovered, err := captureState(db2)
 		if err != nil {
