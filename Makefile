@@ -37,12 +37,12 @@ race:
 	$(GO) test -race -short -count=5 ./internal/detsim
 
 # Concurrency stress suite (goroutine fleets + property-based lock-table
-# equivalence, lock-free chain readers against pruning writers and the
-# prune-visibility property in storage, checkpoints streaming under an
-# overwrite storm in engine, committers leading, queueing to lead,
-# withdrawing and committing async against one log in wal, plus the
-# MPL-16 online-checker subscription) under the race detector, twice, to
-# vary schedules.
+# equivalence, lock-free chain readers against pruning writers, the
+# prune-visibility property and table walks racing inserts in storage,
+# checkpoints streaming under an overwrite storm in engine, committers
+# leading, queueing to lead, withdrawing and committing async against
+# one log in wal, plus the MPL-16 online-checker subscription) under the
+# race detector, twice, to vary schedules.
 stress:
 	$(GO) test -race -count=2 -run 'TestStress|TestQuick' ./internal/storage ./internal/wal ./internal/engine ./internal/workload
 
@@ -153,6 +153,7 @@ bench:
 	$(GO) test -run XXX -bench 'BenchmarkOnlineCheck|BenchmarkIngest' -benchtime 1s -count 6 -benchmem ./internal/onlinecheck
 	$(GO) test -run XXX -bench 'BenchmarkServerRoundTrip' -benchtime 1s -count 6 -benchmem ./internal/server
 	$(GO) test -run XXX -bench 'BenchmarkLoad' -benchtime 5x -count 6 -benchmem ./internal/smallbank
+	$(GO) test -run XXX -bench 'BenchmarkRowMap' -benchtime 1s -count 6 -benchmem ./internal/storage
 
 # The benchmark (benchspine/) is a module of its own, so the root
 # build and vet never compile it: this step is what notices an API it

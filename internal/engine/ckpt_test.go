@@ -1,9 +1,13 @@
 package engine
 
 import (
+	"errors"
+	"slices"
 	"testing"
 	"time"
 
+	"sicost/internal/core"
+	"sicost/internal/faultinject"
 	"sicost/internal/wal"
 )
 
@@ -216,5 +220,42 @@ func TestCheckpointSchedulerRetiresSegments(t *testing.T) {
 	}
 	if db2.CommitSeq() != preSeq {
 		t.Fatalf("recovered CSN %d, want %d", db2.CommitSeq(), preSeq)
+	}
+}
+
+// TestCheckpointFailureReleasesPin: a checkpoint whose second rows batch
+// fails to append returns the error and leaves no pin in the snapshot
+// horizon behind it, so pruning is not held back for ever.
+func TestCheckpointFailureReleasesPin(t *testing.T) {
+	dev, err := wal.NewMemSegmentLog(1 << 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := faultinject.New(1)
+	db := Open(Config{WAL: wal.Config{Device: dev}, Faults: reg})
+	defer db.Close()
+	if err := db.CreateTable(kvSchema("T")); err != nil {
+		t.Fatal(err)
+	}
+	tx := db.Begin()
+	for k := int64(0); k < 3*ckptBatch; k++ {
+		if err := tx.Insert("T", kv(k, k)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if err := reg.Arm(faultinject.Spec{Point: wal.FaultCkptRows, After: 1, Count: 1, Action: faultinject.ActError}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.Checkpoint(); !errors.Is(err, core.ErrInjected) {
+		t.Fatalf("Checkpoint = %v, want the injected failure of the second batch", err)
+	}
+	db.hz.mu.Lock()
+	pins := slices.Clone(db.hz.pins)
+	db.hz.mu.Unlock()
+	if len(pins) != 0 {
+		t.Fatalf("pins left after the failed checkpoint: %v", pins)
 	}
 }

@@ -13,6 +13,7 @@ package engine
 
 import (
 	"runtime"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -458,14 +459,15 @@ const ckptBatch = 256
 // durable log device. The commit barrier is held only for the cut —
 // read the visible CSN, pin it in the snapshot horizon, append the begin
 // marker, sample the retirement bound — while the expensive parts
-// (reading every row as of the cut, streaming the rows, the end-marker
+// (reading every row as of the cut and streaming it, the end-marker
 // sync) run concurrently with commits: the pin keeps the versions the
-// read needs from being pruned, and appending the begin marker under
-// the barrier guarantees no commit with CSN > cut precedes it in the
-// byte stream. Once the checkpoint is complete, the segments in front of
-// its begin marker are retired when Config.RetireSegments is set.
-// Returns the cut (unchanged and without writing anything when no
-// commit landed since the previous checkpoint).
+// read needs from being pruned until the last row is read, and
+// appending the begin marker under the barrier guarantees no commit
+// with CSN > cut precedes it in the byte stream. Once the checkpoint is
+// complete, the segments in front of its begin marker are retired when
+// Config.RetireSegments is set. Returns the cut (unchanged and without
+// writing anything when no commit landed since the previous
+// checkpoint).
 func (db *DB) Checkpoint() (uint64, error) {
 	if !db.log.Persistent() {
 		return 0, core.ErrWALClosed
@@ -499,23 +501,16 @@ func (db *DB) Checkpoint() (uint64, error) {
 		db.hz.unpin(cut)
 		return 0, err
 	}
-
-	rows := wal.SnapshotAll(db.store, cut)
-	// The rows now reference the immutable records themselves; the
-	// chains may be cut.
-	db.hz.unpin(cut)
 	if db.tracer.Enabled() {
-		db.tracer.Emit(trace.Event{Kind: trace.EvCkptBegin, CSN: cut, Depth: len(rows)})
+		db.tracer.Emit(trace.Event{Kind: trace.EvCkptBegin, CSN: cut})
 	}
-	for off := 0; off < len(rows); off += ckptBatch {
-		n, err := db.log.AppendCkptRows(&wal.CkptRows{CSN: cut, Rows: rows[off:min(off+ckptBatch, len(rows))]})
-		if err != nil {
-			return 0, err
-		}
-		ckptBytes += n
-	}
-	n, err := db.log.EndCkpt(&wal.CkptEnd{CSN: cut, Rows: uint64(len(rows))})
+
+	rows, n, err := db.streamCkptRows(cut)
 	if err != nil {
+		return 0, err
+	}
+	ckptBytes += n
+	if n, err = db.log.EndCkpt(&wal.CkptEnd{CSN: cut, Rows: uint64(rows)}); err != nil {
 		return 0, err
 	}
 	ckptBytes += n
@@ -523,7 +518,7 @@ func (db *DB) Checkpoint() (uint64, error) {
 	db.ckptCut = cut
 	db.ckpts.Add(1)
 	if db.tracer.Enabled() {
-		db.tracer.Emit(trace.Event{Kind: trace.EvCkptEnd, CSN: cut, Bytes: ckptBytes})
+		db.tracer.Emit(trace.Event{Kind: trace.EvCkptEnd, CSN: cut, Depth: rows, Bytes: ckptBytes})
 	}
 	if db.cfg.RetireSegments {
 		if _, err := db.log.Retire(bound); err != nil {
@@ -531,6 +526,50 @@ func (db *DB) Checkpoint() (uint64, error) {
 		}
 	}
 	return cut, nil
+}
+
+// streamCkptRows appends every live row as of cut to the log in
+// ckpt-rows batches of ckptBatch, walking each table once (Table.Range)
+// and reading each row as of the cut straight into the one reused
+// batch. Versions with CSN ≤ cut are immutable once published, so
+// commits stamping newer versions concurrently never perturb what it
+// reads, and rows born after the cut resolve to nothing. The caller
+// pinned cut in the snapshot horizon; streamCkptRows releases the pin
+// once the last row is read, on every path (the batches are encoded as
+// they fill, so nothing references the chains after that). It returns
+// the rows and bytes appended.
+func (db *DB) streamCkptRows(cut uint64) (rows, bytes int, err error) {
+	defer db.hz.unpin(cut)
+	batch := make([]wal.CkptRow, 0, ckptBatch)
+	flush := func() {
+		var n int
+		n, err = db.log.AppendCkptRows(&wal.CkptRows{CSN: cut, Rows: batch})
+		bytes += n
+		rows += len(batch)
+		batch = batch[:0]
+	}
+	for _, name := range db.store.TableNames() {
+		t, terr := db.store.Table(name)
+		if terr != nil {
+			continue
+		}
+		t.Range(func(key core.Value, row *storage.Row) bool {
+			if v := row.CommittedAsOf(cut); v != nil && v.Rec != nil {
+				batch = append(batch, wal.CkptRow{Table: name, Key: key, CSN: v.CSN(), Rec: v.Rec})
+				if len(batch) == ckptBatch {
+					flush()
+				}
+			}
+			return err == nil
+		})
+		if err != nil {
+			return rows, bytes, err
+		}
+	}
+	if len(batch) > 0 {
+		flush()
+	}
+	return rows, bytes, err
 }
 
 // ckptLoopInterval is the checkpoint scheduler's poll period.
@@ -801,16 +840,12 @@ func (db *DB) ScanLatest(table string, fn func(key core.Value, rec core.Record) 
 	if err != nil {
 		return err
 	}
-	for _, k := range t.Keys() {
-		row := t.Row(k)
-		if row == nil {
-			continue
-		}
-		v := row.NewestCommitted()
+	for _, e := range sortedRows(t) {
+		v := e.row.NewestCommitted()
 		if v == nil || v.Rec == nil {
 			continue
 		}
-		if !fn(k, v.Rec) {
+		if !fn(e.key, v.Rec) {
 			break
 		}
 	}
@@ -839,18 +874,32 @@ func (db *DB) ScanAsOf(table string, cut uint64, fn func(key core.Value, rec cor
 		return err
 	}
 	defer db.hz.unpin(cut)
-	for _, k := range t.Keys() {
-		row := t.Row(k)
-		if row == nil {
-			continue
-		}
-		v := row.CommittedAsOf(cut)
+	for _, e := range sortedRows(t) {
+		v := e.row.CommittedAsOf(cut)
 		if v == nil || v.Rec == nil {
 			continue
 		}
-		if !fn(k, v.Rec) {
+		if !fn(e.key, v.Rec) {
 			break
 		}
 	}
 	return nil
+}
+
+// keyedRow is one row anchor with its primary key.
+type keyedRow struct {
+	key core.Value
+	row *storage.Row
+}
+
+// sortedRows returns every row anchor of t in key order: the scans'
+// contract, which Table.Range, walking stripe by stripe, does not keep.
+func sortedRows(t *storage.Table) []keyedRow {
+	var rows []keyedRow
+	t.Range(func(k core.Value, r *storage.Row) bool {
+		rows = append(rows, keyedRow{k, r})
+		return true
+	})
+	sort.Slice(rows, func(i, j int) bool { return rows[i].key.Less(rows[j].key) })
+	return rows
 }

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"errors"
+	"slices"
 	"testing"
 	"time"
 
@@ -665,5 +666,82 @@ func TestScanLatest(t *testing.T) {
 	}
 	if err := db.ScanLatest("Missing", func(core.Value, core.Record) bool { return true }); err == nil {
 		t.Fatal("scan of missing table accepted")
+	}
+}
+
+// TestScanInKeyOrder: both scans hand rows out in key order, whatever
+// order the keys were inserted in and however the row map stores them.
+func TestScanInKeyOrder(t *testing.T) {
+	db := openKV(t, core.SnapshotFUW, core.PlatformPostgres)
+	tx := db.Begin()
+	for _, k := range []int64{50, 7, 33, 3, 41, 12, 99, 64, 25, 18} {
+		if err := tx.Insert("T", kv(k, k)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	scans := map[string]func(func(core.Value, core.Record) bool) error{
+		"ScanLatest": func(fn func(core.Value, core.Record) bool) error { return db.ScanLatest("T", fn) },
+		"ScanAsOf":   func(fn func(core.Value, core.Record) bool) error { return db.ScanAsOf("T", db.CommitSeq(), fn) },
+	}
+	for name, scan := range scans {
+		var keys []int64
+		if err := scan(func(k core.Value, _ core.Record) bool {
+			keys = append(keys, k.Int64())
+			return true
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if len(keys) != 12 || !slices.IsSorted(keys) {
+			t.Fatalf("%s keys = %v, want all 12 in ascending order", name, keys)
+		}
+	}
+}
+
+// TestUniqueIndexAllowsManyNulls: as in SQL, a nullable UNIQUE column
+// takes any number of NULLs, and looking a NULL up through the index
+// finds nothing; equal non-NULL values still conflict.
+func TestUniqueIndexAllowsManyNulls(t *testing.T) {
+	db := Open(Config{})
+	defer db.Close()
+	schema := &core.Schema{
+		Name: "N",
+		Columns: []core.Column{
+			{Name: "K", Kind: core.KindInt, NotNull: true},
+			{Name: "Email", Kind: core.KindString},
+		},
+		Unique: []int{1},
+	}
+	if err := db.CreateTable(schema); err != nil {
+		t.Fatal(err)
+	}
+	insert := func(k int64, email core.Value) error {
+		tx := db.Begin()
+		if err := tx.Insert("N", core.Record{core.Int(k), email}); err != nil {
+			tx.Abort()
+			return err
+		}
+		return tx.Commit()
+	}
+	for k := int64(1); k <= 2; k++ {
+		if err := insert(k, core.Null()); err != nil {
+			t.Fatalf("NULL email for row %d: %v", k, err)
+		}
+	}
+	if err := insert(3, core.Str("a@b")); err != nil {
+		t.Fatal(err)
+	}
+	if err := insert(4, core.Str("a@b")); !errors.Is(err, core.ErrUniqueViolation) {
+		t.Fatalf("duplicate email: %v, want ErrUniqueViolation", err)
+	}
+	tx := db.Begin()
+	defer tx.Abort()
+	if rec, err := tx.GetByIndex("N", "Email", core.Null()); !errors.Is(err, core.ErrNotFound) {
+		t.Fatalf("GetByIndex(NULL) = %v, %v; want ErrNotFound", rec, err)
+	}
+	if rec, err := tx.GetByIndex("N", "Email", core.Str("a@b")); err != nil || rec[0] != core.Int(3) {
+		t.Fatalf("GetByIndex(a@b) = %v, %v; want row 3", rec, err)
 	}
 }

@@ -123,21 +123,23 @@ func Recover(dev wal.LogDevice, cfg Config) (*DB, *RecoveryReport, error) {
 		if len(tbl.Indexes()) == 0 {
 			continue
 		}
-		for _, k := range tbl.Keys() {
-			row := tbl.Row(k)
-			if row == nil {
-				continue
-			}
+		var ixErr error
+		tbl.Range(func(k core.Value, row *storage.Row) bool {
 			v := row.NewestCommitted()
 			if v == nil || v.Rec == nil {
-				continue
+				return true
 			}
 			for _, ix := range tbl.Indexes() {
-				if err := ix.Insert(0, v.Rec[ix.ColPos()], k); err != nil {
-					return fail(fmt.Errorf("engine: recover: index rebuild on %s.%s: %w", name, ix.Column(), err))
+				if ixErr = ix.Insert(0, v.Rec[ix.ColPos()], k); ixErr != nil {
+					ixErr = fmt.Errorf("engine: recover: index rebuild on %s.%s: %w", name, ix.Column(), ixErr)
+					return false
 				}
 				ix.Commit(0, v.CSN(), 0)
 			}
+			return true
+		})
+		if ixErr != nil {
+			return fail(ixErr)
 		}
 	}
 
@@ -157,8 +159,13 @@ func Recover(dev wal.LogDevice, cfg Config) (*DB, *RecoveryReport, error) {
 // trivially met. Live images are schema-checked first: a log whose CRCs
 // pass but whose payload disagrees with its own schema frames is
 // corrupt, and recovery must reject it rather than panic later (e.g. in
-// index rebuild, which indexes record columns by schema position).
+// index rebuild, which indexes record columns by schema position). So
+// is a NULL key, tombstones included: no row can have one, and the row
+// map has no slot for it.
 func installRecovered(tbl *storage.Table, key core.Value, rec core.Record, csn uint64) error {
+	if key.IsNull() {
+		return fmt.Errorf("engine: recover: %s row logged under a NULL key", tbl.Name())
+	}
 	if rec != nil {
 		if err := tbl.Schema().CheckRecord(rec); err != nil {
 			return fmt.Errorf("engine: recover: %w", err)

@@ -460,7 +460,8 @@ func TestCreateTableCheckpointRace(t *testing.T) {
 
 // TestRecoverRejectsCorruptPayloads covers the decoder-level corruption
 // engine.Recover must reject rather than crash on: a record that does
-// not match its schema, and a commit frame with CSN 0.
+// not match its schema, a commit frame with CSN 0, a row logged under
+// another key than its own, and one logged under a NULL key.
 func TestRecoverRejectsCorruptPayloads(t *testing.T) {
 	schema := kvSchema("T")
 	// Schema mismatch: 1-column record in a 2-column NotNull table.
@@ -495,5 +496,15 @@ func TestRecoverRejectsCorruptPayloads(t *testing.T) {
 	})...)
 	if _, _, err := Recover(newMemLog(t, wal.SegmentData{Data: log}), Config{}); err == nil {
 		t.Fatal("key-mismatched row image accepted")
+	}
+
+	// A tombstone logged under a NULL key: no row can have one.
+	log = append([]byte{}, wal.EncodeSchema(schema)...)
+	log = append(log, wal.EncodeCommit(&wal.CommitFrame{
+		TxID: 1, CSN: 1,
+		Rows: []wal.RowImage{{Table: "T", Key: core.Null()}},
+	})...)
+	if _, _, err := Recover(newMemLog(t, wal.SegmentData{Data: log}), Config{}); err == nil {
+		t.Fatal("NULL-keyed tombstone accepted")
 	}
 }

@@ -354,3 +354,23 @@ func TestSDGDerivations(t *testing.T) {
 		}
 	}
 }
+
+// TestWrongKindKeyMisses: a key of the other kind than the column's
+// finds nothing, by primary key or through the unique index.
+func TestWrongKindKeyMisses(t *testing.T) {
+	db := testDB(t, core.SnapshotFUW, core.PlatformPostgres)
+	tx := db.Begin()
+	defer tx.Abort()
+	if _, err := tx.Get(TableSaving, core.Int(1)); err != nil {
+		t.Fatal(err)
+	}
+	if rec, err := tx.Get(TableSaving, core.Str("1")); !errors.Is(err, core.ErrNotFound) {
+		t.Fatalf("Get(Saving, \"1\") = %v, %v; want ErrNotFound", rec, err)
+	}
+	if _, err := tx.GetByIndex(TableAccount, "CustomerID", core.Int(1)); err != nil {
+		t.Fatal(err)
+	}
+	if rec, err := tx.GetByIndex(TableAccount, "CustomerID", core.Str("1")); !errors.Is(err, core.ErrNotFound) {
+		t.Fatalf("GetByIndex(Account.CustomerID, \"1\") = %v, %v; want ErrNotFound", rec, err)
+	}
+}

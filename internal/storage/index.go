@@ -18,23 +18,28 @@ type indexEntry struct {
 	deleted bool   // tombstone written by a delete
 }
 
-// indexStripes is the number of hash partitions of an index's entry
-// map. Lookups take a stripe read lock, so the hot read path (SmallBank
-// resolves every customer name through the Account index) scales with
-// cores instead of serializing on one mutex.
-const indexStripes = 16
+// indexStripeBits sets the number of hash partitions of an index's
+// entry map. Lookups take a stripe read lock, so the hot read path
+// (SmallBank resolves every customer name through the Account index)
+// scales with cores instead of serializing on one mutex.
+const (
+	indexStripeBits = 4
+	indexStripes    = 1 << indexStripeBits
+)
 
 // indexStripe is one partition of the entry map.
 type indexStripe struct {
 	mu      sync.RWMutex
-	entries map[core.Value][]*indexEntry // newest first
+	entries keyMap[[]*indexEntry] // newest first
 }
 
 // UniqueIndex is a unique secondary index: at most one live committed
 // entry per indexed value. SmallBank declares one on Account.CustomerID.
 // Entry chains are striped by indexed value; the per-transaction
 // pending lists live under their own mutex (they are touched once per
-// write and once at commit/abort, never on the read path).
+// write and once at commit/abort, never on the read path). NULL is not
+// a value here, as in SQL: a nullable unique column holds any number of
+// NULLs, none of them is indexed, and looking up NULL finds nothing.
 type UniqueIndex struct {
 	table  string
 	column string
@@ -49,16 +54,12 @@ type UniqueIndex struct {
 // NewUniqueIndex creates an empty index over the column at position
 // colPos of the named table.
 func NewUniqueIndex(table, column string, colPos int) *UniqueIndex {
-	ix := &UniqueIndex{
+	return &UniqueIndex{
 		table:   table,
 		column:  column,
 		colPos:  colPos,
 		pending: make(map[uint64][]*indexEntry),
 	}
-	for i := range ix.stripes {
-		ix.stripes[i].entries = make(map[core.Value][]*indexEntry)
-	}
-	return ix
 }
 
 // Column returns the indexed column's name.
@@ -69,7 +70,7 @@ func (ix *UniqueIndex) ColPos() int { return ix.colPos }
 
 // stripe returns the partition holding val's entry chain.
 func (ix *UniqueIndex) stripe(val core.Value) *indexStripe {
-	return &ix.stripes[hashValue(val)&(indexStripes-1)]
+	return &ix.stripes[stripeHash(val)>>(64-indexStripeBits)]
 }
 
 // addPending records e on tx's pending list.
@@ -93,11 +94,15 @@ func (ix *UniqueIndex) takePending(tx uint64) []*indexEntry {
 // entry exists: a committed live entry, or an uncommitted entry from
 // another in-flight transaction (the engine does not block on index
 // conflicts; the loader and tests are the only writers of indexed
-// columns in the benchmark).
+// columns in the benchmark). A NULL val is not indexed.
 func (ix *UniqueIndex) Insert(tx uint64, val, pk core.Value) error {
+	if val.IsNull() {
+		return nil
+	}
 	s := ix.stripe(val)
 	s.mu.Lock()
-	for _, e := range s.entries[val] {
+	chain := s.entries.get(val)
+	for _, e := range chain {
 		if e.deleted {
 			if e.csn != 0 || e.creator == tx {
 				// Committed tombstone (or our own): value is free below
@@ -114,30 +119,35 @@ func (ix *UniqueIndex) Insert(tx uint64, val, pk core.Value) error {
 		return core.ErrUniqueViolation
 	}
 	e := &indexEntry{val: val, pk: pk, creator: tx}
-	s.entries[val] = append([]*indexEntry{e}, s.entries[val]...)
+	s.entries.put(val, append([]*indexEntry{e}, chain...))
 	s.mu.Unlock()
 	ix.addPending(tx, e)
 	return nil
 }
 
 // Delete registers an uncommitted tombstone for val written by tx. The
-// tombstone becomes effective at commit; abort discards it.
+// tombstone becomes effective at commit; abort discards it. A NULL val
+// was never indexed and needs none.
 func (ix *UniqueIndex) Delete(tx uint64, val core.Value) {
+	if val.IsNull() {
+		return
+	}
 	s := ix.stripe(val)
 	e := &indexEntry{val: val, creator: tx, deleted: true}
 	s.mu.Lock()
-	s.entries[val] = append([]*indexEntry{e}, s.entries[val]...)
+	s.entries.put(val, append([]*indexEntry{e}, s.entries.get(val)...))
 	s.mu.Unlock()
 	ix.addPending(tx, e)
 }
 
 // Lookup returns the primary key mapped from val as seen by a snapshot,
-// honouring the reader's own uncommitted entries.
+// honouring the reader's own uncommitted entries. NULL, and a value of
+// another kind than the column's, find nothing.
 func (ix *UniqueIndex) Lookup(snapshotCSN, self uint64, val core.Value) (core.Value, bool) {
 	s := ix.stripe(val)
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	for _, e := range s.entries[val] {
+	for _, e := range s.entries.get(val) {
 		visible := e.creator == self || (e.csn != 0 && e.csn <= snapshotCSN)
 		if !visible {
 			continue
@@ -161,11 +171,11 @@ func (ix *UniqueIndex) Commit(tx, csn, horizon uint64) {
 		s := ix.stripe(e.val)
 		s.mu.Lock()
 		e.csn = csn
-		chain := s.entries[e.val]
+		chain := s.entries.get(e.val)
 		for i, c := range chain {
 			if c.csn != 0 && c.csn <= horizon {
 				clear(chain[i+1:])
-				s.entries[e.val] = chain[:i+1]
+				s.entries.put(e.val, chain[:i+1])
 				break
 			}
 		}
@@ -178,7 +188,7 @@ func (ix *UniqueIndex) Abort(tx uint64) {
 	for _, pe := range ix.takePending(tx) {
 		s := ix.stripe(pe.val)
 		s.mu.Lock()
-		chain := s.entries[pe.val]
+		chain := s.entries.get(pe.val)
 		kept := chain[:0]
 		for _, e := range chain {
 			if e != pe {
@@ -186,9 +196,9 @@ func (ix *UniqueIndex) Abort(tx uint64) {
 			}
 		}
 		if len(kept) == 0 {
-			delete(s.entries, pe.val)
+			s.entries.del(pe.val)
 		} else {
-			s.entries[pe.val] = kept
+			s.entries.put(pe.val, kept)
 		}
 		s.mu.Unlock()
 	}

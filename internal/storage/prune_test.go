@@ -267,7 +267,7 @@ func TestUniqueIndexCommitCutsEntryList(t *testing.T) {
 			}
 		}
 		s := ix.stripe(val)
-		if n := len(s.entries[val]); n > 3 {
+		if n := len(s.entries.get(val)); n > 3 {
 			t.Fatalf("tx %d: entry list holds %d entries", tx, n)
 		}
 	}

@@ -2,18 +2,23 @@ package storage
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"sicost/internal/core"
 	"sicost/internal/faultinject"
 )
 
-// tableStripes is the number of hash partitions of a table's row map
-// (a power of two). Row lookups take one stripe's read lock, so row
-// traffic on different stripes never contends on a map mutex even when
-// inserts are growing the table.
-const tableStripes = 32
+// tableStripeBits sets the number of hash partitions of a table's row
+// map. Row lookups take one stripe's read lock, so row traffic on
+// different stripes never contends on a map mutex even when inserts are
+// growing the table.
+const (
+	tableStripeBits = 5
+	tableStripes    = 1 << tableStripeBits
+)
 
 // rowSlab is how many row anchors a stripe allocates at a time.
 const rowSlab = 64
@@ -21,7 +26,7 @@ const rowSlab = 64
 // rowStripe is one partition of the row map.
 type rowStripe struct {
 	mu   sync.RWMutex
-	rows map[core.Value]*Row
+	rows keyMap[*Row]
 	// slab is what is left of the block the next anchors are cut from:
 	// anchors are never freed, so allocating them one by one buys
 	// nothing (guarded by mu, write side).
@@ -51,9 +56,6 @@ func NewTable(schema *core.Schema) (*Table, error) {
 		return nil, err
 	}
 	t := &Table{schema: schema}
-	for i := range t.stripes {
-		t.stripes[i].rows = make(map[core.Value]*Row)
-	}
 	for _, col := range schema.Unique {
 		t.indexes = append(t.indexes, NewUniqueIndex(schema.Name, schema.Columns[col].Name, col))
 	}
@@ -68,38 +70,72 @@ func (t *Table) Name() string { return t.schema.Name }
 
 // stripe returns the partition holding key.
 func (t *Table) stripe(key core.Value) *rowStripe {
-	return &t.stripes[hashValue(key)&(tableStripes-1)]
+	return &t.stripes[stripeHash(key)>>(64-tableStripeBits)]
 }
 
 // Row returns the row anchor for key, or nil if the key has never been
-// inserted.
+// inserted (a NULL key or one of the other kind than the table's keys
+// included).
 func (t *Table) Row(key core.Value) *Row {
 	s := t.stripe(key)
 	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.rows[key]
+	r := s.rows.get(key)
+	s.mu.RUnlock()
+	return r
 }
 
 // EnsureRow returns the row anchor for key, creating an empty anchor if
-// needed (the insert path).
+// needed (the insert path). key must not be NULL. It takes the stripe's
+// write lock outright: its callers, an INSERT and recovery, almost
+// always create the anchor, so a read-locked probe first would only add
+// a lock round trip and a map lookup.
 func (t *Table) EnsureRow(key core.Value) *Row {
 	s := t.stripe(key)
-	s.mu.RLock()
-	r := s.rows[key]
-	s.mu.RUnlock()
-	if r != nil {
-		return r
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if r = s.rows[key]; r == nil {
+	r := s.rows.get(key)
+	if r == nil {
 		if len(s.slab) == 0 {
 			s.slab = make([]Row, rowSlab)
 		}
 		r, s.slab = &s.slab[0], s.slab[1:]
-		s.rows[key] = r
+		s.rows.put(key, r)
 	}
 	return r
+}
+
+// rangeEntry is one anchor Range copied out of a stripe.
+type rangeEntry struct {
+	key core.Value
+	row *Row
+}
+
+// Range calls fn for every row anchor of the table, in no particular
+// order, until fn returns false. Each stripe's anchors are copied out
+// under its read lock and visited after the lock is released, so fn may
+// block, and inserts proceed while it runs. Every anchor present when
+// Range starts is visited exactly once; one inserted meanwhile may or
+// may not be. Anchors are never removed, so a walk that starts after a
+// cut was taken visits every row committed at or below that cut.
+func (t *Table) Range(fn func(key core.Value, row *Row) bool) {
+	var buf []rangeEntry
+	for i := range t.stripes {
+		s := &t.stripes[i]
+		buf = buf[:0]
+		s.mu.RLock()
+		for k, r := range s.rows.ints {
+			buf = append(buf, rangeEntry{core.Int(k), r})
+		}
+		for k, r := range s.rows.strs {
+			buf = append(buf, rangeEntry{core.Str(k), r})
+		}
+		s.mu.RUnlock()
+		for _, e := range buf {
+			if !fn(e.key, e.row) {
+				return
+			}
+		}
+	}
 }
 
 // Fault-point names of the storage row-access paths.
@@ -148,38 +184,25 @@ func (t *Table) EnsureWriteRow(txID uint64, key core.Value) (*Row, error) {
 // Indexes returns the table's unique secondary indexes.
 func (t *Table) Indexes() []*UniqueIndex { return t.indexes }
 
-// Keys returns all primary keys with at least one version, sorted; used
-// by scans, the loader's verification pass and tests.
-func (t *Table) Keys() []core.Value {
-	var keys []core.Value
-	for i := range t.stripes {
-		s := &t.stripes[i]
-		s.mu.RLock()
-		for k := range s.rows {
-			keys = append(keys, k)
-		}
-		s.mu.RUnlock()
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i].Less(keys[j]) })
-	return keys
-}
-
 // RowCount returns the number of row anchors (including tombstoned rows).
 func (t *Table) RowCount() int {
 	n := 0
 	for i := range t.stripes {
 		s := &t.stripes[i]
 		s.mu.RLock()
-		n += len(s.rows)
+		n += s.rows.len()
 		s.mu.RUnlock()
 	}
 	return n
 }
 
-// Store is a named collection of tables: one simulated database.
+// Store is a named collection of tables: one simulated database. Its
+// catalog is copy-on-write: CreateTable publishes a new map, so a
+// statement's table lookup is an atomic load and a map read, with no
+// lock word shared by every statement.
 type Store struct {
-	mu     sync.RWMutex
-	tables map[string]*Table
+	mu     sync.Mutex // serializes catalog writers; guards faults
+	tables atomic.Pointer[map[string]*Table]
 	faults *faultinject.Registry
 }
 
@@ -189,14 +212,16 @@ func (s *Store) SetFaults(r *faultinject.Registry) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.faults = r
-	for _, t := range s.tables {
+	for _, t := range *s.tables.Load() {
 		t.faults = r
 	}
 }
 
 // NewStore creates an empty store.
 func NewStore() *Store {
-	return &Store{tables: make(map[string]*Table)}
+	s := &Store{}
+	s.tables.Store(&map[string]*Table{})
+	return s
 }
 
 // CreateTable adds a table for schema; it fails if the name exists.
@@ -207,19 +232,20 @@ func (s *Store) CreateTable(schema *core.Schema) (*Table, error) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, dup := s.tables[schema.Name]; dup {
+	old := *s.tables.Load()
+	if _, dup := old[schema.Name]; dup {
 		return nil, fmt.Errorf("storage: table %s already exists", schema.Name)
 	}
 	t.faults = s.faults
-	s.tables[schema.Name] = t
+	tables := maps.Clone(old)
+	tables[schema.Name] = t
+	s.tables.Store(&tables)
 	return t, nil
 }
 
 // Table returns the named table, or an error if absent.
 func (s *Store) Table(name string) (*Table, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	t, ok := s.tables[name]
+	t, ok := (*s.tables.Load())[name]
 	if !ok {
 		return nil, fmt.Errorf("storage: no such table %s", name)
 	}
@@ -238,12 +264,11 @@ func (s *Store) MustTable(name string) *Table {
 
 // TableNames lists tables in sorted order.
 func (s *Store) TableNames() []string {
-	s.mu.RLock()
-	names := make([]string, 0, len(s.tables))
-	for n := range s.tables {
+	tables := *s.tables.Load()
+	names := make([]string, 0, len(tables))
+	for n := range tables {
 		names = append(names, n)
 	}
-	s.mu.RUnlock()
 	sort.Strings(names)
 	return names
 }

@@ -107,13 +107,14 @@ const (
 	// The write-ver events are exactly the transaction's committed write
 	// set (checker.Txn.Writes).
 	EvWriteVer
-	// EvCkptBegin: a checkpoint read the database as of its cut. Tx is
-	// zero; CSN is the cut and Depth the number of rows the checkpoint
-	// will stream. Appended after EvWriteVer to keep earlier wire values
-	// stable.
+	// EvCkptBegin: a checkpoint took its cut and appended its begin
+	// marker; the commit barrier is released and the rows are about to
+	// stream. Tx is zero; CSN is the cut. Appended after EvWriteVer to
+	// keep earlier wire values stable.
 	EvCkptBegin
 	// EvCkptEnd: the checkpoint's end marker is durable. Tx is zero; CSN
-	// is the cut, Bytes the total encoded size of the checkpoint's frames.
+	// is the cut, Depth the number of rows it streamed, Bytes the total
+	// encoded size of the checkpoint's frames.
 	EvCkptEnd
 
 	numKinds
