@@ -9,7 +9,8 @@ import (
 	"testing"
 	"time"
 
-	"sicost"
+	"sicost/internal/checker"
+	"sicost/internal/core"
 	"sicost/internal/engine"
 	"sicost/internal/experiments"
 	"sicost/internal/sdg"
@@ -182,38 +183,32 @@ func BenchmarkFig9(b *testing.B) {
 // micro-benchmarks (no simulated hardware): raw transaction machinery
 // cost.
 func BenchmarkEngineReadTxn(b *testing.B) {
-	db := sicost.Open(sicost.EngineConfig{Mode: sicost.SnapshotFUW})
+	db, _, err := smallbank.Open(engine.Config{Mode: core.SnapshotFUW}, smallbank.LoadConfig{Customers: 1000, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
 	defer db.Close()
-	if err := sicost.CreateSmallBank(db); err != nil {
-		b.Fatal(err)
-	}
-	if _, err := sicost.LoadSmallBank(db, sicost.LoadConfig{Customers: 1000, Seed: 1}); err != nil {
-		b.Fatal(err)
-	}
-	name := sicost.CustomerName(1)
+	name := smallbank.CustomerName(1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := sicost.RunSmallBank(db, sicost.StrategySI, sicost.Balance,
-			sicost.TxnParams{N1: name}); err != nil {
+		if err := smallbank.Run(db, smallbank.StrategySI, smallbank.Balance,
+			smallbank.Params{N1: name}); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 func BenchmarkEngineUpdateTxn(b *testing.B) {
-	db := sicost.Open(sicost.EngineConfig{Mode: sicost.SnapshotFUW})
+	db, _, err := smallbank.Open(engine.Config{Mode: core.SnapshotFUW}, smallbank.LoadConfig{Customers: 1000, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
 	defer db.Close()
-	if err := sicost.CreateSmallBank(db); err != nil {
-		b.Fatal(err)
-	}
-	if _, err := sicost.LoadSmallBank(db, sicost.LoadConfig{Customers: 1000, Seed: 1}); err != nil {
-		b.Fatal(err)
-	}
-	name := sicost.CustomerName(1)
+	name := smallbank.CustomerName(1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := sicost.RunSmallBank(db, sicost.StrategySI, sicost.DepositChecking,
-			sicost.TxnParams{N1: name, V: 1}); err != nil {
+		if err := smallbank.Run(db, smallbank.StrategySI, smallbank.DepositChecking,
+			smallbank.Params{N1: name, V: 1}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -222,18 +217,15 @@ func BenchmarkEngineUpdateTxn(b *testing.B) {
 // BenchmarkCheckerAnalyze measures MVSG construction and cycle search
 // over a recorded history.
 func BenchmarkCheckerAnalyze(b *testing.B) {
-	db := sicost.Open(sicost.EngineConfig{Mode: sicost.SnapshotFUW})
+	db, _, err := smallbank.Open(engine.Config{Mode: core.SnapshotFUW}, smallbank.LoadConfig{Customers: 200, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
 	defer db.Close()
-	if err := sicost.CreateSmallBank(db); err != nil {
-		b.Fatal(err)
-	}
-	if _, err := sicost.LoadSmallBank(db, sicost.LoadConfig{Customers: 200, Seed: 1}); err != nil {
-		b.Fatal(err)
-	}
 	// Simulated CPU keeps the event rate the model's and not the host's,
 	// so the pump keeps up with the rings.
 	db.SetResources(simres.Config{VirtualCPUs: 2, StmtCPU: 50 * time.Microsecond})
-	rec := sicost.NewTrace(sicost.TraceOptions{ShardCap: 1 << 12})
+	rec := trace.New(trace.Options{ShardCap: 1 << 12})
 	db.SetTracer(rec)
 	sub := trace.Subscribe(rec, func([]trace.Event) {}, trace.SubOptions{Retain: true})
 	if _, err := workload.Run(db, workload.Config{
@@ -247,10 +239,10 @@ func BenchmarkCheckerAnalyze(b *testing.B) {
 	if n := rec.Dropped(); n != 0 {
 		b.Fatalf("trace dropped %d events", n)
 	}
-	txns := sicost.TraceTxns(sub.Events())
+	txns := checker.Txns(sub.Events())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rep := sicost.CheckTxns(txns)
+		rep := checker.Analyze(txns)
 		if rep.Txns == 0 {
 			b.Fatal("empty history")
 		}

@@ -1,5 +1,5 @@
-// Command doclint enforces the repository's documentation floor. Two
-// layers of checks:
+// Command doclint enforces the repository's documentation floor. Its
+// checks:
 //
 // Package docs: every package must carry a package doc comment, and
 // the comment must open with the godoc convention — "Package <name>
@@ -24,6 +24,14 @@
 // cmd/sibench runs (experiments.All, or "all"), so a renamed figure
 // cannot live on in the docs.
 //
+// Run targets: every `go run ./<dir>` in the same documents must name a
+// directory that holds a main package, so a deleted program cannot
+// either.
+//
+// The facade: every `sicost.<Name>` in README.md must be an exported
+// declaration of the root package's sicost.go, so the README's
+// quick-start and the public surface cannot drift apart.
+//
 // Flags without a user: the inverse of the flag rule above. A flag a
 // command registers must be mentioned somewhere a user would meet it —
 // a code span or fenced block of README.md, EXPERIMENTS.md or docs/, a
@@ -42,6 +50,7 @@ package main
 
 import (
 	"fmt"
+	"go/ast"
 	"go/parser"
 	"go/token"
 	"io/fs"
@@ -59,34 +68,21 @@ func main() {
 	if len(roots) == 0 {
 		roots = []string{"."}
 	}
+	checks := []func(root string) ([]string, error){
+		lint, lintDocs, lintUnusedFlags, lintExperimentRefs, lintRunTargets, lintFacadeRefs,
+	}
 	var bad int
 	for _, root := range roots {
-		problems, err := lint(root)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "doclint: %v\n", err)
-			os.Exit(1)
-		}
-		docProblems, err := lintDocs(root)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "doclint: %v\n", err)
-			os.Exit(1)
-		}
-		problems = append(problems, docProblems...)
-		flagProblems, err := lintUnusedFlags(root)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "doclint: %v\n", err)
-			os.Exit(1)
-		}
-		problems = append(problems, flagProblems...)
-		expProblems, err := lintExperimentRefs(root)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "doclint: %v\n", err)
-			os.Exit(1)
-		}
-		problems = append(problems, expProblems...)
-		for _, p := range problems {
-			fmt.Println(p)
-			bad++
+		for _, check := range checks {
+			problems, err := check(root)
+			if err != nil {
+				fmt.Fprintf(os.Stderr, "doclint: %v\n", err)
+				os.Exit(1)
+			}
+			for _, p := range problems {
+				fmt.Println(p)
+				bad++
+			}
 		}
 	}
 	if bad > 0 {
@@ -95,26 +91,9 @@ func main() {
 	}
 }
 
-// lint walks root and checks every directory holding non-test Go files.
+// lint checks every directory under root holding non-test Go files.
 func lint(root string) ([]string, error) {
-	dirs := map[string][]string{}
-	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			name := d.Name()
-			if name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if strings.HasSuffix(path, ".go") && !strings.HasSuffix(path, "_test.go") {
-			dir := filepath.Dir(path)
-			dirs[dir] = append(dirs[dir], path)
-		}
-		return nil
-	})
+	dirs, err := goFiles(root)
 	if err != nil {
 		return nil, err
 	}
@@ -130,6 +109,31 @@ func lint(root string) ([]string, error) {
 		}
 	}
 	return problems, nil
+}
+
+// goFiles maps every directory under root to its non-test Go files,
+// skipping testdata and hidden or underscore-prefixed directories below
+// root (root itself may well be ".").
+func goFiles(root string) (map[string][]string, error) {
+	dirs := map[string][]string{}
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			name := d.Name()
+			if path != root && (name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if strings.HasSuffix(path, ".go") && !strings.HasSuffix(path, "_test.go") {
+			dir := filepath.Dir(path)
+			dirs[dir] = append(dirs[dir], path)
+		}
+		return nil
+	})
+	return dirs, err
 }
 
 // lintDir checks one package directory: at least one file must carry a
@@ -186,6 +190,10 @@ var (
 	// expRe matches the ids of a sibench -exp argument ("-exp fig4,fig7");
 	// a placeholder ("-exp <id>") does not match.
 	expRe = regexp.MustCompile("(?:^|[\\s`(])-exp[ =]([A-Za-z0-9_,-]+)")
+	// runTargetRe matches the package directory of a `go run ./dir`.
+	runTargetRe = regexp.MustCompile(`go run (\./[A-Za-z0-9_./-]*)`)
+	// facadeRefRe matches an exported name of the root package.
+	facadeRefRe = regexp.MustCompile(`\bsicost\.([A-Z][A-Za-z0-9_]*)`)
 )
 
 // lintExperimentRefs flags every experiment id a sibench line of
@@ -196,47 +204,119 @@ func lintExperimentRefs(root string) ([]string, error) {
 	for _, e := range experiments.All() {
 		known[e.ID] = true
 	}
-	paths, _ := filepath.Glob(filepath.Join(root, "docs", "*.md")) // a constant pattern: Glob cannot fail
-	for _, name := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"} {
-		paths = append(paths, filepath.Join(root, name))
-	}
 	var problems []string
-	for _, path := range paths {
-		b, err := os.ReadFile(path)
-		if os.IsNotExist(err) {
-			continue
+	err := eachDocLine(root, func(path string, n int, line string) {
+		if !strings.Contains(line, "sibench") {
+			return
 		}
-		if err != nil {
-			return nil, err
-		}
-		for i, line := range strings.Split(string(b), "\n") {
-			if !strings.Contains(line, "sibench") {
-				continue
-			}
-			for _, m := range expRe.FindAllStringSubmatch(line, -1) {
-				for _, id := range strings.Split(m[1], ",") {
-					if !known[id] {
-						problems = append(problems, fmt.Sprintf("%s:%d: runs sibench -exp %s, which is no experiment", path, i+1, id))
-					}
+		for _, m := range expRe.FindAllStringSubmatch(line, -1) {
+			for _, id := range strings.Split(m[1], ",") {
+				if !known[id] {
+					problems = append(problems, fmt.Sprintf("%s:%d: runs sibench -exp %s, which is no experiment", path, n, id))
 				}
 			}
 		}
-	}
-	return problems, nil
+	})
+	return problems, err
 }
 
-// lintDocs verifies that every file under <root>/docs references only
-// code that exists: internal/ paths, registered cmd flags, published
-// sicost_* expvar names. Absent a docs directory it is a no-op.
-func lintDocs(root string) ([]string, error) {
-	docsDir := filepath.Join(root, "docs")
-	entries, err := os.ReadDir(docsDir)
+// lintRunTargets flags every `go run ./<dir>` in README.md, DESIGN.md,
+// EXPERIMENTS.md or docs/*.md whose directory holds no main package, so
+// a deleted or renamed program cannot live on in the docs.
+func lintRunTargets(root string) ([]string, error) {
+	dirs, err := goFiles(root)
+	if err != nil {
+		return nil, err
+	}
+	var problems []string
+	err = eachDocLine(root, func(path string, n int, line string) {
+		for _, m := range runTargetRe.FindAllStringSubmatch(line, -1) {
+			files := dirs[filepath.Join(root, m[1])]
+			if len(files) > 0 {
+				f, err := parser.ParseFile(token.NewFileSet(), files[0], nil, parser.PackageClauseOnly)
+				if err == nil && f.Name.Name == "main" {
+					continue
+				}
+			}
+			problems = append(problems, fmt.Sprintf("%s:%d: go run %s, which is no main package", path, n, m[1]))
+		}
+	})
+	return problems, err
+}
+
+// lintFacadeRefs flags every sicost.<Name> in README.md that sicost.go
+// does not declare, so the README and the facade cannot drift apart.
+// Absent a sicost.go it is a no-op.
+func lintFacadeRefs(root string) ([]string, error) {
+	f, err := parser.ParseFile(token.NewFileSet(), filepath.Join(root, "sicost.go"), nil, parser.SkipObjectResolution)
 	if os.IsNotExist(err) {
 		return nil, nil
 	}
 	if err != nil {
 		return nil, err
 	}
+	declared := map[string]bool{}
+	for _, d := range f.Decls {
+		switch d := d.(type) {
+		case *ast.FuncDecl:
+			if d.Recv == nil {
+				declared[d.Name.Name] = true
+			}
+		case *ast.GenDecl:
+			for _, spec := range d.Specs {
+				if ts, ok := spec.(*ast.TypeSpec); ok {
+					declared[ts.Name.Name] = true
+				} else if vs, ok := spec.(*ast.ValueSpec); ok {
+					for _, id := range vs.Names {
+						declared[id.Name] = true
+					}
+				}
+			}
+		}
+	}
+	readme := filepath.Join(root, "README.md")
+	var problems []string
+	err = eachDocLine(root, func(path string, n int, line string) {
+		if path != readme {
+			return
+		}
+		for _, m := range facadeRefRe.FindAllStringSubmatch(line, -1) {
+			if !declared[m[1]] {
+				problems = append(problems, fmt.Sprintf("%s:%d: uses sicost.%s, which sicost.go does not declare", path, n, m[1]))
+			}
+		}
+	})
+	return problems, err
+}
+
+// eachDocLine calls fn with every line, numbered from 1, of README.md,
+// DESIGN.md, EXPERIMENTS.md and docs/*.md; a missing document has no
+// lines.
+func eachDocLine(root string, fn func(path string, n int, line string)) error {
+	paths, _ := filepath.Glob(filepath.Join(root, "docs", "*.md")) // a constant pattern: Glob cannot fail
+	for _, name := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"} {
+		paths = append(paths, filepath.Join(root, name))
+	}
+	for _, path := range paths {
+		b, err := os.ReadFile(path)
+		if os.IsNotExist(err) {
+			continue
+		}
+		if err != nil {
+			return err
+		}
+		for i, line := range strings.Split(string(b), "\n") {
+			fn(path, i+1, line)
+		}
+	}
+	return nil
+}
+
+// lintDocs verifies that every file under <root>/docs references only
+// code that exists: internal/ paths, registered cmd flags, published
+// sicost_* expvar names. Absent a docs directory it is a no-op.
+func lintDocs(root string) ([]string, error) {
+	paths, _ := filepath.Glob(filepath.Join(root, "docs", "*.md")) // a constant pattern: Glob cannot fail
 	flags, metrics, _, err := collectCmdDecls(filepath.Join(root, "cmd"))
 	if err != nil {
 		return nil, err
@@ -246,11 +326,7 @@ func lintDocs(root string) ([]string, error) {
 		return nil, err
 	}
 	var problems []string
-	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".md") {
-			continue
-		}
-		path := filepath.Join(docsDir, e.Name())
+	for _, path := range paths {
 		b, err := os.ReadFile(path)
 		if err != nil {
 			return nil, err
@@ -299,33 +375,25 @@ func collectCmdDecls(cmdDir string) (flags, metrics map[string]bool, byCmd map[s
 // (spans outside any claimed namespace are left alone — they are paths
 // or something else entirely).
 func collectFaultDecls(root string) (map[string]bool, error) {
+	dirs, err := goFiles(root)
+	if err != nil {
+		return nil, err
+	}
 	points := map[string]bool{}
-	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			name := d.Name()
-			if name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") {
-				return filepath.SkipDir
+	for _, files := range dirs {
+		for _, path := range files {
+			b, err := os.ReadFile(path)
+			if err != nil {
+				return nil, err
 			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		b, err := os.ReadFile(path)
-		if err != nil {
-			return err
-		}
-		for _, m := range faultDeclRe.FindAllStringSubmatch(string(b), -1) {
-			if strings.Contains(m[1], "/") {
-				points[m[1]] = true
+			for _, m := range faultDeclRe.FindAllStringSubmatch(string(b), -1) {
+				if strings.Contains(m[1], "/") {
+					points[m[1]] = true
+				}
 			}
 		}
-		return nil
-	})
-	return points, err
+	}
+	return points, nil
 }
 
 // faultNamespaces derives the namespace set (first path segment) from

@@ -50,6 +50,23 @@ func TestDotGolden(t *testing.T) {
 	checkGolden(t, "smallbank_dot.golden", got)
 }
 
+// TestInventoryReportGolden pins `sdgtool -mix testdata/inventory.json`:
+// a program mix of one's own instead of SmallBank (an inventory's
+// Reserve, Restock and read-only Audit), read from JSON. The read-only
+// Audit is the head of its one dangerous structure, as Bal is in
+// SmallBank's.
+func TestInventoryReportGolden(t *testing.T) {
+	progs, err := parseMix(filepath.Join("testdata", "inventory.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := report(progs, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "inventory_report.golden", got)
+}
+
 // TestFixedReportGolden pins `sdgtool -fix all:materialize`: the
 // modification block plus the report of the repaired mix, which must
 // contain no dangerous structures.

@@ -401,7 +401,7 @@ func (sc *sched) dispatchNext(txn int) error {
 		return fmt.Errorf("detsim: unknown transaction %d", txn)
 	}
 	if st.blocked {
-		return fmt.Errorf("detsim: transaction %d is blocked; schedule cannot dispatch %v", txn, st.prog[st.next])
+		return fmt.Errorf("detsim: transaction %d is blocked; schedule cannot dispatch %s", txn, formatStep(st.prog[st.next]))
 	}
 	if st.next >= len(st.prog) {
 		return fmt.Errorf("detsim: transaction %d has no steps left", txn)

@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"sicost/internal/core"
 )
 
 func tinyCfg() Config {
@@ -210,6 +212,9 @@ func TestProfilesScale(t *testing.T) {
 	}
 	if PostgresDB(1).Cost == nil || CommercialDB(1).Cost == nil {
 		t.Fatal("profiles must pin their cost models")
+	}
+	if PostgresDB(1).Platform != core.PlatformPostgres || CommercialDB(1).Platform != core.PlatformCommercial {
+		t.Fatal("profiles must name their platforms")
 	}
 	if PostgresDB(1).Mode != CommercialDB(1).Mode {
 		t.Fatal("both platforms run SI")

@@ -167,6 +167,38 @@ func TestAnomalyExperiment(t *testing.T) {
 	if strings.Contains(res.Text, "stochastic hotspot run serializable: false") {
 		t.Fatalf("a strategy produced a cycle under load:\n%s", res.Text)
 	}
+
+	// The scripted schedules: one row per schedule and engine, fields
+	// schedule, engine, committed, aborted, then the verdict.
+	type outcome struct{ committed, aborted, verdict string }
+	rows := map[string]outcome{}
+	for _, line := range strings.Split(res.Text, "\n") {
+		f := strings.Fields(line)
+		if len(f) >= 5 {
+			rows[f[0]+" "+f[1]] = outcome{f[2], f[3], strings.Join(f[4:], " ")}
+		}
+	}
+	want := func(row string, check func(outcome) bool, what string) {
+		t.Helper()
+		got, ok := rows[row]
+		if !ok {
+			t.Fatalf("no %q row:\n%s", row, res.Text)
+		}
+		if !check(got) {
+			t.Errorf("%s: got %+v, want %s", row, got, what)
+		}
+	}
+	want("write-skew SI/PostgreSQL", func(o outcome) bool {
+		return o.committed == "t1,t2" && o.verdict == "write skew"
+	}, "both committed, write skew")
+	for _, eng := range []string{"SSI", "2PL"} {
+		want("write-skew "+eng, func(o outcome) bool {
+			return o.aborted != "-" && o.verdict == "serializable"
+		}, "an abort, serializable")
+	}
+	want("promotion-sfu-gap SI/PostgreSQL", func(o outcome) bool { return o.verdict == "write skew" }, "write skew")
+	want("promotion-sfu-gap SI/commercial", func(o outcome) bool { return o.verdict == "serializable" }, "serializable")
+	want("read-only-anomaly SI/PostgreSQL", func(o outcome) bool { return o.verdict == "read-only anomaly" }, "read-only anomaly")
 }
 
 func TestHotspotFor(t *testing.T) {

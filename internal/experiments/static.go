@@ -6,7 +6,9 @@ import (
 
 	"sicost/internal/checker"
 	"sicost/internal/core"
+	"sicost/internal/detsim"
 	"sicost/internal/engine"
+	"sicost/internal/histories"
 	"sicost/internal/onlinecheck"
 	"sicost/internal/sdg"
 	"sicost/internal/smallbank"
@@ -168,6 +170,9 @@ func scriptAnomaly(db *engine.DB, s *smallbank.Strategy) (conflicted bool, rep *
 // the read-only anomaly), while every sound repair strategy — and the
 // SSI engine — forces a serialization failure instead; a stochastic
 // hotspot sweep confirms the strategies stay serializable under load.
+// It ends with the paper's scripted schedules (write skew, the §II-C
+// promotion gap, the read-only anomaly, first-updater-wins) replayed on
+// every engine.
 func runAnomaly(cfg Config) (*Result, error) {
 	cfg = cfg.Defaults()
 	var b strings.Builder
@@ -179,27 +184,15 @@ func runAnomaly(cfg Config) (*Result, error) {
 		return db, err
 	}
 
-	// Deterministic script, plain SI: must commit and show the anomaly.
-	db, err := freshDB(core.SnapshotFUW)
-	if err != nil {
-		return nil, err
-	}
-	conflicted, rep, err := scriptAnomaly(db, smallbank.StrategySI)
-	db.Close()
-	if err != nil {
-		return nil, err
-	}
-	fmt.Fprintf(&b, "%-22s scripted interleaving: conflicted=%v verdict=%s\n",
-		"SI", conflicted, rep.Classify())
-
-	// Deterministic script under every sound strategy and under SSI:
-	// must conflict, and whatever committed must be serializable.
+	// Deterministic script, plain SI first: it must commit and show the
+	// anomaly. Then every sound strategy and SSI: each must conflict, and
+	// whatever committed must be serializable.
 	type variant struct {
 		label    string
 		strategy *smallbank.Strategy
 		mode     core.CCMode
 	}
-	variants := []variant{}
+	variants := []variant{{"SI", smallbank.StrategySI, core.SnapshotFUW}}
 	for _, s := range smallbank.Strategies() {
 		if s.Name == "SI" || !s.SoundOn(core.PlatformPostgres) {
 			continue
@@ -207,7 +200,7 @@ func runAnomaly(cfg Config) (*Result, error) {
 		variants = append(variants, variant{s.Name, s, core.SnapshotFUW})
 	}
 	variants = append(variants, variant{"SSI engine (no mods)", smallbank.StrategySI, core.SerializableSI})
-	for _, v := range variants {
+	for i, v := range variants {
 		db, err := freshDB(v.mode)
 		if err != nil {
 			return nil, err
@@ -218,7 +211,10 @@ func runAnomaly(cfg Config) (*Result, error) {
 			return nil, err
 		}
 		status := "PREVENTED"
-		if !conflicted || !rep.Serializable {
+		switch {
+		case i == 0 && !conflicted && !rep.Serializable:
+			status = "EXHIBITED"
+		case i == 0 || !conflicted || !rep.Serializable:
 			status = "FAILED"
 		}
 		fmt.Fprintf(&b, "%-22s scripted interleaving: conflicted=%v verdict=%-13s %s\n",
@@ -266,11 +262,67 @@ func runAnomaly(cfg Config) (*Result, error) {
 		fmt.Fprintf(&b, "%-22s stochastic hotspot run serializable: %v\n", s.Name, ser)
 	}
 
+	b.WriteString("\n")
+	replaySchedules(&b)
+
 	return &Result{
 		ID: "anomaly", Title: "Anomaly validation",
 		Text: b.String(),
 		Notes: []string{
 			"Expected: SI commits the scripted interleaving (read-only anomaly); every strategy and the SSI engine force a serialization failure; stochastic strategy runs stay serializable.",
+			"Expected of the paper's schedules: SI commits write skew on both platforms and the read-only anomaly; the §II-C promotion gap commits write skew on PostgreSQL only; SSI and 2PL abort or block a transaction and stay serializable.",
 		},
 	}, nil
+}
+
+// replaySchedules writes one row per paper schedule
+// (histories.PaperSchedules) and engine — plain SI on each platform,
+// then the two engine-level fixes: the transactions that committed, the
+// ones that aborted and why, and the checker's verdict over what
+// committed. The rows come from the deterministic runner the detsim
+// tests pin, so they are the same on every run. A schedule an engine
+// cannot dispatch to its end (2PL blocks a scripted step behind a read
+// lock) prints the runner's error as its verdict.
+func replaySchedules(b *strings.Builder) {
+	engines := []struct {
+		label    string
+		mode     core.CCMode
+		platform core.Platform
+	}{
+		{"SI/PostgreSQL", core.SnapshotFUW, core.PlatformPostgres},
+		{"SI/commercial", core.SnapshotFUW, core.PlatformCommercial},
+		{"SSI", core.SerializableSI, core.PlatformPostgres},
+		{"2PL", core.Strict2PL, core.PlatformPostgres},
+	}
+	row := "%-18s %-14s %-9s %-33s %v\n"
+	fmt.Fprintf(b, row, "schedule", "engine", "committed", "aborted", "verdict")
+	for _, s := range histories.PaperSchedules() {
+		for _, e := range engines {
+			res, err := detsim.Runner{Mode: e.mode, Platform: e.platform, Items: s.Items}.Run(s.Script)
+			if err != nil {
+				fmt.Fprintf(b, row, s.Name, e.label, "-", "-", err)
+				continue
+			}
+			// A script numbers its transactions from 1, and each one that
+			// did not commit has an entry in Errs.
+			var committed, aborted []string
+			for txn := 1; txn <= len(res.Committed)+len(res.Errs); txn++ {
+				if res.Committed[txn] {
+					committed = append(committed, fmt.Sprintf("t%d", txn))
+				} else {
+					aborted = append(aborted, fmt.Sprintf("t%d:%s", txn, core.ClassifyAbort(res.Errs[txn])))
+				}
+			}
+			fmt.Fprintf(b, row, s.Name, e.label, cell(committed), cell(aborted), res.Report.Classify())
+		}
+	}
+}
+
+// cell joins a table cell's items with commas, "-" when there are none,
+// so that every cell is one whitespace-free field.
+func cell(items []string) string {
+	if len(items) == 0 {
+		return "-"
+	}
+	return strings.Join(items, ",")
 }
