@@ -322,6 +322,77 @@ func BenchmarkCommitDurableMPL16(b *testing.B) {
 	}
 }
 
+// BenchmarkCommitDurableMPL2 is the embedded durable commit in
+// miniature: two committers on disjoint keys, each running begin, read,
+// update, sync commit against an in-memory segment log with no simulated
+// latency. Every wait between the two committers is then shorter than
+// what a parked goroutine costs to wake, so this is where the commit
+// path's handoffs show: the heir waiting on the flush loop, a follower
+// waiting for its verdict, publishCSN waiting for its predecessor. It
+// reports allocs/op (the commit record, its channel, its row images and
+// its frame come from the transaction's recycled buffers) and
+// commits/sync (about 1.0: the device is faster than a committer's
+// return). To read the handoffs:
+//
+//	go test -run XXX -bench CommitDurableMPL2 -trace t.out ./internal/engine
+//	go tool trace -pprof=sched t.out
+func BenchmarkCommitDurableMPL2(b *testing.B) {
+	const (
+		mpl    = 2
+		stripe = 512
+	)
+	dev, err := wal.NewMemSegmentLog(2 << 20)
+	if err != nil {
+		b.Fatal(err)
+	}
+	db := Open(Config{Mode: core.SnapshotFUW, Platform: core.PlatformPostgres, WAL: wal.Config{Device: dev}})
+	b.Cleanup(db.Close)
+	if err := db.CreateTable(kvSchema("T")); err != nil {
+		b.Fatal(err)
+	}
+	tx := db.Begin()
+	for k := int64(0); k < mpl*stripe; k++ {
+		if err := tx.Insert("T", kv(k, k)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := tx.Commit(); err != nil {
+		b.Fatal(err)
+	}
+	pre := db.WAL().Stats()
+	b.ReportAllocs()
+	b.ResetTimer()
+	var wg sync.WaitGroup
+	for w := 0; w < mpl; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < b.N/mpl; i++ {
+				k := int64(w*stripe + i%stripe)
+				tx := db.Begin()
+				if _, err := tx.Get("T", core.Int(k)); err != nil {
+					b.Error(err)
+					return
+				}
+				if err := tx.Update("T", core.Int(k), kv(k, int64(i))); err != nil {
+					b.Error(err)
+					return
+				}
+				if err := tx.Commit(); err != nil {
+					b.Error(err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	b.StopTimer()
+	s := db.WAL().Stats()
+	if syncs := s.Syncs - pre.Syncs; syncs > 0 {
+		b.ReportMetric(float64(s.Records-pre.Records)/float64(syncs), "commits/sync")
+	}
+}
+
 // BenchmarkCommitCheckpointMPL16 prices checkpoint interference on the
 // commit path: 16 committers on disjoint stripes against a file-backed
 // segment log (simulated 200µs sync), with a deliberately large cold

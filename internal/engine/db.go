@@ -218,6 +218,9 @@ func Open(cfg Config) *DB {
 		db.store.SetFaults(cfg.Faults)
 		db.log.SetFaults(cfg.Faults)
 	}
+	// A committer polls for another only while every open transaction
+	// can have a processor (wal.WAL.Spin).
+	db.log.SetCommitters(&db.inflightN)
 	db.seqWaiters = make(map[uint64]chan struct{})
 	if cfg.Mode == core.SerializableSI {
 		db.ssi = newSSIState(&db.hz)
@@ -284,13 +287,24 @@ func (db *DB) Admission() *admission.Limiter { return db.gate }
 // stays gapless.
 func (db *DB) allocCSNEnqueue(rec *wal.Record) (uint64, <-chan error, error) {
 	db.faults.FireDelayOnly(FaultCSNAlloc, faultinject.Ctx{})
-	db.seqMu.Lock()
+	db.lockSeq()
 	db.nextCSN++
 	csn := db.nextCSN
 	rec.CSN = csn
 	done, err := db.log.Enqueue(rec)
 	db.seqMu.Unlock()
 	return csn, done, err
+}
+
+// lockSeq takes seqMu. Its holders stay for a counter bump and a queue
+// append, or a map lookup, so a committer polls for it (wal.WAL.Spin)
+// before it blocks: a waiter that parks is woken late, and a mutex whose
+// waiter waited over a millisecond hands the processor over on every
+// Unlock.
+func (db *DB) lockSeq() {
+	if !db.log.Spin(db.seqMu.TryLock) {
+		db.seqMu.Lock()
+	}
 }
 
 // publishYields bounds how often publishCSN yields the processor to a
@@ -306,18 +320,20 @@ const publishYields = 16
 // and whoever publishes csn-1 closes it — each advance wakes exactly
 // the one goroutine that can make progress.
 //
-// Before it parks, an early committer yields the processor a few times.
+// Before it parks, an early committer polls for its predecessor on its
+// own processor (wal.WAL.Spin), then yields the processor a few times.
 // Queue order is CSN order, so its predecessor's record was durable no
 // later than its own: the predecessor is runnable or running and has one
 // stamping loop to go, which is shorter than a park and a wake — and
 // after a park this committer would become runnable behind whatever the
-// predecessor does next. It yields instead of spinning because on one
-// processor the predecessor needs this one.
+// predecessor does next. Where the log gives no poll (one processor,
+// whose predecessor needs it, or a simulated sync) it only yields.
 func (db *DB) publishCSN(csn uint64) {
+	db.log.Spin(func() bool { return db.visibleCSN.Load() == csn-1 })
 	for i := 0; i < publishYields && db.visibleCSN.Load() != csn-1; i++ {
 		runtime.Gosched()
 	}
-	db.seqMu.Lock()
+	db.lockSeq()
 	if db.visibleCSN.Load() != csn-1 {
 		db.seqWaits.Add(1)
 		ch := make(chan struct{})

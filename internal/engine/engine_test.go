@@ -25,6 +25,10 @@ func kvSchema(name string) *core.Schema {
 
 func kv(k, v int64) core.Record { return core.Record{core.Int(k), core.Int(v)} }
 
+// raceDetector is set when the tests run under the race detector
+// (race_test.go).
+var raceDetector bool
+
 // openKV builds a DB in the given mode/platform with table T preloaded
 // with (1,100) and (2,200). No simulated costs: pure semantics tests.
 func openKV(t *testing.T, mode core.CCMode, platform core.Platform) *DB {

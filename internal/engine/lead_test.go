@@ -2,9 +2,12 @@ package engine
 
 import (
 	"bytes"
+	"errors"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"sicost/internal/core"
 	"sicost/internal/wal"
@@ -127,5 +130,186 @@ func TestPublishInOrderOnOneProcessor(t *testing.T) {
 	}
 	if waits := db.Contention().CommitPublishWaits; waits != 2 {
 		t.Fatalf("%d parks counted, want the two committers that parked", waits)
+	}
+}
+
+// TestSyncCommitAllocations pins the allocation diet of a serial durable
+// commit — begin, read, update, sync commit against a log in memory. The
+// commit record, its verdict channel, its row images and its frame come
+// from the transaction's recycled buffers and the log's queue keeps its
+// array, so what is left is the handle, the record image and its
+// version: three allocations, where there were nine while the record and
+// its queue slot were made for every commit. The race detector's
+// sync.Pool drops a quarter of what it is given, so the count holds only
+// without it.
+func TestSyncCommitAllocations(t *testing.T) {
+	if raceDetector {
+		t.Skip("the race detector's sync.Pool drops recycled buffers")
+	}
+	const rows = 64
+	dev, err := wal.NewMemSegmentLog(1 << 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db := Open(Config{Mode: core.SnapshotFUW, WAL: wal.Config{Device: dev}})
+	defer db.Close()
+	if err := db.CreateTable(kvSchema("T")); err != nil {
+		t.Fatal(err)
+	}
+	seed := db.Begin()
+	for k := int64(0); k < rows; k++ {
+		if err := seed.Insert("T", kv(k, 0)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := seed.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	i := int64(0)
+	allocs := testing.AllocsPerRun(500, func() {
+		i++
+		k := i % rows
+		tx := db.Begin()
+		if _, err := tx.Get("T", core.Int(k)); err != nil {
+			t.Fatal(err)
+		}
+		if err := tx.Update("T", core.Int(k), core.Record{core.Int(k), core.Int(i)}); err != nil {
+			t.Fatal(err)
+		}
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 3 {
+		t.Fatalf("a serial durable commit allocates %.0f objects, want at most 3", allocs)
+	}
+	if s := db.WAL().Stats(); s.Records < 500 {
+		t.Fatalf("stats %+v: the commits did not all reach the log", s)
+	}
+}
+
+// holdSync delegates to a memory log; armed, its next Sync announces
+// itself on entered and waits for release.
+type holdSync struct {
+	*wal.SegmentLog
+	armed   atomic.Bool
+	entered chan struct{}
+	release chan struct{}
+}
+
+func (d *holdSync) Sync() error {
+	if d.armed.CompareAndSwap(true, false) {
+		d.entered <- struct{}{}
+		<-d.release
+	}
+	return d.SegmentLog.Sync()
+}
+
+// reclaimBufs takes b back out of txBufPool, where the end of its
+// transaction put it (unless the race detector's pool dropped it), so a
+// test can hand it to one transaction without the pool handing it to
+// another: it empties the pool until b, or a set never used, comes out.
+func reclaimBufs(b *txBufs) {
+	for {
+		got := txBufPool.Get().(*txBufs)
+		if got == b || cap(got.writes) == 0 && cap(got.thin) == 0 && got.rec.Rows == nil {
+			return
+		}
+	}
+}
+
+// TestWithdrawnRecordIsReusedCleanly: a sync commit withdrawn at its
+// deadline leaves its record — verdict channel, frame, row images — in
+// the transaction's buffers with no verdict in the channel and none to
+// come, and the next commit on those buffers waits for its own: it
+// returns durable, and recovery finds it and not the withdrawn one.
+func TestWithdrawnRecordIsReusedCleanly(t *testing.T) {
+	dev := &holdSync{SegmentLog: newMemLog(t), entered: make(chan struct{}), release: make(chan struct{})}
+	db := Open(Config{Mode: core.SnapshotFUW, WAL: wal.Config{Device: dev}})
+	defer db.Close()
+	if err := db.CreateTable(kvSchema("T")); err != nil {
+		t.Fatal(err)
+	}
+	seed := db.Begin()
+	for k := int64(1); k <= 2; k++ {
+		if err := seed.Insert("T", kv(k, 100*k)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := seed.Commit(); err != nil {
+		t.Fatal(err)
+	}
+
+	// tx1 leads a flush that stays in its device sync.
+	tx1 := db.Begin()
+	if err := tx1.Update("T", core.Int(1), kv(1, 101)); err != nil {
+		t.Fatal(err)
+	}
+	dev.armed.Store(true)
+	tx1Done := make(chan error, 1)
+	go func() { tx1Done <- tx1.Commit() }()
+	<-dev.entered
+
+	// tx2 queues behind it under a deadline and withdraws its record,
+	// then waits to publish its CSN as an empty slot behind tx1's.
+	tx2 := db.Begin()
+	if err := tx2.Insert("T", kv(3, 300)); err != nil {
+		t.Fatal(err)
+	}
+	bufs := tx2.bufs
+	tx2.SetDeadline(time.Now().Add(5 * time.Millisecond))
+	waits := db.Contention().CommitPublishWaits
+	tx2Done := make(chan error, 1)
+	go func() { tx2Done <- tx2.Commit() }()
+	waitCond(t, func() bool { return db.Contention().CommitPublishWaits > waits })
+	close(dev.release)
+	if err := <-tx2Done; !errors.Is(err, core.ErrTxDeadline) {
+		t.Fatalf("commit queued past its deadline: %v, want ErrTxDeadline", err)
+	}
+	if err := <-tx1Done; err != nil {
+		t.Fatalf("in-flight commit: %v", err)
+	}
+	if _, outstanding := db.WAL().DurableWatermark(); outstanding {
+		t.Fatal("a verdict is still owed after the withdrawal and the in-flight commit")
+	}
+
+	// tx3 commits on tx2's buffers. A verdict left in the record's
+	// channel would either end tx3's wait before its flush or block the
+	// flush that delivers tx3's own.
+	reclaimBufs(bufs)
+	tx3 := db.Begin()
+	tx3.bufs, tx3.writes, tx3.thin = bufs, bufs.writes[:0], bufs.thin[:0]
+	if err := tx3.Update("T", core.Int(2), kv(2, 201)); err != nil {
+		t.Fatal(err)
+	}
+	tx3Done := make(chan error, 1)
+	go func() { tx3Done <- tx3.Commit() }()
+	select {
+	case err := <-tx3Done:
+		if err != nil {
+			t.Fatalf("commit on the withdrawn record's buffers: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("commit on the withdrawn record's buffers never returned")
+	}
+	if durable, outstanding := db.WAL().DurableWatermark(); durable < tx3.CommitCSN() || outstanding {
+		t.Fatalf("commit %d returned with the log durable to %d (verdicts owed: %v): not on its own verdict",
+			tx3.CommitCSN(), durable, outstanding)
+	}
+
+	rdb, _, err := Recover(dev.SegmentLog, Config{Mode: core.SnapshotFUW})
+	if err != nil {
+		t.Fatalf("recover: %v", err)
+	}
+	defer rdb.Close()
+	rtx := rdb.Begin()
+	defer rtx.Abort()
+	for k, want := range map[int64]int64{1: 101, 2: 201} {
+		if rec, err := rtx.Get("T", core.Int(k)); err != nil || rec[1].Int64() != want {
+			t.Errorf("recovered row %d = %v, %v; want %d", k, rec, err, want)
+		}
+	}
+	if _, err := rtx.Get("T", core.Int(3)); !errors.Is(err, core.ErrNotFound) {
+		t.Errorf("withdrawn commit recovered: err=%v", err)
 	}
 }

@@ -3,6 +3,7 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -98,9 +99,14 @@ type Tx struct {
 // txBufs carries the backing arrays of Tx.writes and Tx.thin from one
 // transaction to the next, so a 4000-row load batch does not grow them
 // from nothing and a three-row program does not allocate them at all.
+// rec is a sync commit's log record, reused with its verdict channel, its
+// frame buffer and its row images: the buffers go back to the pool only
+// when the transaction ends, and by then a sync commit has received its
+// record's verdict, or withdrawn the record, or failed to enqueue it.
 type txBufs struct {
 	writes []writeRec
 	thin   []*storage.Row
+	rec    wal.Record
 }
 
 var txBufPool = sync.Pool{New: func() any { return new(txBufs) }}
@@ -126,7 +132,8 @@ func (tx *Tx) recycle() {
 	tx.updater = !tx.ReadOnly()
 	clear(tx.writes)
 	clear(tx.thin)
-	b.writes, b.thin = tx.writes[:0], tx.thin[:0]
+	clear(b.rec.Rows)
+	b.writes, b.thin, b.rec.Rows = tx.writes[:0], tx.thin[:0], b.rec.Rows[:0]
 	tx.bufs, tx.writes, tx.thin = nil, nil, nil
 	txBufPool.Put(b)
 }
@@ -649,7 +656,7 @@ func (tx *Tx) firstWriteTo(i int) bool {
 	return true
 }
 
-// rowImages collects the final after-image of every row this
+// rowImages appends to rows the final after-image of every row this
 // transaction wrote, for the durable commit record. tx.writes holds one
 // entry per distinct row (repeat writes go through Row.UpdateOwn and
 // mutate the existing version in place), so w.ver.Rec is already the
@@ -664,8 +671,8 @@ func (tx *Tx) firstWriteTo(i int) bool {
 // watermark is dead metadata to a recovered instance. An SFU-only
 // commit still logs a (row-less) frame carrying its CSN, keeping the
 // recovered sequencer's high-water mark exact.
-func (tx *Tx) rowImages() []wal.RowImage {
-	rows := make([]wal.RowImage, 0, len(tx.writes))
+func (tx *Tx) rowImages(rows []wal.RowImage) []wal.RowImage {
+	rows = slices.Grow(rows, len(tx.writes))
 	for _, w := range tx.writes {
 		rows = append(rows, wal.RowImage{Table: w.table.Name(), Key: w.key, Rec: w.ver.Rec})
 	}
@@ -691,6 +698,19 @@ func (tx *Tx) rowImages() []wal.RowImage {
 // their durability debt in the future.
 func (tx *Tx) waitFlush(rec *wal.Record, done <-chan error) error {
 	tx.db.log.Lead(rec, tx.deadline.IsZero())
+	// Whoever leads is a flush window away from the verdict: poll for it
+	// before blocking on it.
+	var err error
+	if tx.db.log.Spin(func() bool {
+		select {
+		case err = <-done:
+			return true
+		default:
+			return false
+		}
+	}) {
+		return err
+	}
 	if tx.deadline.IsZero() {
 		return <-done
 	}
@@ -847,14 +867,22 @@ func (tx *Tx) Commit() error {
 		// why the record is flagged Async: the WAL must brick on its
 		// failure rather than pretend the published commit never
 		// happened.
+		//
+		// A sync commit's record is the transaction's own (txBufs); an
+		// async one outlives the commit, its channel handed to the
+		// caller (Durable), so it is made afresh.
 		async := tx.asyncCommit()
-		rec := &wal.Record{
-			TxID:  tx.id,
-			Bytes: logBytesPerWrite * (len(tx.writes) + len(tx.sfus)),
-			Async: async,
+		var rec *wal.Record
+		if async {
+			rec = &wal.Record{Async: true}
+		} else {
+			tx.borrow()
+			rec = &tx.bufs.rec
 		}
+		rec.TxID = tx.id
+		rec.Bytes = logBytesPerWrite * (len(tx.writes) + len(tx.sfus))
 		if tx.db.log.Persistent() {
-			rec.Rows = tx.rowImages()
+			rec.Rows = tx.rowImages(rec.Rows[:0])
 			// Encoded here, outside the sequencer: Enqueue only stamps
 			// the CSN into the frame.
 			tx.db.log.Encode(rec)

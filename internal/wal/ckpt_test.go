@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"bytes"
 	"testing"
 
 	"sicost/internal/core"
@@ -19,6 +20,25 @@ func ckptFrames(cut uint64, schemas []core.Schema, batches ...[]CkptRow) []byte 
 	return append(out, EncodeCkptEnd(&CkptEnd{CSN: cut, Rows: rows})...)
 }
 
+// encodeCkptRowsByAppend is the rows-batch encoding as it was before the
+// frame was sized first and built in place: the payload grown by
+// append, then copied behind its header by frame.
+func encodeCkptRowsByAppend(d *CkptRows) []byte {
+	p := []byte{frameCkptRows}
+	p = appendU64(p, d.CSN)
+	p = appendU32(p, uint32(len(d.Rows)))
+	for _, r := range d.Rows {
+		p = appendStr(p, r.Table)
+		p = appendValue(p, r.Key)
+		p = appendU64(p, r.CSN)
+		p = appendRecord(p, r.Rec)
+	}
+	return frame(p)
+}
+
+// TestCkptFrameRoundTrip: each checkpoint frame decodes to what was
+// encoded, and a rows batch, built in one buffer of its exact size, is
+// byte for byte the frame the append-grown encoder wrote.
 func TestCkptFrameRoundTrip(t *testing.T) {
 	s := testSchema()
 	begin := mustDecodeOne(t, EncodeCkptBegin(&CkptBegin{CSN: 9, Schemas: []core.Schema{s}}))
@@ -30,11 +50,23 @@ func TestCkptFrameRoundTrip(t *testing.T) {
 		t.Fatalf("embedded schema round-trip: %+v", begin.CkptBegin.Schemas)
 	}
 
-	rows := mustDecodeOne(t, EncodeCkptRows(&CkptRows{CSN: 9, Rows: []CkptRow{
+	batch := &CkptRows{CSN: 9, Rows: []CkptRow{
 		{Table: "T", Key: core.Int(1), CSN: 7, Rec: core.Record{core.Int(1), core.Str("a")}},
 		{Table: "T", Key: core.Int(2), CSN: 9, Rec: core.Record{core.Int(2), core.Null()}},
-	}}))
-	if rows.CkptRows == nil || rows.CkptRows.CSN != 9 || len(rows.CkptRows.Rows) != 2 {
+		{Table: "Account", Key: core.Str("cust-3"), CSN: 4, Rec: core.Record{}},
+	}}
+	enc := EncodeCkptRows(batch)
+	if want := encodeCkptRowsByAppend(batch); !bytes.Equal(enc, want) {
+		t.Fatalf("rows frame\n got %x\nwant %x", enc, want)
+	}
+	if len(enc) != cap(enc) {
+		t.Fatalf("rows frame: %d bytes in a buffer of %d", len(enc), cap(enc))
+	}
+	if n := testing.AllocsPerRun(100, func() { EncodeCkptRows(batch) }); n != 1 {
+		t.Fatalf("%v allocations per rows frame, want 1", n)
+	}
+	rows := mustDecodeOne(t, enc)
+	if rows.CkptRows == nil || rows.CkptRows.CSN != 9 || len(rows.CkptRows.Rows) != 3 {
 		t.Fatalf("rows round-trip: %+v", rows.CkptRows)
 	}
 	if r := rows.CkptRows.Rows[0]; r.Table != "T" || r.Key != core.Int(1) || r.CSN != 7 ||
@@ -43,6 +75,9 @@ func TestCkptFrameRoundTrip(t *testing.T) {
 	}
 	if r := rows.CkptRows.Rows[1]; r.CSN != 9 || !r.Rec.Equal(core.Record{core.Int(2), core.Null()}) {
 		t.Fatalf("row with a NULL round-trip: %+v", r)
+	}
+	if r := rows.CkptRows.Rows[2]; r.Key != core.Str("cust-3") || r.CSN != 4 || r.Rec == nil || len(r.Rec) != 0 {
+		t.Fatalf("empty live row round-trip: %+v", r)
 	}
 
 	end := mustDecodeOne(t, EncodeCkptEnd(&CkptEnd{CSN: 9, Rows: 2}))

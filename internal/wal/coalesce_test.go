@@ -243,8 +243,8 @@ func TestAsyncRecordFailureBricks(t *testing.T) {
 	}
 	w := failing()
 	defer w.Close()
-	done, err := w.Enqueue(&Record{TxID: 100, CSN: 1, Async: true,
-		Rows: []RowImage{{Table: "t", Key: core.Int(1), Rec: core.Record{core.Int(1)}}}})
+	done, err := w.Enqueue(framed(w, &Record{TxID: 100, CSN: 1, Async: true,
+		Rows: []RowImage{{Table: "t", Key: core.Int(1), Rec: core.Record{core.Int(1)}}}}))
 	if err != nil {
 		t.Fatal(err)
 	}

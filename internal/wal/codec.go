@@ -184,21 +184,30 @@ func commitFrameSize(c *CommitFrame) int {
 	for _, r := range c.Rows {
 		n += 4 + len(r.Table) + valueSize(r.Key) + 1
 		if r.Rec != nil {
-			n += 4
-			for _, v := range r.Rec {
-				n += valueSize(v)
-			}
+			n += recordSize(r.Rec)
 		}
 	}
 	return n
 }
 
-// encodeCommit renders c's frame in the one buffer it allocates: the
-// header's room first, its length filled in, the checksum left to
-// sealCommit.
-func encodeCommit(c *CommitFrame) []byte {
-	b := make([]byte, frameHeaderSize, commitFrameSize(c))
-	b = append(b, frameCommit)
+// recordSize is the length of r's encoding (appendRecord).
+func recordSize(r core.Record) int {
+	n := 4
+	for _, v := range r {
+		n += valueSize(v)
+	}
+	return n
+}
+
+// encodeCommit renders c's frame into buf when c fits its capacity, and
+// into one buffer it allocates otherwise: the header's room first, then
+// the payload, whose CSN and the header sealCommit fill in.
+func encodeCommit(buf []byte, c *CommitFrame) []byte {
+	b := buf
+	if n := commitFrameSize(c); cap(b) < n {
+		b = make([]byte, 0, n)
+	}
+	b = append(b[:frameHeaderSize], frameCommit)
 	b = appendU64(b, c.TxID)
 	b = appendU64(b, c.CSN)
 	b = appendU32(b, uint32(len(c.Rows)))
@@ -212,20 +221,26 @@ func encodeCommit(c *CommitFrame) []byte {
 			b = appendRecord(b, r.Rec)
 		}
 	}
-	binary.LittleEndian.PutUint32(b, uint32(len(b)-frameHeaderSize))
 	return b
 }
 
 // sealCommit gives the commit frame b its CSN and, over the payload that
-// is complete with it, its checksum.
+// is complete with it, its header.
 func sealCommit(b []byte, csn uint64) {
 	binary.LittleEndian.PutUint64(b[commitCSNOffset:], csn)
+	sealFrame(b)
+}
+
+// sealFrame fills in the header of a frame whose payload was written
+// behind the header's room: the payload's length and checksum.
+func sealFrame(b []byte) {
+	binary.LittleEndian.PutUint32(b, uint32(len(b)-frameHeaderSize))
 	binary.LittleEndian.PutUint32(b[4:], crc32.Checksum(b[frameHeaderSize:], castagnoli))
 }
 
 // EncodeCommit renders a commit frame, header included.
 func EncodeCommit(c *CommitFrame) []byte {
-	b := encodeCommit(c)
+	b := encodeCommit(nil, c)
 	sealCommit(b, c.CSN)
 	return b
 }
@@ -248,18 +263,25 @@ func EncodeCkptBegin(d *CkptBegin) []byte {
 	return frame(p)
 }
 
-// EncodeCkptRows renders one batch of checkpoint rows, header included.
+// EncodeCkptRows renders one batch of checkpoint rows, header included,
+// into one buffer of the frame's exact size.
 func EncodeCkptRows(d *CkptRows) []byte {
-	p := []byte{frameCkptRows}
-	p = appendU64(p, d.CSN)
-	p = appendU32(p, uint32(len(d.Rows)))
+	n := frameHeaderSize + 1 + 8 + 4
 	for _, r := range d.Rows {
-		p = appendStr(p, r.Table)
-		p = appendValue(p, r.Key)
-		p = appendU64(p, r.CSN)
-		p = appendRecord(p, r.Rec)
+		n += 4 + len(r.Table) + valueSize(r.Key) + 8 + recordSize(r.Rec)
 	}
-	return frame(p)
+	b := make([]byte, frameHeaderSize, n)
+	b = append(b, frameCkptRows)
+	b = appendU64(b, d.CSN)
+	b = appendU32(b, uint32(len(d.Rows)))
+	for _, r := range d.Rows {
+		b = appendStr(b, r.Table)
+		b = appendValue(b, r.Key)
+		b = appendU64(b, r.CSN)
+		b = appendRecord(b, r.Rec)
+	}
+	sealFrame(b)
+	return b
 }
 
 // EncodeCkptEnd renders a checkpoint end marker, header included.

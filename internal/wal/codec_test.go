@@ -226,7 +226,7 @@ func TestCommitFrameBytesUnchanged(t *testing.T) {
 		if len(got) != cap(got) || len(got) != commitFrameSize(c) {
 			t.Errorf("frame %d: %d bytes in a buffer of %d, sized for %d", i, len(got), cap(got), commitFrameSize(c))
 		}
-		late := encodeCommit(&CommitFrame{TxID: c.TxID, Rows: c.Rows})
+		late := encodeCommit(nil, &CommitFrame{TxID: c.TxID, Rows: c.Rows})
 		sealCommit(late, c.CSN)
 		if !bytes.Equal(late, want) {
 			t.Errorf("frame %d: encoded without its CSN, then sealed\n got %x\nwant %x", i, late, want)
@@ -241,5 +241,52 @@ func TestCommitFrameOneAllocation(t *testing.T) {
 		if n := testing.AllocsPerRun(100, func() { EncodeCommit(c) }); n != 1 {
 			t.Errorf("frame %d (%d rows): %v allocations per EncodeCommit, want 1", i, len(c.Rows), n)
 		}
+	}
+}
+
+// TestRecordReusedForAShorterFrame: a record that carried a three-row
+// frame is committed again with one row, the way the engine reuses a
+// sync commit's record. The new frame is encoded into the old frame's
+// buffer, the verdict comes on the same channel, and what reaches the
+// log is exactly the new frame: one row, the new TxID and CSN.
+func TestRecordReusedForAShorterFrame(t *testing.T) {
+	dev := newTestLog(t)
+	w := New(Config{Device: dev})
+	defer w.Close()
+	three := commitFrames()[1]
+	rec := &Record{TxID: three.TxID, CSN: 1, Rows: three.Rows}
+	w.Encode(rec)
+	if err := w.Commit(rec); err != nil {
+		t.Fatal(err)
+	}
+	buf, done := rec.enc, rec.done
+
+	one := RowImage{Table: "Saving", Key: core.Int(8), Rec: core.Record{core.Int(8), core.Int(-1)}}
+	rec.TxID, rec.CSN, rec.Rows = 8, 2, []RowImage{one}
+	w.Encode(rec)
+	if &rec.enc[0] != &buf[0] {
+		t.Error("the one-row frame did not reuse the three-row frame's buffer")
+	}
+	if err := w.Commit(rec); err != nil {
+		t.Fatal(err)
+	}
+	if rec.done != done {
+		t.Error("the second enqueue made a new verdict channel")
+	}
+
+	image := logImage(t, dev)
+	frames, valid := ScanLog(image)
+	if valid != len(image) || len(frames) != 2 {
+		t.Fatalf("log: %d frames, %d of %d bytes valid; want 2 frames, all valid", len(frames), valid, len(image))
+	}
+	got := frames[1].Commit
+	if got == nil || got.TxID != 8 || got.CSN != 2 || len(got.Rows) != 1 {
+		t.Fatalf("second frame %+v; want TxID 8, CSN 2, one row", frames[1].Commit)
+	}
+	if r := got.Rows[0]; r.Table != one.Table || r.Key != one.Key || !r.Rec.Equal(one.Rec) {
+		t.Fatalf("row %+v, want %+v", r, one)
+	}
+	if first := frames[0].Commit; first == nil || first.CSN != 1 || len(first.Rows) != 3 {
+		t.Fatalf("first frame %+v; want CSN 1 with three rows", frames[0].Commit)
 	}
 }

@@ -19,13 +19,20 @@ func newTestLog(t testing.TB, image ...SegmentData) *SegmentLog {
 	return dev
 }
 
-// enqueue queues the sync record rec from the test's own goroutine, so
-// that queue order is the test's order, and has a goroutine stand in for
-// the record's committer: it leads the flush, or waits to, as the engine
-// does between Enqueue and receiving the verdict.
+// framed encodes rec for w, as a committer does before Enqueue, and
+// returns it.
+func framed(w *WAL, rec *Record) *Record {
+	w.Encode(rec)
+	return rec
+}
+
+// enqueue encodes and queues the sync record rec from the test's own
+// goroutine, so that queue order is the test's order, and has a
+// goroutine stand in for the record's committer: it leads the flush, or
+// waits to, as the engine does between Enqueue and receiving the verdict.
 func enqueue(t testing.TB, w *WAL, rec *Record) <-chan error {
 	t.Helper()
-	done, err := w.Enqueue(rec)
+	done, err := w.Enqueue(framed(w, rec))
 	if err != nil {
 		t.Fatalf("enqueue %d: %v", rec.TxID, err)
 	}

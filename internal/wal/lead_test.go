@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -48,7 +49,7 @@ func TestCommitLeadsItsOwnFlush(t *testing.T) {
 	if after := runtime.NumGoroutine(); after != before {
 		t.Errorf("sync commits changed the goroutine count from %d to %d", before, after)
 	}
-	done, err := w.Enqueue(&Record{TxID: 104, CSN: 4, Async: true})
+	done, err := w.Enqueue(framed(w, &Record{TxID: 104, CSN: 4, Async: true}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,13 +79,13 @@ func TestLeaderLeavesRecordsToBackground(t *testing.T) {
 	go func() { leader <- durableCommit(w, 1) }()
 	<-dev.entered // the leader is inside its window's append
 
-	bound := &Record{TxID: 102, CSN: 2}
+	bound := framed(w, &Record{TxID: 102, CSN: 2})
 	boundDone, err := w.Enqueue(bound)
 	if err != nil {
 		t.Fatal(err)
 	}
 	w.Lead(bound, false) // a flush is running: returns without blocking
-	asyncDone, err := w.Enqueue(&Record{TxID: 103, CSN: 3, Async: true})
+	asyncDone, err := w.Enqueue(framed(w, &Record{TxID: 103, CSN: 3, Async: true}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +122,7 @@ func TestHeirTakesOver(t *testing.T) {
 	go func() { leader <- durableCommit(w, 1) }()
 	<-dev.entered
 
-	heir := &Record{TxID: 102, CSN: 2}
+	heir := framed(w, &Record{TxID: 102, CSN: 2})
 	heirDone, err := w.Enqueue(heir)
 	if err != nil {
 		t.Fatal(err)
@@ -139,7 +140,7 @@ func TestHeirTakesOver(t *testing.T) {
 			t.Fatal("the second committer never became the heir")
 		}
 	}
-	follower := &Record{TxID: 103, CSN: 3}
+	follower := framed(w, &Record{TxID: 103, CSN: 3})
 	followerDone, err := w.Enqueue(follower)
 	if err != nil {
 		t.Fatal(err)
@@ -174,8 +175,8 @@ func TestFaultsOnALedWindow(t *testing.T) {
 	commit := map[string]func(w *WAL, csn uint64) error{
 		"led": durableCommit,
 		"background": func(w *WAL, csn uint64) error {
-			done, err := w.Enqueue(&Record{TxID: csn + 100, CSN: csn,
-				Rows: []RowImage{{Table: "t", Key: core.Int(int64(csn)), Rec: core.Record{core.Int(int64(csn))}}}})
+			done, err := w.Enqueue(framed(w, &Record{TxID: csn + 100, CSN: csn,
+				Rows: []RowImage{{Table: "t", Key: core.Int(int64(csn)), Rec: core.Record{core.Int(int64(csn))}}}}))
 			if err != nil {
 				return err
 			}
@@ -260,6 +261,7 @@ func TestStressLeadersAndFollowers(t *testing.T) {
 			for i := 0; i < each; i++ {
 				rec := &Record{TxID: uint64(g*each + i + 1), Async: (g+i)%4 == 3,
 					Rows: []RowImage{{Table: "t", Key: core.Int(int64(g)), Rec: core.Record{core.Int(int64(i))}}}}
+				w.Encode(rec)
 				seq.Lock()
 				next++
 				rec.CSN = next
@@ -329,5 +331,110 @@ func TestStressLeadersAndFollowers(t *testing.T) {
 	w.mu.Unlock()
 	if running || heir != nil || queued != 0 {
 		t.Errorf("after Close: flush loop running %v, heir %v, %d records queued", running, heir, queued)
+	}
+}
+
+// TestSpinBudget: a committer polls for another one only where that can
+// pay — a device with no simulated latency, on more than one processor —
+// and everywhere else goes straight to its blocking wait without calling
+// cond. A poll that never sees cond hold gives up after the budget.
+func TestSpinBudget(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	dev := newTestLog(t)
+	for _, c := range []struct {
+		name  string
+		procs int
+		cfg   Config
+		spins bool
+	}{
+		{"bare device", 2, Config{Device: dev}, true},
+		{"one processor", 1, Config{Device: dev}, false},
+		{"simulated latency", 2, Config{Device: dev, FsyncLatency: time.Millisecond}, false},
+		{"latency only", 2, Config{FsyncLatency: time.Millisecond}, false},
+		{"no log", 2, Config{}, false},
+	} {
+		runtime.GOMAXPROCS(c.procs)
+		w := New(c.cfg)
+		calls := 0
+		held := w.Spin(func() bool { calls++; return calls == 3 })
+		if (w.spin > 0) != c.spins || held != c.spins || (calls > 0) != c.spins {
+			t.Errorf("%s: budget %v, cond held %v after %d calls; want polling %v", c.name, w.spin, held, calls, c.spins)
+		}
+		if !c.spins {
+			continue
+		}
+		start := time.Now()
+		if w.Spin(func() bool { return false }) {
+			t.Errorf("%s: a cond that never holds held", c.name)
+		}
+		if took := time.Since(start); took < w.spin {
+			t.Errorf("%s: gave up after %v, before the %v budget", c.name, took, w.spin)
+		}
+	}
+}
+
+// slowSyncDevice takes delay over every sync, as a disk's fsync does.
+type slowSyncDevice struct {
+	*SegmentLog
+	delay time.Duration
+}
+
+func (d *slowSyncDevice) Sync() error {
+	time.Sleep(d.delay)
+	return d.SegmentLog.Sync()
+}
+
+// TestSpinFollowsTheDevice: the poll is on only while the device's last
+// flush window took less than the budget. Behind a slow sync every wait
+// between committers is paced by the device, so Spin goes straight to the
+// blocking wait without calling cond; once a window is fast again, it polls.
+func TestSpinFollowsTheDevice(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	dev := &slowSyncDevice{SegmentLog: newTestLog(t), delay: 4 * spinFor}
+	w := New(Config{Device: dev})
+	defer w.Close()
+	polls := func() bool {
+		calls := 0
+		w.Spin(func() bool { calls++; return true })
+		return calls > 0
+	}
+	if !polls() {
+		t.Fatal("no window flushed yet: Spin did not poll")
+	}
+	if err := durableCommit(w, 1); err != nil {
+		t.Fatal(err)
+	}
+	if polls() {
+		t.Errorf("last window took %v, over the %v budget: Spin polled", time.Duration(w.lastWindow.Load()), w.spin)
+	}
+	dev.delay = 0
+	if err := durableCommit(w, 2); err != nil {
+		t.Fatal(err)
+	}
+	if took := time.Duration(w.lastWindow.Load()); took < w.spin && !polls() {
+		t.Errorf("last window took %v, under the %v budget: Spin did not poll", took, w.spin)
+	}
+}
+
+// TestSpinStepsAsideForACrowd: with more transactions open than there
+// are processors a poller would hold a processor a runnable committer
+// needs, so Spin goes straight to the blocking wait; with no more than
+// one each, it polls.
+func TestSpinStepsAsideForACrowd(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	w := New(Config{Device: newTestLog(t)})
+	defer w.Close()
+	var open atomic.Int64
+	w.SetCommitters(&open)
+	for _, c := range []struct {
+		open  int64
+		polls bool
+	}{{1, true}, {2, true}, {3, false}, {20, false}, {2, true}} {
+		open.Store(c.open)
+		calls := 0
+		w.Spin(func() bool { calls++; return true })
+		if (calls > 0) != c.polls {
+			t.Errorf("%d transactions open on 2 processors: polled %v, want %v", c.open, calls > 0, c.polls)
+		}
 	}
 }

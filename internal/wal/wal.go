@@ -44,9 +44,11 @@ package wal
 
 import (
 	"hash/crc32"
+	"runtime"
 	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"sicost/internal/core"
@@ -133,9 +135,13 @@ type Record struct {
 	// bricks the WAL instead.
 	Async bool
 
-	// enc is the record's frame: Encode renders it, Enqueue fills in the
-	// CSN and the checksum.
-	enc  []byte
+	// enc is the record's frame: Encode renders it, into the buffer of
+	// the frame before when that is large enough, and Enqueue fills in
+	// the CSN and the checksum.
+	enc []byte
+	// done receives the record's verdict. Enqueue makes it once and keeps
+	// it, so a committer that received the verdict (or withdrew the
+	// record) can enqueue the same record again.
 	done chan error
 	// arrived is when Enqueue queued the record, stamped only under a
 	// simulated sync latency: the device clock decides which sync
@@ -206,11 +212,26 @@ type WAL struct {
 
 	// leadMu is held by whoever runs the flush loop — a committer leading
 	// its own record out (Lead) or the background goroutine — and is what
-	// the one committer waiting to lead next blocks on: a sync.Mutex spins
-	// before it parks, and a bare device's window is over within the spin.
+	// the one committer waiting to lead next waits for: it polls for the
+	// mutex first (Spin), because a sync.Mutex spins for well under the
+	// microsecond or more a bare device's window takes, and then blocks.
 	// It is locked before mu, except where mu's holder knows it to be free
 	// (flusher is false).
 	leadMu sync.Mutex
+	// spin is how long Spin polls; see spinBudget. lastWindow is how long
+	// the last flush window's append and sync took, in nanoseconds, kept
+	// only where spin is not zero: Spin polls only while it is under spin.
+	// committers, when set (SetCommitters), counts the transactions open
+	// against the log, and Spin polls only while they are no more than
+	// procs, the processors there were at New.
+	spin       time.Duration
+	lastWindow atomic.Int64
+	committers *atomic.Int64
+	procs      int64
+
+	// window is the records the flush loop is flushing, moved off the
+	// queue by takeWindow; it belongs to whoever holds leadMu.
+	window []*Record
 
 	mu      sync.Mutex
 	idle    sync.Cond // broadcast when the flush loop exits
@@ -257,11 +278,76 @@ type WAL struct {
 // New creates a WAL. With no device and zero FsyncLatency the log is
 // disabled and Commit returns immediately.
 func New(cfg Config) *WAL {
-	w := &WAL{cfg: cfg}
+	w := &WAL{cfg: cfg, spin: spinBudget(cfg), procs: int64(runtime.GOMAXPROCS(0))}
 	w.idle.L = &w.mu
 	w.durable.L = &w.mu
 	return w
 }
+
+// spinFor bounds a committer's poll for another committer. Where the
+// device is fast every such wait is one flush window (its append and
+// sync take about a microsecond on tmpfs) or one stamping loop; parking
+// and being woken costs 0.1–1 ms on a virtual machine, and a sync.Mutex
+// waiter that waits longer than a millisecond puts the mutex into
+// starvation mode, where every Unlock hands the processor to the waiter.
+// 50 µs covers the waits, and a poll that runs out has cost at most half
+// of the cheapest park. A window that takes longer than spinFor (a
+// disk's fsync) turns the poll off until a window is fast again (see
+// Spin).
+const spinFor = 50 * time.Microsecond
+
+// spinBudget is how long Spin polls on a log configured by cfg: spinFor
+// with a device and no simulated latency, and nothing otherwise. Under a
+// simulated latency every wait is a sync long; with no device no commit
+// waits for the log, and what runs that way (the engine without a log,
+// the simulated platforms of the paper's figures) keeps the waits it was
+// measured with; and on one processor the committer waited for needs
+// the processor the poller would hold.
+func spinBudget(cfg Config) time.Duration {
+	if cfg.Device == nil || cfg.FsyncLatency > 0 || runtime.GOMAXPROCS(0) == 1 {
+		return 0
+	}
+	return spinFor
+}
+
+// Spin is the first half of every short wait between committers (the
+// heir's for the flush loop, a follower's for its verdict, and in the
+// engine the sequencer's mutex and a predecessor's publication): it
+// polls cond on the caller's processor until cond holds or the budget
+// (spinBudget) is spent, and reports whether cond held. Between rounds
+// of 64 polls it yields the processor, so that a committer a wake-up
+// queued behind the poller — often the one it waits for — runs on it.
+// A caller whose cond did not hold goes on to its blocking wait. Spin
+// returns false without calling cond, and the wait is its blocking half
+// alone, when there is no budget; when the last flush window's append
+// and sync took longer than the budget (the waits are paced by the
+// device, and a poll would mostly run out); and when more
+// transactions are open than there are processors (SetCommitters): a
+// poller then holds a processor that a runnable committer, often the
+// one it waits for, could have had.
+func (w *WAL) Spin(cond func() bool) bool {
+	if w.spin == 0 || w.lastWindow.Load() > int64(w.spin) ||
+		w.committers != nil && w.committers.Load() > w.procs {
+		return false
+	}
+	start := time.Now()
+	for {
+		for range 64 {
+			if cond() {
+				return true
+			}
+		}
+		if time.Since(start) > w.spin {
+			return false
+		}
+		runtime.Gosched()
+	}
+}
+
+// SetCommitters gives the log the count of transactions open against it,
+// which Spin reads (nil: not known, as for a log used alone). Call before
+// commits are in flight.
+func (w *WAL) SetCommitters(n *atomic.Int64) { w.committers = n }
 
 // SetFaults installs the fault registry consulted by the FaultCommit,
 // FaultFlush, FaultSync and FaultCkptRows points (nil disables),
@@ -294,6 +380,7 @@ func (w *WAL) Commit(rec *Record) error {
 	if err := w.CommitFault(rec.TxID); err != nil {
 		return err
 	}
+	w.Encode(rec)
 	done, err := w.Enqueue(rec)
 	if err != nil {
 		return err
@@ -308,11 +395,12 @@ func (w *WAL) Commit(rec *Record) error {
 // Encode renders rec's commit frame — everything but the CSN and the
 // checksum over it, which Enqueue fills in — and sets rec.Bytes to the
 // frame's size. The engine calls it before it enters the sequencer, so
-// the CSN-allocation critical section copies no row image; Enqueue
-// encodes a record that comes without. No-op without a device.
+// the CSN-allocation critical section copies no row image. A record
+// enqueued before keeps its frame's buffer and is encoded into it when
+// it fits. No-op without a device.
 func (w *WAL) Encode(rec *Record) {
 	if w.cfg.Device != nil {
-		rec.enc = encodeCommit(&CommitFrame{TxID: rec.TxID, Rows: rec.Rows})
+		rec.enc = encodeCommit(rec.enc, &CommitFrame{TxID: rec.TxID, Rows: rec.Rows})
 		rec.Bytes = len(rec.enc)
 	}
 }
@@ -321,7 +409,12 @@ func (w *WAL) Encode(rec *Record) {
 // durability. It returns a buffered channel that receives exactly one
 // verdict when the record's flush resolves, or (nil, nil) when the log
 // is disabled (the record is trivially "durable"), or a non-nil error
-// when the log is closed or broken and nothing was enqueued.
+// when the log is closed or broken and nothing was enqueued. With a
+// device attached rec must have been through Encode since its contents
+// last changed: Enqueue only seals the frame. The channel is the
+// record's own: a record may be enqueued again — with its
+// contents renewed — only once its committer has received that verdict,
+// or Withdraw has returned true for it, or Enqueue has failed.
 //
 // A record whose committer is gone (Async) gets the background flush
 // loop. A sync record's committer follows up with Lead, which runs the
@@ -335,9 +428,6 @@ func (w *WAL) Encode(rec *Record) {
 // lose-only-the-tail recovery guarantee meaningful.
 func (w *WAL) Enqueue(rec *Record) (<-chan error, error) {
 	if w.cfg.Device != nil {
-		if rec.enc == nil {
-			w.Encode(rec)
-		}
 		sealCommit(rec.enc, rec.CSN)
 	}
 	if w.tracer.Enabled() {
@@ -346,7 +436,9 @@ func (w *WAL) Enqueue(rec *Record) (<-chan error, error) {
 	if !w.Enabled() {
 		return nil, nil
 	}
-	rec.done = make(chan error, 1)
+	if rec.done == nil {
+		rec.done = make(chan error, 1)
+	}
 
 	w.mu.Lock()
 	if w.closed {
@@ -390,8 +482,9 @@ func (w *WAL) startFlusher() {
 // flush loop running the caller runs it: it claims every record queued,
 // its own among them, appends, syncs, resolves them, and returns as soon
 // as its own record has a verdict. With a loop running, a caller that
-// may wait becomes the heir — it blocks on leadMu and runs the loop next
-// — unless there is an heir already. Every other caller returns at
+// may wait becomes the heir — it waits for leadMu, polling before it
+// blocks (Spin), and runs the loop next — unless there is an heir
+// already. Every other caller returns at
 // once; its record is flushed by the loop's owner, the heir, or the
 // background goroutine an owner starts when it leaves records behind
 // that nobody is waiting to lead. wait is false for a committer that
@@ -411,7 +504,9 @@ func (w *WAL) Lead(rec *Record, wait bool) {
 	if running {
 		w.heir = rec
 		w.mu.Unlock()
-		w.leadMu.Lock()
+		if !w.Spin(w.leadMu.TryLock) {
+			w.leadMu.Lock()
+		}
 	} else {
 		w.flusher = true
 		w.leadMu.Lock()
@@ -524,15 +619,18 @@ func (w *WAL) claimWindow() (window []*Record, deadline time.Time) {
 	return w.takeWindow(len(w.pending)), time.Time{}
 }
 
-// takeWindow cuts the first n queued records, MaxBatch at most, off the
-// queue.
+// takeWindow moves the first n queued records, MaxBatch at most, off the
+// queue into the flush loop's window. Queue and window each keep their
+// array, so a record is queued and flushed without an allocation.
 func (w *WAL) takeWindow(n int) []*Record {
 	if w.cfg.MaxBatch > 0 {
 		n = min(n, w.cfg.MaxBatch)
 	}
-	window := w.pending[:n:n]
-	w.pending = w.pending[n:]
-	return window
+	w.window = append(w.window[:0], w.pending[:n]...)
+	rest := copy(w.pending, w.pending[n:])
+	clear(w.pending[rest:])
+	w.pending = w.pending[:rest]
+	return w.window
 }
 
 // claimAt is claimWindow under a simulated sync latency, looking at the
@@ -657,7 +755,14 @@ func (w *WAL) syncStart(now time.Time) (start time.Time, ok bool) {
 // says that a committer is running the loop.
 func (w *WAL) flushWindow(window []*Record, led bool) {
 	frames, bytes := windowFrames(window)
+	var start time.Time
+	if w.spin > 0 {
+		start = time.Now()
+	}
 	err := w.writeWindow(frames)
+	if w.spin > 0 {
+		w.lastWindow.Store(int64(time.Since(start)))
+	}
 	w.mu.Lock()
 	if w.cfg.FsyncLatency > 0 && w.cfg.Device != nil {
 		// The real append and sync came on top of the simulated one: the
@@ -681,6 +786,9 @@ func (w *WAL) flushWindow(window []*Record, led bool) {
 		w.tracer.Emit(trace.Event{Kind: trace.EvWALFlush, Depth: len(window), Bytes: bytes})
 	}
 	w.resolve(window, err)
+	// The window's array is the loop's for good; it keeps no record
+	// (and its frame and row images) alive past the flush.
+	clear(window)
 }
 
 // windowFrames returns the bytes one window appends and their accounted

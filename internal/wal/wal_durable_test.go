@@ -211,8 +211,8 @@ func TestControlAppendKeepsFirstBrickCause(t *testing.T) {
 	if err := reg.Arm(faultinject.Spec{Point: FaultFlush, Err: first}); err != nil {
 		t.Fatal(err)
 	}
-	done, err := w.Enqueue(&Record{TxID: 100, CSN: 1, Async: true,
-		Rows: []RowImage{{Table: "t", Key: core.Int(1), Rec: core.Record{core.Int(1)}}}})
+	done, err := w.Enqueue(framed(w, &Record{TxID: 100, CSN: 1, Async: true,
+		Rows: []RowImage{{Table: "t", Key: core.Int(1), Rec: core.Record{core.Int(1)}}}}))
 	if err != nil {
 		t.Fatal(err)
 	}
