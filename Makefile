@@ -43,13 +43,15 @@ race:
 # leading, queueing to lead, withdrawing and committing async against
 # one log in wal, plus the MPL-16 online-checker subscription) under the
 # race detector, twice, to vary schedules. The second line runs the
-# commit-path suites on one processor, where a committer never polls for
-# another (wal.WAL.Spin) and every wait is the blocking one. It leaves
+# commit-path suites, and the orderings the flush loop's one locked
+# section per window must keep (TestOrdering*), on one processor, where a
+# committer never polls for another (wal.WAL.Spin) and every wait is the
+# blocking one. It leaves
 # out the SSI transfer storm: its clients retry without back-off, and on
 # one processor they can stop making progress (ROADMAP, the SSI item).
 stress:
 	$(GO) test -race -count=2 -run 'TestStress|TestQuick' ./internal/storage ./internal/wal ./internal/engine ./internal/workload
-	GOMAXPROCS=1 $(GO) test -race -count=1 -run 'TestStress|TestLead|TestHeir' -skip 'TestStressTransfersConserveTotal/SSI' ./internal/wal ./internal/engine
+	GOMAXPROCS=1 $(GO) test -race -count=1 -run 'TestStress|TestLead|TestHeir|TestOrdering' -skip 'TestStressTransfersConserveTotal/SSI' ./internal/wal ./internal/engine
 
 # Short fuzz smoke on both targets (30s each); CI-friendly bound.
 # FuzzSQLMiniParse also holds the pull lexer to the two-pass reference

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"os"
 	"runtime"
 	"sort"
 	"sync"
@@ -324,13 +325,16 @@ func BenchmarkCommitDurableMPL16(b *testing.B) {
 
 // BenchmarkCommitDurableMPL2 is the embedded durable commit in
 // miniature: two committers on disjoint keys, each running begin, read,
-// update, sync commit against an in-memory segment log with no simulated
-// latency. Every wait between the two committers is then shorter than
-// what a parked goroutine costs to wake, so this is where the commit
-// path's handoffs show: the heir waiting on the flush loop, a follower
-// waiting for its verdict, publishCSN waiting for its predecessor. It
-// reports allocs/op (the commit record, its channel, its row images and
-// its frame come from the transaction's recycled buffers) and
+// update, sync commit with no simulated latency. Every wait between the
+// two committers is then shorter than what a parked goroutine costs to
+// wake, so this is where the commit path's handoffs show: the heir
+// waiting on the flush loop, a follower waiting for its verdict,
+// publishCSN waiting for its predecessor. mem is an in-memory segment
+// log, which makes no system call; file is the embed-durable workload's
+// device, a directory of write-through segment files on /dev/shm (the
+// test's temporary directory where there is none), one write per window.
+// It reports allocs/op (the commit record, its channel, its row images
+// and its frame come from the transaction's recycled buffers) and
 // commits/sync (about 1.0: the device is faster than a committer's
 // return). To read the handoffs:
 //
@@ -341,55 +345,76 @@ func BenchmarkCommitDurableMPL2(b *testing.B) {
 		mpl    = 2
 		stripe = 512
 	)
-	dev, err := wal.NewMemSegmentLog(2 << 20)
-	if err != nil {
-		b.Fatal(err)
-	}
-	db := Open(Config{Mode: core.SnapshotFUW, Platform: core.PlatformPostgres, WAL: wal.Config{Device: dev}})
-	b.Cleanup(db.Close)
-	if err := db.CreateTable(kvSchema("T")); err != nil {
-		b.Fatal(err)
-	}
-	tx := db.Begin()
-	for k := int64(0); k < mpl*stripe; k++ {
-		if err := tx.Insert("T", kv(k, k)); err != nil {
-			b.Fatal(err)
-		}
-	}
-	if err := tx.Commit(); err != nil {
-		b.Fatal(err)
-	}
-	pre := db.WAL().Stats()
-	b.ReportAllocs()
-	b.ResetTimer()
-	var wg sync.WaitGroup
-	for w := 0; w < mpl; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < b.N/mpl; i++ {
-				k := int64(w*stripe + i%stripe)
-				tx := db.Begin()
-				if _, err := tx.Get("T", core.Int(k)); err != nil {
-					b.Error(err)
-					return
-				}
-				if err := tx.Update("T", core.Int(k), kv(k, int64(i))); err != nil {
-					b.Error(err)
-					return
-				}
-				if err := tx.Commit(); err != nil {
-					b.Error(err)
-					return
+	for _, v := range []struct {
+		name string
+		dev  func(b *testing.B) (wal.LogDevice, error)
+	}{
+		{"mem", func(b *testing.B) (wal.LogDevice, error) { return wal.NewMemSegmentLog(2 << 20) }},
+		{"file", func(b *testing.B) (wal.LogDevice, error) {
+			dir := b.TempDir()
+			if shm, err := os.MkdirTemp("/dev/shm", "sicost-bench-"); err == nil {
+				b.Cleanup(func() { os.RemoveAll(shm) })
+				dir = shm
+			}
+			dev, err := wal.OpenSegmentLog(dir, 2<<20)
+			if err == nil {
+				b.Cleanup(func() { dev.Close() })
+			}
+			return dev, err
+		}},
+	} {
+		b.Run(v.name, func(b *testing.B) {
+			dev, err := v.dev(b)
+			if err != nil {
+				b.Fatal(err)
+			}
+			db := Open(Config{Mode: core.SnapshotFUW, Platform: core.PlatformPostgres, WAL: wal.Config{Device: dev}})
+			b.Cleanup(db.Close)
+			if err := db.CreateTable(kvSchema("T")); err != nil {
+				b.Fatal(err)
+			}
+			tx := db.Begin()
+			for k := int64(0); k < mpl*stripe; k++ {
+				if err := tx.Insert("T", kv(k, k)); err != nil {
+					b.Fatal(err)
 				}
 			}
-		}(w)
-	}
-	wg.Wait()
-	b.StopTimer()
-	s := db.WAL().Stats()
-	if syncs := s.Syncs - pre.Syncs; syncs > 0 {
-		b.ReportMetric(float64(s.Records-pre.Records)/float64(syncs), "commits/sync")
+			if err := tx.Commit(); err != nil {
+				b.Fatal(err)
+			}
+			pre := db.WAL().Stats()
+			b.ReportAllocs()
+			b.ResetTimer()
+			var wg sync.WaitGroup
+			for w := 0; w < mpl; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					for i := 0; i < b.N/mpl; i++ {
+						k := int64(w*stripe + i%stripe)
+						tx := db.Begin()
+						if _, err := tx.Get("T", core.Int(k)); err != nil {
+							b.Error(err)
+							return
+						}
+						if err := tx.Update("T", core.Int(k), kv(k, int64(i))); err != nil {
+							b.Error(err)
+							return
+						}
+						if err := tx.Commit(); err != nil {
+							b.Error(err)
+							return
+						}
+					}
+				}(w)
+			}
+			wg.Wait()
+			b.StopTimer()
+			s := db.WAL().Stats()
+			if syncs := s.Syncs - pre.Syncs; syncs > 0 {
+				b.ReportMetric(float64(s.Records-pre.Records)/float64(syncs), "commits/sync")
+			}
+		})
 	}
 }
 

@@ -21,7 +21,9 @@ import (
 // Append and Sync split the durability point: Append buffers bytes at
 // the tail (the OS page cache), Sync is the fdatasync-equivalent that
 // makes every prior Append durable. Nothing is acknowledged to a
-// committer until the Sync covering its append returns.
+// committer until the Sync covering its append returns. A device may
+// make an append durable before Sync — the file segments write through
+// (fileSeg) — but the WAL never counts on it.
 type LogDevice interface {
 	// Append adds b to the end of the log. The bytes are buffered, not
 	// yet durable: a crash before the next Sync may lose any suffix of

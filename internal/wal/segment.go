@@ -249,7 +249,10 @@ func (l *SegmentLog) rotate() error {
 }
 
 // Sync implements LogDevice: only the current segment can hold unsynced
-// bytes (rotation seals its predecessors).
+// bytes (rotation seals its predecessors). A file segment's appends are
+// durable already (fileSeg), so its sync is a system call only after a
+// truncation; curSynced moves either way, and it is what DropUnsynced's
+// simulated page-cache loss cuts back to.
 func (l *SegmentLog) Sync() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -512,9 +515,17 @@ func (st *memSegStore) syncDir() error { return nil }
 
 // ---- file backend ----
 
+// fileSeg is a segment file opened write-through (os.O_SYNC, as
+// PostgreSQL's wal_sync_method = open_sync; O_DSYNC has no constant in
+// package os and none on Windows): an append is durable when its write
+// returns, so a flush window costs one system call. What a write does not cover is a truncation, which changes
+// the file's size behind the writes; sync calls fsync only after one.
+// fsyncs counts those calls.
 type fileSeg struct {
-	f    *os.File
-	size int64
+	f         *os.File
+	size      int64
+	truncated bool
+	fsyncs    int
 }
 
 func (s *fileSeg) append(b []byte) error {
@@ -522,8 +533,19 @@ func (s *fileSeg) append(b []byte) error {
 	s.size += int64(n)
 	return err
 }
-func (s *fileSeg) sync() error { return s.f.Sync() }
+func (s *fileSeg) sync() error {
+	if !s.truncated {
+		return nil
+	}
+	s.fsyncs++
+	if err := s.f.Sync(); err != nil {
+		return err
+	}
+	s.truncated = false
+	return nil
+}
 func (s *fileSeg) truncate(n int64) error {
+	s.truncated = true
 	if err := s.f.Truncate(n); err != nil {
 		return err
 	}
@@ -561,7 +583,7 @@ func (st *fileSegStore) list() ([]int, error) {
 }
 
 func (st *fileSegStore) open(idx int) (segFile, int64, error) {
-	f, err := os.OpenFile(filepath.Join(st.dir, SegmentName(idx)), os.O_RDWR, 0o644)
+	f, err := os.OpenFile(filepath.Join(st.dir, SegmentName(idx)), os.O_RDWR|os.O_SYNC, 0o644)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -574,7 +596,7 @@ func (st *fileSegStore) open(idx int) (segFile, int64, error) {
 }
 
 func (st *fileSegStore) create(idx int) (segFile, error) {
-	f, err := os.OpenFile(filepath.Join(st.dir, SegmentName(idx)), os.O_CREATE|os.O_EXCL|os.O_RDWR, 0o644)
+	f, err := os.OpenFile(filepath.Join(st.dir, SegmentName(idx)), os.O_CREATE|os.O_EXCL|os.O_RDWR|os.O_SYNC, 0o644)
 	if err != nil {
 		return nil, err
 	}

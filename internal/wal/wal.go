@@ -158,8 +158,9 @@ type Stats struct {
 	// Flushes counts flush windows appended and made durable, LedFlushes
 	// those of them that a committer flushed on its own goroutine (see
 	// Lead; the rest ran on the background goroutine); Syncs counts every
-	// device sync (a window's, a schema frame's, a checkpoint's end
-	// marker).
+	// durability point the log asked the device for (a window's, a schema
+	// frame's, a checkpoint's end marker), not fsync calls: the file
+	// segments write through and fsync only after a truncation.
 	Flushes    int64
 	LedFlushes int64
 	Syncs      int64
@@ -245,8 +246,12 @@ type WAL struct {
 	flusher bool
 	heir    *Record
 	closed  bool
-	broken  error // sticky: the device died (crash or IO error); recovery required
 	stats   Stats
+	// broken is the sticky error of a device that died (crash or IO
+	// error; recovery required), set once. It is atomic, so the flush
+	// loop and devWrite check it without mu; it is set before the
+	// broadcast on durable that WaitDurableCSN's waiters wake to.
+	broken atomic.Pointer[error]
 	// The simulated device's clock (see claimAt and syncStart). freeAt
 	// is when it finished its last sync: the earliest instant the next
 	// one may start. cohort is how many committers that sync acknowledged
@@ -292,8 +297,8 @@ func New(cfg Config) *WAL {
 // starvation mode, where every Unlock hands the processor to the waiter.
 // 50 µs covers the waits, and a poll that runs out has cost at most half
 // of the cheapest park. A window that takes longer than spinFor (a
-// disk's fsync) turns the poll off until a window is fast again (see
-// Spin).
+// disk's write-through write) turns the poll off until a window is fast
+// again (see Spin).
 const spinFor = 50 * time.Microsecond
 
 // spinBudget is how long Spin polls on a log configured by cfg: spinFor
@@ -330,14 +335,19 @@ func (w *WAL) Spin(cond func() bool) bool {
 		w.committers != nil && w.committers.Load() > w.procs {
 		return false
 	}
-	start := time.Now()
+	// The clock is read only once a round of polls has failed: most
+	// waits end inside the first, and a clock read costs as much as many
+	// polls on a virtual machine.
+	var start time.Time
 	for {
 		for range 64 {
 			if cond() {
 				return true
 			}
 		}
-		if time.Since(start) > w.spin {
+		if start.IsZero() {
+			start = time.Now()
+		} else if time.Since(start) > w.spin {
 			return false
 		}
 		runtime.Gosched()
@@ -445,8 +455,7 @@ func (w *WAL) Enqueue(rec *Record) (<-chan error, error) {
 		w.mu.Unlock()
 		return nil, core.ErrWALClosed
 	}
-	if w.broken != nil {
-		err := w.broken
+	if err := w.Broken(); err != nil {
 		w.mu.Unlock()
 		return nil, err
 	}
@@ -471,7 +480,14 @@ func (w *WAL) Enqueue(rec *Record) (<-chan error, error) {
 func (w *WAL) startFlusher() {
 	w.flusher = true
 	w.leadMu.Lock()
-	go w.flushLoop(nil)
+	go w.background()
+}
+
+// background runs the flush loop on a goroutine of its own, for records
+// nobody is waiting to lead; leadMu is the loop's already.
+func (w *WAL) background() {
+	w.mu.Lock()
+	w.flushLoop(nil)
 }
 
 // Lead is the second half of a sync commit: the committer of rec, which
@@ -490,7 +506,8 @@ func (w *WAL) startFlusher() {
 // that nobody is waiting to lead. wait is false for a committer that
 // must be able to give up (a transaction deadline): it never blocks
 // here without flushing, and a record the loop has not claimed can
-// still be withdrawn.
+// still be withdrawn. A caller that finds no loop running claims its
+// first window in the same mu section that makes it the flusher.
 //
 // Lead consumes no verdict: the caller receives from the channel Enqueue
 // returned.
@@ -507,10 +524,10 @@ func (w *WAL) Lead(rec *Record, wait bool) {
 		if !w.Spin(w.leadMu.TryLock) {
 			w.leadMu.Lock()
 		}
+		w.mu.Lock()
 	} else {
 		w.flusher = true
 		w.leadMu.Lock()
-		w.mu.Unlock()
 	}
 	w.flushLoop(rec)
 }
@@ -551,57 +568,71 @@ func (w *WAL) Withdraw(rec *Record) bool {
 // goroutine of the committer of own (Lead), or on a background goroutine
 // (own is nil). The background loop runs until the queue is empty or an
 // heir is waiting to take over, so an idle log costs nothing; a
-// committer's until own has its verdict.
+// committer's until own has its verdict. The caller holds mu and
+// flushLoop releases it. A pass holds mu once, from settling a window
+// (settle) through claiming the next one or leaving; the device write
+// and the wait for a simulated sync run outside it.
 func (w *WAL) flushLoop(own *Record) {
-	for {
-		w.mu.Lock()
-		// A sync that was being held is this loop's to start even if Close
-		// came meanwhile: without the hold it would have been in flight.
-		leave := len(w.pending) == 0 || w.closed && !w.held
-		if own == nil {
-			leave = leave || w.heir != nil
-		} else {
-			if w.heir == own {
-				w.heir = nil
-			}
-			// Claimed by a window of this loop or of its predecessor's,
-			// all of them resolved by now (or withdrawn, or failed by Close).
-			leave = leave || !slices.Contains(w.pending, own)
-		}
-		if leave {
-			w.held = false
-			switch {
-			case w.heir != nil:
-				// Blocked on leadMu, or about to be: the loop is the heir's.
-				w.leadMu.Unlock()
-			case len(w.pending) > 0 && !w.closed:
-				// Records whose committers are not coming to lead them
-				// (async, or waiting under a deadline): the background
-				// goroutine takes the loop over, leadMu with it.
-				go w.flushLoop(nil)
-			default:
-				w.flusher = false
-				w.leadMu.Unlock()
-				// Closing drains remaining waiters in Close; wake it now
-				// that no flush is in flight.
-				w.idle.Broadcast()
-			}
-			w.mu.Unlock()
-			return
-		}
+	for !w.leave(own) {
 		window, deadline := w.claimWindow()
 		w.mu.Unlock()
-
 		// The device sync occupies the log for the configured latency,
 		// once per window: every record in it shares the wait — group
 		// commit.
 		if !deadline.IsZero() {
 			sleepUntil(deadline)
 		}
-		if window != nil {
-			w.flushWindow(window, own != nil)
+		if window == nil {
+			// The sync is being held: look again at the hold's limit.
+			w.mu.Lock()
+			continue
 		}
+		bytes, err := w.flushWindow(window)
+		w.mu.Lock()
+		w.settle(window, bytes, err, own != nil)
 	}
+	w.mu.Unlock()
+}
+
+// leave reports whether the flush loop of own's committer (nil: the
+// background goroutine) is done, and if so hands the loop on: to the
+// heir, to the background goroutine when records are left that nobody is
+// coming to lead, or to nobody. The caller holds mu.
+func (w *WAL) leave(own *Record) bool {
+	// A sync that was being held is this loop's to start even if Close
+	// came meanwhile: without the hold it would have been in flight.
+	leave := len(w.pending) == 0 || w.closed && !w.held
+	if own == nil {
+		leave = leave || w.heir != nil
+	} else {
+		if w.heir == own {
+			w.heir = nil
+		}
+		// Claimed by a window of this loop or of its predecessor's,
+		// all of them resolved by now (or withdrawn, or failed by Close).
+		leave = leave || !slices.Contains(w.pending, own)
+	}
+	if !leave {
+		return false
+	}
+	w.held = false
+	switch {
+	case w.heir != nil:
+		// Blocked on leadMu, or about to be: the loop is the heir's.
+		w.leadMu.Unlock()
+	case len(w.pending) > 0 && !w.closed:
+		// Records whose committers are not coming to lead them
+		// (async, or waiting under a deadline): the background
+		// goroutine takes the loop over, leadMu with it.
+		go w.background()
+	default:
+		w.flusher = false
+		w.leadMu.Unlock()
+		// Closing drains remaining waiters in Close; wake it now
+		// that no flush is in flight.
+		w.idle.Broadcast()
+	}
+	return true
 }
 
 // claimWindow takes the next window off the queue and returns it with
@@ -612,7 +643,7 @@ func (w *WAL) flushLoop(own *Record) {
 // the same way: the records still queued fail at once with the sticky
 // cause, not one sync period apart. Either way MaxBatch caps the window.
 func (w *WAL) claimWindow() (window []*Record, deadline time.Time) {
-	if w.cfg.FsyncLatency > 0 && w.broken == nil {
+	if w.cfg.FsyncLatency > 0 && w.Broken() == nil {
 		return w.claimAt(time.Now())
 	}
 	w.held = false
@@ -751,19 +782,29 @@ func (w *WAL) syncStart(now time.Time) (start time.Time, ok bool) {
 // window before any byte reaches the device and leaves the WAL healthy;
 // a crash (injected panic) loses the unsynced appends, leaves at most a
 // torn fragment, and bricks the WAL, as does any device error or failed
-// sync. Either the whole window is acknowledged or none of it is. led
-// says that a committer is running the loop.
-func (w *WAL) flushWindow(window []*Record, led bool) {
+// sync. Either the whole window is acknowledged or none of it is: err is
+// the window's verdict, bytes its accounted size. The caller does not
+// hold mu; settle delivers the verdict.
+func (w *WAL) flushWindow(window []*Record) (bytes int, err error) {
 	frames, bytes := windowFrames(window)
 	var start time.Time
 	if w.spin > 0 {
 		start = time.Now()
 	}
-	err := w.writeWindow(frames)
+	err = w.writeWindow(frames)
 	if w.spin > 0 {
 		w.lastWindow.Store(int64(time.Since(start)))
 	}
-	w.mu.Lock()
+	if err == nil && w.tracer.Enabled() {
+		// A device-level event: no transaction; Depth is the window size.
+		w.tracer.Emit(trace.Event{Kind: trace.EvWALFlush, Depth: len(window), Bytes: bytes})
+	}
+	return bytes, err
+}
+
+// settle accounts a flushed window and delivers its verdict (resolve);
+// the caller holds mu. led says that a committer ran the loop.
+func (w *WAL) settle(window []*Record, bytes int, err error, led bool) {
 	if w.cfg.FsyncLatency > 0 && w.cfg.Device != nil {
 		// The real append and sync came on top of the simulated one: the
 		// device was busy until now.
@@ -779,11 +820,6 @@ func (w *WAL) flushWindow(window []*Record, led bool) {
 		w.stats.Syncs++
 		w.stats.Records += int64(len(window))
 		w.stats.Bytes += int64(bytes)
-	}
-	w.mu.Unlock()
-	if err == nil && w.tracer.Enabled() {
-		// A device-level event: no transaction; Depth is the window size.
-		w.tracer.Emit(trace.Event{Kind: trace.EvWALFlush, Depth: len(window), Bytes: bytes})
 	}
 	w.resolve(window, err)
 	// The window's array is the loop's for good; it keeps no record
@@ -833,9 +869,12 @@ func (w *WAL) writeWindow(frames []byte) error {
 // resolve delivers one verdict to every record of a flush window,
 // advancing the durability watermark for successes and bricking the WAL
 // when an async (already published) record fails — that loss cannot be
-// rolled back by aborting a transaction.
+// rolled back by aborting a transaction. The caller holds mu. The
+// watermark moves before any verdict is sent, so a committer that has its
+// verdict finds its CSN under DurableWatermark; the sends never block,
+// because a record's channel is buffered and gets one verdict per
+// Enqueue.
 func (w *WAL) resolve(recs []*Record, err error) {
-	w.mu.Lock()
 	for _, r := range recs {
 		if r.CSN != 0 {
 			w.outstandingRecs--
@@ -846,24 +885,23 @@ func (w *WAL) resolve(recs []*Record, err error) {
 				w.durableCSN = r.CSN
 			}
 		case r.Async:
-			if w.broken == nil {
-				w.broken = err
-			}
+			w.setBroken(err)
 		}
 	}
 	w.durable.Broadcast()
-	w.mu.Unlock()
 	for _, r := range recs {
 		r.done <- err
 	}
 }
 
+// setBroken makes err the sticky device error unless there is one. It is
+// a call of its own so that only a failure puts an error on the heap.
+func (w *WAL) setBroken(err error) { w.broken.CompareAndSwap(nil, &err) }
+
 // brick marks the device dead; every later commit fails until recovery.
 func (w *WAL) brick(err error) {
+	w.setBroken(err)
 	w.mu.Lock()
-	if w.broken == nil {
-		w.broken = err
-	}
 	w.durable.Broadcast()
 	w.mu.Unlock()
 }
@@ -965,14 +1003,14 @@ func (w *WAL) ResumeDurable(csn uint64) {
 func (w *WAL) WaitDurableCSN(csn uint64) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	for w.durableCSN < csn && w.broken == nil && !w.closed {
+	for w.durableCSN < csn && w.Broken() == nil && !w.closed {
 		w.durable.Wait()
 	}
 	if w.durableCSN >= csn {
 		return nil
 	}
-	if w.broken != nil {
-		return w.broken
+	if err := w.Broken(); err != nil {
+		return err
 	}
 	return core.ErrWALClosed
 }
@@ -1007,7 +1045,7 @@ func (w *WAL) guardOpen() error {
 	if w.closed {
 		return core.ErrWALClosed
 	}
-	return w.broken
+	return w.Broken()
 }
 
 // appendControl is the one path every non-commit frame (schema,
@@ -1114,9 +1152,10 @@ func (w *WAL) Retire(beforeIdx int) (retired int, err error) {
 // broken WAL rejects every commit until the engine is rebuilt from the
 // device via Recover.
 func (w *WAL) Broken() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.broken
+	if err := w.broken.Load(); err != nil {
+		return *err
+	}
+	return nil
 }
 
 // Stats returns a snapshot of device activity.
@@ -1141,17 +1180,15 @@ func (w *WAL) Close() {
 	for w.flusher {
 		w.idle.Wait()
 	}
-	pending := w.pending
-	w.pending = nil
-	w.durable.Broadcast()
-	w.mu.Unlock()
 	// The flush loop exited and Enqueue rejects new records once closed,
 	// so these drained records are exclusively ours to fail. Each
 	// record's done channel is buffered and receives exactly one
-	// verdict, so a second racing Close (which drained an empty
-	// pending slice) cannot double-send. resolve also pops them from
-	// the outstanding count, releasing WaitDurableCSN callers.
-	w.resolve(pending, core.ErrWALClosed)
+	// verdict, so a second racing Close (which finds an empty queue)
+	// cannot double-send. resolve also pops them from the outstanding
+	// count and wakes WaitDurableCSN callers to the close.
+	w.resolve(w.pending, core.ErrWALClosed)
+	w.pending = nil
+	w.mu.Unlock()
 }
 
 // Enabled reports whether commits must wait for the log: either the
