@@ -424,8 +424,8 @@ func BenchmarkCommitDurableMPL2(b *testing.B) {
 // table so the checkpoint has real work to do: every checkpoint
 // rewrites all of it. none is the interference-free baseline;
 // checkpointing runs the log-growth scheduler taking checkpoints
-// concurrently with the committers, holding the barrier only to cut and
-// append a begin marker. The p99-ns metric is the one to watch: the
+// concurrently with the committers, holding the sequencer only to cut
+// and enqueue a begin marker. The p99-ns metric is the one to watch: the
 // line drawn for it is checkpointing within 2× of none at this MPL.
 func BenchmarkCommitCheckpointMPL16(b *testing.B) {
 	const (

@@ -2,12 +2,15 @@ package engine
 
 import (
 	"errors"
+	"fmt"
 	"slices"
+	"sync"
 	"testing"
 	"time"
 
 	"sicost/internal/core"
 	"sicost/internal/faultinject"
+	"sicost/internal/trace"
 	"sicost/internal/wal"
 )
 
@@ -258,4 +261,222 @@ func TestCheckpointFailureReleasesPin(t *testing.T) {
 	if len(pins) != 0 {
 		t.Fatalf("pins left after the failed checkpoint: %v", pins)
 	}
+}
+
+// TestOrderingCommitPassesPendingCheckpoint: a commit that arrives while
+// a checkpoint waits for its cut is not held behind it. Commit A is in a
+// long simulated sync when a checkpoint starts and commit B begins; B's
+// record must reach the log queue during A's sync, not after A's window
+// is flushed and A published.
+func TestOrderingCommitPassesPendingCheckpoint(t *testing.T) {
+	const syncLatency = 150 * time.Millisecond
+	db := Open(Config{Mode: core.SnapshotFUW, WAL: wal.Config{Device: newMemLog(t), FsyncLatency: syncLatency}})
+	defer db.Close()
+	if err := db.CreateTable(kvSchema("T")); err != nil {
+		t.Fatal(err)
+	}
+	seed := db.Begin()
+	for k := int64(1); k <= 2; k++ {
+		if err := seed.Insert("T", kv(k, 0)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := seed.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	rec := trace.New(trace.Options{ShardCap: 1 << 10})
+	db.SetTracer(rec)
+
+	update := func(tx *Tx, k int64) error {
+		if err := tx.Update("T", core.Int(k), kv(k, 1)); err != nil {
+			tx.Abort()
+			return err
+		}
+		return tx.Commit()
+	}
+	errs := make(chan error, 3)
+	go func() { errs <- update(db.Begin(), 1) }() // A
+	// A's record is outstanding from its enqueue to its verdict, and the
+	// device was idle, so its sync starts at its arrival.
+	for _, out := db.WAL().DurableWatermark(); !out; _, out = db.WAL().DurableWatermark() {
+		time.Sleep(time.Millisecond)
+	}
+	go func() {
+		_, err := db.Checkpoint()
+		errs <- err
+	}()
+	// Long enough for the checkpoint to queue up for its cut.
+	time.Sleep(syncLatency / 10)
+	b := db.Begin()
+	go func() { errs <- update(b, 2) }()
+	for range 3 {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	var bQueued, aFlushed int64
+	for _, ev := range rec.Drain() {
+		switch {
+		case ev.Kind == trace.EvWALCommit && ev.Tx == b.ID():
+			bQueued = ev.TS
+		case ev.Kind == trace.EvWALFlush && aFlushed == 0:
+			aFlushed = ev.TS
+		}
+	}
+	if bQueued == 0 || aFlushed == 0 {
+		t.Fatalf("trace lacks B's enqueue (%d) or A's flush (%d); %d events dropped", bQueued, aFlushed, rec.Dropped())
+	}
+	if bQueued > aFlushed {
+		t.Fatalf("B was queued %v after A's window flushed: it waited for the checkpoint",
+			time.Duration(bQueued-aFlushed))
+	}
+}
+
+// TestStressLogOrderUnderCheckpointsAndDDL: sync and async committers,
+// the checkpoint scheduler retiring segments and a stream of CreateTables
+// share one log, and its byte stream is in CSN order — both everything
+// appended to the device and the image that survives retirement.
+func TestStressLogOrderUnderCheckpointsAndDDL(t *testing.T) {
+	dev := &appendLog{SegmentLog: newMemLog(t)}
+	db := Open(Config{WAL: wal.Config{Device: dev}, CheckpointLogBytes: 4096, RetireSegments: true})
+	if err := db.CreateTable(kvSchema("T")); err != nil {
+		t.Fatal(err)
+	}
+	const rows = 64
+	seed := db.Begin()
+	for k := int64(0); k < rows; k++ {
+		if err := seed.Insert("T", kv(k, 0)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := seed.Commit(); err != nil {
+		t.Fatal(err)
+	}
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := int64(0); w < 4; w++ {
+		wg.Add(1)
+		go func(w int64) {
+			defer wg.Done()
+			for i := int64(1); ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				tx := db.Begin()
+				tx.SetAsync(w%2 == 1)
+				k := (w + 4*i) % rows
+				err := tx.Update("T", core.Int(k), kv(k, i))
+				if err == nil {
+					err = tx.Commit()
+				} else {
+					tx.Abort()
+				}
+				if err != nil && !core.IsRetriable(err) {
+					t.Errorf("writer %d: %v", w, err)
+					return
+				}
+			}
+		}(w)
+	}
+	tables := []string{"T"}
+	deadline := time.Now().Add(20 * time.Second)
+	for len(tables) <= 16 || db.CheckpointStats().Links < 8 {
+		if time.Now().After(deadline) {
+			close(stop)
+			wg.Wait()
+			t.Fatalf("%d tables and %+v after 20 s", len(tables), db.CheckpointStats())
+		}
+		name := fmt.Sprintf("R%d", len(tables))
+		if err := db.CreateTable(kvSchema(name)); err != nil {
+			t.Fatal(err)
+		}
+		tables = append(tables, name)
+		tx := db.Begin()
+		if err := tx.Insert(name, kv(1, 1)); err != nil {
+			t.Fatal(err)
+		}
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(stop)
+	wg.Wait()
+	retired := db.WAL().Stats().RetiredSegments
+	db.Close()
+	if retired == 0 {
+		t.Fatal("the storm retired no segment")
+	}
+
+	all, _ := wal.ScanLog(dev.stream)
+	if markers, ddl := checkLogOrder(t, "appended", all, tables); markers < 8 || ddl != len(tables) {
+		t.Fatalf("the log was given %d begin markers and %d DDL frames, want 8 or more and %d", markers, ddl, len(tables))
+	}
+	surviving, _ := wal.ScanLog(logImage(t, dev))
+	if markers, _ := checkLogOrder(t, "surviving", surviving, tables); markers == 0 {
+		t.Fatal("the surviving log holds no begin marker")
+	}
+}
+
+// appendLog is a log device that also keeps every byte appended to it,
+// in order, retired segments included.
+type appendLog struct {
+	*wal.SegmentLog
+	stream []byte // appended under the WAL's device mutex
+}
+
+func (d *appendLog) Append(b []byte) error {
+	d.stream = append(d.stream, b...)
+	return d.SegmentLog.Append(b)
+}
+
+// checkLogOrder asserts that frames, a byte stream of the log, is in CSN
+// order: commit CSNs strictly increase, every begin marker has the
+// commits at or below its cut in front of it and the rest behind it, and
+// a marker embeds a table's schema exactly when the table's DDL frame
+// precedes it or is not in the stream (a stream that survived
+// retirement lost only frames in front of its every marker). It returns
+// how many begin markers and DDL frames the stream holds.
+func checkLogOrder(t *testing.T, what string, frames []wal.Frame, tables []string) (markers, ddl int) {
+	t.Helper()
+	ddlAt := map[string]int{}
+	for i, f := range frames {
+		if f.Schema != nil {
+			ddlAt[f.Schema.Name] = i
+		}
+	}
+	var lastCSN, cut uint64
+	for i, f := range frames {
+		switch {
+		case f.Commit != nil:
+			if f.Commit.CSN <= lastCSN {
+				t.Fatalf("%s frame %d: commit CSN %d after CSN %d", what, i, f.Commit.CSN, lastCSN)
+			}
+			if f.Commit.CSN <= cut {
+				t.Fatalf("%s frame %d: commit CSN %d behind the begin marker of cut %d", what, i, f.Commit.CSN, cut)
+			}
+			lastCSN = f.Commit.CSN
+		case f.CkptBegin != nil:
+			markers++
+			cut = f.CkptBegin.CSN
+			if lastCSN > cut {
+				t.Fatalf("%s frame %d: begin marker of cut %d behind commit CSN %d", what, i, cut, lastCSN)
+			}
+			embedded := map[string]bool{}
+			for _, s := range f.CkptBegin.Schemas {
+				embedded[s.Name] = true
+			}
+			for _, name := range tables {
+				at, logged := ddlAt[name]
+				if precedes := !logged || at < i; precedes != embedded[name] {
+					t.Fatalf("%s frame %d, marker of cut %d: table %s embedded %v, DDL frame in front %v",
+						what, i, cut, name, embedded[name], precedes)
+				}
+			}
+		}
+	}
+	return markers, len(ddlAt)
 }

@@ -126,25 +126,13 @@ type DB struct {
 	seqWaiters map[uint64]chan struct{} // csn → its committer's wait channel
 	nextCSN    uint64                   // last allocated CSN; guarded by seqMu
 	visibleCSN atomic.Uint64
-	// ckptMu is the checkpoint barrier: every updating commit holds the
-	// read side across its allocCSNEnqueue→publishCSN window (WAL enqueue
-	// included), so Checkpoint's write side opens only when no commit is
-	// between allocation and publication. At that instant every
-	// allocated CSN is published, so a begin marker appended under the
-	// barrier splits the byte stream exactly at the cut: every frame
-	// before it carries a CSN ≤ cut, and the segments in front of a
-	// complete checkpoint can be retired without losing redo work (an
-	// async commit's pending frame may land after the marker with a CSN ≤
-	// the cut; the checkpoint already covers it and recovery skips the
-	// late frame).
-	ckptMu sync.RWMutex
-	// ckptRunMu serializes whole checkpoint runs (a run spans the barrier
-	// cut, the streamed rows and the end-marker sync). ckptCut, guarded
-	// by it, is the cut of the newest complete checkpoint (0: none).
+	// ckptRunMu serializes whole checkpoint runs (a run spans the cut,
+	// the streamed rows and the end-marker sync). ckptCut, guarded by it,
+	// is the cut of the newest complete checkpoint (0: none).
 	ckptRunMu sync.Mutex
 	ckptCut   uint64
-	// ckptPauseNS accumulates commit-barrier hold time across
-	// checkpoints; lastPauseNS is the most recent hold. ckpts counts
+	// ckptPauseNS accumulates the time checkpoints held seqMu to take
+	// their cut; lastPauseNS is the most recent hold. ckpts counts
 	// completed checkpoints.
 	ckptPauseNS atomic.Int64
 	lastPauseNS atomic.Int64
@@ -424,7 +412,7 @@ func (db *DB) DurableSeq() uint64 {
 // device: 0 in sync mode once quiescent, the exposure window under
 // async commit), the log's raw flush/sync counters with the
 // group-commit gauge derived from them, the checkpoint gauges (count,
-// cumulative and last commit-barrier pause) and
+// cumulative and last sequencer pause) and
 // the snapshot horizon (what version pruning waits for). See
 // docs/OBSERVABILITY.md §9.
 func (db *DB) LogVars() any {
@@ -451,19 +439,29 @@ func (db *DB) LockAudit() (held, queued int) { return db.locks.Outstanding() }
 func (db *DB) Faults() *faultinject.Registry { return db.faults }
 
 // CreateTable declares a table. With a durable log attached the schema
-// is appended as a DDL frame, so a log that has never been checkpointed
+// is logged as a DDL frame, so a log that has never been checkpointed
 // still rebuilds its table definitions on recovery. The create and the
-// DDL append run under the checkpoint barrier's read side, so no
-// checkpoint cut falls between them: a checkpoint's embedded schema set
-// and the DDL frames in front of its begin marker — the ones retirement
-// may unlink — always describe the same tables.
+// frame's enqueue share a sequencer critical section, so a checkpoint
+// embeds a table exactly when the table's DDL frame precedes its begin
+// marker: both describe the same tables whichever retirement unlinks.
 func (db *DB) CreateTable(schema *core.Schema) error {
-	db.ckptMu.RLock()
-	defer db.ckptMu.RUnlock()
-	if _, err := db.store.CreateTable(schema); err != nil {
+	if !db.log.Persistent() {
+		_, err := db.store.CreateTable(schema)
 		return err
 	}
-	return db.log.AppendSchema(schema)
+	ddl := wal.Control(wal.EncodeSchema(schema))
+	db.lockSeq()
+	_, err := db.store.CreateTable(schema)
+	var done <-chan error
+	if err == nil {
+		done, err = db.log.Enqueue(ddl)
+	}
+	db.seqMu.Unlock()
+	if err != nil {
+		return err
+	}
+	db.log.Lead(ddl, true)
+	return <-done
 }
 
 // ckptBatch is how many rows one checkpoint rows frame carries.
@@ -472,18 +470,15 @@ const ckptBatch = 256
 // Checkpoint writes the database as of one cut to the log, bounding
 // recovery's replay cost: recovery restores the newest complete
 // checkpoint and redoes only the commits after its cut. It requires a
-// durable log device. The commit barrier is held only for the cut —
-// read the visible CSN, pin it in the snapshot horizon, append the begin
-// marker, sample the retirement bound — while the expensive parts
-// (reading every row as of the cut and streaming it, the end-marker
-// sync) run concurrently with commits: the pin keeps the versions the
-// read needs from being pruned until the last row is read, and
-// appending the begin marker under the barrier guarantees no commit
-// with CSN > cut precedes it in the byte stream. Once the checkpoint is
+// durable log device. The cut is taken like a commit's CSN: in one
+// sequencer critical section it is the last CSN allocated, pinned in the
+// snapshot horizon, and the begin marker is enqueued behind it, so the
+// commit frames in front of the marker are those ≤ cut. No commit waits
+// for a checkpoint; the rows are read as of the cut and streamed while
+// commits go on, the pin keeping their versions from being pruned. Once
 // complete, the segments in front of its begin marker are retired when
-// Config.RetireSegments is set. Returns the cut (unchanged and without
-// writing anything when no commit landed since the previous
-// checkpoint).
+// Config.RetireSegments is set. Returns the cut (unchanged, and nothing
+// written, when no commit landed since the previous checkpoint).
 func (db *DB) Checkpoint() (uint64, error) {
 	if !db.log.Persistent() {
 		return 0, core.ErrWALClosed
@@ -492,31 +487,39 @@ func (db *DB) Checkpoint() (uint64, error) {
 	defer db.ckptRunMu.Unlock()
 
 	start := time.Now()
-	db.ckptMu.Lock()
-	cut := db.visibleCSN.Load()
+	db.lockSeq()
+	cut := db.nextCSN
 	if cut == db.ckptCut {
-		db.ckptMu.Unlock()
+		db.seqMu.Unlock()
 		return cut, nil // nothing committed since the previous checkpoint
 	}
-	// Pinned while the barrier still holds the visible CSN at cut, so no
-	// horizon — which never exceeds the visible CSN — has passed it.
+	// No horizon has passed the cut: the horizon never exceeds the
+	// visible CSN, which never exceeds the last one allocated.
 	if err := db.hz.pin(cut); err != nil {
-		db.ckptMu.Unlock()
+		db.seqMu.Unlock()
 		return 0, err
 	}
-	// Sampled before the append: if the begin itself triggers a rotation
-	// the marker lands one segment later, so the bound only ever errs
-	// conservative (one extra segment kept).
-	bound := db.log.Device().CurrentSegment()
-	ckptBytes, err := db.log.BeginCkpt(&wal.CkptBegin{CSN: cut, Schemas: wal.Schemas(db.store)})
-	db.ckptMu.Unlock()
+	marker := wal.Control(wal.EncodeCkptBegin(&wal.CkptBegin{CSN: cut, Schemas: wal.Schemas(db.store)}))
+	done, err := db.log.Enqueue(marker)
+	db.seqMu.Unlock()
 	pause := time.Since(start).Nanoseconds()
 	db.ckptPauseNS.Add(pause)
 	db.lastPauseNS.Store(pause)
+	if err == nil {
+		db.log.Lead(marker, true)
+		err = <-done
+	}
 	if err != nil {
 		db.hz.unpin(cut)
 		return 0, err
 	}
+	// Every record in front of the marker has its verdict: what is left
+	// is their committers' stamping loops.
+	visible := func() bool { return db.visibleCSN.Load() >= cut }
+	for !db.log.Spin(visible) && !visible() {
+		time.Sleep(20 * time.Microsecond)
+	}
+	bound, ckptBytes := marker.Segment, marker.Bytes
 	if db.tracer.Enabled() {
 		db.tracer.Emit(trace.Event{Kind: trace.EvCkptBegin, CSN: cut})
 	}
@@ -624,8 +627,9 @@ func (db *DB) ckptLoop() {
 type CheckpointStats struct {
 	// Links counts completed checkpoints.
 	Links int64
-	// PauseNS is the cumulative commit-barrier hold time across
-	// checkpoints; LastPauseNS the most recent hold.
+	// PauseNS is the cumulative time checkpoints held the sequencer to
+	// take their cut and enqueue its begin marker; LastPauseNS the most
+	// recent hold.
 	PauseNS     int64
 	LastPauseNS int64
 }

@@ -16,7 +16,7 @@ import (
 //
 // The horizon is the minimum of every CSN somebody may still read at:
 // the start of every open transaction, every pinned cut (a checkpoint
-// resolving its rows off the commit barrier, a ScanAsOf in progress)
+// resolving its rows while commits go on, a ScanAsOf in progress)
 // and DB.DurableSeq (the async crash audits scan the live instance as
 // of the CSN recovery landed on, which is never below what was
 // acknowledged durable). It is cached in an atomic and recomputed every

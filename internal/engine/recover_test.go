@@ -237,8 +237,8 @@ func TestRecoverRebuildsIndexes(t *testing.T) {
 
 // TestWALCommitFailureDoesNotWedgeSequencer arms an error at the WAL
 // commit point: the failed transaction must abort cleanly, publish its
-// empty CSN slot, and leave the commit sequencer and the checkpoint
-// barrier fully operational.
+// empty CSN slot, and leave the commit sequencer and checkpoints fully
+// operational.
 func TestWALCommitFailureDoesNotWedgeSequencer(t *testing.T) {
 	dev := newMemLog(t)
 	reg := faultinject.New(1)
@@ -274,17 +274,17 @@ func TestWALCommitFailureDoesNotWedgeSequencer(t *testing.T) {
 	}
 	tx.Abort()
 
-	// The checkpoint barrier must be free too (a leaked read-hold on
-	// ckptMu would deadlock here).
+	// A checkpoint waits for every CSN up to its cut to be published, so
+	// it too would hang here behind a leaked slot.
 	if _, err := db.Checkpoint(); err != nil {
 		t.Fatalf("checkpoint after failed WAL commit: %v", err)
 	}
 }
 
 // TestWALCommitPanicPublishesSlot is the crash variant: an injected
-// panic inside the WAL commit window must still publish the empty slot
-// and release the checkpoint barrier while the panic unwinds to the
-// caller.
+// panic at the WAL commit point unwinds to the caller leaving no
+// allocated CSN unpublished, so the next commit and a checkpoint, which
+// waits for every CSN up to its cut, both go through.
 func TestWALCommitPanicPublishesSlot(t *testing.T) {
 	dev := newMemLog(t)
 	reg := faultinject.New(1)
@@ -374,8 +374,8 @@ func TestSSIDoomedCommitLogsNothing(t *testing.T) {
 }
 
 // TestCreateTableCheckpointRace races DDL against checkpoints that
-// retire the segments behind them every time. CreateTable holds the
-// checkpoint barrier across the store create and the DDL append;
+// retire the segments behind them every time. CreateTable creates the
+// table and enqueues its DDL frame in one sequencer critical section;
 // whichever side of a cut a table lands on — DDL frame in a retired
 // segment, or only in the next checkpoint's embedded schema set —
 // recovery must find its definition and its commits.

@@ -814,8 +814,8 @@ func (tx *Tx) Commit() error {
 		}
 		// The wal/commit fault fires before the sequencer is touched: an
 		// ActPanic here (a session crash at the commit point) unwinds
-		// with no allocated-but-unpublished CSN and no barrier held, so
-		// nothing needs compensating.
+		// with no allocated-but-unpublished CSN, so nothing needs
+		// compensating.
 		if err := tx.db.log.CommitFault(tx.id); err != nil {
 			tx.abortCause = err
 			tx.Abort()
@@ -847,9 +847,8 @@ func (tx *Tx) Commit() error {
 		// versions and index entries (safe without a global lock — every
 		// stamped row is X-locked by this transaction, and new snapshots
 		// cannot see the CSN until it is published); then publish in CSN
-		// order. The whole window runs under the checkpoint barrier's
-		// read side, so a checkpoint never cuts between a durable commit
-		// and its publication.
+		// order. A checkpoint takes its cut in the same sequencer, so no
+		// commit waits for one.
 		//
 		// WAL before visibility (the default): the commit record —
 		// carrying the CSN and the row after-images — must be durable
@@ -887,7 +886,6 @@ func (tx *Tx) Commit() error {
 			// the CSN into the frame.
 			tx.db.log.Encode(rec)
 		}
-		tx.db.ckptMu.RLock()
 		csn, done, err := tx.db.allocCSNEnqueue(rec)
 		if err == nil && !async && done != nil {
 			err = tx.waitFlush(rec, done)
@@ -897,7 +895,6 @@ func (tx *Tx) Commit() error {
 			// empty slot so successors do not wait forever, then roll
 			// back (versions are still unstamped, so Abort unlinks them).
 			tx.db.publishCSN(csn)
-			tx.db.ckptMu.RUnlock()
 			tx.abortCause = err
 			tx.Abort()
 			return err
@@ -932,7 +929,6 @@ func (tx *Tx) Commit() error {
 			s.row.NoteSFUCommit(csn)
 		}
 		tx.db.publishCSN(csn)
-		tx.db.ckptMu.RUnlock()
 		// Vacuum on write: cut each written chain behind the horizon,
 		// after publication (the new version is the one later snapshots
 		// read) and before the locks release (no other writer links into

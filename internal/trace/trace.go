@@ -107,9 +107,9 @@ const (
 	// The write-ver events are exactly the transaction's committed write
 	// set (checker.Txn.Writes).
 	EvWriteVer
-	// EvCkptBegin: a checkpoint took its cut and appended its begin
-	// marker; the commit barrier is released and the rows are about to
-	// stream. Tx is zero; CSN is the cut. Appended after EvWriteVer to
+	// EvCkptBegin: a checkpoint took its cut, its begin marker is
+	// durable and every commit up to the cut published; the rows are
+	// about to stream. Tx is zero; CSN is the cut. Appended after EvWriteVer to
 	// keep earlier wire values stable.
 	EvCkptBegin
 	// EvCkptEnd: the checkpoint's end marker is durable. Tx is zero; CSN

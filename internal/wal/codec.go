@@ -82,7 +82,7 @@ type CkptRow struct {
 // begin and end markers. CSN binds the batch to its checkpoint; batches
 // whose CSN does not match the open checkpoint are ignored by
 // classification. Commit frames interleave freely with these batches:
-// the rows are streamed off the commit barrier.
+// they all carry CSNs above the cut.
 type CkptRows struct {
 	CSN  uint64
 	Rows []CkptRow

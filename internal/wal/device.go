@@ -56,8 +56,8 @@ type LogDevice interface {
 	// leaves a shorter prefix removed — still a valid suffix layout.
 	RetireSegments(beforeIdx int) (retired int, err error)
 	// CurrentSegment returns the index of the segment new appends land
-	// in; sampled under the commit barrier it is a checkpoint's
-	// retirement bound.
+	// in; sampled before a checkpoint's begin marker is written
+	// (Record.Segment) it is that checkpoint's retirement bound.
 	CurrentSegment() int
 	// SetFaults installs the registry consulted by the device's own
 	// fault points (FaultRotate, FaultRetire).

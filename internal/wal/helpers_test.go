@@ -40,6 +40,18 @@ func enqueue(t testing.TB, w *WAL, rec *Record) <-chan error {
 	return done
 }
 
+// sequenced queues the control record rec as the engine queues a schema
+// frame or a checkpoint's begin marker, leads its flush as the engine
+// does, and returns its verdict.
+func sequenced(w *WAL, rec *Record) error {
+	done, err := w.Enqueue(rec)
+	if err != nil {
+		return err
+	}
+	w.Lead(rec, true)
+	return <-done
+}
+
 // logImage returns the device's byte stream: every live segment
 // concatenated in index order.
 func logImage(t testing.TB, dev LogDevice) []byte {

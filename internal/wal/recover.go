@@ -21,10 +21,10 @@ type RecoveryInfo struct {
 	// merged with the schemas embedded in the checkpoint.
 	Schemas []core.Schema
 	// Commits are the redo records to replay: every commit frame whose
-	// CSN is beyond the checkpoint, sorted by CSN. The commit-barrier
-	// checkpoint protocol (see engine.DB.Checkpoint) guarantees no
-	// commit before the checkpoint frame carries a CSN above the cut,
-	// so CSN filtering and log-position filtering agree.
+	// CSN is beyond the checkpoint, sorted by CSN. The begin marker is
+	// queued in CSN order with the commits (engine.DB.Checkpoint), so
+	// the commits in front of it are exactly those at or below the cut:
+	// CSN filtering and log-position filtering agree.
 	Commits []*CommitFrame
 	// HighCSN is the recovered commit-sequence high-water mark; the
 	// restarted sequencer continues from HighCSN+1.

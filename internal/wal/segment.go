@@ -409,10 +409,10 @@ func (l *SegmentLog) Size() int64 {
 }
 
 // CurrentSegment implements LogDevice: the index of the segment new
-// appends land in. The engine samples it while appending a checkpoint's
-// begin marker (under the commit barrier): every earlier segment is
-// covered once that checkpoint completes, so the sample is its
-// retirement bound.
+// appends land in. The flush loop samples it just before it writes the
+// window carrying a checkpoint's begin marker, which lands in that
+// segment or a later one: every earlier segment is covered once that
+// checkpoint completes, so the sample is its retirement bound.
 func (l *SegmentLog) CurrentSegment() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()

@@ -99,8 +99,12 @@ func TestSegmentRetireBehindFullLink(t *testing.T) {
 		t.Fatalf("want rotations before the checkpoint, have %d segment", dev.SegmentCount())
 	}
 	bound := dev.CurrentSegment()
-	if _, err := w.BeginCkpt(&CkptBegin{CSN: 12, Schemas: []core.Schema{testSchema()}}); err != nil {
+	marker := Control(EncodeCkptBegin(&CkptBegin{CSN: 12, Schemas: []core.Schema{testSchema()}}))
+	if err := sequenced(w, marker); err != nil {
 		t.Fatal(err)
+	}
+	if marker.Segment != bound {
+		t.Fatalf("the marker's window was written with appends landing in segment %d, want %d", marker.Segment, bound)
 	}
 	if _, err := w.EndCkpt(&CkptEnd{CSN: 12}); err != nil {
 		t.Fatal(err)
@@ -120,6 +124,14 @@ func TestSegmentRetireBehindFullLink(t *testing.T) {
 		if err := durableCommit(w, csn); err != nil {
 			t.Fatal(err)
 		}
+	}
+	// The marker is no commit: it counts in no commit statistic and
+	// leaves the watermark at the last commit.
+	if s := w.Stats(); s.Records != 16 {
+		t.Fatalf("stats = %+v, want Records=16, the commits alone", s)
+	}
+	if csn, outstanding := w.DurableWatermark(); csn != 16 || outstanding {
+		t.Fatalf("watermark %d (outstanding %v), want 16", csn, outstanding)
 	}
 	info, err := Recover(dev)
 	if err != nil {

@@ -32,9 +32,9 @@
 // commit: the committer that needs its record durable runs the flush
 // loop itself and flushes everybody's (Lead); a background goroutine
 // runs it only for records nobody is waiting to lead. Schema frames and
-// the checkpoint frames share the same framing, and Recover (recover.go)
-// classifies a device image back into the newest complete checkpoint +
-// redo work with torn-tail truncation. The one device is
+// checkpoint begin markers ride the queue too (Control), and Recover
+// (recover.go) classifies a device image back into the newest complete
+// checkpoint + redo work with torn-tail truncation. The one device is
 // the wal.000N segmented log (segment.go). Read-only transactions never
 // touch the log, which is the mechanism behind the paper's §IV-D observation that
 // strategies turning the read-only Balance program into an updater pay
@@ -135,6 +135,11 @@ type Record struct {
 	// bricks the WAL instead.
 	Async bool
 
+	// Segment is where appends were landing when the flush loop was about
+	// to write a control record's window: the frame lies in it or later.
+	Segment int
+	// control marks a record made by Control.
+	control bool
 	// enc is the record's frame: Encode renders it, into the buffer of
 	// the frame before when that is large enough, and Enqueue fills in
 	// the CSN and the checksum.
@@ -151,16 +156,16 @@ type Record struct {
 
 // Stats aggregates device activity; used by tests and by the
 // group-commit ablation experiment. Only flush windows whose Sync
-// succeeded count toward Flushes/Records/Bytes; windows that failed
-// (injected error, injected crash, device error, or a failed Sync)
-// count in FailedFlushes and contribute nothing else.
+// succeeded count toward Flushes/Records (their commits)/Bytes; windows
+// that failed (injected error, injected crash, device error, or a failed
+// Sync) count in FailedFlushes and contribute nothing else.
 type Stats struct {
 	// Flushes counts flush windows appended and made durable, LedFlushes
 	// those of them that a committer flushed on its own goroutine (see
 	// Lead; the rest ran on the background goroutine); Syncs counts every
-	// durability point the log asked the device for (a window's, a schema
-	// frame's, a checkpoint's end marker), not fsync calls: the file
-	// segments write through and fsync only after a truncation.
+	// durability point the log asked the device for (a window's, a
+	// checkpoint's end marker), not fsync calls: the file segments write
+	// through and fsync only after a truncation.
 	Flushes    int64
 	LedFlushes int64
 	Syncs      int64
@@ -415,6 +420,15 @@ func (w *WAL) Encode(rec *Record) {
 	}
 }
 
+// Control returns a record carrying enc, a sealed schema frame or
+// checkpoint begin marker, through the queue. Enqueued in the sequencer's
+// critical section it lands between the commits allocated before and
+// after it; it counts in no commit statistic, ends no hold, and its
+// failure bricks the WAL (the table or checkpoint is already in memory).
+func Control(enc []byte) *Record {
+	return &Record{enc: enc, Bytes: len(enc), control: true}
+}
+
 // Enqueue appends rec to the flush queue without waiting for
 // durability. It returns a buffered channel that receives exactly one
 // verdict when the record's flush resolves, or (nil, nil) when the log
@@ -437,10 +451,10 @@ func (w *WAL) Encode(rec *Record) {
 // (DurableWatermark, WaitDurableCSN) and async commit's
 // lose-only-the-tail recovery guarantee meaningful.
 func (w *WAL) Enqueue(rec *Record) (<-chan error, error) {
-	if w.cfg.Device != nil {
+	if w.cfg.Device != nil && !rec.control {
 		sealCommit(rec.enc, rec.CSN)
 	}
-	if w.tracer.Enabled() {
+	if w.tracer.Enabled() && !rec.control {
 		w.tracer.Emit(trace.Event{Kind: trace.EvWALCommit, Tx: rec.TxID, Bytes: rec.Bytes})
 	}
 	if !w.Enabled() {
@@ -684,7 +698,7 @@ func (w *WAL) claimAt(now time.Time) (window []*Record, deadline time.Time) {
 	window = w.takeWindow(sort.Search(len(w.pending), func(i int) bool { return w.pending[i].arrived.After(start) }))
 	w.cohort = 0
 	for _, r := range window {
-		if !r.Async {
+		if !r.Async && !r.control {
 			w.cohort++
 		}
 	}
@@ -786,6 +800,11 @@ func (w *WAL) syncStart(now time.Time) (start time.Time, ok bool) {
 // the window's verdict, bytes its accounted size. The caller does not
 // hold mu; settle delivers the verdict.
 func (w *WAL) flushWindow(window []*Record) (bytes int, err error) {
+	for _, r := range window {
+		if r.control {
+			r.Segment = w.cfg.Device.CurrentSegment()
+		}
+	}
 	frames, bytes := windowFrames(window)
 	var start time.Time
 	if w.spin > 0 {
@@ -818,7 +837,11 @@ func (w *WAL) settle(window []*Record, bytes int, err error, led bool) {
 			w.stats.LedFlushes++
 		}
 		w.stats.Syncs++
-		w.stats.Records += int64(len(window))
+		for _, r := range window {
+			if !r.control {
+				w.stats.Records++
+			}
+		}
 		w.stats.Bytes += int64(bytes)
 	}
 	w.resolve(window, err)
@@ -868,12 +891,12 @@ func (w *WAL) writeWindow(frames []byte) error {
 
 // resolve delivers one verdict to every record of a flush window,
 // advancing the durability watermark for successes and bricking the WAL
-// when an async (already published) record fails — that loss cannot be
-// rolled back by aborting a transaction. The caller holds mu. The
-// watermark moves before any verdict is sent, so a committer that has its
-// verdict finds its CSN under DurableWatermark; the sends never block,
-// because a record's channel is buffered and gets one verdict per
-// Enqueue.
+// when an async (already published) record or a control record fails —
+// that loss cannot be rolled back by aborting a transaction. The caller
+// holds mu. The watermark moves before any verdict is sent, so a
+// committer that has its verdict finds its CSN under DurableWatermark;
+// the sends never block, because a record's channel is buffered and
+// gets one verdict per Enqueue.
 func (w *WAL) resolve(recs []*Record, err error) {
 	for _, r := range recs {
 		if r.CSN != 0 {
@@ -884,7 +907,7 @@ func (w *WAL) resolve(recs []*Record, err error) {
 			if r.CSN > w.durableCSN {
 				w.durableCSN = r.CSN
 			}
-		case r.Async:
+		case r.Async || r.control:
 			w.setBroken(err)
 		}
 	}
@@ -1048,15 +1071,15 @@ func (w *WAL) guardOpen() error {
 	return w.Broken()
 }
 
-// appendControl is the one path every non-commit frame (schema,
-// checkpoint markers and row batches) takes to the device: reject a
+// appendControl is the path a checkpoint's rows batches and end marker
+// take to the device, which need no place in the commit order: reject a
 // closed, bricked or device-less WAL, fire the frame's fault point if it
 // has one, append, sync when the frame is a durability point, then
 // account the bytes — or brick. The first failure is the sticky cause; a
 // later one never overwrites it. A crash at the fault point (ActPanic)
 // loses unsynced appends and leaves at most a torn prefix of enc on the
-// platter. Any failure bricks: a half-written checkpoint or DDL frame
-// whose device state is unknown cannot be reasoned about frame by frame.
+// platter. Any failure bricks: a half-written checkpoint whose device
+// state is unknown cannot be reasoned about frame by frame.
 func (w *WAL) appendControl(enc []byte, fault string, sync bool) (int, error) {
 	err := w.guardOpen()
 	if err != nil {
@@ -1085,43 +1108,20 @@ func (w *WAL) appendControl(enc []byte, fault string, sync bool) (int, error) {
 	return len(enc), nil
 }
 
-// AppendSchema persists a DDL frame so a log without a checkpoint can
-// still rebuild table definitions. The frame is synced immediately —
-// DDL is rare and must not sit in the page cache behind a commit
-// window. No-op without a device.
-func (w *WAL) AppendSchema(s *core.Schema) error {
-	if w.cfg.Device == nil {
-		return nil
-	}
-	_, err := w.appendControl(EncodeSchema(s), "", true)
-	return err
-}
-
-// BeginCkpt appends a checkpoint's begin marker. The caller
-// (engine.DB.Checkpoint) holds the commit barrier's write side across
-// this append, which is the whole point: no commit with CSN > d.CSN can
-// precede the marker in the byte stream, so every frame before it is
-// covered once the checkpoint completes. The marker is NOT synced here —
-// the end marker's sync covers it, and a begin lost with the page cache
-// just leaves an incomplete checkpoint that recovery ignores.
-func (w *WAL) BeginCkpt(d *CkptBegin) (int, error) {
-	return w.appendControl(EncodeCkptBegin(d), "", false)
-}
-
-// AppendCkptRows appends one batch of a checkpoint's rows. It runs
-// WITHOUT the commit barrier — versions at or below the cut are
-// immutable, so commits interleave freely with these appends. A crash
-// here (FaultCkptRows with ActPanic) bricks the WAL mid-checkpoint:
-// recovery sees an incomplete checkpoint and falls back to the previous
-// complete one.
+// AppendCkptRows appends one batch of a checkpoint's rows, after its
+// begin marker (a Control record) has its verdict. Versions at or below
+// the cut are immutable, so commit windows interleave freely with these
+// appends. A crash here (FaultCkptRows with ActPanic) bricks the WAL
+// mid-checkpoint: recovery sees an incomplete checkpoint and falls back
+// to the previous complete one.
 func (w *WAL) AppendCkptRows(d *CkptRows) (int, error) {
 	return w.appendControl(EncodeCkptRows(d), FaultCkptRows, false)
 }
 
 // EndCkpt appends the checkpoint's end marker and syncs: the durability
-// point of the whole checkpoint (begin, every rows batch, end — appends
-// are ordered, one sync covers them all). Only after EndCkpt returns nil
-// may the engine retire the segments in front of the begin marker.
+// point of the rows batches and the end (the begin marker's window was
+// synced before them). Only after EndCkpt returns nil may the engine
+// retire the segments in front of the begin marker.
 func (w *WAL) EndCkpt(d *CkptEnd) (int, error) {
 	return w.appendControl(EncodeCkptEnd(d), "", true)
 }

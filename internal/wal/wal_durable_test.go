@@ -188,14 +188,15 @@ func (d *parkedAppendDevice) Append([]byte) error {
 }
 
 // TestControlAppendKeepsFirstBrickCause is the first-cause-wins
-// regression test: AppendSchema used to assign the sticky error
-// unconditionally, so a schema append failing on a WAL that bricked
+// regression test: the schema append used to assign the sticky error
+// unconditionally, so a schema frame failing on a WAL that bricked
 // while it was in flight replaced the original cause — the one an
-// operator needs — with its own. (The first brick here is an async
-// record's failed flush, not a failed device sync: a sync needs the
-// device mutex the parked schema append holds.)
+// operator needs — with its own. (The first brick here is a checkpoint
+// rows batch's injected failure, which bricks before it needs the device
+// mutex the parked schema window holds; a commit record would queue
+// behind that window.)
 func TestControlAppendKeepsFirstBrickCause(t *testing.T) {
-	first, second := errors.New("flush: EIO"), errors.New("write: ENOSPC")
+	first, second := errors.New("rows: EIO"), errors.New("write: ENOSPC")
 	dev := &parkedAppendDevice{SegmentLog: newTestLog(t), entered: make(chan struct{}), err: second}
 	w := New(Config{Device: dev})
 	dev.w = w
@@ -205,22 +206,17 @@ func TestControlAppendKeepsFirstBrickCause(t *testing.T) {
 
 	s := testSchema()
 	schemaErr := make(chan error, 1)
-	go func() { schemaErr <- w.AppendSchema(&s) }()
+	go func() { schemaErr <- sequenced(w, Control(EncodeSchema(&s))) }()
 	<-dev.entered
 
-	if err := reg.Arm(faultinject.Spec{Point: FaultFlush, Err: first}); err != nil {
+	if err := reg.Arm(faultinject.Spec{Point: FaultCkptRows, Err: first}); err != nil {
 		t.Fatal(err)
 	}
-	done, err := w.Enqueue(framed(w, &Record{TxID: 100, CSN: 1, Async: true,
-		Rows: []RowImage{{Table: "t", Key: core.Int(1), Rec: core.Record{core.Int(1)}}}}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ferr := <-done; !errors.Is(ferr, first) {
-		t.Fatalf("async record = %v, want the injected flush error", ferr)
+	if _, err := w.AppendCkptRows(&CkptRows{CSN: 1}); !errors.Is(err, first) {
+		t.Fatalf("rows batch = %v, want the injected failure", err)
 	}
 	if err := <-schemaErr; !errors.Is(err, second) {
-		t.Fatalf("schema append = %v, want its own device error", err)
+		t.Fatalf("schema frame = %v, want its own device error", err)
 	}
 	if !errors.Is(w.Broken(), first) {
 		t.Fatalf("Broken() = %v after the failing schema append, want the first cause %v", w.Broken(), first)
@@ -232,7 +228,7 @@ func TestAppendSchemaPersistsDDL(t *testing.T) {
 	w := New(Config{Device: dev})
 	defer w.Close()
 	s := testSchema()
-	if err := w.AppendSchema(&s); err != nil {
+	if err := sequenced(w, Control(EncodeSchema(&s))); err != nil {
 		t.Fatal(err)
 	}
 	b := logImage(t, dev)
@@ -240,12 +236,10 @@ func TestAppendSchemaPersistsDDL(t *testing.T) {
 	if len(frames) != 1 || frames[0].Schema == nil || frames[0].Schema.Name != "T" {
 		t.Fatalf("DDL frame not persisted: %+v", frames)
 	}
-	// Without a device DDL is a no-op, not an error.
-	w2 := New(Config{FsyncLatency: time.Millisecond})
-	defer w2.Close()
-	if err := w2.AppendSchema(&s); err != nil {
-		t.Fatal(err)
+	if st := w.Stats(); st.Syncs != 1 || st.Records != 0 {
+		t.Fatalf("stats = %+v, want the frame synced and no commit record counted", st)
 	}
+	// Without a device the engine logs no DDL: TestReadOnlyCommitSkipsWAL.
 }
 
 // TestDurableCommitStress races committers against injected transient
