@@ -354,8 +354,8 @@ func main() {
 		db.WAL().Drain()
 	}
 	ws := db.WAL().Stats()
-	fmt.Printf("WAL: %d flushes (%d by their committer), %d syncs, %d records (avg batch %.1f, %.1f commits/sync), %d bytes; %d syncs held (%d until the committers were back, %v in all)\n",
-		ws.Flushes, ws.LedFlushes, ws.Syncs, ws.Records, ws.AvgBatch(), ws.CommitsPerSync(), ws.Bytes,
+	fmt.Printf("WAL: %d syncs (%d by their committer), %d records (%.1f commits/sync), %d bytes; %d syncs held (%d until the committers were back, %v in all)\n",
+		ws.Syncs, ws.LedFlushes, ws.Records, ws.CommitsPerSync(), ws.Bytes,
 		ws.Holds, ws.HoldHits, time.Duration(ws.HeldNanos).Round(time.Microsecond))
 	if *walAsync {
 		fmt.Printf("async commit: durable CSN %d / committed CSN %d after drain\n",

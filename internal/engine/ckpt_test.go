@@ -336,7 +336,10 @@ func TestOrderingCommitPassesPendingCheckpoint(t *testing.T) {
 // TestStressLogOrderUnderCheckpointsAndDDL: sync and async committers,
 // the checkpoint scheduler retiring segments and a stream of CreateTables
 // share one log, and its byte stream is in CSN order — both everything
-// appended to the device and the image that survives retirement.
+// appended to the device and the image that survives retirement. Every
+// append is a flush window's, followed by its sync before the next
+// append: a checkpoint's frames included, nothing reaches the device
+// beside the flush loop.
 func TestStressLogOrderUnderCheckpointsAndDDL(t *testing.T) {
 	dev := &appendLog{SegmentLog: newMemLog(t)}
 	db := Open(Config{WAL: wal.Config{Device: dev}, CheckpointLogBytes: 4096, RetireSegments: true})
@@ -410,6 +413,12 @@ func TestStressLogOrderUnderCheckpointsAndDDL(t *testing.T) {
 	if retired == 0 {
 		t.Fatal("the storm retired no segment")
 	}
+	for i := 0; i < len(dev.calls); i += 2 {
+		if dev.calls[i] != 'A' || i+1 == len(dev.calls) || dev.calls[i+1] != 'S' {
+			t.Fatalf("device call %d of %d is not an Append followed by its Sync: %q", i, len(dev.calls),
+				dev.calls[max(0, i-4):min(len(dev.calls), i+4)])
+		}
+	}
 
 	all, _ := wal.ScanLog(dev.stream)
 	if markers, ddl := checkLogOrder(t, "appended", all, tables); markers < 8 || ddl != len(tables) {
@@ -422,15 +431,23 @@ func TestStressLogOrderUnderCheckpointsAndDDL(t *testing.T) {
 }
 
 // appendLog is a log device that also keeps every byte appended to it,
-// in order, retired segments included.
+// in order, retired segments included, and the order of its Append and
+// Sync calls ('A', 'S').
 type appendLog struct {
 	*wal.SegmentLog
 	stream []byte // appended under the WAL's device mutex
+	calls  []byte // likewise
 }
 
 func (d *appendLog) Append(b []byte) error {
 	d.stream = append(d.stream, b...)
+	d.calls = append(d.calls, 'A')
 	return d.SegmentLog.Append(b)
+}
+
+func (d *appendLog) Sync() error {
+	d.calls = append(d.calls, 'S')
+	return d.SegmentLog.Sync()
 }
 
 // checkLogOrder asserts that frames, a byte stream of the log, is in CSN

@@ -451,16 +451,29 @@ func (db *DB) CreateTable(schema *core.Schema) error {
 	}
 	ddl := wal.Control(wal.EncodeSchema(schema))
 	db.lockSeq()
-	_, err := db.store.CreateTable(schema)
-	var done <-chan error
-	if err == nil {
-		done, err = db.log.Enqueue(ddl)
+	if _, err := db.store.CreateTable(schema); err != nil {
+		db.seqMu.Unlock()
+		return err
 	}
-	db.seqMu.Unlock()
+	return db.logControl(ddl, db.seqMu.Unlock)
+}
+
+// logControl writes the control record rec (wal.Control) through the
+// commit queue: it enqueues rec, calls unlock, then leads rec's flush as
+// a sync committer leads its own and returns the verdict. unlock ends the
+// caller's sequencer critical section, which puts a schema frame or begin
+// marker between the commits allocated before and after it; it is nil
+// for a checkpoint's rows and end marker, which need no place in the
+// commit order. A failed control record bricks the log.
+func (db *DB) logControl(rec *wal.Record, unlock func()) error {
+	done, err := db.log.Enqueue(rec)
+	if unlock != nil {
+		unlock()
+	}
 	if err != nil {
 		return err
 	}
-	db.log.Lead(ddl, true)
+	db.log.Lead(rec, true)
 	return <-done
 }
 
@@ -474,11 +487,12 @@ const ckptBatch = 256
 // sequencer critical section it is the last CSN allocated, pinned in the
 // snapshot horizon, and the begin marker is enqueued behind it, so the
 // commit frames in front of the marker are those ≤ cut. No commit waits
-// for a checkpoint; the rows are read as of the cut and streamed while
-// commits go on, the pin keeping their versions from being pruned. Once
-// complete, the segments in front of its begin marker are retired when
-// Config.RetireSegments is set. Returns the cut (unchanged, and nothing
-// written, when no commit landed since the previous checkpoint).
+// for a checkpoint; the rows are read as of the cut and streamed through
+// the same queue, batch by batch, while commits go on, the pin keeping
+// their versions from being pruned. Once complete, the segments in front
+// of its begin marker are retired when Config.RetireSegments is set.
+// Returns the cut (unchanged, and nothing written, when no commit landed
+// since the previous checkpoint).
 func (db *DB) Checkpoint() (uint64, error) {
 	if !db.log.Persistent() {
 		return 0, core.ErrWALClosed
@@ -500,15 +514,12 @@ func (db *DB) Checkpoint() (uint64, error) {
 		return 0, err
 	}
 	marker := wal.Control(wal.EncodeCkptBegin(&wal.CkptBegin{CSN: cut, Schemas: wal.Schemas(db.store)}))
-	done, err := db.log.Enqueue(marker)
-	db.seqMu.Unlock()
-	pause := time.Since(start).Nanoseconds()
-	db.ckptPauseNS.Add(pause)
-	db.lastPauseNS.Store(pause)
-	if err == nil {
-		db.log.Lead(marker, true)
-		err = <-done
-	}
+	err := db.logControl(marker, func() {
+		db.seqMu.Unlock()
+		pause := time.Since(start).Nanoseconds()
+		db.ckptPauseNS.Add(pause)
+		db.lastPauseNS.Store(pause)
+	})
 	if err != nil {
 		db.hz.unpin(cut)
 		return 0, err
@@ -528,11 +539,14 @@ func (db *DB) Checkpoint() (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	ckptBytes += n
-	if n, err = db.log.EndCkpt(&wal.CkptEnd{CSN: cut, Rows: uint64(rows)}); err != nil {
+	// The end marker's window is the checkpoint's last durability point:
+	// only after its verdict may the segments in front of the begin
+	// marker go.
+	end := wal.Control(wal.EncodeCkptEnd(&wal.CkptEnd{CSN: cut, Rows: uint64(rows)}))
+	if err := db.logControl(end, nil); err != nil {
 		return 0, err
 	}
-	ckptBytes += n
+	ckptBytes += n + end.Bytes
 
 	db.ckptCut = cut
 	db.ckpts.Add(1)
@@ -547,10 +561,12 @@ func (db *DB) Checkpoint() (uint64, error) {
 	return cut, nil
 }
 
-// streamCkptRows appends every live row as of cut to the log in
+// streamCkptRows writes every live row as of cut to the log in
 // ckpt-rows batches of ckptBatch, walking each table once (Table.Range)
 // and reading each row as of the cut straight into the one reused
-// batch. Versions with CSN ≤ cut are immutable once published, so
+// batch. Each batch is a control record that it leads and takes the
+// verdict of before it reads on, so one batch frame at most is in
+// flight. Versions with CSN ≤ cut are immutable once published, so
 // commits stamping newer versions concurrently never perturb what it
 // reads, and rows born after the cut resolve to nothing. The caller
 // pinned cut in the snapshot horizon; streamCkptRows releases the pin
@@ -561,9 +577,9 @@ func (db *DB) streamCkptRows(cut uint64) (rows, bytes int, err error) {
 	defer db.hz.unpin(cut)
 	batch := make([]wal.CkptRow, 0, ckptBatch)
 	flush := func() {
-		var n int
-		n, err = db.log.AppendCkptRows(&wal.CkptRows{CSN: cut, Rows: batch})
-		bytes += n
+		rec := wal.Control(wal.EncodeCkptRows(&wal.CkptRows{CSN: cut, Rows: batch}))
+		err = db.logControl(rec, nil)
+		bytes += rec.Bytes
 		rows += len(batch)
 		batch = batch[:0]
 	}

@@ -632,7 +632,7 @@ func TestReadOnlyCommitSkipsWAL(t *testing.T) {
 		t.Fatal(err)
 	}
 	// DDL skips a log with no device: there is no frame to sync.
-	if s := db.WAL().Stats(); s.Flushes != 0 {
+	if s := db.WAL().Stats(); s.Syncs != 0 {
 		t.Fatalf("CreateTable flushed a log with no device: %+v", s)
 	}
 	seed := db.Begin()

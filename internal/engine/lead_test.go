@@ -69,7 +69,7 @@ func TestSyncCommitFlushesOnItsOwnGoroutine(t *testing.T) {
 				i-ddl+1, dev.onStack[i], dev.goroutines[i], before)
 		}
 	}
-	if s := db.WAL().Stats(); s.LedFlushes-pre.LedFlushes != commits || s.Flushes-pre.Flushes != commits {
+	if s := db.WAL().Stats(); s.LedFlushes-pre.LedFlushes != commits || s.Syncs-pre.Syncs != commits {
 		t.Errorf("stats %+v after %+v; want %d windows, each flushed by its committer", s, pre, commits)
 	}
 }

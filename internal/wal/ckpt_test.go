@@ -8,9 +8,8 @@ import (
 )
 
 // ckptFrames encodes one complete checkpoint — begin marker, a rows
-// batch per call, end marker — exactly as the begin marker's Control
-// record, AppendCkptRows and EndCkpt lay it out when no commit frame
-// falls between them.
+// batch per call, end marker — exactly as their Control records lay it
+// out when no commit frame falls between them.
 func ckptFrames(cut uint64, schemas []core.Schema, batches ...[]CkptRow) []byte {
 	out := EncodeCkptBegin(&CkptBegin{CSN: cut, Schemas: schemas})
 	rows := uint64(0)

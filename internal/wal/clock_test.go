@@ -345,7 +345,7 @@ func TestBurstBehindSyncSharesTheNext(t *testing.T) {
 			t.Errorf("MaxBatch %d: %d syncs took %v, less than %v", tc.maxBatch, tc.syncs, el, floor)
 		}
 		s := w.Stats()
-		if s.Syncs != tc.syncs || s.Flushes != tc.syncs || s.Records != 7 {
+		if s.Syncs != tc.syncs || s.Records != 7 {
 			t.Errorf("MaxBatch %d: stats = %+v, want %d syncs for 7 records", tc.maxBatch, s, tc.syncs)
 		}
 		if got, want := s.CommitsPerSync(), 7/float64(tc.syncs); got != want {

@@ -67,8 +67,8 @@ func TestWindowSharesOneSync(t *testing.T) {
 
 	s := w.Stats()
 	// Window 1: one record. Window 2: the six that queued behind it.
-	if s.Syncs != 2 || s.Flushes != 2 || s.Records != 7 {
-		t.Fatalf("stats = %+v, want Syncs=2 Flushes=2 Records=7", s)
+	if s.Syncs != 2 || s.Records != 7 {
+		t.Fatalf("stats = %+v, want Syncs=2 Records=7", s)
 	}
 	if got := s.CommitsPerSync(); got != 3.5 {
 		t.Fatalf("CommitsPerSync = %v, want 3.5", got)
@@ -105,14 +105,14 @@ func TestMaxBatchBoundsRecordsPerSync(t *testing.T) {
 		}
 	}
 	// Window 1: one record; then six records in three windows of two.
-	if s := w.Stats(); s.Syncs != 4 || s.Flushes != 4 || s.Records != 7 {
-		t.Fatalf("stats = %+v, want one sync per 2-record window (4 each)", s)
+	if s := w.Stats(); s.Syncs != 4 || s.Records != 7 {
+		t.Fatalf("stats = %+v, want one sync per 2-record window (4)", s)
 	}
 }
 
-// TestFailedWindowCountsOnce is the Flushes/Bytes accounting regression
+// TestFailedWindowCountsOnce is the Syncs/Bytes accounting regression
 // test: a window rejected by an injected device error counts exactly
-// once — in FailedFlushes — contributes nothing to Flushes, Records or
+// once — in FailedFlushes — contributes nothing to Syncs, Records or
 // Bytes, puts no byte on the device, and leaves the WAL healthy for the
 // windows behind it.
 func TestFailedWindowCountsOnce(t *testing.T) {
@@ -154,8 +154,8 @@ func TestFailedWindowCountsOnce(t *testing.T) {
 	if s.FailedFlushes != 1 {
 		t.Fatalf("FailedFlushes = %d, want 1", s.FailedFlushes)
 	}
-	if s.Flushes != 3 || s.Records != 5 || s.Syncs != 3 {
-		t.Fatalf("stats = %+v, want Flushes=3 Records=5 Syncs=3", s)
+	if s.Syncs != 3 || s.Records != 5 {
+		t.Fatalf("stats = %+v, want Syncs=3 Records=5", s)
 	}
 	// The sharp double-count check: accounted bytes must equal what the
 	// device actually holds — the failed window's frames never reached it.
@@ -299,14 +299,15 @@ func TestWaitDurableCSN(t *testing.T) {
 	}
 }
 
-// TestCrashIsAtomicAcrossDeviceUsers is the regression test for a
-// simulated crash on one goroutine racing a flush window on another: a
-// checkpoint dying mid-batch (wal/ckpt-rows) drops the page cache
-// — including the window's appended-but-unsynced frames — so the
-// window's sync must not then succeed and acknowledge commits that are
-// no longer on the device. The window is parked between its append and
-// its sync by a delay on wal/sync; whichever side wins the race, an
-// acknowledged commit must be recoverable.
+// TestCrashIsAtomicAcrossDeviceUsers: a checkpoint dying mid-batch
+// (wal/ckpt-rows) never takes an acknowledged commit with it. The rows
+// batch is queued while a commit's window is parked between its append
+// and its sync (a delay on wal/sync); it waits for that window, which is
+// acknowledged and recoverable, and the crash fails the batch's own
+// window — the commit that shares it included — and bricks the WAL.
+// (While rows batches were appended beside the flush loop, the crash's
+// page-cache drop could take the parked window's frames, whose sync then
+// acknowledged commits no longer on the device.)
 func TestCrashIsAtomicAcrossDeviceUsers(t *testing.T) {
 	dev := newTestLog(t)
 	w := New(Config{Device: dev})
@@ -327,19 +328,80 @@ func TestCrashIsAtomicAcrossDeviceUsers(t *testing.T) {
 	for dev.Size() == 0 { // the window's append has reached the device
 		time.Sleep(100 * time.Microsecond)
 	}
-	if _, err := w.AppendCkptRows(&CkptRows{CSN: 1}); !errors.Is(err, core.ErrInjected) {
-		t.Fatalf("checkpoint rows append through the crash = %v, want ErrInjected", err)
+	rows := Control(EncodeCkptRows(&CkptRows{CSN: 1}))
+	rowsDone, err := w.Enqueue(rows)
+	if err != nil {
+		t.Fatal(err)
 	}
-	commitErr := <-acked
+	go w.Lead(rows, true)
+	second := enqueue(t, w, &Record{TxID: 102, CSN: 2, Rows: []RowImage{{Table: "t", Key: core.Int(2), Rec: core.Record{core.Int(2)}}}})
 
+	if err := <-acked; err != nil {
+		t.Fatalf("commit whose window was synced before the crash = %v", err)
+	}
+	if err := <-rowsDone; !errors.Is(err, core.ErrInjected) {
+		t.Fatalf("checkpoint rows batch through the crash = %v, want ErrInjected", err)
+	}
+	if err := <-second; err == nil {
+		t.Fatal("a commit in the crashed window was acknowledged")
+	}
+	if w.Broken() == nil {
+		t.Fatal("the WAL survived a crash at wal/ckpt-rows")
+	}
 	info, err := Recover(dev)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if commitErr == nil && len(info.Commits) != 1 {
-		t.Fatalf("commit acknowledged after the crash dropped its frames: recovery finds %d commits", len(info.Commits))
+	if len(info.Commits) != 1 || info.HighCSN != 1 {
+		t.Fatalf("recovery finds %d commits up to CSN %d, want the acknowledged one", len(info.Commits), info.HighCSN)
 	}
-	if commitErr != nil && w.Broken() == nil {
-		t.Fatalf("commit failed with %v on a healthy WAL", commitErr)
+}
+
+// TestOrderingRetireCrashAfterWindowSync is why Retire takes the device
+// mutex: a crash at wal/retire drops the page cache, and were it to land
+// between a window's append and its sync — parked there by a delay on
+// wal/sync — the sync would then acknowledge a commit whose frame the
+// crash took. Retire waits for the window's sync instead, so the
+// acknowledged commit is recoverable.
+func TestOrderingRetireCrashAfterWindowSync(t *testing.T) {
+	dev := newTestLog(t)
+	w := New(Config{Device: dev})
+	reg := faultinject.New(17)
+	w.SetFaults(reg)
+	defer w.Close()
+	csn := uint64(0)
+	for dev.SegmentCount() < 3 {
+		csn++
+		if err := durableCommit(w, csn); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, spec := range []faultinject.Spec{
+		{Point: FaultSync, Count: 1, Action: faultinject.ActDelay, Delay: 50 * time.Millisecond},
+		{Point: FaultRetire, Count: 1, Action: faultinject.ActPanic},
+	} {
+		if err := reg.Arm(spec); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	acked := make(chan error, 1)
+	pre := dev.Size()
+	go func() { acked <- durableCommit(w, csn+1) }()
+	for dev.Size() == pre { // the window's append has reached the device
+		time.Sleep(100 * time.Microsecond)
+	}
+	if _, err := w.Retire(dev.CurrentSegment()); !errors.Is(err, core.ErrInjected) {
+		t.Fatalf("retirement through the crash = %v, want ErrInjected", err)
+	}
+	if err := <-acked; err != nil {
+		t.Fatalf("commit whose window the retirement waited for = %v", err)
+	}
+	info, err := Recover(dev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.HighCSN != csn+1 {
+		t.Fatalf("commit %d acknowledged, but the crash dropped its frame: recovery ends at CSN %d", csn+1, info.HighCSN)
 	}
 }

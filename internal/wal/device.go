@@ -21,9 +21,12 @@ import (
 // Append and Sync split the durability point: Append buffers bytes at
 // the tail (the OS page cache), Sync is the fdatasync-equivalent that
 // makes every prior Append durable. Nothing is acknowledged to a
-// committer until the Sync covering its append returns. A device may
-// make an append durable before Sync — the file segments write through
-// (fileSeg) — but the WAL never counts on it.
+// committer until the Sync covering its append returns. The WAL calls
+// them in pairs, one Append and one Sync per flush window (a checkpoint's
+// frames are windows too), from the flush loop and under its device
+// mutex; the one other caller, RetireSegments, runs between two pairs. A
+// device may make an append durable before Sync — the file segments
+// write through (fileSeg) — but the WAL never counts on it.
 type LogDevice interface {
 	// Append adds b to the end of the log. The bytes are buffered, not
 	// yet durable: a crash before the next Sync may lose any suffix of

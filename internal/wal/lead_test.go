@@ -60,7 +60,7 @@ func TestCommitLeadsItsOwnFlush(t *testing.T) {
 	if want := []bool{true, true, true, false}; !slices.Equal(dev.calls, want) {
 		t.Errorf("Commit on the appending goroutine's stack: %v, want %v", dev.calls, want)
 	}
-	if s := w.Stats(); s.Flushes != 4 || s.LedFlushes != 3 {
+	if s := w.Stats(); s.Syncs != 4 || s.LedFlushes != 3 {
 		t.Errorf("stats %+v; want 4 windows, 3 of them flushed by their committer", s)
 	}
 }
@@ -101,7 +101,7 @@ func TestLeaderLeavesRecordsToBackground(t *testing.T) {
 		}
 	}
 	w.Drain()
-	if s := w.Stats(); s.Flushes != 2 || s.LedFlushes != 1 || s.Records != 3 {
+	if s := w.Stats(); s.Syncs != 2 || s.LedFlushes != 1 || s.Records != 3 {
 		t.Errorf("stats %+v; want the leader's window and one background window of two records", s)
 	}
 	if csn, outstanding := w.DurableWatermark(); csn != 3 || outstanding {
@@ -159,7 +159,7 @@ func TestHeirTakesOver(t *testing.T) {
 	}
 	<-heirLed
 	w.Drain()
-	if s := w.Stats(); s.Flushes != 2 || s.LedFlushes != 2 || s.Records != 3 {
+	if s := w.Stats(); s.Syncs != 2 || s.LedFlushes != 2 || s.Records != 3 {
 		t.Errorf("stats %+v; want two committer-led windows, the heir's carrying two records", s)
 	}
 }
@@ -227,7 +227,7 @@ func TestFaultsOnALedWindow(t *testing.T) {
 			t.Errorf("%s: commit on a bricked WAL succeeded", name)
 		}
 		s := w.Stats()
-		if s.Flushes != 2 || s.FailedFlushes != 2 || (name == "led") != (s.LedFlushes == 2) {
+		if s.Syncs != 2 || s.FailedFlushes != 2 || (name == "led") != (s.LedFlushes == 2) {
 			t.Errorf("%s: stats %+v; want two windows durable and two failed", name, s)
 		}
 		if csn, _ := w.DurableWatermark(); csn != 3 {
@@ -324,7 +324,7 @@ func TestStressLeadersAndFollowers(t *testing.T) {
 	if want := int64(workers*each - len(withdrawn)); s.Records != want || s.FailedFlushes != 0 {
 		t.Errorf("stats %+v; want %d records flushed, none failed", s, want)
 	}
-	t.Logf("%d windows, %d of them flushed by a committer", s.Flushes, s.LedFlushes)
+	t.Logf("%d windows, %d of them flushed by a committer", s.Syncs, s.LedFlushes)
 	w.Close()
 	w.mu.Lock()
 	running, heir, queued := w.flusher, w.heir, len(w.pending)

@@ -260,5 +260,5 @@ func TestOrderingWithdrawRacesClaim(t *testing.T) {
 	if s := w.Stats(); s.Records != int64(len(verdicts)) {
 		t.Errorf("stats %+v; want %d records flushed", s, len(verdicts))
 	}
-	t.Logf("%d withdrawn, %d flushed in %d windows", len(withdrawn), len(verdicts), w.Stats().Flushes)
+	t.Logf("%d withdrawn, %d flushed in %d windows", len(withdrawn), len(verdicts), w.Stats().Syncs)
 }

@@ -106,7 +106,7 @@ func TestSegmentRetireBehindFullLink(t *testing.T) {
 	if marker.Segment != bound {
 		t.Fatalf("the marker's window was written with appends landing in segment %d, want %d", marker.Segment, bound)
 	}
-	if _, err := w.EndCkpt(&CkptEnd{CSN: 12}); err != nil {
+	if err := sequenced(w, Control(EncodeCkptEnd(&CkptEnd{CSN: 12}))); err != nil {
 		t.Fatal(err)
 	}
 	preSegs := dev.SegmentCount()
@@ -125,10 +125,11 @@ func TestSegmentRetireBehindFullLink(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// The marker is no commit: it counts in no commit statistic and
-	// leaves the watermark at the last commit.
-	if s := w.Stats(); s.Records != 16 {
-		t.Fatalf("stats = %+v, want Records=16, the commits alone", s)
+	// The markers are no commits: they count in no commit statistic and
+	// leave the watermark at the last commit, but each is a window and a
+	// sync of its own, as every commit here is.
+	if s := w.Stats(); s.Records != 16 || s.Syncs != 18 {
+		t.Fatalf("stats = %+v, want Records=16, the commits alone, and Syncs=18", s)
 	}
 	if csn, outstanding := w.DurableWatermark(); csn != 16 || outstanding {
 		t.Fatalf("watermark %d (outstanding %v), want 16", csn, outstanding)

@@ -32,11 +32,13 @@
 // commit: the committer that needs its record durable runs the flush
 // loop itself and flushes everybody's (Lead); a background goroutine
 // runs it only for records nobody is waiting to lead. Schema frames and
-// checkpoint begin markers ride the queue too (Control), and Recover
-// (recover.go) classifies a device image back into the newest complete
-// checkpoint + redo work with torn-tail truncation. The one device is
-// the wal.000N segmented log (segment.go). Read-only transactions never
-// touch the log, which is the mechanism behind the paper's §IV-D observation that
+// every frame of a checkpoint ride the queue too (Control), so every
+// byte reaches the device through the flush loop, each window's append
+// followed by its sync. Recover (recover.go) classifies a device image
+// back into the newest complete checkpoint + redo work with torn-tail
+// truncation. The one device is the wal.000N segmented log
+// (segment.go). Read-only transactions never touch the log, which is
+// the mechanism behind the paper's §IV-D observation that
 // strategies turning the read-only Balance program into an updater pay
 // ~20% at MPL=1 (5/5 instead of 4/5 of transactions must wait for the
 // disk).
@@ -81,12 +83,15 @@ const (
 	// between append and sync: every unsynced append vanishes
 	// with the page cache and nothing in the window is acknowledged.
 	FaultSync = "wal/sync"
-	// FaultCkptRows fires once per rows-batch append of a checkpoint,
-	// before any byte reaches the device. An ActPanic models the process
-	// dying mid-checkpoint: unsynced appends are lost, a torn prefix of
-	// the batch frame may reach the platter, the WAL bricks — and
-	// recovery must discard the incomplete checkpoint, falling back to
-	// the previous complete one.
+	// FaultCkptRows fires once per flush window that carries a
+	// checkpoint's rows batch, after FaultFlush and before any byte of the
+	// window reaches the device. An injected error fails the window and,
+	// as any failed control record does, bricks the WAL. An ActPanic
+	// models the process dying mid-checkpoint: a torn prefix of the
+	// window's first frame may reach the platter, the WAL bricks, the
+	// window's commits are not acknowledged — and recovery must discard
+	// the incomplete checkpoint, falling back to the previous complete
+	// one.
 	FaultCkptRows = "wal/ckpt-rows"
 )
 
@@ -156,19 +161,19 @@ type Record struct {
 
 // Stats aggregates device activity; used by tests and by the
 // group-commit ablation experiment. Only flush windows whose Sync
-// succeeded count toward Flushes/Records (their commits)/Bytes; windows
+// succeeded count toward Syncs/Records (their commits)/Bytes; windows
 // that failed (injected error, injected crash, device error, or a failed
 // Sync) count in FailedFlushes and contribute nothing else.
 type Stats struct {
-	// Flushes counts flush windows appended and made durable, LedFlushes
-	// those of them that a committer flushed on its own goroutine (see
-	// Lead; the rest ran on the background goroutine); Syncs counts every
-	// durability point the log asked the device for (a window's, a
-	// checkpoint's end marker), not fsync calls: the file segments write
-	// through and fsync only after a truncation.
-	Flushes    int64
-	LedFlushes int64
+	// Syncs counts flush windows appended and made durable — every
+	// durability point the log asked the device for, a window of a
+	// checkpoint's frames included — not fsync calls: the file segments
+	// write through and fsync only after a truncation. LedFlushes counts
+	// those of them that a committer (or a checkpoint or CreateTable) ran
+	// on its own goroutine (see Lead; the rest ran on the background
+	// goroutine).
 	Syncs      int64
+	LedFlushes int64
 	Records    int64
 	Bytes      int64
 	// FailedFlushes counts flush windows that failed; their records
@@ -187,15 +192,6 @@ type Stats struct {
 	HeldNanos int64
 }
 
-// AvgBatch returns the mean number of commit records per successful
-// flush window.
-func (s Stats) AvgBatch() float64 {
-	if s.Flushes == 0 {
-		return 0
-	}
-	return float64(s.Records) / float64(s.Flushes)
-}
-
 // CommitsPerSync returns the mean number of commit records made durable
 // per device sync — the group-commit gauge.
 func (s Stats) CommitsPerSync() float64 {
@@ -211,9 +207,12 @@ type WAL struct {
 	faults *faultinject.Registry
 	tracer *trace.Recorder
 
-	// devMu serializes all device operations (flush appends and syncs,
-	// control-frame appends, retirement) so frames never interleave
-	// mid-write.
+	// devMu is held by a flush window's device write, from its first
+	// fault point to its sync, and by Retire, the one device user beside
+	// the flush loop (the loop's windows are serial under leadMu): a
+	// retirement, and the page cache a crash in it drops, never lands
+	// between a window's append and its sync, where the window would be
+	// acknowledged over bytes it lost.
 	devMu sync.Mutex
 
 	// leadMu is held by whoever runs the flush loop — a committer leading
@@ -254,7 +253,7 @@ type WAL struct {
 	stats   Stats
 	// broken is the sticky error of a device that died (crash or IO
 	// error; recovery required), set once. It is atomic, so the flush
-	// loop and devWrite check it without mu; it is set before the
+	// loop and writeWindow check it without mu; it is set before the
 	// broadcast on durable that WaitDurableCSN's waiters wake to.
 	broken atomic.Pointer[error]
 	// The simulated device's clock (see claimAt and syncStart). freeAt
@@ -420,11 +419,15 @@ func (w *WAL) Encode(rec *Record) {
 	}
 }
 
-// Control returns a record carrying enc, a sealed schema frame or
-// checkpoint begin marker, through the queue. Enqueued in the sequencer's
-// critical section it lands between the commits allocated before and
-// after it; it counts in no commit statistic, ends no hold, and its
-// failure bricks the WAL (the table or checkpoint is already in memory).
+// Control returns a record carrying enc, a sealed schema frame or a
+// checkpoint's begin marker, rows batch or end marker, through the queue.
+// Enqueued in the sequencer's critical section it lands between the
+// commits allocated before and after it; a rows batch or end marker,
+// which need no place in the commit order, is enqueued anywhere after
+// its begin marker has its verdict. It counts in no commit statistic
+// and in no hold's cohort, and its failure bricks the WAL (the table or checkpoint
+// is already in memory, and a half-written checkpoint whose device state
+// is unknown cannot be reasoned about frame by frame).
 func Control(enc []byte) *Record {
 	return &Record{enc: enc, Bytes: len(enc), control: true}
 }
@@ -810,7 +813,7 @@ func (w *WAL) flushWindow(window []*Record) (bytes int, err error) {
 	if w.spin > 0 {
 		start = time.Now()
 	}
-	err = w.writeWindow(frames)
+	err = w.writeWindow(frames, slices.ContainsFunc(window, (*Record).ckptRows))
 	if w.spin > 0 {
 		w.lastWindow.Store(int64(time.Since(start)))
 	}
@@ -832,11 +835,10 @@ func (w *WAL) settle(window []*Record, bytes int, err error, led bool) {
 	if err != nil {
 		w.stats.FailedFlushes++
 	} else {
-		w.stats.Flushes++
+		w.stats.Syncs++
 		if led {
 			w.stats.LedFlushes++
 		}
-		w.stats.Syncs++
 		for _, r := range window {
 			if !r.control {
 				w.stats.Records++
@@ -870,23 +872,60 @@ func windowFrames(window []*Record) (frames []byte, bytes int) {
 	return frames, bytes
 }
 
-// writeWindow runs a window's fault points and device calls, bricking
-// the WAL on everything but a plain injected FaultFlush error. Records
-// still queued when the WAL bricked fail fast with the sticky cause.
-func (w *WAL) writeWindow(frames []byte) error {
+// ckptRows reports whether r carries a checkpoint's rows batch: the
+// frame whose window fires FaultCkptRows.
+func (r *Record) ckptRows() bool {
+	return r.control && len(r.enc) > frameHeaderSize && r.enc[frameHeaderSize] == frameCkptRows
+}
+
+// writeWindow is the one way bytes reach the device: it fires the
+// window's fault points (FaultFlush, FaultCkptRows when rows says the
+// window carries a rows batch), appends frames, fires FaultSync and
+// syncs, all in one devMu hold, so no retirement (Retire) lands between
+// a window's append and its sync. A bricked WAL is refused inside the
+// mutex, and any failure from the append on bricks it before the mutex
+// is released, so device state and the sticky error change together;
+// records still queued when the WAL bricked fail fast with the sticky
+// cause. An injected FaultSync error is a failed fsync —
+// durability of the window is unknown (fsyncgate); a panic there is
+// power dying before the sync reaches the device, the append lost with
+// the page cache. Without a device only the fault points run.
+func (w *WAL) writeWindow(frames []byte, rows bool) error {
+	w.devMu.Lock()
+	defer w.devMu.Unlock()
 	if err := w.Broken(); err != nil {
 		return err
 	}
 	err, crashed := fire(w.faults, FaultFlush)
+	if err == nil && rows {
+		err, crashed = fire(w.faults, FaultCkptRows)
+	}
 	if crashed {
 		// Mid-write crash: a torn prefix of the window's first frame
 		// made the platter.
 		w.crash(err, frames)
 	}
 	if err != nil {
+		// Nothing reached the device. A rows batch's failure bricks the
+		// WAL when resolve fails its control record.
 		return err
 	}
-	return w.devWrite(frames, true, FaultSync)
+	dev := w.cfg.Device
+	if dev != nil {
+		err = dev.Append(frames)
+	}
+	if err == nil {
+		if err, crashed = fire(w.faults, FaultSync); crashed {
+			w.crash(err, nil)
+		}
+	}
+	if err == nil && dev != nil {
+		err = dev.Sync()
+	}
+	if err != nil {
+		w.brick(err)
+	}
+	return err
 }
 
 // resolve delivers one verdict to every record of a flush window,
@@ -929,60 +968,17 @@ func (w *WAL) brick(err error) {
 	w.mu.Unlock()
 }
 
-// devWrite is the one way bytes reach the device: append b, fire
-// syncFault (a window's FaultSync; "" for none), then sync when asked —
-// all in one devMu hold, so nobody else's append (and the rotation it
-// may trigger, whose seal syncs the old segment) lands between a
-// window's append and its sync. A bricked WAL is refused inside the
-// mutex and any failure bricks before it is released, so device state
-// and the sticky error change together: nothing can be appended or
-// acknowledged behind a crash or device error that another goroutine (a
-// checkpoint racing a flush window) hit first. An injected
-// syncFault error is a failed fsync — durability of everything since
-// the last good sync is unknown (fsyncgate); a panic there is power
-// dying before the sync reaches the device, the append lost with the
-// page cache. Without a device only the fault point runs.
-func (w *WAL) devWrite(b []byte, sync bool, syncFault string) error {
-	w.devMu.Lock()
-	defer w.devMu.Unlock()
-	dev := w.cfg.Device
-	err := w.Broken()
-	if err == nil && dev != nil && len(b) > 0 {
-		err = dev.Append(b)
-	}
-	if err == nil && syncFault != "" {
-		var crashed bool
-		if err, crashed = fire(w.faults, syncFault); crashed {
-			w.crashLocked(err, nil)
-		}
-	}
-	if err == nil && dev != nil && sync {
-		err = dev.Sync()
-	}
-	if err != nil {
-		w.brick(err)
-	}
-	return err
-}
-
-// crash simulates the process dying at a fault point, atomically with
-// respect to every other device user: the page cache (every unsynced
-// append, whoever made it) is lost, and when the crash interrupted a
-// write of frames a strict prefix of their first frame is persisted,
-// deterministically cut by the write's checksum. Keeping the cut inside
-// the first frame guarantees no unacknowledged commit becomes durable,
-// while still leaving a genuinely torn tail for recovery to truncate.
-// The fragment is synced: it models bytes the platter received
-// mid-write, not page cache. The WAL is bricked before devMu is
-// released.
+// crash simulates the process dying at a fault point inside a window's
+// device write, atomically with respect to Retire, the other device user
+// (the caller holds devMu): the page cache (every unsynced append) is
+// lost, and when the crash interrupted a write of frames a strict prefix
+// of their first frame is persisted, deterministically cut by the
+// write's checksum. Keeping the cut inside the first frame guarantees no
+// unacknowledged commit becomes durable, while still leaving a genuinely
+// torn tail for recovery to truncate. The fragment is synced: it models
+// bytes the platter received mid-write, not page cache. The WAL is
+// bricked before devMu is released.
 func (w *WAL) crash(cause error, frames []byte) {
-	w.devMu.Lock()
-	defer w.devMu.Unlock()
-	w.crashLocked(cause, frames)
-}
-
-// crashLocked is crash for a caller already holding devMu.
-func (w *WAL) crashLocked(cause error, frames []byte) {
 	if dev := w.cfg.Device; dev != nil && w.Broken() == nil {
 		_, _ = dev.DropUnsynced()
 		if len(frames) > 0 {
@@ -1057,84 +1053,24 @@ func (w *WAL) Drain() {
 	w.mu.Unlock()
 }
 
-// guardOpen rejects device-side operations on a device-less, closed or
-// bricked WAL.
-func (w *WAL) guardOpen() error {
-	if w.cfg.Device == nil {
-		return core.ErrWALClosed
-	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.closed {
-		return core.ErrWALClosed
-	}
-	return w.Broken()
-}
-
-// appendControl is the path a checkpoint's rows batches and end marker
-// take to the device, which need no place in the commit order: reject a
-// closed, bricked or device-less WAL, fire the frame's fault point if it
-// has one, append, sync when the frame is a durability point, then
-// account the bytes — or brick. The first failure is the sticky cause; a
-// later one never overwrites it. A crash at the fault point (ActPanic)
-// loses unsynced appends and leaves at most a torn prefix of enc on the
-// platter. Any failure bricks: a half-written checkpoint whose device
-// state is unknown cannot be reasoned about frame by frame.
-func (w *WAL) appendControl(enc []byte, fault string, sync bool) (int, error) {
-	err := w.guardOpen()
-	if err != nil {
-		return 0, err
-	}
-	if fault != "" {
-		var crashed bool
-		if err, crashed = fire(w.faults, fault); crashed {
-			w.crash(err, enc)
-		} else if err != nil {
-			w.brick(err)
-		}
-	}
-	if err == nil {
-		err = w.devWrite(enc, sync, "")
-	}
-	if err != nil {
-		return 0, err
-	}
-	w.mu.Lock()
-	w.stats.Bytes += int64(len(enc))
-	if sync {
-		w.stats.Syncs++
-	}
-	w.mu.Unlock()
-	return len(enc), nil
-}
-
-// AppendCkptRows appends one batch of a checkpoint's rows, after its
-// begin marker (a Control record) has its verdict. Versions at or below
-// the cut are immutable, so commit windows interleave freely with these
-// appends. A crash here (FaultCkptRows with ActPanic) bricks the WAL
-// mid-checkpoint: recovery sees an incomplete checkpoint and falls back
-// to the previous complete one.
-func (w *WAL) AppendCkptRows(d *CkptRows) (int, error) {
-	return w.appendControl(EncodeCkptRows(d), FaultCkptRows, false)
-}
-
-// EndCkpt appends the checkpoint's end marker and syncs: the durability
-// point of the rows batches and the end (the begin marker's window was
-// synced before them). Only after EndCkpt returns nil may the engine
-// retire the segments in front of the begin marker.
-func (w *WAL) EndCkpt(d *CkptEnd) (int, error) {
-	return w.appendControl(EncodeCkptEnd(d), "", true)
-}
-
 // Retire unlinks sealed segments with index < beforeIdx. The caller
 // must only pass a beforeIdx at or below the segment index that was
 // current when a complete checkpoint appended its begin marker —
-// everything before that point is covered by the checkpoint.
+// everything before that point is covered by the checkpoint. It takes
+// devMu, as a window's write does, and like it refuses a bricked WAL and
+// bricks on failure inside the mutex: a crash at FaultRetire drops the
+// page cache, which must not happen between a window's append and its
+// sync.
 func (w *WAL) Retire(beforeIdx int) (retired int, err error) {
-	if err := w.guardOpen(); err != nil {
-		return 0, err
+	if w.cfg.Device == nil {
+		return 0, core.ErrWALClosed
 	}
-	// Like devWrite: refuse and brick inside devMu.
+	w.mu.Lock()
+	closed := w.closed
+	w.mu.Unlock()
+	if closed {
+		return 0, core.ErrWALClosed
+	}
 	w.devMu.Lock()
 	if err = w.Broken(); err == nil {
 		if retired, err = w.cfg.Device.RetireSegments(beforeIdx); err != nil {
@@ -1197,6 +1133,3 @@ func (w *WAL) Enabled() bool { return w.cfg.FsyncLatency > 0 || w.cfg.Device != 
 
 // Persistent reports whether a durable device is attached.
 func (w *WAL) Persistent() bool { return w.cfg.Device != nil }
-
-// Device returns the attached log device (nil in latency-only mode).
-func (w *WAL) Device() LogDevice { return w.cfg.Device }

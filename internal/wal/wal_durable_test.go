@@ -62,7 +62,7 @@ func TestInjectedFailureKeepsDeviceUntouched(t *testing.T) {
 	if dev.Size() != 0 {
 		t.Fatalf("failed flush wrote %d bytes to the device", dev.Size())
 	}
-	if s := w.Stats(); s.FailedFlushes != 1 || s.Flushes != 0 {
+	if s := w.Stats(); s.FailedFlushes != 1 || s.Syncs != 0 {
 		t.Fatalf("stats = %+v", s)
 	}
 	// An injected failure is transient, not a crash: the WAL recovers.
@@ -169,9 +169,9 @@ func TestDeviceErrorBricksWAL(t *testing.T) {
 }
 
 // parkedAppendDevice parks one Append — signalling entered — until the
-// WAL it serves reports broken, then fails it: a control-frame append
-// that passed the open guard while the log was healthy and reaches a
-// dying device after something else has already bricked the WAL.
+// WAL it serves reports broken, then fails it: a window's append that
+// passed the broken check while the log was healthy and reaches a dying
+// device after something else has already bricked the WAL.
 type parkedAppendDevice struct {
 	*SegmentLog
 	w       *WAL
@@ -191,17 +191,16 @@ func (d *parkedAppendDevice) Append([]byte) error {
 // regression test: the schema append used to assign the sticky error
 // unconditionally, so a schema frame failing on a WAL that bricked
 // while it was in flight replaced the original cause — the one an
-// operator needs — with its own. (The first brick here is a checkpoint
-// rows batch's injected failure, which bricks before it needs the device
-// mutex the parked schema window holds; a commit record would queue
-// behind that window.)
+// operator needs — with its own. Every device user now bricks under the
+// device mutex the parked schema window holds, so none can brick the log
+// in that window's flight: the test bricks it directly, and what it pins
+// is that neither the window's write nor the verdict of its control
+// record overwrites a cause already set.
 func TestControlAppendKeepsFirstBrickCause(t *testing.T) {
-	first, second := errors.New("rows: EIO"), errors.New("write: ENOSPC")
+	first, second := errors.New("earlier failure: EIO"), errors.New("write: ENOSPC")
 	dev := &parkedAppendDevice{SegmentLog: newTestLog(t), entered: make(chan struct{}), err: second}
 	w := New(Config{Device: dev})
 	dev.w = w
-	reg := faultinject.New(1)
-	w.SetFaults(reg)
 	defer w.Close()
 
 	s := testSchema()
@@ -209,12 +208,7 @@ func TestControlAppendKeepsFirstBrickCause(t *testing.T) {
 	go func() { schemaErr <- sequenced(w, Control(EncodeSchema(&s))) }()
 	<-dev.entered
 
-	if err := reg.Arm(faultinject.Spec{Point: FaultCkptRows, Err: first}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := w.AppendCkptRows(&CkptRows{CSN: 1}); !errors.Is(err, first) {
-		t.Fatalf("rows batch = %v, want the injected failure", err)
-	}
+	w.brick(first)
 	if err := <-schemaErr; !errors.Is(err, second) {
 		t.Fatalf("schema frame = %v, want its own device error", err)
 	}

@@ -28,7 +28,7 @@ func TestDisabledWALIsFree(t *testing.T) {
 	if w.Enabled() {
 		t.Fatal("zero-latency WAL must report disabled")
 	}
-	if s := w.Stats(); s.Flushes != 0 || s.Records != 0 {
+	if s := w.Stats(); s.Syncs != 0 || s.Records != 0 {
 		t.Fatalf("disabled WAL recorded stats: %+v", s)
 	}
 }
@@ -44,7 +44,7 @@ func TestCommitWaitsForFsync(t *testing.T) {
 		t.Fatalf("commit returned after %v, before fsync latency", el)
 	}
 	s := w.Stats()
-	if s.Flushes != 1 || s.Records != 1 || s.Bytes != 64 {
+	if s.Syncs != 1 || s.Records != 1 || s.Bytes != 64 {
 		t.Fatalf("stats = %+v", s)
 	}
 }
@@ -72,16 +72,16 @@ func TestGroupCommitAmortizesFlushes(t *testing.T) {
 	if s.Records != n {
 		t.Fatalf("records = %d, want %d", s.Records, n)
 	}
-	// All 16 commits must share a small number of flushes (at most 3:
+	// All 16 commits must share a small number of syncs (at most 3:
 	// one for the first arrival, one or two groups for the rest).
-	if s.Flushes > 3 {
-		t.Fatalf("flushes = %d; group commit not batching", s.Flushes)
+	if s.Syncs > 3 {
+		t.Fatalf("syncs = %d; group commit not batching", s.Syncs)
 	}
 	if elapsed > 5*30*time.Millisecond {
 		t.Fatalf("16 concurrent commits took %v; not amortized", elapsed)
 	}
-	if s.AvgBatch() < float64(n)/3 {
-		t.Fatalf("avg batch = %.1f, expected large groups", s.AvgBatch())
+	if s.CommitsPerSync() < float64(n)/3 {
+		t.Fatalf("commits per sync = %.1f, expected large groups", s.CommitsPerSync())
 	}
 }
 
@@ -104,8 +104,8 @@ func TestMaxBatchSplitsGroups(t *testing.T) {
 	if s.Records != 6 {
 		t.Fatalf("records = %d", s.Records)
 	}
-	if s.Flushes < 3 {
-		t.Fatalf("flushes = %d; MaxBatch=2 should force at least 3 groups for 6 records", s.Flushes)
+	if s.Syncs < 3 {
+		t.Fatalf("syncs = %d; MaxBatch=2 should force at least 3 groups for 6 records", s.Syncs)
 	}
 }
 
@@ -122,15 +122,15 @@ func TestInjectedFlushError(t *testing.T) {
 		t.Fatalf("Commit err = %v, want injected fault", err)
 	}
 	// A failed flush is accounted as failed, never as durable work.
-	if s := w.Stats(); s.FailedFlushes != 1 || s.Flushes != 0 || s.Records != 0 || s.Bytes != 0 {
+	if s := w.Stats(); s.FailedFlushes != 1 || s.Syncs != 0 || s.Records != 0 || s.Bytes != 0 {
 		t.Fatalf("stats after failed flush = %+v, want only FailedFlushes=1", s)
 	}
 	reg.Disarm(FaultFlush)
 	if err := commitN(w, 2, 1); err != nil {
 		t.Fatalf("after clearing fault: %v", err)
 	}
-	if s := w.Stats(); s.FailedFlushes != 1 || s.Flushes != 1 || s.Records != 1 {
-		t.Fatalf("stats after recovery = %+v, want Flushes=1 Records=1 FailedFlushes=1", s)
+	if s := w.Stats(); s.FailedFlushes != 1 || s.Syncs != 1 || s.Records != 1 {
+		t.Fatalf("stats after recovery = %+v, want Syncs=1 Records=1 FailedFlushes=1", s)
 	}
 }
 
@@ -161,11 +161,11 @@ func TestSequentialCommitsSeparateFlushes(t *testing.T) {
 		}
 	}
 	s := w.Stats()
-	if s.Flushes != 3 {
-		t.Fatalf("3 sequential commits produced %d flushes, want 3", s.Flushes)
+	if s.Syncs != 3 {
+		t.Fatalf("3 sequential commits produced %d syncs, want 3", s.Syncs)
 	}
-	if s.AvgBatch() != 1 {
-		t.Fatalf("avg batch = %.1f, want 1 for sequential commits", s.AvgBatch())
+	if s.CommitsPerSync() != 1 {
+		t.Fatalf("commits per sync = %.1f, want 1 for sequential commits", s.CommitsPerSync())
 	}
 }
 

@@ -1,10 +1,12 @@
 package workload
 
 import (
+	"slices"
 	"testing"
 	"time"
 
 	"sicost/internal/core"
+	"sicost/internal/wal"
 )
 
 // TestCrashChaosDurabilityContract is the durability story's core
@@ -123,6 +125,14 @@ func TestCrashChaosFuzzy(t *testing.T) {
 	}
 	if rep.CrashesFired() == 0 {
 		t.Fatal("no crash fault ever fired")
+	}
+	// The mid-checkpoint and mid-retire crashes are what this rotation adds:
+	// each must land at least once, or a move of their fault points could
+	// silently stop exercising them.
+	for _, p := range []string{wal.FaultCkptRows, wal.FaultRetire} {
+		if !slices.ContainsFunc(rep.Cycles, func(c CrashCycle) bool { return c.Point == p && c.Fired > 0 }) {
+			t.Fatalf("no %s crash fired in %d cycles", p, len(rep.Cycles))
+		}
 	}
 	// A cycle's burst starts at the previous cycle's recovered CSN; a
 	// restored cut above it is a checkpoint the scheduler took mid-burst.
