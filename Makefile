@@ -46,7 +46,9 @@ race:
 # commit-path suites, and the orderings the flush loop's one locked
 # section per window must keep (TestOrdering*), on one processor, where a
 # committer never polls for another (wal.WAL.Spin) and every wait is the
-# blocking one. It leaves
+# blocking one. Both lines run TestStressBeginCloseDrain (engine: Begin,
+# Commit and Abort racing Close over the processor slots) by its
+# TestStress prefix. It leaves
 # out the SSI transfer storm: its clients retry without back-off, and on
 # one processor they can stop making progress (ROADMAP, the SSI item).
 stress:
@@ -149,7 +151,9 @@ figsmoke:
 
 # The Go microbenchmarks, six runs each so a reader sees the spread
 # (what each set prices is said above its Benchmark function;
-# BenchmarkCommitDurable matches the serial, MPL 2 and MPL 16 sets). They are
+# BenchmarkCommitDurable matches the serial, MPL 2 and MPL 16 sets;
+# BenchmarkSmallBankDurable's clients=2 over clients=1 is what a second
+# processor buys a durable transaction). They are
 # printed, not archived: the numbers a change is judged on are the
 # benchmark's (benchspine/: tps, setup_s and the per-layer metrics of
 # BENCHMARK.json), and a per-layer metric exists for most of these —
@@ -161,6 +165,7 @@ bench:
 	$(GO) test -run XXX -bench 'BenchmarkOnlineCheck|BenchmarkIngest' -benchtime 1s -count 6 -benchmem ./internal/onlinecheck
 	$(GO) test -run XXX -bench 'BenchmarkServerRoundTrip' -benchtime 1s -count 6 -benchmem ./internal/server
 	$(GO) test -run XXX -bench 'BenchmarkLoad' -benchtime 5x -count 6 -benchmem ./internal/smallbank
+	$(GO) test -run XXX -bench 'BenchmarkSmallBankDurable' -benchtime 2s -count 6 -benchmem ./internal/smallbank
 	$(GO) test -run XXX -bench 'BenchmarkRowMap' -benchtime 1s -count 6 -benchmem ./internal/storage
 
 # The benchmark (benchspine/) is a module of its own, so the root

@@ -17,6 +17,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"sicost/internal/admission"
 	"sicost/internal/core"
@@ -103,29 +104,45 @@ type Config struct {
 	Faults *faultinject.Registry
 }
 
-// DB is one simulated database instance.
+// DB is one simulated database instance. Its fields are laid out by
+// how transactions use them (DESIGN.md, "Fields written per
+// transaction"): what every transaction reads and nobody writes after
+// Open comes first (dbSetup), each group written by every transaction
+// starts a line of its own, and what only checkpoints and Close write
+// comes last. What a transaction writes at its Begin and its end is in
+// its processor's slot (slot.go), not here. DB is over 512 bytes, which
+// the allocator's size classes place on a line boundary.
 type DB struct {
-	cfg     Config
-	cost    CostModel
-	store   *storage.Store
-	locks   *storage.LockTable
-	log     *wal.WAL
-	machine *simres.Machine
+	dbSetup
+	_ [cacheLine - unsafe.Sizeof(dbSetup{})%cacheLine]byte
 
-	// Commit sequencing. The old design held one RWMutex across the
-	// whole stamping loop (every snapshot blocked behind every commit);
-	// the sequencer now has two short phases. allocCSNEnqueue hands out the
-	// next CSN under seqMu; the committer stamps its versions with no
-	// global lock held (write conflicts are already excluded per row by
-	// the sharded lock table — the stamped rows are X-locked by this
-	// transaction); publishCSN then advances visibleCSN in CSN order, so
-	// a snapshot (an atomic load of visibleCSN) can never observe a
-	// half-stamped commit: versions with CSN > visibleCSN are simply
-	// not visible yet.
+	// hz is the snapshot horizon (horizon.go): a line the transactions
+	// read, and a line its recomputation writes.
+	hz horizon
+
+	// Commit sequencing, written by every updating commit. The old design
+	// held one RWMutex across the whole stamping loop (every snapshot
+	// blocked behind every commit); the sequencer now has two short
+	// phases. allocCSNEnqueue hands out the next CSN under seqMu; the
+	// committer stamps its versions with no global lock held (write
+	// conflicts are already excluded per row by the sharded lock table —
+	// the stamped rows are X-locked by this transaction); publishCSN then
+	// advances visibleCSN in CSN order, so a snapshot (an atomic load of
+	// visibleCSN) can never observe a half-stamped commit: versions with
+	// CSN > visibleCSN are simply not visible yet.
 	seqMu      sync.Mutex
 	seqWaiters map[uint64]chan struct{} // csn → its committer's wait channel
 	nextCSN    uint64                   // last allocated CSN; guarded by seqMu
 	visibleCSN atomic.Uint64
+	// seqWaits counts commits that had to wait in publishCSN for an
+	// earlier CSN to publish (commit-sequencer contention).
+	seqWaits atomic.Uint64
+	_        [cacheLine - unsafe.Sizeof(sync.Mutex{}) - 4*8]byte
+
+	// nextTxID is written by every Begin.
+	nextTxID atomic.Uint64
+	_        [cacheLine - unsafe.Sizeof(atomic.Uint64{})]byte
+
 	// ckptRunMu serializes whole checkpoint runs (a run spans the cut,
 	// the streamed rows and the end-marker sync). ckptCut, guarded by it,
 	// is the cut of the newest complete checkpoint (0: none).
@@ -137,54 +154,47 @@ type DB struct {
 	ckptPauseNS atomic.Int64
 	lastPauseNS atomic.Int64
 	ckpts       atomic.Int64
-	// ckptStop/ckptDone manage the log-growth checkpoint scheduler.
-	ckptStop chan struct{}
-	ckptDone chan struct{}
-	ckptOnce sync.Once
-	// seqWaits counts commits that had to wait in publishCSN for an
-	// earlier CSN to publish (commit-sequencer contention).
-	seqWaits atomic.Uint64
+	// ckptStop/ckptDone manage the log-growth checkpoint scheduler,
+	// admStop/admDone the admission controller's tick; closeOnce runs
+	// Close's shutdown once.
+	ckptStop  chan struct{}
+	ckptDone  chan struct{}
+	admStop   chan struct{}
+	admDone   chan struct{}
+	closeOnce sync.Once
+}
 
-	nextTxID atomic.Uint64
-
-	faults *faultinject.Registry
-
-	// Shutdown: Close flips closing under closeMu, then waits for the
-	// in-flight transaction count to drain. Begin registers new
-	// transactions under the same mutex, so no registration can slip
-	// past a started drain.
-	closeMu  sync.Mutex
-	closing  bool
-	inflight sync.WaitGroup
-	// inflightN mirrors the WaitGroup as a readable gauge: the number of
-	// registered (begun, not yet ended) transactions. The server layer's
-	// leak audits assert it returns to zero after a drain.
-	inflightN atomic.Int64
-
+// dbSetup is the part of DB that Open sets up and every transaction
+// reads.
+type dbSetup struct {
+	cfg     Config
+	cost    CostModel
+	store   *storage.Store
+	locks   *storage.LockTable
+	log     *wal.WAL
+	machine *simres.Machine
+	faults  *faultinject.Registry
+	ssi     *ssiState
 	// gate is the admission limiter (nil when Config.Admission is nil).
 	// Begin acquires a slot before registering with the shutdown drain;
 	// endTx releases it. Close closes the gate first, so every queued
 	// Begin wakes with ErrShuttingDown before the drain waits.
-	gate    *admission.Limiter
-	admStop chan struct{}
-	admDone chan struct{}
-	admOnce sync.Once
-
+	gate *admission.Limiter
+	// tracer records lifecycle events; nil disables every emission point.
+	tracer *trace.Recorder
 	// defaultDeadline is the per-transaction budget SetDefaultTxDeadline
 	// arms (nanoseconds; 0 = none).
 	defaultDeadline atomic.Int64
-
-	// hz is the snapshot horizon (horizon.go).
-	hz horizon
-
-	ssi *ssiState
-
-	// tracer records lifecycle events; nil disables every emission point.
-	tracer *trace.Recorder
-	// txnMetrics holds the commit count, the abort taxonomy and the
-	// commit-latency histogram; always allocated (recording into it is
-	// atomic adds). Lock waits are recorded by the lock table.
-	txnMetrics metrics.TxnMetrics
+	// Shutdown: Close sets closing, then waits for the slots' open counts
+	// to sum to zero. Begin counts a handle in its slot before it reads
+	// closing, and Close sets closing before it sums, so a Begin that
+	// does not see closing is in Close's sum. drained wakes Close: a
+	// handle that ends, or a Begin that backs out, while closing is set
+	// leaves a token in it.
+	closing atomic.Bool
+	drained chan struct{}
+	// slots hands out the processor slots (slot.go), which hz.slots holds.
+	slots slotPool
 }
 
 // Open creates a database instance from cfg.
@@ -193,7 +203,7 @@ func Open(cfg Config) *DB {
 	if cfg.Cost != nil {
 		cost = *cfg.Cost
 	}
-	db := &DB{
+	db := &DB{dbSetup: dbSetup{
 		cfg:     cfg,
 		cost:    cost,
 		store:   storage.NewStore(),
@@ -201,14 +211,17 @@ func Open(cfg Config) *DB {
 		log:     wal.New(cfg.WAL),
 		machine: simres.New(cfg.Res),
 		faults:  cfg.Faults,
-	}
+		drained: make(chan struct{}, 1),
+	}}
+	db.hz.init(slotCount())
+	db.slots.init(db.hz.slots)
 	if cfg.Faults != nil {
 		db.store.SetFaults(cfg.Faults)
 		db.log.SetFaults(cfg.Faults)
 	}
 	// A committer polls for another only while every open transaction
 	// can have a processor (wal.WAL.Spin).
-	db.log.SetCommitters(&db.inflightN)
+	db.log.SetCommitters(db.InFlightTxns)
 	db.seqWaiters = make(map[uint64]chan struct{})
 	if cfg.Mode == core.SerializableSI {
 		db.ssi = newSSIState(&db.hz)
@@ -233,7 +246,7 @@ func Open(cfg Config) *DB {
 // classes that feed retry storms) and the commit-latency quantiles.
 func (db *DB) admissionLoop() {
 	defer close(db.admDone)
-	prev := db.txnMetrics.Snapshot()
+	prev := db.TxnMetrics()
 	t := time.NewTicker(db.gate.Interval())
 	defer t.Stop()
 	for {
@@ -241,7 +254,7 @@ func (db *DB) admissionLoop() {
 		case <-db.admStop:
 			return
 		case <-t.C:
-			cur := db.txnMetrics.Snapshot()
+			cur := db.TxnMetrics()
 			d := cur.Delta(prev)
 			prev = cur
 			lat := d.CommitLatency
@@ -344,10 +357,10 @@ func (db *DB) publishCSN(csn uint64) {
 // log device is closed last, so no draining commit races the WAL
 // teardown. Idempotent; concurrent Closes all block until the drain
 // completes.
-func (db *DB) Close() {
-	db.closeMu.Lock()
-	db.closing = true
-	db.closeMu.Unlock()
+func (db *DB) Close() { db.closeOnce.Do(db.shutdown) }
+
+func (db *DB) shutdown() {
+	db.closing.Store(true)
 	if db.gate != nil {
 		// Wake every queued Begin with ErrShuttingDown before waiting
 		// on the drain: queued waiters are not registered in-flight, so
@@ -355,12 +368,14 @@ func (db *DB) Close() {
 		// slip past — a waiter granted concurrently with Close loses to
 		// the closing flag above and releases its slot).
 		db.gate.Close()
-		db.admOnce.Do(func() { close(db.admStop) })
+		close(db.admStop)
 		<-db.admDone
 	}
-	db.inflight.Wait()
+	for db.InFlightTxns() > 0 {
+		<-db.drained
+	}
 	if db.ckptStop != nil {
-		db.ckptOnce.Do(func() { close(db.ckptStop) })
+		close(db.ckptStop)
 		<-db.ckptDone
 	}
 	// Drain before Close: with async commit, acknowledged transactions
@@ -730,10 +745,11 @@ func (db *DB) Contention() ContentionStats {
 // an abort here, voluntary ones (core.AbortNone) included — unlike
 // AbortSnapshot.Total, which leaves those out.
 func (db *DB) Stats() (commits, aborts uint64) {
-	for _, n := range db.txnMetrics.Aborts.Snapshot() {
+	s := db.TxnMetrics()
+	for _, n := range s.Aborts {
 		aborts += n
 	}
-	return db.txnMetrics.Commits.Load(), aborts
+	return s.Commits, aborts
 }
 
 // SetTracer installs (or, with nil, removes) the lifecycle-event
@@ -756,7 +772,10 @@ func (db *DB) Tracer() *trace.Recorder { return db.tracer }
 // the abort taxonomy, and the lock-wait and commit-latency histograms.
 // Snapshots from two points of a run diff with TxnSnapshot.Delta.
 func (db *DB) TxnMetrics() metrics.TxnSnapshot {
-	s := db.txnMetrics.Snapshot()
+	var s metrics.TxnSnapshot
+	for i := range db.hz.slots {
+		s = s.Merge(db.hz.slots[i].metrics.Snapshot())
+	}
 	s.LockWait = db.locks.WaitHistogram()
 	return s
 }
@@ -798,9 +817,10 @@ func (db *DB) Begin() *Tx {
 		admitted = true
 	}
 
-	db.closeMu.Lock()
-	if db.closing {
-		db.closeMu.Unlock()
+	slot := db.slots.get()
+	slot.open.Add(1)
+	if db.closing.Load() {
+		db.leave(slot)
 		if admitted {
 			db.gate.Release()
 		}
@@ -808,9 +828,6 @@ func (db *DB) Begin() *Tx {
 		// ErrShuttingDown; Abort is a cheap no-op-ish cleanup.
 		return &Tx{db: db, failedErr: core.ErrShuttingDown}
 	}
-	db.inflight.Add(1)
-	db.inflightN.Add(1)
-	db.closeMu.Unlock()
 
 	// Per-transaction base CPU (parse, plan, session round trip), plus
 	// the commercial platform's per-session overhead at the current MPL.
@@ -829,7 +846,7 @@ func (db *DB) Begin() *Tx {
 	// fully stamped (publishCSN advances in order, after stamping). It is
 	// taken inside the horizon registry, so the horizon never passes a
 	// snapshot somebody holds.
-	db.hz.begin(tx, &db.visibleCSN)
+	db.hz.begin(tx, slot, &db.visibleCSN)
 	start := tx.start
 	if beginErr != nil {
 		tx.failedErr = beginErr
@@ -853,12 +870,22 @@ func (db *DB) endTx(tx *Tx) {
 			tx.admitted = false
 			db.gate.Release()
 		}
-		db.hz.end(tx)
-		if db.hz.ends.Add(1)%horizonEvery == 0 {
+		if db.hz.end(tx) {
 			db.hz.advance(db.DurableSeq())
 		}
-		db.inflightN.Add(-1)
-		db.inflight.Done()
+		db.leave(tx.slot)
+	}
+}
+
+// leave takes one handle off slot's open count and, while Close waits,
+// wakes it to sum the counts again.
+func (db *DB) leave(slot *txSlot) {
+	slot.open.Add(-1)
+	if db.closing.Load() {
+		select {
+		case db.drained <- struct{}{}:
+		default:
+		}
 	}
 }
 
@@ -866,7 +893,13 @@ func (db *DB) endTx(tx *Tx) {
 // begun and not yet committed or aborted. A quiescent database reports
 // zero; the server chaos harness's leaked-transaction invariant checks
 // exactly that after every drain.
-func (db *DB) InFlightTxns() int64 { return db.inflightN.Load() }
+func (db *DB) InFlightTxns() int64 {
+	var n int64
+	for i := range db.hz.slots {
+		n += db.hz.slots[i].open.Load()
+	}
+	return n
+}
 
 // ScanLatest iterates the newest committed record of every row of the
 // named table, in key order. It bypasses transactions and is intended

@@ -3,6 +3,7 @@ package engine
 import (
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"sicost/internal/core"
 )
@@ -25,46 +26,43 @@ import (
 // open transaction, and every snapshot taken later starts at or above
 // that.
 
-// horizonStripes is the number of partitions of the open-transaction
-// registry (a power of two): Begin and endTx take one stripe's mutex,
-// chosen by transaction id, so they share no global lock.
-const horizonStripes = 16
-
 // horizonEvery is how many transaction ends pass between recomputations
 // of the horizon. It bounds the staleness a hot row pays in chain
-// length; the recomputation itself is horizonStripes uncontended mutex
-// acquisitions.
+// length; the recomputation itself is one uncontended mutex acquisition
+// per slot. Each slot counts its own ends and recomputes every
+// horizonEvery/len(slots) of them, so however the ends fall on the
+// slots the horizon is recomputed at least every horizonEvery of them.
 const horizonEvery = 32
 
-// snapStripe is one partition of the open-transaction registry: an
-// intrusive list of handles in Begin order. A snapshot is taken under
-// the stripe's mutex and the visible CSN only grows, so the list is
-// sorted by start and its head is the stripe's oldest snapshot.
-type snapStripe struct {
-	mu         sync.Mutex
-	head, tail *Tx
-	_          [40]byte // keep neighbouring stripes' mutexes off one cache line
-}
-
-// horizon is the registry and the cached value.
+// horizon is the registry and the cached value. The registry is the
+// slots' lists of open handles (slot.go): Begin and endTx take their
+// own slot's mutex, so they share no lock and write no line with
+// another processor.
 type horizon struct {
-	csn    atomic.Uint64 // the cached horizon; only grows
-	ends   atomic.Uint64 // transaction ends, the recomputation clock
-	pruned atomic.Uint64 // versions cut from chains
+	slots []txSlot
+	every uint64 // ends of one slot between recomputations
+	_     [cacheLine - unsafe.Sizeof([]txSlot(nil)) - 8]byte
 
 	// mu serializes recomputation and guards pins. Pinning checks the
 	// cut against csn under it, so no recomputation can pass a cut
-	// between its check and its registration.
+	// between its check and its registration. A recomputation writes
+	// this line; every updating commit reads csn.
 	mu   sync.Mutex
 	pins []uint64
-
-	stripes [horizonStripes]snapStripe
+	csn  atomic.Uint64 // the cached horizon; only grows
+	_    [cacheLine - unsafe.Sizeof(sync.Mutex{}) - unsafe.Sizeof([]uint64(nil)) - 8]byte
 }
 
-// begin takes tx's snapshot and registers it, atomically with respect
-// to advance's visit of the stripe.
-func (h *horizon) begin(tx *Tx, visible *atomic.Uint64) {
-	s := &h.stripes[tx.id&(horizonStripes-1)]
+// init gives the registry n slots.
+func (h *horizon) init(n int) {
+	h.slots = make([]txSlot, n)
+	h.every = uint64(max(1, horizonEvery/n))
+}
+
+// begin takes tx's snapshot and registers it in slot s, atomically with
+// respect to advance's visit of the slot.
+func (h *horizon) begin(tx *Tx, s *txSlot, visible *atomic.Uint64) {
+	tx.slot = s
 	s.mu.Lock()
 	tx.start = visible.Load()
 	tx.snapPrev = s.tail
@@ -77,9 +75,10 @@ func (h *horizon) begin(tx *Tx, visible *atomic.Uint64) {
 	s.mu.Unlock()
 }
 
-// end drops tx's snapshot from the registry.
-func (h *horizon) end(tx *Tx) {
-	s := &h.stripes[tx.id&(horizonStripes-1)]
+// end drops tx's snapshot from the registry and reports whether this
+// end is the one that recomputes the horizon.
+func (h *horizon) end(tx *Tx) bool {
+	s := tx.slot
 	s.mu.Lock()
 	if tx.snapPrev == nil {
 		s.head = tx.snapNext
@@ -92,7 +91,10 @@ func (h *horizon) end(tx *Tx) {
 		tx.snapNext.snapPrev = tx.snapPrev
 	}
 	tx.snapPrev, tx.snapNext = nil, nil
+	s.ends++
+	due := s.ends%h.every == 0
 	s.mu.Unlock()
+	return due
 }
 
 // pin registers cut as a CSN still being read at, until unpin. It fails
@@ -121,8 +123,8 @@ func (h *horizon) unpin(cut uint64) {
 
 // advance recomputes the horizon: the minimum of ceiling, the pins and
 // every open snapshot. The caller read ceiling — DB.DurableSeq, which
-// the visible CSN caps — before the call, so before any stripe is
-// visited: a transaction that registers after its stripe's visit took
+// the visible CSN caps — before the call, so before any slot is
+// visited: a transaction that registers after its slot's visit took
 // its snapshot after that read, at or above the result. A caller that
 // finds a recomputation in progress leaves it to that one.
 func (h *horizon) advance(ceiling uint64) {
@@ -136,8 +138,8 @@ func (h *horizon) advance(ceiling uint64) {
 			low = p
 		}
 	}
-	for i := range h.stripes {
-		s := &h.stripes[i]
+	for i := range h.slots {
+		s := &h.slots[i]
 		s.mu.Lock()
 		if s.head != nil && s.head.start < low {
 			low = s.head.start
@@ -165,9 +167,13 @@ type HorizonStats struct {
 // HorizonStats snapshots the horizon gauges.
 func (db *DB) HorizonStats() HorizonStats {
 	hz := db.hz.csn.Load()
+	var pruned uint64
+	for i := range db.hz.slots {
+		pruned += db.hz.slots[i].pruned.Load()
+	}
 	return HorizonStats{
 		Horizon: hz,
 		Lag:     db.visibleCSN.Load() - hz,
-		Pruned:  db.hz.pruned.Load(),
+		Pruned:  pruned,
 	}
 }

@@ -1,10 +1,12 @@
 package engine
 
 import (
+	"errors"
 	"math/rand"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"sicost/internal/core"
 )
@@ -247,4 +249,91 @@ func TestStressCommitVisibility(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
+}
+
+// TestStressBeginCloseDrain races Close against clients that keep
+// beginning, writing, committing and aborting, over a handful of
+// databases. Registration and the drain meet only in the slots' open
+// counts and the closing flag, and the horizon's registry is spread over
+// slots that a dropped pool entry hands out again, so it checks what
+// they must add up to: once a Begin has been refused, no Begin that
+// starts afterwards gets a live handle; Close does not return while a
+// registered handle is open, and afterwards nothing is counted open;
+// and the horizon never passes the snapshot of a handle that is open.
+// Two Closes race each other too; both must wait for the drain.
+func TestStressBeginCloseDrain(t *testing.T) {
+	const clients, rows, rounds = 6, 16, 8
+	for round := range rounds {
+		db := Open(Config{Mode: core.SnapshotFUW, Platform: core.PlatformPostgres})
+		if err := db.CreateTable(kvSchema("T")); err != nil {
+			t.Fatal(err)
+		}
+		seed := db.Begin()
+		for k := int64(0); k < rows; k++ {
+			if err := seed.Insert("T", kv(k, 0)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := seed.Commit(); err != nil {
+			t.Fatal(err)
+		}
+
+		var refused, closed atomic.Bool
+		var wg sync.WaitGroup
+		for c := range clients {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				rng := rand.New(rand.NewSource(int64(round*clients + c)))
+				for {
+					wasRefused := refused.Load()
+					tx := db.Begin()
+					if tx.failedErr != nil {
+						if !errors.Is(tx.failedErr, core.ErrShuttingDown) {
+							t.Errorf("Begin refused with %v", tx.failedErr)
+						}
+						refused.Store(true)
+						tx.Abort()
+						return
+					}
+					if wasRefused {
+						t.Error("a Begin after a refused one got a live handle")
+					}
+					k := int64(rng.Intn(rows))
+					if _, err := tx.Get("T", core.Int(k)); err != nil {
+						t.Error(err)
+					}
+					if rng.Intn(4) > 0 {
+						_ = tx.Update("T", core.Int(k), kv(k, rng.Int63()))
+					}
+					if h := db.HorizonStats().Horizon; h > tx.StartCSN() {
+						t.Errorf("horizon %d passed the open snapshot %d", h, tx.StartCSN())
+					}
+					if closed.Load() {
+						t.Error("Close returned while a registered handle was open")
+					}
+					if rng.Intn(3) == 0 {
+						tx.Abort()
+					} else {
+						_ = tx.Commit()
+					}
+				}
+			}()
+		}
+		time.Sleep(time.Duration(1+round) * time.Millisecond)
+		var closers sync.WaitGroup
+		for range 2 {
+			closers.Add(1)
+			go func() {
+				defer closers.Done()
+				db.Close()
+				closed.Store(true)
+			}()
+		}
+		closers.Wait()
+		wg.Wait()
+		if n := db.InFlightTxns(); n != 0 {
+			t.Errorf("%d handles counted open after the drain", n)
+		}
+	}
 }

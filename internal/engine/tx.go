@@ -55,9 +55,10 @@ type Tx struct {
 	// honoured by the sync-commit WAL flush-group wait.
 	deadline time.Time
 
-	// snapPrev/snapNext link the handle into its stripe of the snapshot
-	// horizon's open-transaction registry (horizon.go), from Begin to
-	// endTx; guarded by the stripe's mutex.
+	// slot is the processor slot Begin registered the handle in
+	// (slot.go); snapPrev/snapNext link it into the slot's list of open
+	// handles, from Begin to endTx, guarded by the slot's mutex.
+	slot               *txSlot
 	snapPrev, snapNext *Tx
 
 	writes []writeRec
@@ -939,7 +940,7 @@ func (tx *Tx) Commit() error {
 			pruned += w.row.Prune(horizon)
 		}
 		if pruned > 0 {
-			tx.db.hz.pruned.Add(uint64(pruned))
+			tx.slot.pruned.Add(uint64(pruned))
 		}
 		// Delay-only: the commit is published; a stall here holds row
 		// locks across an already-visible commit.
@@ -956,9 +957,10 @@ func (tx *Tx) Commit() error {
 	}
 	tx.releaseLocks()
 	tx.done = true
-	tx.db.txnMetrics.Commits.Add(1)
+	m := &tx.slot.metrics
+	m.Commits.Add(1)
 	if updating {
-		tx.db.txnMetrics.CommitLatency.Record(time.Since(commitStart))
+		m.CommitLatency.Record(time.Since(commitStart))
 	}
 	if tx.db.tracer.Enabled() {
 		tx.db.tracer.Emit(trace.Event{Kind: trace.EvCommit, Tx: tx.id, CSN: commitCSN, Tag: tx.tag})
@@ -994,7 +996,7 @@ func (tx *Tx) Abort() {
 		// Handles rejected at Begin (shutdown) never ran; they are not
 		// aborted work.
 		reason := core.ClassifyAbort(tx.abortCause)
-		tx.db.txnMetrics.Aborts.Inc(reason)
+		tx.slot.metrics.Aborts.Inc(reason)
 		if tx.db.tracer.Enabled() {
 			tx.db.tracer.Emit(trace.Event{Kind: trace.EvAbort, Tx: tx.id, Reason: uint8(reason), Tag: tx.tag})
 		}

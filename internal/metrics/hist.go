@@ -306,6 +306,17 @@ type TxnSnapshot struct {
 	CommitLatency HistSnapshot
 }
 
+// Merge returns the counts of s and o together.
+func (s TxnSnapshot) Merge(o TxnSnapshot) TxnSnapshot {
+	s.Commits += o.Commits
+	for i := range s.Aborts {
+		s.Aborts[i] += o.Aborts[i]
+	}
+	s.LockWait = s.LockWait.Merge(o.LockWait)
+	s.CommitLatency = s.CommitLatency.Merge(o.CommitLatency)
+	return s
+}
+
 // Delta returns s minus an earlier snapshot prev.
 func (s TxnSnapshot) Delta(prev TxnSnapshot) TxnSnapshot {
 	return TxnSnapshot{

@@ -2,6 +2,7 @@ package storage
 
 import (
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"sicost/internal/core"
@@ -102,7 +103,18 @@ type txShard struct {
 	mu     sync.Mutex
 	held   map[uint64][]LockKey
 	queued map[uint64][]LockKey
+	// n is len(held) + len(queued), stored under mu after every change:
+	// ReleaseAll reads it first and, where no transaction of the shard
+	// went through the table (every lock of the SI modes' uncontended
+	// writers is a row's owner word), leaves without taking mu. Nothing
+	// then writes the shard's line, so transactions on two processors
+	// whose ids share the shard only read it.
+	n atomic.Int32
+	_ [36]byte // a shard is one 64-byte line
 }
+
+// recount stores the shard's entry count; the caller holds mu.
+func (sh *txShard) recount() { sh.n.Store(int32(len(sh.held) + len(sh.queued))) }
 
 // LockTable is the engine's lock manager: row-granularity S/X locks with
 // FIFO wait queues, lock upgrade, and waits-for deadlock detection that
@@ -153,15 +165,19 @@ type LockTable struct {
 	// by an inflater. Their difference is the thin locks held now.
 	thinGrants   *metrics.ContentionCounter
 	thinReleases *metrics.ContentionCounter
-	// waitHist holds the duration of every blocked acquire: the one
-	// record of a wait (LockStats.WaitTime is its sum, the engine's
-	// TxnMetrics().LockWait a snapshot of it).
-	waitHist metrics.Histogram
 
 	// tracer records EvLockWait/EvLockWake lifecycle events; nil
 	// disables. Events are emitted only on the blocking slow path, never
 	// on the fast path, so the unblocked acquire stays trace-free.
 	tracer *trace.Recorder
+
+	// waitHist holds the duration of every blocked acquire: the one
+	// record of a wait (LockStats.WaitTime is its sum, the engine's
+	// TxnMetrics().LockWait a snapshot of it). Every field of it is
+	// written by a wait, so it starts past a line of padding: a wait does
+	// not take the line of the fields above, which every acquire reads.
+	_        [64]byte
+	waitHist metrics.Histogram
 }
 
 // NewLockTable creates an empty lock manager with DefaultLockStripes
@@ -238,6 +254,7 @@ func (lt *LockTable) addHeld(tx uint64, key LockKey) {
 	sh := lt.txShardOf(tx)
 	sh.mu.Lock()
 	sh.held[tx] = append(sh.held[tx], key)
+	sh.recount()
 	sh.mu.Unlock()
 }
 
@@ -255,6 +272,7 @@ func (lt *LockTable) removeHeld(tx uint64, key LockKey) {
 	if len(sh.held[tx]) == 0 {
 		delete(sh.held, tx)
 	}
+	sh.recount()
 	sh.mu.Unlock()
 }
 
@@ -263,6 +281,7 @@ func (lt *LockTable) addQueued(tx uint64, key LockKey) {
 	sh := lt.txShardOf(tx)
 	sh.mu.Lock()
 	sh.queued[tx] = append(sh.queued[tx], key)
+	sh.recount()
 	sh.mu.Unlock()
 }
 
@@ -280,6 +299,7 @@ func (lt *LockTable) removeQueued(tx uint64, key LockKey) {
 	if len(sh.queued[tx]) == 0 {
 		delete(sh.queued, tx)
 	}
+	sh.recount()
 	sh.mu.Unlock()
 }
 
@@ -697,15 +717,17 @@ func (lt *LockTable) ReleaseTx(tx uint64, thin []*Row) {
 // has: a concurrent releaser may grant tx's queued waiter between the
 // snapshot and the ejection, turning a queued entry into a held one —
 // the next pass releases it. Each pass strictly shrinks tx's footprint
-// (tx issues no new acquires while dying), so the loop terminates.
+// (tx issues no new acquires while dying), so the loop terminates. A
+// shard that holds no entry for any transaction is not locked at all.
 func (lt *LockTable) ReleaseAll(tx uint64) {
 	sh := lt.txShardOf(tx)
-	for {
+	for sh.n.Load() > 0 {
 		sh.mu.Lock()
 		held := sh.held[tx]
 		queued := sh.queued[tx]
 		delete(sh.held, tx)
 		delete(sh.queued, tx)
+		sh.recount()
 		sh.mu.Unlock()
 		if len(held) == 0 && len(queued) == 0 {
 			return

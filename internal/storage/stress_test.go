@@ -332,3 +332,63 @@ func TestStressStripedStorage(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestStressRowLookupsRaceGrowth: Row takes no lock, so lookups run while
+// inserts fill the stripes and replace their tables with larger copies.
+// A key inserted before the lookups started is found every time, with
+// the anchor EnsureRow returned; a key a writer inserted is found by
+// every lookup its writer makes afterwards; a key never inserted is
+// never found; and the anchors hold what was written through them.
+func TestStressRowLookupsRaceGrowth(t *testing.T) {
+	const seeded, writers, perWriter, readers = 256, 2, 4000, 3
+	tbl, err := NewTable(checkingSchema())
+	if err != nil {
+		t.Fatal(err)
+	}
+	anchors := make([]*Row, seeded)
+	for i := range anchors {
+		anchors[i] = tbl.EnsureRow(core.Int(int64(i)))
+	}
+	var done atomic.Bool
+	var wg sync.WaitGroup
+	for r := range readers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(r)))
+			for !done.Load() {
+				i := rng.Intn(seeded)
+				if got := tbl.Row(core.Int(int64(i))); got != anchors[i] {
+					t.Errorf("key %d: lookup found %p, inserted %p", i, got, anchors[i])
+					return
+				}
+				if tbl.Row(core.Int(-1-int64(i))) != nil || tbl.Row(core.Str("k")) != nil {
+					t.Error("a key never inserted was found")
+					return
+				}
+			}
+		}()
+	}
+	var inserters sync.WaitGroup
+	for w := range writers {
+		inserters.Add(1)
+		go func() {
+			defer inserters.Done()
+			for i := range perWriter {
+				k := core.Int(int64(seeded + w*perWriter + i))
+				row := tbl.EnsureRow(k)
+				row.Install(&Version{Rec: core.Record{k, core.Int(int64(i))}, Creator: 1})
+				if got := tbl.Row(k); got != row || got.Head().Rec[1] != core.Int(int64(i)) {
+					t.Errorf("key %v: not found, or not as written, right after its insert", k)
+					return
+				}
+			}
+		}()
+	}
+	inserters.Wait()
+	done.Store(true)
+	wg.Wait()
+	if n := tbl.RowCount(); n != seeded+writers*perWriter {
+		t.Fatalf("%d anchors, want %d", n, seeded+writers*perWriter)
+	}
+}

@@ -9,9 +9,9 @@ import (
 
 // stripe.go holds the hashing of the sharded lock table (a 64-bit
 // FNV-1a over a lock key's table name, kind and payload, inlined by hand
-// rather than hash/fnv because it sits on the per-statement fast path)
-// and the typed key maps the row map and the unique index are striped
-// over.
+// rather than hash/fnv because it sits on the per-statement fast path),
+// the hash that stripes the row map and the unique index, and the typed
+// key map the unique index keeps per stripe.
 
 const (
 	fnvOffset64 = 14695981039346656037
@@ -47,7 +47,8 @@ func hashLockKey(k LockKey) uint64 {
 // stringSeed seeds stripeHash for string keys; fixed for the process.
 var stringSeed = maphash.MakeSeed()
 
-// stripeHash picks a key's stripe: the caller takes the top bits. An
+// stripeHash picks a key's stripe: the caller takes the top bits (and
+// the row map the bits below them for a key's first slot). An
 // integer key is spread by one multiply (Fibonacci hashing), a string
 // key goes through the runtime's string hash. Nothing depends on which
 // stripe a key lands in (Table.Range promises no order), so the string
@@ -112,6 +113,3 @@ func (m *keyMap[V]) del(k core.Value) {
 		delete(m.strs, k.S)
 	}
 }
-
-// len returns the number of keys.
-func (m *keyMap[V]) len() int { return len(m.ints) + len(m.strs) }

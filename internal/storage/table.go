@@ -12,9 +12,8 @@ import (
 )
 
 // tableStripeBits sets the number of hash partitions of a table's row
-// map. Row lookups take one stripe's read lock, so row traffic on
-// different stripes never contends on a map mutex even when inserts are
-// growing the table.
+// map. Inserts take one stripe's mutex, so inserts growing the table on
+// different stripes never contend; lookups take none.
 const (
 	tableStripeBits = 5
 	tableStripes    = 1 << tableStripeBits
@@ -23,14 +22,76 @@ const (
 // rowSlab is how many row anchors a stripe allocates at a time.
 const rowSlab = 64
 
-// rowStripe is one partition of the row map.
+// rowStripe is one partition of the row map: an open-addressing table of
+// anchors that Row reads without a lock and without writing anything,
+// so that two processors reading the same rows share their lines
+// read-only. Anchors are never freed or moved: a lookup only has to find
+// one that was published, and an anchor published in a slot stays there
+// until the whole table is replaced by a larger copy.
 type rowStripe struct {
-	mu   sync.RWMutex
-	rows keyMap[*Row]
-	// slab is what is left of the block the next anchors are cut from:
+	tab atomic.Pointer[anchorTable]
+	// mu serializes the writers (EnsureRow). n counts the anchors and slab
+	// is what is left of the block the next anchors are cut from:
 	// anchors are never freed, so allocating them one by one buys
-	// nothing (guarded by mu, write side).
-	slab []Row
+	// nothing. Both are guarded by mu. An insert writes this line, not
+	// tab's, which every lookup reads; a stripe is two whole lines.
+	_    [56]byte
+	mu   sync.Mutex
+	n    int
+	slab []anchor
+	_    [24]byte
+}
+
+// anchor is a row anchor with its primary key.
+type anchor struct {
+	key core.Value
+	row Row
+}
+
+// anchorTable is a power-of-two array of anchor slots, probed linearly
+// from the slot the top bits of the key's hash (below the stripe's)
+// select. A slot keeps its anchor's hash beside the pointer, so a probe
+// past other keys reads no anchor but the one it finds. A slot is set
+// once, its hash before the atomic store of the complete anchor; the
+// table is replaced, never resized in place, and a replaced one is never
+// written again.
+type anchorTable struct {
+	slots []anchorSlot
+	shift uint // 64 − log2(len(slots))
+}
+
+type anchorSlot struct {
+	hash   uint64
+	anchor atomic.Pointer[anchor]
+}
+
+func newAnchorTable(bits uint) *anchorTable {
+	return &anchorTable{slots: make([]anchorSlot, 1<<bits), shift: 64 - bits}
+}
+
+// find returns the anchor of key, hashed to h, or nil.
+func (t *anchorTable) find(key core.Value, h uint64) *anchor {
+	mask := uint64(len(t.slots) - 1)
+	for i := h << tableStripeBits >> t.shift; ; i = (i + 1) & mask {
+		s := &t.slots[i]
+		a := s.anchor.Load()
+		if a == nil || s.hash == h && a.key == key {
+			return a
+		}
+	}
+}
+
+// place publishes a, whose key hashes to h, in the first free slot from
+// its hash. The caller holds the stripe's mutex and the table has a free
+// slot.
+func (t *anchorTable) place(a *anchor, h uint64) {
+	mask := uint64(len(t.slots) - 1)
+	i := h << tableStripeBits >> t.shift
+	for t.slots[i].anchor.Load() != nil {
+		i = (i + 1) & mask
+	}
+	t.slots[i].hash = h
+	t.slots[i].anchor.Store(a)
 }
 
 // Table is a versioned heap keyed by primary key, with any declared
@@ -38,9 +99,12 @@ type rowStripe struct {
 // the Row anchors themselves carry their own synchronization (lock-free
 // version chains), so the stripes only guard map access.
 type Table struct {
-	schema *core.Schema
-
+	// stripes come first: the table is one allocation of more than 512
+	// bytes, which the allocator's size classes place on a line
+	// boundary, so each stripe starts a line.
 	stripes [tableStripes]rowStripe
+
+	schema *core.Schema
 
 	indexes []*UniqueIndex // parallel to schema.Unique
 
@@ -68,70 +132,89 @@ func (t *Table) Schema() *core.Schema { return t.schema }
 // Name returns the table name.
 func (t *Table) Name() string { return t.schema.Name }
 
-// stripe returns the partition holding key.
-func (t *Table) stripe(key core.Value) *rowStripe {
-	return &t.stripes[stripeHash(key)>>(64-tableStripeBits)]
+// stripe returns the partition holding a key that hashes to h.
+func (t *Table) stripe(h uint64) *rowStripe {
+	return &t.stripes[h>>(64-tableStripeBits)]
 }
 
 // Row returns the row anchor for key, or nil if the key has never been
 // inserted (a NULL key or one of the other kind than the table's keys
-// included).
+// included). It takes no lock and writes nothing.
 func (t *Table) Row(key core.Value) *Row {
-	s := t.stripe(key)
-	s.mu.RLock()
-	r := s.rows.get(key)
-	s.mu.RUnlock()
-	return r
+	h := stripeHash(key)
+	tab := t.stripe(h).tab.Load()
+	if tab == nil {
+		return nil
+	}
+	if a := tab.find(key, h); a != nil {
+		return &a.row
+	}
+	return nil
 }
 
 // EnsureRow returns the row anchor for key, creating an empty anchor if
 // needed (the insert path). key must not be NULL. It takes the stripe's
-// write lock outright: its callers, an INSERT and recovery, almost
-// always create the anchor, so a read-locked probe first would only add
-// a lock round trip and a map lookup.
+// mutex outright: its callers, an INSERT and recovery, almost always
+// create the anchor, so a lock-free probe first would only add a lookup.
 func (t *Table) EnsureRow(key core.Value) *Row {
-	s := t.stripe(key)
+	if key.K != core.KindInt && key.K != core.KindString {
+		panic(fmt.Sprintf("storage: a %s key has no slot", key.K))
+	}
+	h := stripeHash(key)
+	s := t.stripe(h)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	r := s.rows.get(key)
-	if r == nil {
-		if len(s.slab) == 0 {
-			s.slab = make([]Row, rowSlab)
+	tab := s.tab.Load()
+	if tab != nil {
+		if a := tab.find(key, h); a != nil {
+			return &a.row
 		}
-		r, s.slab = &s.slab[0], s.slab[1:]
-		s.rows.put(key, r)
 	}
-	return r
-}
-
-// rangeEntry is one anchor Range copied out of a stripe.
-type rangeEntry struct {
-	key core.Value
-	row *Row
+	// At most three quarters full: a probe that finds its key reads two
+	// or three slots and one anchor (the slots keep the hashes), and the
+	// slots cost a row 16 to 32 bytes.
+	if tab == nil || 4*(s.n+1) > 3*len(tab.slots) {
+		bits := uint(3)
+		if tab != nil {
+			bits = 65 - tab.shift
+		}
+		grown := newAnchorTable(bits)
+		if tab != nil {
+			for i := range tab.slots {
+				if a := tab.slots[i].anchor.Load(); a != nil {
+					grown.place(a, tab.slots[i].hash)
+				}
+			}
+		}
+		tab = grown
+		s.tab.Store(tab)
+	}
+	if len(s.slab) == 0 {
+		s.slab = make([]anchor, rowSlab)
+	}
+	a := &s.slab[0]
+	s.slab = s.slab[1:]
+	a.key = key
+	tab.place(a, h)
+	s.n++
+	return &a.row
 }
 
 // Range calls fn for every row anchor of the table, in no particular
-// order, until fn returns false. Each stripe's anchors are copied out
-// under its read lock and visited after the lock is released, so fn may
-// block, and inserts proceed while it runs. Every anchor present when
-// Range starts is visited exactly once; one inserted meanwhile may or
-// may not be. Anchors are never removed, so a walk that starts after a
-// cut was taken visits every row committed at or below that cut.
+// order, until fn returns false. It walks each stripe's table as it was
+// when the walk reached the stripe, holding no lock, so fn may block,
+// and inserts proceed while it runs. Every anchor present when Range
+// starts is visited exactly once; one inserted meanwhile may or may not
+// be. Anchors are never removed, so a walk that starts after a cut was
+// taken visits every row committed at or below that cut.
 func (t *Table) Range(fn func(key core.Value, row *Row) bool) {
-	var buf []rangeEntry
 	for i := range t.stripes {
-		s := &t.stripes[i]
-		buf = buf[:0]
-		s.mu.RLock()
-		for k, r := range s.rows.ints {
-			buf = append(buf, rangeEntry{core.Int(k), r})
+		tab := t.stripes[i].tab.Load()
+		if tab == nil {
+			continue
 		}
-		for k, r := range s.rows.strs {
-			buf = append(buf, rangeEntry{core.Str(k), r})
-		}
-		s.mu.RUnlock()
-		for _, e := range buf {
-			if !fn(e.key, e.row) {
+		for j := range tab.slots {
+			if a := tab.slots[j].anchor.Load(); a != nil && !fn(a.key, &a.row) {
 				return
 			}
 		}
@@ -189,9 +272,9 @@ func (t *Table) RowCount() int {
 	n := 0
 	for i := range t.stripes {
 		s := &t.stripes[i]
-		s.mu.RLock()
-		n += s.rows.len()
-		s.mu.RUnlock()
+		s.mu.Lock()
+		n += s.n
+		s.mu.Unlock()
 	}
 	return n
 }

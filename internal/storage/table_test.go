@@ -2,6 +2,7 @@ package storage
 
 import (
 	"testing"
+	"unsafe"
 
 	"sicost/internal/core"
 )
@@ -173,5 +174,24 @@ func TestUniqueIndexAbortCleans(t *testing.T) {
 	ix.Commit(2, 3, 0)
 	if pk, ok := ix.Lookup(3, 9, core.Int(7)); !ok || pk != core.Str("b") {
 		t.Fatal("post-abort reinsert lost")
+	}
+}
+
+// TestStripesAreWholeLines: a row-map stripe is two 64-byte lines, the
+// one every lookup reads and the one an insert writes, a lock table's
+// per-transaction shard is one, and a table's stripes start its
+// allocation, which the allocator puts on a line boundary (a table is
+// over 512 bytes).
+func TestStripesAreWholeLines(t *testing.T) {
+	var s rowStripe
+	var tbl Table
+	if unsafe.Sizeof(s) != 128 || unsafe.Offsetof(s.mu) != 64 {
+		t.Errorf("row stripe: %d bytes, writers' line at byte %d", unsafe.Sizeof(s), unsafe.Offsetof(s.mu))
+	}
+	if n := unsafe.Sizeof(txShard{}); n != 64 {
+		t.Errorf("transaction shard: %d bytes", n)
+	}
+	if unsafe.Offsetof(tbl.stripes) != 0 || unsafe.Sizeof(tbl) <= 512 {
+		t.Errorf("table: stripes at byte %d of %d", unsafe.Offsetof(tbl.stripes), unsafe.Sizeof(tbl))
 	}
 }

@@ -682,3 +682,51 @@ func TestHoldRegimes(t *testing.T) {
 		run(fmt.Sprint(rets), rets, 0.95)
 	}
 }
+
+// TestControlWindowSkipsTheClock: under a simulated sync, a window of
+// control records alone — a checkpoint's rows batches, its markers, a
+// schema frame — is written and synced on the device without waiting a
+// simulated sync, and leaves the clock as it was; a commit queued next
+// still waits its whole sync, and a control record queued during that
+// sync is written right after it, without a sync of its own.
+func TestControlWindowSkipsTheClock(t *testing.T) {
+	const latency = 50 * time.Millisecond
+	w := New(Config{Device: newTestLog(t), FsyncLatency: latency})
+	defer w.Close()
+	start := time.Now()
+	for range 8 {
+		if err := sequenced(w, Control(EncodeCkptRows(&CkptRows{CSN: 1}))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if took := time.Since(start); took >= latency {
+		t.Fatalf("8 control-only windows took %v, one simulated sync is %v", took, latency)
+	}
+	w.mu.Lock()
+	freeAt := w.freeAt
+	w.mu.Unlock()
+	if s := w.Stats(); s.Syncs != 8 || s.Records != 0 || !freeAt.IsZero() {
+		t.Fatalf("after 8 control-only windows: %+v, clock free at %v", s, freeAt)
+	}
+
+	start = time.Now()
+	commit := enqueue(t, w, framed(w, &Record{TxID: 1, CSN: 1}))
+	waitQueued(t, w, 0) // the commit's window is claimed and waiting its sync
+	rows := Control(EncodeCkptRows(&CkptRows{CSN: 1}))
+	rowsDone := enqueue(t, w, rows)
+	if err := <-commit; err != nil {
+		t.Fatal(err)
+	}
+	if took := time.Since(start); took < latency {
+		t.Fatalf("commit acknowledged after %v, before its %v sync", took, latency)
+	}
+	if err := <-rowsDone; err != nil {
+		t.Fatal(err)
+	}
+	if took := time.Since(start); took >= 2*latency {
+		t.Errorf("control record queued during the commit's sync done after %v: it waited a sync of its own", took)
+	}
+	if s := w.Stats(); s.Syncs != 10 || s.Records != 1 {
+		t.Fatalf("after a commit and a control record: %+v", s)
+	}
+}

@@ -418,23 +418,23 @@ func TestSpinFollowsTheDevice(t *testing.T) {
 
 // TestSpinStepsAsideForACrowd: with more transactions open than there
 // are processors a poller would hold a processor a runnable committer
-// needs, so Spin goes straight to the blocking wait; with no more than
-// one each, it polls.
+// needs, so Spin looks at cond once and goes to the blocking wait; with
+// no more than one each, it polls.
 func TestSpinStepsAsideForACrowd(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	w := New(Config{Device: newTestLog(t)})
 	defer w.Close()
 	var open atomic.Int64
-	w.SetCommitters(&open)
+	w.SetCommitters(open.Load)
 	for _, c := range []struct {
 		open  int64
 		polls bool
 	}{{1, true}, {2, true}, {3, false}, {20, false}, {2, true}} {
 		open.Store(c.open)
 		calls := 0
-		w.Spin(func() bool { calls++; return true })
-		if (calls > 0) != c.polls {
-			t.Errorf("%d transactions open on 2 processors: polled %v, want %v", c.open, calls > 0, c.polls)
+		w.Spin(func() bool { calls++; return calls == 3 })
+		if (calls > 1) != c.polls || calls == 0 {
+			t.Errorf("%d transactions open on 2 processors: %d looks at cond, want polling %v", c.open, calls, c.polls)
 		}
 	}
 }

@@ -52,6 +52,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"sicost/internal/core"
 	"sicost/internal/faultinject"
@@ -202,10 +203,24 @@ func (s Stats) CommitsPerSync() float64 {
 }
 
 // WAL is the group-commit log. The zero value is not usable; call New.
+// Its fields are laid out by how commits use them (DESIGN.md, "Fields
+// written per transaction"): what every commit reads and nobody writes
+// after New comes first (walSetup), and each group that flush windows or
+// commits write starts a line of its own, so a committer reading its
+// configuration on one processor does not pull the line a flush on the
+// other is writing. WAL is over 512 bytes, which the allocator's size
+// classes place on a line boundary.
 type WAL struct {
-	cfg    Config
-	faults *faultinject.Registry
-	tracer *trace.Recorder
+	walSetup
+	_ [cacheLine - unsafe.Sizeof(walSetup{})%cacheLine]byte
+
+	// lastWindow is how long a flush window's append and sync took, in
+	// nanoseconds, kept only where spin is not zero: of the windows
+	// flushWindow times, the last one that took longer than spin when the
+	// one before it did not, or the other way round. Spin polls only
+	// while it is under spin. Any window may write it.
+	lastWindow atomic.Int64
+	_          [cacheLine - unsafe.Sizeof(atomic.Int64{})]byte
 
 	// devMu is held by a flush window's device write, from its first
 	// fault point to its sync, and by Retire, the one device user beside
@@ -214,6 +229,7 @@ type WAL struct {
 	// between a window's append and its sync, where the window would be
 	// acknowledged over bytes it lost.
 	devMu sync.Mutex
+	_     [cacheLine - unsafe.Sizeof(sync.Mutex{})]byte
 
 	// leadMu is held by whoever runs the flush loop — a committer leading
 	// its own record out (Lead) or the background goroutine — and is what
@@ -223,20 +239,12 @@ type WAL struct {
 	// It is locked before mu, except where mu's holder knows it to be free
 	// (flusher is false).
 	leadMu sync.Mutex
-	// spin is how long Spin polls; see spinBudget. lastWindow is how long
-	// the last flush window's append and sync took, in nanoseconds, kept
-	// only where spin is not zero: Spin polls only while it is under spin.
-	// committers, when set (SetCommitters), counts the transactions open
-	// against the log, and Spin polls only while they are no more than
-	// procs, the processors there were at New.
-	spin       time.Duration
-	lastWindow atomic.Int64
-	committers *atomic.Int64
-	procs      int64
-
 	// window is the records the flush loop is flushing, moved off the
-	// queue by takeWindow; it belongs to whoever holds leadMu.
-	window []*Record
+	// queue by takeWindow, and windows counts the windows flushed; they
+	// belong to whoever holds leadMu.
+	window  []*Record
+	windows uint64
+	_       [cacheLine - unsafe.Sizeof(sync.Mutex{}) - unsafe.Sizeof([]*Record(nil)) - 8]byte
 
 	mu      sync.Mutex
 	idle    sync.Cond // broadcast when the flush loop exits
@@ -251,11 +259,6 @@ type WAL struct {
 	heir    *Record
 	closed  bool
 	stats   Stats
-	// broken is the sticky error of a device that died (crash or IO
-	// error; recovery required), set once. It is atomic, so the flush
-	// loop and writeWindow check it without mu; it is set before the
-	// broadcast on durable that WaitDurableCSN's waiters wake to.
-	broken atomic.Pointer[error]
 	// The simulated device's clock (see claimAt and syncStart). freeAt
 	// is when it finished its last sync: the earliest instant the next
 	// one may start. cohort is how many committers that sync acknowledged
@@ -284,10 +287,32 @@ type WAL struct {
 	outstandingRecs int
 }
 
+// walSetup is the part of WAL that New sets up and every commit reads.
+type walSetup struct {
+	cfg    Config
+	faults *faultinject.Registry
+	tracer *trace.Recorder
+	// spin is how long Spin polls; see spinBudget. committers, when set
+	// (SetCommitters), counts the transactions open against the log, and
+	// Spin polls only while they are no more than procs, the processors
+	// there were at New.
+	spin       time.Duration
+	committers func() int64
+	procs      int64
+	// broken is the sticky error of a device that died (crash or IO
+	// error; recovery required), set once. It is atomic, so the flush
+	// loop and writeWindow check it without mu; it is set before the
+	// broadcast on durable that WaitDurableCSN's waiters wake to.
+	broken atomic.Pointer[error]
+}
+
+// cacheLine is the line size the layout of WAL assumes.
+const cacheLine = 64
+
 // New creates a WAL. With no device and zero FsyncLatency the log is
 // disabled and Commit returns immediately.
 func New(cfg Config) *WAL {
-	w := &WAL{cfg: cfg, spin: spinBudget(cfg), procs: int64(runtime.GOMAXPROCS(0))}
+	w := &WAL{walSetup: walSetup{cfg: cfg, spin: spinBudget(cfg), procs: int64(runtime.GOMAXPROCS(0))}}
 	w.idle.L = &w.mu
 	w.durable.L = &w.mu
 	return w
@@ -304,6 +329,9 @@ func New(cfg Config) *WAL {
 // disk's write-through write) turns the poll off until a window is fast
 // again (see Spin).
 const spinFor = 50 * time.Microsecond
+
+// timeEvery is how often a flush window on a fast device is timed.
+const timeEvery = 16
 
 // spinBudget is how long Spin polls on a log configured by cfg: spinFor
 // with a device and no simulated latency, and nothing otherwise. Under a
@@ -328,15 +356,23 @@ func spinBudget(cfg Config) time.Duration {
 // queued behind the poller — often the one it waits for — runs on it.
 // A caller whose cond did not hold goes on to its blocking wait. Spin
 // returns false without calling cond, and the wait is its blocking half
-// alone, when there is no budget; when the last flush window's append
-// and sync took longer than the budget (the waits are paced by the
-// device, and a poll would mostly run out); and when more
-// transactions are open than there are processors (SetCommitters): a
-// poller then holds a processor that a runnable committer, often the
-// one it waits for, could have had.
+// alone, when there is no budget, and when the last flush window's
+// append and sync took longer than the budget (the waits are paced by
+// the device, and a poll would mostly run out). When more transactions
+// are open than there are processors (SetCommitters) it looks at cond
+// once and does not poll: a poller would then hold a processor that a
+// runnable committer, often the one it waits for, could have had. The
+// count is read only once that first look has failed: most waits have
+// ended by the time they begin, and the count is the sum of lines that
+// the committers on the other processors write.
 func (w *WAL) Spin(cond func() bool) bool {
-	if w.spin == 0 || w.lastWindow.Load() > int64(w.spin) ||
-		w.committers != nil && w.committers.Load() > w.procs {
+	if w.spin == 0 || w.lastWindow.Load() > int64(w.spin) {
+		return false
+	}
+	if cond() {
+		return true
+	}
+	if w.committers != nil && w.committers() > w.procs {
 		return false
 	}
 	// The clock is read only once a round of polls has failed: most
@@ -361,7 +397,7 @@ func (w *WAL) Spin(cond func() bool) bool {
 // SetCommitters gives the log the count of transactions open against it,
 // which Spin reads (nil: not known, as for a log used alone). Call before
 // commits are in flight.
-func (w *WAL) SetCommitters(n *atomic.Int64) { w.committers = n }
+func (w *WAL) SetCommitters(open func() int64) { w.committers = open }
 
 // SetFaults installs the fault registry consulted by the FaultCommit,
 // FaultFlush, FaultSync and FaultCkptRows points (nil disables),
@@ -467,7 +503,7 @@ func (w *WAL) Enqueue(rec *Record) (<-chan error, error) {
 		rec.done = make(chan error, 1)
 	}
 
-	w.mu.Lock()
+	w.lock()
 	if w.closed {
 		w.mu.Unlock()
 		return nil, core.ErrWALClosed
@@ -490,6 +526,17 @@ func (w *WAL) Enqueue(rec *Record) (<-chan error, error) {
 	w.mu.Unlock()
 
 	return rec.done, nil
+}
+
+// lock takes mu for a committer or a flush loop. Its holders stay for a
+// queue append, a window's claim or its settle, so the caller polls for
+// it first (Spin), as the engine does for its sequencer: a waiter that
+// parks is woken late, and on a virtual machine its processor may go
+// idle meanwhile.
+func (w *WAL) lock() {
+	if !w.Spin(w.mu.TryLock) {
+		w.mu.Lock()
+	}
 }
 
 // startFlusher starts the background flush loop; the caller holds mu and
@@ -529,7 +576,7 @@ func (w *WAL) background() {
 // Lead consumes no verdict: the caller receives from the channel Enqueue
 // returned.
 func (w *WAL) Lead(rec *Record, wait bool) {
-	w.mu.Lock()
+	w.lock()
 	running := w.flusher
 	if running && (w.heir != nil || !wait) || !slices.Contains(w.pending, rec) {
 		w.mu.Unlock()
@@ -541,7 +588,7 @@ func (w *WAL) Lead(rec *Record, wait bool) {
 		if !w.Spin(w.leadMu.TryLock) {
 			w.leadMu.Lock()
 		}
-		w.mu.Lock()
+		w.lock()
 	} else {
 		w.flusher = true
 		w.leadMu.Lock()
@@ -605,7 +652,7 @@ func (w *WAL) flushLoop(own *Record) {
 			continue
 		}
 		bytes, err := w.flushWindow(window)
-		w.mu.Lock()
+		w.lock()
 		w.settle(window, bytes, err, own != nil)
 	}
 	w.mu.Unlock()
@@ -658,13 +705,25 @@ func (w *WAL) leave(own *Record) bool {
 // nothing to wait for: a window is everything pending, the records that
 // queued up during the previous window's real sync. A bricked WAL claims
 // the same way: the records still queued fail at once with the sticky
-// cause, not one sync period apart. Either way MaxBatch caps the window.
+// cause, not one sync period apart. So do the control records at the
+// head of the queue: the clock times the commit log, and a schema frame
+// or a checkpoint's frames that no commit rides with are written and
+// synced on the device, not held to a simulated sync (a checkpoint
+// streams hundreds of rows batches, and one sync each made it take
+// seconds). Either way MaxBatch caps the window.
 func (w *WAL) claimWindow() (window []*Record, deadline time.Time) {
-	if w.cfg.FsyncLatency > 0 && w.Broken() == nil {
+	clocked := w.cfg.FsyncLatency > 0 && w.Broken() == nil
+	if clocked && !w.pending[0].control {
 		return w.claimAt(time.Now())
 	}
+	n := len(w.pending)
+	if clocked {
+		if i := slices.IndexFunc(w.pending, func(r *Record) bool { return !r.control }); i >= 0 {
+			n = i
+		}
+	}
 	w.held = false
-	return w.takeWindow(len(w.pending)), time.Time{}
+	return w.takeWindow(n), time.Time{}
 }
 
 // takeWindow moves the first n queued records, MaxBatch at most, off the
@@ -809,13 +868,25 @@ func (w *WAL) flushWindow(window []*Record) (bytes int, err error) {
 		}
 	}
 	frames, bytes := windowFrames(window)
+	// Timed while the device is slow, and one window in timeEvery while
+	// it is fast: a clock read costs tens of nanoseconds on a virtual
+	// machine, and a fast device that turns slow is noticed a few windows
+	// later.
+	budget := int64(w.spin)
+	w.windows++
+	timed := budget > 0 && (w.lastWindow.Load() > budget || w.windows%timeEvery == 1)
 	var start time.Time
-	if w.spin > 0 {
+	if timed {
 		start = time.Now()
 	}
 	err = w.writeWindow(frames, slices.ContainsFunc(window, (*Record).ckptRows))
-	if w.spin > 0 {
-		w.lastWindow.Store(int64(time.Since(start)))
+	if timed {
+		// Stored only when it lands on the other side of the budget:
+		// every Spin reads the line, and a store per window would take
+		// it from the other processor's cache each time.
+		if took := int64(time.Since(start)); (took > budget) != (w.lastWindow.Load() > budget) {
+			w.lastWindow.Store(took)
+		}
 	}
 	if err == nil && w.tracer.Enabled() {
 		// A device-level event: no transaction; Depth is the window size.
@@ -827,9 +898,10 @@ func (w *WAL) flushWindow(window []*Record) (bytes int, err error) {
 // settle accounts a flushed window and delivers its verdict (resolve);
 // the caller holds mu. led says that a committer ran the loop.
 func (w *WAL) settle(window []*Record, bytes int, err error, led bool) {
-	if w.cfg.FsyncLatency > 0 && w.cfg.Device != nil {
+	if w.cfg.FsyncLatency > 0 && w.cfg.Device != nil && !window[0].control {
 		// The real append and sync came on top of the simulated one: the
-		// device was busy until now.
+		// device was busy until now. A window of control records alone
+		// had no simulated sync and leaves the clock as it was.
 		w.freeAt = time.Now()
 	}
 	if err != nil {
