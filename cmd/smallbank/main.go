@@ -90,7 +90,7 @@ func main() {
 		for _, s := range smallbank.Strategies() {
 			sound := "sound on both platforms"
 			switch {
-			case s.Name == "SI":
+			case !s.GuaranteesSerializable():
 				sound = "no serializability guarantee"
 			case !s.SoundOn(core.PlatformPostgres):
 				sound = "sound on commercial only"

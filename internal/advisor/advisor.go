@@ -14,7 +14,10 @@
 //
 // The model is deliberately simple and fully documented:
 //
-//	service time  S_p = TxnCPU + |accesses_p|·StmtCPU + Σ penalties
+//	service time  S_p = TxnCPU + n_p·StmtCPU + Σ penalties
+//	statements    n_p = |base accesses_p| + 2 per materialize or
+//	                    promote-upd (a read and a write; a
+//	                    promote-sfu replaces a read)
 //	updater tax   U_p = UpdaterCommitCPU            (if p writes)
 //	wal wait      W_p = 1.5·Fsync                   (if p writes; group
 //	                                                 commit amortizes
@@ -34,6 +37,7 @@ package advisor
 import (
 	"fmt"
 	"sort"
+	"strings"
 	"time"
 
 	"sicost/internal/core"
@@ -93,22 +97,29 @@ type Prediction struct {
 	Sound bool
 }
 
-// programCost computes the per-transaction costs of one program.
+// programCost computes the per-transaction costs of one program. p is
+// the modified program, whose accesses hold one added access per
+// modification; the engine runs a materialize or promote-upd as two
+// statements and a promote-sfu as none.
 func programCost(p *sdg.Program, mods []sdg.Modification, plat Platform) (service, updaterTax, walWait time.Duration) {
-	service = plat.Res.TxnCPU + time.Duration(len(p.Accesses))*plat.Res.StmtCPU
+	stmts := len(p.Accesses)
 	for _, m := range mods {
 		if m.Program != p.Name {
 			continue
 		}
 		switch m.Technique {
 		case sdg.Materialize:
+			stmts++ // the Conflict row is read, then written
 			service += plat.Cost.MaterializeWrite
 		case sdg.PromoteUpdate:
+			stmts++ // the identity update reads its row, then writes it
 			service += plat.Cost.PromoteUpdate
 		case sdg.PromoteSFU:
+			stmts-- // FOR UPDATE replaces the program's own read
 			service += plat.Cost.SelectForUpdate
 		}
 	}
+	service += plat.Res.TxnCPU + time.Duration(stmts)*plat.Res.StmtCPU
 	if !p.ReadOnly() {
 		updaterTax = plat.Res.UpdaterCommitCPU
 		// Group commit amortizes the device across committers but each
@@ -239,13 +250,8 @@ func Advise(base []*sdg.Program, w Workload, plat Platform) ([]Prediction, error
 				if err != nil {
 					return nil, err
 				}
-				var edge *sdg.Edge
-				for _, e := range gg.Edges() {
-					if e.ID() == edgeID {
-						edge = e
-						break
-					}
-				}
+				from, to, _ := strings.Cut(edgeID, "->")
+				edge := gg.Edge(from, to)
 				if edge == nil {
 					ok = false
 					break
@@ -261,7 +267,7 @@ func Advise(base []*sdg.Program, w Workload, plat Platform) ([]Prediction, error
 			if !ok {
 				continue
 			}
-			name := fmt.Sprintf("%s:%s", joinIDs(fixSet), tech)
+			name := fmt.Sprintf("%s:%s", strings.Join(fixSet, "+"), tech)
 			addOption(name, tech, progs, allMods)
 		}
 	}
@@ -283,17 +289,6 @@ func Advise(base []*sdg.Program, w Workload, plat Platform) ([]Prediction, error
 		return out[i].TPS > out[j].TPS
 	})
 	return out, nil
-}
-
-func joinIDs(ids []string) string {
-	s := ""
-	for i, id := range ids {
-		if i > 0 {
-			s += "+"
-		}
-		s += id
-	}
-	return s
 }
 
 // Render formats a ranked advice list.

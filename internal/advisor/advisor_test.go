@@ -254,3 +254,40 @@ func TestFixedRowCollisionsDominates(t *testing.T) {
 		t.Fatalf("fixed-row waste %v <= per-customer %v", b.AbortWaste, a.AbortWaste)
 	}
 }
+
+// TestProgramCostMatchesEngine holds the model's per-program CPU to what
+// the engine charges: for every strategy and program on both platform
+// profiles, service time plus updater tax equals the simulated CPU one
+// serial smallbank.Run spends at MPL 1.
+func TestProgramCostMatchesEngine(t *testing.T) {
+	for _, plat := range []Platform{postgresPlatform(), commercialPlatform()} {
+		cost := plat.Cost
+		db, _, err := smallbank.Open(engine.Config{
+			Mode: core.SnapshotFUW, Platform: plat.Name, Res: plat.Res, Cost: &cost,
+		}, smallbank.LoadConfig{Customers: 10, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer db.Close()
+		for _, s := range smallbank.Strategies() {
+			progs, err := s.SDGPrograms()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, p := range progs {
+				typ := smallbank.TxnType(i)
+				service, tax, _ := programCost(p, s.Modifications(), plat)
+				before := db.Machine().CPUBusy()
+				if err := smallbank.Run(db, s, typ, smallbank.Params{
+					N1: smallbank.CustomerName(1), N2: smallbank.CustomerName(2), V: 1,
+				}); err != nil {
+					t.Fatalf("%s %s %s: %v", plat.Name, s.Name, typ.Short(), err)
+				}
+				if got := db.Machine().CPUBusy() - before; service+tax != got {
+					t.Errorf("%s %s %s: model %v + %v, engine charged %v",
+						plat.Name, s.Name, p.Name, service, tax, got)
+				}
+			}
+		}
+	}
+}

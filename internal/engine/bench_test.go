@@ -234,6 +234,25 @@ func BenchmarkCommitDurable(b *testing.B) {
 	}
 }
 
+// openFileLog opens a segment log of segSize-byte segments in a fresh
+// directory on /dev/shm, or in the benchmark's temporary directory where
+// there is none, so the file-device benchmarks price the commit path and
+// not the disk under TMPDIR. Log and directory go when the benchmark
+// ends.
+func openFileLog(b *testing.B, segSize int64) *wal.SegmentLog {
+	dir := b.TempDir()
+	if shm, err := os.MkdirTemp("/dev/shm", "sicost-bench-"); err == nil {
+		b.Cleanup(func() { os.RemoveAll(shm) })
+		dir = shm
+	}
+	dev, err := wal.OpenSegmentLog(dir, segSize)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { dev.Close() })
+	return dev
+}
+
 // BenchmarkCommitDurableMPL16 prices group commit under contention for
 // the device: 16 committers on disjoint key stripes against a real
 // file-backed segment log. coalesced covers every record queued during
@@ -257,11 +276,7 @@ func BenchmarkCommitDurableMPL16(b *testing.B) {
 		{"segments-file", 256 << 10, false},
 	} {
 		b.Run(v.name, func(b *testing.B) {
-			dev, err := wal.OpenSegmentLog(b.TempDir(), v.segSize)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.Cleanup(func() { dev.Close() })
+			dev := openFileLog(b, v.segSize)
 			// FsyncLatency models a realistic ~200µs device sync on top of
 			// the real file I/O: tmpfs fsyncs complete in microseconds, so
 			// without it no queue forms behind the sync and every variant
@@ -350,18 +365,7 @@ func BenchmarkCommitDurableMPL2(b *testing.B) {
 		dev  func(b *testing.B) (wal.LogDevice, error)
 	}{
 		{"mem", func(b *testing.B) (wal.LogDevice, error) { return wal.NewMemSegmentLog(2 << 20) }},
-		{"file", func(b *testing.B) (wal.LogDevice, error) {
-			dir := b.TempDir()
-			if shm, err := os.MkdirTemp("/dev/shm", "sicost-bench-"); err == nil {
-				b.Cleanup(func() { os.RemoveAll(shm) })
-				dir = shm
-			}
-			dev, err := wal.OpenSegmentLog(dir, 2<<20)
-			if err == nil {
-				b.Cleanup(func() { dev.Close() })
-			}
-			return dev, err
-		}},
+		{"file", func(b *testing.B) (wal.LogDevice, error) { return openFileLog(b, 2<<20), nil }},
 	} {
 		b.Run(v.name, func(b *testing.B) {
 			dev, err := v.dev(b)
@@ -449,11 +453,7 @@ func BenchmarkCommitCheckpointMPL16(b *testing.B) {
 		{"checkpointing", true},
 	} {
 		b.Run(v.name, func(b *testing.B) {
-			dev, err := wal.OpenSegmentLog(b.TempDir(), 1<<30)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.Cleanup(func() { dev.Close() })
+			dev := openFileLog(b, 1<<30)
 			cfg := Config{
 				Mode: core.SnapshotFUW, Platform: core.PlatformPostgres,
 				WAL: wal.Config{Device: dev, FsyncLatency: 200 * time.Microsecond},

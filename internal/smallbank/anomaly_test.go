@@ -64,7 +64,7 @@ func runAnomalyScript(t *testing.T, db *engine.DB, s *Strategy) (rep *checker.Re
 	// TS deposits 2000 into savings and commits.
 	tsTx := db.Begin()
 	tsTx.SetTag("TS")
-	if err := RunTransactSaving(tsTx, s, Params{N1: name, V: 2000}); err != nil {
+	if err := RunIn(tsTx, s, TransactSaving, Params{N1: name, V: 2000}); err != nil {
 		tsTx.Abort()
 		if fail(err) {
 			wcTx.Abort()
@@ -78,7 +78,7 @@ func runAnomalyScript(t *testing.T, db *engine.DB, s *Strategy) (rep *checker.Re
 	// Bal reads the total: sees the deposit (snapshot after TS).
 	balTx := db.Begin()
 	balTx.SetTag("Bal")
-	if _, err := RunBalance(balTx, s, Params{N1: name}); err != nil {
+	if err := RunIn(balTx, s, Balance, Params{N1: name}); err != nil {
 		balTx.Abort()
 		if fail(err) {
 			wcTx.Abort()
@@ -92,7 +92,7 @@ func runAnomalyScript(t *testing.T, db *engine.DB, s *Strategy) (rep *checker.Re
 	// WC writes a check against the stale snapshot: savings 1000 +
 	// checking 500 < 1600 => penalty, even though the real total is now
 	// 3500.
-	if err := RunWriteCheck(wcTx, s, Params{N1: name, V: 1600}); err != nil {
+	if err := RunIn(wcTx, s, WriteCheck, Params{N1: name, V: 1600}); err != nil {
 		wcTx.Abort()
 		if fail(err) {
 			return analyze(), conflicted
@@ -165,7 +165,7 @@ func TestUnsoundSfuOnPostgres(t *testing.T) {
 
 	wcTx := db.Begin()
 	wcTx.SetTag("WC")
-	if err := RunWriteCheck(wcTx, StrategyPromoteWTSfu, Params{N1: name, V: 1600}); err != nil {
+	if err := RunIn(wcTx, StrategyPromoteWTSfu, WriteCheck, Params{N1: name, V: 1600}); err != nil {
 		t.Fatalf("WC with sfu: %v", err)
 	}
 
@@ -175,7 +175,7 @@ func TestUnsoundSfuOnPostgres(t *testing.T) {
 	go func() {
 		// TS blocks on the sfu lock until WC commits, then (on
 		// PostgreSQL) proceeds without error.
-		if err := RunTransactSaving(tsTx, StrategyPromoteWTSfu, Params{N1: name, V: 2000}); err != nil {
+		if err := RunIn(tsTx, StrategyPromoteWTSfu, TransactSaving, Params{N1: name, V: 2000}); err != nil {
 			tsTx.Abort()
 			errc <- err
 			return
@@ -203,14 +203,14 @@ func TestCommercialSfuPreventsTheEdge(t *testing.T) {
 	name := CustomerName(0)
 
 	wcTx := db.Begin()
-	if err := RunWriteCheck(wcTx, StrategyPromoteWTSfu, Params{N1: name, V: 1600}); err != nil {
+	if err := RunIn(wcTx, StrategyPromoteWTSfu, WriteCheck, Params{N1: name, V: 1600}); err != nil {
 		t.Fatalf("WC with sfu: %v", err)
 	}
 
 	tsTx := db.Begin()
 	errc := make(chan error, 1)
 	go func() {
-		err := RunTransactSaving(tsTx, StrategyPromoteWTSfu, Params{N1: name, V: 2000})
+		err := RunIn(tsTx, StrategyPromoteWTSfu, TransactSaving, Params{N1: name, V: 2000})
 		if err != nil {
 			tsTx.Abort()
 			errc <- err
@@ -251,7 +251,7 @@ func TestTwoPLPreventsAnomaly(t *testing.T) {
 	name := CustomerName(0)
 
 	wcTx := db.Begin()
-	if err := RunWriteCheck(wcTx, StrategySI, Params{N1: name, V: 1600}); err != nil {
+	if err := RunIn(wcTx, StrategySI, WriteCheck, Params{N1: name, V: 1600}); err != nil {
 		t.Fatalf("WC under 2PL: %v", err)
 	}
 

@@ -15,13 +15,13 @@ func TestFixedConflictRowStrategyExecution(t *testing.T) {
 	// variant (the whole point of the ablation).
 	t1 := db.Begin()
 	t2 := db.Begin()
-	if err := RunWriteCheck(t1, StrategyMaterializeWTFixed, Params{N1: CustomerName(1), V: 10}); err != nil {
+	if err := RunIn(t1, StrategyMaterializeWTFixed, WriteCheck, Params{N1: CustomerName(1), V: 10}); err != nil {
 		t.Fatal(err)
 	}
 	if err := t1.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	err := RunWriteCheck(t2, StrategyMaterializeWTFixed, Params{N1: CustomerName(2), V: 10})
+	err := RunIn(t2, StrategyMaterializeWTFixed, WriteCheck, Params{N1: CustomerName(2), V: 10})
 	if !errors.Is(err, core.ErrSerialization) {
 		t.Fatalf("fixed-row variant must conflict across customers: %v", err)
 	}
@@ -30,13 +30,13 @@ func TestFixedConflictRowStrategyExecution(t *testing.T) {
 	// The per-customer variant does NOT conflict across customers.
 	t3 := db.Begin()
 	t4 := db.Begin()
-	if err := RunWriteCheck(t3, StrategyMaterializeWT, Params{N1: CustomerName(3), V: 10}); err != nil {
+	if err := RunIn(t3, StrategyMaterializeWT, WriteCheck, Params{N1: CustomerName(3), V: 10}); err != nil {
 		t.Fatal(err)
 	}
 	if err := t3.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	if err := RunWriteCheck(t4, StrategyMaterializeWT, Params{N1: CustomerName(4), V: 10}); err != nil {
+	if err := RunIn(t4, StrategyMaterializeWT, WriteCheck, Params{N1: CustomerName(4), V: 10}); err != nil {
 		t.Fatalf("per-customer variant must not conflict across customers: %v", err)
 	}
 	if err := t4.Commit(); err != nil {
@@ -189,20 +189,7 @@ func TestStrategiesSerializableUnderScriptedPairs(t *testing.T) {
 	other := CustomerName(1)
 
 	runType := func(tx *engine.Tx, typ TxnType) error {
-		p := Params{N1: name, N2: other, V: 5}
-		switch typ {
-		case Balance:
-			_, err := RunBalance(tx, StrategyPromoteALL, p)
-			return err
-		case DepositChecking:
-			return RunDepositChecking(tx, StrategyPromoteALL, p)
-		case TransactSaving:
-			return RunTransactSaving(tx, StrategyPromoteALL, p)
-		case Amalgamate:
-			return RunAmalgamate(tx, StrategyPromoteALL, p)
-		default:
-			return RunWriteCheck(tx, StrategyPromoteALL, p)
-		}
+		return RunIn(tx, StrategyPromoteALL, typ, Params{N1: name, N2: other, V: 5})
 	}
 	for _, a := range types {
 		for _, b := range types {

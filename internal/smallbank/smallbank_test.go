@@ -77,12 +77,11 @@ func TestLoadPopulatesTables(t *testing.T) {
 func TestBalanceTransaction(t *testing.T) {
 	db := testDB(t, core.SnapshotFUW, core.PlatformPostgres)
 	tx := db.Begin()
-	got, err := RunBalance(tx, StrategySI, Params{N1: CustomerName(0)})
-	if err != nil {
+	if err := RunIn(tx, StrategySI, Balance, Params{N1: CustomerName(0)}); err != nil {
 		t.Fatal(err)
 	}
-	if got != 1500 {
-		t.Fatalf("balance = %d", got)
+	if tx.Stmts() != 3 {
+		t.Fatalf("Balance ran %d statements, want the lookup and two reads", tx.Stmts())
 	}
 	if !tx.ReadOnly() {
 		t.Fatal("plain Balance must be read-only")
@@ -93,7 +92,7 @@ func TestBalanceTransaction(t *testing.T) {
 
 	// Unknown customer rolls back as an application error.
 	tx2 := db.Begin()
-	if _, err := RunBalance(tx2, StrategySI, Params{N1: "nobody"}); !errors.Is(err, core.ErrRollback) {
+	if err := RunIn(tx2, StrategySI, Balance, Params{N1: "nobody"}); !errors.Is(err, core.ErrRollback) {
 		t.Fatalf("unknown name: %v", err)
 	}
 	tx2.Abort()
@@ -104,7 +103,7 @@ func TestBalanceStopsBeingReadOnlyUnderBWStrategies(t *testing.T) {
 	for _, s := range cases {
 		db := testDB(t, core.SnapshotFUW, core.PlatformPostgres)
 		tx := db.Begin()
-		if _, err := RunBalance(tx, s, Params{N1: CustomerName(1)}); err != nil {
+		if err := RunIn(tx, s, Balance, Params{N1: CustomerName(1)}); err != nil {
 			t.Fatalf("%s: %v", s.Name, err)
 		}
 		if tx.ReadOnly() {
@@ -122,7 +121,7 @@ func TestBalanceStopsBeingReadOnlyUnderBWStrategies(t *testing.T) {
 	// holds a write-conflicting lock).
 	db := testDB(t, core.SnapshotFUW, core.PlatformCommercial)
 	tx := db.Begin()
-	if _, err := RunBalance(tx, StrategyPromoteBWSfu, Params{N1: CustomerName(1)}); err != nil {
+	if err := RunIn(tx, StrategyPromoteBWSfu, Balance, Params{N1: CustomerName(1)}); err != nil {
 		t.Fatal(err)
 	}
 	if tx.ReadOnly() {
@@ -137,7 +136,7 @@ func TestBalanceStaysReadOnlyUnderWTStrategies(t *testing.T) {
 	for _, s := range []*Strategy{StrategyMaterializeWT, StrategyPromoteWTUpd} {
 		db := testDB(t, core.SnapshotFUW, core.PlatformPostgres)
 		tx := db.Begin()
-		if _, err := RunBalance(tx, s, Params{N1: CustomerName(1)}); err != nil {
+		if err := RunIn(tx, s, Balance, Params{N1: CustomerName(1)}); err != nil {
 			t.Fatal(err)
 		}
 		if !tx.ReadOnly() {

@@ -2,92 +2,53 @@ package smallbank
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"sync"
 
 	"sicost/internal/core"
 	"sicost/internal/sdg"
 )
 
-// Strategy selects one of the paper's program-modification schemes. The
-// boolean fields are the concrete decorations the transaction programs
-// apply; the SDG derivation of each strategy lives in SDGPrograms.
+// Strategy is one of the paper's program-modification schemes: a name
+// and how its modifications derive from the SDG of the base mix
+// (Figure 1) — one edge and a technique, every vulnerable edge
+// (NeutralizeAll), or the edge's fixed-row materialization. Plain SI
+// derives none. The modifications are derived once and reach the
+// running programs as statement rewrites.
 type Strategy struct {
-	Name string
-
-	// Balance decorations (Option BW and the ALL strategies).
-	BalConflict        bool // MaterializeBW / MaterializeALL
-	BalPromoteChecking bool // PromoteBW-upd / PromoteALL
-	BalPromoteSaving   bool // PromoteALL
-	BalSFUChecking     bool // PromoteBW-sfu (commercial only)
-
-	// WriteCheck decorations (Option WT, Option BW and ALL).
-	WCConflict      bool // MaterializeWT / MaterializeBW / MaterializeALL
-	WCPromoteSaving bool // PromoteWT-upd / PromoteALL
-	WCSFUSaving     bool // PromoteWT-sfu (commercial only)
-
-	// Other programs (ALL strategies only).
-	TSConflict  bool
-	DCConflict  bool
-	AmgConflict bool // Amalgamate updates Conflict rows for both customers
-
-	// FixedConflictRow redirects every Conflict update to the single
-	// shared row (the §II-B "simplest approach" ablation).
-	FixedConflictRow bool
+	Name       string
+	edge       [2]string // from, to
+	tech       sdg.Technique
+	all, fixed bool
+	mods       []sdg.Modification
+	rewrites   [numTxnTypes][]rewrite
 }
 
+var wt, bw = [2]string{"WC", "TS"}, [2]string{"Bal", "WC"}
+
 // The strategies evaluated in the paper (§III-D, Table I), plus the base
-// SI configuration and the fixed-row ablation.
+// SI configuration and the fixed-row ablation. StrategySI is unmodified
+// SmallBank: fast, but it admits the dangerous structure Bal→WC→TS.
+// Option WT repairs the WC→TS edge, Option BW the Bal→WC edge, by a
+// Conflict update in both programs (materialize), an identity update
+// in the edge's source (promote-upd) or its read FOR UPDATE
+// (promote-sfu, sound on the commercial platform only); the ALL
+// strategies repair every vulnerable edge without SDG analysis.
+// MaterializeWT-fixed is MaterializeWT on the one Conflict row
+// FixedConflictID (§II-B's "simplest approach"): correct, but every WC
+// and TS contends on it.
 var (
-	// StrategySI is unmodified SmallBank: fast but admits
-	// non-serializable executions (the dangerous structure Bal→WC→TS).
-	StrategySI = &Strategy{Name: "SI"}
-
-	// StrategyMaterializeWT materializes the WriteCheck→TransactSaving
-	// edge: Conflict updates in WC and TS.
-	StrategyMaterializeWT = &Strategy{Name: "MaterializeWT", WCConflict: true, TSConflict: true}
-
-	// StrategyPromoteWTUpd promotes the WT edge with an identity update
-	// on Saving in WriteCheck.
-	StrategyPromoteWTUpd = &Strategy{Name: "PromoteWT-upd", WCPromoteSaving: true}
-
-	// StrategyPromoteWTSfu promotes the WT edge by reading Saving with
-	// SELECT...FOR UPDATE in WriteCheck (commercial platform only).
-	StrategyPromoteWTSfu = &Strategy{Name: "PromoteWT-sfu", WCSFUSaving: true}
-
-	// StrategyMaterializeBW materializes the Balance→WriteCheck edge:
-	// Conflict updates in Bal and WC.
-	StrategyMaterializeBW = &Strategy{Name: "MaterializeBW", BalConflict: true, WCConflict: true}
-
-	// StrategyPromoteBWUpd promotes the BW edge with an identity update
-	// on Checking in Balance.
-	StrategyPromoteBWUpd = &Strategy{Name: "PromoteBW-upd", BalPromoteChecking: true}
-
-	// StrategyPromoteBWSfu promotes the BW edge by reading Checking with
-	// SELECT...FOR UPDATE in Balance (commercial platform only).
-	StrategyPromoteBWSfu = &Strategy{Name: "PromoteBW-sfu", BalSFUChecking: true}
-
-	// StrategyMaterializeALL materializes every vulnerable edge without
-	// SDG analysis: a Conflict update in every program, two in
-	// Amalgamate.
-	StrategyMaterializeALL = &Strategy{
-		Name: "MaterializeALL", BalConflict: true, WCConflict: true,
-		TSConflict: true, DCConflict: true, AmgConflict: true,
-	}
-
-	// StrategyPromoteALL promotes every vulnerable edge: identity
-	// updates on Saving and Checking in Balance and on Saving in
-	// WriteCheck.
-	StrategyPromoteALL = &Strategy{
-		Name: "PromoteALL", BalPromoteChecking: true, BalPromoteSaving: true,
-		WCPromoteSaving: true,
-	}
-
-	// StrategyMaterializeWTFixed is the single-conflict-row ablation of
-	// MaterializeWT: correct, but contends on one row for all customers.
-	StrategyMaterializeWTFixed = &Strategy{
-		Name: "MaterializeWT-fixed", WCConflict: true, TSConflict: true,
-		FixedConflictRow: true,
-	}
+	StrategySI                 = &Strategy{Name: "SI"}
+	StrategyMaterializeWT      = &Strategy{Name: "MaterializeWT", edge: wt, tech: sdg.Materialize}
+	StrategyPromoteWTUpd       = &Strategy{Name: "PromoteWT-upd", edge: wt, tech: sdg.PromoteUpdate}
+	StrategyPromoteWTSfu       = &Strategy{Name: "PromoteWT-sfu", edge: wt, tech: sdg.PromoteSFU}
+	StrategyMaterializeBW      = &Strategy{Name: "MaterializeBW", edge: bw, tech: sdg.Materialize}
+	StrategyPromoteBWUpd       = &Strategy{Name: "PromoteBW-upd", edge: bw, tech: sdg.PromoteUpdate}
+	StrategyPromoteBWSfu       = &Strategy{Name: "PromoteBW-sfu", edge: bw, tech: sdg.PromoteSFU}
+	StrategyMaterializeALL     = &Strategy{Name: "MaterializeALL", all: true, tech: sdg.Materialize}
+	StrategyPromoteALL         = &Strategy{Name: "PromoteALL", all: true, tech: sdg.PromoteUpdate}
+	StrategyMaterializeWTFixed = &Strategy{Name: "MaterializeWT-fixed", edge: wt, fixed: true}
 )
 
 // Strategies lists every predefined strategy in presentation order.
@@ -111,144 +72,128 @@ func ByName(name string) (*Strategy, error) {
 	return nil, fmt.Errorf("smallbank: unknown strategy %q", name)
 }
 
+// rewrite is one modification as a running program applies it: an
+// UPDATE appended after the program's own statements (materialize's
+// Conflict update, promote-upd's identity update), or a SELECT FOR
+// UPDATE that replaces the program's SELECT of its table (promote-sfu).
+// slot is the customer: 0 for x or x1, 1 for x2, -1 for the fixed
+// Conflict row (a Fixed access).
+type rewrite struct {
+	tech sdg.Technique
+	stmt *stmt
+	slot int
+}
+
+// deriveAll derives every strategy's modifications and rewrites on first
+// use: a binary that runs no program (sisqld) skips the SDG analysis.
+var deriveAll = sync.OnceFunc(func() {
+	for _, s := range Strategies() {
+		_, mods, err := s.derived()
+		if err != nil {
+			panic(err)
+		}
+		s.mods = mods
+		for _, m := range mods {
+			w := rewrite{tech: m.Technique}
+			if m.Add.Fixed {
+				w.slot = -1
+			} else if m.Add.Param == "x2" {
+				w.slot = 1
+			}
+			switch m.Technique {
+			case sdg.Materialize:
+				w.stmt = uConflict
+			case sdg.PromoteUpdate:
+				w.stmt = compile(fmt.Sprintf("UPDATE %s SET %s = %[2]s WHERE CustomerId = :x", m.Add.Table, m.Add.Cols[0]))
+			case sdg.PromoteSFU:
+				w.stmt = compile(fmt.Sprintf("SELECT %s FROM %s WHERE CustomerId = :x FOR UPDATE", m.Add.Cols[0], m.Add.Table))
+			}
+			typ := slices.IndexFunc(txnNames[:], func(n [2]string) bool { return n[1] == m.Program })
+			s.rewrites[typ] = append(s.rewrites[typ], w)
+		}
+	}
+})
+
+// derived applies the strategy's repair to the base mix.
+func (s *Strategy) derived() ([]*sdg.Program, []sdg.Modification, error) {
+	base := BasePrograms()
+	g, err := sdg.New(base...)
+	switch {
+	case err != nil:
+		return nil, nil, err
+	case s.all:
+		return sdg.NeutralizeAll(base, s.tech)
+	case s.fixed:
+		return sdg.MaterializeFixedRow(base, g.Edge(s.edge[0], s.edge[1]))
+	case s.edge[0] != "":
+		return sdg.Neutralize(base, g.Edge(s.edge[0], s.edge[1]), s.tech)
+	}
+	return base, nil, nil
+}
+
+// Modifications returns the statements the strategy adds, as the SDG
+// derives them, in the order the programs run them.
+func (s *Strategy) Modifications() []sdg.Modification {
+	deriveAll()
+	return slices.Clone(s.mods)
+}
+
+// SDGPrograms returns the strategy's program mix in the SDG model: the
+// base mix with its modifications applied.
+func (s *Strategy) SDGPrograms() ([]*sdg.Program, error) {
+	progs, _, err := s.derived()
+	return progs, err
+}
+
 // SoundOn reports whether the strategy guarantees serializable
-// executions on the given platform. The sfu promotions rely on
-// select-for-update participating in write-conflict detection, which
-// PostgreSQL's implementation does not provide (§II-C).
+// executions on the platform: it modifies something, and every
+// modification's technique is sound there.
 func (s *Strategy) SoundOn(p core.Platform) bool {
-	if s == StrategySI || s.Name == "SI" {
-		return false // not a serializability guarantee at all
+	mods := s.Modifications()
+	for _, m := range mods {
+		if !m.Technique.SoundOn(p) {
+			return false
+		}
 	}
-	if s.BalSFUChecking || s.WCSFUSaving {
-		return p == core.PlatformCommercial
-	}
-	return true
+	return len(mods) > 0
 }
 
 // GuaranteesSerializable reports whether the strategy is one of the
 // repair schemes (anything but plain SI).
-func (s *Strategy) GuaranteesSerializable() bool { return s.Name != "SI" }
+func (s *Strategy) GuaranteesSerializable() bool { return len(s.Modifications()) > 0 }
 
-// ExtraUpdates summarises, per transaction type, which tables receive
-// additional updates under this strategy — the rows of the paper's
-// Table I. Select-for-update entries are marked "(sfu)".
+// ExtraUpdates summarises per program the tables the modifications
+// update, as the rows of the paper's Table I: Conf, Sav, Check, with
+// "(sfu)" for a read FOR UPDATE and "×n" for n updates of one table.
 func (s *Strategy) ExtraUpdates() map[string][]string {
+	short := map[string]string{TableConflict: "Conf", TableSaving: "Sav", TableChecking: "Check"}
+	count := map[[2]string]int{}
+	for _, m := range s.Modifications() {
+		cell := short[m.Add.Table]
+		if m.Technique == sdg.PromoteSFU {
+			cell += "(sfu)"
+		}
+		count[[2]string{m.Program, cell}]++
+	}
 	out := map[string][]string{}
-	add := func(txn, table string) { out[txn] = append(out[txn], table) }
-	if s.BalConflict {
-		add("Bal", "Conf")
+	for k, n := range count {
+		if n > 1 {
+			k[1] += fmt.Sprintf("×%d", n)
+		}
+		out[k[0]] = append(out[k[0]], k[1])
 	}
-	if s.BalPromoteSaving {
-		add("Bal", "Sav")
-	}
-	if s.BalPromoteChecking {
-		add("Bal", "Check")
-	}
-	if s.BalSFUChecking {
-		add("Bal", "Check(sfu)")
-	}
-	if s.WCConflict {
-		add("WC", "Conf")
-	}
-	if s.WCPromoteSaving {
-		add("WC", "Sav")
-	}
-	if s.WCSFUSaving {
-		add("WC", "Sav(sfu)")
-	}
-	if s.TSConflict {
-		add("TS", "Conf")
-	}
-	if s.DCConflict {
-		add("DC", "Conf")
-	}
-	if s.AmgConflict {
-		add("Amg", "Conf×2")
-	}
-	for k := range out {
-		sort.Strings(out[k])
+	for _, cells := range out {
+		sort.Strings(cells)
 	}
 	return out
 }
 
 // BasePrograms returns the unmodified SmallBank mix in the SDG model,
-// exactly as analysed in §III-C / Figure 1.
+// as the recorder reads it from the programs (§III-C, Figure 1).
 func BasePrograms() []*sdg.Program {
-	bal := &sdg.Program{Name: "Bal", Accesses: []sdg.Access{
-		{Table: TableAccount, Cols: []string{"CustomerID"}, Param: "N", Kind: sdg.Read},
-		{Table: TableSaving, Cols: []string{"Balance"}, Param: "x", Kind: sdg.Read},
-		{Table: TableChecking, Cols: []string{"Balance"}, Param: "x", Kind: sdg.Read},
-	}}
-	dc := &sdg.Program{Name: "DC", Accesses: []sdg.Access{
-		{Table: TableAccount, Cols: []string{"CustomerID"}, Param: "N", Kind: sdg.Read},
-		{Table: TableChecking, Cols: []string{"Balance"}, Param: "x", Kind: sdg.Read},
-		{Table: TableChecking, Cols: []string{"Balance"}, Param: "x", Kind: sdg.Write},
-	}}
-	ts := &sdg.Program{Name: "TS", Accesses: []sdg.Access{
-		{Table: TableAccount, Cols: []string{"CustomerID"}, Param: "N", Kind: sdg.Read},
-		{Table: TableSaving, Cols: []string{"Balance"}, Param: "x", Kind: sdg.Read},
-		{Table: TableSaving, Cols: []string{"Balance"}, Param: "x", Kind: sdg.Write},
-	}}
-	amg := &sdg.Program{Name: "Amg", Accesses: []sdg.Access{
-		{Table: TableAccount, Cols: []string{"CustomerID"}, Param: "N1", Kind: sdg.Read},
-		{Table: TableAccount, Cols: []string{"CustomerID"}, Param: "N2", Kind: sdg.Read},
-		{Table: TableSaving, Cols: []string{"Balance"}, Param: "x1", Kind: sdg.Read},
-		{Table: TableChecking, Cols: []string{"Balance"}, Param: "x1", Kind: sdg.Read},
-		{Table: TableSaving, Cols: []string{"Balance"}, Param: "x1", Kind: sdg.Write},
-		{Table: TableChecking, Cols: []string{"Balance"}, Param: "x1", Kind: sdg.Write},
-		{Table: TableChecking, Cols: []string{"Balance"}, Param: "x2", Kind: sdg.Read},
-		{Table: TableChecking, Cols: []string{"Balance"}, Param: "x2", Kind: sdg.Write},
-	}}
-	wc := &sdg.Program{Name: "WC", Accesses: []sdg.Access{
-		{Table: TableAccount, Cols: []string{"CustomerID"}, Param: "N", Kind: sdg.Read},
-		{Table: TableSaving, Cols: []string{"Balance"}, Param: "x", Kind: sdg.Read},
-		{Table: TableChecking, Cols: []string{"Balance"}, Param: "x", Kind: sdg.Read},
-		{Table: TableChecking, Cols: []string{"Balance"}, Param: "x", Kind: sdg.Write},
-	}}
-	return []*sdg.Program{bal, dc, ts, amg, wc}
-}
-
-// SDGPrograms derives the strategy's program mix in the SDG model by
-// applying the corresponding repair to the base mix. It ties the
-// concrete decorations to the theory: tests assert that every strategy's
-// derived SDG is safe (and that plain SI's is not).
-func (s *Strategy) SDGPrograms() ([]*sdg.Program, error) {
-	base := BasePrograms()
-	g, err := sdg.New(base...)
-	if err != nil {
-		return nil, err
+	out := make([]*sdg.Program, NumTxnTypes)
+	for i := range out {
+		out[i] = record(TxnType(i))
 	}
-	switch s.Name {
-	case "SI":
-		return base, nil
-	case "MaterializeWT":
-		out, _, err := sdg.Neutralize(base, g.Edge("WC", "TS"), sdg.Materialize)
-		return out, err
-	case "PromoteWT-upd":
-		out, _, err := sdg.Neutralize(base, g.Edge("WC", "TS"), sdg.PromoteUpdate)
-		return out, err
-	case "PromoteWT-sfu":
-		out, _, err := sdg.Neutralize(base, g.Edge("WC", "TS"), sdg.PromoteSFU)
-		return out, err
-	case "MaterializeBW":
-		out, _, err := sdg.Neutralize(base, g.Edge("Bal", "WC"), sdg.Materialize)
-		return out, err
-	case "PromoteBW-upd":
-		out, _, err := sdg.Neutralize(base, g.Edge("Bal", "WC"), sdg.PromoteUpdate)
-		return out, err
-	case "PromoteBW-sfu":
-		out, _, err := sdg.Neutralize(base, g.Edge("Bal", "WC"), sdg.PromoteSFU)
-		return out, err
-	case "MaterializeALL":
-		out, _, err := sdg.NeutralizeAll(base, sdg.Materialize)
-		return out, err
-	case "PromoteALL":
-		out, _, err := sdg.NeutralizeAll(base, sdg.PromoteUpdate)
-		return out, err
-	case "MaterializeWT-fixed":
-		out, _, err := sdg.MaterializeFixedRow(base, g.Edge("WC", "TS"))
-		return out, err
-	default:
-		return nil, fmt.Errorf("smallbank: no SDG derivation for strategy %q", s.Name)
-	}
+	return out
 }

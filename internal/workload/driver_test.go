@@ -207,7 +207,7 @@ func TestEngineMetricsDelta(t *testing.T) {
 
 	// Commit one transaction before the run; the delta must not see it.
 	tx := db.Begin()
-	if err := smallbank.RunDepositChecking(tx, smallbank.StrategySI, smallbank.Params{N1: smallbank.CustomerName(1), V: 1}); err != nil {
+	if err := smallbank.RunIn(tx, smallbank.StrategySI, smallbank.DepositChecking, smallbank.Params{N1: smallbank.CustomerName(1), V: 1}); err != nil {
 		t.Fatal(err)
 	}
 	if err := tx.Commit(); err != nil {
