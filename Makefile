@@ -47,8 +47,9 @@ race:
 # section per window must keep (TestOrdering*), on one processor, where a
 # committer never polls for another (wal.WAL.Spin) and every wait is the
 # blocking one. Both lines run TestStressBeginCloseDrain (engine: Begin,
-# Commit and Abort racing Close over the processor slots) by its
-# TestStress prefix. It leaves
+# Commit and Abort racing Close over the processor slots) and
+# TestStressTxnReuse (engine: DB.Txn's recycled handles beside Begin's,
+# and panics out of a transaction) by their TestStress prefix. It leaves
 # out the SSI transfer storm: its clients retry without back-off, and on
 # one processor they can stop making progress (ROADMAP, the SSI item).
 stress:
@@ -153,7 +154,8 @@ figsmoke:
 # (what each set prices is said above its Benchmark function;
 # BenchmarkCommitDurable matches the serial, MPL 2 and MPL 16 sets;
 # BenchmarkSmallBankDurable's clients=2 over clients=1 is what a second
-# processor buys a durable transaction). They are
+# processor buys a durable transaction, and its allocs/op what the
+# program path allocates per transaction). They are
 # printed, not archived: the numbers a change is judged on are the
 # benchmark's (benchspine/: tps, setup_s and the per-layer metrics of
 # BENCHMARK.json), and a per-layer metric exists for most of these —

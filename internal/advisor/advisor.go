@@ -18,8 +18,8 @@
 //	statements    n_p = |base accesses_p| + 2 per materialize or
 //	                    promote-upd (a read and a write; a
 //	                    promote-sfu replaces a read)
-//	updater tax   U_p = UpdaterCommitCPU            (if p writes)
-//	wal wait      W_p = 1.5·Fsync                   (if p writes; group
+//	updater tax   U_p = UpdaterCommitCPU            (if p updates)
+//	wal wait      W_p = 1.5·Fsync                   (if p updates; group
 //	                                                 commit amortizes
 //	                                                 the device, not
 //	                                                 the wait)
@@ -27,8 +27,12 @@
 //	Xcap = 1 / Σ_p w_p (S_p + U_p)                  (one virtual CPU)
 //	X(m) = min(m / R0, Xcap) · (1 − waste(m))
 //
-// where waste(m) accounts for aborted work from write-write collisions
-// on the hotspot (First-Updater-Wins aborts plus retries). Predictions
+// where p updates when it writes a row, or when it select-for-updates
+// one on the commercial platform: there, as in Oracle, a FOR UPDATE
+// lock generates redo and commits like a write, while on PostgreSQL a
+// program whose only added access is a promote-sfu commits read-only.
+// waste(m) accounts for aborted work from write-write collisions on the
+// hotspot (First-Updater-Wins aborts plus retries). Predictions
 // are for *ranking* repair options; the validation experiment
 // (ablation-advisor) compares the predicted ordering against measured
 // throughput.
@@ -86,8 +90,8 @@ type Prediction struct {
 	// RelativeToBase is TPS divided by the unmodified mix's predicted
 	// TPS at the same MPL.
 	RelativeToBase float64
-	// UpdaterFraction is the predicted share of transactions that must
-	// write (and therefore wait for the log).
+	// UpdaterFraction is the predicted share of transactions that
+	// commit as updaters (and therefore wait for the log).
 	UpdaterFraction float64
 	// AbortWaste is the predicted fraction of work lost to
 	// serialization aborts and retries.
@@ -95,6 +99,23 @@ type Prediction struct {
 	// Sound is false when the technique does not guarantee
 	// serializability on this platform (sfu promotion on PostgreSQL).
 	Sound bool
+}
+
+// updates reports whether p commits as an updater on plat: the engine
+// logs and syncs its commit. p is the modified program, whose accesses
+// hold one added write per modification; a promote-sfu's write is a
+// FOR UPDATE lock, which commits like a write only on the commercial
+// platform.
+func updates(p *sdg.Program, mods []sdg.Modification, plat Platform) bool {
+	writes := len(p.Writes())
+	if plat.Name != core.PlatformCommercial {
+		for _, m := range mods {
+			if m.Program == p.Name && m.Technique == sdg.PromoteSFU {
+				writes--
+			}
+		}
+	}
+	return writes > 0
 }
 
 // programCost computes the per-transaction costs of one program. p is
@@ -120,7 +141,7 @@ func programCost(p *sdg.Program, mods []sdg.Modification, plat Platform) (servic
 		}
 	}
 	service += plat.Res.TxnCPU + time.Duration(stmts)*plat.Res.StmtCPU
-	if !p.ReadOnly() {
+	if updates(p, mods, plat) {
 		updaterTax = plat.Res.UpdaterCommitCPU
 		// Group commit amortizes the device across committers but each
 		// committer still waits ~1–2 flush intervals; 1.5 is the mean
@@ -185,7 +206,7 @@ func Predict(progs []*sdg.Program, mods []sdg.Modification, w Workload, plat Pla
 		s, u, wl := programCost(p, mods, plat)
 		r0 += weight * (s + u + wl).Seconds()
 		cpu += weight * (s + u).Seconds()
-		if !p.ReadOnly() {
+		if updates(p, mods, plat) {
 			updFrac += weight
 		}
 	}

@@ -10,6 +10,7 @@ import (
 	"sicost/internal/sdg"
 	"sicost/internal/simres"
 	"sicost/internal/smallbank"
+	"sicost/internal/wal"
 )
 
 func smallBankWeights(balFrac float64) map[string]float64 {
@@ -255,20 +256,28 @@ func TestFixedRowCollisionsDominates(t *testing.T) {
 	}
 }
 
-// TestProgramCostMatchesEngine holds the model's per-program CPU to what
-// the engine charges: for every strategy and program on both platform
-// profiles, service time plus updater tax equals the simulated CPU one
-// serial smallbank.Run spends at MPL 1.
+// TestProgramCostMatchesEngine holds the model's per-program costs to
+// what the engine does: for every strategy and program on both platform
+// profiles, one serial smallbank.Run against the profile's simulated log
+// spends exactly service time plus updater tax of simulated CPU; it
+// logs and syncs its commit exactly when the model counts the program
+// an updater (Predict's UpdaterFraction and programCost's log wait);
+// and the model's log wait is 1.5·Fsync for each sync it waited for.
+// On PostgreSQL a FOR UPDATE lock commits read-only, so PromoteBW-sfu's
+// Balance, which writes only through its FOR UPDATE, commits read-only
+// there.
 func TestProgramCostMatchesEngine(t *testing.T) {
 	for _, plat := range []Platform{postgresPlatform(), commercialPlatform()} {
 		cost := plat.Cost
 		db, _, err := smallbank.Open(engine.Config{
 			Mode: core.SnapshotFUW, Platform: plat.Name, Res: plat.Res, Cost: &cost,
+			WAL: wal.Config{FsyncLatency: plat.Fsync},
 		}, smallbank.LoadConfig{Customers: 10, Seed: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer db.Close()
+		sfuOnly := 0
 		for _, s := range smallbank.Strategies() {
 			progs, err := s.SDGPrograms()
 			if err != nil {
@@ -276,18 +285,40 @@ func TestProgramCostMatchesEngine(t *testing.T) {
 			}
 			for i, p := range progs {
 				typ := smallbank.TxnType(i)
-				service, tax, _ := programCost(p, s.Modifications(), plat)
-				before := db.Machine().CPUBusy()
+				service, tax, walWait := programCost(p, s.Modifications(), plat)
+				updater := Predict(progs, s.Modifications(), Workload{
+					Weights: map[string]float64{p.Name: 1}, MPL: 1,
+				}, plat).UpdaterFraction == 1
+				cpu, log := db.Machine().CPUBusy(), db.WAL().Stats()
 				if err := smallbank.Run(db, s, typ, smallbank.Params{
 					N1: smallbank.CustomerName(1), N2: smallbank.CustomerName(2), V: 1,
 				}); err != nil {
 					t.Fatalf("%s %s %s: %v", plat.Name, s.Name, typ.Short(), err)
 				}
-				if got := db.Machine().CPUBusy() - before; service+tax != got {
+				if got := db.Machine().CPUBusy() - cpu; service+tax != got {
 					t.Errorf("%s %s %s: model %v + %v, engine charged %v",
 						plat.Name, s.Name, p.Name, service, tax, got)
 				}
+				after := db.WAL().Stats()
+				records, syncs := after.Records-log.Records, after.Syncs-log.Syncs
+				if logged := records > 0; updater != logged || (walWait > 0) != logged {
+					t.Errorf("%s %s %s: model counts an updater %v (log wait %v), engine logged %d commits",
+						plat.Name, s.Name, p.Name, updater, walWait, records)
+				}
+				if want := time.Duration(float64(syncs) * 1.5 * float64(plat.Fsync)); walWait != want {
+					t.Errorf("%s %s %s: model log wait %v, engine waited for %d syncs (%v)",
+						plat.Name, s.Name, p.Name, walWait, syncs, want)
+				}
+				if !p.ReadOnly() && records == 0 {
+					sfuOnly++
+				}
 			}
+		}
+		// The case the updater decision turns on must be in the table:
+		// on PostgreSQL a program that writes only through its FOR
+		// UPDATE commits read-only.
+		if plat.Name == core.PlatformPostgres && sfuOnly == 0 {
+			t.Errorf("%s: no program wrote only through a FOR UPDATE", plat.Name)
 		}
 	}
 }

@@ -195,6 +195,9 @@ type dbSetup struct {
 	drained chan struct{}
 	// slots hands out the processor slots (slot.go), which hz.slots holds.
 	slots slotPool
+	// handles holds the zeroed handles Txn gave back, per processor;
+	// Begin draws from it. A handle Begin returns is never put here.
+	handles sync.Pool
 }
 
 // Open creates a database instance from cfg.
@@ -581,9 +584,10 @@ func (db *DB) Checkpoint() (uint64, error) {
 // and reading each row as of the cut straight into the one reused
 // batch. Each batch is a control record that it leads and takes the
 // verdict of before it reads on, so one batch frame at most is in
-// flight. Versions with CSN ≤ cut are immutable once published, so
-// commits stamping newer versions concurrently never perturb what it
-// reads, and rows born after the cut resolve to nothing. The caller
+// flight and every batch is rendered into one reused frame buffer.
+// Versions with CSN ≤ cut are immutable once published, so commits
+// stamping newer versions concurrently never perturb what it reads,
+// and rows born after the cut resolve to nothing. The caller
 // pinned cut in the snapshot horizon; streamCkptRows releases the pin
 // once the last row is read, on every path (the batches are encoded as
 // they fill, so nothing references the chains after that). It returns
@@ -591,8 +595,10 @@ func (db *DB) Checkpoint() (uint64, error) {
 func (db *DB) streamCkptRows(cut uint64) (rows, bytes int, err error) {
 	defer db.hz.unpin(cut)
 	batch := make([]wal.CkptRow, 0, ckptBatch)
+	var enc []byte
 	flush := func() {
-		rec := wal.Control(wal.EncodeCkptRows(&wal.CkptRows{CSN: cut, Rows: batch}))
+		enc = wal.AppendCkptRows(enc[:0], &wal.CkptRows{CSN: cut, Rows: batch})
+		rec := wal.Control(enc)
 		err = db.logControl(rec, nil)
 		bytes += rec.Bytes
 		rows += len(batch)
@@ -791,7 +797,9 @@ func (db *DB) SetDefaultTxDeadline(d time.Duration) { db.defaultDeadline.Store(i
 
 // Begin starts a transaction. The returned Tx must be finished with
 // Commit or Abort; it is not safe for concurrent use by multiple
-// goroutines (like a SQL session).
+// goroutines (like a SQL session). The handle is the caller's for good:
+// it may be kept and read after it ends, and the engine never reuses it.
+// A transaction that one call begins and ends goes through Txn instead.
 func (db *DB) Begin() *Tx {
 	// The begin fault fires before the transaction is registered, so an
 	// injected panic here unwinds without leaving shutdown bookkeeping
@@ -835,7 +843,12 @@ func (db *DB) Begin() *Tx {
 	// it precedes the first data access.
 	db.machine.UseCPU(db.machine.TxnCost(0))
 
-	tx := &Tx{
+	// A handle Txn gave back on this processor, or a new one.
+	tx, _ := db.handles.Get().(*Tx)
+	if tx == nil {
+		tx = new(Tx)
+	}
+	*tx = Tx{
 		db:       db,
 		id:       db.nextTxID.Add(1),
 		reg:      true,
@@ -859,6 +872,35 @@ func (db *DB) Begin() *Tx {
 		db.tracer.Emit(trace.Event{Kind: trace.EvSnapshot, Tx: tx.id, CSN: start})
 	}
 	return tx
+}
+
+// Txn runs fn as one transaction: it begins one, passes fn the handle,
+// and commits it when fn returns nil; otherwise, and while a panic out
+// of fn or out of the commit unwinds, it aborts it. It returns fn's
+// error or the commit's. The handle is the engine's: fn must neither
+// end it nor keep it, nor anything that reaches it, past its return —
+// on a normal return Txn zeroes the handle (ended, so a late use of it
+// fails with core.ErrTxDone until it is reused) and keeps it for a
+// later Begin on the same processor. A handle a panic unwinds past is
+// never reused.
+func (db *DB) Txn(fn func(*Tx) error) error {
+	tx := db.Begin()
+	returned := false
+	defer func() {
+		if !returned {
+			tx.Abort()
+		}
+	}()
+	err := fn(tx)
+	if err != nil {
+		tx.Abort()
+	} else {
+		err = tx.Commit()
+	}
+	returned = true
+	*tx = Tx{done: true}
+	db.handles.Put(tx)
+	return err
 }
 
 // endTx retires a registered transaction from the shutdown drain.

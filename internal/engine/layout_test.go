@@ -61,6 +61,7 @@ func TestHotFieldsOwnCacheLines(t *testing.T) {
 		f("closing", unsafe.Offsetof(db.closing), unsafe.Sizeof(db.closing)),
 		f("drained", unsafe.Offsetof(db.drained), unsafe.Sizeof(db.drained)),
 		f("slots", unsafe.Offsetof(db.slots), unsafe.Sizeof(db.slots)),
+		f("handles", unsafe.Offsetof(db.handles), unsafe.Sizeof(db.handles)),
 		f("hz.slots", hz+unsafe.Offsetof(db.hz.slots), unsafe.Sizeof(db.hz.slots)),
 		f("hz.every", hz+unsafe.Offsetof(db.hz.every), unsafe.Sizeof(db.hz.every)),
 	}

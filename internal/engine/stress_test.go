@@ -3,12 +3,15 @@ package engine
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"sicost/internal/core"
+	"sicost/internal/faultinject"
+	"sicost/internal/wal"
 )
 
 // Stress tests for the engine under real goroutine concurrency (the
@@ -335,5 +338,213 @@ func TestStressBeginCloseDrain(t *testing.T) {
 		if n := db.InFlightTxns(); n != 0 {
 			t.Errorf("%d handles counted open after the drain", n)
 		}
+	}
+}
+
+// TestStressTxnReuse: a handle DB.Txn recycles carries nothing from one
+// transaction into the next. Txn clients and Begin clients transfer
+// money between the rows of a table on a durable log, and the total is
+// conserved; every handle fn is passed starts with no writes, no thin
+// locks and no borrowed buffers, and handles do get reused. A fn that
+// panics, and a commit that panics, leave their locks released and no
+// transaction open, and their handles are never handed out again. A
+// handle back in the pool is ended and linked into no slot.
+func TestStressTxnReuse(t *testing.T) {
+	const (
+		rows    = 16
+		initial = 100
+		clients = 3 // of each kind
+		iters   = 100
+	)
+	dev, err := wal.NewMemSegmentLog(1 << 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := faultinject.New(1)
+	db := Open(Config{
+		Mode: core.SnapshotFUW, Platform: core.PlatformPostgres,
+		WAL: wal.Config{Device: dev}, Faults: reg, LockWaitTimeout: 5 * time.Second,
+	})
+	defer db.Close()
+	if err := db.CreateTable(kvSchema("T")); err != nil {
+		t.Fatal(err)
+	}
+	seed := db.Begin()
+	for k := int64(0); k < rows; k++ {
+		if err := seed.Insert("T", kv(k, initial)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := seed.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	transfer := func(tx *Tx, from, to, amount int64) error {
+		src, err := tx.Get("T", core.Int(from))
+		if err != nil {
+			return err
+		}
+		dst, err := tx.Get("T", core.Int(to))
+		if err != nil {
+			return err
+		}
+		if err := tx.Update("T", core.Int(from), kv(from, src[1].Int64()-amount)); err != nil {
+			return err
+		}
+		return tx.Update("T", core.Int(to), kv(to, dst[1].Int64()+amount))
+	}
+	total := func() int64 {
+		sum := int64(0)
+		if err := db.ScanLatest("T", func(_ core.Value, rec core.Record) bool {
+			sum += rec[1].Int64()
+			return true
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return sum
+	}
+
+	var (
+		wg     sync.WaitGroup
+		reused atomic.Int64
+	)
+	for c := range 2 * clients {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(c + 1)))
+			seen := make(map[*Tx]bool)
+			for range iters {
+				from, to := int64(rng.Intn(rows)), int64(rng.Intn(rows-1))
+				if to >= from {
+					to++
+				}
+				amount := int64(rng.Intn(5) + 1)
+				if c%2 == 1 {
+					runRetry(t, db, func(tx *Tx) error { return transfer(tx, from, to, amount) })
+					continue
+				}
+				for {
+					err := db.Txn(func(tx *Tx) error {
+						if tx.writes != nil || tx.thin != nil || tx.bufs != nil || tx.sfus != nil ||
+							tx.failedErr != nil || tx.nStmts != 0 || tx.done {
+							t.Errorf("Txn passed a handle that is not fresh: %+v", tx)
+						}
+						if seen[tx] {
+							reused.Add(1)
+						}
+						seen[tx] = true
+						return transfer(tx, from, to, amount)
+					})
+					if err == nil {
+						break
+					}
+					if !core.IsRetriable(err) {
+						t.Errorf("non-retriable error: %v", err)
+						break
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if got, want := total(), int64(rows*initial); got != want {
+		t.Fatalf("total not conserved: %d, want %d", got, want)
+	}
+	if reused.Load() == 0 {
+		t.Error("no Txn client was ever passed a handle it had been passed before")
+	}
+
+	// A panic out of fn, then one out of the commit (the stamp fault
+	// fires at its head): each leaves its rows unlocked and unchanged.
+	var dead []*Tx
+	for _, commitPanics := range []bool{false, true} {
+		if commitPanics {
+			if err := reg.Arm(faultinject.Spec{Point: FaultCommitStamp, Count: 1, Action: faultinject.ActPanic}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("commit panics %v: Txn returned instead of unwinding", commitPanics)
+				}
+			}()
+			_ = db.Txn(func(tx *Tx) error {
+				dead = append(dead, tx)
+				if err := transfer(tx, 0, 1, 1000); err != nil {
+					t.Fatal(err)
+				}
+				if !commitPanics {
+					panic("fn dies")
+				}
+				return nil
+			})
+		}()
+		if tx := dead[len(dead)-1]; !tx.done || db.InFlightTxns() != 0 {
+			tx.Abort() // so that Close does not wait for it
+			t.Fatalf("commit panics %v: the handle was left open", commitPanics)
+		}
+		if err := db.Txn(func(tx *Tx) error { return transfer(tx, 1, 0, 1) }); err != nil {
+			t.Fatalf("commit panics %v: the rows it wrote are still locked: %v", commitPanics, err)
+		}
+		if got, want := total(), int64(rows*initial); got != want {
+			t.Fatalf("commit panics %v: total %d, want %d", commitPanics, got, want)
+		}
+	}
+	for range 64 {
+		_ = db.Txn(func(tx *Tx) error {
+			if slices.Contains(dead, tx) {
+				t.Fatal("Txn handed out a handle a panic unwound past")
+			}
+			return nil
+		})
+		tx := db.Begin()
+		if slices.Contains(dead, tx) {
+			t.Fatal("Begin handed out a handle a panic unwound past")
+		}
+		tx.Abort()
+	}
+
+	// A handle back in the pool holds nothing and is linked into nothing.
+	var kept *Tx
+	if err := db.Txn(func(tx *Tx) error { kept = tx; return transfer(tx, 2, 3, 1) }); err != nil {
+		t.Fatal(err)
+	}
+	if kept.writes != nil || kept.thin != nil || kept.bufs != nil || kept.sfus != nil || kept.ssi != nil ||
+		kept.slot != nil || kept.snapPrev != nil || kept.snapNext != nil || kept.db != nil || !kept.done {
+		t.Fatalf("a recycled handle still holds state: %+v", kept)
+	}
+}
+
+// TestTxnHandleEndsWithFn: the handle DB.Txn passes fn is the engine's
+// once fn returns. Used late, it reports that it has ended instead of
+// acting, and it commits nothing of what it was asked after its Txn.
+func TestTxnHandleEndsWithFn(t *testing.T) {
+	db := openKV(t, core.SnapshotFUW, core.PlatformPostgres)
+	var late *Tx
+	if err := db.Txn(func(tx *Tx) error {
+		late = tx
+		_, err := tx.Get("T", core.Int(1))
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := late.Get("T", core.Int(1)); !errors.Is(err, core.ErrTxDone) {
+		t.Fatalf("a late Get returned %v, want %v", err, core.ErrTxDone)
+	}
+	if err := late.Update("T", core.Int(1), kv(1, 7)); !errors.Is(err, core.ErrTxDone) {
+		t.Fatalf("a late Update returned %v, want %v", err, core.ErrTxDone)
+	}
+	if err := late.Commit(); !errors.Is(err, core.ErrTxDone) {
+		t.Fatalf("a late Commit returned %v, want %v", err, core.ErrTxDone)
+	}
+	late.Abort()
+	if n := db.InFlightTxns(); n != 0 {
+		t.Fatalf("%d transactions open", n)
+	}
+	check := db.Begin()
+	defer check.Abort()
+	if rec, err := check.Get("T", core.Int(1)); err != nil || rec[1].Int64() != 100 {
+		t.Fatalf("row 1 reads %v, %v; want 100", rec, err)
 	}
 }

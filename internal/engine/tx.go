@@ -493,20 +493,22 @@ func (tx *Tx) Update(table string, key core.Value, rec core.Record) error {
 			return tx.fail(err)
 		}
 	}
-	// Into a variable of its own: assigning the copy to rec would make
-	// the parameter escape, and every caller's record literal with it.
-	image := rec.Clone()
-	if row.UpdateOwn(tx.id, image) {
-		return nil // second write to the same row within this txn
+	if v.Creator == tx.id && v.CSN() == 0 {
+		// A second write to the same row within this transaction: the
+		// version it installed gets the new image.
+		row.UpdateOwn(tx.id, rec.Clone())
+		return nil
 	}
-	tx.install(tbl, key, row, image)
+	tx.install(tbl, key, row, rec)
 	return nil
 }
 
-// install links a new uncommitted version of row carrying image (nil: a
-// tombstone) and records the write.
+// install links a new uncommitted version of row carrying a copy of
+// image (nil: a tombstone) and records the write. The copy is the
+// version's own (storage.NewVersion), so image does not escape, and
+// neither does the record literal of an Update or Insert call site.
 func (tx *Tx) install(tbl *storage.Table, key core.Value, row *storage.Row, image core.Record) {
-	ver := &storage.Version{Rec: image, Creator: tx.id}
+	ver := storage.NewVersion(image, tx.id)
 	row.Install(ver)
 	tx.borrow()
 	tx.writes = append(tx.writes, writeRec{table: tbl, key: key, row: row, ver: ver})
@@ -553,7 +555,7 @@ func (tx *Tx) Insert(table string, rec core.Record) error {
 			return tx.fail(err)
 		}
 	}
-	tx.install(tbl, key, row, rec.Clone())
+	tx.install(tbl, key, row, rec)
 	return nil
 }
 

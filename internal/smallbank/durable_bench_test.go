@@ -22,11 +22,14 @@ import (
 // 18 000 customers and the uniform five-program mix with 90 % of the
 // picks on a 1 000-customer hotspot. It reports txn/s; clients=2 over
 // clients=1 is what a second processor buys a durable transaction.
-// Each client runs its share of b.N with its own generator, so the
-// clients share nothing the engine does not.
+// Its allocations per operation are the program path's per transaction
+// (the checkpoints' and retries' included). Each client runs its share
+// of b.N with its own generator, so the clients share nothing the
+// engine does not.
 func BenchmarkSmallBankDurable(b *testing.B) {
 	for _, clients := range []int{1, 2} {
 		b.Run(fmt.Sprintf("clients=%d", clients), func(b *testing.B) {
+			b.ReportAllocs()
 			db := openDurableBank(b)
 			defer db.Close()
 			b.ResetTimer()

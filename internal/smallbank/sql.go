@@ -373,17 +373,11 @@ func RunIn(tx *engine.Tx, s *Strategy, typ TxnType, p Params) error {
 }
 
 // Run executes one transaction of the given type under the strategy:
-// begin, run, commit — aborting on any error. The returned error is nil
-// on commit; retriable concurrency failures satisfy core.IsRetriable.
+// begin, run, commit — aborting on any error, and while an injected
+// panic (faultinject.ActPanic) unwinds, so a program that dies
+// mid-statement still releases its locks (engine.DB.Txn). The returned
+// error is nil on commit; retriable concurrency failures satisfy
+// core.IsRetriable.
 func Run(db *engine.DB, s *Strategy, typ TxnType, p Params) error {
-	tx := db.Begin()
-	// Abort after completion is a no-op; this deferred rollback exists
-	// for injected panics (faultinject.ActPanic), so a program that
-	// dies mid-statement still releases its locks while unwinding.
-	defer tx.Abort()
-	if err := RunIn(tx, s, typ, p); err != nil {
-		tx.Abort()
-		return err
-	}
-	return tx.Commit()
+	return db.Txn(func(tx *engine.Tx) error { return RunIn(tx, s, typ, p) })
 }

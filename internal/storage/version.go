@@ -42,6 +42,31 @@ type Version struct {
 	csn atomic.Uint64
 }
 
+// inlineCols is the widest row image a version carries in its own
+// allocation; every SmallBank table is this wide or narrower.
+const inlineCols = 2
+
+// inlineVersion is a version with room for its row image behind it.
+type inlineVersion struct {
+	Version
+	cols [inlineCols]core.Value
+}
+
+// NewVersion returns an uncommitted version by creator carrying a copy
+// of image (nil: a deletion tombstone). An image of at most inlineCols
+// columns is copied into the version's own allocation, so a version and
+// its image are one object; a wider one is cloned beside it. image does
+// not escape.
+func NewVersion(image core.Record, creator uint64) *Version {
+	if image == nil || len(image) > inlineCols {
+		return &Version{Rec: image.Clone(), Creator: creator}
+	}
+	iv := &inlineVersion{Version: Version{Creator: creator}}
+	n := copy(iv.cols[:], image)
+	iv.Rec = iv.cols[:n:n]
+	return &iv.Version
+}
+
 // CSN returns the commit sequence number, or 0 if uncommitted.
 func (v *Version) CSN() uint64 { return v.csn.Load() }
 

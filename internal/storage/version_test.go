@@ -135,3 +135,39 @@ func TestRowVisibleProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// versionSink keeps the versions an allocation count makes on the heap.
+var versionSink *Version
+
+// TestNewVersionCopiesImage: a version owns a copy of its image — one
+// allocation with the version up to inlineCols columns, a clone beside
+// it above — and keeps a tombstone's nil and an empty image's non-nil.
+func TestNewVersionCopiesImage(t *testing.T) {
+	for _, image := range []core.Record{
+		{}, {core.Int(1)}, rec(100), {core.Int(1), core.Str("x"), core.Int(2)},
+	} {
+		v := NewVersion(image, 7)
+		if v.Creator != 7 || v.CSN() != 0 {
+			t.Fatalf("%v: creator %d, csn %d", image, v.Creator, v.CSN())
+		}
+		if v.Rec == nil || !v.Rec.Equal(image) {
+			t.Fatalf("version carries %v, want %v", v.Rec, image)
+		}
+		if len(image) > 0 {
+			image[0] = core.Int(99)
+			if v.Rec[0] == core.Int(99) {
+				t.Fatalf("%v: the version aliases its caller's record", v.Rec)
+			}
+		}
+		want := 1.0
+		if len(image) > inlineCols {
+			want = 2
+		}
+		if n := testing.AllocsPerRun(100, func() { versionSink = NewVersion(image, 7) }); n != want {
+			t.Errorf("%d columns: %v allocations, want %v", len(image), n, want)
+		}
+	}
+	if v := NewVersion(nil, 7); v.Rec != nil {
+		t.Fatalf("a tombstone carries %v", v.Rec)
+	}
+}

@@ -86,6 +86,31 @@ func TestCkptFrameRoundTrip(t *testing.T) {
 	}
 }
 
+// TestAppendCkptRowsReusesItsBuffer: the append form writes the frame
+// EncodeCkptRows does behind what dst holds, and a buffer that held a
+// batch as large renders the next one without allocating.
+func TestAppendCkptRowsReusesItsBuffer(t *testing.T) {
+	batch := &CkptRows{CSN: 9, Rows: []CkptRow{
+		{Table: "T", Key: core.Int(1), CSN: 7, Rec: core.Record{core.Int(1), core.Str("a")}},
+		{Table: "Account", Key: core.Str("cust-3"), CSN: 4, Rec: core.Record{core.Str("cust-3"), core.Int(3)}},
+	}}
+	want := EncodeCkptRows(batch)
+	prefix := []byte("prefix")
+	if got := AppendCkptRows(prefix, batch); !bytes.Equal(got, append(prefix, want...)) {
+		t.Fatalf("appended behind a prefix\n got %x\nwant %x", got, append(prefix, want...))
+	}
+	buf := AppendCkptRows(nil, batch)
+	if !bytes.Equal(buf, want) {
+		t.Fatalf("appended to nothing\n got %x\nwant %x", buf, want)
+	}
+	if n := testing.AllocsPerRun(100, func() { buf = AppendCkptRows(buf[:0], batch) }); n != 0 {
+		t.Fatalf("%v allocations rendering into a buffer that fits, want 0", n)
+	}
+	if !bytes.Equal(buf, want) {
+		t.Fatalf("rendered again into its buffer\n got %x\nwant %x", buf, want)
+	}
+}
+
 // TestClassifyTornLastCheckpointFallsBack cuts the log inside the final
 // checkpoint, at every possible byte offset: classification must land
 // on the checkpoint BEFORE the incomplete one — whose rows must never

@@ -266,11 +266,24 @@ func EncodeCkptBegin(d *CkptBegin) []byte {
 // EncodeCkptRows renders one batch of checkpoint rows, header included,
 // into one buffer of the frame's exact size.
 func EncodeCkptRows(d *CkptRows) []byte {
+	return AppendCkptRows(nil, d)
+}
+
+// AppendCkptRows appends d's rows frame, header included, to dst and
+// returns the extended slice; dst grows once, to fit the frame exactly,
+// when its capacity is short. A checkpoint renders every batch into the
+// same buffer this way, reusing it once the batch before has its
+// verdict.
+func AppendCkptRows(dst []byte, d *CkptRows) []byte {
 	n := frameHeaderSize + 1 + 8 + 4
 	for _, r := range d.Rows {
 		n += 4 + len(r.Table) + valueSize(r.Key) + 8 + recordSize(r.Rec)
 	}
-	b := make([]byte, frameHeaderSize, n)
+	if cap(dst)-len(dst) < n {
+		dst = append(make([]byte, 0, len(dst)+n), dst...)
+	}
+	start := len(dst)
+	b := append(dst, make([]byte, frameHeaderSize)...)
 	b = append(b, frameCkptRows)
 	b = appendU64(b, d.CSN)
 	b = appendU32(b, uint32(len(d.Rows)))
@@ -280,7 +293,7 @@ func EncodeCkptRows(d *CkptRows) []byte {
 		b = appendU64(b, r.CSN)
 		b = appendRecord(b, r.Rec)
 	}
-	sealFrame(b)
+	sealFrame(b[start:])
 	return b
 }
 
