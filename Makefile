@@ -39,6 +39,7 @@ race:
 # Concurrency stress suite (goroutine fleets + property-based lock-table
 # equivalence, lock-free chain readers against pruning writers, the
 # prune-visibility property and table walks racing inserts in storage,
+# lookups racing bulk inserts that fail and are taken back,
 # checkpoints streaming under an overwrite storm in engine, committers
 # leading, queueing to lead, withdrawing and committing async against
 # one log in wal, plus the MPL-16 online-checker subscription) under the
@@ -47,11 +48,14 @@ race:
 # section per window must keep (TestOrdering*), on one processor, where a
 # committer never polls for another (wal.WAL.Spin) and every wait is the
 # blocking one. Both lines run TestStressBeginCloseDrain (engine: Begin,
-# Commit and Abort racing Close over the processor slots) and
+# Commit and Abort racing Close over the processor slots),
 # TestStressTxnReuse (engine: DB.Txn's recycled handles beside Begin's,
-# and panics out of a transaction) by their TestStress prefix. It leaves
-# out the SSI transfer storm: its clients retry without back-off, and on
-# one processor they can stop making progress (ROADMAP, the SSI item).
+# and panics out of a transaction) and TestStressBulkInsert* (engine: a
+# failed bulk insert installs nothing, one racing an INSERT of one of its
+# keys ends with one winner, a trace with bulk inserts passes both
+# isolation checkers) by their TestStress prefix. It leaves out the SSI
+# transfer storm: its clients retry without back-off, and on one
+# processor they can stop making progress (ROADMAP, the SSI item).
 stress:
 	$(GO) test -race -count=2 -run 'TestStress|TestQuick' ./internal/storage ./internal/wal ./internal/engine ./internal/workload
 	GOMAXPROCS=1 $(GO) test -race -count=1 -run 'TestStress|TestLead|TestHeir|TestOrdering' -skip 'TestStressTransfersConserveTotal/SSI' ./internal/wal ./internal/engine
@@ -155,7 +159,9 @@ figsmoke:
 # BenchmarkCommitDurable matches the serial, MPL 2 and MPL 16 sets;
 # BenchmarkSmallBankDurable's clients=2 over clients=1 is what a second
 # processor buys a durable transaction, and its allocs/op what the
-# program path allocates per transaction). They are
+# program path allocates per transaction; BenchmarkLoad and
+# BenchmarkRecover price loading the paper's database and restoring it
+# from a checkpoint, per row, and heap-B/row what a loaded one keeps). They are
 # printed, not archived: the numbers a change is judged on are the
 # benchmark's (benchspine/: tps, setup_s and the per-layer metrics of
 # BENCHMARK.json), and a per-layer metric exists for most of these —
@@ -166,6 +172,7 @@ bench:
 		-benchtime 1s -count 6 -benchmem ./internal/engine
 	$(GO) test -run XXX -bench 'BenchmarkOnlineCheck|BenchmarkIngest' -benchtime 1s -count 6 -benchmem ./internal/onlinecheck
 	$(GO) test -run XXX -bench 'BenchmarkServerRoundTrip' -benchtime 1s -count 6 -benchmem ./internal/server
+	$(GO) test -run XXX -bench 'BenchmarkRecover' -benchtime 10x -count 6 -benchmem ./internal/engine
 	$(GO) test -run XXX -bench 'BenchmarkLoad' -benchtime 5x -count 6 -benchmem ./internal/smallbank
 	$(GO) test -run XXX -bench 'BenchmarkSmallBankDurable' -benchtime 2s -count 6 -benchmem ./internal/smallbank
 	$(GO) test -run XXX -bench 'BenchmarkRowMap' -benchtime 1s -count 6 -benchmem ./internal/storage

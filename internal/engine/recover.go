@@ -68,23 +68,24 @@ func Recover(dev wal.LogDevice, cfg Config) (*DB, *RecoveryReport, error) {
 		report.Tables++
 	}
 
-	// Checkpoint snapshot: install every row verbatim, preserving its
-	// commit CSN so the recovered version chain matches the crashed one.
+	// Checkpoint snapshot: every row is new, committed at its own CSN,
+	// so the whole checkpoint is placed in bulk, each table's rows at
+	// once, and each recovered chain starts as the crashed one's newest
+	// version did.
 	if ck := info.Checkpoint; ck != nil {
 		for _, r := range ck.Rows {
 			if r.CSN == 0 || r.CSN > ck.CSN {
 				return fail(fmt.Errorf("engine: recover: checkpoint row %s/%v has CSN %d outside (0, %d]",
 					r.Table, r.Key, r.CSN, ck.CSN))
 			}
-			tbl, err := db.store.Table(r.Table)
-			if err != nil {
-				return fail(fmt.Errorf("engine: recover: %w", err))
-			}
-			if err := installRecovered(tbl, r.Key, r.Rec, r.CSN); err != nil {
-				return fail(err)
-			}
-			report.CheckpointRows++
 		}
+		if err := db.placeCommitted(len(ck.Rows), func(i int) (string, core.Value, core.Record, uint64) {
+			r := &ck.Rows[i]
+			return r.Table, r.Key, r.Rec, r.CSN
+		}); err != nil {
+			return fail(fmt.Errorf("engine: recover: checkpoint: %w", err))
+		}
+		report.CheckpointRows = len(ck.Rows)
 		db.ckptRunMu.Lock() // the scheduler goroutine is already running
 		db.ckptCut = ck.CSN
 		db.ckptRunMu.Unlock()
@@ -94,27 +95,48 @@ func Recover(dev wal.LogDevice, cfg Config) (*DB, *RecoveryReport, error) {
 	// order (the writer holds the row's X lock from write through
 	// publication), so installing each commit's images in ascending CSN
 	// leaves every chain newest-first, exactly as the live engine would.
+	// A commit's images of rows that exist — updates and deletions — are
+	// each linked at the head of their row's chain; its new rows (a
+	// loader's batch, an INSERT) are placed in bulk like the checkpoint's.
+	var fresh []int
 	for _, c := range info.Commits {
 		if c.CSN == 0 {
 			return fail(fmt.Errorf("engine: recover: commit frame for tx %d carries CSN 0", c.TxID))
 		}
-		for _, ri := range c.Rows {
+		fresh = fresh[:0]
+		for i, ri := range c.Rows {
 			tbl, err := db.store.Table(ri.Table)
 			if err != nil {
 				return fail(fmt.Errorf("engine: recover: commit %d: %w", c.CSN, err))
 			}
-			if err := installRecovered(tbl, ri.Key, ri.Rec, c.CSN); err != nil {
-				return fail(err)
+			row := tbl.Row(ri.Key)
+			if row == nil && ri.Rec != nil {
+				fresh = append(fresh, i)
+				continue
 			}
-			report.ReplayedRows++
+			if err := checkImage(tbl, ri.Key, ri.Rec); err != nil {
+				return fail(fmt.Errorf("engine: recover: commit %d: %w", c.CSN, err))
+			}
+			if row == nil {
+				row = tbl.EnsureRow(ri.Key)
+			}
+			v := &storage.Version{Rec: ri.Rec}
+			row.Install(v)
+			v.MarkCommitted(c.CSN)
 		}
+		if err := db.placeCommitted(len(fresh), func(i int) (string, core.Value, core.Record, uint64) {
+			ri := &c.Rows[fresh[i]]
+			return ri.Table, ri.Key, ri.Rec, c.CSN
+		}); err != nil {
+			return fail(fmt.Errorf("engine: recover: commit %d: %w", c.CSN, err))
+		}
+		report.ReplayedRows += len(c.Rows)
 		report.ReplayedCommits++
 	}
 
 	// Unique secondary indexes are not logged; rebuild them from the
-	// recovered final state. Creator 0 plus an immediate per-row Commit
-	// stamps each entry with its row's CSN, so snapshot lookups behave
-	// as before the crash.
+	// recovered final state, each index in bulk, every entry committed
+	// at its row's CSN so snapshot lookups behave as before the crash.
 	for _, name := range db.store.TableNames() {
 		tbl, err := db.store.Table(name)
 		if err != nil {
@@ -123,23 +145,20 @@ func Recover(dev wal.LogDevice, cfg Config) (*DB, *RecoveryReport, error) {
 		if len(tbl.Indexes()) == 0 {
 			continue
 		}
-		var ixErr error
+		var live []keyedRow
 		tbl.Range(func(k core.Value, row *storage.Row) bool {
-			v := row.NewestCommitted()
-			if v == nil || v.Rec == nil {
-				return true
-			}
-			for _, ix := range tbl.Indexes() {
-				if ixErr = ix.Insert(0, v.Rec[ix.ColPos()], k); ixErr != nil {
-					ixErr = fmt.Errorf("engine: recover: index rebuild on %s.%s: %w", name, ix.Column(), ixErr)
-					return false
-				}
-				ix.Commit(0, v.CSN(), 0)
+			if v := row.NewestCommitted(); v != nil && v.Rec != nil {
+				live = append(live, keyedRow{k, row})
 			}
 			return true
 		})
-		if ixErr != nil {
-			return fail(ixErr)
+		for _, ix := range tbl.Indexes() {
+			if err := ix.InsertRows(0, len(live), func(i int) (core.Value, core.Record, uint64) {
+				v := live[i].row.NewestCommitted()
+				return live[i].key, v.Rec, v.CSN()
+			}); err != nil {
+				return fail(fmt.Errorf("engine: recover: index rebuild on %s.%s: %w", name, ix.Column(), err))
+			}
 		}
 	}
 
@@ -153,31 +172,13 @@ func Recover(dev wal.LogDevice, cfg Config) (*DB, *RecoveryReport, error) {
 	return db, report, nil
 }
 
-// installRecovered links one recovered after-image (nil rec =
-// tombstone) at the head of a row's chain with its original CSN.
-// Recovery is single-threaded, so Install's X-lock precondition is
-// trivially met. Live images are schema-checked first: a log whose CRCs
-// pass but whose payload disagrees with its own schema frames is
-// corrupt, and recovery must reject it rather than panic later (e.g. in
-// index rebuild, which indexes record columns by schema position). So
-// is a NULL key, tombstones included: no row can have one, and the row
-// map has no slot for it.
-func installRecovered(tbl *storage.Table, key core.Value, rec core.Record, csn uint64) error {
-	if key.IsNull() {
-		return fmt.Errorf("engine: recover: %s row logged under a NULL key", tbl.Name())
+// placeCommitted places n new rows committed at their own CSNs
+// (placeRows with no creator): recovery is alone with the database, so
+// each table's batch ends at once.
+func (db *DB) placeCommitted(n int, row bulkImage) error {
+	tables, err := db.placeRows(0, n, row)
+	for _, t := range tables {
+		t.ins.Release()
 	}
-	if rec != nil {
-		if err := tbl.Schema().CheckRecord(rec); err != nil {
-			return fmt.Errorf("engine: recover: %w", err)
-		}
-		if tbl.Schema().Key(rec) != key {
-			return fmt.Errorf("engine: recover: %s row logged under key %v has primary key %v",
-				tbl.Name(), key, tbl.Schema().Key(rec))
-		}
-	}
-	row := tbl.EnsureRow(key)
-	v := &storage.Version{Rec: rec, Creator: 0}
-	row.Install(v)
-	v.MarkCommitted(csn)
-	return nil
+	return err
 }

@@ -98,8 +98,8 @@ type Tx struct {
 }
 
 // txBufs carries the backing arrays of Tx.writes and Tx.thin from one
-// transaction to the next, so a 4000-row load batch does not grow them
-// from nothing and a three-row program does not allocate them at all.
+// transaction to the next, so a three-row program does not allocate them
+// at all.
 // rec is a sync commit's log record, reused with its verdict channel, its
 // frame buffer and its row images: the buffers go back to the pool only
 // when the transaction ends, and by then a sync commit has received its
@@ -954,6 +954,14 @@ func (tx *Tx) Commit() error {
 		}
 	}
 
+	tx.committed(commitCSN, commitStart)
+	return nil
+}
+
+// committed ends a transaction that committed at commitCSN: it releases
+// its locks, counts the commit (with its latency from commitStart, when
+// it updated) and retires the handle.
+func (tx *Tx) committed(commitCSN uint64, commitStart time.Time) {
 	if tx.ssi != nil {
 		tx.db.ssi.finish(tx, commitCSN)
 	}
@@ -961,7 +969,7 @@ func (tx *Tx) Commit() error {
 	tx.done = true
 	m := &tx.slot.metrics
 	m.Commits.Add(1)
-	if updating {
+	if !commitStart.IsZero() {
 		m.CommitLatency.Record(time.Since(commitStart))
 	}
 	if tx.db.tracer.Enabled() {
@@ -969,7 +977,6 @@ func (tx *Tx) Commit() error {
 	}
 	tx.db.endTx(tx)
 	tx.recycle()
-	return nil
 }
 
 // Abort rolls the transaction back: uncommitted versions are unlinked,

@@ -2,6 +2,7 @@ package smallbank_test
 
 import (
 	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"sicost/internal/core"
@@ -21,7 +22,10 @@ import (
 //     the checkpoint scheduler and segment retirement on.
 //
 // One operation is one full Load; the per-row metrics divide by the
-// 72 001 rows it inserts.
+// 72 001 rows it inserts. heap-B/row is what one loaded database keeps:
+// the growth of HeapInuse, each side of a forced collection, from before
+// its Open to after its Load (with embed-durable, its log segments held
+// in memory included).
 func BenchmarkLoad(b *testing.B) {
 	const (
 		customers = 18000
@@ -70,6 +74,29 @@ func BenchmarkLoad(b *testing.B) {
 			b.ReportMetric(perRow(uint64(b.Elapsed().Nanoseconds())), "ns/row")
 			b.ReportMetric(perRow(after.Mallocs-before.Mallocs), "allocs/row")
 			b.ReportMetric(perRow(after.TotalAlloc-before.TotalAlloc), "B/row")
+
+			b.StopTimer()
+			settle()
+			runtime.ReadMemStats(&before)
+			db := engine.Open(c.cfg(b))
+			if err := smallbank.CreateSchema(db); err != nil {
+				b.Fatal(err)
+			}
+			if _, err := smallbank.Load(db, smallbank.LoadConfig{Customers: customers, Seed: 42}); err != nil {
+				b.Fatal(err)
+			}
+			settle()
+			runtime.ReadMemStats(&after)
+			b.ReportMetric(float64(int64(after.HeapInuse)-int64(before.HeapInuse))/rows, "heap-B/row")
+			db.Close()
 		})
 	}
+}
+
+// settle collects twice, so that what the pools held (sync.Pool keeps its
+// items through one collection) is gone too, and gives the freed pages
+// back to the system.
+func settle() {
+	runtime.GC()
+	debug.FreeOSMemory()
 }

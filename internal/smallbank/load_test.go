@@ -3,6 +3,7 @@ package smallbank
 import (
 	"errors"
 	"fmt"
+	"math/rand"
 	"runtime"
 	"testing"
 	"time"
@@ -237,5 +238,203 @@ func TestOpenClosesOnError(t *testing.T) {
 				time.Sleep(time.Millisecond)
 			}
 		})
+	}
+}
+
+// loadRowByRow is the reference Load is held to: the same database, put
+// in by Tx.Insert one row at a time, batch by batch, in the same
+// transactions (the fixed Conflict row, then one per batch of
+// customers), drawing the balances in the same order.
+func loadRowByRow(db *engine.DB, cfg LoadConfig) (total int64, err error) {
+	cfg.defaults()
+	rng := rand.New(rand.NewSource(cfg.Seed))
+	commit := func(insert func(tx *engine.Tx) error) (uint64, error) {
+		tx := db.Begin()
+		tx.SetAsync(true)
+		if err := insert(tx); err != nil {
+			tx.Abort()
+			return 0, err
+		}
+		if err := tx.Commit(); err != nil {
+			return 0, err
+		}
+		return tx.CommitCSN(), nil
+	}
+	last, err := commit(func(tx *engine.Tx) error {
+		return tx.Insert(TableConflict, core.Record{core.Int(FixedConflictID), core.Int(0)})
+	})
+	if err != nil {
+		return 0, err
+	}
+	for start := 0; start < cfg.Customers; start += cfg.BatchSize {
+		end := min(start+cfg.BatchSize, cfg.Customers)
+		last, err = commit(func(tx *engine.Tx) error {
+			for i := start; i < end; i++ {
+				sav := cfg.MinSaving + rng.Int63n(cfg.MaxSaving-cfg.MinSaving+1)
+				chk := cfg.MinChecking + rng.Int63n(cfg.MaxChecking-cfg.MinChecking+1)
+				total += sav + chk
+				id := core.Int(int64(i))
+				for _, r := range []struct {
+					table string
+					rec   core.Record
+				}{
+					{TableAccount, core.Record{core.Str(CustomerName(i)), id}},
+					{TableSaving, core.Record{id, core.Int(sav)}},
+					{TableChecking, core.Record{id, core.Int(chk)}},
+					{TableConflict, core.Record{id, core.Int(0)}},
+				} {
+					if err := tx.Insert(r.table, r.rec); err != nil {
+						return err
+					}
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			return 0, err
+		}
+	}
+	return total, db.WaitDurable(last)
+}
+
+// loadedState is every row of the four tables as of one CSN, by table
+// and key.
+type loadedState map[string]map[core.Value]core.Record
+
+func stateAsOf(t *testing.T, db *engine.DB, cut uint64) loadedState {
+	t.Helper()
+	st := loadedState{}
+	for _, table := range []string{TableAccount, TableSaving, TableChecking, TableConflict} {
+		rows := map[core.Value]core.Record{}
+		if err := db.ScanAsOf(table, cut, func(k core.Value, rec core.Record) bool {
+			rows[k] = rec.Clone()
+			return true
+		}); err != nil {
+			t.Fatal(err)
+		}
+		st[table] = rows
+	}
+	return st
+}
+
+// diff names the first difference between two states, or returns "".
+func (st loadedState) diff(other loadedState) string {
+	for table, rows := range st {
+		if len(rows) != len(other[table]) {
+			return fmt.Sprintf("%s: %d rows against %d", table, len(rows), len(other[table]))
+		}
+		for k, rec := range rows {
+			if got, ok := other[table][k]; !ok || !got.Equal(rec) {
+				return fmt.Sprintf("%s/%v: %v against %v", table, k, rec, got)
+			}
+		}
+	}
+	return ""
+}
+
+// TestLoadMatchesRowByRow holds the bulk loader to the row-by-row one: a
+// database loaded each way has the same rows committed at the same CSNs
+// (the state as of every CSN of the load matches), the same CustomerID
+// index at a snapshot before the load and after it, the same money, and
+// rebuilds the same state from what its log had synced when Load
+// returned.
+func TestLoadMatchesRowByRow(t *testing.T) {
+	cfg := LoadConfig{Customers: 2500, Seed: 7}
+	type loaded struct {
+		db    *engine.DB
+		dev   *wal.SegmentLog
+		total int64
+		// early is a transaction begun before the load: its snapshot
+		// sees none of it, and it keeps every CSN of the load readable
+		// (ScanAsOf) by holding the snapshot horizon at 0.
+		early *engine.Tx
+	}
+	load := func(name string, loader func(*engine.DB, LoadConfig) (int64, error)) loaded {
+		dev, err := wal.NewMemSegmentLog(1 << 20)
+		if err != nil {
+			t.Fatal(err)
+		}
+		db := engine.Open(engine.Config{Mode: core.SnapshotFUW, WAL: wal.Config{Device: dev}})
+		t.Cleanup(db.Close)
+		if err := CreateSchema(db); err != nil {
+			t.Fatal(err)
+		}
+		early := db.Begin()
+		t.Cleanup(early.Abort)
+		total, err := loader(db, cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		return loaded{db, dev, total, early}
+	}
+	bulk, ref := load("Load", Load), load("row by row", loadRowByRow)
+
+	if bulk.total != ref.total {
+		t.Fatalf("Load put in %d, row by row %d", bulk.total, ref.total)
+	}
+	for _, l := range []loaded{bulk, ref} {
+		if got, err := TotalMoney(l.db); err != nil || got != l.total {
+			t.Fatalf("TotalMoney = %d, %v; loaded %d", got, err, l.total)
+		}
+	}
+	// 1 fixed-row commit + 3 batches of 1000 customers, the last short.
+	if bulk.db.CommitSeq() != 4 || ref.db.CommitSeq() != 4 {
+		t.Fatalf("loads took %d and %d commits, want 4", bulk.db.CommitSeq(), ref.db.CommitSeq())
+	}
+	for cut := uint64(0); cut <= 4; cut++ {
+		if d := stateAsOf(t, bulk.db, cut).diff(stateAsOf(t, ref.db, cut)); d != "" {
+			t.Fatalf("as of CSN %d: Load against row by row: %s", cut, d)
+		}
+	}
+
+	after := []*engine.Tx{bulk.db.Begin(), ref.db.Begin()}
+	defer after[0].Abort()
+	defer after[1].Abort()
+	for id := int64(0); id < int64(cfg.Customers); id++ {
+		want := core.Record{core.Str(CustomerName(int(id))), core.Int(id)}
+		for i, l := range []loaded{bulk, ref} {
+			if rec, err := l.early.GetByIndex(TableAccount, "CustomerID", core.Int(id)); !errors.Is(err, core.ErrNotFound) {
+				t.Fatalf("load %d: CustomerID %d found %v, %v at a snapshot before the load", i, id, rec, err)
+			}
+			if rec, err := after[i].GetByIndex(TableAccount, "CustomerID", core.Int(id)); err != nil || !rec.Equal(want) {
+				t.Fatalf("load %d: CustomerID %d = %v, %v; want %v", i, id, rec, err, want)
+			}
+		}
+	}
+
+	recovered := make([]loadedState, 2)
+	for i, l := range []loaded{bulk, ref} {
+		if _, err := l.dev.DropUnsynced(); err != nil {
+			t.Fatal(err)
+		}
+		image, err := l.dev.Segments()
+		if err != nil {
+			t.Fatal(err)
+		}
+		survivor, err := wal.NewMemSegmentLog(1<<20, image...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		db, _, err := engine.Recover(survivor, engine.Config{Mode: core.SnapshotFUW})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer db.Close()
+		if db.CommitSeq() != 4 {
+			t.Fatalf("load %d recovered up to CSN %d, want 4", i, db.CommitSeq())
+		}
+		recovered[i] = stateAsOf(t, db, 4)
+		if d := recovered[i].diff(stateAsOf(t, l.db, 4)); d != "" {
+			t.Fatalf("load %d: recovered against live: %s", i, d)
+		}
+		tx := db.Begin()
+		rec, err := tx.GetByIndex(TableAccount, "CustomerID", core.Int(1234))
+		tx.Abort()
+		if err != nil || rec[0] != core.Str(CustomerName(1234)) {
+			t.Fatalf("load %d: recovered CustomerID index: %v, %v", i, rec, err)
+		}
+	}
+	if d := recovered[0].diff(recovered[1]); d != "" {
+		t.Fatalf("recovered Load against recovered row by row: %s", d)
 	}
 }

@@ -14,6 +14,7 @@ import (
 	"sicost/internal/core"
 	"sicost/internal/engine"
 	"sicost/internal/simres"
+	"sicost/internal/wal"
 )
 
 // Table names.
@@ -143,6 +144,9 @@ func CreateSchema(db *engine.DB) error {
 // Conflict row 0. It returns the total money loaded (savings plus
 // checking), which invariant checks use.
 //
+// Each batch of customers is one bulk insert (engine.DB.BulkInsert):
+// one commit of the batch's rows in all four tables, logged as one
+// commit frame and built in bulk rather than inserted row by row.
 // Everything loaded is durable when Load returns, but the log is waited
 // for once: the batches commit asynchronously, one behind the other, and
 // Load waits for the last of them (the log's durable mark is a prefix of
@@ -153,50 +157,41 @@ func Load(db *engine.DB, cfg LoadConfig) (total int64, err error) {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 
 	// The fixed conflict row for the single-row materialization ablation.
-	tx := db.Begin()
-	tx.SetAsync(true)
-	if err := tx.Insert(TableConflict, core.Record{core.Int(FixedConflictID), core.Int(0)}); err != nil {
-		tx.Abort()
+	fixed := core.Int(FixedConflictID)
+	last, err := db.BulkInsert([]wal.RowImage{{Table: TableConflict, Key: fixed, Rec: core.Record{fixed, core.Int(0)}}})
+	if err != nil {
 		return 0, err
 	}
-	if err := tx.Commit(); err != nil {
-		return 0, err
-	}
-	last := tx.CommitCSN()
 
+	// One batch's rows, table by table, and the columns of their
+	// records: reused from batch to batch, since the engine copies what
+	// it keeps.
+	size := min(cfg.BatchSize, cfg.Customers)
+	rows := make([]wal.RowImage, 4*size)
+	cols := make([]core.Value, 2*len(rows))
+	for r := range rows {
+		rows[r].Rec = cols[2*r : 2*r+2 : 2*r+2]
+	}
 	for start := 0; start < cfg.Customers; start += cfg.BatchSize {
-		end := start + cfg.BatchSize
-		if end > cfg.Customers {
-			end = cfg.Customers
+		n := min(cfg.BatchSize, cfg.Customers-start)
+		set := func(r int, table string, key, val core.Value) {
+			rows[r].Table, rows[r].Key = table, key
+			rows[r].Rec[0], rows[r].Rec[1] = key, val
 		}
-		tx := db.Begin()
-		tx.SetAsync(true)
-		for i := start; i < end; i++ {
+		for j := range n {
+			i := start + j
 			sav := cfg.MinSaving + rng.Int63n(cfg.MaxSaving-cfg.MinSaving+1)
 			chk := cfg.MinChecking + rng.Int63n(cfg.MaxChecking-cfg.MinChecking+1)
 			total += sav + chk
-			id := int64(i)
-			if err := tx.Insert(TableAccount, core.Record{core.Str(CustomerName(i)), core.Int(id)}); err != nil {
-				tx.Abort()
-				return 0, err
-			}
-			if err := tx.Insert(TableSaving, core.Record{core.Int(id), core.Int(sav)}); err != nil {
-				tx.Abort()
-				return 0, err
-			}
-			if err := tx.Insert(TableChecking, core.Record{core.Int(id), core.Int(chk)}); err != nil {
-				tx.Abort()
-				return 0, err
-			}
-			if err := tx.Insert(TableConflict, core.Record{core.Int(id), core.Int(0)}); err != nil {
-				tx.Abort()
-				return 0, err
-			}
+			id := core.Int(int64(i))
+			set(j, TableAccount, core.Str(CustomerName(i)), id)
+			set(n+j, TableSaving, id, core.Int(sav))
+			set(2*n+j, TableChecking, id, core.Int(chk))
+			set(3*n+j, TableConflict, id, core.Int(0))
 		}
-		if err := tx.Commit(); err != nil {
+		if last, err = db.BulkInsert(rows[:4*n]); err != nil {
 			return 0, err
 		}
-		last = tx.CommitCSN()
 	}
 	if err := db.WaitDurable(last); err != nil {
 		return 0, err

@@ -125,6 +125,80 @@ func (ix *UniqueIndex) Insert(tx uint64, val, pk core.Value) error {
 	return nil
 }
 
+// InsertRows indexes n rows in bulk: the column's value of each record
+// to the row's key. With tx 0 each entry is committed at its row's CSN
+// (recovery's rebuild); otherwise the entries are tx's uncommitted ones,
+// ended by Commit or Abort as Insert's are. All or nothing: a value with
+// a live entry, committed or another transaction's, or one that repeats
+// among the n, indexes nothing and fails with core.ErrUniqueViolation.
+// It takes each stripe's lock once and cuts the entries, and the
+// one-entry chains of values the index has never held, from one
+// allocation each. A NULL value is not indexed.
+func (ix *UniqueIndex) InsertRows(tx uint64, n int, image Image) error {
+	for i := range ix.stripes {
+		ix.stripes[i].mu.Lock()
+	}
+	defer func() {
+		for i := range ix.stripes {
+			ix.stripes[i].mu.Unlock()
+		}
+	}()
+	entries := make([]indexEntry, n)
+	chains := make([]*indexEntry, n)
+	for i := range entries {
+		key, rec, csn := image(i)
+		e := &entries[i]
+		*e = indexEntry{val: rec[ix.colPos], pk: key, creator: tx, csn: csn}
+		chains[i] = e
+		if e.val.IsNull() {
+			continue
+		}
+		s := ix.stripe(e.val)
+		chain := s.entries.get(e.val)
+		for _, c := range chain {
+			if c.deleted && c.csn != 0 {
+				break
+			}
+			if !c.deleted {
+				ix.unindex(entries[:i])
+				return core.ErrUniqueViolation
+			}
+		}
+		if chain == nil {
+			chain = chains[i : i+1 : i+1]
+		} else {
+			chain = append([]*indexEntry{e}, chain...)
+		}
+		s.entries.put(e.val, chain)
+	}
+	if tx != 0 {
+		ix.pendMu.Lock()
+		if list := ix.pending[tx]; list != nil {
+			chains = append(list, chains...)
+		}
+		ix.pending[tx] = chains
+		ix.pendMu.Unlock()
+	}
+	return nil
+}
+
+// unindex takes entries, which head their values' chains, back out of
+// the index, last first. The caller holds every stripe's lock.
+func (ix *UniqueIndex) unindex(entries []indexEntry) {
+	for i := len(entries) - 1; i >= 0; i-- {
+		e := &entries[i]
+		if e.val.IsNull() {
+			continue
+		}
+		s := ix.stripe(e.val)
+		if chain := s.entries.get(e.val); len(chain) == 1 {
+			s.entries.del(e.val)
+		} else {
+			s.entries.put(e.val, chain[1:])
+		}
+	}
+}
+
 // Delete registers an uncommitted tombstone for val written by tx. The
 // tombstone becomes effective at commit; abort discards it. A NULL val
 // was never indexed and needs none.

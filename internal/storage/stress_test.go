@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"errors"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -390,5 +391,92 @@ func TestStressRowLookupsRaceGrowth(t *testing.T) {
 	wg.Wait()
 	if n := tbl.RowCount(); n != seeded+writers*perWriter {
 		t.Fatalf("%d anchors, want %d", n, seeded+writers*perWriter)
+	}
+}
+
+// TestStressInsertRowsRaceLookups runs bulk inserts, every other one
+// failing on a key repeated at its end, beside EnsureRow inserts and
+// lock-free lookups: the rows of a failed batch vanish without a trace
+// (a table left as it was, every key placed before still found), a
+// committed batch's rows are found, and no key is lost to the slots a
+// failed batch emptied.
+func TestStressInsertRowsRaceLookups(t *testing.T) {
+	const seeded, batches, batch, readers = 256, 60, 200, 2
+	tbl, err := NewTable(checkingSchema())
+	if err != nil {
+		t.Fatal(err)
+	}
+	anchors := make([]*Row, seeded)
+	for i := range anchors {
+		anchors[i] = tbl.EnsureRow(core.Int(int64(i)))
+	}
+	image := func(base int64, repeat bool) Image {
+		return func(i int) (core.Value, core.Record, uint64) {
+			k := base + int64(i)
+			if repeat && i == batch-1 {
+				k = base
+			}
+			return core.Int(k), core.Record{core.Int(k), core.Int(k)}, uint64(base)
+		}
+	}
+	var done atomic.Bool
+	var wg sync.WaitGroup
+	for r := range readers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(r)))
+			for !done.Load() {
+				i := rng.Intn(seeded)
+				if got := tbl.Row(core.Int(int64(i))); got != anchors[i] {
+					t.Errorf("key %d: lookup found %p, inserted %p", i, got, anchors[i])
+					return
+				}
+			}
+		}()
+	}
+	var ensured []*Row
+	wg.Add(1)
+	go func() { // inserts one row at a time, under other keys
+		defer wg.Done()
+		for i := range 2000 {
+			ensured = append(ensured, tbl.EnsureRow(core.Int(int64(-1-i))))
+		}
+	}()
+	for b := range batches {
+		base := int64(seeded + b*batch)
+		ins, err := tbl.InsertRows(0, batch, image(base, b%2 == 1))
+		if b%2 == 1 {
+			if !errors.Is(err, core.ErrUniqueViolation) {
+				t.Fatalf("batch %d repeats a key: %v", b, err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("batch %d: %v", b, err)
+		}
+		ins.Release()
+	}
+	done.Store(true)
+	wg.Wait()
+	for b := range batches {
+		base := int64(seeded + b*batch)
+		for i := range batch {
+			row := tbl.Row(core.Int(base + int64(i)))
+			if b%2 == 1 && row != nil {
+				t.Fatalf("key %d of failed batch %d is in the table", base+int64(i), b)
+			}
+			if b%2 == 0 && (row == nil || row.Head().CSN() != uint64(base) || row.Head().Rec[1] != core.Int(base+int64(i))) {
+				t.Fatalf("key %d of batch %d: %v", base+int64(i), b, row)
+			}
+		}
+	}
+	for i, row := range ensured {
+		if tbl.Row(core.Int(int64(-1-i))) != row {
+			t.Fatalf("key %d inserted by EnsureRow is lost", -1-i)
+		}
+	}
+	if n, want := tbl.RowCount(), seeded+len(ensured)+batches/2*batch; n != want {
+		t.Fatalf("%d anchors, want %d", n, want)
 	}
 }

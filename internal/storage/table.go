@@ -27,7 +27,9 @@ const rowSlab = 64
 // so that two processors reading the same rows share their lines
 // read-only. Anchors are never freed or moved: a lookup only has to find
 // one that was published, and an anchor published in a slot stays there
-// until the whole table is replaced by a larger copy.
+// until the whole table is replaced by a larger copy — unless a bulk
+// insert that fails takes it back (InsertRows), before any version in it
+// was committed.
 type rowStripe struct {
 	tab atomic.Pointer[anchorTable]
 	// mu serializes the writers (EnsureRow). n counts the anchors and slab
@@ -52,7 +54,8 @@ type anchor struct {
 // from the slot the top bits of the key's hash (below the stripe's)
 // select. A slot keeps its anchor's hash beside the pointer, so a probe
 // past other keys reads no anchor but the one it finds. A slot is set
-// once, its hash before the atomic store of the complete anchor; the
+// once, its hash before the atomic store of the complete anchor, except
+// that a bulk insert that fails empties the slots it set (remove); the
 // table is replaced, never resized in place, and a replaced one is never
 // written again.
 type anchorTable struct {
@@ -61,7 +64,7 @@ type anchorTable struct {
 }
 
 type anchorSlot struct {
-	hash   uint64
+	hash   atomic.Uint64
 	anchor atomic.Pointer[anchor]
 }
 
@@ -75,7 +78,7 @@ func (t *anchorTable) find(key core.Value, h uint64) *anchor {
 	for i := h << tableStripeBits >> t.shift; ; i = (i + 1) & mask {
 		s := &t.slots[i]
 		a := s.anchor.Load()
-		if a == nil || s.hash == h && a.key == key {
+		if a == nil || s.hash.Load() == h && a.key == key {
 			return a
 		}
 	}
@@ -90,8 +93,21 @@ func (t *anchorTable) place(a *anchor, h uint64) {
 	for t.slots[i].anchor.Load() != nil {
 		i = (i + 1) & mask
 	}
-	t.slots[i].hash = h
+	t.slots[i].hash.Store(h)
 	t.slots[i].anchor.Store(a)
+}
+
+// remove empties the slot holding a, whose key hashes to h. The caller
+// holds the stripe's mutex, and a is the anchor placed last among those
+// still in the table (Inserted.unplace).
+func (t *anchorTable) remove(a *anchor, h uint64) {
+	mask := uint64(len(t.slots) - 1)
+	i := h << tableStripeBits >> t.shift
+	for t.slots[i].anchor.Load() != a {
+		i = (i + 1) & mask
+	}
+	t.slots[i].anchor.Store(nil)
+	t.slots[i].hash.Store(0)
 }
 
 // Table is a versioned heap keyed by primary key, with any declared
@@ -170,25 +186,7 @@ func (t *Table) EnsureRow(key core.Value) *Row {
 			return &a.row
 		}
 	}
-	// At most three quarters full: a probe that finds its key reads two
-	// or three slots and one anchor (the slots keep the hashes), and the
-	// slots cost a row 16 to 32 bytes.
-	if tab == nil || 4*(s.n+1) > 3*len(tab.slots) {
-		bits := uint(3)
-		if tab != nil {
-			bits = 65 - tab.shift
-		}
-		grown := newAnchorTable(bits)
-		if tab != nil {
-			for i := range tab.slots {
-				if a := tab.slots[i].anchor.Load(); a != nil {
-					grown.place(a, tab.slots[i].hash)
-				}
-			}
-		}
-		tab = grown
-		s.tab.Store(tab)
-	}
+	tab = s.reserve(1)
 	if len(s.slab) == 0 {
 		s.slab = make([]anchor, rowSlab)
 	}
@@ -200,13 +198,161 @@ func (t *Table) EnsureRow(key core.Value) *Row {
 	return &a.row
 }
 
+// reserve returns s's anchor table with room for k more anchors,
+// replacing it by a larger copy when it has not. At most three quarters
+// full: a probe that finds its key reads two or three slots and one
+// anchor (the slots keep the hashes), and the slots cost a row 16 to 32
+// bytes. The caller holds s.mu.
+func (s *rowStripe) reserve(k int) *anchorTable {
+	tab := s.tab.Load()
+	if tab != nil && 4*(s.n+k) <= 3*len(tab.slots) {
+		return tab
+	}
+	bits := uint(3)
+	for 4*(s.n+k) > 3<<bits {
+		bits++
+	}
+	grown := newAnchorTable(bits)
+	if tab != nil {
+		for i := range tab.slots {
+			if a := tab.slots[i].anchor.Load(); a != nil {
+				grown.place(a, tab.slots[i].hash.Load())
+			}
+		}
+	}
+	s.tab.Store(grown)
+	return grown
+}
+
+// Image yields the i-th row of a bulk insert: its primary key (never
+// NULL), its record, and the CSN it is committed at (0: uncommitted).
+type Image func(i int) (key core.Value, rec core.Record, csn uint64)
+
+// Inserted is a batch of rows InsertRows placed in a table. Until
+// Release or Abort it holds every stripe mutex of the table, so no
+// other insert into the table — an INSERT's EnsureRow, another bulk
+// insert — runs meanwhile.
+type Inserted struct {
+	t       *Table
+	anchors []anchor // one per row, in row order
+}
+
+// InsertRows places n rows, each a new row whose chain is the one
+// version image(i) describes, created by creator. Every key must be one
+// the table has never held: a key with an anchor — a live row, a
+// deleted one, one whose insert is in flight or rolled back — is taken.
+// All or nothing: a taken key, or one that repeats among the n, places
+// no row and fails with core.ErrUniqueViolation.
+//
+// It is the bulk form of EnsureRow and Row.Install: it takes each
+// stripe's mutex once, sizes each stripe's table once for what the
+// batch adds to it, and cuts the anchors, and the versions of the
+// records of at most two columns, from one allocation each. The placed
+// rows are found by lock-free lookups at once, so a version created
+// uncommitted (CSN 0) stays invisible until Stamp commits it; until then
+// a lookup finds a row nobody's snapshot sees, and an insert of the key
+// waits for Release. The caller ends the batch with Release, or with
+// Abort, which takes every row out again.
+func (t *Table) InsertRows(creator uint64, n int, image Image) (*Inserted, error) {
+	for i := range t.stripes {
+		t.stripes[i].mu.Lock()
+	}
+	var adds [tableStripes]int
+	hashes := make([]uint64, n)
+	for i := range hashes {
+		key, _, _ := image(i)
+		if key.K != core.KindInt && key.K != core.KindString {
+			t.unlockStripes()
+			panic(fmt.Sprintf("storage: a %s key has no slot", key.K))
+		}
+		hashes[i] = stripeHash(key)
+		adds[hashes[i]>>(64-tableStripeBits)]++
+	}
+	for i := range t.stripes {
+		if adds[i] > 0 {
+			t.stripes[i].reserve(adds[i])
+		}
+	}
+	b := &Inserted{t: t, anchors: make([]anchor, n)}
+	var slab []inlineVersion
+	for i, h := range hashes {
+		key, rec, csn := image(i)
+		s := t.stripe(h)
+		tab := s.tab.Load()
+		if tab.find(key, h) != nil {
+			b.unplace(i)
+			t.unlockStripes()
+			return nil, core.ErrUniqueViolation
+		}
+		var v *Version
+		if inlines(rec) {
+			if slab == nil {
+				slab = make([]inlineVersion, n-i)
+			}
+			slab[0].init(rec, creator)
+			v, slab = &slab[0].Version, slab[1:]
+		} else {
+			v = NewVersion(rec, creator)
+		}
+		v.csn.Store(csn)
+		a := &b.anchors[i]
+		a.key = key
+		a.row.head.Store(v)
+		tab.place(a, h)
+		s.n++
+	}
+	return b, nil
+}
+
+// Stamp commits every version the batch created at csn.
+func (b *Inserted) Stamp(csn uint64) {
+	for i := range b.anchors {
+		b.anchors[i].row.Head().MarkCommitted(csn)
+	}
+}
+
+// Release ends the batch: its rows stay, and inserts into the table go
+// on.
+func (b *Inserted) Release() { b.t.unlockStripes() }
+
+// Abort ends the batch taking every row it placed out of the table, as
+// if it had never been placed.
+func (b *Inserted) Abort() {
+	b.unplace(len(b.anchors))
+	b.t.unlockStripes()
+}
+
+// unplace takes the first n anchors of the batch out of their stripes'
+// tables, last first. Under the stripe mutexes nobody has placed an
+// anchor since, so emptying the slots in the reverse of the order they
+// were filled leaves each table as it was before the batch: no key
+// placed before it has a probe path through a slot of the batch. A
+// lookup that found one of them meanwhile holds a row with no version
+// its snapshot sees.
+func (b *Inserted) unplace(n int) {
+	for i := n - 1; i >= 0; i-- {
+		a := &b.anchors[i]
+		h := stripeHash(a.key)
+		s := b.t.stripe(h)
+		s.tab.Load().remove(a, h)
+		s.n--
+	}
+}
+
+func (t *Table) unlockStripes() {
+	for i := range t.stripes {
+		t.stripes[i].mu.Unlock()
+	}
+}
+
 // Range calls fn for every row anchor of the table, in no particular
 // order, until fn returns false. It walks each stripe's table as it was
 // when the walk reached the stripe, holding no lock, so fn may block,
 // and inserts proceed while it runs. Every anchor present when Range
 // starts is visited exactly once; one inserted meanwhile may or may not
-// be. Anchors are never removed, so a walk that starts after a cut was
-// taken visits every row committed at or below that cut.
+// be. The only anchors ever removed are those of a failed bulk insert,
+// which never held a committed version, so a walk that starts after a
+// cut was taken visits every row committed at or below that cut.
 func (t *Table) Range(fn func(key core.Value, row *Row) bool) {
 	for i := range t.stripes {
 		tab := t.stripes[i].tab.Load()

@@ -58,13 +58,23 @@ type inlineVersion struct {
 // its image are one object; a wider one is cloned beside it. image does
 // not escape.
 func NewVersion(image core.Record, creator uint64) *Version {
-	if image == nil || len(image) > inlineCols {
+	if !inlines(image) {
 		return &Version{Rec: image.Clone(), Creator: creator}
 	}
-	iv := &inlineVersion{Version: Version{Creator: creator}}
+	iv := new(inlineVersion)
+	iv.init(image, creator)
+	return &iv.Version
+}
+
+// inlines reports whether image fits in an inlineVersion.
+func inlines(image core.Record) bool { return image != nil && len(image) <= inlineCols }
+
+// init makes iv an uncommitted version by creator carrying a copy of
+// image, which inlines.
+func (iv *inlineVersion) init(image core.Record, creator uint64) {
+	iv.Creator = creator
 	n := copy(iv.cols[:], image)
 	iv.Rec = iv.cols[:n:n]
-	return &iv.Version
 }
 
 // CSN returns the commit sequence number, or 0 if uncommitted.

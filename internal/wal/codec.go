@@ -307,15 +307,32 @@ func EncodeCkptEnd(d *CkptEnd) []byte {
 
 // --- decoding -------------------------------------------------------------
 
+// The fewest bytes a commit frame's row image (table name length, key
+// kind, live flag) and a checkpoint row (table name length, key kind,
+// CSN, column count) take.
+const (
+	minRowImage = 4 + 1 + 1
+	minCkptRow  = 4 + 1 + 8 + 4
+)
+
 // reader is a bounds-checked cursor over a payload. Every method
 // returns an error instead of panicking, so arbitrarily corrupted
 // bytes (the walfuzz target) can never take the decoder down. It
-// never pre-allocates by claimed counts — each loop iteration consumes
-// at least one byte, so corrupt counts fail at end-of-payload instead
-// of exhausting memory.
+// pre-allocates for a claimed count only as many elements as the bytes
+// left could hold (capped), so a corrupt count fails at end-of-payload
+// instead of exhausting memory.
 type reader struct {
 	b   []byte
 	off int
+	// last is the string decoded last: a frame's rows come table by
+	// table, and the rows of a run share their table name's string.
+	last string
+}
+
+// capped bounds a claimed count of elements of at least size bytes each
+// by what the rest of the payload can hold.
+func (r *reader) capped(n uint32, size int) int {
+	return min(int(n), (len(r.b)-r.off)/size)
 }
 
 var errShortFrame = fmt.Errorf("wal: truncated frame body")
@@ -355,9 +372,11 @@ func (r *reader) str() (string, error) {
 	if uint64(r.off)+uint64(n) > uint64(len(r.b)) {
 		return "", errShortFrame
 	}
-	s := string(r.b[r.off : r.off+int(n)])
+	if b := r.b[r.off : r.off+int(n)]; string(b) != r.last {
+		r.last = string(b)
+	}
 	r.off += int(n)
-	return s, nil
+	return r.last, nil
 }
 
 func (r *reader) value() (core.Value, error) {
@@ -390,7 +409,10 @@ func (r *reader) record() (core.Record, error) {
 	if err != nil {
 		return nil, err
 	}
-	var rec core.Record
+	if n == 0 {
+		return nil, nil
+	}
+	rec := make(core.Record, 0, r.capped(n, 1))
 	for i := uint32(0); i < n; i++ {
 		v, err := r.value()
 		if err != nil {
@@ -468,6 +490,9 @@ func (r *reader) commitFrame() (*CommitFrame, error) {
 	if err != nil {
 		return nil, err
 	}
+	if nrows > 0 {
+		c.Rows = make([]RowImage, 0, r.capped(nrows, minRowImage))
+	}
 	for i := uint32(0); i < nrows; i++ {
 		var row RowImage
 		if row.Table, err = r.str(); err != nil {
@@ -526,6 +551,9 @@ func (r *reader) ckptRowsFrame() (*CkptRows, error) {
 	nrows, err := r.u32()
 	if err != nil {
 		return nil, err
+	}
+	if nrows > 0 {
+		d.Rows = make([]CkptRow, 0, r.capped(nrows, minCkptRow))
 	}
 	for i := uint32(0); i < nrows; i++ {
 		var row CkptRow

@@ -110,34 +110,49 @@ func ClassifySegments(segs []SegmentData) (*RecoveryInfo, error) {
 }
 
 // lastCheckpoint returns the newest complete checkpoint in the frame
-// stream, nil when there is none. The scan keeps the newest complete
-// checkpoint and a pending one between a begin marker and its end
-// marker. A checkpoint is complete only when its end marker matches the
-// open begin's cut AND its row count; anything else (a torn tail inside
-// it, a new begin abandoning the old, a mismatched end) discards the
-// pending one, so recovery falls back to the previous complete
-// checkpoint — never a partial one. Rows batches bind to the pending
-// checkpoint by cut; unbound batches are ignored (fuzz inputs; a healthy
-// engine never interleaves checkpoints).
+// stream, nil when there is none. The first scan finds it, counting the
+// rows of a pending one between a begin marker and its end marker; the
+// second gathers its rows into one array the size its end marker gives.
+// A checkpoint is complete only when its end marker matches the open
+// begin's cut AND its row count; anything else (a torn tail inside it, a
+// new begin abandoning the old, a mismatched end) discards the pending
+// one, so recovery falls back to the previous complete checkpoint —
+// never a partial one. Rows batches bind to the pending checkpoint by
+// cut; unbound batches are ignored (fuzz inputs; a healthy engine never
+// interleaves checkpoints).
 func lastCheckpoint(frames []Frame) *Checkpoint {
-	var last, pending *Checkpoint
+	begin, end := -1, -1 // the newest complete one's marker frames
+	open, rows := -1, 0
 	for i := range frames {
 		f := &frames[i]
 		switch {
 		case f.CkptBegin != nil:
-			pending = &Checkpoint{CSN: f.CkptBegin.CSN, Schemas: f.CkptBegin.Schemas}
+			open, rows = i, 0
 		case f.CkptRows != nil:
-			if pending != nil && f.CkptRows.CSN == pending.CSN {
-				pending.Rows = append(pending.Rows, f.CkptRows.Rows...)
+			if open >= 0 && f.CkptRows.CSN == frames[open].CkptBegin.CSN {
+				rows += len(f.CkptRows.Rows)
 			}
 		case f.CkptEnd != nil:
-			if pending != nil && f.CkptEnd.CSN == pending.CSN && f.CkptEnd.Rows == uint64(len(pending.Rows)) {
-				last = pending
+			if open >= 0 && f.CkptEnd.CSN == frames[open].CkptBegin.CSN && f.CkptEnd.Rows == uint64(rows) {
+				begin, end = open, i
 			}
-			pending = nil
+			open = -1
 		}
 	}
-	return last
+	if begin < 0 {
+		return nil
+	}
+	b := frames[begin].CkptBegin
+	ck := &Checkpoint{CSN: b.CSN, Schemas: b.Schemas}
+	if n := frames[end].CkptEnd.Rows; n > 0 {
+		ck.Rows = make([]CkptRow, 0, n)
+	}
+	for _, f := range frames[begin+1 : end] {
+		if f.CkptRows != nil && f.CkptRows.CSN == b.CSN {
+			ck.Rows = append(ck.Rows, f.CkptRows.Rows...)
+		}
+	}
+	return ck
 }
 
 // torn returns the position (in sorted order) of the segment containing
