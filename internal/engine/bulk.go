@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"slices"
 	"strings"
-	"time"
 
 	"sicost/internal/core"
 	"sicost/internal/faultinject"
@@ -34,106 +33,62 @@ import (
 // are published. With a tracer installed it emits what a transaction
 // inserting the rows would: EvWrite for each row, then EvWriteVer for
 // each row and EvCommit.
-func (db *DB) BulkInsert(rows []wal.RowImage) (csn uint64, err error) {
+func (db *DB) BulkInsert(rows []wal.RowImage) (uint64, error) {
 	tx := db.Begin()
-	defer func() {
-		if csn == 0 { // an error, or a panic out of a fault point
-			tx.abortCause = err
-			tx.Abort()
-		}
-	}()
-	return tx.insertRows(rows)
-}
-
-// insertRows is BulkInsert's transaction, from its one statement to its
-// commit. Whatever it returns or panics with before the commit is
-// published, it leaves no row and no index entry behind.
-func (tx *Tx) insertRows(rows []wal.RowImage) (uint64, error) {
-	if err := tx.stmt(); err != nil {
+	defer tx.Abort() // a panic out of a fault point; a no-op once ended
+	tx.SetAsync(true)
+	if err := tx.insertRows(rows); err != nil {
+		tx.abortCause = err
+		tx.Abort()
 		return 0, err
 	}
+	if err := tx.Commit(); err != nil {
+		return 0, err
+	}
+	return tx.CommitCSN(), nil
+}
+
+// insertRows is BulkInsert's one statement: it places rows as tx's
+// uncommitted versions and indexes them. Commit stamps, publishes and
+// releases them with the rest of the transaction's writes; Abort takes
+// them out again. Each table's batch holds the table's stripe mutexes
+// until then, so tx may insert nothing else into those tables.
+func (tx *Tx) insertRows(rows []wal.RowImage) error {
+	if err := tx.stmt(); err != nil {
+		return err
+	}
 	db := tx.db
-	commitStart := time.Now()
 	if db.tracer.Enabled() {
 		for i := range rows {
 			tx.traceStmt(trace.EvWrite, rows[i].Table, rows[i].Key)
 		}
 	}
-	tables, err := db.placeRows(tx.id, len(rows), func(i int) (string, core.Value, core.Record, uint64) {
+	tables, err := db.groupRows(len(rows), func(i int) (string, core.Value, core.Record, uint64) {
 		r := &rows[i]
 		return r.Table, r.Key, r.Rec, 0
 	})
 	if err != nil {
-		return 0, err
+		return err
 	}
-	published := false
-	defer func() {
-		if !published {
-			for _, t := range tables {
-				t.ins.Abort()
-				for _, ix := range t.tbl.Indexes() {
-					ix.Abort(tx.id)
-				}
+	if db.faults != nil {
+		for _, t := range tables {
+			if err := db.faults.Fire(storage.FaultRowWrite, faultinject.Ctx{Tx: tx.id, Table: t.tbl.Name()}); err != nil {
+				return err
 			}
 		}
-	}()
+	}
+	if err := placeRows(tx.id, tables); err != nil {
+		return err
+	}
+	tx.bulk, tx.bulkRows = tables, rows
 	for _, t := range tables {
 		for _, ix := range t.tbl.Indexes() {
 			if err := ix.InsertRows(tx.id, len(t.rows), t.image); err != nil {
-				return 0, err
+				return err
 			}
 		}
 	}
-
-	// From here on as Commit does it, for one updating transaction.
-	db.machine.UseCPU(db.machine.Config().UpdaterCommitCPU)
-	if db.faults != nil {
-		if err := db.faults.Fire(FaultCommitStamp, faultinject.Ctx{Tx: tx.id}); err != nil {
-			return 0, err
-		}
-	}
-	if err := db.log.CommitFault(tx.id); err != nil {
-		return 0, err
-	}
-	if tx.ssi != nil {
-		if err := db.ssi.precommit(tx); err != nil {
-			return 0, err
-		}
-	}
-	rec := &wal.Record{Async: true, TxID: tx.id, Bytes: logBytesPerWrite * len(rows)}
-	if db.log.Persistent() {
-		rec.Rows = rows
-		db.log.Encode(rec)
-		rec.Rows = nil
-	}
-	csn, done, err := db.allocCSNEnqueue(rec)
-	if err != nil {
-		db.publishCSN(csn) // an empty slot
-		return 0, err
-	}
-	for _, t := range tables {
-		t.ins.Stamp(csn)
-	}
-	if db.tracer.Enabled() {
-		for i := range rows {
-			db.tracer.Emit(trace.Event{Kind: trace.EvWriteVer, Tx: tx.id, Table: rows[i].Table, Key: rows[i].Key, CSN: csn})
-		}
-	}
-	horizon := db.hz.csn.Load()
-	for _, t := range tables {
-		for _, ix := range t.tbl.Indexes() {
-			ix.Commit(tx.id, csn, horizon)
-		}
-	}
-	db.publishCSN(csn)
-	published = true
-	for _, t := range tables {
-		t.ins.Release()
-	}
-	db.faults.FireDelayOnly(FaultCSNPublish, faultinject.Ctx{Tx: tx.id})
-	tx.commitCSN, tx.durable = csn, done
-	tx.committed(csn, commitStart)
-	return csn, nil
+	return nil
 }
 
 // bulkImage yields the i-th row of a bulk install: its table's name, its
@@ -141,7 +96,8 @@ func (tx *Tx) insertRows(rows []wal.RowImage) (uint64, error) {
 type bulkImage func(i int) (table string, key core.Value, rec core.Record, csn uint64)
 
 // bulkTable is one table's share of a bulk install: the positions of its
-// rows among the install's, and the batch Table.InsertRows placed.
+// rows among the install's, its image of them, and the batch
+// Table.InsertRows placed.
 type bulkTable struct {
 	tbl   *storage.Table
 	rows  []int32
@@ -149,17 +105,11 @@ type bulkTable struct {
 	ins   *storage.Inserted
 }
 
-// placeRows creates n rows in bulk: for a bulk insert, uncommitted
-// versions by its transaction (creator; every CSN 0), and for recovery
-// rows committed at their own CSNs (creator 0). It checks each row
-// against its table's schema, groups the rows by table, and places each
-// table's share with storage.Table.InsertRows in table-name order, so two
-// bulk installs take the stripe mutexes of the tables they share in the
-// same order. All or nothing: on an error no row stays placed. The
-// caller ends every table's batch, with Release or Abort. A bulk
-// insert's FaultRowWrite fires once for each table it writes, before any
-// row is placed.
-func (db *DB) placeRows(creator uint64, n int, row bulkImage) ([]bulkTable, error) {
+// groupRows readies n new rows for placeRows: it checks each row against
+// its table's schema and groups the rows by table, in table-name order,
+// so two bulk installs take the stripe mutexes of the tables they share
+// in the same order.
+func (db *DB) groupRows(n int, row bulkImage) ([]bulkTable, error) {
 	var (
 		tables []bulkTable
 		counts []int
@@ -189,13 +139,6 @@ func (db *DB) placeRows(creator uint64, n int, row bulkImage) ([]bulkTable, erro
 		which[i] = int32(last)
 		counts[last]++
 	}
-	if creator != 0 && db.faults != nil {
-		for _, t := range tables {
-			if err := db.faults.Fire(storage.FaultRowWrite, faultinject.Ctx{Tx: creator, Table: t.tbl.Name()}); err != nil {
-				return nil, err
-			}
-		}
-	}
 	// Lay the positions out table by table in one array.
 	pos := make([]int32, 0, n)
 	for i, k := range counts {
@@ -207,21 +150,32 @@ func (db *DB) placeRows(creator uint64, n int, row bulkImage) ([]bulkTable, erro
 	}
 	slices.SortFunc(tables, func(a, b bulkTable) int { return strings.Compare(a.tbl.Name(), b.tbl.Name()) })
 	for i := range tables {
-		t := &tables[i]
-		rows := t.rows
-		t.image = func(j int) (core.Value, core.Record, uint64) {
+		rows := tables[i].rows
+		tables[i].image = func(j int) (core.Value, core.Record, uint64) {
 			_, key, rec, csn := row(int(rows[j]))
 			return key, rec, csn
 		}
+	}
+	return tables, nil
+}
+
+// placeRows places each table's share of a bulk install with
+// storage.Table.InsertRows: uncommitted versions by creator, or, with
+// creator 0, rows committed at their own CSNs. All or nothing: on an
+// error no row stays placed. The caller ends every table's batch, with
+// Release or Abort.
+func placeRows(creator uint64, tables []bulkTable) error {
+	for i := range tables {
+		t := &tables[i]
 		var err error
-		if t.ins, err = t.tbl.InsertRows(creator, len(rows), t.image); err != nil {
+		if t.ins, err = t.tbl.InsertRows(creator, len(t.rows), t.image); err != nil {
 			for _, done := range tables[:i] {
 				done.ins.Abort()
 			}
-			return nil, err
+			return err
 		}
 	}
-	return tables, nil
+	return nil
 }
 
 // checkImage refuses a row image no row of tbl can carry: one under a

@@ -79,11 +79,20 @@ func Recover(dev wal.LogDevice, cfg Config) (*DB, *RecoveryReport, error) {
 					r.Table, r.Key, r.CSN, ck.CSN))
 			}
 		}
-		if err := db.placeCommitted(len(ck.Rows), func(i int) (string, core.Value, core.Record, uint64) {
+		// Recovery is alone with the database: each table's batch ends
+		// as soon as it is placed.
+		tables, err := db.groupRows(len(ck.Rows), func(i int) (string, core.Value, core.Record, uint64) {
 			r := &ck.Rows[i]
 			return r.Table, r.Key, r.Rec, r.CSN
-		}); err != nil {
+		})
+		if err == nil {
+			err = placeRows(0, tables)
+		}
+		if err != nil {
 			return fail(fmt.Errorf("engine: recover: checkpoint: %w", err))
+		}
+		for _, t := range tables {
+			t.ins.Release()
 		}
 		report.CheckpointRows = len(ck.Rows)
 		db.ckptRunMu.Lock() // the scheduler goroutine is already running
@@ -94,41 +103,28 @@ func Recover(dev wal.LogDevice, cfg Config) (*DB, *RecoveryReport, error) {
 	// Redo replay, in CSN order. Per-row log order equals per-row CSN
 	// order (the writer holds the row's X lock from write through
 	// publication), so installing each commit's images in ascending CSN
-	// leaves every chain newest-first, exactly as the live engine would.
-	// A commit's images of rows that exist — updates and deletions — are
-	// each linked at the head of their row's chain; its new rows (a
-	// loader's batch, an INSERT) are placed in bulk like the checkpoint's.
-	var fresh []int
+	// leaves every chain newest-first, exactly as the live engine would:
+	// each image is linked at the head of its row's chain, the row
+	// created first if the image is the row's first.
 	for _, c := range info.Commits {
 		if c.CSN == 0 {
 			return fail(fmt.Errorf("engine: recover: commit frame for tx %d carries CSN 0", c.TxID))
 		}
-		fresh = fresh[:0]
-		for i, ri := range c.Rows {
+		for _, ri := range c.Rows {
 			tbl, err := db.store.Table(ri.Table)
 			if err != nil {
 				return fail(fmt.Errorf("engine: recover: commit %d: %w", c.CSN, err))
 			}
-			row := tbl.Row(ri.Key)
-			if row == nil && ri.Rec != nil {
-				fresh = append(fresh, i)
-				continue
-			}
 			if err := checkImage(tbl, ri.Key, ri.Rec); err != nil {
 				return fail(fmt.Errorf("engine: recover: commit %d: %w", c.CSN, err))
 			}
+			row := tbl.Row(ri.Key)
 			if row == nil {
 				row = tbl.EnsureRow(ri.Key)
 			}
 			v := &storage.Version{Rec: ri.Rec}
 			row.Install(v)
 			v.MarkCommitted(c.CSN)
-		}
-		if err := db.placeCommitted(len(fresh), func(i int) (string, core.Value, core.Record, uint64) {
-			ri := &c.Rows[fresh[i]]
-			return ri.Table, ri.Key, ri.Rec, c.CSN
-		}); err != nil {
-			return fail(fmt.Errorf("engine: recover: commit %d: %w", c.CSN, err))
 		}
 		report.ReplayedRows += len(c.Rows)
 		report.ReplayedCommits++
@@ -170,15 +166,4 @@ func Recover(dev wal.LogDevice, cfg Config) (*DB, *RecoveryReport, error) {
 	db.visibleCSN.Store(info.HighCSN)
 	db.log.ResumeDurable(info.HighCSN)
 	return db, report, nil
-}
-
-// placeCommitted places n new rows committed at their own CSNs
-// (placeRows with no creator): recovery is alone with the database, so
-// each table's batch ends at once.
-func (db *DB) placeCommitted(n int, row bulkImage) error {
-	tables, err := db.placeRows(0, n, row)
-	for _, t := range tables {
-		t.ins.Release()
-	}
-	return err
 }

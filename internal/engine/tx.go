@@ -63,6 +63,12 @@ type Tx struct {
 
 	writes []writeRec
 	sfus   []sfuRec
+	// bulk holds what a bulk insert placed (insertRows), table by table,
+	// and bulkRows the rows as they are logged. Each table's batch holds
+	// the table's stripe mutexes until Commit releases it or Abort takes
+	// its rows out again.
+	bulk     []bulkTable
+	bulkRows []wal.RowImage
 	// thin holds the rows whose write lock this transaction took in the
 	// row itself (storage.LockTable.AcquireRowUntil), to be handed back
 	// when it ends.
@@ -644,7 +650,9 @@ func (tx *Tx) ReadForUpdate(table string, key core.Value) (core.Record, error) {
 
 // ReadOnly reports whether the transaction has performed no writes (and,
 // on the commercial platform, no select-for-updates).
-func (tx *Tx) ReadOnly() bool { return !tx.updater && len(tx.writes) == 0 && len(tx.sfus) == 0 }
+func (tx *Tx) ReadOnly() bool {
+	return !tx.updater && len(tx.writes) == 0 && len(tx.sfus) == 0 && len(tx.bulkRows) == 0
+}
 
 // firstWriteTo reports whether tx.writes[i] is the transaction's first
 // write to its table, so per-table work (index commit and abort) runs
@@ -660,7 +668,8 @@ func (tx *Tx) firstWriteTo(i int) bool {
 }
 
 // rowImages appends to rows the final after-image of every row this
-// transaction wrote, for the durable commit record. tx.writes holds one
+// transaction wrote, for the durable commit record: the rows of its
+// writes, then those of its bulk insert. tx.writes holds one
 // entry per distinct row (repeat writes go through Row.UpdateOwn and
 // mutate the existing version in place), so w.ver.Rec is already the
 // final image; a nil Rec is a delete tombstone. The images are read
@@ -675,11 +684,11 @@ func (tx *Tx) firstWriteTo(i int) bool {
 // commit still logs a (row-less) frame carrying its CSN, keeping the
 // recovered sequencer's high-water mark exact.
 func (tx *Tx) rowImages(rows []wal.RowImage) []wal.RowImage {
-	rows = slices.Grow(rows, len(tx.writes))
+	rows = slices.Grow(rows, len(tx.writes)+len(tx.bulkRows))
 	for _, w := range tx.writes {
 		rows = append(rows, wal.RowImage{Table: w.table.Name(), Key: w.key, Rec: w.ver.Rec})
 	}
-	return rows
+	return append(rows, tx.bulkRows...)
 }
 
 // waitFlush takes a sync commit's record to its flush verdict. The
@@ -774,7 +783,7 @@ func (tx *Tx) Commit() error {
 	// Select-for-update on the commercial platform generates redo for
 	// the row locks (as Oracle does), so sfu-only transactions pay the
 	// updater's commit path too.
-	updating := len(tx.writes) > 0 || len(tx.sfus) > 0
+	updating := len(tx.writes) > 0 || len(tx.sfus) > 0 || len(tx.bulkRows) > 0
 
 	// Every updating commit is metered: two clock reads against a
 	// commit cycle of microseconds.
@@ -882,12 +891,22 @@ func (tx *Tx) Commit() error {
 			rec = &tx.bufs.rec
 		}
 		rec.TxID = tx.id
-		rec.Bytes = logBytesPerWrite * (len(tx.writes) + len(tx.sfus))
+		rec.Bytes = logBytesPerWrite * (len(tx.writes) + len(tx.sfus) + len(tx.bulkRows))
 		if tx.db.log.Persistent() {
-			rec.Rows = tx.rowImages(rec.Rows[:0])
+			if async && len(tx.writes) == 0 {
+				// A bulk insert's rows are logged as they were given, not
+				// copied: the record is the commit's own, and nothing
+				// reads its rows once they are encoded.
+				rec.Rows = tx.bulkRows
+			} else {
+				rec.Rows = tx.rowImages(rec.Rows[:0])
+			}
 			// Encoded here, outside the sequencer: Enqueue only stamps
 			// the CSN into the frame.
 			tx.db.log.Encode(rec)
+			if async {
+				rec.Rows = nil
+			}
 		}
 		csn, done, err := tx.db.allocCSNEnqueue(rec)
 		if err == nil && !async && done != nil {
@@ -905,6 +924,9 @@ func (tx *Tx) Commit() error {
 		for _, w := range tx.writes {
 			w.ver.MarkCommitted(csn)
 		}
+		for _, b := range tx.bulk {
+			b.ins.Stamp(csn)
+		}
 		// The committed write set, one EvWriteVer per row, emitted after
 		// the CSN exists and before EvCommit (same shard, so per-tx FIFO
 		// puts the set ahead of the commit event). Statement-level
@@ -913,6 +935,9 @@ func (tx *Tx) Commit() error {
 		if tx.db.tracer.Enabled() {
 			for _, w := range tx.writes {
 				tx.db.tracer.Emit(trace.Event{Kind: trace.EvWriteVer, Tx: tx.id, Table: w.table.Name(), Key: w.key, CSN: csn})
+			}
+			for _, r := range tx.bulkRows {
+				tx.db.tracer.Emit(trace.Event{Kind: trace.EvWriteVer, Tx: tx.id, Table: r.Table, Key: r.Key, CSN: csn})
 			}
 		}
 		// One horizon read serves the index entries now and the version
@@ -923,6 +948,11 @@ func (tx *Tx) Commit() error {
 				for _, ix := range w.table.Indexes() {
 					ix.Commit(tx.id, csn, horizon)
 				}
+			}
+		}
+		for _, b := range tx.bulk {
+			for _, ix := range b.tbl.Indexes() {
+				ix.Commit(tx.id, csn, horizon)
 			}
 		}
 		// SFU watermarks are not durable (see rowImages): they only
@@ -944,6 +974,11 @@ func (tx *Tx) Commit() error {
 		if pruned > 0 {
 			tx.slot.pruned.Add(uint64(pruned))
 		}
+		// A bulk insert's new rows have nothing to prune; its tables take
+		// inserts again once the rows are published.
+		for _, b := range tx.bulk {
+			b.ins.Release()
+		}
 		// Delay-only: the commit is published; a stall here holds row
 		// locks across an already-visible commit.
 		tx.db.faults.FireDelayOnly(FaultCSNPublish, faultinject.Ctx{Tx: tx.id})
@@ -954,14 +989,6 @@ func (tx *Tx) Commit() error {
 		}
 	}
 
-	tx.committed(commitCSN, commitStart)
-	return nil
-}
-
-// committed ends a transaction that committed at commitCSN: it releases
-// its locks, counts the commit (with its latency from commitStart, when
-// it updated) and retires the handle.
-func (tx *Tx) committed(commitCSN uint64, commitStart time.Time) {
 	if tx.ssi != nil {
 		tx.db.ssi.finish(tx, commitCSN)
 	}
@@ -969,7 +996,7 @@ func (tx *Tx) committed(commitCSN uint64, commitStart time.Time) {
 	tx.done = true
 	m := &tx.slot.metrics
 	m.Commits.Add(1)
-	if !commitStart.IsZero() {
+	if updating {
 		m.CommitLatency.Record(time.Since(commitStart))
 	}
 	if tx.db.tracer.Enabled() {
@@ -977,6 +1004,7 @@ func (tx *Tx) committed(commitCSN uint64, commitStart time.Time) {
 	}
 	tx.db.endTx(tx)
 	tx.recycle()
+	return nil
 }
 
 // Abort rolls the transaction back: uncommitted versions are unlinked,
@@ -994,6 +1022,12 @@ func (tx *Tx) Abort() {
 			for _, ix := range w.table.Indexes() {
 				ix.Abort(tx.id)
 			}
+		}
+	}
+	for _, b := range tx.bulk {
+		b.ins.Abort()
+		for _, ix := range b.tbl.Indexes() {
+			ix.Abort(tx.id)
 		}
 	}
 	if tx.ssi != nil {
