@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 	"strings"
+	"sync"
 
 	"sicost/internal/core"
 	"sicost/internal/faultinject"
@@ -20,14 +21,17 @@ import (
 // but the rows are created in bulk (storage.Table.InsertRows, and
 // storage.UniqueIndex.InsertRows for the unique indexes). The commit is
 // asynchronous: BulkInsert returns the CSN once the rows are published,
-// and DB.WaitDurable(csn) waits for the log. rows is not kept.
+// and DB.WaitDurable(csn) waits for the log, which writes and syncs the
+// frame on its device but holds it to no simulated sync (wal.Record.Bulk).
+// rows is not kept.
 //
 // All or nothing: a key the table holds or a unique value it has —
 // whether committed or another transaction's in flight — and a key or
 // value repeated among rows, install nothing and fail with
 // core.ErrUniqueViolation, taking no CSN; a record that breaks its
 // table's schema fails with the schema's error. Until the rows are
-// published an INSERT into their tables waits. A bulk insert reads
+// published an INSERT into their tables waits, and another bulk insert
+// waits for the commit to end. A bulk insert reads
 // nothing and takes no row lock: under Strict2PL a reader sees its rows
 // from the moment they are stamped with the CSN, a moment before they
 // are published. With a tracer installed it emits what a transaction
@@ -49,10 +53,12 @@ func (db *DB) BulkInsert(rows []wal.RowImage) (uint64, error) {
 }
 
 // insertRows is BulkInsert's one statement: it places rows as tx's
-// uncommitted versions and indexes them. Commit stamps, publishes and
-// releases them with the rest of the transaction's writes; Abort takes
-// them out again. Each table's batch holds the table's stripe mutexes
-// until then, so tx may insert nothing else into those tables.
+// uncommitted versions and indexes them, each table's share on a
+// goroutine of its own. Commit stamps, publishes and releases them with
+// the rest of the transaction's writes; Abort takes them out again, and
+// on an error it takes out every placed batch and every index entry of
+// tx. Each table's batch holds the table's stripe mutexes until then, so
+// tx may insert nothing else into those tables.
 func (tx *Tx) insertRows(rows []wal.RowImage) error {
 	if err := tx.stmt(); err != nil {
 		return err
@@ -67,7 +73,7 @@ func (tx *Tx) insertRows(rows []wal.RowImage) error {
 		r := &rows[i]
 		return r.Table, r.Key, r.Rec, 0
 	})
-	if err != nil {
+	if err != nil || len(tables) == 0 {
 		return err
 	}
 	if db.faults != nil {
@@ -77,18 +83,23 @@ func (tx *Tx) insertRows(rows []wal.RowImage) error {
 			}
 		}
 	}
-	if err := placeRows(tx.id, tables); err != nil {
-		return err
-	}
+	// Bulk inserts run one at a time: a batch holds its table's stripe
+	// mutexes until the commit ends, and with the tables placed at once
+	// two bulk inserts sharing tables could each hold one the other
+	// waits for.
+	db.bulkMu.Lock()
 	tx.bulk, tx.bulkRows = tables, rows
-	for _, t := range tables {
+	return placeRows(tables, func(t *bulkTable) (err error) {
+		if t.ins, err = t.tbl.InsertRows(tx.id, len(t.rows), t.image); err != nil {
+			return err
+		}
 		for _, ix := range t.tbl.Indexes() {
 			if err := ix.InsertRows(tx.id, len(t.rows), t.image); err != nil {
 				return err
 			}
 		}
-	}
-	return nil
+		return nil
+	})
 }
 
 // bulkImage yields the i-th row of a bulk install: its table's name, its
@@ -159,18 +170,31 @@ func (db *DB) groupRows(n int, row bulkImage) ([]bulkTable, error) {
 	return tables, nil
 }
 
-// placeRows places each table's share of a bulk install with
-// storage.Table.InsertRows: uncommitted versions by creator, or, with
-// creator 0, rows committed at their own CSNs. All or nothing: on an
-// error no row stays placed. The caller ends every table's batch, with
+// placeRows runs place on each table's share of a bulk install, each
+// table on a goroutine of its own (the tables share no mutex), and
+// returns the first error in table order once every place has returned.
+// place sets the table's batch (storage.Table.InsertRows) when it
+// places one. All or nothing: on an error every placed batch is taken
+// out again and its ins cleared. The caller ends every batch, with
 // Release or Abort.
-func placeRows(creator uint64, tables []bulkTable) error {
+func placeRows(tables []bulkTable, place func(t *bulkTable) error) error {
+	errs := make([]error, len(tables))
+	var wg sync.WaitGroup
 	for i := range tables {
-		t := &tables[i]
-		var err error
-		if t.ins, err = t.tbl.InsertRows(creator, len(t.rows), t.image); err != nil {
-			for _, done := range tables[:i] {
-				done.ins.Abort()
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = place(&tables[i])
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			for i := range tables {
+				if t := &tables[i]; t.ins != nil {
+					t.ins.Abort()
+					t.ins = nil
+				}
 			}
 			return err
 		}

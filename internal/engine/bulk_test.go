@@ -135,6 +135,134 @@ func TestStressBulkInsertAllOrNothing(t *testing.T) {
 	}
 }
 
+// TestStressBulkInsertFourTablesAllOrNothing: a bulk insert into four
+// tables, as a SmallBank load batch is, whose Account index refuses a
+// CustomerID — one repeated in the batch, or one a committed row holds —
+// leaves no row in any table and no index entry of its own. Each table's
+// share is placed on a goroutine of its own, and the other three tables
+// carry a unique index too, so when Account's refuses, the others have
+// placed their rows and index entries, or are placing them: every one
+// must be taken back. Rounds vary which share finishes first.
+func TestStressBulkInsertFourTablesAllOrNothing(t *testing.T) {
+	rounds := 40
+	if testing.Short() || raceDetector {
+		rounds = 10
+	}
+	indexed := func(name string) *core.Schema {
+		s := kvSchema(name)
+		s.Unique = []int{1}
+		return s
+	}
+	acct := acctSchema()
+	acct.Name = "Account"
+	batch := func(from, to int64) []wal.RowImage {
+		var rows []wal.RowImage
+		for i := from; i < to; i++ {
+			name := core.Str(fmt.Sprintf("cust%04d", i))
+			rows = append(rows, wal.RowImage{Table: "Account", Key: name, Rec: core.Record{name, core.Int(i)}})
+			for _, table := range []string{"Saving", "Checking", "Conflict"} {
+				rows = append(rows, wal.RowImage{Table: table, Key: core.Int(i), Rec: kv(i, i)})
+			}
+		}
+		return rows
+	}
+	for _, m := range stressModes {
+		for _, dup := range []string{"in batch", "committed"} {
+			t.Run(m.name+"/"+dup, func(t *testing.T) {
+				db := Open(Config{Mode: m.mode})
+				defer db.Close()
+				for _, s := range []*core.Schema{acct, indexed("Saving"), indexed("Checking"), indexed("Conflict")} {
+					if err := db.CreateTable(s); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if _, err := db.BulkInsert(batch(0, 1)); err != nil {
+					t.Fatal(err)
+				}
+				for r := int64(1); r <= int64(rounds); r++ {
+					from, to := 100*r, 100*r+100
+					bad := core.Int(from) // a CustomerID the batch repeats
+					if dup == "committed" {
+						bad = core.Int(0)
+					}
+					name := core.Str(fmt.Sprintf("dup%04d", r))
+					rows := append(batch(from, to), wal.RowImage{Table: "Account", Key: name, Rec: core.Record{name, bad}})
+					seq, id := db.CommitSeq(), db.nextTxID.Load()+1
+					if _, err := db.BulkInsert(rows); !errors.Is(err, core.ErrUniqueViolation) {
+						t.Fatalf("round %d: BulkInsert = %v, want %v", r, err, core.ErrUniqueViolation)
+					}
+					if db.CommitSeq() != seq {
+						t.Fatalf("round %d: the failed bulk insert moved CommitSeq %d → %d", r, seq, db.CommitSeq())
+					}
+					for _, table := range db.store.TableNames() {
+						tbl := db.store.MustTable(table)
+						if n, want := tbl.RowCount(), int(1+100*(r-1)); n != want {
+							t.Fatalf("round %d: %s holds %d anchors after the failed bulk insert, want %d", r, table, n, want)
+						}
+						// An entry the failed transaction left would be
+						// visible to it, whatever its snapshot.
+						for _, ix := range tbl.Indexes() {
+							for i := range rows {
+								if rows[i].Table != table {
+									continue
+								}
+								val := rows[i].Rec[ix.ColPos()]
+								if pk, ok := ix.Lookup(0, id, val); ok {
+									t.Fatalf("round %d: %s.%s keeps the failed bulk insert's entry %v → %v", r, table, ix.Column(), val, pk)
+								}
+							}
+						}
+					}
+					if held, queued := db.LockAudit(); held != 0 || queued != 0 || db.InFlightTxns() != 0 {
+						t.Fatalf("round %d: left %d locks, %d waiters, %d open transactions", r, held, queued, db.InFlightTxns())
+					}
+					// The batch without the offending row goes in, at the
+					// next CSN.
+					if csn, err := db.BulkInsert(rows[:len(rows)-1]); err != nil || csn != seq+1 {
+						t.Fatalf("round %d: the good rows alone: CSN %d, %v; want CSN %d", r, csn, err, seq+1)
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestStressBulkInsertsShareTables: bulk inserts into the same tables,
+// run at once, all commit. Each places its tables at once, one goroutine
+// each, and holds a table's stripe mutexes until it commits; two that
+// ran side by side could each hold a table the other waits for.
+func TestStressBulkInsertsShareTables(t *testing.T) {
+	rounds := 50
+	if testing.Short() || raceDetector {
+		rounds = 15
+	}
+	db := Open(Config{Mode: core.SnapshotFUW})
+	defer db.Close()
+	for _, s := range []*core.Schema{kvSchema("T"), acctSchema()} {
+		if err := db.CreateTable(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wg sync.WaitGroup
+	for w := range int64(4) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := range int64(rounds) {
+				k := 1000*w + 10*r
+				if _, err := db.BulkInsert(append(bulkRows(k, k+10), acctRow(fmt.Sprint("a", k), k))); err != nil {
+					t.Errorf("writer %d: %v", w, err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if n := db.store.MustTable("T").RowCount(); n != 4*10*rounds {
+		t.Fatalf("T holds %d rows, want %d", n, 4*10*rounds)
+	}
+}
+
 // TestStressBulkInsertRacesInsert: a bulk insert and an INSERT of one of
 // its keys, started together, end with exactly one of them committed —
 // whichever reached the key first — and the row is the winner's.

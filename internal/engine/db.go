@@ -148,6 +148,9 @@ type DB struct {
 	// is the cut of the newest complete checkpoint (0: none).
 	ckptRunMu sync.Mutex
 	ckptCut   uint64
+	// bulkMu is held by a bulk insert from the placing of its rows to the
+	// end of its transaction (insertRows).
+	bulkMu sync.Mutex
 	// ckptPauseNS accumulates the time checkpoints held seqMu to take
 	// their cut; lastPauseNS is the most recent hold. ckpts counts
 	// completed checkpoints.

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"sicost/internal/core"
 	"sicost/internal/wal"
@@ -212,6 +213,7 @@ func TestStressCheckpointUnderOverwriteStorm(t *testing.T) {
 
 	var (
 		running atomic.Int32
+		commits atomic.Int64
 		wg      sync.WaitGroup
 	)
 	for w := int64(0); w < 4; w++ {
@@ -224,7 +226,9 @@ func TestStressCheckpointUnderOverwriteStorm(t *testing.T) {
 				tx := db.Begin()
 				err := tx.Update("T", core.Int((w+i)%rows), kv((w+i)%rows, w<<32|i))
 				if err == nil {
-					err = tx.Commit()
+					if err = tx.Commit(); err == nil {
+						commits.Add(1)
+					}
 				} else {
 					tx.Abort()
 				}
@@ -235,15 +239,27 @@ func TestStressCheckpointUnderOverwriteStorm(t *testing.T) {
 			}
 		}(w)
 	}
-	for running.Load() > 0 {
+	// A checkpoint once the writers have committed ckptEvery more, and
+	// maxCkpts in all. Taken back to back for as long as the writers ran,
+	// each streaming every row into the in-memory log, they grew the
+	// process past 1.5 GB on one processor under the race detector.
+	const ckptEvery, maxCkpts = 250, 16
+	for next := int64(0); running.Load() > 0 && db.CheckpointStats().Links < maxCkpts; {
+		if commits.Load() < next {
+			time.Sleep(100 * time.Microsecond)
+			continue
+		}
+		next = commits.Load() + ckptEvery
 		if _, err := db.Checkpoint(); err != nil {
 			t.Fatalf("checkpoint: %v", err)
 		}
 	}
 	wg.Wait()
-	if cs := db.CheckpointStats(); cs.Links < 4 {
+	cs := db.CheckpointStats()
+	if cs.Links < 4 {
 		t.Fatalf("the storm saw too few checkpoints to mean anything: %+v", cs)
 	}
+	t.Logf("%d checkpoints beside %d commits", cs.Links, commits.Load())
 	if hs := db.HorizonStats(); hs.Pruned == 0 {
 		t.Fatalf("the storm pruned nothing: %+v", hs)
 	}

@@ -70,8 +70,8 @@ func Recover(dev wal.LogDevice, cfg Config) (*DB, *RecoveryReport, error) {
 
 	// Checkpoint snapshot: every row is new, committed at its own CSN,
 	// so the whole checkpoint is placed in bulk, each table's rows at
-	// once, and each recovered chain starts as the crashed one's newest
-	// version did.
+	// once and on a goroutine of their own, and each recovered chain
+	// starts as the crashed one's newest version did.
 	if ck := info.Checkpoint; ck != nil {
 		for _, r := range ck.Rows {
 			if r.CSN == 0 || r.CSN > ck.CSN {
@@ -86,7 +86,10 @@ func Recover(dev wal.LogDevice, cfg Config) (*DB, *RecoveryReport, error) {
 			return r.Table, r.Key, r.Rec, r.CSN
 		})
 		if err == nil {
-			err = placeRows(0, tables)
+			err = placeRows(tables, func(t *bulkTable) (err error) {
+				t.ins, err = t.tbl.InsertRows(0, len(t.rows), t.image)
+				return err
+			})
 		}
 		if err != nil {
 			return fail(fmt.Errorf("engine: recover: checkpoint: %w", err))

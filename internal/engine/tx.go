@@ -891,6 +891,9 @@ func (tx *Tx) Commit() error {
 			rec = &tx.bufs.rec
 		}
 		rec.TxID = tx.id
+		// A bulk load's commit is synced but not clocked: the simulated
+		// sync times the measured run's commits, not the load's.
+		rec.Bulk = len(tx.bulk) > 0
 		rec.Bytes = logBytesPerWrite * (len(tx.writes) + len(tx.sfus) + len(tx.bulkRows))
 		if tx.db.log.Persistent() {
 			if async && len(tx.writes) == 0 {
@@ -979,6 +982,9 @@ func (tx *Tx) Commit() error {
 		for _, b := range tx.bulk {
 			b.ins.Release()
 		}
+		if len(tx.bulk) > 0 {
+			tx.db.bulkMu.Unlock()
+		}
 		// Delay-only: the commit is published; a stall here holds row
 		// locks across an already-visible commit.
 		tx.db.faults.FireDelayOnly(FaultCSNPublish, faultinject.Ctx{Tx: tx.id})
@@ -1025,10 +1031,15 @@ func (tx *Tx) Abort() {
 		}
 	}
 	for _, b := range tx.bulk {
-		b.ins.Abort()
+		if b.ins != nil { // nil: placeRows took it out already
+			b.ins.Abort()
+		}
 		for _, ix := range b.tbl.Indexes() {
 			ix.Abort(tx.id)
 		}
+	}
+	if len(tx.bulk) > 0 {
+		tx.db.bulkMu.Unlock()
 	}
 	if tx.ssi != nil {
 		tx.db.ssi.abort(tx)

@@ -79,8 +79,9 @@ func TestCustomerNameFormat(t *testing.T) {
 // TestLoadIsDurableOnReturn cuts the power the moment Load returns: the
 // loader waits for the log once, at the end, and what it waited for must
 // be everything. Recovery from what the device had synced finds all
-// 72 001 rows and every cent. A sync takes 10 ms here, so a loader that
-// returned on its last commit's publication would lose that batch.
+// 72 001 rows and every cent: the load's commits are not held to the
+// 10 ms simulated sync, but they are written and synced on the device
+// before the wait returns.
 func TestLoadIsDurableOnReturn(t *testing.T) {
 	dev, err := wal.NewMemSegmentLog(2 << 20)
 	if err != nil {
@@ -188,6 +189,81 @@ func TestOpenLoadsOnFreeHardware(t *testing.T) {
 	if got := db.Machine().Config(); got != res {
 		t.Fatalf("installed machine %+v, want %+v", got, res)
 	}
+}
+
+// TestOpenLoadsOffTheLogClock: the load's commits are not held to the
+// simulated log sync, and the measured machine's commits are. With a
+// 200 ms sync, Open returns well inside one, and a DepositChecking after
+// it still waits for a whole one. With a device under the same clock,
+// every loaded row is synced by the time Load returns: recovery from
+// what the device had synced finds them all.
+func TestOpenLoadsOffTheLogClock(t *testing.T) {
+	const sync = 200 * time.Millisecond
+	const customers = 100
+	t.Run("no device", func(t *testing.T) {
+		start := time.Now()
+		db, _, err := Open(engine.Config{Mode: core.SnapshotFUW, Platform: core.PlatformPostgres,
+			WAL: wal.Config{FsyncLatency: sync}}, LoadConfig{Customers: customers, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer db.Close()
+		if took := time.Since(start); took >= sync/2 {
+			t.Fatalf("Open took %v under a %v simulated sync", took, sync)
+		}
+		start = time.Now()
+		if err := Run(db, StrategySI, DepositChecking, Params{N1: CustomerName(2), V: 250}); err != nil {
+			t.Fatal(err)
+		}
+		if took := time.Since(start); took < sync {
+			t.Fatalf("a sync DepositChecking took %v, want at least the %v sync", took, sync)
+		}
+	})
+	t.Run("segment log", func(t *testing.T) {
+		dev, err := wal.NewMemSegmentLog(1 << 20)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := engine.Config{Mode: core.SnapshotFUW, Platform: core.PlatformPostgres,
+			WAL: wal.Config{Device: dev, FsyncLatency: sync}}
+		start := time.Now()
+		db, total, err := Open(cfg, LoadConfig{Customers: customers, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer db.Close()
+		if took := time.Since(start); took >= sync/2 {
+			t.Fatalf("Open took %v under a %v simulated sync", took, sync)
+		}
+		if _, err := dev.DropUnsynced(); err != nil {
+			t.Fatal(err)
+		}
+		image, err := dev.Segments()
+		if err != nil {
+			t.Fatal(err)
+		}
+		survivor, err := wal.NewMemSegmentLog(1<<20, image...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		db2, _, err := engine.Recover(survivor, engine.Config{Mode: core.SnapshotFUW})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer db2.Close()
+		rows := 0
+		for _, table := range []string{TableAccount, TableSaving, TableChecking, TableConflict} {
+			if err := db2.ScanLatest(table, func(core.Value, core.Record) bool { rows++; return true }); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if want := 4*customers + 1; rows != want {
+			t.Fatalf("recovered %d rows, want %d", rows, want)
+		}
+		if got, err := TotalMoney(db2); err != nil || got != total {
+			t.Fatalf("recovered total = %d, %v; loaded %d", got, err, total)
+		}
+	})
 }
 
 // syncFails is a log device whose syncs fail: the first schema frame,

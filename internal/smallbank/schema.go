@@ -201,8 +201,12 @@ func Load(db *engine.DB, cfg LoadConfig) (total int64, err error) {
 
 // Open stands up the paper's database: it opens an engine from cfg with
 // the simulated machine off, declares the schema and loads lc on that
-// free hardware, then installs cfg.Res, the machine to be measured. It
-// returns the database and the money Load put in it; on an error the
+// free hardware, then installs cfg.Res, the machine to be measured. The
+// free hardware includes the log's clock: the schema frames and the
+// load's bulk commits are written and synced on cfg.WAL's device but
+// wait for no simulated sync (cfg.WAL.FsyncLatency times the measured
+// run's commits only); cmd/sisqld also pauses the collector around Open.
+// It returns the database and the money Load put in it; on an error the
 // database is closed. A tracer or a default transaction deadline goes
 // in after Open returns (DB.SetTracer, DB.SetDefaultTxDeadline), so the
 // load neither fills the rings nor spends a budget.

@@ -730,3 +730,52 @@ func TestControlWindowSkipsTheClock(t *testing.T) {
 		t.Fatalf("after a commit and a control record: %+v", s)
 	}
 }
+
+// TestBulkCommitSkipsTheClock: under a simulated sync, the commits of a
+// bulk load (Record.Bulk) are written and synced on the device without
+// waiting a simulated sync, and leave the clock as it was; a commit
+// queued after them still waits its whole sync.
+func TestBulkCommitSkipsTheClock(t *testing.T) {
+	const latency = 50 * time.Millisecond
+	dev := newTestLog(t)
+	w := New(Config{Device: dev, FsyncLatency: latency})
+	defer w.Close()
+	start := time.Now()
+	var verdicts []<-chan error
+	for csn := uint64(1); csn <= 4; csn++ {
+		rec := framed(w, &Record{TxID: csn, CSN: csn, Async: true, Bulk: true,
+			Rows: []RowImage{{Table: "T", Key: core.Int(int64(csn)), Rec: core.Record{core.Int(int64(csn))}}}})
+		done, err := w.Enqueue(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		verdicts = append(verdicts, done)
+	}
+	for _, done := range verdicts {
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if took := time.Since(start); took >= latency {
+		t.Fatalf("4 bulk commits took %v, one simulated sync is %v", took, latency)
+	}
+	durable, _ := w.DurableWatermark()
+	w.mu.Lock()
+	freeAt := w.freeAt
+	w.mu.Unlock()
+	if s := w.Stats(); s.Records != 4 || durable != 4 || !freeAt.IsZero() {
+		t.Fatalf("after 4 bulk commits: %+v, durable up to %d, clock free at %v", s, durable, freeAt)
+	}
+	frames, _ := ScanLog(logImage(t, dev))
+	if len(frames) != 4 {
+		t.Fatalf("the device holds %d frames, want the 4 bulk commits", len(frames))
+	}
+
+	start = time.Now()
+	if err := <-enqueue(t, w, &Record{TxID: 5, CSN: 5}); err != nil {
+		t.Fatal(err)
+	}
+	if took := time.Since(start); took < latency {
+		t.Fatalf("commit acknowledged after %v, before its %v sync", took, latency)
+	}
+}

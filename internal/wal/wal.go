@@ -140,6 +140,11 @@ type Record struct {
 	// record cannot be rolled back by aborting the transaction, so it
 	// bricks the WAL instead.
 	Async bool
+	// Bulk marks the commit of a bulk load (engine.DB.BulkInsert). Like a
+	// control record it is written and synced on the device but not held
+	// to a simulated sync (claimWindow): the clock times the commits of
+	// the measured run, not the load before it.
+	Bulk bool
 
 	// Segment is where appends were landing when the flush loop was about
 	// to write a control record's window: the frame lies in it or later.
@@ -705,26 +710,30 @@ func (w *WAL) leave(own *Record) bool {
 // nothing to wait for: a window is everything pending, the records that
 // queued up during the previous window's real sync. A bricked WAL claims
 // the same way: the records still queued fail at once with the sticky
-// cause, not one sync period apart. So do the control records at the
-// head of the queue: the clock times the commit log, and a schema frame
-// or a checkpoint's frames that no commit rides with are written and
-// synced on the device, not held to a simulated sync (a checkpoint
-// streams hundreds of rows batches, and one sync each made it take
-// seconds). Either way MaxBatch caps the window.
+// cause, not one sync period apart. So do the unclocked records at the
+// head of the queue: the clock times the commit log, and a schema frame,
+// a checkpoint's frames or a bulk load's commits that no other commit
+// rides with are written and synced on the device, not held to a
+// simulated sync (a checkpoint streams hundreds of rows batches, and one
+// sync each made it take seconds). Either way MaxBatch caps the window.
 func (w *WAL) claimWindow() (window []*Record, deadline time.Time) {
 	clocked := w.cfg.FsyncLatency > 0 && w.Broken() == nil
-	if clocked && !w.pending[0].control {
+	if clocked && w.pending[0].clocked() {
 		return w.claimAt(time.Now())
 	}
 	n := len(w.pending)
 	if clocked {
-		if i := slices.IndexFunc(w.pending, func(r *Record) bool { return !r.control }); i >= 0 {
+		if i := slices.IndexFunc(w.pending, (*Record).clocked); i >= 0 {
 			n = i
 		}
 	}
 	w.held = false
 	return w.takeWindow(n), time.Time{}
 }
+
+// clocked reports whether r waits for a simulated sync: a commit that
+// is no bulk load's.
+func (r *Record) clocked() bool { return !r.control && !r.Bulk }
 
 // takeWindow moves the first n queued records, MaxBatch at most, off the
 // queue into the flush loop's window. Queue and window each keep their
@@ -898,9 +907,9 @@ func (w *WAL) flushWindow(window []*Record) (bytes int, err error) {
 // settle accounts a flushed window and delivers its verdict (resolve);
 // the caller holds mu. led says that a committer ran the loop.
 func (w *WAL) settle(window []*Record, bytes int, err error, led bool) {
-	if w.cfg.FsyncLatency > 0 && w.cfg.Device != nil && !window[0].control {
+	if w.cfg.FsyncLatency > 0 && w.cfg.Device != nil && window[0].clocked() {
 		// The real append and sync came on top of the simulated one: the
-		// device was busy until now. A window of control records alone
+		// device was busy until now. A window of unclocked records alone
 		// had no simulated sync and leaves the clock as it was.
 		w.freeAt = time.Now()
 	}
